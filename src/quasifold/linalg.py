@@ -193,33 +193,6 @@ class Matrix:
     def rank(self):
         return len(self._eliminate()[1])
 
-    def det(self):
-        if self.rows != self.cols:
-            raise DimensionMismatchError("determinant of a non-square matrix")
-        work = [list(self.row(i)) for i in range(self.rows)]
-        sign = 1
-        one = self.domain.one()
-        prev = one
-        for c in range(self.cols):
-            pivot_row = None
-            for i in range(c, self.rows):
-                if not work[i][c].is_zero():
-                    pivot_row = i
-                    break
-            if pivot_row is None:
-                return self.domain.zero()
-            if pivot_row != c:
-                work[c], work[pivot_row] = work[pivot_row], work[c]
-                sign = -sign
-            pivot = work[c][c]
-            for i in range(c + 1, self.rows):
-                factor = work[i][c]
-                for j in range(c, self.cols):
-                    work[i][j] = (pivot * work[i][j] - factor * work[c][j]) / prev
-            prev = pivot
-        value = work[self.rows - 1][self.cols - 1]
-        return value if sign > 0 else -value
-
     def _back_substitute(self, work, pivot_cols, aug_cols):
         """Solve the upper-triangular system for each augmented column."""
         n = len(pivot_cols)

@@ -1,10 +1,10 @@
 """Simple convex polytopes in facet form and their normal fans.
 
 A polytope is a list of inequalities <X_j, x> >= lambda_j with inward
-normals X_j.  Vertices are enumerated by solving every n-subset of facet
-equalities exactly and keeping the solutions that satisfy all remaining
-inequalities; the normal fan then has one maximal cone per vertex, spanned
-by the normals of the facets through it.
+normals X_j.  Vertices are enumerated exactly: facet n-subsets are solved
+until one gives a first vertex, and the rest are found by walking the edges,
+swapping one facet at a time.  The normal fan then has one maximal cone per
+vertex, spanned by the normals of the facets through it.
 
 Over a parameter field, inequality signs that cannot be decided from
 coefficient signs are evaluated at two generic sample values which must
@@ -111,16 +111,16 @@ def _inequality_sign(value: Scalar, samples):
         return signs.pop()
 
 
-def enumerate_vertices(polytope: Polytope, samples=None) -> Tuple[Vertex, ...]:
-    """All vertices with their exact coordinates and facet incidence.
+def _simplicity_error(point, incident, n):
+    coords = ", ".join(x.text() for x in point)
+    return SimplicityError(
+        f"vertex ({coords}) lies on facets {incident}; "
+        f"a simple polytope allows exactly {n}")
 
-    Raises SimplicityError when some vertex lies on more than n facets.
-    """
+
+def _start_vertex(polytope: Polytope, samples):
+    """The solution of the first feasible facet n-subset, with its slacks."""
     n = polytope.dim
-    if polytope.facet_count < n + 1:
-        raise ValueError("a bounded polytope needs at least n + 1 facets")
-    samples = _parameter_samples(polytope, samples)
-    seen = {}
     for subset in itertools.combinations(range(polytope.facet_count), n):
         matrix = Matrix.from_rows(
             polytope.domain, [polytope.facets[i].normal for i in subset])
@@ -129,31 +129,104 @@ def enumerate_vertices(polytope: Polytope, samples=None) -> Tuple[Vertex, ...]:
             point = matrix.solve(rhs)
         except SingularMatrixError:
             continue
-        key = tuple(x.payload for x in point)
-        if key in seen:
-            continue
-        incident = []
-        feasible = True
-        for j, facet in enumerate(polytope.facets):
+        slacks = []
+        for facet in polytope.facets:
             slack = dot(facet.normal, point) - facet.offset
-            if slack.is_zero():
-                incident.append(j + 1)
-                continue
-            if _inequality_sign(slack, samples) < 0:
-                feasible = False
+            if not slack.is_zero() and _inequality_sign(slack, samples) < 0:
                 break
-        if feasible:
-            seen[key] = Vertex(coordinates=point, incident=tuple(incident))
-    vertices = sorted(seen.values(), key=lambda v: v.incident)
-    if not vertices:
-        raise ValueError("the inequality system has no vertices")
-    for vertex in vertices:
-        if len(vertex.incident) != n:
-            coords = ", ".join(x.text() for x in vertex.coordinates)
-            raise SimplicityError(
-                f"vertex ({coords}) lies on facets {vertex.incident}; "
-                f"a simple polytope allows exactly {n}")
-    return tuple(vertices)
+            slacks.append(slack)
+        else:
+            return point, slacks
+    raise ValueError("the inequality system has no vertices")
+
+
+def enumerate_vertices(polytope: Polytope, samples=None) -> Tuple[Vertex, ...]:
+    """All vertices with their exact coordinates and facet incidence.
+
+    The vertices are found by walking the edges of the polyhedron (Avis &
+    Fukuda, "A pivoting algorithm for convex hulls and vertex enumeration
+    of arrangements and polyhedra", 1992), starting from the first feasible
+    n-subset of facet equalities.  The walk finds every vertex because:
+
+    * the vertices and bounded edges of a pointed polyhedron form a
+      connected graph, and a polyhedron with a vertex is pointed;
+    * at a simple vertex with active facets S, the columns d_k of A_S^-1
+      are exactly its edge directions: moving along d_k raises the slack
+      of facet S[k] and keeps the other n - 1 facets of S tight;
+    * along d_k the slack of facet j changes at rate a_j = <X_j, d_k>, so
+      the edge ends where the first facet with a_j < 0 becomes tight (the
+      minimum ratio slack_j / -a_j), and is unbounded when there is none.
+      The neighbour lies on more than n facets exactly when that minimum
+      ties, and every vertex is reached from a simple one through an edge,
+      so a non-simple vertex anywhere is found.
+
+    Ratios are compared by the sign of slack_b * a_j - slack_j * a_b, so
+    the only division is the step length of each edge taken.  An edge is
+    walked from one end only: reaching a vertex by leaving facet S[k] for
+    facet b records that leaving b there leads back.
+
+    Raises SimplicityError when some vertex lies on more than n facets.
+    """
+    n = polytope.dim
+    if polytope.facet_count < n + 1:
+        raise ValueError("a bounded polytope needs at least n + 1 facets")
+    samples = _parameter_samples(polytope, samples)
+    facets = polytope.facets
+    point, slacks = _start_vertex(polytope, samples)
+    active = tuple(j for j, slack in enumerate(slacks) if slack.is_zero())
+    if len(active) != n:
+        raise _simplicity_error(point, tuple(j + 1 for j in active), n)
+    found = {active: (point, slacks)}
+    pending = [active]
+    walked = set()  # (vertex, facet it leaves) for edges already taken
+    while pending:
+        active = pending.pop()
+        point, slacks = found[active]
+        inverse = Matrix.from_rows(
+            polytope.domain, [facets[j].normal for j in active]).inverse()
+        for k in range(n):
+            if (active, active[k]) in walked:
+                continue
+            direction = inverse.column(k)
+            rates = {}
+            best = None
+            tied = False
+            for j, facet in enumerate(facets):
+                if j in active:
+                    continue
+                rate = dot(facet.normal, direction)
+                rates[j] = rate
+                if rate.is_zero() or _inequality_sign(rate, samples) > 0:
+                    continue
+                if best is None:
+                    best = j
+                    continue
+                cross = slacks[best] * rate - slacks[j] * rates[best]
+                if cross.is_zero():
+                    tied = True
+                elif _inequality_sign(cross, samples) < 0:
+                    best, tied = j, False
+            if best is None:
+                continue  # an unbounded edge
+            neighbour = tuple(sorted(active[:k] + active[k + 1:] + (best,)))
+            walked.add((neighbour, best))
+            if neighbour in found and not tied:
+                continue
+            step = slacks[best] / -rates[best]
+            new_point = tuple(x + step * d for x, d in zip(point, direction))
+            new_slacks = list(slacks)
+            new_slacks[active[k]] = step
+            for j, rate in rates.items():
+                new_slacks[j] = slacks[j] + step * rate
+            if tied:
+                incident = tuple(j + 1 for j, slack in enumerate(new_slacks)
+                                 if slack.is_zero())
+                raise _simplicity_error(new_point, incident, n)
+            found[neighbour] = (new_point, new_slacks)
+            pending.append(neighbour)
+    return tuple(Vertex(coordinates=found[active][0],
+                        incident=tuple(j + 1 for j in active))
+                 for active in sorted(found))
 
 
 @dataclass(frozen=True)

@@ -300,7 +300,7 @@ def _sample_log_points(rng, count):
     return phases + 1j * (-np.log(moduli) / _TWO_PI)
 
 
-def _positions(indices, all_count=None):
+def _positions(indices):
     return np.array([i - 1 for i in indices], dtype=int)
 
 

@@ -1,9 +1,12 @@
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
-from quasifold import (GenericityError, Matrix, Polytope,
-                       Quasilattice, SimplicityError, dot, enumerate_vertices,
+from quasifold import (Facet, GenericityError, Matrix, Polytope,
+                       Quasilattice, SimplicityError, SingularMatrixError,
+                       Vertex, dot, enumerate_vertices, load_gallery,
                        normal_fan, to_triple)
 
 
@@ -167,3 +170,157 @@ def test_too_few_facets(rational):
     shape = Polytope.from_strings(rational, [(["1", "0"], "0"), (["0", "1"], "0")])
     with pytest.raises(ValueError):
         enumerate_vertices(shape)
+
+
+# -- the edge walk against the subset sweep ----------------------------------
+
+
+def sweep_vertices(polytope):
+    """Reference enumeration: solve every facet n-subset and keep the
+    feasible solutions.  Raises SimplicityError like enumerate_vertices."""
+    n = polytope.dim
+    seen = {}
+    for subset in itertools.combinations(range(polytope.facet_count), n):
+        matrix = Matrix.from_rows(
+            polytope.domain, [polytope.facets[i].normal for i in subset])
+        try:
+            point = matrix.solve([polytope.facets[i].offset for i in subset])
+        except SingularMatrixError:
+            continue
+        incident = []
+        for j, facet in enumerate(polytope.facets, start=1):
+            slack = dot(facet.normal, point) - facet.offset
+            if slack.is_zero():
+                incident.append(j)
+            elif slack.sign() < 0:
+                break
+        else:
+            seen[tuple(incident)] = Vertex(coordinates=point,
+                                           incident=tuple(incident))
+    if not seen:
+        raise ValueError("the inequality system has no vertices")
+    if any(len(incident) != n for incident in seen):
+        raise SimplicityError("some vertex is not simple")
+    return tuple(seen[incident] for incident in sorted(seen))
+
+
+def truncated_dodecahedron():
+    """The dodecahedron with each vertex cut off by a facet whose normal is
+    the sum of the three facet normals there."""
+    doc = load_gallery("dodecahedron")
+    polytope = doc.polytope
+    offset = doc.domain.scalar("3*(2 - alpha^2) + 1/2")
+    cuts = []
+    for vertex in enumerate_vertices(polytope):
+        normal = tuple(
+            sum((polytope.facets[j - 1].normal[t] for j in vertex.incident),
+                doc.domain.zero())
+            for t in range(3))
+        cuts.append(Facet(normal, offset))
+    return Polytope(doc.domain, list(polytope.facets) + cuts)
+
+
+def test_walk_matches_sweep_on_gallery(gallery):
+    for name, (doc, _, _) in gallery.items():
+        if doc.polytope is not None:
+            assert enumerate_vertices(doc.polytope) == \
+                sweep_vertices(doc.polytope), name
+
+
+def test_walk_matches_sweep_on_truncated_dodecahedron():
+    polytope = truncated_dodecahedron()
+    vertices = enumerate_vertices(polytope)
+    assert vertices == sweep_vertices(polytope)
+    assert len(vertices) == 60
+    for vertex in vertices:
+        pentagons = [j for j in vertex.incident if j <= 12]
+        assert len(pentagons) == 2 and len(vertex.incident) == 3
+
+
+def random_cut_cube(rational, seed):
+    """The cube [-2, 2]^3 with random rational cuts; a cut through a cube
+    vertex or a vertex of an earlier cut often makes that vertex non-simple."""
+    rng = random.Random(seed)
+    rows = []
+    for axis in range(3):
+        for sign in (1, -1):
+            normal = ["0"] * 3
+            normal[axis] = str(sign)
+            rows.append((normal, "-2"))
+    for _ in range(rng.randint(1, 4)):
+        normal = [rng.randint(-3, 3) for _ in range(3)]
+        if not any(normal):
+            normal[0] = 1
+        if rng.random() < 0.4:
+            # through the corner the normal points away from
+            corner = [2 if c < 0 else -2 for c in normal]
+            offset = Fraction(sum(c * x for c, x in zip(normal, corner)))
+        else:
+            offset = Fraction(rng.randint(-8, 2), rng.randint(1, 3))
+        rows.append(([str(c) for c in normal], str(offset)))
+    return Polytope.from_strings(rational, rows)
+
+
+def _outcome(enumerate_, polytope):
+    try:
+        return enumerate_(polytope)
+    except ValueError as err:
+        return type(err)
+
+
+def test_walk_matches_sweep_on_random_cuts(rational):
+    kinds = set()
+    for seed in range(40):
+        polytope = random_cut_cube(rational, seed)
+        walked = _outcome(enumerate_vertices, polytope)
+        assert walked == _outcome(sweep_vertices, polytope), seed
+        kinds.add(walked if isinstance(walked, type) else "vertices")
+    # the family exercises both the simple and the non-simple case
+    assert {SimplicityError, "vertices"} <= kinds
+
+
+def test_walk_matches_sweep_on_unbounded_polyhedron(rational):
+    # the positive orthant cut by x + 2y + 3z >= 1: three unbounded edges
+    # leave each of its three vertices
+    orthant = Polytope.from_strings(rational, [
+        (["1", "0", "0"], "0"),
+        (["0", "1", "0"], "0"),
+        (["0", "0", "1"], "0"),
+        (["1", "2", "3"], "1"),
+    ])
+    vertices = enumerate_vertices(orthant)
+    assert vertices == sweep_vertices(orthant)
+    assert {tuple(x.text() for x in v.coordinates) for v in vertices} == \
+        {("1", "0", "0"), ("0", "1/2", "0"), ("0", "0", "1/3")}
+
+
+def test_simplicity_error_far_from_start(rational):
+    # the unit cube plus x + y + z <= 3, which touches it only at (1, 1, 1);
+    # the walk starts at the origin and finds the corner by a ratio tie
+    cube = Polytope.from_strings(rational, [
+        (["1", "0", "0"], "0"),
+        (["0", "1", "0"], "0"),
+        (["0", "0", "1"], "0"),
+        (["-1", "0", "0"], "-1"),
+        (["0", "-1", "0"], "-1"),
+        (["0", "0", "-1"], "-1"),
+        (["-1", "-1", "-1"], "-3"),
+    ])
+    with pytest.raises(SimplicityError) as err:
+        enumerate_vertices(cube)
+    assert "(1, 1, 1)" in str(err.value)
+    assert "(4, 5, 6, 7)" in str(err.value)
+
+
+def test_dodecahedron_enumeration_solves_little(gallery, monkeypatch):
+    calls = []
+    for name in ("solve", "inverse"):
+        method = getattr(Matrix, name)
+
+        def counted(self, *args, _method=method, **kwargs):
+            calls.append(_method)
+            return _method(self, *args, **kwargs)
+        monkeypatch.setattr(Matrix, name, counted)
+    vertices = enumerate_vertices(gallery["dodecahedron"][0].polytope)
+    assert len(vertices) == 20
+    assert len(calls) <= 25
