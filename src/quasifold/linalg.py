@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from .scalars import Scalar, ScalarDomain
+from .scalars import DomainMismatchError, Scalar, ScalarDomain
 
 __all__ = [
     "DimensionMismatchError",
@@ -134,20 +134,26 @@ class Matrix:
         if self.cols != other.rows:
             raise DimensionMismatchError(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        zero = self.domain.zero()
+        domain = self.domain
+        if other.domain is not domain and other.domain != domain:
+            raise DomainMismatchError(
+                f"cannot mix {domain.describe()} with {other.domain.describe()}")
+        # work on payloads: one Scalar per output entry, no per-op dispatch
+        mul, add, is_zero = domain._mul, domain._add, domain._is_zero
+        left = [None if is_zero(x.payload) else x.payload for x in self.entries]
+        right = [x.payload for x in other.entries]
+        zero = domain.zero().payload
+        n, m = self.cols, other.cols
         out = []
-        for i in range(self.rows):
-            row = self.row(i)
-            for j in range(other.cols):
+        for i in range(0, self.rows * n, n):
+            row = left[i:i + n]
+            for j in range(m):
                 acc = zero
-                for k in range(self.cols):
-                    x = row[k]
-                    if x.is_zero():
-                        continue
-                    acc = acc + x * other.entries[k * other.cols + j]
-                out.append(acc)
-        return Matrix(self.domain, self.rows, other.cols, out,
-                      self.row_labels, other.col_labels)
+                for k, x in enumerate(row):
+                    if x is not None:
+                        acc = add(acc, mul(x, right[k * m + j]))
+                out.append(Scalar(domain, acc))
+        return Matrix(domain, self.rows, m, out, self.row_labels, other.col_labels)
 
     def apply(self, vector: Sequence[Scalar]):
         if len(vector) != self.cols:

@@ -6,10 +6,20 @@ A scalar lives in one of:
   * a real number field  Q[x]/(p)  with a designated real root of p, or
   * the field of rational functions in one positive real parameter.
 
-All values are kept in canonical form (reduced fractions with positive
-denominators, number-field elements reduced modulo the minimal polynomial,
-rational functions as coprime fractions with monic denominators), so scalar
-equality is equality of canonical encodings.
+All values are kept in canonical form, so scalar equality is equality of
+canonical encodings (payloads):
+
+  * a rational is a ``Fraction`` in lowest terms;
+  * a number-field element, reduced modulo the minimal polynomial of
+    degree d, is a tuple of Python ints ``(den, c0, ..., c_{d-1})`` meaning
+    (c0 + c1 x + ... + c_{d-1} x^{d-1}) / den, with ``den > 0`` and
+    ``math.gcd(den, c0, ..., c_{d-1}) == 1``; zero is ``(1, 0, ..., 0)``;
+  * a rational function is a coprime pair of Fraction-coefficient
+    polynomials with a monic denominator.
+
+Only this module knows the payload layouts.  Elsewhere a payload is opaque:
+the matrix product hands payloads to the domain's own operations, and
+``rational_rows`` expands a linear equation into rational equations.
 
 Scalars are read and written in a small expression grammar:
 
@@ -23,6 +33,7 @@ where ``symbol`` is the generator/parameter name declared by the domain.
 
 from __future__ import annotations
 
+import math
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from typing import Optional
@@ -205,7 +216,7 @@ class ScalarDomain:
     def scalar(self, value) -> "Scalar":
         """Coerce an int, Fraction, decimal string, or grammar text."""
         if isinstance(value, Scalar):
-            if value.domain != self:
+            if value.domain is not self and value.domain != self:
                 raise DomainMismatchError(
                     f"scalar from {value.domain.describe()} used in {self.describe()}")
             return value
@@ -250,6 +261,14 @@ class ScalarDomain:
 
     def _as_rational(self, a):
         """Return the payload as a Fraction if it is rational, else None."""
+        raise NotImplementedError
+
+    def rational_rows(self, coefficients, target):
+        """Expand  sum coefficients[l] * m_l = target  into rational equations.
+
+        Returns (row, rhs) pairs with Fraction entries whose solutions in
+        rational m are exactly those of the equation over this domain.
+        """
         raise NotImplementedError
 
     def _sign(self, a, parameter_sample=None):
@@ -302,6 +321,9 @@ class RationalDomain(ScalarDomain):
     def _as_rational(self, a):
         return a
 
+    def rational_rows(self, coefficients, target):
+        return [([c.payload for c in coefficients], target.payload)]
+
     def _sign(self, a, parameter_sample=None):
         return (a > 0) - (a < 0)
 
@@ -315,8 +337,15 @@ class NumberFieldDomain(ScalarDomain):
     ``min_poly`` lists coefficients from the constant term up and must be
     monic of degree >= 2.  ``embedding_approx`` is a decimal close enough to
     the intended root to isolate it; the root is then refined by exact
-    interval bisection on demand.  Elements are coefficient tuples of fixed
-    length deg(p), reduced modulo p.
+    interval bisection on demand.
+
+    The element  (c0 + c1 x + ... + c_{d-1} x^{d-1}) / den  of Q[x]/(p),
+    d = deg(p), is the payload ``(den, c0, ..., c_{d-1})`` of Python ints
+    with ``den > 0`` and ``math.gcd(den, c0, ..., c_{d-1}) == 1``; zero is
+    ``(1, 0, ..., 0)``.  The form is unique, so payload equality is value
+    equality.  A product is an integer convolution reduced by integer rows
+    for x^d .. x^(2d-2) over one common denominator, then divided by one
+    gcd (Cohen, GTM 138, section 4.2).
     """
 
     kind = "number_field"
@@ -332,6 +361,8 @@ class NumberFieldDomain(ScalarDomain):
         self.degree = len(coeffs) - 1
         self.generator_symbol = generator_symbol
         self.embedding_approx = _as_fraction(embedding_approx)
+        self._hash = hash((self.min_poly, self.generator_symbol, self.embedding_approx))
+        self._zero = (1,) + (0,) * self.degree
         # reduction rows for x^deg .. x^(2 deg - 2)
         rows = []
         current = tuple(-c for c in coeffs[:-1])  # x^deg mod p
@@ -345,7 +376,10 @@ class NumberFieldDomain(ScalarDomain):
                     nxt[i] += reduce_c * r
             current = tuple(nxt)
             rows.append(current)
-        self._reduction = rows
+        # ... kept as integer rows over their common denominator
+        scale = math.lcm(*(c.denominator for row in rows for c in row))
+        self._reduction_scale = scale
+        self._reduction = [tuple(int(c * scale) for c in row) for row in rows]
         self._root_lo, self._root_hi = self._isolate_root()
 
     def _isolate_root(self):
@@ -396,71 +430,90 @@ class NumberFieldDomain(ScalarDomain):
                 f"min_poly {_poly_text(self.min_poly, 'x')}")
 
     def __eq__(self, other):
+        if self is other:
+            return True
         return (isinstance(other, NumberFieldDomain)
                 and self.min_poly == other.min_poly
                 and self.generator_symbol == other.generator_symbol
                 and self.embedding_approx == other.embedding_approx)
 
     def __hash__(self):
-        return hash((self.min_poly, self.generator_symbol, self.embedding_approx))
+        return self._hash
 
     def __repr__(self):
         return (f"NumberFieldDomain({list(self.min_poly)}, "
                 f"{self.generator_symbol!r}, {float(self.embedding_approx)})")
 
     def generator(self):
-        payload = tuple(_F1 if i == 1 else _F0 for i in range(self.degree))
-        return Scalar(self, payload)
+        return Scalar(self, (1, 0, 1) + (0,) * (self.degree - 2))
+
+    def _canonical(self, den, coeffs):
+        """The payload of  coeffs / den  for den > 0."""
+        g = math.gcd(den, *coeffs)
+        if g == 1:
+            return (den, *coeffs)
+        return (den // g, *(c // g for c in coeffs))
+
+    def _fractions(self, a):
+        """The payload's coefficients as Fractions, constant term first."""
+        den = a[0]
+        return tuple(Fraction(c, den) for c in a[1:])
+
+    def _from_fractions(self, coeffs):
+        den = math.lcm(*(c.denominator for c in coeffs))
+        nums = [c.numerator * (den // c.denominator) for c in coeffs]
+        return self._canonical(den, nums + [0] * (self.degree - len(nums)))
 
     def _from_fraction(self, q):
-        return (q,) + (_F0,) * (self.degree - 1)
+        return (q.denominator, q.numerator) + (0,) * (self.degree - 1)
 
     def _add(self, a, b):
-        if not any(a):
+        if not any(a[1:]):
             return b
-        if not any(b):
+        if not any(b[1:]):
             return a
-        return tuple(x + y for x, y in zip(a, b))
+        da, db = a[0], b[0]
+        if da == db:
+            return self._canonical(da, [x + y for x, y in zip(a[1:], b[1:])])
+        return self._canonical(da * db, [x * db + y * da for x, y in zip(a[1:], b[1:])])
 
     def _neg(self, a):
-        return tuple(-x for x in a)
+        return (a[0], *(-x for x in a[1:]))
+
+    def _scale(self, a, num, den):
+        """a * num/den for a rational num/den in lowest terms."""
+        if not num:
+            return self._zero
+        if num == den:
+            return a
+        return self._canonical(a[0] * den, [x * num for x in a[1:]])
 
     def _mul(self, a, b):
         # rational factors skip the convolution entirely
-        if not any(a[1:]):
-            c = a[0]
-            if not c:
-                return a
-            if c == 1:
-                return b
-            return tuple(x * c for x in b)
-        if not any(b[1:]):
-            c = b[0]
-            if not c:
-                return b
-            if c == 1:
-                return a
-            return tuple(x * c for x in a)
+        if not any(a[2:]):
+            return self._scale(b, a[1], a[0])
+        if not any(b[2:]):
+            return self._scale(a, b[1], b[0])
         deg = self.degree
-        acc = [_F0] * (2 * deg - 1)
-        for i, ai in enumerate(a):
+        acc = [0] * (2 * deg - 1)
+        bc = b[1:]
+        for i, ai in enumerate(a[1:]):
             if ai:
-                for j, bj in enumerate(b):
-                    if bj:
-                        acc[i + j] += ai * bj
-        for k in range(2 * deg - 2, deg - 1, -1):
-            c = acc[k]
+                for j, bj in enumerate(bc, i):
+                    acc[j] += ai * bj
+        scale = self._reduction_scale
+        low = acc[:deg] if scale == 1 else [c * scale for c in acc[:deg]]
+        for c, row in zip(acc[deg:], self._reduction):
             if c:
-                for i, r in enumerate(self._reduction[k - deg]):
-                    if r:
-                        acc[i] += c * r
-        return tuple(acc[:deg])
+                for i, r in enumerate(row):
+                    low[i] += c * r
+        return self._canonical(a[0] * b[0] * scale, low)
 
     def _inv(self, a):
         if self._is_zero(a):
             raise ZeroDivisionError("inversion of zero scalar")
         # extended Euclid in Q[x] against the minimal polynomial
-        r0, r1 = self.min_poly, _ptrim(a)
+        r0, r1 = self.min_poly, _ptrim(self._fractions(a))
         s0, s1 = (), (_F1,)
         while r1:
             q, r = _pdivmod(r0, r1)
@@ -470,24 +523,30 @@ class NumberFieldDomain(ScalarDomain):
             raise ZeroDivisionError(
                 "zero divisor encountered; min_poly is reducible")
         scale = 1 / r0[0]
-        inv = tuple(c * scale for c in s0)
-        return tuple(inv[i] if i < len(inv) else _F0 for i in range(self.degree))
+        return self._from_fractions([c * scale for c in s0])
 
     def _is_zero(self, a):
-        return not any(a)
+        return not any(a[1:])
 
     def _text(self, a):
-        return _poly_text(_ptrim(a), self.generator_symbol)
+        return _poly_text(_ptrim(self._fractions(a)), self.generator_symbol)
 
     def _as_rational(self, a):
-        if any(a[1:]):
+        if any(a[2:]):
             return None
-        return a[0]
+        return Fraction(a[1], a[0])
+
+    def rational_rows(self, coefficients, target):
+        columns = [self._fractions(c.payload) for c in coefficients]
+        rhs = self._fractions(target.payload)
+        return [([column[t] for column in columns], rhs[t])
+                for t in range(self.degree)]
 
     def _sign(self, a, parameter_sample=None):
         if self._is_zero(a):
             return 0
-        coeffs = _ptrim(a)
+        # the denominator is positive: the numerator carries the sign
+        coeffs = _ptrim(a[1:])
         if len(coeffs) == 1:
             return 1 if coeffs[0] > 0 else -1
         lo, hi = self.root_interval(Fraction(1, 10 ** 12))
@@ -508,16 +567,17 @@ class NumberFieldDomain(ScalarDomain):
         rational = self._as_rational(a)
         if rational is not None:
             return _fraction_to_decimal(rational, precision)
-        coeffs = _ptrim(a)
+        # bounds on the numerator; the relative-width test does not see den
+        den, coeffs = a[0], _ptrim(a[1:])
         goal = Fraction(1, 10 ** precision)
         lo, hi = self.root_interval(Fraction(1, 10 ** (precision + 2)))
         for _ in range(20000):
             vlo, vhi = _peval_interval(coeffs, lo, hi)
             mag = max(abs(vlo), abs(vhi))
             if mag and (vhi - vlo) <= mag * goal:
-                return _fraction_to_decimal((vlo + vhi) / 2, precision)
+                return _fraction_to_decimal((vlo + vhi) / (2 * den), precision)
             if lo == hi:
-                return _fraction_to_decimal(vlo, precision)
+                return _fraction_to_decimal(vlo / den, precision)
             lo, hi = self._bisect_once(lo, hi)
             self._root_lo, self._root_hi = lo, hi
         raise ArithmeticError("interval evaluation failed to converge")
@@ -621,6 +681,26 @@ class RationalFunctionDomain(ScalarDomain):
             return None
         return num[0] if num else _F0
 
+    def rational_rows(self, coefficients, target):
+        # clear denominators, then compare coefficients of each power of
+        # the parameter
+        scalars = [*coefficients, target]
+        common = (_F1,)
+        for c in scalars:
+            den = c.payload[1]
+            common = _pmul(common, _pdivmod(den, _pgcd(common, den))[0])
+        cleared = []
+        for c in scalars:
+            num, den = c.payload
+            cleared.append(_pmul(num, _pdivmod(common, den)[0]))
+        width = max(max(len(p) for p in cleared), 1)
+        rows = []
+        for t in range(width):
+            row = [p[t] if t < len(p) else _F0 for p in cleared[:-1]]
+            rhs = cleared[-1][t] if t < len(cleared[-1]) else _F0
+            rows.append((row, rhs))
+        return rows
+
     def _single_signed(self, coeffs):
         """+1 / -1 when all coefficients share a sign, else None."""
         if all(c >= 0 for c in coeffs):
@@ -687,7 +767,7 @@ class Scalar:
 
     def _coerce(self, other):
         if isinstance(other, Scalar):
-            if other.domain != self.domain:
+            if other.domain is not self.domain and other.domain != self.domain:
                 raise DomainMismatchError(
                     f"cannot mix {self.domain.describe()} with {other.domain.describe()}")
             return other
@@ -759,7 +839,8 @@ class Scalar:
             other = self._coerce(other)
         if not isinstance(other, Scalar):
             return NotImplemented
-        return self.domain == other.domain and self.payload == other.payload
+        return ((self.domain is other.domain or self.domain == other.domain)
+                and self.payload == other.payload)
 
     def __hash__(self):
         return hash((self.domain, self.payload))

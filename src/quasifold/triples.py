@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from math import lcm
 from typing import Optional, Sequence
 
@@ -259,41 +258,6 @@ def validate(triple: FundamentalTriple, probe_directions: int = 64,
 # witness recovery
 # ---------------------------------------------------------------------------
 
-def _rational_rows(domain, coefficients, target):
-    """Expand one linear equation over the domain into rational equations.
-
-    Returns a list of (row, rhs) pairs with Fraction entries whose integer
-    solutions coincide with those of  sum coeff_l * m_l = target.
-    """
-    if domain.kind == "rational":
-        return [([c.as_rational() for c in coefficients], target.as_rational())]
-    if domain.kind == "number_field":
-        deg = domain.degree
-        rows = []
-        for t in range(deg):
-            rows.append(([c.payload[t] for c in coefficients], target.payload[t]))
-        return rows
-    # rational functions: clear denominators, then compare coefficients of
-    # each power of the parameter
-    from .scalars import _pdivmod, _pgcd, _pmul
-    dens = [c.payload[1] for c in coefficients] + [target.payload[1]]
-    common = (Fraction(1),)
-    for den in dens:
-        g = _pgcd(common, den)
-        common = _pmul(common, _pdivmod(den, g)[0])
-    cleared = []
-    for c in coefficients + [target]:
-        num, den = c.payload
-        cleared.append(_pmul(num, _pdivmod(common, den)[0]))
-    width = max((len(p) for p in cleared), default=1)
-    rows = []
-    for t in range(max(width, 1)):
-        row = [p[t] if t < len(p) else Fraction(0) for p in cleared[:-1]]
-        rhs = cleared[-1][t] if t < len(cleared[-1]) else Fraction(0)
-        rows.append((row, rhs))
-    return rows
-
-
 def ray_membership(triple: FundamentalTriple, j: int, box: int = 10):
     """Verify or recover the integer witness for ray j (1-based).
 
@@ -318,7 +282,7 @@ def ray_membership(triple: FundamentalTriple, j: int, box: int = 10):
     generators = triple.lattice.generators
     for i in range(triple.dim):
         coeff_row = [generators[i, l] for l in range(generators.cols)]
-        for row, value in _rational_rows(triple.domain, coeff_row, target_ray[i]):
+        for row, value in triple.domain.rational_rows(coeff_row, target_ray[i]):
             rows.append([rational.scalar(x) for x in row])
             rhs.append(rational.scalar(value))
     system = Matrix.from_rows(rational, rows)

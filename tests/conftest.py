@@ -1,8 +1,15 @@
 import pytest
+from hypothesis import settings
 
 from quasifold import (Atlas, GALLERY_NAMES, NumberFieldDomain,
                        RationalDomain, RationalFunctionDomain,
                        document_to_triple, load_gallery)
+
+# Property tests draw the same examples on every run and keep no example
+# database, so the suite stays deterministic.
+settings.register_profile("quasifold", derandomize=True, deadline=None,
+                          database=None)
+settings.load_profile("quasifold")
 
 
 @pytest.fixture(scope="session")

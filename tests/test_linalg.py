@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -159,6 +160,61 @@ def test_matmul_labels_travel(rational):
     product = a @ b
     assert product.row_labels == (1, 3)
     assert product.col_labels == (4, 5)
+
+
+def scalar_product(a, b):
+    """Reference product: a triple loop over public Scalar operations."""
+    rows = []
+    for i in range(a.rows):
+        row = []
+        for j in range(b.cols):
+            acc = a.domain.zero()
+            for k in range(a.cols):
+                acc = acc + a[i, k] * b[k, j]
+            row.append(acc)
+        rows.append(row)
+    return rows
+
+
+def random_entry(domain, rng):
+    if rng.random() < 0.3:
+        return domain.zero()
+    p, q, r = (rng.randint(-5, 5) for _ in range(3))
+    s = rng.randint(1, 4)
+    if domain.kind == "rational":
+        return domain.scalar(Fraction(p, s))
+    x = domain.generator()
+    if domain.kind == "number_field":
+        return p * x ** 3 + Fraction(q, s) * x ** 2 + r
+    return (p * x + q) / (x + s)
+
+
+@pytest.mark.parametrize("name", ["rational", "quartic", "parameter"])
+def test_matmul_matches_scalar_reference(name, request):
+    domain = request.getfixturevalue(name)
+    rng = random.Random(2718)
+    for n, k, m in [(2, 3, 4), (3, 3, 3), (1, 4, 2), (4, 1, 3), (3, 2, 1)]:
+        a = Matrix(domain, n, k, [random_entry(domain, rng) for _ in range(n * k)],
+                   row_labels=range(10, 10 + n))
+        b = Matrix(domain, k, m, [random_entry(domain, rng) for _ in range(k * m)],
+                   col_labels=range(20, 20 + m))
+        product = a @ b
+        assert (product.rows, product.cols) == (n, m)
+        assert [list(product.row(i)) for i in range(n)] == scalar_product(a, b)
+        assert product.row_labels == tuple(range(10, 10 + n))
+        assert product.col_labels == tuple(range(20, 20 + m))
+        zeros = Matrix(domain, n, k, [domain.zero()] * (n * k))
+        assert zeros @ b == Matrix(domain, n, m, [domain.zero()] * (n * m))
+
+
+def test_matmul_domain_mismatch(rational, quartic):
+    from quasifold import DomainMismatchError
+    left = Matrix.from_rows(rational, [[1, 2], [3, 4]])
+    right = Matrix.identity(quartic, 2)
+    with pytest.raises(DomainMismatchError):
+        left @ right
+    with pytest.raises(DomainMismatchError):
+        Matrix.from_rows(rational, [[0, 0], [0, 0]]) @ right
 
 
 # ---------------------------------------------------------------------------

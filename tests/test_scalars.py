@@ -1,8 +1,11 @@
+import math
 import random
 from decimal import Decimal
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from quasifold import (IndeterminateSignError, ScalarSyntaxError,
                        parse_scalar)
@@ -279,3 +282,196 @@ def test_numeric_homomorphism(rational, golden, parameter):
             ey = float(y.eval_numeric(12))
             exy = float((x * y).eval_numeric(12))
             assert abs(exy - ex * ey) < 1e-9 * max(1.0, abs(ex * ey))
+
+
+# ---------------------------------------------------------------------------
+# number fields against a Fraction-coefficient oracle
+# ---------------------------------------------------------------------------
+
+class OracleField:
+    """Q[x]/(p) on Fraction coefficient lists, constant term first, of
+    length deg(p): plain long division and extended Euclid, independent of
+    the integer payloads of NumberFieldDomain."""
+
+    def __init__(self, min_poly):
+        self.p = [Fraction(c) for c in min_poly]
+        self.degree = len(self.p) - 1
+
+    def pad(self, coeffs):
+        coeffs = list(coeffs)[: self.degree]
+        return coeffs + [Fraction(0)] * (self.degree - len(coeffs))
+
+    def reduce(self, coeffs):
+        coeffs = [Fraction(c) for c in coeffs]
+        for k in range(len(coeffs) - 1, self.degree - 1, -1):
+            c = coeffs[k]
+            for i, pc in enumerate(self.p):
+                coeffs[k - self.degree + i] -= c * pc
+        return self.pad(coeffs)
+
+    def add(self, a, b):
+        return [x + y for x, y in zip(a, b)]
+
+    def sub(self, a, b):
+        return [x - y for x, y in zip(a, b)]
+
+    def mul(self, a, b):
+        out = [Fraction(0)] * (2 * self.degree - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+        return self.reduce(out)
+
+    def inv(self, a):
+        def trim(poly):
+            while poly and not poly[-1]:
+                poly = poly[:-1]
+            return poly
+
+        def divmod_(num, den):
+            num, quot = list(num), [Fraction(0)] * max(len(num) - len(den) + 1, 1)
+            while len(trim(num)) >= len(den):
+                num = trim(num)
+                shift = len(num) - len(den)
+                factor = num[-1] / den[-1]
+                quot[shift] = factor
+                for i, c in enumerate(den):
+                    num[shift + i] -= factor * c
+            return quot, trim(num)
+
+        def sub_mul(s, q, t):
+            out = [Fraction(0)] * max(len(s), len(q) + len(t))
+            for i, c in enumerate(s):
+                out[i] += c
+            for i, x in enumerate(q):
+                for j, y in enumerate(t):
+                    out[i + j] -= x * y
+            return trim(out)
+
+        r0, r1 = self.p, trim(list(a))
+        s0, s1 = [], [Fraction(1)]
+        while r1:
+            q, r = divmod_(r0, r1)
+            r0, r1 = r1, r
+            s0, s1 = s1, sub_mul(s0, q, s1)
+        assert len(r0) == 1
+        return self.pad([c / r0[0] for c in s0])
+
+    def value_interval(self, a, lo, hi):
+        vlo = vhi = Fraction(0)
+        for c in reversed(a):
+            prods = (vlo * lo, vlo * hi, vhi * lo, vhi * hi)
+            vlo, vhi = min(prods) + c, max(prods) + c
+        return vlo, vhi
+
+
+def oracle_text(coeffs, symbol):
+    """The grammar text of a coefficient list, highest power first."""
+    pieces = []
+    for k in range(len(coeffs) - 1, -1, -1):
+        c = coeffs[k]
+        if not c:
+            continue
+        base = "" if k == 0 else symbol if k == 1 else f"{symbol}^{k}"
+        if not base:
+            body = str(abs(c))
+        elif abs(c) == 1:
+            body = base
+        else:
+            body = f"{abs(c)}*{base}"
+        if pieces:
+            pieces.append(f" {'-' if c < 0 else '+'} {body}")
+        else:
+            pieces.append(f"{'-' if c < 0 else ''}{body}")
+    return "".join(pieces) or "0"
+
+
+def payload_coefficients(scalar):
+    """Read the documented number-field payload (den, c0, ..., c_{d-1})."""
+    den, *nums = scalar.payload
+    return [Fraction(c, den) for c in nums]
+
+
+def assert_canonical(scalar):
+    payload = scalar.payload
+    assert all(type(c) is int for c in payload), payload
+    assert payload[0] > 0
+    assert math.gcd(*payload) == 1
+
+
+# name -> (min_poly, symbol, embedding, bracket of the designated root)
+ORACLE_FIELDS = {
+    "golden": (["-1", "-1", "1"], "phi", "1.618033988749895", (1, 2)),
+    "quartic": (["5", "0", "-5", "0", "1"], "alpha", "1.902113032590307",
+                (Fraction(9, 5), 2)),
+    # x^2 - 1/2: reduction rows over the common denominator 2
+    "half": (["-1/2", "0", "1"], "r", "0.7071067811865476", (0, 1)),
+}
+
+
+def _oracle_setup(name):
+    from quasifold import NumberFieldDomain
+    min_poly, symbol, approx, bracket = ORACLE_FIELDS[name]
+    domain = NumberFieldDomain(min_poly, symbol, approx)
+    root = bisect_root([Fraction(c) for c in min_poly], *bracket,
+                       iterations=200)
+    return domain, OracleField(min_poly), root
+
+
+ORACLES = {name: _oracle_setup(name) for name in ORACLE_FIELDS}
+
+coefficient = st.fractions(min_value=-12, max_value=12, max_denominator=6)
+
+
+def from_coefficients(domain, coeffs):
+    gen = domain.generator()
+    return sum((c * gen ** k for k, c in enumerate(coeffs)), domain.zero())
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_FIELDS))
+@given(data=st.data())
+def test_number_field_matches_oracle(name, data):
+    domain, oracle, (lo, hi) = ORACLES[name]
+    coeffs = st.lists(coefficient, min_size=oracle.degree,
+                      max_size=oracle.degree)
+    x, y = data.draw(coeffs), data.draw(coeffs)
+    sx, sy = from_coefficients(domain, x), from_coefficients(domain, y)
+    results = [(sx + sy, oracle.add(x, y)), (sx - sy, oracle.sub(x, y)),
+               (sx * sy, oracle.mul(x, y))]
+    if any(y):
+        results.append((sy.inverse(), oracle.inv(y)))
+    assert (sx == sy) == (x == y)
+    for scalar, expected in results:
+        assert_canonical(scalar)
+        assert payload_coefficients(scalar) == expected
+        rebuilt = parse_scalar(oracle_text(expected, domain.generator_symbol),
+                               domain)
+        assert rebuilt == scalar
+        assert rebuilt.payload == scalar.payload
+        assert hash(rebuilt) == hash(scalar)
+        assert scalar.text() == oracle_text(expected, domain.generator_symbol)
+        vlo, vhi = oracle.value_interval(expected, lo, hi)
+        assert vlo > 0 or vhi < 0 or vlo == vhi == 0
+        assert scalar.sign() == (vlo > 0) - (vhi < 0)
+        value = Fraction(str(scalar.eval_numeric(15)))
+        assert abs(value - vlo) <= abs(vlo) * Fraction(1, 10 ** 14)
+
+
+def test_number_field_payload_is_canonical(quartic):
+    alpha = quartic.generator()
+    inv_phi = alpha ** 2 - 3
+    assert ((inv_phi / 2) * 2).payload == inv_phi.payload == (1, -3, 0, 1, 0)
+    assert hash((inv_phi / 2) * 2) == hash(inv_phi)
+    assert (alpha * alpha ** -1).payload == quartic.one().payload == (1, 1, 0, 0, 0)
+    assert hash(alpha * alpha ** -1) == hash(quartic.one())
+    assert (alpha / 3 - alpha / 3).payload == quartic.zero().payload == (1, 0, 0, 0, 0)
+    assert (inv_phi / 6).payload == (6, -3, 0, 1, 0)
+    assert (inv_phi / 6 + alpha / 6).payload == (6, -3, 1, 1, 0)
+    assert (inv_phi / 6 + inv_phi / 6).payload == (3, -3, 0, 1, 0)
+    rng = random.Random(31)
+    for _ in range(200):
+        x = random_scalar(quartic, rng)
+        for value in (x, x * x, x + 1, -x, x - x):
+            assert_canonical(value)
+        if x:
+            assert_canonical(x.inverse())
