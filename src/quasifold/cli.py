@@ -152,16 +152,24 @@ def run(args) -> tuple[int, str]:
         value = _parse_assignment(args.substitute,
                                   doc.domain.generator_symbol, "--substitute")
         doc = specialize_document(doc, value)
-    parameter_sample = None
+    parameter_sample, source = None, None
     if args.param is not None:
         parameter_sample = _parse_assignment(
             args.param, doc.domain.generator_symbol, "--param")
+        source = "--param"
     elif doc.domain.kind == "rational_function":
         sample_opt = doc.options.get("parameter_sample")
         if sample_opt is not None:
             parameter_sample = Fraction(str(sample_opt))
+            source = "options.parameter_sample"
         elif doc.domain.default_sample is not None:
             parameter_sample = doc.domain.default_sample
+    if (source is not None and parameter_sample <= 0
+            and doc.domain.kind == "rational_function"
+            and doc.domain.parameter_positivity):
+        raise InputError(
+            f"{source}: sample {parameter_sample} is not positive, but the "
+            f"domain assumes {doc.domain.generator_symbol} > 0")
     seed = _resolve_seed(args, doc)
 
     triple, fan_result = document_to_triple(doc)

@@ -14,8 +14,9 @@ canonical encodings (payloads):
     degree d, is a tuple of Python ints ``(den, c0, ..., c_{d-1})`` meaning
     (c0 + c1 x + ... + c_{d-1} x^{d-1}) / den, with ``den > 0`` and
     ``math.gcd(den, c0, ..., c_{d-1}) == 1``; zero is ``(1, 0, ..., 0)``;
-  * a rational function is a coprime pair of Fraction-coefficient
-    polynomials with a monic denominator.
+  * a rational function is a pair ``(num, den)`` of Python int tuples,
+    lowest degree first, coprime in Q[x], with the gcd of all their
+    coefficients 1 and ``den[-1] > 0``; zero is ``((), (1,))``.
 
 Only this module knows the payload layouts.  Elsewhere a payload is opaque:
 the matrix product hands payloads to the domain's own operations, and
@@ -52,6 +53,7 @@ __all__ = [
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
+_RF_ZERO = ((), (1,))
 
 
 class ScalarSyntaxError(ValueError):
@@ -71,7 +73,7 @@ class IndeterminateSignError(ArithmeticError):
 
 
 # ---------------------------------------------------------------------------
-# polynomial helpers over Fraction coefficient tuples (low degree first)
+# polynomial helpers over Fraction or int coefficient tuples (low degree first)
 # ---------------------------------------------------------------------------
 
 def _ptrim(coeffs):
@@ -97,12 +99,16 @@ def _pneg(a):
 def _pmul(a, b):
     if not a or not b:
         return ()
-    out = [_F0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                if bj:
-                    out[i + j] += ai * bj
+    if len(a) == 1:
+        a, b = b, a
+    if len(b) == 1:
+        c = b[0]
+        return a if c == 1 else tuple(c * x for x in a)
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b, i):
+                out[j] += x * y
     return _ptrim(out)
 
 
@@ -122,21 +128,6 @@ def _pdivmod(a, b):
     return _ptrim(q), _ptrim(a)
 
 
-def _pmonic(a):
-    if not a:
-        return a
-    lead = a[-1]
-    if lead == 1:
-        return a
-    return tuple(c / lead for c in a)
-
-
-def _pgcd(a, b):
-    while b:
-        a, b = b, _pdivmod(a, b)[1]
-    return _pmonic(a)
-
-
 def _peval(coeffs, x):
     acc = _F0
     for c in reversed(coeffs):
@@ -154,6 +145,76 @@ def _peval_interval(coeffs, lo, hi):
         rlo = min(prods) + c
         rhi = max(prods) + c
     return rlo, rhi
+
+
+# ---------------------------------------------------------------------------
+# polynomial helpers over int coefficient tuples (low degree first); every
+# argument is nonzero and trimmed
+# ---------------------------------------------------------------------------
+
+def _zdiv(a, b):
+    """a / b where b divides a in Z[x]: long division, every step exact."""
+    if b == (1,):
+        return a
+    rem = list(a)
+    lead, top = b[-1], len(b) - 1
+    quot = [0] * (len(a) - top)
+    for k in range(len(quot) - 1, -1, -1):
+        c = rem[k + top] // lead
+        if c:
+            quot[k] = c
+            for i, bi in enumerate(b, k):
+                rem[i] -= c * bi
+    return tuple(quot)
+
+
+def _zprimitive(a):
+    """a divided by its content, with a positive leading coefficient."""
+    g = math.gcd(*a)
+    if a[-1] < 0:
+        g = -g
+    return a if g == 1 else tuple(c // g for c in a)
+
+
+def _zprem(a, b):
+    """A nonzero integer multiple of  a mod b  (deg a >= deg b)."""
+    rem = list(a)
+    lead, top = b[-1], len(b) - 1
+    while len(rem) > top:
+        c = rem[-1]
+        g = math.gcd(c, lead)
+        scale, factor = lead // g, c // g
+        if scale != 1:
+            rem = [x * scale for x in rem]
+        for i, bi in enumerate(b, len(rem) - len(b)):
+            rem[i] -= factor * bi
+        rem = list(_ptrim(rem))
+    return tuple(rem)
+
+
+def _zgcd(a, b):
+    """The gcd in Q[x] of a and b, as a primitive int polynomial with a
+    positive leading coefficient.
+
+    Powers of x come out first, so a gcd with a constant or a monomial
+    takes no Euclid step; the rest is Euclid on primitive
+    pseudo-remainders (Knuth, TAOCP 2, section 4.6.1).
+    """
+    va = vb = 0
+    while not a[va]:
+        va += 1
+    while not b[vb]:
+        vb += 1
+    power = (0,) * min(va, vb)
+    a, b = a[va:], b[vb:]
+    if len(a) < len(b):
+        a, b = b, a
+    while len(b) > 1:
+        rem = _zprem(a, b)
+        if not rem:
+            return power + _zprimitive(b)
+        a, b = b, _zprimitive(rem)
+    return power + (1,)
 
 
 def _as_fraction(value):
@@ -586,10 +647,19 @@ class NumberFieldDomain(ScalarDomain):
 class RationalFunctionDomain(ScalarDomain):
     """Rational functions in one parameter, assumed to be a positive real.
 
-    Elements are coprime fractions of rational-coefficient polynomials with
-    monic denominators.  Signs are decided symbolically only when numerator
-    and denominator each have single-signed coefficients; otherwise callers
-    must supply a sample value for the parameter.
+    The payload ``(num, den)`` holds two tuples of Python ints, lowest
+    degree first: num and den are coprime in Q[x], the gcd of all their
+    coefficients is 1 and ``den[-1] > 0``; zero is ``((), (1,))``.  The
+    form is unique, so payload equality is value equality; text shows
+    the denominator monic.  Products and sums cancel by Henrici's method
+    (Knuth, TAOCP 2, section 4.5.1): only gcd(n1, d2) and gcd(n2, d1) for
+    a product, only gcd(d1, d2) and the sum against it for a sum, then
+    the content.  Denominators 1 and powers of the parameter need no
+    Euclid step.
+
+    Signs are decided symbolically only when numerator and denominator
+    each have single-signed coefficients; otherwise callers must supply a
+    sample value for the parameter.
     """
 
     kind = "rational_function"
@@ -602,72 +672,108 @@ class RationalFunctionDomain(ScalarDomain):
         if self.parameter_positivity and self.default_sample is not None:
             if self.default_sample <= 0:
                 raise ValueError("default_sample must be positive")
+        self._hash = hash((self.generator_symbol, self.parameter_positivity))
 
     def describe(self):
         positivity = " > 0" if self.parameter_positivity else ""
         return f"rational functions in {self.generator_symbol}{positivity}"
 
     def __eq__(self, other):
+        if self is other:
+            return True
         return (isinstance(other, RationalFunctionDomain)
                 and self.generator_symbol == other.generator_symbol
                 and self.parameter_positivity == other.parameter_positivity)
 
     def __hash__(self):
-        return hash((self.generator_symbol, self.parameter_positivity))
+        return self._hash
 
     def __repr__(self):
         return (f"RationalFunctionDomain({self.generator_symbol!r}, "
                 f"positive={self.parameter_positivity})")
 
     def generator(self):
-        return Scalar(self, ((_F0, _F1), (_F1,)))
+        return Scalar(self, ((0, 1), (1,)))
 
-    def _normalize(self, num, den):
-        num, den = _ptrim(num), _ptrim(den)
-        if not den:
-            raise ZeroDivisionError("zero denominator")
+    def _canonical(self, num, den):
+        """The payload of num/den for num and den coprime in Q[x] and
+        lead(den) > 0, which holds for every product of denominators and
+        primitive gcd cofactors."""
         if not num:
-            return ((), (_F1,))
-        g = _pgcd(num, den)
-        if len(g) > 1:
-            num = _pdivmod(num, g)[0]
-            den = _pdivmod(den, g)[0]
-        lead = den[-1]
-        if lead != 1:
-            num = tuple(c / lead for c in num)
-            den = tuple(c / lead for c in den)
-        return (num, den)
+            return _RF_ZERO
+        g = math.gcd(*num, *den)
+        if g == 1:
+            return (num, den)
+        return (tuple(c // g for c in num), tuple(c // g for c in den))
 
     def _from_fraction(self, q):
         if not q:
-            return ((), (_F1,))
-        return ((q,), (_F1,))
+            return _RF_ZERO
+        return ((q.numerator,), (q.denominator,))
 
     def _add(self, a, b):
         (n1, d1), (n2, d2) = a, b
-        return self._normalize(_padd(_pmul(n1, d2), _pmul(n2, d1)), _pmul(d1, d2))
+        if not n1:
+            return b
+        if not n2:
+            return a
+        if d1 == d2:
+            num = _padd(n1, n2)
+            if len(num) > 1 and len(d1) > 1:
+                g = _zgcd(num, d1)
+                if len(g) > 1:
+                    num, d1 = _zdiv(num, g), _zdiv(d1, g)
+            return self._canonical(num, d1)
+        g = _zgcd(d1, d2) if len(d1) > 1 and len(d2) > 1 else (1,)
+        if len(g) == 1:
+            # coprime denominators: the sum is in lowest terms
+            return self._canonical(_padd(_pmul(n1, d2), _pmul(n2, d1)),
+                                   _pmul(d1, d2))
+        e1, e2 = _zdiv(d1, g), _zdiv(d2, g)
+        num = _padd(_pmul(n1, e2), _pmul(n2, e1))
+        if len(num) > 1:
+            h = _zgcd(num, g)
+            if len(h) > 1:
+                num, g = _zdiv(num, h), _zdiv(g, h)
+        return self._canonical(num, _pmul(_pmul(e1, e2), g))
 
     def _neg(self, a):
         return (_pneg(a[0]), a[1])
 
     def _mul(self, a, b):
         (n1, d1), (n2, d2) = a, b
-        return self._normalize(_pmul(n1, n2), _pmul(d1, d2))
+        if not n1 or not n2:
+            return _RF_ZERO
+        if len(n1) > 1 and len(d2) > 1:
+            g = _zgcd(n1, d2)
+            if len(g) > 1:
+                n1, d2 = _zdiv(n1, g), _zdiv(d2, g)
+        if len(n2) > 1 and len(d1) > 1:
+            g = _zgcd(n2, d1)
+            if len(g) > 1:
+                n2, d1 = _zdiv(n2, g), _zdiv(d1, g)
+        return self._canonical(_pmul(n1, n2), _pmul(d1, d2))
 
     def _inv(self, a):
         num, den = a
         if not num:
             raise ZeroDivisionError("inversion of zero scalar")
-        return self._normalize(den, num)
+        if num[-1] < 0:
+            return (_pneg(den), _pneg(num))
+        return (den, num)
 
     def _is_zero(self, a):
         return not a[0]
 
     def _text(self, a):
         num, den = a
-        if den == (_F1,):
-            return _poly_text(num, self.generator_symbol)
+        lead = den[-1]
+        if lead != 1:
+            num = tuple(Fraction(c, lead) for c in num)
+            den = tuple(Fraction(c, lead) for c in den)
         num_txt = _poly_text(num, self.generator_symbol)
+        if len(den) == 1:
+            return num_txt
         if _poly_term_count(num) > 1:
             num_txt = f"({num_txt})"
         den_txt = _poly_text(den, self.generator_symbol)
@@ -677,22 +783,24 @@ class RationalFunctionDomain(ScalarDomain):
 
     def _as_rational(self, a):
         num, den = a
-        if den != (_F1,) or len(num) > 1:
+        if len(den) > 1 or len(num) > 1:
             return None
-        return num[0] if num else _F0
+        return Fraction(num[0], den[0]) if num else _F0
 
     def rational_rows(self, coefficients, target):
-        # clear denominators, then compare coefficients of each power of
-        # the parameter
+        # clear denominators with their monic lcm, then compare
+        # coefficients of each power of the parameter
         scalars = [*coefficients, target]
-        common = (_F1,)
+        common = (1,)
         for c in scalars:
-            den = c.payload[1]
-            common = _pmul(common, _pdivmod(den, _pgcd(common, den))[0])
+            den = _zprimitive(c.payload[1])
+            common = _pmul(common, _zdiv(den, _zgcd(common, den)))
         cleared = []
         for c in scalars:
             num, den = c.payload
-            cleared.append(_pmul(num, _pdivmod(common, den)[0]))
+            scale = math.gcd(*den) * common[-1]
+            cleared.append([Fraction(x, scale) for x in
+                            _pmul(num, _zdiv(common, _zprimitive(den)))])
         width = max(max(len(p) for p in cleared), 1)
         rows = []
         for t in range(width):

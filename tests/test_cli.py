@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -5,6 +6,7 @@ import sys
 from importlib import resources
 
 import jsonschema
+import pytest
 
 from quasifold import load_report_schema
 from quasifold.cli import main
@@ -215,6 +217,26 @@ def test_param_wrong_symbol(tmp_path, capsys):
     assert "does not match" in err
 
 
+@pytest.mark.parametrize("name, value", [("quasisphere", "-1"),
+                                         ("cp2-11a", "-2"),
+                                         ("cp2-11a", "0")])
+def test_param_must_be_positive(name, value, capsys):
+    code, out, err = run_cli(["gallery", name, "--param", f"a={value}"],
+                             capsys)
+    assert code == 2
+    assert out == ""
+    assert "--param" in err and "not positive" in err
+
+
+def test_parameter_sample_option_must_be_positive(tmp_path, capsys):
+    data = gallery_json("quasisphere")
+    data.setdefault("options", {})["parameter_sample"] = "-1.5"
+    path = write_doc(tmp_path, data)
+    code, _, err = run_cli(["verify", path], capsys)
+    assert code == 2
+    assert "options.parameter_sample" in err and "not positive" in err
+
+
 def test_substitute_specializes_exactly(capsys):
     code, out, _ = run_cli(
         ["gallery", "cp2-11a", "--format", "json", "--substitute", "a=1",
@@ -274,3 +296,49 @@ def test_hirzebruch_matches_weighted_projective(capsys):
         outputs.append(transitions[((2, 3), (1, 3))])
     assert outputs[0]["exponents"] == outputs[1]["exponents"]
     assert outputs[0]["rendered"] == outputs[1]["rendered"]
+
+
+# sha256 of the canonical JSON (sorted keys, no spaces) of the exact report
+# sections of `gallery NAME --format json --seed 0`.  A change to the exact
+# arithmetic must leave every rendered scalar, and so these digests, as is.
+EXACT_SECTION_DIGESTS = {
+    "quasisphere": {
+        "validation": "83208a0c2d3fef5c063f75780cc7e6d477d1cdbf0b50900716b749d542002576",
+        "polytope": "dce8395ed3ea6f5e653814223bdf39be77359e1c4da79afd3f44441182995eb9",
+        "atlas": "c1e793625203c6bf39014b7785ef09272b7e1548eb1a50cf4bd6150e9e125fb9",
+    },
+    "cp2-11a": {
+        "validation": "5a457499437fb308cbabef2ba07c087c66b42f649dbf75b2156f87fa3c53f75e",
+        "polytope": "dc9ad11b955e743a681882ac500ee2878412039c6a2edeb877b893dff471c3f4",
+        "atlas": "04641fdcf996356b78a137d3ccf1538ce68415d27e5c11c81e63e63a60f5b9f7",
+    },
+    "hirzebruch": {
+        "validation": "4dd3cc4657c3f512082d97bd87eeaa62d8da721d29610f2170c152fe379de992",
+        "polytope": "e1d09af2b302d41644b57fd61139981a5d011a28d680a4f01ab705436b1fe0c5",
+        "atlas": "2d2690d9f31e97377b7ff08aded49460c6625a36665961ab2217bf577e931b74",
+    },
+    "kite": {
+        "validation": "4dd3cc4657c3f512082d97bd87eeaa62d8da721d29610f2170c152fe379de992",
+        "polytope": "80985fb74989fa41da432ede5162fc330e9de4fd257d30d060c5f5a24b4fb07c",
+        "atlas": "9f56f0f5e3dbd0122054eb3982218900d31fd225fcb2325d98bb5e8d766befe5",
+    },
+    "dodecahedron": {
+        "validation": "f6c566d1c700ffd617ef95941759a7362c01f227afadfad0a4b94211d095942b",
+        "polytope": "bde9268048bb01d6f520b722165565e72c5f368ae7bee6ca304200b75a6dcb91",
+        "atlas": "50a83cf68d54cca4f0d946ce6657f7194bb772c1b01a4dfcd5cea277574fb4bf",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXACT_SECTION_DIGESTS))
+def test_gallery_exact_sections_pinned(name, capsys):
+    code, out, _ = run_cli(["gallery", name, "--format", "json",
+                            "--seed", "0"], capsys)
+    assert code == 0
+    report = json.loads(out)
+    digests = {
+        section: hashlib.sha256(json.dumps(
+            report[section], sort_keys=True,
+            separators=(",", ":")).encode()).hexdigest()
+        for section in EXACT_SECTION_DIGESTS[name]}
+    assert digests == EXACT_SECTION_DIGESTS[name]

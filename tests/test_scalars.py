@@ -475,3 +475,296 @@ def test_number_field_payload_is_canonical(quartic):
             assert_canonical(value)
         if x:
             assert_canonical(x.inverse())
+
+
+# ---------------------------------------------------------------------------
+# rational functions against a Fraction-coefficient oracle
+# ---------------------------------------------------------------------------
+
+def poly_trim(p):
+    p = list(p)
+    while p and not p[-1]:
+        p.pop()
+    return tuple(p)
+
+
+def poly_add(p, q):
+    n = max(len(p), len(q))
+    return poly_trim([(p[i] if i < len(p) else 0) + (q[i] if i < len(q) else 0)
+                      for i in range(n)])
+
+
+def poly_mul(p, q):
+    if not p or not q:
+        return ()
+    out = [Fraction(0)] * (len(p) + len(q) - 1)
+    for i, x in enumerate(p):
+        for j, y in enumerate(q):
+            out[i + j] += x * y
+    return poly_trim(out)
+
+
+def poly_divmod(p, q):
+    rem, quot = list(p), [Fraction(0)] * max(len(p) - len(q) + 1, 1)
+    while len(poly_trim(rem)) >= len(q):
+        rem = list(poly_trim(rem))
+        shift = len(rem) - len(q)
+        factor = Fraction(rem[-1]) / q[-1]
+        quot[shift] = factor
+        for i, c in enumerate(q):
+            rem[shift + i] -= factor * c
+    return poly_trim(quot), poly_trim(rem)
+
+
+def poly_gcd(p, q):
+    while q:
+        p, q = q, poly_divmod(p, q)[1]
+    return tuple(Fraction(c) / p[-1] for c in p)
+
+
+def poly_value(p, x):
+    acc = Fraction(0)
+    for c in reversed(p):
+        acc = acc * x + c
+    return acc
+
+
+class OracleRationalFunctions:
+    """Pairs of Fraction-coefficient polynomials, reduced after every
+    operation by a full gcd to a coprime pair with a monic denominator;
+    independent of the integer payloads and of Henrici's cancellation."""
+
+    def __init__(self, symbol):
+        self.symbol = symbol
+
+    def reduce(self, num, den):
+        num, den = poly_trim(num), poly_trim(den)
+        if not num:
+            return (), (Fraction(1),)
+        g = poly_gcd(num, den)
+        num, den = poly_divmod(num, g)[0], poly_divmod(den, g)[0]
+        return (tuple(c / den[-1] for c in num),
+                tuple(c / den[-1] for c in den))
+
+    def const(self, q):
+        return self.reduce((Fraction(q),), (Fraction(1),))
+
+    def add(self, x, y):
+        return self.reduce(poly_add(poly_mul(x[0], y[1]), poly_mul(y[0], x[1])),
+                           poly_mul(x[1], y[1]))
+
+    def neg(self, x):
+        return tuple(-c for c in x[0]), x[1]
+
+    def mul(self, x, y):
+        return self.reduce(poly_mul(x[0], y[0]), poly_mul(x[1], y[1]))
+
+    def inv(self, x):
+        return self.reduce(x[1], x[0])
+
+    def text(self, x):
+        num, den = x
+        num_txt = oracle_text(num, self.symbol)
+        if den == (1,):
+            return num_txt
+        if sum(1 for c in num if c) > 1:
+            num_txt = f"({num_txt})"
+        den_txt = oracle_text(den, self.symbol)
+        if sum(1 for c in den if c) > 1:
+            den_txt = f"({den_txt})"
+        return f"{num_txt}/{den_txt}"
+
+    def value(self, x, sample):
+        den = poly_value(x[1], sample)
+        if not den:
+            raise ZeroDivisionError(sample)
+        return poly_value(x[0], sample) / den
+
+    def sign(self, x, sample=None):
+        if not x[0]:
+            return 0
+        if sample is not None:
+            value = self.value(x, sample)
+            return (value > 0) - (value < 0)
+        signs = []
+        for poly in x:
+            if all(c >= 0 for c in poly):
+                signs.append(1)
+            elif all(c <= 0 for c in poly):
+                signs.append(-1)
+            else:
+                raise IndeterminateSignError(self.text(x))
+        return signs[0] * signs[1]
+
+    def rational_rows(self, coefficients, target):
+        values = [*coefficients, target]
+        common = (Fraction(1),)
+        for _, den in values:
+            common = poly_mul(common,
+                              poly_divmod(den, poly_gcd(common, den))[0])
+        cleared = [poly_mul(num, poly_divmod(common, den)[0])
+                   for num, den in values]
+        width = max(max(len(p) for p in cleared), 1)
+        return [([p[t] if t < len(p) else 0 for p in cleared[:-1]],
+                 cleared[-1][t] if t < len(cleared[-1]) else 0)
+                for t in range(width)]
+
+
+def reduced_row_echelon(rows):
+    """The reduced row echelon form of augmented rows [row | rhs], without
+    zero rows: equal forms mean equal solution sets."""
+    matrix = [[Fraction(c) for c in row] + [Fraction(rhs)] for row, rhs in rows]
+    pivot_row = 0
+    for col in range(len(matrix[0]) if matrix else 0):
+        pivot = next((r for r in range(pivot_row, len(matrix))
+                      if matrix[r][col]), None)
+        if pivot is None:
+            continue
+        matrix[pivot_row], matrix[pivot] = matrix[pivot], matrix[pivot_row]
+        lead = matrix[pivot_row][col]
+        matrix[pivot_row] = [c / lead for c in matrix[pivot_row]]
+        for r in range(len(matrix)):
+            if r != pivot_row and matrix[r][col]:
+                factor = matrix[r][col]
+                matrix[r] = [c - factor * p
+                             for c, p in zip(matrix[r], matrix[pivot_row])]
+        pivot_row += 1
+    return matrix[:pivot_row]
+
+
+def payload_monic(scalar):
+    """Read the documented payload (num, den) of int tuples, in the monic
+    form of the oracle."""
+    num, den = scalar.payload
+    return (tuple(Fraction(c, den[-1]) for c in num),
+            tuple(Fraction(c, den[-1]) for c in den))
+
+
+def assert_rf_canonical(scalar):
+    num, den = scalar.payload
+    assert all(type(c) is int for c in num + den), scalar.payload
+    assert den and den[-1] > 0
+    assert not num or num[-1]
+    assert math.gcd(*num, *den) == 1
+
+
+def _rf_domain():
+    from quasifold import RationalFunctionDomain
+    return RationalFunctionDomain("a")
+
+
+RF = _rf_domain()
+RF_ORACLE = OracleRationalFunctions("a")
+# a, a + 1, a - 2, 2a + 3 and a^2 + 1: shared factors are what drive the
+# cancellations, and random polynomials rarely have one
+RF_FACTORS = ((0, 1), (1, 1), (-2, 1), (3, 2), (1, 0, 1))
+RF_SAMPLES = (Fraction(1, 3), Fraction(1), Fraction(2), Fraction(5, 2),
+              Fraction(7))
+
+rf_values = st.tuples(
+    st.fractions(min_value=-20, max_value=20, max_denominator=12),
+    st.lists(st.integers(-2, 2), min_size=len(RF_FACTORS),
+             max_size=len(RF_FACTORS)))
+
+
+def rf_build(content, exponents):
+    """The same product of pool factors in the domain and in the oracle."""
+    a = RF.generator()
+    scalar = RF.scalar(content)
+    expected = RF_ORACLE.const(content)
+    for coeffs, e in zip(RF_FACTORS, exponents):
+        factor = sum((c * a ** k for k, c in enumerate(coeffs)), RF.zero())
+        scalar = scalar * factor ** e
+        oracle_factor = tuple(Fraction(c) for c in coeffs), (Fraction(1),)
+        for _ in range(abs(e)):
+            expected = RF_ORACLE.mul(expected, oracle_factor if e > 0
+                                     else RF_ORACLE.inv(oracle_factor))
+    return scalar, expected
+
+
+def check_rf(scalar, expected):
+    assert_rf_canonical(scalar)
+    assert payload_monic(scalar) == expected
+    text = RF_ORACLE.text(expected)
+    assert scalar.text() == text
+    rebuilt = parse_scalar(text, RF)
+    assert rebuilt.payload == scalar.payload
+    assert hash(rebuilt) == hash(scalar)
+    try:
+        sign = RF_ORACLE.sign(expected)
+    except IndeterminateSignError:
+        with pytest.raises(IndeterminateSignError):
+            scalar.sign()
+    else:
+        assert scalar.sign() == sign
+    for sample in RF_SAMPLES:
+        try:
+            value = RF_ORACLE.value(expected, sample)
+        except ZeroDivisionError:
+            with pytest.raises(ZeroDivisionError):
+                scalar.sign(parameter_sample=sample)
+            with pytest.raises(ZeroDivisionError):
+                RF.substitute(scalar, sample)
+            continue
+        assert scalar.sign(parameter_sample=sample) == (value > 0) - (value < 0)
+        assert RF.substitute(scalar, sample).as_rational() == value
+        decimal = scalar.eval_numeric(15, parameter_sample=sample)
+        assert abs(Fraction(decimal) - value) <= abs(value) * Fraction(1, 10 ** 14)
+
+
+@given(x=rf_values, y=rf_values)
+def test_rational_function_matches_oracle(x, y):
+    (sx, ox), (sy, oy) = rf_build(*x), rf_build(*y)
+    check_rf(sx, ox)
+    check_rf(sy, oy)
+    assert (sx == sy) == (ox == oy)
+    assert (hash(sx) == hash(sy)) or ox != oy
+    results = [(sx + sy, RF_ORACLE.add(ox, oy)),
+               (sx - sy, RF_ORACLE.add(ox, RF_ORACLE.neg(oy))),
+               (sx * sy, RF_ORACLE.mul(ox, oy)),
+               (sx + sy * sx, RF_ORACLE.add(ox, RF_ORACLE.mul(oy, ox)))]
+    if oy[0]:
+        results.append((sy.inverse(), RF_ORACLE.inv(oy)))
+        results.append((sx / sy, RF_ORACLE.mul(ox, RF_ORACLE.inv(oy))))
+    for scalar, expected in results:
+        check_rf(scalar, expected)
+
+
+@given(values=st.lists(rf_values, min_size=2, max_size=4))
+def test_rational_rows_match_oracle(values):
+    built = [rf_build(*v) for v in values]
+    scalars, expected = [s for s, _ in built], [o for _, o in built]
+    rows = RF.rational_rows(scalars[:-1], scalars[-1])
+    oracle_rows = RF_ORACLE.rational_rows(expected[:-1], expected[-1])
+    assert all(type(c) is Fraction for row, rhs in rows for c in [*row, rhs])
+    assert reduced_row_echelon(rows) == reduced_row_echelon(oracle_rows)
+
+
+def test_rational_function_payload_is_canonical(parameter):
+    a = parameter.generator()
+    one, zero = parameter.one(), parameter.zero()
+    assert zero.payload == ((), (1,))
+    assert one.payload == ((1,), (1,))
+    cases = [
+        ((a ** 2 - 1) / (a - 1), a + 1, ((1, 1), (1,))),
+        ((2 * a + 2) / (4 * a), (a + 1) / (2 * a), ((1, 1), (0, 2))),
+        (a * a.inverse(), one, ((1,), (1,))),
+        (a - a, zero, ((), (1,))),
+        (-3 / (2 * a), 3 / (-2 * a), ((-3,), (0, 2))),
+        ((1 - a) / (2 - 2 * a ** 2), 1 / (2 * a + 2), ((1,), (2, 2))),
+        # a sum over a shared factor that cancels: 1/(a(a+1)) + 1/(a+1)
+        (1 / (a * (a + 1)) + 1 / (a + 1), 1 / a, ((1,), (0, 1))),
+        (1 / (2 * a) + 1 / (4 * a), parse_scalar("3/(4*a)", parameter),
+         ((3,), (0, 4))),
+    ]
+    for left, right, payload in cases:
+        assert left.payload == right.payload == payload
+        assert left == right and hash(left) == hash(right)
+        assert_rf_canonical(left)
+    rng = random.Random(47)
+    for _ in range(200):
+        x = random_scalar(parameter, rng)
+        for value in (x, x * x, x + 1, -x, x - x, x / 3):
+            assert_rf_canonical(value)
+        if x:
+            assert_rf_canonical(x.inverse())
