@@ -15,10 +15,10 @@ from .scalars import (DomainMismatchError, IndeterminateSignError,
                       ScalarSyntaxError, parse_scalar)
 from .linalg import (DimensionMismatchError, Matrix, RankDeficiencyError,
                      SingularMatrixError, dot, solve_general)
-from .triples import (AdjacencyReport, Fan, FundamentalTriple, Quasilattice,
+from .triples import (Fan, FundamentalTriple, Quasilattice,
                       TripleValidationError, ValidationReport,
-                      WitnessRecoveryError, cone_adjacency, ray_membership,
-                      validate, with_recovered_witnesses)
+                      WitnessRecoveryError, ray_membership, validate,
+                      with_recovered_witnesses)
 from .atlas import (Atlas, Chart, CocycleReport, MonomialMap, OrbitRow,
                     RelationSet, build_chart, cocycle_check, fixed_point,
                     orbit_report, relations, render_monomial_map,

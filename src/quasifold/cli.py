@@ -1,9 +1,9 @@
 """Command-line surface.
 
 Commands: validate, atlas, transition, polytope, verify, gallery.
-Exit codes: 0 success, 1 a check failed, 2 input error.  The seed comes
-from --seed, then the QUASIFOLD_SEED environment variable, then the input
-document's options, then 0.
+Exit codes: 0 success, 1 a check failed, 2 input error or an unsupported
+case.  The seed comes from --seed, then the QUASIFOLD_SEED environment
+variable, then the input document's options, then 0.
 """
 
 from __future__ import annotations
@@ -250,6 +250,9 @@ def main(argv=None) -> int:
             WitnessRecoveryError, SimplicityError, GenericityError,
             ValueError) as exc:
         print(f"quasifold: error: {exc}", file=sys.stderr)
+        return 2
+    except NotImplementedError as exc:
+        print(f"quasifold: error: unsupported case: {exc}", file=sys.stderr)
         return 2
     if args.out:
         with open(args.out, "w") as handle:

@@ -19,14 +19,12 @@ from .linalg import Matrix, solve_general
 from .scalars import RationalDomain, Scalar, ScalarDomain
 
 __all__ = [
-    "AdjacencyReport",
     "Fan",
     "FundamentalTriple",
     "Quasilattice",
     "TripleValidationError",
     "ValidationReport",
     "WitnessRecoveryError",
-    "cone_adjacency",
     "ray_membership",
     "validate",
     "with_recovered_witnesses",
@@ -344,27 +342,3 @@ def with_recovered_witnesses(triple: FundamentalTriple,
                  else ray_membership(triple, j, box=box)
                  for j in range(1, triple.ray_count + 1)]
     return FundamentalTriple(triple.fan, triple.lattice, witnesses)
-
-
-# ---------------------------------------------------------------------------
-# adjacency
-# ---------------------------------------------------------------------------
-
-@dataclass
-class AdjacencyReport:
-    overlapping: tuple  # (cone_a, cone_b, shared, h) with shared nonempty
-    disjoint: tuple     # (cone_a, cone_b, h) with h == n
-
-
-def cone_adjacency(triple: FundamentalTriple) -> AdjacencyReport:
-    """All unordered cone pairs, split by whether their index sets meet."""
-    overlapping = []
-    disjoint = []
-    for a, b in itertools.combinations(triple.fan.max_cones, 2):
-        shared = tuple(sorted(set(a) & set(b)))
-        h = len(set(b) - set(a))
-        if shared:
-            overlapping.append((a, b, shared, h))
-        else:
-            disjoint.append((a, b, h))
-    return AdjacencyReport(tuple(overlapping), tuple(disjoint))

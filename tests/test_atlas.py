@@ -1,10 +1,17 @@
+import dataclasses
 import itertools
 import math
 import random
+from fractions import Fraction
 
-from quasifold import (Fan, FundamentalTriple, Matrix, Quasilattice,
-                       build_chart, cocycle_check, fixed_point, orbit_report,
-                       relations, render_monomial_map, transition_map)
+import pytest
+
+from quasifold import (Atlas, CocycleReport, Fan, FundamentalTriple, Matrix,
+                       NumberFieldDomain, Quasilattice, RationalDomain,
+                       RationalFunctionDomain, build_chart, cocycle_check,
+                       document_to_triple, fixed_point, load_gallery,
+                       orbit_report, relations, render_monomial_map,
+                       specialize_document, transition_map)
 
 
 def expected_matrix(domain, rows):
@@ -292,3 +299,215 @@ def test_randomized_rational_triples_cocycle(rational):
         assert report.passed
         expected_pairs = len(triple.fan.max_cones) * (len(triple.fan.max_cones) - 1)
         assert report.pairs_checked == expected_pairs
+
+
+# ---------------------------------------------------------------------------
+# the cocycle certificate against the literal matrix-product sweep
+# ---------------------------------------------------------------------------
+
+def literal_cocycle(triple, atlas):
+    """The certificate as Matrix products: every pair, then every triple."""
+    cones = triple.fan.max_cones
+    identity = Matrix.identity(triple.domain, triple.dim)
+    violations = []
+    pairs = 0
+    for a, b in itertools.permutations(cones, 2):
+        pairs += 1
+        product = atlas.transition(b, a).exponents @ atlas.transition(a, b).exponents
+        if product != identity:
+            violations.append(("pair", a, b))
+    count = 0
+    for a, b, c in itertools.permutations(cones, 3):
+        count += 1
+        direct = atlas.transition(c, a).exponents
+        composed = atlas.transition(b, a).exponents @ atlas.transition(c, b).exponents
+        if direct != composed:
+            violations.append(("triple", a, b, c))
+    return CocycleReport(pairs_checked=pairs, triples_checked=count,
+                         violations=tuple(violations))
+
+
+def fan_triple(domain, rays, cones, generators):
+    fan = Fan(len(rays[0]), [[domain.scalar(x) for x in ray] for ray in rays],
+              cones)
+    lattice = Quasilattice(domain, Matrix.from_columns(domain, generators))
+    return FundamentalTriple(fan, lattice)
+
+
+def param_fan_triple():
+    """16 cones over Q(a): an octagon in z = 0 coned off to two apexes."""
+    domain = RationalFunctionDomain("a")
+    rays = [("1", "0", "0"), ("a", "1", "0"), ("0", "1", "0"),
+            ("-1", "a", "0"), ("-1", "0", "0"), ("-a", "-1", "0"),
+            ("0", "-1", "0"), ("1", "-a", "0"), ("1", "a", "1"),
+            ("a", "0", "-1")]
+    cones = [(i, i % 8 + 1, apex) for apex in (9, 10) for i in range(1, 9)]
+    generators = [("1", "0", "0"), ("0", "1", "0"), ("0", "0", "1"),
+                  ("a", "0", "0"), ("0", "a", "0")]
+    return fan_triple(domain, rays, cones, generators)
+
+
+def simplex4_triple():
+    """The fan of the 4-simplex over Z^4: rays e1..e4 and -(e1+...+e4)."""
+    domain = RationalDomain()
+    unit = [tuple(str(int(i == j)) for j in range(4)) for i in range(4)]
+    return fan_triple(domain, unit + [("-1",) * 4],
+                      list(itertools.combinations(range(1, 6), 4)), unit)
+
+
+def half_field_triple():
+    """A complete 3-d fan over Q(b), b^2 = 1/2: x^2 reduces over 2."""
+    domain = NumberFieldDomain(["-1/2", "0", "1"], "b", "0.7071067811865476")
+    unit = [tuple(str(int(i == j)) for j in range(3)) for i in range(3)]
+    rays = unit + [("-b", "-1", "-b - 1/3")]
+    generators = unit + [tuple("b" if i == j else "0" for j in range(3))
+                         for i in range(3)]
+    return fan_triple(domain, rays,
+                      list(itertools.combinations(range(1, 5), 3)), generators)
+
+
+def specialized_cp2_triple():
+    doc = specialize_document(load_gallery("cp2-11a"), Fraction(3, 2))
+    return document_to_triple(doc)[0]
+
+
+BUILT_TRIPLES = {
+    "param-fan": param_fan_triple,
+    "simplex4": simplex4_triple,
+    "half-field": half_field_triple,
+    "cp2-11a-at-3/2": specialized_cp2_triple,
+}
+
+
+@pytest.fixture(scope="module")
+def built_atlases():
+    out = {}
+    for name, build in BUILT_TRIPLES.items():
+        triple = build()
+        out[name] = (triple, Atlas.compile(triple))
+    return out
+
+
+def all_atlases(gallery, gallery_atlases, built_atlases):
+    out = {name: (triple, gallery_atlases[name])
+           for name, (_, triple, _) in gallery.items()}
+    out.update(built_atlases)
+    return out
+
+
+def test_cocycle_matches_literal_sweep(gallery, gallery_atlases, built_atlases):
+    cases = all_atlases(gallery, gallery_atlases, built_atlases)
+    assert {triple.domain.kind for triple, _ in cases.values()} == \
+        {"rational", "number_field", "rational_function"}
+    for name, (triple, atlas) in cases.items():
+        report = cocycle_check(triple, atlas)
+        assert report == literal_cocycle(triple, atlas), name
+        assert report.passed, name
+    triple, atlas = built_atlases["simplex4"]
+    report = cocycle_check(triple, atlas)
+    assert (report.pairs_checked, report.triples_checked) == (20, 60)
+
+
+def with_transitions(triple, atlas, matrices):
+    """A copy of the atlas whose transitions (source, target) are replaced."""
+    bad = Atlas(triple)
+    bad._transitions = dict(atlas._transitions)
+    for key, exponents in matrices.items():
+        bad._transitions[key] = dataclasses.replace(bad._transitions[key],
+                                                    exponents=exponents)
+    return bad
+
+
+def corrupted(triple, atlas, replacements):
+    """A copy of the atlas with entries (source, target, i, j) += delta."""
+    entries = {}
+    for key, i, j, delta in replacements:
+        m = atlas.transition(*key).exponents
+        entries.setdefault(key, list(m.entries))[i * m.cols + j] += delta
+    return with_transitions(triple, atlas, {
+        key: Matrix(triple.domain, triple.dim, triple.dim, values)
+        for key, values in entries.items()})
+
+
+DELTAS = ("1", "1/7", "generator", "10^40", "10^-40")
+# the sweep over all 20 dodecahedron charts is slow: fewer corruptions there
+CORRUPTION_ROUNDS = {"dodecahedron": 1, "param-fan": 1}
+
+
+@pytest.mark.parametrize("name", ["quasisphere", "cp2-11a", "hirzebruch",
+                                  "kite", "dodecahedron", *BUILT_TRIPLES])
+def test_cocycle_matches_literal_sweep_on_corrupted_atlases(
+        name, gallery, gallery_atlases, built_atlases):
+    triple, atlas = all_atlases(gallery, gallery_atlases, built_atlases)[name]
+    domain, n = triple.domain, triple.dim
+    keys = sorted(atlas._transitions)
+    rng = random.Random(name)
+    rounds = CORRUPTION_ROUNDS.get(name, 3)
+    found = 0
+    for text in DELTAS:
+        if text == "generator":
+            if domain.generator_symbol is None:
+                continue
+            text = domain.generator_symbol
+        delta = domain.scalar(text)
+        for count in rng.sample((1, 2, 3), rounds):
+            replacements = [(rng.choice(keys), rng.randrange(n),
+                             rng.randrange(n), delta) for _ in range(count)]
+            bad = corrupted(triple, atlas, replacements)
+            report = cocycle_check(triple, bad)
+            assert report == literal_cocycle(triple, bad), (text, replacements)
+            found += len(report.violations)
+            assert not report.passed
+    assert found
+
+
+@pytest.mark.parametrize("name", ["simplex4", "cp2-11a-at-3/2", "cp2-11a",
+                                  "half-field"])
+def test_cocycle_matches_literal_sweep_on_extreme_entries(
+        name, gallery, gallery_atlases, built_atlases):
+    # whole transitions of +-M: every product slot reaches n M^2, close to
+    # the bound the slot width is sized for
+    triple, atlas = all_atlases(gallery, gallery_atlases, built_atlases)[name]
+    domain, n = triple.domain, triple.dim
+    cones = triple.fan.max_cones
+    big = 10 ** 12 + 39
+    for sign in (1, -1):
+        a, b = cones[0], cones[-1]
+        bad = with_transitions(triple, atlas, {
+            key: Matrix(domain, n, n, [domain.scalar(value)] * (n * n))
+            for key, value in (((b, a), big), ((a, b), sign * big))})
+        report = cocycle_check(triple, bad)
+        assert report == literal_cocycle(triple, bad)
+        assert ("pair", a, b) in report.violations
+
+
+def test_cocycle_parameter_images_count_the_terms():
+    # the 4-simplex over Q(a); one triangle T(b, a) T(c, b) = T(c, a) is
+    # made false in entry (0, 0) only, where the product is
+    # 4 * 181^2 = 2^17 - 28 = 2 * 2^16 - 28 and T(c, a) is a - 28 or
+    # 2a - 28.  Every entry is an int or a + int, of size at most 181, so
+    # evaluation at a = 2^16 or 2^17 (a shift sized for fewer than the n = 4
+    # products of the entry) would hide exactly this triangle.
+    domain = RationalFunctionDomain("a")
+    unit = [tuple(str(int(i == j)) for j in range(4)) for i in range(4)]
+    triple = fan_triple(domain, unit + [("-1",) * 4],
+                        list(itertools.combinations(range(1, 6), 4)), unit)
+    atlas = Atlas.compile(triple)
+    a, b, c = triple.fan.max_cones[:3]
+    steps = [[1, -1, 0, 0], [0, 1, -1, 0], [0, 0, 1, -1]]
+    left = [[181] * 4] + steps
+    right = [list(col) for col in zip([181] * 4, *steps)]
+    product = [[sum(x * y for x, y in zip(row, col)) for col in zip(*right)]
+               for row in left]
+    assert product[0][0] == 4 * 181 ** 2 == 2 ** 17 - 28
+    assert max(abs(v) for row in product[1:] for v in row) <= 181
+    assert all(v == 0 for v in product[0][1:])
+    for top in ("a - 28", "2*a - 28"):
+        direct = [[domain.scalar(v) for v in row] for row in product]
+        direct[0][0] = domain.scalar(top)
+        bad = with_transitions(triple, atlas, {
+            key: Matrix.from_rows(domain, rows)
+            for key, rows in (((b, a), left), ((c, b), right), ((c, a), direct))})
+        report = cocycle_check(triple, bad)
+        assert ("triple", a, b, c) in report.violations
+        assert report == literal_cocycle(triple, bad)

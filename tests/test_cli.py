@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import os
 import subprocess
@@ -195,6 +196,39 @@ def test_verify_command(tmp_path, capsys):
     code, out, _ = run_cli(["verify", path, "--samples", "20"], capsys)
     assert code == 0
     assert "overall: pass" in out
+
+
+def simplex4_doc():
+    """The fan of the 4-simplex over Z^4: rays e1..e4 and -(e1+...+e4)."""
+    unit = [[int(i == j) for j in range(4)] for i in range(4)]
+    return {
+        "domain": {"kind": "rational"},
+        "quasilattice": {"generators": [[str(v) for v in row] for row in unit]},
+        "fan": {"rays": [[str(v) for v in row] for row in unit] + [["-1"] * 4],
+                "max_cones": [list(c) for c in
+                              itertools.combinations(range(1, 6), 4)]},
+        "witnesses": unit + [[-1] * 4],
+    }
+
+
+def test_atlas_in_dimension_four(tmp_path, capsys):
+    path = write_doc(tmp_path, simplex4_doc())
+    code, out, _ = run_cli(["atlas", path, "--format", "json"], capsys)
+    assert code == 0
+    cocycle = json.loads(out)["atlas"]["cocycle"]
+    assert (cocycle["pairs_checked"], cocycle["triples_checked"]) == (20, 60)
+    assert cocycle["passed"] and cocycle["violations"] == []
+
+
+def test_verify_unsupported_dimension_exits_two(tmp_path, capsys):
+    # the numeric membership search stops at dimension 3: an unsupported
+    # case, reported in one line, not a traceback or a failed check
+    path = write_doc(tmp_path, simplex4_doc())
+    code, out, err = run_cli(["verify", path], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("quasifold: error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,7 @@ import itertools
 import pytest
 
 from quasifold import (Fan, FundamentalTriple, Matrix, Quasilattice,
-                       WitnessRecoveryError, cone_adjacency, ray_membership,
-                       validate)
+                       WitnessRecoveryError, ray_membership, validate)
 
 # index sets of the twenty maximal cones of the dodecahedron fan
 DODECAHEDRON_CONES = [
@@ -151,44 +150,15 @@ def test_witness_bad_stored(parameter):
 
 
 # ---------------------------------------------------------------------------
-# adjacency
+# cone overlaps
 # ---------------------------------------------------------------------------
 
-def test_adjacency_quasisphere(parameter):
-    triple = quasisphere_triple(parameter)
-    report = cone_adjacency(triple)
-    assert report.overlapping == ()
-    assert report.disjoint == (((1,), (2,), 1),)
-
-
-def test_adjacency_weighted_projective(gallery):
-    _, triple, _ = gallery["cp2-11a"]
-    report = cone_adjacency(triple)
-    assert len(report.overlapping) == 3
-    assert all(len(shared) == 1 for _, _, shared, _ in report.overlapping)
-    assert report.disjoint == ()
-
-
-def test_adjacency_dodecahedron(gallery):
+def test_dodecahedron_cone_overlaps(gallery):
     _, triple, _ = gallery["dodecahedron"]
-    report = cone_adjacency(triple)
-    # brute-force oracle over the known index sets: the 30 edge pairs
-    # share two indices and the 60 facet-diagonal pairs (five diagonals on
-    # each of the twelve pentagonal facets) share one
-    share2 = share1 = disjoint = 0
-    for a, b in itertools.combinations(DODECAHEDRON_CONES, 2):
-        overlap = len(set(a) & set(b))
-        if overlap == 2:
-            share2 += 1
-        elif overlap == 1:
-            share1 += 1
-        else:
-            disjoint += 1
-    assert share2 == 30 and share1 == 60 and disjoint == 100
     assert triple.fan.max_cones == tuple(DODECAHEDRON_CONES)
-    got2 = sum(1 for _, _, shared, _ in report.overlapping if len(shared) == 2)
-    got1 = sum(1 for _, _, shared, _ in report.overlapping if len(shared) == 1)
-    assert got2 == share2 and got1 == share1
-    assert len(report.disjoint) == disjoint
-    for _, _, shared, h in report.overlapping:
-        assert h == 3 - len(shared)
+    # the 30 edge pairs share two indices and the 60 facet-diagonal pairs
+    # (five diagonals on each of the twelve pentagonal facets) share one
+    overlaps = [len(set(a) & set(b))
+                for a, b in itertools.combinations(triple.fan.max_cones, 2)]
+    assert (overlaps.count(2), overlaps.count(1), overlaps.count(0)) == \
+        (30, 60, 100)
