@@ -13,8 +13,8 @@ from .scalars import (DomainMismatchError, IndeterminateSignError,
                       NumberFieldDomain, RationalDomain,
                       RationalFunctionDomain, Scalar, ScalarDomain,
                       ScalarSyntaxError, parse_scalar)
-from .linalg import (DimensionMismatchError, Matrix, RankDeficiencyError,
-                     SingularMatrixError, dot, solve_general)
+from .linalg import (DimensionMismatchError, Matrix, SingularMatrixError,
+                     dot, solve_general)
 from .triples import (Fan, FundamentalTriple, Quasilattice,
                       TripleValidationError, ValidationReport,
                       WitnessRecoveryError, ray_membership, validate,

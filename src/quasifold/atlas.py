@@ -57,10 +57,6 @@ class Chart:
     fixed_point: Tuple[int, ...]
     group_exponents: Matrix     # n x k; column l is A^-1 (l-th lattice generator)
 
-    def group_columns(self):
-        return [self.group_exponents.column(j)
-                for j in range(self.group_exponents.cols)]
-
 
 @dataclass(frozen=True)
 class MonomialMap:
@@ -76,10 +72,8 @@ class MonomialMap:
     def h(self):
         return len(self.source) - len(self.shared)
 
-    def render(self, fan_dim: Optional[int] = None):
-        if fan_dim is None:
-            fan_dim = self.exponents.rows
-        return render_monomial_map(self.exponents, fan_dim)
+    def render(self):
+        return render_monomial_map(self.exponents, self.exponents.rows)
 
     def scope(self):
         return "dense-orbit extension" if self.dense_only else "chart overlap"

@@ -20,8 +20,8 @@ from .atlas import Atlas
 from .documents import (InputError, atlas_section, build_report,
                         document_to_triple, load_document, load_input_schema,
                         polytope_section, render_text_report,
-                        specialize_document, validation_section,
-                        verification_section)
+                        specialize_document, transition_section,
+                        validation_section, verification_section)
 from .gallery import GALLERY_NAMES, load_gallery
 from .polytopes import GenericityError, SimplicityError
 from .scalars import ScalarSyntaxError
@@ -154,6 +154,9 @@ def run(args) -> tuple[int, str]:
         doc = specialize_document(doc, value)
     parameter_sample, source = None, None
     if args.param is not None:
+        if doc.domain.kind != "rational_function":
+            raise InputError("--param: only parameter-field documents take "
+                             "a parameter sample")
         parameter_sample = _parse_assignment(
             args.param, doc.domain.generator_symbol, "--param")
         source = "--param"
@@ -165,12 +168,14 @@ def run(args) -> tuple[int, str]:
         elif doc.domain.default_sample is not None:
             parameter_sample = doc.domain.default_sample
     if (source is not None and parameter_sample <= 0
-            and doc.domain.kind == "rational_function"
             and doc.domain.parameter_positivity):
         raise InputError(
             f"{source}: sample {parameter_sample} is not positive, but the "
             f"domain assumes {doc.domain.generator_symbol} > 0")
     seed = _resolve_seed(args, doc)
+    # bad verification flags are refused before any check can fail
+    cfg = (_trial_config(args, doc, seed, parameter_sample)
+           if args.command in ("verify", "gallery") else None)
 
     triple, fan_result = document_to_triple(doc)
     probe_directions = int(doc.options.get("probe_directions", 64))
@@ -198,21 +203,10 @@ def run(args) -> tuple[int, str]:
             if cone not in triple.fan.max_cones:
                 raise InputError(f"{flag}: {cone} is not a maximal cone; "
                                  f"cones: {list(triple.fan.max_cones)}")
-        atlas = Atlas(triple)
-        tmap = atlas.transition(source, target)
-        sections["transition"] = {
-            "source": list(tmap.source),
-            "target": list(tmap.target),
-            "h": tmap.h,
-            "scope": tmap.scope(),
-            "exponents": [[tmap.exponents[i, j].text()
-                           for j in range(tmap.exponents.cols)]
-                          for i in range(tmap.exponents.rows)],
-            "rendered": tmap.render(triple.dim),
-        }
+        sections["transition"] = transition_section(
+            Atlas(triple).transition(source, target))
 
-    if args.command in ("verify", "gallery") and not failed:
-        cfg = _trial_config(args, doc, seed, parameter_sample)
+    if cfg is not None and not failed:
         summary = verify_triple(triple, cfg, atlas=atlas)
         sections["verification"] = verification_section(summary)
         if not summary.passed:
@@ -223,22 +217,8 @@ def run(args) -> tuple[int, str]:
     if args.format == "json":
         rendered = json.dumps(report, indent=2, sort_keys=True) + "\n"
     else:
-        rendered = _render_text(report)
+        rendered = render_text_report(report)
     return (1 if failed else 0), rendered
-
-
-def _render_text(report):
-    text = render_text_report(report)
-    if "transition" in report:
-        t = report["transition"]
-        source = ",".join(map(str, t["source"]))
-        target = ",".join(map(str, t["target"]))
-        lines = [f"transition {{{source}}} -> {{{target}}} "
-                 f"[h={t['h']}, {t['scope']}]: {t['rendered']}"]
-        for row in t["exponents"]:
-            lines.append(f"  [{', '.join(row)}]")
-        text += "\n".join(lines) + "\n"
-    return text
 
 
 def main(argv=None) -> int:

@@ -3,9 +3,11 @@
 An input document declares a scalar domain, a quasilattice, and either a
 fan (rays + witnesses + maximal cones) or a polytope in facet form, all
 scalars written in the shared expression grammar.  Reports collect the
-validation, polytope, atlas, and verification sections in a deterministic
-JSON-friendly form; the text rendering is a stable flat view of the same
-data.
+validation, polytope, atlas, transition and verification sections in a
+deterministic JSON-friendly form; the text rendering is a stable flat view
+of the same data.  A chart change is built once, by ``transition_section``,
+for the atlas section and for the ``transition`` command alike, and its
+text is rendered once, by ``_transition_lines``.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from fractions import Fraction
 from importlib import resources
 from typing import Optional
 
-from .atlas import Atlas, cocycle_check, orbit_report
+from .atlas import Atlas, cocycle_check, fixed_point, orbit_report
 from .linalg import Matrix
 from .polytopes import Polytope, to_triple
 from .scalars import (NumberFieldDomain, RationalDomain,
@@ -165,7 +167,7 @@ def load_document(data, name=None) -> InputDocument:
                          name=name or data.get("name"))
 
 
-def document_to_triple(doc: InputDocument, samples=None):
+def document_to_triple(doc: InputDocument):
     """Assemble the fundamental triple; returns (triple, normal_fan_result).
 
     Missing ray witnesses are recovered by the bounded integer search.
@@ -173,9 +175,7 @@ def document_to_triple(doc: InputDocument, samples=None):
     if doc.fan is not None:
         triple = FundamentalTriple(doc.fan, doc.lattice, doc.witnesses)
         return with_recovered_witnesses(triple), None
-    triple, result = to_triple(doc.polytope, doc.lattice, doc.witnesses,
-                               samples=samples)
-    return triple, result
+    return to_triple(doc.polytope, doc.lattice, doc.witnesses)
 
 
 def specialize_document(doc: InputDocument, value) -> InputDocument:
@@ -282,16 +282,25 @@ def polytope_section(doc: InputDocument, fan_result, triple):
         "normal": _vector_text(facet.normal),
         "offset": facet.offset.text(),
     } for j, facet in enumerate(doc.polytope.facets)]
-    table = []
-    for cone, vertex in fan_result.table():
-        pattern = tuple(0 if j in set(cone) else 1
-                        for j in range(1, triple.ray_count + 1))
-        table.append({
-            "cone": list(cone),
-            "vertex": _vector_text(vertex.coordinates),
-            "fixed_point": _fixed_point_text(pattern),
-        })
+    table = [{
+        "cone": list(cone),
+        "vertex": _vector_text(vertex.coordinates),
+        "fixed_point": _fixed_point_text(fixed_point(triple, cone)),
+    } for cone, vertex in fan_result.table()]
     return {"facets": facets, "vertex_table": table}
+
+
+def transition_section(tmap):
+    """One chart change: the ``transition`` command's section and an entry
+    of the atlas section's transition list."""
+    return {
+        "source": list(tmap.source),
+        "target": list(tmap.target),
+        "h": tmap.h,
+        "scope": tmap.scope(),
+        "exponents": _matrix_rows_text(tmap.exponents),
+        "rendered": tmap.render(),
+    }
 
 
 def atlas_section(triple, atlas: Atlas, include_cocycle=True):
@@ -303,20 +312,9 @@ def atlas_section(triple, atlas: Atlas, include_cocycle=True):
             "fixed_point": _fixed_point_text(chart.fixed_point),
             "group_exponents": _matrix_rows_text(chart.group_exponents),
         })
-    transitions = []
-    for source in atlas.cones:
-        for target in atlas.cones:
-            if source == target:
-                continue
-            tmap = atlas.transition(source, target)
-            transitions.append({
-                "source": list(tmap.source),
-                "target": list(tmap.target),
-                "h": tmap.h,
-                "scope": tmap.scope(),
-                "exponents": _matrix_rows_text(tmap.exponents),
-                "rendered": tmap.render(triple.dim),
-            })
+    transitions = [transition_section(atlas.transition(source, target))
+                   for source in atlas.cones for target in atlas.cones
+                   if source != target]
     relation_rows = []
     for cone in atlas.cones:
         relation = atlas.relation_set(cone)
@@ -419,6 +417,15 @@ def _pass_text(flag):
     return "pass" if flag else "FAIL"
 
 
+def _transition_lines(t, indent):
+    source = ",".join(map(str, t["source"]))
+    target = ",".join(map(str, t["target"]))
+    lines = [f"{indent}transition {{{source}}} -> {{{target}}} "
+             f"[h={t['h']}, {t['scope']}]: {t['rendered']}"]
+    lines.extend(f"{indent}  [{', '.join(row)}]" for row in t["exponents"])
+    return lines
+
+
 def render_text_report(report) -> str:
     lines = []
     meta = report["metadata"]
@@ -473,12 +480,7 @@ def render_text_report(report) -> str:
             for row in chart["group_exponents"]:
                 lines.append(f"    group exponents [{', '.join(row)}]")
         for t in a["transitions"]:
-            source = ",".join(map(str, t["source"]))
-            target = ",".join(map(str, t["target"]))
-            lines.append(f"  transition {{{source}}} -> {{{target}}} "
-                         f"[h={t['h']}, {t['scope']}]: {t['rendered']}")
-            for row in t["exponents"]:
-                lines.append(f"    [{', '.join(row)}]")
+            lines.extend(_transition_lines(t, "  "))
         for block in a["relations"]:
             cone = ",".join(map(str, block["cone"]))
             for row in block["rows"]:
@@ -508,6 +510,9 @@ def render_text_report(report) -> str:
                 lines.append(f"    failure at {failure['target']}: "
                              f"{failure['kind']} residual {failure['residual']:.3e}")
         lines.append(f"  overall: {_pass_text(v['passed'])}")
+
+    if "transition" in report:
+        lines.extend(_transition_lines(report["transition"], ""))
 
     lines.append("")
     return "\n".join(lines)

@@ -4,19 +4,22 @@ Solving and inversion use fraction-free (Bareiss-style) elimination: each
 update divides by the previous pivot, which is exact and keeps intermediate
 entries as minors of the input instead of letting rational-function degrees
 blow up.  Pivoting is first-nonzero with lowest row index, so all outputs
-are deterministic.
+are deterministic.  One back-substitution serves every solve: ``solve``
+and ``inverse`` pass their right-hand sides as augmented columns, and
+``solve_general`` passes its free columns too, so the kernel basis comes
+out of the same loop.  The distinguished kernel basis of a ray map over a
+chosen cone is built in ``atlas.relations``.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .scalars import DomainMismatchError, Scalar, ScalarDomain
 
 __all__ = [
     "DimensionMismatchError",
     "Matrix",
-    "RankDeficiencyError",
     "SingularMatrixError",
     "dot",
     "solve_general",
@@ -25,10 +28,6 @@ __all__ = [
 
 class SingularMatrixError(ArithmeticError):
     """The matrix is not invertible."""
-
-
-class RankDeficiencyError(ArithmeticError):
-    """The matrix does not have the rank the operation requires."""
 
 
 class DimensionMismatchError(ValueError):
@@ -119,12 +118,6 @@ class Matrix:
         body = "; ".join(
             ", ".join(e.text() for e in self.row(i)) for i in range(self.rows))
         return f"Matrix[{body}]"
-
-    def transpose(self):
-        entries = [self.entries[i * self.cols + j]
-                   for j in range(self.cols) for i in range(self.rows)]
-        return Matrix(self.domain, self.cols, self.rows, entries,
-                      self.col_labels, self.row_labels)
 
     # -- arithmetic -----------------------------------------------------------
 
@@ -244,39 +237,6 @@ class Matrix:
         entries = [columns[j][i] for i in range(n) for j in range(n)]
         return Matrix(self.domain, n, n, entries, self.col_labels, self.row_labels)
 
-    def kernel_basis(self, basis_cols: Optional[Sequence[int]] = None):
-        """Exact basis of the kernel of a full-row-rank wide matrix.
-
-        When ``basis_cols`` names an independent column set of size
-        ``rows``, the returned vectors are the distinguished basis: for each
-        remaining column j the vector has entry 1 at j, the negated
-        coordinates of column j over the chosen columns, and zeros elsewhere.
-        """
-        if self.rows > self.cols:
-            raise RankDeficiencyError("kernel_basis expects rows <= cols")
-        if basis_cols is None:
-            basis_cols = self._eliminate()[1]
-        else:
-            basis_cols = list(basis_cols)
-        if len(basis_cols) != self.rows:
-            raise RankDeficiencyError(
-                f"matrix rank {len(basis_cols)} is below the row count {self.rows}")
-        square = Matrix.from_columns(self.domain, [self.column(c) for c in basis_cols])
-        inverse = square.inverse()
-        zero = self.domain.zero()
-        one = self.domain.one()
-        basis = []
-        for j in range(self.cols):
-            if j in basis_cols:
-                continue
-            coords = inverse.apply(self.column(j))
-            vector = [zero] * self.cols
-            vector[j] = one
-            for t, c in enumerate(basis_cols):
-                vector[c] = -coords[t]
-            basis.append(tuple(vector))
-        return basis
-
 
 def solve_general(matrix: Matrix, rhs: Sequence[Scalar]):
     """Particular solution (free variables zero) plus kernel basis.
@@ -291,28 +251,19 @@ def solve_general(matrix: Matrix, rhs: Sequence[Scalar]):
     for i in range(len(pivot_cols), matrix.rows):
         if not work[i][matrix.cols].is_zero():
             return None
-    zero = matrix.domain.zero()
-    one = matrix.domain.one()
-    particular = [zero] * matrix.cols
-    solution = matrix._back_substitute(work[: len(pivot_cols)], pivot_cols, 1)[0]
-    for c in pivot_cols:
-        particular[c] = solution[c]
+    # each free column rides along as one more right-hand side, so one
+    # back-substitution gives the particular solution and the kernel
+    rank = len(pivot_cols)
     free_cols = [c for c in range(matrix.cols) if c not in pivot_cols]
+    work = [row + [row[f] for f in free_cols] for row in work[:rank]]
+    particular, *coords = matrix._back_substitute(
+        work, pivot_cols, 1 + len(free_cols))
+    zero, one = matrix.domain.zero(), matrix.domain.one()
     kernel = []
-    for f in free_cols:
-        # express column f against the pivot columns
-        coords = {}
-        for t in range(len(pivot_cols) - 1, -1, -1):
-            c = pivot_cols[t]
-            acc = work[t][f]
-            for j, xj in coords.items():
-                entry = work[t][j]
-                if not entry.is_zero() and not xj.is_zero():
-                    acc = acc - entry * xj
-            coords[c] = acc / work[t][c]
+    for f, column in zip(free_cols, coords):
         vector = [zero] * matrix.cols
         vector[f] = one
-        for c, xc in coords.items():
-            vector[c] = -xc
+        for c in pivot_cols:
+            vector[c] = -column[c]
         kernel.append(tuple(vector))
     return tuple(particular), kernel

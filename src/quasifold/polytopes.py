@@ -239,12 +239,9 @@ class NormalFanResult:
         return tuple(zip(self.fan.max_cones, self.vertices))
 
 
-def normal_fan(polytope: Polytope, vertices: Optional[Sequence[Vertex]] = None,
-               samples=None) -> NormalFanResult:
+def normal_fan(polytope: Polytope) -> NormalFanResult:
     """The fan with one maximal cone per vertex, spanned by its facet normals."""
-    if vertices is None:
-        vertices = enumerate_vertices(polytope, samples=samples)
-    by_cone = sorted(vertices, key=lambda v: v.incident)
+    by_cone = sorted(enumerate_vertices(polytope), key=lambda v: v.incident)
     fan = Fan(
         dim=polytope.dim,
         rays=[facet.normal for facet in polytope.facets],
@@ -254,14 +251,12 @@ def normal_fan(polytope: Polytope, vertices: Optional[Sequence[Vertex]] = None,
 
 
 def to_triple(polytope: Polytope, lattice: Quasilattice,
-              witnesses: Optional[Sequence[Optional[Sequence[int]]]] = None,
-              samples=None, witness_box: int = 10):
+              witnesses: Optional[Sequence[Optional[Sequence[int]]]] = None):
     """Assemble the fundamental triple of the polytope's normal fan.
 
     Missing witnesses are recovered by the bounded search.  Returns
     (triple, normal_fan_result); the vertex/cone table is kept for reporting.
     """
-    result = normal_fan(polytope, samples=samples)
+    result = normal_fan(polytope)
     triple = FundamentalTriple(result.fan, lattice, witnesses)
-    triple = with_recovered_witnesses(triple, box=witness_box)
-    return triple, result
+    return with_recovered_witnesses(triple), result

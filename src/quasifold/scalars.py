@@ -235,10 +235,6 @@ def _fraction_to_decimal(value, precision):
         return Decimal(value.numerator) / Decimal(value.denominator)
 
 
-def _rational_text(q):
-    return str(q)
-
-
 def _poly_text(coeffs, symbol):
     """Render a coefficient tuple as grammar text, highest power first."""
     if not coeffs:
@@ -249,10 +245,10 @@ def _poly_text(coeffs, symbol):
         if not c:
             continue
         if k == 0:
-            body = _rational_text(abs(c))
+            body = str(abs(c))
         else:
             base = symbol if k == 1 else f"{symbol}^{k}"
-            body = base if abs(c) == 1 else f"{_rational_text(abs(c))}*{base}"
+            body = base if abs(c) == 1 else f"{abs(c)}*{base}"
         if not pieces:
             pieces.append(("-" if c < 0 else "") + body)
         else:
@@ -395,7 +391,7 @@ class RationalDomain(ScalarDomain):
         return not a
 
     def _text(self, a):
-        return _rational_text(a)
+        return str(a)
 
     def _as_rational(self, a):
         return a

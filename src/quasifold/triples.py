@@ -159,25 +159,25 @@ class ValidationReport:
     def passed(self):
         return self.simplicial and self.quasirational and self.face_condition
 
-    @property
-    def advisory_flags(self):
-        flags = []
-        if self.probe_ran and self.probe_gaps:
-            flags.append(f"support probe: {self.probe_gaps} uncovered directions")
-        if self.probe_ran and self.probe_overlaps:
-            flags.append(f"support probe: {self.probe_overlaps} multiply covered directions")
-        return flags
 
+def float_array(entries, shape, parameter_sample, memo) -> np.ndarray:
+    """Floats of exact scalars (15 significant digits), in the given shape.
 
-def _numeric_matrix(matrix: Matrix, parameter_sample=None, precision=15):
-    values = [float(e.eval_numeric(precision, parameter_sample))
-              for e in matrix.entries]
-    return np.array(values, dtype=float).reshape(matrix.rows, matrix.cols)
+    memo maps payloads to the floats already computed; the caller keeps
+    one per domain and parameter sample, so each distinct value is
+    evaluated once.
+    """
+    values = []
+    for x in entries:
+        value = memo.get(x.payload)
+        if value is None:
+            value = memo[x.payload] = float(x.eval_numeric(15, parameter_sample))
+        values.append(value)
+    return np.array(values, dtype=float).reshape(shape)
 
 
 def validate(triple: FundamentalTriple, probe_directions: int = 64,
-             seed: int = 0, parameter_sample=None,
-             probe_tolerance: float = 1e-9) -> ValidationReport:
+             seed: int = 0, parameter_sample=None) -> ValidationReport:
     """Run the structural checks and the advisory numeric support probe."""
     simplicial_failures = []
     for cone in triple.fan.max_cones:
@@ -228,10 +228,14 @@ def validate(triple: FundamentalTriple, probe_directions: int = 64,
         norms[norms == 0] = 1.0
         directions = directions / norms[:, None]
         counts = np.zeros(probe_directions, dtype=int)
+        floats = {}
         for cone in triple.fan.max_cones:
-            a = _numeric_matrix(triple.cone_matrix(cone), parameter_sample)
-            coords = np.linalg.solve(a, directions.T)
-            inside = np.all(coords >= -probe_tolerance, axis=0)
+            a = triple.cone_matrix(cone)
+            coords = np.linalg.solve(
+                float_array(a.entries, (a.rows, a.cols), parameter_sample,
+                            floats),
+                directions.T)
+            inside = np.all(coords >= -1e-9, axis=0)
             counts += inside.astype(int)
         gaps = int(np.sum(counts == 0))
         overlaps = int(np.sum(counts >= 2))
@@ -256,12 +260,12 @@ def validate(triple: FundamentalTriple, probe_directions: int = 64,
 # witness recovery
 # ---------------------------------------------------------------------------
 
-def ray_membership(triple: FundamentalTriple, j: int, box: int = 10):
+def ray_membership(triple: FundamentalTriple, j: int):
     """Verify or recover the integer witness for ray j (1-based).
 
     A supplied witness is verified exactly.  Otherwise the rational solution
     set of  G m = X_j  is computed and integer points are searched by
-    enumerating integer coefficient offsets in [-box, box] on the kernel
+    enumerating integer coefficient offsets in [-10, 10] on the kernel
     directions.
     """
     if not 1 <= j <= triple.ray_count:
@@ -305,6 +309,7 @@ def ray_membership(triple: FundamentalTriple, j: int, box: int = 10):
         scale = lcm(*denominators) if denominators else 1
         scaled_kernel.append([x * scale for x in vec])
 
+    box = 10
     free_dim = len(scaled_kernel)
     if (2 * box + 1) ** free_dim > 2_000_000:
         raise WitnessRecoveryError(
@@ -333,12 +338,11 @@ def ray_membership(triple: FundamentalTriple, j: int, box: int = 10):
     return tuple(m)
 
 
-def with_recovered_witnesses(triple: FundamentalTriple,
-                             box: int = 10) -> FundamentalTriple:
+def with_recovered_witnesses(triple: FundamentalTriple) -> FundamentalTriple:
     """Fill in any missing ray witnesses by the bounded recovery search."""
     if all(w is not None for w in triple.witnesses):
         return triple
     witnesses = [triple.witnesses[j - 1] if triple.witnesses[j - 1] is not None
-                 else ray_membership(triple, j, box=box)
+                 else ray_membership(triple, j)
                  for j in range(1, triple.ray_count + 1)]
     return FundamentalTriple(triple.fan, triple.lattice, witnesses)

@@ -16,19 +16,26 @@ integer search over the group's exponent generators: a witness within the
 box proves membership, and search exhaustion is reported separately from a
 numeric mismatch.  The search runs meet-in-the-middle over the generator
 box so the dodecahedron's six generators stay cheap.
+
+The checks share their plumbing: ``NumericAtlas`` holds the float views
+(converted by ``triples.float_array``), ``_with_fault`` perturbs one
+exponent for fault injection, and ``TrialReport.record`` counts every
+trial and keeps each failure.  ``verify_triple`` spreads the samples over
+the targets of each check in one loop; each check seeds its generator from
+(seed, check, target), so one target's draws do not depend on the others.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Dict, Optional
 
 import numpy as np
 
 from .atlas import Atlas
-from .triples import FundamentalTriple
+from .triples import FundamentalTriple, float_array
 
 __all__ = [
     "GroupMembership",
@@ -62,13 +69,18 @@ class TrialConfig:
     word_length: int = 3
     integer_box: int = 10
     parameter_sample: Optional[Fraction] = None
-    eval_precision: int = 15
 
     def __post_init__(self):
         if self.samples < 1:
             raise ValueError("samples must be >= 1")
         if self.tolerance <= 0:
             raise ValueError("tolerance must be positive")
+        if self.word_length < 1:
+            raise ValueError(
+                f"word length must be >= 1 (--word-length), got {self.word_length}")
+        if self.integer_box < 1:
+            raise ValueError(
+                f"integer box must be >= 1 (--box), got {self.integer_box}")
 
 
 @dataclass(frozen=True)
@@ -88,19 +100,25 @@ class TrialReport:
     max_deviation: float = 0.0
     failures: tuple = ()
     skipped: tuple = ()
-    breakdown: dict = field(default_factory=dict)
 
     @property
     def passed(self):
         return not self.failures
+
+    def record(self, target, trial, seed, kind, residual):
+        """Count one trial: it passed when kind is None, else failed so."""
+        self.trials += 1
+        if kind is None:
+            self.max_deviation = max(self.max_deviation, residual)
+        else:
+            self.failures += (TrialFailure(
+                self.check, target, trial, kind, residual, seed),)
 
     def merge(self, other: "TrialReport"):
         self.trials += other.trials
         self.max_deviation = max(self.max_deviation, other.max_deviation)
         self.failures = self.failures + other.failures
         self.skipped = self.skipped + other.skipped
-        for key, value in other.breakdown.items():
-            self.breakdown[key] = self.breakdown.get(key, 0) + value
 
 
 def _circular_residual(values):
@@ -205,13 +223,12 @@ class TieredMembership:
 
 
 class NumericAtlas:
-    """Float views of a triple's atlas at a fixed evaluation precision."""
+    """Float views of a triple's atlas, cached per matrix."""
 
     def __init__(self, triple: FundamentalTriple, atlas: Optional[Atlas] = None,
-                 precision: int = 15, parameter_sample=None):
+                 parameter_sample=None):
         self.triple = triple
         self.atlas = atlas if atlas is not None else Atlas(triple)
-        self.precision = precision
         if (parameter_sample is None
                 and triple.domain.kind == "rational_function"):
             parameter_sample = triple.domain.default_sample
@@ -223,63 +240,70 @@ class NumericAtlas:
         self._memberships: Dict[tuple, TieredMembership] = {}
         self._floats_seen: Dict[object, float] = {}
 
-    def _float(self, scalar):
-        value = self._floats_seen.get(scalar.payload)
-        if value is None:
-            value = float(scalar.eval_numeric(self.precision,
-                                              self.parameter_sample))
-            self._floats_seen[scalar.payload] = value
-        return value
-
-    def _floats(self, matrix):
-        values = [self._float(e) for e in matrix.entries]
-        return np.array(values, dtype=float).reshape(matrix.rows, matrix.cols)
+    def _floats(self, key, matrix):
+        if key not in self._cache:
+            self._cache[key] = float_array(
+                matrix.entries, (matrix.rows, matrix.cols),
+                self.parameter_sample, self._floats_seen)
+        return self._cache[key]
 
     def ray_matrix(self):
-        key = ("rays",)
-        if key not in self._cache:
-            self._cache[key] = self._floats(self.triple.ray_matrix())
-        return self._cache[key]
+        return self._floats(("rays",), self.triple.ray_matrix())
 
     def cone_matrix(self, cone):
-        key = ("cone", tuple(cone))
-        if key not in self._cache:
-            self._cache[key] = self._floats(self.atlas.chart(cone).matrix)
-        return self._cache[key]
+        return self._floats(("cone", tuple(cone)),
+                            self.atlas.chart(cone).matrix)
 
     def group_exponents(self, cone):
-        key = ("group", tuple(cone))
-        if key not in self._cache:
-            self._cache[key] = self._floats(self.atlas.chart(cone).group_exponents)
-        return self._cache[key]
+        return self._floats(("group", tuple(cone)),
+                            self.atlas.chart(cone).group_exponents)
 
     def transition(self, source, target):
-        key = ("transition", tuple(source), tuple(target))
-        if key not in self._cache:
-            self._cache[key] = self._floats(
-                self.atlas.transition(source, target).exponents)
-        return self._cache[key]
+        return self._floats(("transition", tuple(source), tuple(target)),
+                            self.atlas.transition(source, target).exponents)
 
     def kernel_matrix(self, cone):
         key = ("kernel", tuple(cone))
         if key not in self._cache:
-            relation = self.atlas.relation_set(cone)
-            rows = [relation.kernel_vectors[j]
-                    for j in sorted(relation.kernel_vectors)]
-            values = [[self._float(x) for x in row] for row in rows]
-            self._cache[key] = np.array(values, dtype=float).reshape(
-                len(rows), self.triple.ray_count)
+            vectors = self.atlas.relation_set(cone).kernel_vectors
+            rows = [vectors[j] for j in sorted(vectors)]
+            self._cache[key] = float_array(
+                [x for row in rows for x in row],
+                (len(rows), self.triple.ray_count), self.parameter_sample,
+                self._floats_seen)
         return self._cache[key]
 
     def membership(self, cone, box, tolerance, fault=None):
         key = (tuple(cone), box, tolerance, fault)
         if key not in self._memberships:
-            exponents = self.group_exponents(cone).copy()
-            if fault is not None:
-                i, j, delta = fault
-                exponents[i, j] += delta
-            self._memberships[key] = TieredMembership(exponents, box, tolerance)
+            self._memberships[key] = TieredMembership(
+                _with_fault(self.group_exponents(cone), fault), box, tolerance)
         return self._memberships[key]
+
+
+def _numeric_atlas(triple: FundamentalTriple, cfg: TrialConfig, numeric):
+    """The caller's NumericAtlas, or a fresh one at cfg's parameter sample."""
+    if numeric is not None:
+        return numeric
+    return NumericAtlas(triple, parameter_sample=cfg.parameter_sample)
+
+
+def _with_fault(exponents, fault):
+    """The exponent array, or a copy with entry (i, j) of fault shifted."""
+    if fault is None:
+        return exponents
+    i, j, delta = fault
+    exponents = exponents.copy()
+    exponents[i, j] += delta
+    return exponents
+
+
+def _find(membership, theta):
+    """(failure kind or None, residual) of one membership trial."""
+    witness, residual = membership.find(theta)
+    if witness is not None:
+        return None, residual
+    return ("search-exhausted" if residual > 1e-3 else "mismatch"), residual
 
 
 def _rng(cfg: TrialConfig, check: str, target: tuple):
@@ -309,8 +333,7 @@ def check_branch_invariance(triple: FundamentalTriple, cone, cfg: TrialConfig,
                             fault=None) -> TrialReport:
     """Monomial classes are unchanged by integer logarithm-branch shifts."""
     cone = tuple(sorted(cone))
-    numeric = numeric or NumericAtlas(triple, precision=cfg.eval_precision,
-                                      parameter_sample=cfg.parameter_sample)
+    numeric = _numeric_atlas(triple, cfg, numeric)
     others = [c for c in triple.fan.max_cones if c != cone]
     report = TrialReport(check="branch_invariance")
     rng = _rng(cfg, "branch_invariance", (cone,))
@@ -321,24 +344,14 @@ def check_branch_invariance(triple: FundamentalTriple, cone, cfg: TrialConfig,
             exponents = numeric.transition(source, cone)
         else:
             exponents = numeric.group_exponents(cone)
-        if fault is not None:
-            exponents = exponents.copy()
-            exponents[fault[0], fault[1]] += fault[2]
+        exponents = _with_fault(exponents, fault)
         width = exponents.shape[1]
         w = _sample_log_points(rng, width)
         shifts = rng.integers(-cfg.word_length, cfg.word_length + 1, width)
         image_a = np.exp(1j * _TWO_PI * (exponents @ w))
         image_b = np.exp(1j * _TWO_PI * (exponents @ (w + shifts)))
         theta = np.mod(np.angle(image_b / image_a) / _TWO_PI, 1.0)
-        witness, residual = membership.find(theta)
-        report.trials += 1
-        report.breakdown[cone] = report.breakdown.get(cone, 0) + 1
-        if witness is None:
-            kind = "search-exhausted" if residual > 1e-3 else "mismatch"
-            report.failures += (TrialFailure(
-                "branch_invariance", (cone,), trial, kind, residual, cfg.seed),)
-        else:
-            report.max_deviation = max(report.max_deviation, residual)
+        report.record((cone,), trial, cfg.seed, *_find(membership, theta))
     return report
 
 
@@ -357,12 +370,8 @@ def check_transition_equivariance(triple: FundamentalTriple, source, target,
     """T(gamma z) and T(z) differ by an element of the target chart group."""
     source = tuple(sorted(source))
     target = tuple(sorted(target))
-    numeric = numeric or NumericAtlas(triple, precision=cfg.eval_precision,
-                                      parameter_sample=cfg.parameter_sample)
-    exponents = numeric.transition(source, target)
-    if fault is not None:
-        exponents = exponents.copy()
-        exponents[fault[0], fault[1]] += fault[2]
+    numeric = _numeric_atlas(triple, cfg, numeric)
+    exponents = _with_fault(numeric.transition(source, target), fault)
     source_group = numeric.group_exponents(source)
     membership = numeric.membership(target, cfg.integer_box, cfg.tolerance)
     report = TrialReport(check="transition_equivariance")
@@ -378,16 +387,8 @@ def check_transition_equivariance(triple: FundamentalTriple, source, target,
         image = np.exp(1j * _TWO_PI * (exponents @ logs))
         image_shifted = np.exp(1j * _TWO_PI * (exponents @ logs_shifted))
         theta = np.mod(np.angle(image_shifted / image) / _TWO_PI, 1.0)
-        witness, residual = membership.find(theta)
-        report.trials += 1
-        key = (source, target)
-        report.breakdown[key] = report.breakdown.get(key, 0) + 1
-        if witness is None:
-            kind = "search-exhausted" if residual > 1e-3 else "mismatch"
-            report.failures += (TrialFailure(
-                "transition_equivariance", key, trial, kind, residual, cfg.seed),)
-        else:
-            report.max_deviation = max(report.max_deviation, residual)
+        report.record((source, target), trial, cfg.seed,
+                      *_find(membership, theta))
     return report
 
 
@@ -401,8 +402,7 @@ def check_factorization(triple: FundamentalTriple, cone, cfg: TrialConfig,
     must belong to the chart group.
     """
     cone = tuple(sorted(cone))
-    numeric = numeric or NumericAtlas(triple, precision=cfg.eval_precision,
-                                      parameter_sample=cfg.parameter_sample)
+    numeric = _numeric_atlas(triple, cfg, numeric)
     rays = numeric.ray_matrix()
     cone_m = numeric.cone_matrix(cone)
     kernel = numeric.kernel_matrix(cone)
@@ -423,21 +423,12 @@ def check_factorization(triple: FundamentalTriple, cone, cfg: TrialConfig,
         y[positions] = y_coords
         w = x - y
         residual_kernel = float(np.max(np.abs(rays @ w))) if d else 0.0
-        theta = np.mod(y_coords, 1.0)
-        witness, residual_group = membership.find(theta)
-        report.trials += 1
-        report.breakdown[cone] = report.breakdown.get(cone, 0) + 1
+        kind, residual = _find(membership, np.mod(y_coords, 1.0))
         if residual_kernel >= cfg.tolerance:
-            report.failures += (TrialFailure(
-                "factorization", (cone,), trial, "mismatch",
-                residual_kernel, cfg.seed),)
-        elif witness is None:
-            kind = "search-exhausted" if residual_group > 1e-3 else "mismatch"
-            report.failures += (TrialFailure(
-                "factorization", (cone,), trial, kind, residual_group, cfg.seed),)
-        else:
-            report.max_deviation = max(report.max_deviation, residual_kernel,
-                                       residual_group)
+            kind, residual = "mismatch", residual_kernel
+        elif kind is None:
+            residual = max(residual_kernel, residual)
+        report.record((cone,), trial, cfg.seed, kind, residual)
     return report
 
 
@@ -459,12 +450,8 @@ def check_connecting_element(triple: FundamentalTriple, source, target,
     if not 1 <= h <= n - 1:
         report.skipped = ((source, target, h),)
         return report
-    numeric = numeric or NumericAtlas(triple, precision=cfg.eval_precision,
-                                      parameter_sample=cfg.parameter_sample)
-    exponents = numeric.transition(source, target)
-    if fault is not None:
-        exponents = exponents.copy()
-        exponents[fault[0], fault[1]] += fault[2]
+    numeric = _numeric_atlas(triple, cfg, numeric)
+    exponents = _with_fault(numeric.transition(source, target), fault)
     rays = numeric.ray_matrix()
     d = triple.ray_count
     source_positions = _positions(source)
@@ -488,15 +475,9 @@ def check_connecting_element(triple: FundamentalTriple, source, target,
         scale = max(1.0, float(np.max(np.abs(expected))))
         residual_match = float(np.max(np.abs(moved - expected))) / scale
         deviation = max(residual_kernel, residual_match)
-        report.trials += 1
-        key = (source, target)
-        report.breakdown[key] = report.breakdown.get(key, 0) + 1
-        if deviation >= cfg.tolerance:
-            report.failures += (TrialFailure(
-                "connecting_element", key, trial, "mismatch",
-                deviation, cfg.seed),)
-        else:
-            report.max_deviation = max(report.max_deviation, deviation)
+        report.record((source, target), trial, cfg.seed,
+                      "mismatch" if deviation >= cfg.tolerance else None,
+                      deviation)
     return report
 
 
@@ -520,46 +501,22 @@ def _distribute(total, buckets):
 def verify_triple(triple: FundamentalTriple, cfg: TrialConfig,
                   atlas: Optional[Atlas] = None) -> VerificationSummary:
     """Run all four checks, spreading cfg.samples trials across targets."""
-    numeric = NumericAtlas(triple, atlas=atlas, precision=cfg.eval_precision,
+    numeric = NumericAtlas(triple, atlas=atlas,
                            parameter_sample=cfg.parameter_sample)
-    cones = list(triple.fan.max_cones)
-    pairs = list(itertools.permutations(cones, 2))
-    eligible = [(s, t) for s, t in pairs
-                if 1 <= len(set(s) - set(t)) <= triple.dim - 1]
-    eligible_set = set(eligible)
-    skipped_pairs = [(s, t) for s, t in pairs if (s, t) not in eligible_set]
-
-    reports = {}
-
-    report = TrialReport(check="branch_invariance")
-    for cone, count in _distribute(cfg.samples, cones).items():
-        if count:
-            report.merge(check_branch_invariance(
-                triple, cone, replace(cfg, samples=count), numeric))
-    reports["branch_invariance"] = report
-
-    report = TrialReport(check="transition_equivariance")
-    if pairs:
-        for (source, target), count in _distribute(cfg.samples, pairs).items():
+    cones = [(cone,) for cone in triple.fan.max_cones]
+    pairs = list(itertools.permutations(triple.fan.max_cones, 2))
+    h = {(s, t): len(set(s) - set(t)) for s, t in pairs}
+    eligible = [pair for pair in pairs if 1 <= h[pair] <= triple.dim - 1]
+    reports = {name: TrialReport(check=name) for name in _CHECK_IDS}
+    reports["connecting_element"].skipped = tuple(
+        (*pair, h[pair]) for pair in pairs if not 1 <= h[pair] <= triple.dim - 1)
+    for name, check, targets in (
+            ("branch_invariance", check_branch_invariance, cones),
+            ("transition_equivariance", check_transition_equivariance, pairs),
+            ("factorization", check_factorization, cones),
+            ("connecting_element", check_connecting_element, eligible)):
+        for target, count in _distribute(cfg.samples, targets).items():
             if count:
-                report.merge(check_transition_equivariance(
-                    triple, source, target, replace(cfg, samples=count), numeric))
-    reports["transition_equivariance"] = report
-
-    report = TrialReport(check="factorization")
-    for cone, count in _distribute(cfg.samples, cones).items():
-        if count:
-            report.merge(check_factorization(
-                triple, cone, replace(cfg, samples=count), numeric))
-    reports["factorization"] = report
-
-    report = TrialReport(check="connecting_element")
-    report.skipped = tuple((s, t, len(set(s) - set(t))) for s, t in skipped_pairs)
-    if eligible:
-        for (source, target), count in _distribute(cfg.samples, eligible).items():
-            if count:
-                report.merge(check_connecting_element(
-                    triple, source, target, replace(cfg, samples=count), numeric))
-    reports["connecting_element"] = report
-
+                reports[name].merge(check(
+                    triple, *target, replace(cfg, samples=count), numeric))
     return VerificationSummary(reports=reports)

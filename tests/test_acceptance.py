@@ -71,7 +71,7 @@ def test_criterion_1_quasisphere(entries):
     doc, triple, _, atlas = entries["quasisphere"]
     tmap = atlas.transition((1,), (2,))
     assert tmap.exponents == matrix_of(doc.domain, [["-a"]])
-    assert tmap.render(triple.dim) == "[z^-a]"
+    assert tmap.render() == "[z^-a]"
 
     # the chart groups generate the same subgroups of the circle as the
     # textbook generators h/a and a h: membership trials both ways
@@ -110,7 +110,7 @@ def test_criterion_2_weighted_projective(entries):
     doc, triple, _, atlas = entries["cp2-11a"]
     tmap = atlas.transition((2, 3), (1, 3))
     assert tmap.exponents == matrix_of(doc.domain, [["-1", "0"], ["-a", "1"]])
-    assert tmap.render(triple.dim) == "[z2^-1 : z2^-a z3]"
+    assert tmap.render() == "[z2^-1 : z2^-a z3]"
 
     special = specialize_document(doc, 1)
     striple, _ = document_to_triple(special)
@@ -141,7 +141,7 @@ def test_criterion_4_kite(entries):
     inv_phi = f"1/{PHI}"
     assert tmap.exponents == matrix_of(
         doc.domain, [[f"-{inv_phi}", "0"], [inv_phi, "1"]])
-    assert tmap.render(triple.dim) == \
+    assert tmap.render() == \
         "[z1^(-alpha^2 + 3) : z1^(alpha^2 - 3) z4]"
     # the displayed exponents -1/phi and 1/phi as exact canonical forms
     phi = doc.domain.scalar("alpha^2 - 2")
@@ -182,14 +182,14 @@ def test_criterion_5_dodecahedron(entries):
         ["1", "0", f"1/{PHI}"],
         ["0", "1", f"1/{PHI}"],
         ["0", "0", "-1"]])
-    assert first.render(triple.dim) == \
+    assert first.render() == \
         "[z1 z3^(alpha^2 - 3) : z2 z3^(alpha^2 - 3) : z3^-1]"
     second = atlas.transition((1, 2, 4), (1, 3, 6))
     assert second.exponents == matrix_of(domain, [
         ["1", f"1/{PHI}", "1"],
         ["0", f"1/{PHI}", f"-1/{PHI}"],
         ["0", "-1", f"-1/{PHI}"]])
-    assert second.render(triple.dim) == (
+    assert second.render() == (
         "[z1 z2^(alpha^2 - 3) z4 : "
         "z2^(alpha^2 - 3) z4^(-alpha^2 + 3) : "
         "z2^-1 z4^(-alpha^2 + 3)]")

@@ -90,17 +90,20 @@ def test_omitted_witnesses_are_recovered(tmp_path, capsys):
 # validate / polytope / transition / verify on documents
 # ---------------------------------------------------------------------------
 
+DEPENDENT_RAYS_DOC = {
+    "domain": {"kind": "rational"},
+    "quasilattice": {"generators": [["1", "0"], ["0", "1"]]},
+    "fan": {
+        "rays": [["1", "0"], ["2", "0"], ["0", "1"]],
+        "max_cones": [[1, 2], [2, 3]],
+    },
+    "witnesses": [[1, 0], [2, 0], [0, 1]],
+}
+
+
 def test_validate_dependent_rays_exits_one(tmp_path, capsys):
-    doc = {
-        "domain": {"kind": "rational"},
-        "quasilattice": {"generators": [["1", "0"], ["0", "1"]]},
-        "fan": {
-            "rays": [["1", "0"], ["2", "0"], ["0", "1"]],
-            "max_cones": [[1, 2], [2, 3]],
-        },
-        "witnesses": [[1, 0], [2, 0], [0, 1]],
-    }
-    code, out, _ = run_cli(["validate", write_doc(tmp_path, doc)], capsys)
+    code, out, _ = run_cli(
+        ["validate", write_doc(tmp_path, DEPENDENT_RAYS_DOC)], capsys)
     assert code == 1
     assert "simplicial: FAIL" in out
 
@@ -262,6 +265,31 @@ def test_param_must_be_positive(name, value, capsys):
     assert "--param" in err and "not positive" in err
 
 
+def test_param_refused_without_parameter(capsys):
+    # a rational or number-field document has no parameter to sample
+    for name in ("kite", "dodecahedron"):
+        code, out, err = run_cli(["gallery", name, "--param", "alpha=1.6"],
+                                 capsys)
+        assert code == 2
+        assert out == ""
+        assert "--param" in err and "parameter-field" in err
+
+
+@pytest.mark.parametrize("flag, value", [("--box", "-1"), ("--box", "0"),
+                                         ("--word-length", "-1"),
+                                         ("--word-length", "0")])
+def test_verify_bounds_exit_two(flag, value, tmp_path, capsys):
+    # below the schema minimum of 1: bad input, not a failed check, also
+    # on a document whose validation fails
+    for argv in (["gallery", "kite"],
+                 ["verify", write_doc(tmp_path, DEPENDENT_RAYS_DOC)]):
+        code, out, err = run_cli(argv + [flag, value], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("quasifold: error: ") and err.count("\n") == 1
+        assert flag in err
+
+
 def test_parameter_sample_option_must_be_positive(tmp_path, capsys):
     data = gallery_json("quasisphere")
     data.setdefault("options", {})["parameter_sample"] = "-1.5"
@@ -376,3 +404,56 @@ def test_gallery_exact_sections_pinned(name, capsys):
             separators=(",", ":")).encode()).hexdigest()
         for section in EXACT_SECTION_DIGESTS[name]}
     assert digests == EXACT_SECTION_DIGESTS[name]
+
+
+# sha256 of the whole stdout of each command, in both formats, at
+# `--seed 0` (and `--samples 10` where the command verifies).  Text
+# rendering, the transition command and the verification numbers are all
+# covered, so a refactor must leave every report byte as is.
+FULL_REPORT_COMMANDS = {
+    "validate": ("cp2-11a", ["validate", "{path}"]),
+    "atlas": ("cp2-11a", ["atlas", "{path}"]),
+    "transition": ("cp2-11a", ["transition", "{path}", "--from", "2,3",
+                               "--to", "1,3"]),
+    "verify": ("cp2-11a", ["verify", "{path}", "--samples", "10"]),
+    "polytope": ("hirzebruch", ["polytope", "{path}"]),
+    "gallery": (None, ["gallery", "kite", "--samples", "10"]),
+}
+FULL_REPORT_DIGESTS = {
+    ("validate", "json"):
+        "b0d3981346780de7dade39b2fa6bac7f34a327dc97ca8b4d9f1142d1bff393d8",
+    ("validate", "text"):
+        "9deed9641cbba6e29d06cdacb65a263ae355c4978da04044411812a000f85ae9",
+    ("atlas", "json"):
+        "8017f6276b6a5e03beaabcf4b4bc27baeb8f743100bfbe6ec6a932a733cdca40",
+    ("atlas", "text"):
+        "a110ffb8e2ddd445697f1420b30879363f91f408fe39ad4d467ea451757e61ea",
+    ("transition", "json"):
+        "fad7409ac4fa57c5bea339e12f34b84f94592fe62f519e9389f4e0c0c6a232c4",
+    ("transition", "text"):
+        "77626e43689c413a07281f488704d21b84852b9959e787c6ee85dfdde2485538",
+    ("verify", "json"):
+        "08353b4a1aeab212e1fa8f2eaeb408641ddefb75f2bee8ff4345624baaf1559d",
+    ("verify", "text"):
+        "1750a9d8510f492ca2abb12f851118e0abea082aa0511c82b77c63ef174746a1",
+    ("polytope", "json"):
+        "4c134e828739657d3847da2de6fdc8e9249345cc4a7bdccddf6091f795c84cfc",
+    ("polytope", "text"):
+        "93cfbad53c1c6f9601b3b542594c1125d7291b2449eb7b96a5b377c906ac0190",
+    ("gallery", "json"):
+        "50edcfb36d470e22db865d74a013e5855a9cdadaa335119dd82aefc2c0dbba03",
+    ("gallery", "text"):
+        "28aa0bcbe6905f2f5a8271dc00567741379321e50e874acf5bba6100e7141886",
+}
+
+
+@pytest.mark.parametrize("command, fmt", sorted(FULL_REPORT_DIGESTS))
+def test_full_reports_pinned(command, fmt, tmp_path, capsys):
+    document, argv = FULL_REPORT_COMMANDS[command]
+    path = (write_doc(tmp_path, gallery_json(document), f"{document}.json")
+            if document else None)
+    argv = [path if part == "{path}" else part for part in argv]
+    code, out, _ = run_cli(argv + ["--format", fmt, "--seed", "0"], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        FULL_REPORT_DIGESTS[command, fmt]

@@ -138,8 +138,7 @@ def test_tight_tolerance_still_passes(gallery):
     # 1e-12 tolerance at precision-15 evaluation still verifies cleanly
     for name in ("cp2-11a", "kite"):
         _, triple, _ = gallery[name]
-        summary = verify_triple(triple, small_config(tolerance=1e-12,
-                                                     eval_precision=15))
+        summary = verify_triple(triple, small_config(tolerance=1e-12))
         assert summary.passed, name
 
 
