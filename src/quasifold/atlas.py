@@ -55,7 +55,8 @@ class Chart:
     matrix: Matrix              # columns are the cone's rays, increasing index
     inverse: Matrix
     fixed_point: Tuple[int, ...]
-    group_exponents: Matrix     # n x k; column l is A^-1 (l-th lattice generator)
+    lattice_exponents: Matrix   # n x k; column l is A^-1 (l-th lattice generator)
+    group_exponents: Matrix     # lattice_exponents with integer entries zeroed
 
 
 @dataclass(frozen=True)
@@ -141,6 +142,7 @@ def build_chart(triple: FundamentalTriple, cone: Sequence[int]) -> Chart:
         matrix=matrix,
         inverse=inverse,
         fixed_point=fixed_point(triple, indices),
+        lattice_exponents=raw,
         group_exponents=group,
     )
 

@@ -45,7 +45,6 @@ def _add_verify_flags(parser):
     parser.add_argument("--samples", type=int, default=None)
     parser.add_argument("--tolerance", type=float, default=None)
     parser.add_argument("--word-length", type=int, default=None)
-    parser.add_argument("--box", type=int, default=None)
 
 
 def _build_parser():
@@ -139,24 +138,29 @@ def _trial_config(args, doc, seed, parameter_sample):
                    else float(options.get("tolerance", 1e-9))),
         word_length=(args.word_length if getattr(args, "word_length", None) is not None
                      else int(options.get("word_length", 3))),
-        integer_box=(args.box if getattr(args, "box", None) is not None
-                     else int(options.get("integer_box", 10))),
         parameter_sample=parameter_sample,
     )
+
+
+def _require_parameter(doc, source):
+    if doc.domain.kind != "rational_function":
+        raise InputError(f"{source}: only parameter-field documents take "
+                         "a parameter sample")
 
 
 def run(args) -> tuple[int, str]:
     """Execute one command; returns (exit_code, rendered_report)."""
     doc = _load_input(args)
+    # the document's own domain, before --substitute specializes it
+    if doc.options.get("parameter_sample") is not None:
+        _require_parameter(doc, "options.parameter_sample")
     if args.substitute is not None:
         value = _parse_assignment(args.substitute,
                                   doc.domain.generator_symbol, "--substitute")
         doc = specialize_document(doc, value)
     parameter_sample, source = None, None
     if args.param is not None:
-        if doc.domain.kind != "rational_function":
-            raise InputError("--param: only parameter-field documents take "
-                             "a parameter sample")
+        _require_parameter(doc, "--param")
         parameter_sample = _parse_assignment(
             args.param, doc.domain.generator_symbol, "--param")
         source = "--param"

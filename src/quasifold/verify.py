@@ -11,18 +11,35 @@ Four checks, each sampling random points of the dense orbit:
   * connecting element: the kernel-group element built from the relation
     coefficients carries one chart representative exactly onto the other.
 
-Membership of a phase vector in a chart group is decided by a bounded
-integer search over the group's exponent generators: a witness within the
-box proves membership, and search exhaustion is reported separately from a
-numeric mismatch.  The search runs meet-in-the-middle over the generator
-box so the dodecahedron's six generators stay cheap.
+The first three test that a phase theta lies in the chart group of a cone
+sigma: the phases C_sigma m (mod Z^n), m in Z^k, where C_sigma is
+A_sigma^-1 G less its integer entries.  Each theta is the image of a
+quasilattice vector whose integer coordinates the check drew itself, so
+its witness m follows in closed form from the ray witnesses W (k x d,
+G w_j = X_j), and a trial evaluates one residual |C_sigma m - theta| mod 1:
 
-The checks share their plumbing: ``NumericAtlas`` holds the float views
-(converted by ``triples.float_array``), ``_with_fault`` perturbs one
-exponent for fault injection, and ``TrialReport.record`` counts every
-trial and keeps each failure.  ``verify_triple`` spreads the samples over
-the targets of each check in one loop; each check seeds its generator from
-(seed, check, target), so one target's draws do not depend on the others.
+  * branch invariance: theta = E s for E = A_sigma^-1 A_tau and a drawn
+    s in Z^n; A_tau = G W_tau, so m = W_tau s.  A one-cone fan shifts
+    its group exponents directly, so m = s;
+  * factorization: theta = A_sigma^-1 R x for the ray matrix R and the
+    drawn integer part x (the kernel part dies under R); R x = G W x, so
+    m = W x;
+  * transition equivariance: the principal logarithm returns the drawn
+    word's shift C_tau m_w as A_tau^-1 G m_w + u, with u in Z^n absorbing
+    the branch and the integers C_tau dropped, so
+    u = rint(Re(shift) - A_tau^-1 G m_w) and m = m_w + W_tau u.
+
+On a correct atlas the residual is at rounding level: ``validate`` proves
+G w_j = X_j exactly, so A_sigma^-1 A_tau s = A_sigma^-1 G W_tau s.  A wrong
+E or C cannot hide: m comes from W, not from the atlas, so a faulty
+exponent leaves a residual of the fault's size, reported as a mismatch.
+
+``NumericAtlas`` holds the float views (``triples.float_array``) and the
+integer witnesses, ``_with_fault`` perturbs one exponent for fault
+injection, and ``TrialReport.record`` counts every trial and keeps each
+failure.  ``verify_triple`` spreads the samples over the targets of each
+check; each check seeds its generator from (seed, check, target), so one
+target's draws do not depend on the others.
 """
 
 from __future__ import annotations
@@ -67,20 +84,18 @@ class TrialConfig:
     seed: int = 0
     tolerance: float = 1e-9
     word_length: int = 3
-    integer_box: int = 10
     parameter_sample: Optional[Fraction] = None
 
     def __post_init__(self):
         if self.samples < 1:
-            raise ValueError("samples must be >= 1")
+            raise ValueError(
+                f"samples must be >= 1 (--samples), got {self.samples}")
         if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
+            raise ValueError(
+                f"tolerance must be positive (--tolerance), got {self.tolerance}")
         if self.word_length < 1:
             raise ValueError(
                 f"word length must be >= 1 (--word-length), got {self.word_length}")
-        if self.integer_box < 1:
-            raise ValueError(
-                f"integer box must be >= 1 (--box), got {self.integer_box}")
 
 
 @dataclass(frozen=True)
@@ -88,7 +103,7 @@ class TrialFailure:
     check: str
     target: tuple
     trial: int
-    kind: str          # "mismatch" or "search-exhausted"
+    kind: str          # always "mismatch"
     residual: float
     seed: int
 
@@ -201,32 +216,16 @@ class GroupMembership:
         return None, 1.0
 
 
-class TieredMembership:
-    """Search a small coefficient box first, falling back to the full box.
-
-    Witnesses are usually tiny, so a box-3 table answers most queries at a
-    fraction of the enumeration cost; failures re-run against the full box,
-    keeping the result set identical to a single full-box search.
-    """
-
-    def __init__(self, exponents, box, tolerance):
-        small = min(3, box)
-        self._small = GroupMembership(exponents, small, tolerance)
-        self._full = (self._small if small == box
-                      else GroupMembership(exponents, box, tolerance))
-
-    def find(self, theta):
-        witness, residual = self._small.find(theta)
-        if witness is not None or self._full is self._small:
-            return witness, residual
-        return self._full.find(theta)
-
-
 class NumericAtlas:
-    """Float views of a triple's atlas, cached per matrix."""
+    """Float views of a triple's atlas, cached per matrix, and the k x d
+    integer matrix of its ray witnesses."""
 
     def __init__(self, triple: FundamentalTriple, atlas: Optional[Atlas] = None,
                  parameter_sample=None):
+        if None in triple.witnesses:
+            raise ValueError("numeric verification needs the witness of ray "
+                             f"{triple.witnesses.index(None) + 1}")
+        self.witnesses = np.array(triple.witnesses, dtype=np.int64).T
         self.triple = triple
         self.atlas = atlas if atlas is not None else Atlas(triple)
         if (parameter_sample is None
@@ -237,7 +236,6 @@ class NumericAtlas:
                     "numeric verification over a parameter field needs a sample")
         self.parameter_sample = parameter_sample
         self._cache: Dict[tuple, np.ndarray] = {}
-        self._memberships: Dict[tuple, TieredMembership] = {}
         self._floats_seen: Dict[object, float] = {}
 
     def _floats(self, key, matrix):
@@ -258,6 +256,10 @@ class NumericAtlas:
         return self._floats(("group", tuple(cone)),
                             self.atlas.chart(cone).group_exponents)
 
+    def lattice_exponents(self, cone):
+        return self._floats(("lattice", tuple(cone)),
+                            self.atlas.chart(cone).lattice_exponents)
+
     def transition(self, source, target):
         return self._floats(("transition", tuple(source), tuple(target)),
                             self.atlas.transition(source, target).exponents)
@@ -273,20 +275,6 @@ class NumericAtlas:
                 self._floats_seen)
         return self._cache[key]
 
-    def membership(self, cone, box, tolerance, fault=None):
-        key = (tuple(cone), box, tolerance, fault)
-        if key not in self._memberships:
-            self._memberships[key] = TieredMembership(
-                _with_fault(self.group_exponents(cone), fault), box, tolerance)
-        return self._memberships[key]
-
-
-def _numeric_atlas(triple: FundamentalTriple, cfg: TrialConfig, numeric):
-    """The caller's NumericAtlas, or a fresh one at cfg's parameter sample."""
-    if numeric is not None:
-        return numeric
-    return NumericAtlas(triple, parameter_sample=cfg.parameter_sample)
-
 
 def _with_fault(exponents, fault):
     """The exponent array, or a copy with entry (i, j) of fault shifted."""
@@ -298,12 +286,10 @@ def _with_fault(exponents, fault):
     return exponents
 
 
-def _find(membership, theta):
-    """(failure kind or None, residual) of one membership trial."""
-    witness, residual = membership.find(theta)
-    if witness is not None:
-        return None, residual
-    return ("search-exhausted" if residual > 1e-3 else "mismatch"), residual
+def _membership(group, witness, theta, tolerance):
+    """(failure kind or None, residual) of theta against group @ witness."""
+    residual = _circular_residual(group @ witness - theta)
+    return ("mismatch" if residual >= tolerance else None), residual
 
 
 def _rng(cfg: TrialConfig, check: str, target: tuple):
@@ -329,21 +315,21 @@ def _positions(indices):
 
 
 def check_branch_invariance(triple: FundamentalTriple, cone, cfg: TrialConfig,
-                            numeric: Optional[NumericAtlas] = None,
-                            fault=None) -> TrialReport:
+                            numeric: NumericAtlas, fault=None) -> TrialReport:
     """Monomial classes are unchanged by integer logarithm-branch shifts."""
     cone = tuple(sorted(cone))
-    numeric = _numeric_atlas(triple, cfg, numeric)
     others = [c for c in triple.fan.max_cones if c != cone]
     report = TrialReport(check="branch_invariance")
     rng = _rng(cfg, "branch_invariance", (cone,))
-    membership = numeric.membership(cone, cfg.integer_box, cfg.tolerance)
+    group = numeric.group_exponents(cone)
     for trial in range(cfg.samples):
         if others:
             source = others[trial % len(others)]
             exponents = numeric.transition(source, cone)
+            witnesses = numeric.witnesses[:, _positions(source)]
         else:
-            exponents = numeric.group_exponents(cone)
+            exponents = group
+            witnesses = np.eye(group.shape[1], dtype=np.int64)
         exponents = _with_fault(exponents, fault)
         width = exponents.shape[1]
         w = _sample_log_points(rng, width)
@@ -351,7 +337,8 @@ def check_branch_invariance(triple: FundamentalTriple, cone, cfg: TrialConfig,
         image_a = np.exp(1j * _TWO_PI * (exponents @ w))
         image_b = np.exp(1j * _TWO_PI * (exponents @ (w + shifts)))
         theta = np.mod(np.angle(image_b / image_a) / _TWO_PI, 1.0)
-        report.record((cone,), trial, cfg.seed, *_find(membership, theta))
+        report.record((cone,), trial, cfg.seed, *_membership(
+            group, witnesses @ shifts, theta, cfg.tolerance))
     return report
 
 
@@ -364,16 +351,16 @@ def _word_sample(rng, generator_count, word_length):
 
 
 def check_transition_equivariance(triple: FundamentalTriple, source, target,
-                                  cfg: TrialConfig,
-                                  numeric: Optional[NumericAtlas] = None,
+                                  cfg: TrialConfig, numeric: NumericAtlas,
                                   fault=None) -> TrialReport:
     """T(gamma z) and T(z) differ by an element of the target chart group."""
     source = tuple(sorted(source))
     target = tuple(sorted(target))
-    numeric = _numeric_atlas(triple, cfg, numeric)
     exponents = _with_fault(numeric.transition(source, target), fault)
     source_group = numeric.group_exponents(source)
-    membership = numeric.membership(target, cfg.integer_box, cfg.tolerance)
+    source_lattice = numeric.lattice_exponents(source)
+    source_witnesses = numeric.witnesses[:, _positions(source)]
+    target_group = numeric.group_exponents(target)
     report = TrialReport(check="transition_equivariance")
     rng = _rng(cfg, "transition_equivariance", (source, target))
     k = source_group.shape[1]
@@ -387,14 +374,15 @@ def check_transition_equivariance(triple: FundamentalTriple, source, target,
         image = np.exp(1j * _TWO_PI * (exponents @ logs))
         image_shifted = np.exp(1j * _TWO_PI * (exponents @ logs_shifted))
         theta = np.mod(np.angle(image_shifted / image) / _TWO_PI, 1.0)
-        report.record((source, target), trial, cfg.seed,
-                      *_find(membership, theta))
+        branch = np.rint((logs_shifted - logs).real - source_lattice @ m)
+        witness = m + source_witnesses @ branch.astype(np.int64)
+        report.record((source, target), trial, cfg.seed, *_membership(
+            target_group, witness, theta, cfg.tolerance))
     return report
 
 
 def check_factorization(triple: FundamentalTriple, cone, cfg: TrialConfig,
-                        numeric: Optional[NumericAtlas] = None,
-                        fault=None) -> TrialReport:
+                        numeric: NumericAtlas, fault=None) -> TrialReport:
     """Lattice-compatible translations split as chart-group times kernel.
 
     Draws X with pi(X) in the quasilattice, sets Y to the cone-supported
@@ -402,18 +390,16 @@ def check_factorization(triple: FundamentalTriple, cone, cfg: TrialConfig,
     must belong to the chart group.
     """
     cone = tuple(sorted(cone))
-    numeric = _numeric_atlas(triple, cfg, numeric)
     rays = numeric.ray_matrix()
     cone_m = numeric.cone_matrix(cone)
     kernel = numeric.kernel_matrix(cone)
-    membership = numeric.membership(cone, cfg.integer_box, cfg.tolerance,
-                                    fault=fault)
+    group = _with_fault(numeric.group_exponents(cone), fault)
     positions = _positions(cone)
     d = triple.ray_count
     report = TrialReport(check="factorization")
     rng = _rng(cfg, "factorization", (cone,))
     for trial in range(cfg.samples):
-        integer_part = rng.integers(-2, 3, d).astype(float)
+        integer_part = rng.integers(-2, 3, d)
         kernel_part = (rng.uniform(-1.0, 1.0, kernel.shape[0]) @ kernel
                        if kernel.shape[0] else np.zeros(d))
         x = integer_part + kernel_part
@@ -423,7 +409,8 @@ def check_factorization(triple: FundamentalTriple, cone, cfg: TrialConfig,
         y[positions] = y_coords
         w = x - y
         residual_kernel = float(np.max(np.abs(rays @ w))) if d else 0.0
-        kind, residual = _find(membership, np.mod(y_coords, 1.0))
+        kind, residual = _membership(group, numeric.witnesses @ integer_part,
+                                     np.mod(y_coords, 1.0), cfg.tolerance)
         if residual_kernel >= cfg.tolerance:
             kind, residual = "mismatch", residual_kernel
         elif kind is None:
@@ -433,8 +420,7 @@ def check_factorization(triple: FundamentalTriple, cone, cfg: TrialConfig,
 
 
 def check_connecting_element(triple: FundamentalTriple, source, target,
-                             cfg: TrialConfig,
-                             numeric: Optional[NumericAtlas] = None,
+                             cfg: TrialConfig, numeric: NumericAtlas,
                              fault=None) -> TrialReport:
     """The kernel-group element carries one representative onto the other.
 
@@ -450,7 +436,6 @@ def check_connecting_element(triple: FundamentalTriple, source, target,
     if not 1 <= h <= n - 1:
         report.skipped = ((source, target, h),)
         return report
-    numeric = _numeric_atlas(triple, cfg, numeric)
     exponents = _with_fault(numeric.transition(source, target), fault)
     rays = numeric.ray_matrix()
     d = triple.ray_count

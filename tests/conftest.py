@@ -50,3 +50,15 @@ def gallery():
 def gallery_atlases(gallery):
     return {name: Atlas.compile(triple)
             for name, (_, triple, _) in gallery.items()}
+
+
+@pytest.fixture
+def d1_document():
+    """Generators [1, 1/97], rays 1 and -50/97, witnesses (1, 0) and
+    (0, -50): a valid triple whose group witnesses run past +-10."""
+    return {
+        "domain": {"kind": "rational"},
+        "quasilattice": {"generators": [["1", "1/97"]]},
+        "fan": {"rays": [["1"], ["-50/97"]], "max_cones": [[1], [2]]},
+        "witnesses": [[1, 0], [0, -50]],
+    }

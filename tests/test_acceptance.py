@@ -85,9 +85,9 @@ def test_criterion_1_quasisphere(entries):
     }
     trials_per_direction = TRIALS // 4
     for cone in ((1,), (2,)):
-        ours = numeric.membership(cone, 10, TOLERANCE)
-        theirs = GroupMembership(textbook[cone], box=10, tolerance=TOLERANCE)
         exponents = numeric.group_exponents(cone)
+        ours = GroupMembership(exponents, box=10, tolerance=TOLERANCE)
+        theirs = GroupMembership(textbook[cone], box=10, tolerance=TOLERANCE)
         for _ in range(trials_per_direction):
             h = int(rng.integers(-8, 9))
             theta = np.mod(textbook[cone] @ np.array([h]), 1.0)

@@ -223,15 +223,26 @@ def test_atlas_in_dimension_four(tmp_path, capsys):
     assert cocycle["passed"] and cocycle["violations"] == []
 
 
-def test_verify_unsupported_dimension_exits_two(tmp_path, capsys):
-    # the numeric membership search stops at dimension 3: an unsupported
-    # case, reported in one line, not a traceback or a failed check
+def test_verify_in_dimension_four(tmp_path, capsys):
+    # the group witnesses come from the ray witnesses, so no search caps
+    # the dimension
     path = write_doc(tmp_path, simplex4_doc())
     code, out, err = run_cli(["verify", path], capsys)
-    assert code == 2
-    assert out == ""
-    assert err.startswith("quasifold: error: ") and err.count("\n") == 1
-    assert "Traceback" not in err
+    assert code == 0
+    assert "overall: pass" in out
+    assert err == ""
+
+
+def test_verify_large_witnesses(d1_document, tmp_path, capsys):
+    # ray 2's witness (0, -50) makes group witnesses far outside +-10
+    path = write_doc(tmp_path, d1_document)
+    for seed in range(5):
+        code, out, _ = run_cli(["verify", path, "--format", "json",
+                                "--seed", str(seed)], capsys)
+        assert code == 0, seed
+        for check in json.loads(out)["verification"]["checks"].values():
+            assert not check["failures"]
+            assert check["max_deviation"] < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +286,9 @@ def test_param_refused_without_parameter(capsys):
         assert "--param" in err and "parameter-field" in err
 
 
-@pytest.mark.parametrize("flag, value", [("--box", "-1"), ("--box", "0"),
+@pytest.mark.parametrize("flag, value", [("--samples", "0"),
+                                         ("--tolerance", "-1"),
+                                         ("--tolerance", "0"),
                                          ("--word-length", "-1"),
                                          ("--word-length", "0")])
 def test_verify_bounds_exit_two(flag, value, tmp_path, capsys):
@@ -288,6 +301,40 @@ def test_verify_bounds_exit_two(flag, value, tmp_path, capsys):
         assert out == ""
         assert err.startswith("quasifold: error: ") and err.count("\n") == 1
         assert flag in err
+
+
+def test_parameter_sample_option_refused_without_parameter(tmp_path, capsys):
+    data = gallery_json("kite")
+    data.setdefault("options", {})["parameter_sample"] = "1.6"
+    code, out, err = run_cli(["verify", write_doc(tmp_path, data)], capsys)
+    assert code == 2
+    assert out == ""
+    assert "options.parameter_sample" in err and "parameter-field" in err
+
+
+def test_parameter_sample_option_survives_substitute(tmp_path, capsys):
+    # the option belongs to the parameter document, which --substitute
+    # then specializes to the rationals
+    data = gallery_json("cp2-11a")
+    data.setdefault("options", {})["parameter_sample"] = "1.6"
+    code, out, _ = run_cli(["verify", write_doc(tmp_path, data),
+                            "--substitute", "a=1", "--samples", "10"], capsys)
+    assert code == 0
+    assert "overall: pass" in out
+
+
+def test_integer_box_option_is_ignored(tmp_path, capsys):
+    # old documents may still carry the retired search bound
+    reports = []
+    for folder, options in (("plain", {}), ("boxed", {"integer_box": 3})):
+        data = gallery_json("cp2-11a")
+        data.setdefault("options", {}).update(options)
+        (tmp_path / folder).mkdir()
+        path = write_doc(tmp_path / folder, data)
+        code, out, _ = run_cli(["verify", path, "--format", "json"], capsys)
+        assert code == 0
+        reports.append(out)
+    assert reports[0] == reports[1]
 
 
 def test_parameter_sample_option_must_be_positive(tmp_path, capsys):
@@ -433,9 +480,9 @@ FULL_REPORT_DIGESTS = {
     ("transition", "text"):
         "77626e43689c413a07281f488704d21b84852b9959e787c6ee85dfdde2485538",
     ("verify", "json"):
-        "08353b4a1aeab212e1fa8f2eaeb408641ddefb75f2bee8ff4345624baaf1559d",
+        "72c56a9cdc7b7aaccabd49b82a05baec8bbd9c1198b3fc998d69d87cb540761b",
     ("verify", "text"):
-        "1750a9d8510f492ca2abb12f851118e0abea082aa0511c82b77c63ef174746a1",
+        "0b860c24c8d11ad3c851cbec820b8d6bd393fc64e0e28c34fb8db0530102a5c6",
     ("polytope", "json"):
         "4c134e828739657d3847da2de6fdc8e9249345cc4a7bdccddf6091f795c84cfc",
     ("polytope", "text"):

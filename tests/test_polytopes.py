@@ -6,8 +6,8 @@ import pytest
 
 from quasifold import (Facet, GenericityError, Matrix, Polytope,
                        Quasilattice, SimplicityError, SingularMatrixError,
-                       Vertex, dot, enumerate_vertices, load_gallery,
-                       normal_fan, to_triple)
+                       TrialConfig, Vertex, dot, enumerate_vertices,
+                       load_gallery, normal_fan, to_triple, verify_triple)
 
 
 def triangle(parameter):
@@ -206,18 +206,22 @@ def sweep_vertices(polytope):
 
 def truncated_dodecahedron():
     """The dodecahedron with each vertex cut off by a facet whose normal is
-    the sum of the three facet normals there."""
+    the sum of the three facet normals there.  Returns the polytope and its
+    ray witnesses; a cut's witness is the sum of its three facets'."""
     doc = load_gallery("dodecahedron")
     polytope = doc.polytope
     offset = doc.domain.scalar("3*(2 - alpha^2) + 1/2")
     cuts = []
+    witnesses = list(doc.witnesses)
     for vertex in enumerate_vertices(polytope):
         normal = tuple(
             sum((polytope.facets[j - 1].normal[t] for j in vertex.incident),
                 doc.domain.zero())
             for t in range(3))
         cuts.append(Facet(normal, offset))
-    return Polytope(doc.domain, list(polytope.facets) + cuts)
+        witnesses.append(tuple(map(sum, zip(
+            *(doc.witnesses[j - 1] for j in vertex.incident)))))
+    return Polytope(doc.domain, list(polytope.facets) + cuts), witnesses
 
 
 def test_walk_matches_sweep_on_gallery(gallery):
@@ -228,13 +232,24 @@ def test_walk_matches_sweep_on_gallery(gallery):
 
 
 def test_walk_matches_sweep_on_truncated_dodecahedron():
-    polytope = truncated_dodecahedron()
+    polytope, _ = truncated_dodecahedron()
     vertices = enumerate_vertices(polytope)
     assert vertices == sweep_vertices(polytope)
     assert len(vertices) == 60
     for vertex in vertices:
         pentagons = [j for j in vertex.incident if j <= 12]
         assert len(pentagons) == 2 and len(vertex.incident) == 3
+
+
+def test_truncated_dodecahedron_verifies():
+    # 60 charts whose group witnesses run past the old +-10 search box
+    polytope, witnesses = truncated_dodecahedron()
+    lattice = load_gallery("dodecahedron").lattice
+    triple, _ = to_triple(polytope, lattice, witnesses)
+    assert len(triple.fan.max_cones) == 60
+    summary = verify_triple(triple, TrialConfig())
+    assert summary.passed
+    assert all(not report.failures for report in summary.reports.values())
 
 
 def random_cut_cube(rational, seed):

@@ -1,9 +1,11 @@
 import numpy as np
+import pytest
 
-from quasifold import (GroupMembership, NumericAtlas, TrialConfig,
-                       check_branch_invariance, check_connecting_element,
-                       check_factorization, check_transition_equivariance,
-                       verify_triple)
+from quasifold import (FundamentalTriple, GroupMembership, NumericAtlas,
+                       TrialConfig, check_branch_invariance,
+                       check_connecting_element, check_factorization,
+                       check_transition_equivariance, document_to_triple,
+                       load_document, verify_triple)
 
 
 def small_config(**overrides):
@@ -46,8 +48,8 @@ def test_membership_wraps_near_one():
 def test_membership_six_generators(gallery):
     _, triple, _ = gallery["dodecahedron"]
     numeric = NumericAtlas(triple)
-    membership = numeric.membership((1, 2, 3), 10, 1e-9)
     exponents = numeric.group_exponents((1, 2, 3))
+    membership = GroupMembership(exponents, box=10, tolerance=1e-9)
     rng = np.random.default_rng(5)
     for _ in range(20):
         m = rng.integers(-4, 5, 6)
@@ -155,7 +157,8 @@ def test_zero_branch_shift_is_identity(gallery):
     image_a = np.exp(2j * np.pi * (exponents @ w))
     image_b = np.exp(2j * np.pi * (exponents @ (w + np.zeros(2))))
     assert np.array_equal(image_a, image_b)
-    membership = numeric.membership((1, 3), 10, 1e-9)
+    membership = GroupMembership(numeric.group_exponents((1, 3)), box=10,
+                                 tolerance=1e-9)
     witness, residual = membership.find(np.zeros(2))
     assert witness is not None and residual < 1e-12
 
@@ -191,7 +194,8 @@ def test_equivariance_direct_oracle(gallery):
     ratio = np.exp(2j * np.pi * (exponents @ (logs_shifted - logs)))
     assert abs(ratio[0] - 1.0) < 1e-9
     assert abs(ratio[1] - np.exp(2j * np.pi * a)) < 1e-9
-    membership = numeric.membership((1, 3), 10, 1e-9)
+    membership = GroupMembership(numeric.group_exponents((1, 3)), box=10,
+                                 tolerance=1e-9)
     theta = np.mod(np.angle(ratio) / (2 * np.pi), 1.0)
     witness, residual = membership.find(theta)
     assert witness is not None and residual < 1e-9
@@ -209,7 +213,8 @@ def test_factorization_direct_oracle(gallery):
     assert abs(y[0] - 1.0) < 1e-12
     w = x - np.array([y[0], 0.0])
     assert np.max(np.abs(rays @ w)) < 1e-12
-    membership = numeric.membership((1,), 10, 1e-9)
+    membership = GroupMembership(numeric.group_exponents((1,)), box=10,
+                                 tolerance=1e-9)
     witness, residual = membership.find(np.mod(y, 1.0))
     assert witness is not None and residual < 1e-9
 
@@ -260,18 +265,27 @@ def test_connecting_element_detects_fault(gallery):
     assert not report.passed
 
 
-def test_failure_kinds_distinguished(gallery):
+def test_gross_and_fine_faults_fail_as_mismatch(gallery):
+    # the witness is derived, not searched for, so a gross fault and a
+    # barely-off exponent fail the same way, each with its own residual
     _, triple, _ = gallery["cp2-11a"]
     numeric = NumericAtlas(triple)
-    # a gross fault leaves nothing near the group: search exhaustion
-    report = check_branch_invariance(triple, (1, 3),
-                                     small_config(samples=50),
-                                     numeric=numeric, fault=(1, 0, 0.11))
-    kinds = {f.kind for f in report.failures}
-    assert "search-exhausted" in kinds
-    # a barely-off exponent keeps the best candidate close: mismatch
-    report = check_branch_invariance(triple, (1, 3),
-                                     small_config(samples=50),
-                                     numeric=numeric, fault=(1, 0, 1e-7))
-    kinds = {f.kind for f in report.failures}
-    assert kinds == {"mismatch"}
+    cfg = small_config(samples=50)
+    for delta in (0.11, 1e-7):
+        report = check_branch_invariance(triple, (1, 3), cfg, numeric=numeric,
+                                         fault=(1, 0, delta))
+        assert report.failures, delta
+        assert {f.kind for f in report.failures} == {"mismatch"}
+        assert all(f.residual >= cfg.tolerance for f in report.failures)
+
+
+# ---------------------------------------------------------------------------
+# closed-form witnesses
+# ---------------------------------------------------------------------------
+
+def test_missing_witness_is_refused(d1_document):
+    triple, _ = document_to_triple(load_document(d1_document))
+    stripped = FundamentalTriple(triple.fan, triple.lattice,
+                                 [triple.witnesses[0], None])
+    with pytest.raises(ValueError, match="ray 2"):
+        verify_triple(stripped, small_config())
