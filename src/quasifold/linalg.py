@@ -3,12 +3,16 @@
 Solving and inversion use fraction-free (Bareiss-style) elimination: each
 update divides by the previous pivot, which is exact and keeps intermediate
 entries as minors of the input instead of letting rational-function degrees
-blow up.  Pivoting is first-nonzero with lowest row index, so all outputs
-are deterministic.  One back-substitution serves every solve: ``solve``
-and ``inverse`` pass their right-hand sides as augmented columns, and
-``solve_general`` passes its free columns too, so the kernel basis comes
-out of the same loop.  The distinguished kernel basis of a ray map over a
-chosen cone is built in ``atlas.relations``.
+blow up.  The division stays over the fields too: the domain memoises each
+inverse (see ``ScalarDomain``), so every division by a pivot after the
+first costs one product, as one inverse per pivot row would in Gauss
+elimination, and one routine serves all three domains.  Pivoting is
+first-nonzero with lowest row index, so all outputs are deterministic.
+One back-substitution serves every solve: ``solve`` and ``inverse`` pass
+their right-hand sides as augmented columns, and ``solve_general`` passes
+its free columns too, so the kernel basis comes out of the same loop.  The
+distinguished kernel basis of a ray map over a chosen cone is built in
+``atlas.relations``.
 """
 
 from __future__ import annotations

@@ -54,7 +54,6 @@ __all__ = [
 ]
 
 _F0 = Fraction(0)
-_F1 = Fraction(1)
 _RF_ZERO = ((), (1,))
 
 
@@ -112,22 +111,6 @@ def _pmul(a, b):
             for j, y in enumerate(b, i):
                 out[j] += x * y
     return _ptrim(out)
-
-
-def _pdivmod(a, b):
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    a = list(a)
-    q = [_F0] * max(0, len(a) - len(b) + 1)
-    lead = b[-1]
-    while len(_ptrim(a)) >= len(b):
-        a = list(_ptrim(a))
-        shift = len(a) - len(b)
-        factor = a[-1] / lead
-        q[shift] = factor
-        for i, c in enumerate(b):
-            a[shift + i] -= factor * c
-    return _ptrim(q), _ptrim(a)
 
 
 def _peval(coeffs, x):
@@ -265,10 +248,33 @@ def _poly_term_count(coeffs):
 # ---------------------------------------------------------------------------
 
 class ScalarDomain:
-    """Base class for the three coefficient domains."""
+    """Base class for the three coefficient domains.
+
+    Each domain instance memoises the inverse, the sign and the text of
+    the values it has seen, so each distinct one is computed once: inverse
+    and text are keyed by payload, the sign by ``(payload,
+    parameter_sample)``, so that no sample ever answers for another.  The
+    memos live as long as the domain, which one document owns; they hold
+    a few tens of entries even for a 60-chart atlas.  A call that raises
+    (a zero inverse, an undecidable sign, a zero divisor of a reducible
+    ``min_poly``) stores nothing, so the next call raises again.
+    """
 
     kind = "abstract"
     generator_symbol: Optional[str] = None
+
+    def __init__(self):
+        self._inverses = {}
+        self._signs = {}
+        self._texts = {}
+
+    def _memo(self, table, key, compute, *args):
+        """table[key], computed as compute(*args) on the first call."""
+        try:
+            return table[key]
+        except KeyError:
+            value = table[key] = compute(*args)
+            return value
 
     # -- construction ------------------------------------------------------
 
@@ -427,11 +433,22 @@ class NumberFieldDomain(ScalarDomain):
     equality.  A product is an integer convolution reduced by integer rows
     for x^d .. x^(2d-2) over one common denominator, then divided by one
     gcd (Cohen, GTM 138, section 4.2).
+
+    The inverse is integer linear algebra too.  Let R be the common
+    denominator of the reduction rows and N the d x d int matrix whose
+    column j holds the coefficients of  c x^j  times R^j, for the numerator
+    c.  Then N diag(R^j) is the regular representation of c, and c^-1 has
+    the coefficients  R^j adj(N)[j][0] / det(N),  where det(N) is R^(d(d-1)/2)
+    times the norm of c.  Fraction-free Bareiss elimination gives the
+    adjugate column and the determinant with every division exact (Cohen,
+    GTM 138, sections 2.2 and 4.2).  A nonzero c with det(N) = 0 is a zero
+    divisor, so p is reducible, and the inverse raises ZeroDivisionError.
     """
 
     kind = "number_field"
 
     def __init__(self, min_poly, generator_symbol, embedding_approx):
+        super().__init__()
         coeffs = tuple(_as_fraction(c) for c in min_poly)
         coeffs = _ptrim(coeffs)
         if len(coeffs) < 3:
@@ -540,11 +557,6 @@ class NumberFieldDomain(ScalarDomain):
         den = a[0]
         return tuple(Fraction(c, den) for c in a[1:])
 
-    def _from_fractions(self, coeffs):
-        den = math.lcm(*(c.denominator for c in coeffs))
-        nums = [c.numerator * (den // c.denominator) for c in coeffs]
-        return self._canonical(den, nums + [0] * (self.degree - len(nums)))
-
     def _from_fraction(self, q):
         return (q.denominator, q.numerator) + (0,) * (self.degree - 1)
 
@@ -593,18 +605,35 @@ class NumberFieldDomain(ScalarDomain):
     def _inv(self, a):
         if self._is_zero(a):
             raise ZeroDivisionError("inversion of zero scalar")
-        # extended Euclid in Q[x] against the minimal polynomial
-        r0, r1 = self.min_poly, _ptrim(self._fractions(a))
-        s0, s1 = (), (_F1,)
-        while r1:
-            q, r = _pdivmod(r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, _padd(s0, _pneg(_pmul(q, s1)))
-        if len(r0) != 1:
-            raise ZeroDivisionError(
-                "zero divisor encountered; min_poly is reducible")
-        scale = 1 / r0[0]
-        return self._from_fractions([c * scale for c in s0])
+        # Bareiss on [N | e_0] ends on the pivot D = +-det N; exact
+        # back-substitution then gives D N^-1 e_0 = +-adj(N) e_0
+        deg = self.degree
+        work = [[*row, int(i == 0)]
+                for i, row in enumerate(zip(*self._columns(a[1:])))]
+        prev = 1
+        for k in range(deg):
+            p = next((i for i in range(k, deg) if work[i][k]), None)
+            if p is None:
+                raise ZeroDivisionError(
+                    "zero divisor encountered; min_poly is reducible")
+            work[k], work[p] = work[p], work[k]
+            top, pivot = work[k], work[k][k]
+            for i in range(k + 1, deg):
+                factor = work[i][k]
+                work[i] = [(pivot * x - factor * y) // prev
+                           for x, y in zip(work[i], top)]
+            prev = pivot
+        adj = [0] * deg
+        for i in range(deg - 1, -1, -1):
+            row = work[i]
+            acc = prev * row[deg] - sum(row[j] * adj[j] for j in range(i + 1, deg))
+            adj[i] = acc // row[i]
+        # (c / den)^-1 = den c^-1
+        den, R = a[0], self._reduction_scale
+        nums = [den * R ** j * x for j, x in enumerate(adj)]
+        if prev < 0:
+            prev, nums = -prev, [-x for x in nums]
+        return self._canonical(prev, nums)
 
     def _is_zero(self, a):
         return not any(a[1:])
@@ -628,23 +657,32 @@ class NumberFieldDomain(ScalarDomain):
         # coefficients of x times the j-th power of the generator, ints over
         # den * R^j with R the reduction scale, so lcm(den) * R^(d-1) clears
         # every column
-        deg, R, red = self.degree, self._reduction_scale, self._reduction[0]
+        R = self._reduction_scale
         payloads = [x.payload for x in scalars]
-        scale = math.lcm(*{a[0] for a in payloads}) * R ** (deg - 1)
+        scale = math.lcm(*{a[0] for a in payloads}) * R ** (self.degree - 1)
         cache = {}
         for a in set(payloads):
-            den, *w = a
-            factor = scale // den
+            factor = scale // a[0]
             columns = []
-            for _ in range(deg):
-                columns.append([c * factor for c in w])
-                top = w[-1]
-                w = [0, *(c * R for c in w[:-1])]
-                if top:
-                    w = [c + top * r for c, r in zip(w, red)]
+            for column in self._columns(a[1:]):
+                columns.append([c * factor for c in column])
                 factor //= R
             cache[a] = tuple(zip(*columns))
         return scale, [cache[a] for a in payloads]
+
+    def _columns(self, c):
+        """The integer regular representation of the numerator coefficients
+        c: column j holds the coefficients of  c x^j  times R^j, with R the
+        reduction scale."""
+        R, red = self._reduction_scale, self._reduction[0]
+        columns = []
+        for _ in range(self.degree):
+            columns.append(c)
+            top = c[-1]
+            c = [0, *(x * R for x in c[:-1])]
+            if top:
+                c = [x + top * r for x, r in zip(c, red)]
+        return columns
 
     def _sign(self, a, parameter_sample=None):
         if self._is_zero(a):
@@ -709,6 +747,7 @@ class RationalFunctionDomain(ScalarDomain):
 
     def __init__(self, generator_symbol, parameter_positivity=True,
                  default_sample=None):
+        super().__init__()
         self.generator_symbol = generator_symbol
         self.parameter_positivity = bool(parameter_positivity)
         self.default_sample = None if default_sample is None else _as_fraction(default_sample)
@@ -1015,7 +1054,8 @@ class Scalar:
         return result
 
     def inverse(self):
-        return Scalar(self.domain, self.domain._inv(self.payload))
+        domain, a = self.domain, self.payload
+        return Scalar(domain, domain._memo(domain._inverses, a, domain._inv, a))
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -1044,7 +1084,9 @@ class Scalar:
 
     def sign(self, parameter_sample=None):
         """Exact sign in {-1, 0, 1}."""
-        return self.domain._sign(self.payload, parameter_sample)
+        domain, a = self.domain, self.payload
+        return domain._memo(domain._signs, (a, parameter_sample), domain._sign,
+                            a, parameter_sample)
 
     def eval_numeric(self, precision=15, parameter_sample=None) -> Decimal:
         """Decimal approximation with relative error below 10**-precision."""
@@ -1052,7 +1094,8 @@ class Scalar:
 
     def text(self):
         """Canonical grammar text; parsing it back reproduces the scalar."""
-        return self.domain._text(self.payload)
+        domain, a = self.domain, self.payload
+        return domain._memo(domain._texts, a, domain._text, a)
 
     def __str__(self):
         return self.text()

@@ -181,8 +181,9 @@ def test_sign_golden_minus_one(golden):
 
 def test_sign_parameter_indeterminate(parameter):
     a = parameter.generator()
-    with pytest.raises(IndeterminateSignError):
-        (a - 1).sign()
+    for _ in range(2):  # a raised sign is never memoised
+        with pytest.raises(IndeterminateSignError):
+            (a - 1).sign()
     assert (a - 1).sign(parameter_sample=Fraction(2)) == 1
     assert (a - 1).sign(parameter_sample=Fraction("1/2")) == -1
     assert a.sign() == 1
@@ -211,8 +212,40 @@ def test_reducible_min_poly_surfaces_as_zero_divisor():
     # x^2 - 1 factors; inverting r - 1 hits the zero divisor
     from quasifold import NumberFieldDomain
     domain = NumberFieldDomain(["-1", "0", "1"], "r", "1.0000000001")
-    with pytest.raises(ZeroDivisionError):
-        (domain.generator() - 1).inverse()
+    for _ in range(2):  # a failed inverse is never memoised
+        with pytest.raises(ZeroDivisionError):
+            (domain.generator() - 1).inverse()
+
+
+@pytest.mark.parametrize("samples", [(1, 2), (2, 1)])
+def test_sign_memo_keeps_samples_apart(samples):
+    from quasifold import RationalFunctionDomain
+    domain = RationalFunctionDomain("a")
+    x = domain.generator() - Fraction(3, 2)
+    expected = {1: -1, 2: 1}
+    for sample in samples + samples:
+        assert x.sign(parameter_sample=Fraction(sample)) == expected[sample]
+
+
+def test_memo_computes_each_value_once(monkeypatch, capsys):
+    # one dodecahedron report inverts, signs and renders a few values many
+    # times over; each distinct payload reaches the domain once
+    from quasifold import NumberFieldDomain
+    from quasifold.cli import main
+    calls = {}
+    for name in ("_inv", "_sign", "_text"):
+        original = getattr(NumberFieldDomain, name)
+        seen = calls[name] = []
+
+        def counted(self, payload, *rest, _original=original, _seen=seen):
+            _seen.append(payload)
+            return _original(self, payload, *rest)
+        monkeypatch.setattr(NumberFieldDomain, name, counted)
+    assert main(["gallery", "dodecahedron", "--format", "json"]) == 0
+    capsys.readouterr()
+    for name, seen in calls.items():
+        assert seen, name
+        assert len(seen) == len(set(seen)), name
 
 
 def test_default_sample_must_be_positive():
@@ -406,6 +439,10 @@ ORACLE_FIELDS = {
                 (Fraction(9, 5), 2)),
     # x^2 - 1/2: reduction rows over the common denominator 2
     "half": (["-1/2", "0", "1"], "r", "0.7071067811865476", (0, 1)),
+    # x^3 - x/2 - 1/3, irreducible (no rational root): reduction scale 6,
+    # so the regular representation's columns scale by 6^j up to j = 2
+    "cubic": (["-1/3", "-1/2", "0", "1"], "t", "0.9271132416464846",
+              (Fraction(9, 10), 1)),
 }
 
 
