@@ -1,10 +1,12 @@
 """The canonical affine atlas of a toric quasifold, computed exactly.
 
 For each maximal cone the chart records the cone matrix, its inverse, the
-fixed point, and the exponent matrix of the discrete group acting on the
-chart.  Chart changes are monomial maps: the exponent matrix of the map
-from cone tau to cone sigma is  E = A_sigma^-1 A_tau, whose rows render as
-generalized Laurent monomials with exact (possibly irrational) exponents.
+coordinate table of every ray over the cone, the fixed point, and the
+exponent matrix of the discrete group acting on the chart.  Chart changes
+are monomial maps: the exponent matrix of the map from cone tau to cone
+sigma is  E = A_sigma^-1 A_tau, read off sigma's coordinate table as the
+columns at tau's rays; its rows render as generalized Laurent monomials
+with exact (possibly irrational) exponents.
 """
 
 from __future__ import annotations
@@ -54,6 +56,7 @@ class Chart:
     cone: Tuple[int, ...]
     matrix: Matrix              # columns are the cone's rays, increasing index
     inverse: Matrix
+    coordinates: Matrix         # n x d; column j is A^-1 (ray j), a unit vector on the cone
     fixed_point: Tuple[int, ...]
     lattice_exponents: Matrix   # n x k; column l is A^-1 (l-th lattice generator)
     group_exponents: Matrix     # lattice_exponents with integer entries zeroed
@@ -141,6 +144,7 @@ def build_chart(triple: FundamentalTriple, cone: Sequence[int]) -> Chart:
         cone=indices,
         matrix=matrix,
         inverse=inverse,
+        coordinates=inverse @ triple.ray_matrix(),
         fixed_point=fixed_point(triple, indices),
         lattice_exponents=raw,
         group_exponents=group,
@@ -150,21 +154,21 @@ def build_chart(triple: FundamentalTriple, cone: Sequence[int]) -> Chart:
 def transition_map(triple: FundamentalTriple, source: Sequence[int],
                    target: Sequence[int],
                    charts: Optional[Dict[Tuple[int, ...], Chart]] = None) -> MonomialMap:
-    """The monomial chart change from the source cone to the target cone."""
+    """The monomial chart change from the source cone to the target cone:
+    the columns of the target chart's coordinate table at the source's rays."""
     src = tuple(sorted(source))
     tgt = tuple(sorted(target))
     if src == tgt:
         raise ValueError("source and target cones must differ")
-    if charts is not None and tgt in charts:
-        inverse = charts[tgt].inverse
-    else:
-        inverse = triple.cone_matrix(tgt).inverse()
-    exponents = inverse @ triple.cone_matrix(src)
+    chart = charts[tgt] if charts and tgt in charts else build_chart(triple, tgt)
+    table = chart.coordinates
+    entries = [table[i, j - 1] for i in range(table.rows) for j in src]
     shared = tuple(sorted(set(src) & set(tgt)))
     return MonomialMap(
         source=src,
         target=tgt,
-        exponents=exponents,
+        exponents=Matrix(triple.domain, table.rows, len(src), entries,
+                         row_labels=tgt, col_labels=src),
         shared=shared,
         dense_only=not shared,
     )
@@ -172,12 +176,11 @@ def transition_map(triple: FundamentalTriple, source: Sequence[int],
 
 def relations(triple: FundamentalTriple, cone: Sequence[int],
               charts: Optional[Dict[Tuple[int, ...], Chart]] = None) -> RelationSet:
-    """Decompose every ray outside the cone over the cone's rays."""
+    """Decompose every ray outside the cone over the cone's rays: ray j's
+    coordinates are column j of the chart's coordinate table."""
     indices = tuple(sorted(cone))
-    if charts is not None and indices in charts:
-        inverse = charts[indices].inverse
-    else:
-        inverse = triple.cone_matrix(indices).inverse()
+    chart = charts[indices] if charts and indices in charts else build_chart(triple, indices)
+    table = chart.coordinates
     zero = triple.domain.zero()
     one = triple.domain.one()
     coefficients = {}
@@ -185,8 +188,8 @@ def relations(triple: FundamentalTriple, cone: Sequence[int],
     for j in range(1, triple.ray_count + 1):
         if j in indices:
             continue
-        coords = inverse.apply(triple.ray(j))
-        coefficients[j] = tuple(coords)
+        coords = table.column(j - 1)
+        coefficients[j] = coords
         vector = [zero] * triple.ray_count
         vector[j - 1] = one
         for t, i in enumerate(indices):

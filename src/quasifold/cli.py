@@ -9,6 +9,7 @@ variable, then the input document's options, then 0.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -88,6 +89,15 @@ def _parse_assignment(text, expected_symbol, flag):
         raise InputError(f"{flag}: {value!r} is not a decimal or fraction") from exc
 
 
+@functools.cache
+def _input_validator():
+    """The input schema's validator, checked against its metaschema once."""
+    schema = load_input_schema()
+    validator = jsonschema.validators.validator_for(schema)
+    validator.check_schema(schema)
+    return validator(schema)
+
+
 def _load_input(args):
     if args.command == "gallery":
         return load_gallery(args.name)
@@ -99,12 +109,11 @@ def _load_input(args):
     except json.JSONDecodeError as exc:
         raise InputError(f"{args.input}: invalid JSON at line {exc.lineno}, "
                          f"column {exc.colno}: {exc.msg}") from exc
-    try:
-        jsonschema.validate(data, load_input_schema())
-    except jsonschema.ValidationError as exc:
-        path = "/".join(str(p) for p in exc.absolute_path) or "(document root)"
+    error = jsonschema.exceptions.best_match(_input_validator().iter_errors(data))
+    if error is not None:
+        path = "/".join(str(p) for p in error.absolute_path) or "(document root)"
         raise InputError(f"{args.input}: schema violation at {path}: "
-                         f"{exc.message}") from exc
+                         f"{error.message}") from error
     return load_document(data, name=os.path.basename(args.input))
 
 

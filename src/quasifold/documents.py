@@ -187,7 +187,7 @@ def specialize_document(doc: InputDocument, value) -> InputDocument:
     target = RationalDomain()
 
     def convert(scalar):
-        return source.substitute(scalar, value)
+        return source.substitute(scalar, value, target)
 
     generators = Matrix(
         target, doc.lattice.generators.rows, doc.lattice.generators.cols,

@@ -964,11 +964,11 @@ class RationalFunctionDomain(ScalarDomain):
                 "numeric evaluation over a parameter field needs a sample value")
         return _fraction_to_decimal(self._sample_value(a, _as_fraction(sample)), precision)
 
-    def substitute(self, scalar: "Scalar", value) -> "Scalar":
-        """Exact specialization of the parameter; lands in the rationals."""
+    def substitute(self, scalar: "Scalar", value, target: "RationalDomain") -> "Scalar":
+        """Exact specialization of the parameter; lands in ``target``."""
         if scalar.domain != self:
             raise DomainMismatchError("scalar does not belong to this domain")
-        return RationalDomain().scalar(self._sample_value(scalar.payload, _as_fraction(value)))
+        return target.scalar(self._sample_value(scalar.payload, _as_fraction(value)))
 
 
 # ---------------------------------------------------------------------------

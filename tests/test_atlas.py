@@ -6,12 +6,13 @@ from fractions import Fraction
 
 import pytest
 
-from quasifold import (Atlas, CocycleReport, Fan, FundamentalTriple, Matrix,
-                       NumberFieldDomain, Quasilattice, RationalDomain,
+from quasifold import (Atlas, CocycleReport, Fan, FundamentalTriple,
+                       InputDocument, Matrix, NumberFieldDomain,
+                       Quasilattice, RationalDomain,
                        RationalFunctionDomain, build_chart, cocycle_check,
                        document_to_triple, fixed_point, load_gallery,
                        orbit_report, relations, render_monomial_map,
-                       specialize_document, transition_map)
+                       specialize_document, to_triple, transition_map)
 
 
 def expected_matrix(domain, rows):
@@ -204,6 +205,58 @@ def test_relation_kernel_soundness(gallery):
 
 
 # ---------------------------------------------------------------------------
+# chart changes and relations against the per-pair products
+# ---------------------------------------------------------------------------
+
+def truncated_dodecahedron_triple():
+    from test_polytopes import truncated_dodecahedron
+    polytope, witnesses = truncated_dodecahedron()
+    return to_triple(polytope, load_gallery("dodecahedron").lattice, witnesses)[0]
+
+
+def test_coordinate_tables_match_per_pair_products(gallery, gallery_atlases):
+    cases = {name: (triple, gallery_atlases[name])
+             for name, (_, triple, _) in gallery.items()}
+    triple = truncated_dodecahedron_triple()
+    cases["truncated-dodecahedron"] = (triple, Atlas.compile(triple))
+    assert len(triple.fan.max_cones) == 60
+    for name, (triple, atlas) in cases.items():
+        one, zero = triple.domain.one(), triple.domain.zero()
+        for sigma in triple.fan.max_cones:
+            chart = atlas.chart(sigma)
+            for t, i in enumerate(sigma):
+                assert chart.coordinates.column(i - 1) == tuple(
+                    one if s == t else zero for s in range(len(sigma))), name
+            for j, coords in atlas.relation_set(sigma).coefficients.items():
+                assert coords == chart.inverse.apply(triple.ray(j)), (name, sigma, j)
+            for tau in triple.fan.max_cones:
+                if tau == sigma:
+                    continue
+                exponents = atlas.transition(tau, sigma).exponents
+                expected = chart.inverse @ triple.cone_matrix(tau)
+                assert exponents == expected, (name, tau, sigma)
+                assert exponents.row_labels == expected.row_labels == sigma
+                assert exponents.col_labels == expected.col_labels == tau
+
+
+def test_compile_multiplies_per_chart_not_per_pair(gallery, monkeypatch):
+    triple = gallery["dodecahedron"][1]
+    calls = []
+    product = Matrix.__matmul__
+
+    def counted(self, other):
+        calls.append((self.rows, other.cols))
+        return product(self, other)
+    monkeypatch.setattr(Matrix, "__matmul__", counted)
+    atlas = Atlas.compile(triple)
+    assert len(atlas._transitions) == 380
+    assert len(calls) <= 2 * len(triple.fan.max_cones)
+    for cone in triple.fan.max_cones:
+        atlas.relation_set(cone)
+    assert len(calls) <= 2 * len(triple.fan.max_cones)
+
+
+# ---------------------------------------------------------------------------
 # cocycle and orbits
 # ---------------------------------------------------------------------------
 
@@ -373,6 +426,20 @@ def half_field_triple():
 def specialized_cp2_triple():
     doc = specialize_document(load_gallery("cp2-11a"), Fraction(3, 2))
     return document_to_triple(doc)[0]
+
+
+def test_specialized_documents_keep_one_domain():
+    fan_triple = param_fan_triple()
+    fan_doc = InputDocument(domain=fan_triple.domain, lattice=fan_triple.lattice,
+                            fan=fan_triple.fan)
+    for doc in (fan_doc, load_gallery("cp2-11a")):
+        special = specialize_document(doc, 2)
+        scalars = list(special.lattice.generators.entries)
+        if special.fan is not None:
+            scalars += [x for ray in special.fan.rays for x in ray]
+        else:
+            scalars += [x for f in special.polytope.facets for x in (*f.normal, f.offset)]
+        assert scalars and all(x.domain is special.domain for x in scalars)
 
 
 BUILT_TRIPLES = {

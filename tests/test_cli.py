@@ -123,12 +123,32 @@ def test_malformed_json_exits_two(tmp_path, capsys):
     assert "line" in err
 
 
+def schema_violations():
+    """Broken documents, each with the message ``jsonschema.validate`` gives."""
+    from quasifold import load_input_schema
+    bad_facet = gallery_json("kite")
+    bad_facet["polytope"]["facets"][1] = "1"
+    bad_witness = gallery_json("cp2-11a")
+    bad_witness["witnesses"][0] = [1, "x"]
+    bad_kind = gallery_json("quasisphere")
+    bad_kind["domain"]["kind"] = "complex"
+    docs = [{"domain": {"kind": "rational"},
+             "quasilattice": {"generators": [["1"]]}},  # neither fan nor polytope
+            bad_facet, bad_witness, bad_kind, []]
+    for doc in docs:
+        with pytest.raises(jsonschema.ValidationError) as exc:
+            jsonschema.validate(doc, load_input_schema())
+        path = "/".join(str(p) for p in exc.value.absolute_path) or "(document root)"
+        yield doc, f"schema violation at {path}: {exc.value.message}"
+
+
 def test_schema_violation_exits_two(tmp_path, capsys):
-    doc = {"domain": {"kind": "rational"},
-           "quasilattice": {"generators": [["1"]]}}  # neither fan nor polytope
-    code, _, err = run_cli(["validate", write_doc(tmp_path, doc)], capsys)
-    assert code == 2
-    assert "schema" in err
+    for doc, message in schema_violations():
+        path = write_doc(tmp_path, doc)
+        code, out, err = run_cli(["validate", path], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == f"quasifold: error: {path}: {message}\n"
 
 
 def test_bad_scalar_string_exits_two(tmp_path, capsys):

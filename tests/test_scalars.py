@@ -734,6 +734,8 @@ def check_rf(scalar, expected):
             scalar.sign()
     else:
         assert scalar.sign() == sign
+    from quasifold import RationalDomain
+    rational = RationalDomain()
     for sample in RF_SAMPLES:
         try:
             value = RF_ORACLE.value(expected, sample)
@@ -741,10 +743,10 @@ def check_rf(scalar, expected):
             with pytest.raises(ZeroDivisionError):
                 scalar.sign(parameter_sample=sample)
             with pytest.raises(ZeroDivisionError):
-                RF.substitute(scalar, sample)
+                RF.substitute(scalar, sample, rational)
             continue
         assert scalar.sign(parameter_sample=sample) == (value > 0) - (value < 0)
-        assert RF.substitute(scalar, sample).as_rational() == value
+        assert RF.substitute(scalar, sample, rational).as_rational() == value
         decimal = scalar.eval_numeric(15, parameter_sample=sample)
         assert abs(Fraction(decimal) - value) <= abs(value) * Fraction(1, 10 ** 14)
 
