@@ -3,8 +3,10 @@
 A polytope is a list of inequalities <X_j, x> >= lambda_j with inward
 normals X_j.  Vertices are enumerated exactly: facet n-subsets are solved
 until one gives a first vertex, and the rest are found by walking the edges,
-swapping one facet at a time.  The normal fan then has one maximal cone per
-vertex, spanned by the normals of the facets through it.
+swapping one facet at a time by a simplex pivot, so only the first vertex
+inverts a matrix.  The normal fan then has one maximal cone per vertex,
+spanned by the normals of the facets through it; inequalities with an
+unbounded edge are refused.
 
 Over a parameter field, inequality signs that cannot be decided from
 coefficient signs are evaluated at two generic sample values which must
@@ -14,6 +16,7 @@ agree; disagreement means the combinatorics depend on the parameter.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple
@@ -140,6 +143,27 @@ def _start_vertex(polytope: Polytope, samples):
     raise ValueError("the inequality system has no vertices")
 
 
+def _pivot(tableau, k, b, order):
+    """The tableau after column k's facet leaves for facet b, with the
+    columns then taken in the given order (see enumerate_vertices)."""
+    domain = tableau[b][k].domain
+    mul, add, neg = domain._mul, domain._add, domain._neg
+    # payload arithmetic, one Scalar per entry; factors[i] = -T[b][i] / p
+    pivot = tableau[b][k].inverse().payload
+    factors = [None if i == k else neg(mul(x.payload, pivot))
+               for i, x in enumerate(tableau[b])]
+    out = []
+    for row in tableau:
+        rate = row[k]
+        if not rate.is_zero():
+            r = rate.payload
+            row = [Scalar(domain, mul(r, pivot) if f is None
+                          else add(x.payload, mul(f, r)))
+                   for x, f in zip(row, factors)]
+        out.append(tuple(row[i] for i in order))
+    return out
+
+
 def enumerate_vertices(polytope: Polytope, samples=None) -> Tuple[Vertex, ...]:
     """All vertices with their exact coordinates and facet incidence.
 
@@ -153,55 +177,66 @@ def enumerate_vertices(polytope: Polytope, samples=None) -> Tuple[Vertex, ...]:
     * at a simple vertex with active facets S, the columns d_k of A_S^-1
       are exactly its edge directions: moving along d_k raises the slack
       of facet S[k] and keeps the other n - 1 facets of S tight;
-    * along d_k the slack of facet j changes at rate a_j = <X_j, d_k>, so
-      the edge ends where the first facet with a_j < 0 becomes tight (the
-      minimum ratio slack_j / -a_j), and is unbounded when there is none.
-      The neighbour lies on more than n facets exactly when that minimum
-      ties, and every vertex is reached from a simple one through an edge,
-      so a non-simple vertex anywhere is found.
+    * along d_k the slack of facet j changes at rate T[j][k] = <X_j, d_k>,
+      so the edge ends where the first facet with T[j][k] < 0 becomes
+      tight (the minimum ratio slack_j / -T[j][k]), and is unbounded when
+      there is none.  The neighbour lies on more than n facets exactly
+      when that minimum ties, and every vertex is reached from a simple
+      one through an edge, so a non-simple vertex anywhere is found.
 
-    Ratios are compared by the sign of slack_b * a_j - slack_j * a_b, so
-    the only division is the step length of each edge taken.  An edge is
-    walked from one end only: reaching a vertex by leaving facet S[k] for
-    facet b records that leaving b there leads back.
+    Ratios are compared by the sign of slack_b T[j][k] - slack_j T[b][k],
+    so the only division is the step length of each edge taken.  An edge
+    is walked from one end only: reaching a vertex by leaving facet S[k]
+    for facet b records that leaving b there leads back.
+
+    Each vertex found holds a tableau, the rates T and the coordinates of
+    the d_k, one column per facet of S in sorted order, until its edges
+    are walked.  Only the start vertex inverts A_S.  Leaving S[k] for b
+    with pivot p = T[b][k] gives d'_b = d_k / p (rate 1 for X_b, the rest
+    of S tight) and d'_i = d_i - (T[b][i] / p) d_k (rate 0 for X_b, 1 for
+    S[i]), so T'[j][b] = T[j][k] / p and T'[j][i] = T[j][i] - (T[b][i] / p)
+    T[j][k]: one column operation on rate and coordinate rows alike, which
+    keeps a row with T[j][k] = 0, then the neighbour's sorted order.  The
+    arithmetic is exact and canonical, so every point, slack and direction
+    equals the one an inverse of A_S at that vertex gives.
 
     Raises SimplicityError when some vertex lies on more than n facets.
     """
     n = polytope.dim
-    if polytope.facet_count < n + 1:
+    m = polytope.facet_count
+    if m < n + 1:
         raise ValueError("a bounded polytope needs at least n + 1 facets")
     samples = _parameter_samples(polytope, samples)
-    facets = polytope.facets
     point, slacks = _start_vertex(polytope, samples)
     active = tuple(j for j, slack in enumerate(slacks) if slack.is_zero())
     if len(active) != n:
         raise _simplicity_error(point, tuple(j + 1 for j in active), n)
+    domain, facets = polytope.domain, polytope.facets
+    inverse = Matrix.from_rows(domain, [facets[j].normal for j in active]).inverse()
+    rates = Matrix.from_rows(domain, [f.normal for f in facets]) @ inverse
     found = {active: (point, slacks)}
+    tableaus = {active: [rates.row(j) for j in range(m)]
+                + [inverse.row(t) for t in range(n)]}
     pending = [active]
     walked = set()  # (vertex, facet it leaves) for edges already taken
     while pending:
         active = pending.pop()
         point, slacks = found[active]
-        inverse = Matrix.from_rows(
-            polytope.domain, [facets[j].normal for j in active]).inverse()
+        tableau = tableaus.pop(active)
         for k in range(n):
             if (active, active[k]) in walked:
                 continue
-            direction = inverse.column(k)
-            rates = {}
             best = None
             tied = False
-            for j, facet in enumerate(facets):
-                if j in active:
-                    continue
-                rate = dot(facet.normal, direction)
-                rates[j] = rate
-                if rate.is_zero() or _inequality_sign(rate, samples) > 0:
+            for j in range(m):
+                rate = tableau[j][k]
+                if (j in active or rate.is_zero()
+                        or _inequality_sign(rate, samples) > 0):
                     continue
                 if best is None:
                     best = j
                     continue
-                cross = slacks[best] * rate - slacks[j] * rates[best]
+                cross = slacks[best] * rate - slacks[j] * tableau[best][k]
                 if cross.is_zero():
                     tied = True
                 elif _inequality_sign(cross, samples) < 0:
@@ -212,17 +247,18 @@ def enumerate_vertices(polytope: Polytope, samples=None) -> Tuple[Vertex, ...]:
             walked.add((neighbour, best))
             if neighbour in found and not tied:
                 continue
-            step = slacks[best] / -rates[best]
-            new_point = tuple(x + step * d for x, d in zip(point, direction))
-            new_slacks = list(slacks)
-            new_slacks[active[k]] = step
-            for j, rate in rates.items():
-                new_slacks[j] = slacks[j] + step * rate
+            step = slacks[best] / -tableau[best][k]
+            new_point = tuple(x + step * row[k]
+                              for x, row in zip(point, tableau[m:]))
+            new_slacks = [slack if row[k].is_zero() else slack + step * row[k]
+                          for slack, row in zip(slacks, tableau)]
             if tied:
                 incident = tuple(j + 1 for j, slack in enumerate(new_slacks)
                                  if slack.is_zero())
                 raise _simplicity_error(new_point, incident, n)
             found[neighbour] = (new_point, new_slacks)
+            order = [k if j == best else active.index(j) for j in neighbour]
+            tableaus[neighbour] = _pivot(tableau, k, best, order)
             pending.append(neighbour)
     return tuple(Vertex(coordinates=found[active][0],
                         incident=tuple(j + 1 for j in active))
@@ -240,8 +276,18 @@ class NormalFanResult:
 
 
 def normal_fan(polytope: Polytope) -> NormalFanResult:
-    """The fan with one maximal cone per vertex, spanned by its facet normals."""
+    """The fan with one maximal cone per vertex, spanned by its facet normals.
+
+    Raises ValueError unless each (n - 1)-subset of a vertex's facets lies
+    on exactly two vertices: an unbounded edge has only one.
+    """
     by_cone = sorted(enumerate_vertices(polytope), key=lambda v: v.incident)
+    ends = Counter(edge for v in by_cone
+                   for edge in itertools.combinations(v.incident, polytope.dim - 1))
+    open_edges = sorted(edge for edge, count in ends.items() if count != 2)
+    if open_edges:
+        raise ValueError(f"the inequalities do not bound a polytope: the edge "
+                         f"on facets {open_edges[0]} has one vertex")
     fan = Fan(
         dim=polytope.dim,
         rays=[facet.normal for facet in polytope.facets],

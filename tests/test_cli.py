@@ -183,6 +183,23 @@ def test_polytope_command(tmp_path, capsys):
     assert "vertex (a + 1, 0)" in out
 
 
+@pytest.mark.parametrize("command", ["polytope", "validate", "atlas", "verify"])
+def test_unbounded_polytope_exits_two(command, tmp_path, capsys):
+    # x >= 0, y >= 0, y >= x - 1: the edges on facets 1 and 3 run off to
+    # infinity, so there is no polytope and no complete fan
+    path = write_doc(tmp_path, {
+        "domain": {"kind": "rational"},
+        "quasilattice": {"generators": [["1", "0"], ["0", "1"]]},
+        "polytope": {"facets": [{"normal": ["1", "0"], "offset": "0"},
+                                {"normal": ["0", "1"], "offset": "0"},
+                                {"normal": ["-1", "1"], "offset": "-1"}]},
+    })
+    code, out, err = run_cli([command, path], capsys)
+    assert (code, out) == (2, "")
+    assert err == ("quasifold: error: the inequalities do not bound a "
+                   "polytope: the edge on facets (1,) has one vertex\n")
+
+
 def test_atlas_command(tmp_path, capsys):
     path = write_doc(tmp_path, gallery_json("kite"))
     code, out, _ = run_cli(["atlas", path, "--format", "json"], capsys)

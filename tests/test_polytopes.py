@@ -1,3 +1,4 @@
+import collections
 import itertools
 import random
 from fractions import Fraction
@@ -7,7 +8,8 @@ import pytest
 from quasifold import (Facet, GenericityError, Matrix, Polytope,
                        Quasilattice, SimplicityError, SingularMatrixError,
                        TrialConfig, Vertex, dot, enumerate_vertices,
-                       load_gallery, normal_fan, to_triple, verify_triple)
+                       load_gallery, normal_fan, to_triple, validate,
+                       verify_triple)
 
 
 def triangle(parameter):
@@ -339,3 +341,63 @@ def test_dodecahedron_enumeration_solves_little(gallery, monkeypatch):
     vertices = enumerate_vertices(gallery["dodecahedron"][0].polytope)
     assert len(vertices) == 20
     assert len(calls) <= 25
+
+
+def golden_cut_cube(golden, seed):
+    """random_cut_cube over Q(phi): each cut's normal entries and offset
+    are u + v*phi with small integers u, v, so the pivots, the ratio ties
+    and the signs all run in a number field."""
+    rng = random.Random(seed)
+    phi = golden.generator()
+
+    def element(low, high):
+        return golden.scalar(rng.randint(low, high)) + \
+            rng.randint(low, high) * phi
+
+    facets = []
+    for axis in range(3):
+        for sign in (1, -1):
+            normal = [golden.zero()] * 3
+            normal[axis] = golden.scalar(sign)
+            facets.append(Facet(tuple(normal), golden.scalar(-2)))
+    for _ in range(rng.randint(1, 4)):
+        normal = tuple(element(-2, 2) for _ in range(3))
+        if all(c.is_zero() for c in normal):
+            normal = (phi,) + normal[1:]
+        if rng.random() < 0.4:
+            # through the corner the normal points away from
+            corner = [2 if c.sign() < 0 else -2 for c in normal]
+            offset = dot(normal, [golden.scalar(x) for x in corner])
+        else:
+            offset = element(-4, 1) * Fraction(1, rng.randint(1, 3))
+        facets.append(Facet(normal, offset))
+    return Polytope(golden, facets)
+
+
+def test_walk_matches_sweep_on_golden_cuts(golden):
+    kinds = set()
+    for seed in range(40):
+        polytope = golden_cut_cube(golden, seed)
+        walked = _outcome(enumerate_vertices, polytope)
+        assert walked == _outcome(sweep_vertices, polytope), seed
+        kinds.add(walked if isinstance(walked, type) else "vertices")
+    assert {SimplicityError, "vertices"} <= kinds
+
+
+def test_truncated_dodecahedron_inverts_once_and_ranks_per_cone(monkeypatch):
+    polytope, witnesses = truncated_dodecahedron()
+    triple, _ = to_triple(polytope, load_gallery("dodecahedron").lattice,
+                          witnesses)
+    calls = collections.Counter()
+    for name in ("inverse", "rank"):
+        method = getattr(Matrix, name)
+
+        def counted(self, *args, _method=method, _name=name, **kwargs):
+            calls[_name] += 1
+            return _method(self, *args, **kwargs)
+        monkeypatch.setattr(Matrix, name, counted)
+    assert len(enumerate_vertices(polytope)) == 60
+    assert calls["inverse"] == 1  # the start vertex's; pivots do the rest
+    calls.clear()
+    assert validate(triple, probe_directions=0).passed
+    assert calls["rank"] <= 60  # one per cone, none per shared face

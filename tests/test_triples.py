@@ -161,3 +161,45 @@ def test_dodecahedron_cone_overlaps(gallery):
                 for a, b in itertools.combinations(triple.fan.max_cones, 2)]
     assert (overlaps.count(2), overlaps.count(1), overlaps.count(0)) == \
         (30, 60, 100)
+
+
+# ---------------------------------------------------------------------------
+# face condition
+# ---------------------------------------------------------------------------
+
+def face_ranks(triple):
+    """Reference face check: once every cone is simplicial, the rays each
+    two cones share must be independent.  Returns (passed, pairs checked)."""
+    if any(triple.cone_matrix(cone).rank() != triple.dim
+           for cone in triple.fan.max_cones):
+        return True, 0
+    passed, pairs = True, 0
+    for a, b in itertools.combinations(triple.fan.max_cones, 2):
+        shared = sorted(set(a) & set(b))
+        pairs += 1
+        if shared and Matrix.from_columns(
+                triple.domain,
+                [triple.ray(i) for i in shared]).rank() != len(shared):
+            passed = False
+    return passed, pairs
+
+
+def test_face_condition_matches_rank_oracle(gallery, rational):
+    from test_polytopes import truncated_dodecahedron
+    from quasifold import load_gallery, to_triple
+    polytope, witnesses = truncated_dodecahedron()
+    truncated, _ = to_triple(
+        polytope, load_gallery("dodecahedron").lattice, witnesses)
+    # a repeated ray: cone (1, 2) is not simplicial
+    lattice = Quasilattice(rational, Matrix.identity(rational, 2))
+    fan = Fan(2, [[rational.scalar(x) for x in r]
+                  for r in ([1, 0], [1, 0], [0, 1])], [[1, 2], [2, 3]])
+    repeated = FundamentalTriple(fan, lattice, [(1, 0), (1, 0), (0, 1)])
+    cases = [(name, triple) for name, (_, triple, _) in gallery.items()]
+    cases += [("truncated dodecahedron", truncated), ("repeated ray", repeated)]
+    for name, triple in cases:
+        report = validate(triple, probe_directions=0)
+        assert (report.face_condition, report.face_pairs_checked) == \
+            face_ranks(triple), name
+    assert face_ranks(truncated) == (True, 60 * 59 // 2)
+    assert face_ranks(repeated) == (True, 0)
