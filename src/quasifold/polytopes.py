@@ -279,7 +279,9 @@ def normal_fan(polytope: Polytope) -> NormalFanResult:
     """The fan with one maximal cone per vertex, spanned by its facet normals.
 
     Raises ValueError unless each (n - 1)-subset of a vertex's facets lies
-    on exactly two vertices: an unbounded edge has only one.
+    on exactly two vertices (an unbounded edge has only one), and unless
+    every inequality touches a vertex: a redundant one would be a ray in
+    no cone.
     """
     by_cone = sorted(enumerate_vertices(polytope), key=lambda v: v.incident)
     ends = Counter(edge for v in by_cone
@@ -288,6 +290,11 @@ def normal_fan(polytope: Polytope) -> NormalFanResult:
     if open_edges:
         raise ValueError(f"the inequalities do not bound a polytope: the edge "
                          f"on facets {open_edges[0]} has one vertex")
+    touched = {j for v in by_cone for j in v.incident}
+    for j in range(1, len(polytope.facets) + 1):
+        if j not in touched:
+            raise ValueError(f"inequality {j} touches no vertex of the "
+                             "polytope (redundant)")
     fan = Fan(
         dim=polytope.dim,
         rays=[facet.normal for facet in polytope.facets],

@@ -9,11 +9,12 @@ checkable.  Index sets are 1-based everywhere in I/O.
 from __future__ import annotations
 
 import itertools
+import random
 from dataclasses import dataclass
-from math import lcm
+from functools import reduce
+from math import hypot, lcm
+from operator import add, mul
 from typing import Optional, Sequence
-
-import numpy as np
 
 from .linalg import Matrix, solve_general
 from .scalars import RationalDomain, Scalar, ScalarDomain
@@ -160,8 +161,8 @@ class ValidationReport:
         return self.simplicial and self.quasirational and self.face_condition
 
 
-def float_array(entries, shape, parameter_sample, memo) -> np.ndarray:
-    """Floats of exact scalars (15 significant digits), in the given shape.
+def float_array(entries, shape, parameter_sample, memo):
+    """Floats of exact scalars (15 significant digits), as rows of shape.
 
     memo maps payloads to the floats already computed; the caller keeps
     one per domain and parameter sample, so each distinct value is
@@ -173,7 +174,58 @@ def float_array(entries, shape, parameter_sample, memo) -> np.ndarray:
         if value is None:
             value = memo[x.payload] = float(x.eval_numeric(15, parameter_sample))
         values.append(value)
-    return np.array(values, dtype=float).reshape(shape)
+    rows, cols = shape
+    return [values[i * cols:(i + 1) * cols] for i in range(rows)]
+
+
+def float_dot(u, v):
+    """The dot product, summed left to right: ``sum`` compensates float
+    sums from Python 3.12 on, and the reports must not depend on the
+    interpreter's version."""
+    return reduce(add, map(mul, u, v), 0.0)
+
+
+def float_solve(a, rhs):
+    """The solution x of a x = b for each vector b of rhs, as a list.
+
+    a is a square float matrix given by its rows; it is factored once by
+    Gaussian elimination with partial pivoting (L and U in place, the row
+    order in perm), and each b is then solved by two substitutions.
+    Raises ZeroDivisionError when a pivot is exactly zero.
+    """
+    n = len(a)
+    lu = [list(row) for row in a]
+    perm = list(range(n))
+    for k in range(n):
+        p = max(range(k, n), key=lambda i: abs(lu[i][k]))
+        lu[k], lu[p] = lu[p], lu[k]
+        perm[k], perm[p] = perm[p], perm[k]
+        pivot = lu[k]
+        for row in lu[k + 1:]:
+            f = row[k] = row[k] / pivot[k]
+            for j in range(k + 1, n):
+                row[j] -= f * pivot[j]
+    solutions = []
+    for b in rhs:
+        x = [b[i] for i in perm]
+        for i in range(n):
+            row = lu[i]
+            for j in range(i):
+                x[i] -= row[j] * x[j]
+        for i in reversed(range(n)):
+            row = lu[i]
+            for j in range(i + 1, n):
+                x[i] -= row[j] * x[j]
+            x[i] /= row[i]
+        solutions.append(x)
+    return solutions
+
+
+def _inside(inverse, directions):
+    """Indices of the directions d with row . d >= -1e-9 for every row;
+    each test stops at the first row that fails."""
+    return [i for i, d in enumerate(directions)
+            if all(float_dot(row, d) >= -1e-9 for row in inverse)]
 
 
 def validate(triple: FundamentalTriple, probe_directions: int = 64,
@@ -186,10 +238,10 @@ def validate(triple: FundamentalTriple, probe_directions: int = 64,
     here proves that two cones meet in a common face; only the probe sees
     overlaps.
     """
-    simplicial_failures = []
-    for cone in triple.fan.max_cones:
-        if triple.cone_matrix(cone).rank() != triple.dim:
-            simplicial_failures.append(cone)
+    cones = triple.fan.max_cones
+    matrices = [triple.cone_matrix(cone) for cone in cones]
+    simplicial_failures = [cone for cone, a in zip(cones, matrices)
+                           if a.rank() != triple.dim]
 
     witness_failures = []
     for j in range(1, triple.ray_count + 1):
@@ -204,8 +256,7 @@ def validate(triple: FundamentalTriple, probe_directions: int = 64,
         if any(not (x - y).is_zero() for x, y in zip(value, triple.ray(j))):
             witness_failures.append((j, "witness does not reproduce the ray"))
 
-    cones = len(triple.fan.max_cones)
-    pairs = 0 if simplicial_failures else cones * (cones - 1) // 2
+    pairs = 0 if simplicial_failures else len(cones) * (len(cones) - 1) // 2
 
     probe_ran = False
     gaps = overlaps = 0
@@ -220,23 +271,27 @@ def validate(triple: FundamentalTriple, probe_directions: int = 64,
         can_probe = False
         note = "skipped: simpliciality failed"
     if can_probe and probe_directions > 0:
-        rng = np.random.default_rng(np.random.SeedSequence([seed, 0x5EED]))
-        directions = rng.normal(size=(probe_directions, triple.dim))
-        norms = np.linalg.norm(directions, axis=1)
-        norms[norms == 0] = 1.0
-        directions = directions / norms[:, None]
-        counts = np.zeros(probe_directions, dtype=int)
+        rng = random.Random(str((seed, 0x5EED)))
+        dim = triple.dim
+        directions = []
+        for _ in range(probe_directions):
+            d = [rng.gauss(0.0, 1.0) for _ in range(dim)]
+            norm = hypot(*d) or 1.0
+            directions.append([x / norm for x in d])
+        counts = [0] * probe_directions
         floats = {}
-        for cone in triple.fan.max_cones:
-            a = triple.cone_matrix(cone)
-            coords = np.linalg.solve(
+        identity = [[float(i == j) for j in range(dim)] for i in range(dim)]
+        for a in matrices:
+            # row i of the inverse gives coordinate i of a direction, and
+            # the direction is inside when all are >= -1e-9
+            inverse = list(zip(*float_solve(
                 float_array(a.entries, (a.rows, a.cols), parameter_sample,
                             floats),
-                directions.T)
-            inside = np.all(coords >= -1e-9, axis=0)
-            counts += inside.astype(int)
-        gaps = int(np.sum(counts == 0))
-        overlaps = int(np.sum(counts >= 2))
+                identity)))
+            for i in _inside(inverse, directions):
+                counts[i] += 1
+        gaps = counts.count(0)
+        overlaps = probe_directions - gaps - counts.count(1)
         probe_ran = True
 
     return ValidationReport(

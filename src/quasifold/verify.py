@@ -34,25 +34,31 @@ G w_j = X_j exactly, so A_sigma^-1 A_tau s = A_sigma^-1 G W_tau s.  A wrong
 E or C cannot hide: m comes from W, not from the atlas, so a faulty
 exponent leaves a residual of the fault's size, reported as a mismatch.
 
-``NumericAtlas`` holds the float views (``triples.float_array``) and the
-integer witnesses, ``_with_fault`` perturbs one exponent for fault
-injection, and ``TrialReport.record`` counts every trial and keeps each
-failure.  ``verify_triple`` spreads the samples over the targets of each
-check; each check seeds its generator from (seed, check, target), so one
-target's draws do not depend on the others.
+The harness is plain Python: ``NumericAtlas`` holds the float views
+(``triples.float_array``, rows of floats) and the ray witnesses as exact
+ints, so a witness never overflows; ``cmath`` gives exp, log and phase,
+``x % 1.0`` the reduction mod 1, and ``triples.float_solve`` the one float
+solve.  ``_with_fault`` perturbs one exponent for fault injection, and
+``TrialReport.record`` counts every trial and keeps each failure.
+``verify_triple`` spreads the samples over the targets of each check; each
+check seeds a ``random.Random`` from the text of (seed, check, target), so
+one target's draws do not depend on the others, and never on
+``PYTHONHASHSEED``.
 """
 
 from __future__ import annotations
 
+import cmath
 import itertools
+import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from math import log, pi
+from operator import mul, sub
 from typing import Dict, Optional
 
-import numpy as np
-
 from .atlas import Atlas
-from .triples import FundamentalTriple, float_array
+from .triples import FundamentalTriple, float_array, float_dot, float_solve
 
 __all__ = [
     "GroupMembership",
@@ -75,7 +81,8 @@ _CHECK_IDS = {
     "connecting_element": 4,
 }
 
-_TWO_PI = 2.0 * np.pi
+_TWO_PI = 2.0 * pi
+_TWO_PI_I = 2j * pi
 
 
 @dataclass(frozen=True)
@@ -138,7 +145,28 @@ class TrialReport:
 
 def _circular_residual(values):
     """Max distance of the entries to the nearest integer."""
-    return float(np.max(np.abs(np.mod(np.asarray(values) + 0.5, 1.0) - 0.5)))
+    return max(abs((v + 0.5) % 1.0 - 0.5) for v in values)
+
+
+def _matvec(matrix, vector):
+    """matrix (rows) times vector, as a list."""
+    return [float_dot(row, vector) for row in matrix]
+
+
+def _combine(columns, coefficients):
+    """The integer vector sum_j coefficients[j] * columns[j], exactly."""
+    return [sum(map(mul, entries, coefficients)) for entries in zip(*columns)]
+
+
+def _expi(values):
+    """exp(2 pi i v) of each entry."""
+    return [cmath.exp(_TWO_PI_I * v) for v in values]
+
+
+def _phase_shift(before, after):
+    """The phase of each after / before, in turns, reduced into [0, 1)."""
+    return [(cmath.phase(b / a) / _TWO_PI) % 1.0
+            for a, b in zip(before, after)]
 
 
 class GroupMembership:
@@ -148,12 +176,14 @@ class GroupMembership:
     whether a phase vector theta equals C m modulo Z^n for some integer m
     in [-box, box]^k.  The box is split in half and partial phase sums are
     matched through a quantized key table, which keeps the dodecahedron's
-    21^6 candidate grid at two 21^3 enumerations.
+    21^6 candidate grid at two 21^3 enumerations.  No check calls it; it
+    serves as an independent oracle and imports numpy only when used.
     """
 
     _CELL = 1e-6
 
-    def __init__(self, exponents: np.ndarray, box: int, tolerance: float):
+    def __init__(self, exponents, box: int, tolerance: float):
+        import numpy as np
         exponents = np.asarray(exponents, dtype=float)
         self.exponents = exponents
         self.box = box
@@ -182,6 +212,7 @@ class GroupMembership:
         self._offsets = np.array(offsets, dtype=np.int64)
 
     def _grid(self, count):
+        import numpy as np
         if count == 0:
             return np.zeros((1, 0), dtype=np.int64)
         line = np.arange(-self.box, self.box + 1, dtype=np.int64)
@@ -189,11 +220,13 @@ class GroupMembership:
         return np.stack([m.ravel() for m in mesh], axis=1)
 
     def _pack(self, phases):
+        import numpy as np
         cells = np.floor(phases / self._CELL).astype(np.int64) % self._ncells
         return cells @ self._multipliers
 
     def find(self, theta):
         """Return (witness m, residual) or (None, best residual seen)."""
+        import numpy as np
         theta = np.mod(np.asarray(theta, dtype=float), 1.0)
         target = np.mod(theta[None, :] - self._phases2, 1.0)
         base = np.floor(target / self._CELL).astype(np.int64)
@@ -217,15 +250,15 @@ class GroupMembership:
 
 
 class NumericAtlas:
-    """Float views of a triple's atlas, cached per matrix, and the k x d
-    integer matrix of its ray witnesses."""
+    """Float views of a triple's atlas, rows of floats cached per matrix,
+    and the ray witnesses w_j (one list of k ints per ray)."""
 
     def __init__(self, triple: FundamentalTriple, atlas: Optional[Atlas] = None,
                  parameter_sample=None):
         if None in triple.witnesses:
             raise ValueError("numeric verification needs the witness of ray "
                              f"{triple.witnesses.index(None) + 1}")
-        self.witnesses = np.array(triple.witnesses, dtype=np.int64).T
+        self.witnesses = [list(w) for w in triple.witnesses]
         self.triple = triple
         self.atlas = atlas if atlas is not None else Atlas(triple)
         if (parameter_sample is None
@@ -235,7 +268,7 @@ class NumericAtlas:
                 raise ValueError(
                     "numeric verification over a parameter field needs a sample")
         self.parameter_sample = parameter_sample
-        self._cache: Dict[tuple, np.ndarray] = {}
+        self._cache: Dict[tuple, list] = {}
         self._floats_seen: Dict[object, float] = {}
 
     def _floats(self, key, matrix):
@@ -275,20 +308,25 @@ class NumericAtlas:
                 self._floats_seen)
         return self._cache[key]
 
+    def cone_witnesses(self, cone):
+        """The witnesses of the cone's rays, in the cone's order."""
+        return [self.witnesses[j - 1] for j in cone]
+
 
 def _with_fault(exponents, fault):
-    """The exponent array, or a copy with entry (i, j) of fault shifted."""
+    """The exponent rows, or a copy with entry (i, j) of fault shifted."""
     if fault is None:
         return exponents
     i, j, delta = fault
-    exponents = exponents.copy()
-    exponents[i, j] += delta
+    exponents = [list(row) for row in exponents]
+    exponents[i][j] += delta
     return exponents
 
 
 def _membership(group, witness, theta, tolerance):
     """(failure kind or None, residual) of theta against group @ witness."""
-    residual = _circular_residual(group @ witness - theta)
+    residual = _circular_residual(
+        [g - t for g, t in zip(_matvec(group, witness), theta)])
     return ("mismatch" if residual >= tolerance else None), residual
 
 
@@ -300,18 +338,15 @@ def _rng(cfg: TrialConfig, check: str, target: tuple):
             flat.append(0)
         else:
             flat.append(int(part))
-    return np.random.default_rng(np.random.SeedSequence(flat))
+    # a str seed is hashed by sha512, never by hash(), so draws do not
+    # depend on PYTHONHASHSEED
+    return random.Random(str(flat))
 
 
 def _sample_log_points(rng, count):
     """Logarithmic coordinates of points with moduli in [0.5, 2]."""
-    phases = rng.uniform(0.0, 1.0, count)
-    moduli = rng.uniform(0.5, 2.0, count)
-    return phases + 1j * (-np.log(moduli) / _TWO_PI)
-
-
-def _positions(indices):
-    return np.array([i - 1 for i in indices], dtype=int)
+    return [complex(rng.random(), -log(rng.uniform(0.5, 2.0)) / _TWO_PI)
+            for _ in range(count)]
 
 
 def check_branch_invariance(triple: FundamentalTriple, cone, cfg: TrialConfig,
@@ -322,31 +357,33 @@ def check_branch_invariance(triple: FundamentalTriple, cone, cfg: TrialConfig,
     report = TrialReport(check="branch_invariance")
     rng = _rng(cfg, "branch_invariance", (cone,))
     group = numeric.group_exponents(cone)
+    k = len(group[0])
+    length = cfg.word_length
     for trial in range(cfg.samples):
         if others:
             source = others[trial % len(others)]
             exponents = numeric.transition(source, cone)
-            witnesses = numeric.witnesses[:, _positions(source)]
+            witnesses = numeric.cone_witnesses(source)
         else:
             exponents = group
-            witnesses = np.eye(group.shape[1], dtype=np.int64)
+            witnesses = [[int(i == j) for i in range(k)] for j in range(k)]
         exponents = _with_fault(exponents, fault)
-        width = exponents.shape[1]
+        width = len(exponents[0])
         w = _sample_log_points(rng, width)
-        shifts = rng.integers(-cfg.word_length, cfg.word_length + 1, width)
-        image_a = np.exp(1j * _TWO_PI * (exponents @ w))
-        image_b = np.exp(1j * _TWO_PI * (exponents @ (w + shifts)))
-        theta = np.mod(np.angle(image_b / image_a) / _TWO_PI, 1.0)
+        shifts = [rng.randint(-length, length) for _ in range(width)]
+        image_a = _expi(_matvec(exponents, w))
+        image_b = _expi(_matvec(exponents, [x + s for x, s in zip(w, shifts)]))
+        theta = _phase_shift(image_a, image_b)
         report.record((cone,), trial, cfg.seed, *_membership(
-            group, witnesses @ shifts, theta, cfg.tolerance))
+            group, _combine(witnesses, shifts), theta, cfg.tolerance))
     return report
 
 
 def _word_sample(rng, generator_count, word_length):
-    coefficients = np.zeros(generator_count, dtype=np.int64)
+    coefficients = [0] * generator_count
     for _ in range(word_length):
-        index = int(rng.integers(0, generator_count))
-        coefficients[index] += 1 if rng.integers(0, 2) else -1
+        coefficients[rng.randrange(generator_count)] += (
+            1 if rng.getrandbits(1) else -1)
     return coefficients
 
 
@@ -359,23 +396,25 @@ def check_transition_equivariance(triple: FundamentalTriple, source, target,
     exponents = _with_fault(numeric.transition(source, target), fault)
     source_group = numeric.group_exponents(source)
     source_lattice = numeric.lattice_exponents(source)
-    source_witnesses = numeric.witnesses[:, _positions(source)]
+    source_witnesses = numeric.cone_witnesses(source)
     target_group = numeric.group_exponents(target)
     report = TrialReport(check="transition_equivariance")
     rng = _rng(cfg, "transition_equivariance", (source, target))
-    k = source_group.shape[1]
+    k = len(source_group[0])
     for trial in range(cfg.samples):
-        w = _sample_log_points(rng, len(source))
-        z = np.exp(1j * _TWO_PI * w)
+        z = _expi(_sample_log_points(rng, len(source)))
         m = _word_sample(rng, k, cfg.word_length)
-        gamma = np.exp(1j * _TWO_PI * (source_group @ m))
-        logs = np.log(z) / (1j * _TWO_PI)
-        logs_shifted = np.log(gamma * z) / (1j * _TWO_PI)
-        image = np.exp(1j * _TWO_PI * (exponents @ logs))
-        image_shifted = np.exp(1j * _TWO_PI * (exponents @ logs_shifted))
-        theta = np.mod(np.angle(image_shifted / image) / _TWO_PI, 1.0)
-        branch = np.rint((logs_shifted - logs).real - source_lattice @ m)
-        witness = m + source_witnesses @ branch.astype(np.int64)
+        gamma = _expi(_matvec(source_group, m))
+        logs = [cmath.log(v) / _TWO_PI_I for v in z]
+        logs_shifted = [cmath.log(g * v) / _TWO_PI_I
+                        for g, v in zip(gamma, z)]
+        image = _expi(_matvec(exponents, logs))
+        image_shifted = _expi(_matvec(exponents, logs_shifted))
+        theta = _phase_shift(image, image_shifted)
+        branch = [round((b - a).real - c) for a, b, c in zip(
+            logs, logs_shifted, _matvec(source_lattice, m))]
+        witness = [x + y for x, y in zip(
+            m, _combine(source_witnesses, branch))]
         report.record((source, target), trial, cfg.seed, *_membership(
             target_group, witness, theta, cfg.tolerance))
     return report
@@ -394,23 +433,23 @@ def check_factorization(triple: FundamentalTriple, cone, cfg: TrialConfig,
     cone_m = numeric.cone_matrix(cone)
     kernel = numeric.kernel_matrix(cone)
     group = _with_fault(numeric.group_exponents(cone), fault)
-    positions = _positions(cone)
     d = triple.ray_count
     report = TrialReport(check="factorization")
     rng = _rng(cfg, "factorization", (cone,))
     for trial in range(cfg.samples):
-        integer_part = rng.integers(-2, 3, d)
-        kernel_part = (rng.uniform(-1.0, 1.0, kernel.shape[0]) @ kernel
-                       if kernel.shape[0] else np.zeros(d))
-        x = integer_part + kernel_part
-        pi_x = rays @ x
-        y_coords = np.linalg.solve(cone_m, pi_x)
-        y = np.zeros(d)
-        y[positions] = y_coords
-        w = x - y
-        residual_kernel = float(np.max(np.abs(rays @ w))) if d else 0.0
-        kind, residual = _membership(group, numeric.witnesses @ integer_part,
-                                     np.mod(y_coords, 1.0), cfg.tolerance)
+        integer_part = [rng.randint(-2, 2) for _ in range(d)]
+        x = [float(v) for v in integer_part]
+        for row in kernel:
+            c = rng.uniform(-1.0, 1.0)
+            x = [v + c * r for v, r in zip(x, row)]
+        y_coords = float_solve(cone_m, [_matvec(rays, x)])[0]
+        w = list(x)
+        for j, y in zip(cone, y_coords):
+            w[j - 1] -= y
+        residual_kernel = max(map(abs, _matvec(rays, w)))
+        kind, residual = _membership(
+            group, _combine(numeric.witnesses, integer_part),
+            [y % 1.0 for y in y_coords], cfg.tolerance)
         if residual_kernel >= cfg.tolerance:
             kind, residual = "mismatch", residual_kernel
         elif kind is None:
@@ -439,26 +478,28 @@ def check_connecting_element(triple: FundamentalTriple, source, target,
     exponents = _with_fault(numeric.transition(source, target), fault)
     rays = numeric.ray_matrix()
     d = triple.ray_count
-    source_positions = _positions(source)
-    target_positions = _positions(target)
     extra = [j for j in source if j not in target]
-    extra_cols = np.array([source.index(j) for j in extra], dtype=int)
-    extra_positions = _positions(extra)
+    extra_cols = [source.index(j) for j in extra]
+    extra_exponents = [[row[c] for c in extra_cols] for row in exponents]
     rng = _rng(cfg, "connecting_element", (source, target))
     for trial in range(cfg.samples):
         w = _sample_log_points(rng, n)
-        w_extra = w[extra_cols]
-        log_element = np.zeros(d, dtype=complex)
-        log_element[target_positions] += exponents[:, extra_cols] @ w_extra
-        log_element[extra_positions] -= w_extra
-        residual_kernel = float(np.max(np.abs(rays @ log_element)))
-        representative = np.ones(d, dtype=complex)
-        representative[source_positions] = np.exp(1j * _TWO_PI * w)
-        moved = np.exp(1j * _TWO_PI * log_element) * representative
-        expected = np.ones(d, dtype=complex)
-        expected[target_positions] = np.exp(1j * _TWO_PI * (exponents @ w))
-        scale = max(1.0, float(np.max(np.abs(expected))))
-        residual_match = float(np.max(np.abs(moved - expected))) / scale
+        w_extra = [w[c] for c in extra_cols]
+        log_element = [0j] * d
+        for j, v in zip(target, _matvec(extra_exponents, w_extra)):
+            log_element[j - 1] += v
+        for j, v in zip(extra, w_extra):
+            log_element[j - 1] -= v
+        residual_kernel = max(map(abs, _matvec(rays, log_element)))
+        representative = [1 + 0j] * d
+        for j, v in zip(source, _expi(w)):
+            representative[j - 1] = v
+        moved = [e * r for e, r in zip(_expi(log_element), representative)]
+        expected = [1 + 0j] * d
+        for j, v in zip(target, _expi(_matvec(exponents, w))):
+            expected[j - 1] = v
+        scale = max(1.0, max(map(abs, expected)))
+        residual_match = max(map(abs, map(sub, moved, expected))) / scale
         deviation = max(residual_kernel, residual_match)
         report.record((source, target), trial, cfg.seed,
                       "mismatch" if deviation >= cfg.tolerance else None,

@@ -85,7 +85,7 @@ def test_criterion_1_quasisphere(entries):
     }
     trials_per_direction = TRIALS // 4
     for cone in ((1,), (2,)):
-        exponents = numeric.group_exponents(cone)
+        exponents = np.asarray(numeric.group_exponents(cone))
         ours = GroupMembership(exponents, box=10, tolerance=TOLERANCE)
         theirs = GroupMembership(textbook[cone], box=10, tolerance=TOLERANCE)
         for _ in range(trials_per_direction):

@@ -200,6 +200,24 @@ def test_unbounded_polytope_exits_two(command, tmp_path, capsys):
                    "polytope: the edge on facets (1,) has one vertex\n")
 
 
+@pytest.mark.parametrize("command", ["polytope", "validate", "atlas", "verify"])
+def test_redundant_inequality_exits_two(command, tmp_path, capsys):
+    # the unit square plus x + y >= -5, which no vertex of the square meets
+    path = write_doc(tmp_path, {
+        "domain": {"kind": "rational"},
+        "quasilattice": {"generators": [["1", "0"], ["0", "1"]]},
+        "polytope": {"facets": [{"normal": ["1", "0"], "offset": "0"},
+                                {"normal": ["0", "1"], "offset": "0"},
+                                {"normal": ["-1", "0"], "offset": "-1"},
+                                {"normal": ["0", "-1"], "offset": "-1"},
+                                {"normal": ["1", "1"], "offset": "-5"}]},
+    })
+    code, out, err = run_cli([command, path], capsys)
+    assert (code, out) == (2, "")
+    assert err == ("quasifold: error: inequality 5 touches no vertex of the "
+                   "polytope (redundant)\n")
+
+
 def test_atlas_command(tmp_path, capsys):
     path = write_doc(tmp_path, gallery_json("kite"))
     code, out, _ = run_cli(["atlas", path, "--format", "json"], capsys)
@@ -429,6 +447,47 @@ def test_reports_byte_identical_across_processes():
     assert first.stdout == second.stdout
 
 
+def run_fresh(args, env=None, without_numpy=False):
+    """Run the CLI in a new interpreter; numpy can be made unimportable."""
+    code = ("import sys\n"
+            + ('sys.modules["numpy"] = None\n' if without_numpy else "")
+            + "from quasifold.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n")
+    return subprocess.run([sys.executable, "-c", code, *args],
+                          capture_output=True, text=True,
+                          env=dict(os.environ, **(env or {})))
+
+
+def test_runtime_needs_no_numpy(tmp_path, capsys):
+    cp2 = write_doc(tmp_path, gallery_json("cp2-11a"), "cp2-11a.json")
+    hirzebruch = write_doc(tmp_path, gallery_json("hirzebruch"),
+                           "hirzebruch.json")
+    for argv in (["gallery", "kite", "--samples", "10"],
+                 ["verify", cp2],
+                 ["polytope", hirzebruch],
+                 ["gallery", "dodecahedron", "--format", "json"]):
+        fresh = run_fresh(argv, without_numpy=True)
+        code, out, _ = run_cli(argv, capsys)
+        assert (fresh.returncode, code) == (0, 0), (argv, fresh.stderr)
+        assert fresh.stdout == out, argv
+    probe = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, quasifold.cli; print('numpy' in sys.modules)"],
+        capture_output=True, text=True)
+    assert probe.stdout == "False\n", probe.stderr
+
+
+def test_draws_do_not_depend_on_the_hash_seed(tmp_path):
+    # every generator is seeded from text, never from hash()
+    cp2 = write_doc(tmp_path, gallery_json("cp2-11a"), "cp2-11a.json")
+    for argv in (["gallery", "dodecahedron", "--format", "json", "--seed", "3"],
+                 ["verify", cp2]):
+        runs = [run_fresh(argv, env={"PYTHONHASHSEED": value})
+                for value in ("0", "1")]
+        assert [run.returncode for run in runs] == [0, 0], argv
+        assert runs[0].stdout == runs[1].stdout, argv
+
+
 def test_hirzebruch_matches_weighted_projective(capsys):
     # the {2,3} -> {1,3} chart change coincides across the two families
     outputs = []
@@ -517,17 +576,17 @@ FULL_REPORT_DIGESTS = {
     ("transition", "text"):
         "77626e43689c413a07281f488704d21b84852b9959e787c6ee85dfdde2485538",
     ("verify", "json"):
-        "72c56a9cdc7b7aaccabd49b82a05baec8bbd9c1198b3fc998d69d87cb540761b",
+        "88e6016f144cf4e5f47174ef4fd39802c78e12b7ead1a1241088b54319d63a13",
     ("verify", "text"):
-        "0b860c24c8d11ad3c851cbec820b8d6bd393fc64e0e28c34fb8db0530102a5c6",
+        "267f6679e0796999cdf96b797dc898eddf6c8accc57aac0ff150b50e0b716162",
     ("polytope", "json"):
         "4c134e828739657d3847da2de6fdc8e9249345cc4a7bdccddf6091f795c84cfc",
     ("polytope", "text"):
         "93cfbad53c1c6f9601b3b542594c1125d7291b2449eb7b96a5b377c906ac0190",
     ("gallery", "json"):
-        "50edcfb36d470e22db865d74a013e5855a9cdadaa335119dd82aefc2c0dbba03",
+        "2ea03144723c5cb5d8cf436668ff1469849d69e221b6630533407d3da51b6c96",
     ("gallery", "text"):
-        "28aa0bcbe6905f2f5a8271dc00567741379321e50e874acf5bba6100e7141886",
+        "2317d48d1cf21ab060a4c33ef96806103bea74634681e3b1a0e3cdc741f6785f",
 }
 
 

@@ -1,9 +1,14 @@
 import itertools
+import random
 
+import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from quasifold import (Fan, FundamentalTriple, Matrix, Quasilattice,
                        WitnessRecoveryError, ray_membership, validate)
+from quasifold.triples import _inside, float_solve
 
 # index sets of the twenty maximal cones of the dodecahedron fan
 DODECAHEDRON_CONES = [
@@ -89,6 +94,55 @@ def test_validate_probe_flags_support_gap(rational):
     report = validate(triple, probe_directions=128)
     assert report.passed
     assert report.probe_gaps > 0
+
+
+@pytest.mark.parametrize("dim", range(1, 7))
+def test_probe_covers_simplex_fans_once(rational, dim):
+    # the fan of the dim-simplex covers every direction exactly once; up to
+    # dimension four the probe's test is unrolled, above it is not
+    one, zero = rational.one(), rational.zero()
+    unit = [[one if i == j else zero for j in range(dim)] for i in range(dim)]
+    rays = unit + [[-one] * dim]
+    cones = [list(c) for c in itertools.combinations(range(1, dim + 2), dim)]
+    witnesses = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
+    lattice = Quasilattice(rational, Matrix.identity(rational, dim))
+    triple = FundamentalTriple(Fan(dim, rays, cones), lattice,
+                               witnesses + [(-1,) * dim])
+    report = validate(triple)
+    assert report.probe_ran and report.probe_directions == 64
+    assert (report.probe_gaps, report.probe_overlaps) == (0, 0)
+    # one cone alone leaves a gap in every dimension
+    alone = FundamentalTriple(Fan(dim, unit, [list(range(1, dim + 1))]),
+                              lattice, witnesses)
+    report = validate(alone)
+    assert report.probe_gaps > 0 and report.probe_overlaps == 0
+
+
+@pytest.mark.parametrize("dim", range(1, 7))
+def test_inside_matches_numpy(dim):
+    # the probe's test against numpy as a test-only oracle
+    rng = random.Random(dim)
+    for _ in range(20):
+        inverse = [[rng.gauss(0.0, 1.0) for _ in range(dim)]
+                   for _ in range(dim)]
+        directions = [[rng.gauss(0.0, 1.0) for _ in range(dim)]
+                      for _ in range(50)]
+        expected = np.flatnonzero(np.all(
+            np.array(inverse) @ np.array(directions).T >= -1e-9, axis=0))
+        assert _inside(inverse, directions) == expected.tolist()
+
+
+def test_probe_sees_a_fan_that_winds_twice(rational):
+    # five cones that wind twice around the origin cover every direction
+    # twice; the exact checks pass, only the probe notices
+    rays = [[rational.scalar(x), rational.scalar(y)] for x, y in
+            ((1, 0), (1, 3), (-4, 3), (-4, -3), (1, -3))]
+    fan = Fan(2, rays, [[1, 3], [2, 4], [3, 5], [1, 4], [2, 5]])
+    lattice = Quasilattice(rational, Matrix.identity(rational, 2))
+    report = validate(FundamentalTriple(
+        fan, lattice, [(1, 0), (1, 3), (-4, 3), (-4, -3), (1, -3)]))
+    assert report.passed
+    assert (report.probe_gaps, report.probe_overlaps) == (0, 64)
 
 
 def test_validate_deterministic(gallery):
@@ -203,3 +257,44 @@ def test_face_condition_matches_rank_oracle(gallery, rational):
             face_ranks(triple), name
     assert face_ranks(truncated) == (True, 60 * 59 // 2)
     assert face_ranks(repeated) == (True, 0)
+
+
+# ---------------------------------------------------------------------------
+# the float solve of the probe and the factorization check
+# ---------------------------------------------------------------------------
+
+_entries = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def float_systems(draw):
+    n = draw(st.integers(1, 4))
+    a = draw(st.lists(st.lists(_entries, min_size=n, max_size=n),
+                      min_size=n, max_size=n))
+    rhs = draw(st.lists(st.lists(_entries, min_size=n, max_size=n),
+                        min_size=1, max_size=5))
+    return a, rhs
+
+
+@given(float_systems())
+def test_float_solve_matches_numpy(system):
+    # numpy is a test-only oracle here; the runtime solve is plain Python
+    a, rhs = system
+    # well conditioned and well scaled: LAPACK returns nan on a subnormal
+    # 1 x 1 system, which is no disagreement worth testing
+    singular_values = np.linalg.svd(a, compute_uv=False)
+    assume(singular_values[-1] >= 1e-2
+           and singular_values[0] < 1e3 * singular_values[-1])
+    ours = np.array(float_solve(a, rhs))
+    theirs = np.linalg.solve(np.array(a), np.array(rhs).T).T
+    assert ours.shape == theirs.shape
+    scale = max(np.abs(theirs).max(), np.finfo(float).tiny)
+    assert np.abs(ours - theirs).max() <= 1e-12 * scale
+
+
+def test_float_solve_pivots_and_refuses_singular():
+    # a zero leading entry needs a row swap; an exactly singular matrix
+    # runs into a zero pivot
+    assert float_solve([[0.0, 1.0], [2.0, 0.0]], [[3.0, 4.0]]) == [[2.0, 3.0]]
+    with pytest.raises(ZeroDivisionError):
+        float_solve([[1.0, 2.0], [2.0, 4.0]], [[1.0, 0.0]])
