@@ -2,8 +2,9 @@
 
 Commands: validate, atlas, transition, polytope, verify, gallery.
 Exit codes: 0 success, 1 a check failed, 2 input error or an unsupported
-case.  The seed comes from --seed, then the QUASIFOLD_SEED environment
-variable, then the input document's options, then 0.
+case, 3 an internal error (any other exception, one line on stderr).  The
+seed comes from --seed, then the QUASIFOLD_SEED environment variable, then
+the input document's options, then 0.
 """
 
 from __future__ import annotations
@@ -24,9 +25,7 @@ from .documents import (InputError, atlas_section, build_report,
                         specialize_document, transition_section,
                         validation_section, verification_section)
 from .gallery import GALLERY_NAMES, load_gallery
-from .polytopes import GenericityError, SimplicityError
-from .scalars import ScalarSyntaxError
-from .triples import TripleValidationError, WitnessRecoveryError, validate
+from .triples import validate
 from .verify import TrialConfig, verify_triple
 
 __all__ = ["main"]
@@ -239,14 +238,15 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         code, rendered = run(args)
-    except (InputError, ScalarSyntaxError, TripleValidationError,
-            WitnessRecoveryError, SimplicityError, GenericityError,
-            ValueError) as exc:
+    except ValueError as exc:  # every input error and refusal is a ValueError
         print(f"quasifold: error: {exc}", file=sys.stderr)
         return 2
     except NotImplementedError as exc:
         print(f"quasifold: error: unsupported case: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        print(f"quasifold: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
     if args.out:
         with open(args.out, "w") as handle:
             handle.write(rendered)

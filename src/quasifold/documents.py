@@ -21,8 +21,8 @@ from typing import Optional
 from .atlas import Atlas, cocycle_check, fixed_point, orbit_report
 from .linalg import Matrix
 from .polytopes import Polytope, to_triple
-from .scalars import (NumberFieldDomain, RationalDomain,
-                      RationalFunctionDomain, ScalarDomain)
+from .scalars import (IndeterminateSignError, NumberFieldDomain,
+                      RationalDomain, RationalFunctionDomain, ScalarDomain)
 from .triples import (Fan, FundamentalTriple, Quasilattice,
                       with_recovered_witnesses)
 from .verify import VerificationSummary
@@ -235,7 +235,7 @@ def _combination_text(coefficients, labels, symbol="X"):
             continue
         try:
             negative = c.sign() < 0
-        except Exception:
+        except IndeterminateSignError:
             negative = False
         magnitude = -c if negative else c
         if magnitude == 1:

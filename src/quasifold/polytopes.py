@@ -8,9 +8,9 @@ inverts a matrix.  The normal fan then has one maximal cone per vertex,
 spanned by the normals of the facets through it; inequalities with an
 unbounded edge are refused.
 
-Over a parameter field, inequality signs that cannot be decided from
-coefficient signs are evaluated at two generic sample values which must
-agree; disagreement means the combinatorics depend on the parameter.
+Over a parameter field every inequality sign is proven for all admissible
+parameter values (see ``RationalFunctionDomain``); a sign that changes
+with the parameter means the combinatorics depend on it, and is refused.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
 from .linalg import Matrix, SingularMatrixError, dot
@@ -37,9 +36,6 @@ __all__ = [
     "normal_fan",
     "to_triple",
 ]
-
-_GENERIC_SAMPLES = (Fraction("1.41421356237309"), Fraction("1.73205080756888"))
-
 
 class SimplicityError(ValueError):
     """A vertex lies on more facets than the dimension allows."""
@@ -86,32 +82,13 @@ class Polytope:
         return len(self.facets)
 
 
-def _parameter_samples(polytope: Polytope, samples):
-    if polytope.domain.kind != "rational_function":
-        return None
-    if samples is not None:
-        pair = tuple(Fraction(str(s)) for s in samples)
-        if len(pair) != 2:
-            raise ValueError("exactly two parameter samples are required")
-        return pair
-    first = polytope.domain.default_sample or _GENERIC_SAMPLES[0]
-    second = _GENERIC_SAMPLES[1] if first != _GENERIC_SAMPLES[1] else _GENERIC_SAMPLES[0]
-    return (first, second)
-
-
-def _inequality_sign(value: Scalar, samples):
-    """Sign of a nonzero inequality slack, with dual-sample fallback."""
+def _inequality_sign(value: Scalar):
+    """Sign of a nonzero inequality slack or rate, for every parameter value."""
     try:
         return value.sign()
-    except IndeterminateSignError:
-        if samples is None:
-            raise
-        signs = {value.sign(parameter_sample=s) for s in samples}
-        if len(signs) != 1:
-            raise GenericityError(
-                f"the sign of {value.text()} differs between parameter samples "
-                f"{samples[0]} and {samples[1]}")
-        return signs.pop()
+    except IndeterminateSignError as exc:
+        raise GenericityError(
+            f"the vertex combinatorics depend on the parameter: {exc}") from exc
 
 
 def _simplicity_error(point, incident, n):
@@ -121,7 +98,7 @@ def _simplicity_error(point, incident, n):
         f"a simple polytope allows exactly {n}")
 
 
-def _start_vertex(polytope: Polytope, samples):
+def _start_vertex(polytope: Polytope):
     """The solution of the first feasible facet n-subset, with its slacks."""
     n = polytope.dim
     for subset in itertools.combinations(range(polytope.facet_count), n):
@@ -135,7 +112,7 @@ def _start_vertex(polytope: Polytope, samples):
         slacks = []
         for facet in polytope.facets:
             slack = dot(facet.normal, point) - facet.offset
-            if not slack.is_zero() and _inequality_sign(slack, samples) < 0:
+            if not slack.is_zero() and _inequality_sign(slack) < 0:
                 break
             slacks.append(slack)
         else:
@@ -164,7 +141,7 @@ def _pivot(tableau, k, b, order):
     return out
 
 
-def enumerate_vertices(polytope: Polytope, samples=None) -> Tuple[Vertex, ...]:
+def enumerate_vertices(polytope: Polytope) -> Tuple[Vertex, ...]:
     """All vertices with their exact coordinates and facet incidence.
 
     The vertices are found by walking the edges of the polyhedron (Avis &
@@ -200,14 +177,14 @@ def enumerate_vertices(polytope: Polytope, samples=None) -> Tuple[Vertex, ...]:
     arithmetic is exact and canonical, so every point, slack and direction
     equals the one an inverse of A_S at that vertex gives.
 
-    Raises SimplicityError when some vertex lies on more than n facets.
+    Raises SimplicityError when some vertex lies on more than n facets,
+    and GenericityError when a sign the walk needs depends on the parameter.
     """
     n = polytope.dim
     m = polytope.facet_count
     if m < n + 1:
         raise ValueError("a bounded polytope needs at least n + 1 facets")
-    samples = _parameter_samples(polytope, samples)
-    point, slacks = _start_vertex(polytope, samples)
+    point, slacks = _start_vertex(polytope)
     active = tuple(j for j, slack in enumerate(slacks) if slack.is_zero())
     if len(active) != n:
         raise _simplicity_error(point, tuple(j + 1 for j in active), n)
@@ -231,7 +208,7 @@ def enumerate_vertices(polytope: Polytope, samples=None) -> Tuple[Vertex, ...]:
             for j in range(m):
                 rate = tableau[j][k]
                 if (j in active or rate.is_zero()
-                        or _inequality_sign(rate, samples) > 0):
+                        or _inequality_sign(rate) > 0):
                     continue
                 if best is None:
                     best = j
@@ -239,7 +216,7 @@ def enumerate_vertices(polytope: Polytope, samples=None) -> Tuple[Vertex, ...]:
                 cross = slacks[best] * rate - slacks[j] * tableau[best][k]
                 if cross.is_zero():
                     tied = True
-                elif _inequality_sign(cross, samples) < 0:
+                elif _inequality_sign(cross) < 0:
                     best, tied = j, False
             if best is None:
                 continue  # an unbounded edge

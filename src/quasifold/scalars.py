@@ -122,8 +122,6 @@ def _peval(coeffs, x):
 
 def _peval_interval(coeffs, lo, hi):
     """Horner evaluation with exact interval arithmetic; returns (lo, hi)."""
-    if not coeffs:
-        return _F0, _F0
     rlo = rhi = coeffs[-1]
     for c in reversed(coeffs[:-1]):
         prods = (rlo * lo, rlo * hi, rhi * lo, rhi * hi)
@@ -162,12 +160,13 @@ def _zprimitive(a):
 
 
 def _zprem(a, b):
-    """A nonzero integer multiple of  a mod b  (deg a >= deg b)."""
+    """A positive integer multiple of  a mod b  (deg a >= deg b), so that
+    a Sturm chain built from it keeps its signs."""
     rem = list(a)
     lead, top = b[-1], len(b) - 1
     while len(rem) > top:
         c = rem[-1]
-        g = math.gcd(c, lead)
+        g = math.gcd(c, lead) if lead > 0 else -math.gcd(c, lead)
         scale, factor = lead // g, c // g
         if scale != 1:
             rem = [x * scale for x in rem]
@@ -200,6 +199,36 @@ def _zgcd(a, b):
             return power + _zprimitive(b)
         a, b = b, _zprimitive(rem)
     return power + (1,)
+
+
+def _variations(values):
+    """The sign changes along a sequence of numbers, zeros skipped."""
+    signs = [v > 0 for v in values if v]
+    return sum(s != t for s, t in zip(signs, signs[1:]))
+
+
+def _zsturm_count(p, lo=None, hi=None):
+    """The number of distinct real roots of p in (lo, hi], for rational
+    ends or None, which stands for -inf as lo and for +inf as hi.
+
+    Sturm's theorem (Basu, Pollack & Roy, Algorithms in Real Algebraic
+    Geometry, section 2.2): it is the drop in sign variations from lo to
+    hi along the chain p, p', -rem(p, p'), ..., built from positive
+    multiples of remainders and divided by its last member gcd(p, p').
+    """
+    chain = [p, tuple(k * c for k, c in enumerate(p))[1:]]
+    while len(chain[-1]) > 1:
+        rem = _zprem(chain[-2], chain[-1])
+        if not rem:
+            last = _zprimitive(chain[-1])
+            chain = [_zdiv(q, last) for q in chain]
+            break
+        g = math.gcd(*rem)
+        chain.append(tuple(-c // g for c in rem))
+    at_lo = [q[-1] * (-1) ** (len(q) - 1) if lo is None else _peval(q, lo)
+             for q in chain if q]
+    at_hi = [q[-1] if hi is None else _peval(q, hi) for q in chain if q]
+    return _variations(at_lo) - _variations(at_hi)
 
 
 def _as_fraction(value):
@@ -251,13 +280,12 @@ class ScalarDomain:
     """Base class for the three coefficient domains.
 
     Each domain instance memoises the inverse, the sign and the text of
-    the values it has seen, so each distinct one is computed once: inverse
-    and text are keyed by payload, the sign by ``(payload,
-    parameter_sample)``, so that no sample ever answers for another.  The
-    memos live as long as the domain, which one document owns; they hold
-    a few tens of entries even for a 60-chart atlas.  A call that raises
-    (a zero inverse, an undecidable sign, a zero divisor of a reducible
-    ``min_poly``) stores nothing, so the next call raises again.
+    the values it has seen, keyed by payload, so each distinct one is
+    computed once.  The memos live as long as the domain, which one
+    document owns; they hold a few tens of entries even for a 60-chart
+    atlas.  A call that raises (a zero inverse, an undecidable sign, a
+    factor shared with a reducible ``min_poly``) stores nothing, so the
+    next call raises again.
     """
 
     kind = "abstract"
@@ -268,13 +296,12 @@ class ScalarDomain:
         self._signs = {}
         self._texts = {}
 
-    def _memo(self, table, key, compute, *args):
-        """table[key], computed as compute(*args) on the first call."""
-        try:
-            return table[key]
-        except KeyError:
-            value = table[key] = compute(*args)
-            return value
+    def _memo(self, table, compute, a):
+        """table[a], computed as compute(a) on the first call."""
+        value = table.get(a)
+        if value is None:
+            value = table[a] = compute(a)
+        return value
 
     # -- construction ------------------------------------------------------
 
@@ -352,7 +379,7 @@ class ScalarDomain:
         """
         raise NotImplementedError
 
-    def _sign(self, a, parameter_sample=None):
+    def _sign(self, a):
         raise NotImplementedError
 
     def _eval(self, a, precision, parameter_sample=None):
@@ -411,7 +438,7 @@ class RationalDomain(ScalarDomain):
         return scale, [((x.payload.numerator * (scale // x.payload.denominator),),)
                        for x in scalars]
 
-    def _sign(self, a, parameter_sample=None):
+    def _sign(self, a):
         return (a > 0) - (a < 0)
 
     def _eval(self, a, precision, parameter_sample=None):
@@ -422,9 +449,10 @@ class NumberFieldDomain(ScalarDomain):
     """Q[x]/(p) embedded at a designated real root of the monic poly p.
 
     ``min_poly`` lists coefficients from the constant term up and must be
-    monic of degree >= 2.  ``embedding_approx`` is a decimal close enough to
-    the intended root to isolate it; the root is then refined by exact
-    interval bisection on demand.
+    monic of degree >= 2 and square-free.  ``embedding_approx`` is a decimal
+    close enough to the intended root, which must be irrational, to isolate
+    it: a Sturm count proves it alone in the interval, which exact
+    bisection then refines on demand.
 
     The element  (c0 + c1 x + ... + c_{d-1} x^{d-1}) / den  of Q[x]/(p),
     d = deg(p), is the payload ``(den, c0, ..., c_{d-1})`` of Python ints
@@ -442,7 +470,8 @@ class NumberFieldDomain(ScalarDomain):
     times the norm of c.  Fraction-free Bareiss elimination gives the
     adjugate column and the determinant with every division exact (Cohen,
     GTM 138, sections 2.2 and 4.2).  A nonzero c with det(N) = 0 is a zero
-    divisor, so p is reducible, and the inverse raises ZeroDivisionError.
+    divisor, so p is reducible, and the inverse raises ValueError; so do
+    sign and value when c shares with p a factor vanishing at the root.
     """
 
     kind = "number_field"
@@ -457,6 +486,10 @@ class NumberFieldDomain(ScalarDomain):
             raise ValueError("min_poly must be monic")
         self.min_poly = coeffs
         self.degree = len(coeffs) - 1
+        lcm = math.lcm(*(c.denominator for c in coeffs))
+        zp = self._zpoly = tuple(int(c * lcm) for c in coeffs)
+        if len(_zgcd(zp, tuple(k * c for k, c in enumerate(zp))[1:])) > 1:
+            raise ValueError("min_poly must be square-free")
         self.generator_symbol = generator_symbol
         self.embedding_approx = _as_fraction(embedding_approx)
         self._hash = hash((self.min_poly, self.generator_symbol, self.embedding_approx))
@@ -483,25 +516,20 @@ class NumberFieldDomain(ScalarDomain):
     def _isolate_root(self):
         p = self.min_poly
         approx = self.embedding_approx
-        if not _peval(p, approx):
-            # the approximation is itself an exact rational root
-            return approx, approx
         for exponent in range(12, -1, -1):
             radius = Fraction(1, 10 ** exponent)
             lo, hi = approx - radius, approx + radius
-            flo, fhi = _peval(p, lo), _peval(p, hi)
-            if not flo:
-                return lo, lo
-            if not fhi:
-                return hi, hi
-            if (flo < 0) != (fhi < 0):
-                # refine until the residual at the midpoint certifies the root win
+            values = [_peval(p, x) for x in (lo, approx, hi)]
+            if 0 in values:
+                root = (lo, approx, hi)[values.index(0)]
+                raise ValueError(f"min_poly has the rational root {root} next "
+                                 "to embedding_approx")
+            if (values[0] < 0) != (values[2] < 0):
                 for _ in range(40):
                     lo, hi = self._bisect_once(lo, hi)
-                mid = (lo + hi) / 2
-                if abs(_peval(p, mid)) >= Fraction(1, 10 ** 8):
-                    raise ValueError(
-                        "embedding_approx does not refine to a root of min_poly")
+                if _zsturm_count(self._zpoly, lo, hi) != 1:
+                    raise ValueError("embedding_approx does not isolate one "
+                                     "irrational root of min_poly")
                 return lo, hi
         raise ValueError("embedding_approx does not isolate a real root of min_poly")
 
@@ -613,9 +641,8 @@ class NumberFieldDomain(ScalarDomain):
         prev = 1
         for k in range(deg):
             p = next((i for i in range(k, deg) if work[i][k]), None)
-            if p is None:
-                raise ZeroDivisionError(
-                    "zero divisor encountered; min_poly is reducible")
+            if p is None:  # N is singular: c shares a factor with min_poly
+                self._refuse_factor(a, anywhere=True)
             work[k], work[p] = work[p], work[k]
             top, pivot = work[k], work[k][k]
             for i in range(k + 1, deg):
@@ -684,45 +711,51 @@ class NumberFieldDomain(ScalarDomain):
                 c = [x + top * r for x, r in zip(c, red)]
         return columns
 
-    def _sign(self, a, parameter_sample=None):
+    def _refuse_factor(self, a, anywhere=False):
+        """Raise ValueError when g = gcd(numerator of a, min_poly) is not constant
+        and, unless ``anywhere``, vanishes at the root: a is zero or a zero divisor."""
+        g = _zgcd(_ptrim(a[1:]), self._zpoly)
+        if len(g) > 1 and (anywhere or _zsturm_count(g, self._root_lo, self._root_hi)):
+            raise ValueError(
+                f"min_poly {_poly_text(self._zpoly, 'x')} is reducible: its factor "
+                f"{_poly_text(g, 'x')} divides the numerator of {self._text(a)}")
+
+    def _sign(self, a):
         if self._is_zero(a):
             return 0
         # the denominator is positive: the numerator carries the sign
         coeffs = _ptrim(a[1:])
         if len(coeffs) == 1:
             return 1 if coeffs[0] > 0 else -1
+        # unless a shared factor makes it zero, bisection separates the
+        # value from zero
+        self._refuse_factor(a)
         lo, hi = self.root_interval(Fraction(1, 10 ** 12))
-        for _ in range(300):
+        while True:
             vlo, vhi = _peval_interval(coeffs, lo, hi)
             if vlo > 0:
                 return 1
             if vhi < 0:
                 return -1
-            if lo == hi:
-                break
             lo, hi = self._bisect_once(lo, hi)
             self._root_lo, self._root_hi = lo, hi
-        raise ArithmeticError(
-            "cannot separate value from zero; is min_poly irreducible?")
 
     def _eval(self, a, precision, parameter_sample=None):
         rational = self._as_rational(a)
         if rational is not None:
             return _fraction_to_decimal(rational, precision)
+        self._refuse_factor(a)
         # bounds on the numerator; the relative-width test does not see den
         den, coeffs = a[0], _ptrim(a[1:])
         goal = Fraction(1, 10 ** precision)
         lo, hi = self.root_interval(Fraction(1, 10 ** (precision + 2)))
-        for _ in range(20000):
+        while True:
             vlo, vhi = _peval_interval(coeffs, lo, hi)
             mag = max(abs(vlo), abs(vhi))
             if mag and (vhi - vlo) <= mag * goal:
                 return _fraction_to_decimal((vlo + vhi) / (2 * den), precision)
-            if lo == hi:
-                return _fraction_to_decimal(vlo / den, precision)
             lo, hi = self._bisect_once(lo, hi)
             self._root_lo, self._root_hi = lo, hi
-        raise ArithmeticError("interval evaluation failed to converge")
 
 
 class RationalFunctionDomain(ScalarDomain):
@@ -738,9 +771,10 @@ class RationalFunctionDomain(ScalarDomain):
     the content.  Denominators 1 and powers of the parameter need no
     Euclid step.
 
-    Signs are decided symbolically only when numerator and denominator
-    each have single-signed coefficients; otherwise callers must supply a
-    sample value for the parameter.
+    A sign is proven for every admissible parameter value: Sturm counts
+    show that neither numerator nor denominator has a root where the
+    parameter may lie, so the sign at a = 1 holds throughout; otherwise
+    it raises IndeterminateSignError.
     """
 
     kind = "rational_function"
@@ -923,39 +957,28 @@ class RationalFunctionDomain(ScalarDomain):
         image = {a: ((v,),) for a, v in zip(distinct, values)}
         return scale, [image[a] for a in payloads]
 
-    def _single_signed(self, coeffs):
-        """+1 / -1 when all coefficients share a sign, else None."""
-        if all(c >= 0 for c in coeffs):
-            return 1
-        if all(c <= 0 for c in coeffs):
-            return -1
-        return None
-
     def _sample_value(self, a, sample):
         num, den = a
         dval = _peval(den, sample)
-        if not dval:
-            raise ZeroDivisionError(
-                f"denominator vanishes at sample {sample}")
+        if not dval:  # the sample comes from the input: refuse it as input
+            raise ValueError(f"the denominator of {self._text(a)} vanishes at "
+                             f"{self.generator_symbol} = {sample}")
         return _peval(num, sample) / dval
 
-    def _sign(self, a, parameter_sample=None):
+    def _sign(self, a):
         if self._is_zero(a):
             return 0
-        if parameter_sample is not None:
-            value = self._sample_value(a, _as_fraction(parameter_sample))
-            return (value > 0) - (value < 0)
-        if not self.parameter_positivity:
-            raise IndeterminateSignError(
-                "sign undecidable without the positivity assumption or a sample")
+        symbol = self.generator_symbol
+        lo = 0 if self.parameter_positivity else None
+        for p in a:
+            if _zsturm_count(p, lo):
+                where = f"real {symbol}" if lo is None else f"{symbol} > 0"
+                raise IndeterminateSignError(
+                    f"the sign of {self._text(a)} is not proven constant for "
+                    f"{where}: {_poly_text(p, symbol)} has a root there")
+        # no root where a may lie: the sign at a = 1 holds for every a
         num, den = a
-        num_sign = self._single_signed(num)
-        den_sign = self._single_signed(den)
-        if num_sign is None or den_sign is None:
-            raise IndeterminateSignError(
-                f"sign of {self._text(a)} depends on the value of "
-                f"{self.generator_symbol}; supply a parameter sample")
-        return num_sign * den_sign
+        return 1 if (sum(num) > 0) == (sum(den) > 0) else -1
 
     def _eval(self, a, precision, parameter_sample=None):
         sample = parameter_sample if parameter_sample is not None else self.default_sample
@@ -1055,7 +1078,7 @@ class Scalar:
 
     def inverse(self):
         domain, a = self.domain, self.payload
-        return Scalar(domain, domain._memo(domain._inverses, a, domain._inv, a))
+        return Scalar(domain, domain._memo(domain._inverses, domain._inv, a))
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -1082,11 +1105,10 @@ class Scalar:
         q = self.as_rational()
         return q is not None and q.denominator == 1
 
-    def sign(self, parameter_sample=None):
+    def sign(self):
         """Exact sign in {-1, 0, 1}."""
         domain, a = self.domain, self.payload
-        return domain._memo(domain._signs, (a, parameter_sample), domain._sign,
-                            a, parameter_sample)
+        return domain._memo(domain._signs, domain._sign, a)
 
     def eval_numeric(self, precision=15, parameter_sample=None) -> Decimal:
         """Decimal approximation with relative error below 10**-precision."""
@@ -1095,7 +1117,7 @@ class Scalar:
     def text(self):
         """Canonical grammar text; parsing it back reproduces the scalar."""
         domain, a = self.domain, self.payload
-        return domain._memo(domain._texts, a, domain._text, a)
+        return domain._memo(domain._texts, domain._text, a)
 
     def __str__(self):
         return self.text()

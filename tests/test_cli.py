@@ -218,6 +218,93 @@ def test_redundant_inequality_exits_two(command, tmp_path, capsys):
                    "polytope (redundant)\n")
 
 
+def polytope_doc(domain, facets):
+    return {"domain": domain,
+            "quasilattice": {"generators": [["1", "0"], ["0", "1"]]},
+            "polytope": {"facets": [{"normal": normal, "offset": offset}
+                                    for normal, offset in facets]}}
+
+
+@pytest.mark.parametrize("command", ["polytope", "atlas", "verify"])
+def test_parameter_dependent_combinatorics_exit_two(command, tmp_path, capsys):
+    # (D4) the unit triangle x, y >= 0, x + y <= a, cut by
+    # x <= a + (a - 3/2)(a - 8/5), which bites only for 3/2 < a < 8/5
+    path = write_doc(tmp_path, polytope_doc(
+        {"kind": "rational_function", "generator_symbol": "a"},
+        [(["1", "0"], "0"), (["0", "1"], "0"), (["-1", "-1"], "-a"),
+         (["-1", "0"], "-(a + (a - 3/2)*(a - 8/5))")]))
+    code, out, err = run_cli([command, path], capsys)
+    assert (code, out) == (2, "")
+    assert err == ("quasifold: error: the vertex combinatorics depend on the "
+                   "parameter: the sign of a^2 - 31/10*a + 12/5 is not proven "
+                   "constant for a > 0: 10*a^2 - 31*a + 24 has a root there\n")
+
+
+def test_rational_designated_root_exits_two(tmp_path, capsys):
+    # (D3) x^2 - 4 at 2 is not a number field; b - 2 would be zero
+    path = write_doc(tmp_path, polytope_doc(
+        {"kind": "number_field", "min_poly": ["-4", "0", "1"],
+         "generator_symbol": "b", "embedding_approx": "2"},
+        [(["1", "0"], "0"), (["0", "1"], "0"), (["-1", "-1"], "-b")]))
+    code, out, err = run_cli(["atlas", path], capsys)
+    assert (code, out) == (2, "")
+    assert err == ("quasifold: error: min_poly has the rational root 2 next "
+                   "to embedding_approx\n")
+
+
+def test_zero_valued_payload_exits_two(tmp_path, capsys):
+    # (D3, D5) (x^2 - 2)(x^2 - 3) at sqrt 2: the slack b^2 - 2 of facet 4
+    # at the origin is a nonzero payload of value zero; its sign used to
+    # raise ArithmeticError with a traceback and exit 1
+    path = write_doc(tmp_path, polytope_doc(
+        {"kind": "number_field", "min_poly": ["6", "0", "-5", "0", "1"],
+         "generator_symbol": "b", "embedding_approx": "1.41421356"},
+        [(["1", "0"], "0"), (["0", "1"], "0"), (["-1", "-1"], "-1"),
+         (["1", "1"], "2 - b^2")]))
+    code, out, err = run_cli(["polytope", path], capsys)
+    assert (code, out) == (2, "")
+    assert err == ("quasifold: error: min_poly x^4 - 5*x^2 + 6 is reducible: "
+                   "its factor x^2 - 2 divides the numerator of b^2 - 2\n")
+
+
+def test_substitute_at_a_pole_exits_two(tmp_path, capsys):
+    # a pinned parameter value where a denominator vanishes is bad input,
+    # not an internal error
+    path = write_doc(tmp_path, polytope_doc(
+        {"kind": "rational_function", "generator_symbol": "a"},
+        [(["1", "0"], "0"), (["0", "1"], "0"), (["-1", "-1"], "-1/(a - 1)^2")]))
+    code, out, err = run_cli(["polytope", path, "--substitute", "a=1"], capsys)
+    assert (code, out) == (2, "")
+    assert err == ("quasifold: error: the denominator of -1/(a^2 - 2*a + 1) "
+                   "vanishes at a = 1\n")
+
+
+def test_internal_error_exits_three(monkeypatch, capsys):
+    # (D5) a fault of the program is one stderr line and exit 3, never
+    # exit 1, which means a failed check
+    import quasifold.cli
+
+    def broken(args):
+        raise RuntimeError("boom")
+    monkeypatch.setattr(quasifold.cli, "run", broken)
+    code, out, err = run_cli(["gallery", "kite"], capsys)
+    assert (code, out) == (3, "")
+    assert err == "quasifold: internal error: RuntimeError: boom\n"
+
+
+def test_combination_text_lets_refusals_through():
+    # only an undecidable parameter sign renders as a + term; a refusal
+    # from sign() reaches the caller
+    from quasifold import NumberFieldDomain, RationalFunctionDomain, parse_scalar
+    from quasifold.documents import _combination_text
+    parameter = RationalFunctionDomain("a")
+    terms = [parse_scalar(x, parameter) for x in ("1", "1 - a", "-a")]
+    assert _combination_text(terms, [1, 2, 3]) == "X1 + (-a + 1)*X2 - a*X3"
+    field = NumberFieldDomain(["6", "0", "-5", "0", "1"], "b", "1.41421356")
+    with pytest.raises(ValueError, match="reducible"):
+        _combination_text([parse_scalar("b^2 - 2", field)], [1])
+
+
 def test_atlas_command(tmp_path, capsys):
     path = write_doc(tmp_path, gallery_json("kite"))
     code, out, _ = run_cli(["atlas", path, "--format", "json"], capsys)

@@ -6,9 +6,10 @@ from fractions import Fraction
 import pytest
 
 from quasifold import (Facet, GenericityError, Matrix, Polytope,
-                       Quasilattice, SimplicityError, SingularMatrixError,
-                       TrialConfig, Vertex, dot, enumerate_vertices,
-                       load_gallery, normal_fan, to_triple, validate,
+                       Quasilattice, RationalDomain, SimplicityError,
+                       SingularMatrixError, TrialConfig, Vertex, dot,
+                       enumerate_vertices, load_document, load_gallery,
+                       normal_fan, specialize_document, to_triple, validate,
                        verify_triple)
 
 
@@ -120,7 +121,7 @@ def test_offsets_are_vertex_minima(gallery):
 def _is_positive(scalar, doc):
     if doc.domain.kind == "rational_function":
         sample = doc.domain.default_sample or Fraction("1.41421356237309")
-        return scalar.sign(parameter_sample=sample) > 0
+        scalar = doc.domain.substitute(scalar, sample, RationalDomain())
     return scalar.sign() > 0
 
 
@@ -142,7 +143,7 @@ def test_to_triple_assembles(parameter):
 
 
 def test_genericity_error_when_samples_disagree(parameter):
-    # the slack 3/2 - a flips sign between the two generic samples
+    # the slack 3/2 - a changes sign at a = 3/2
     shape = Polytope.from_strings(parameter, [
         (["1", "0"], "0"),
         (["0", "1"], "0"),
@@ -153,18 +154,35 @@ def test_genericity_error_when_samples_disagree(parameter):
         enumerate_vertices(shape)
 
 
-def test_sample_override_resolves(parameter):
-    shape = Polytope.from_strings(parameter, [
-        (["1", "0"], "0"),
-        (["0", "1"], "0"),
-        (["-1", "-1"], "-a"),
-        (["-1", "0"], "-3/2"),
-    ])
+def _triangle_document(cut):
+    """x, y >= 0 and x + y <= a, cut by x <= the given offset text."""
+    facets = [(["1", "0"], "0"), (["0", "1"], "0"), (["-1", "-1"], "-a"),
+              (["-1", "0"], f"-({cut})")]
+    return load_document({
+        "domain": {"kind": "rational_function", "generator_symbol": "a"},
+        "quasilattice": {"generators": [["1", "0"], ["0", "1"]]},
+        "polytope": {"facets": [{"normal": normal, "offset": offset}
+                                for normal, offset in facets]},
+    })
+
+
+def test_sample_override_resolves():
+    doc = _triangle_document("3/2")
     # small a: the x <= 3/2 cut is inactive, leaving the plain triangle
-    vertices = enumerate_vertices(shape, samples=("1.2", "1.3"))
+    vertices = enumerate_vertices(specialize_document(doc, "6/5").polytope)
     assert {v.incident for v in vertices} == {(1, 2), (1, 3), (2, 3)}
     # large a: the cut truncates the corner at (a, 0)
-    vertices = enumerate_vertices(shape, samples=("1.8", "1.9"))
+    vertices = enumerate_vertices(specialize_document(doc, "19/10").polytope)
+    assert {v.incident for v in vertices} == {(1, 2), (1, 3), (2, 4), (3, 4)}
+
+
+def test_genericity_between_two_samples_is_refused():
+    # (D4) x <= a + (a - 3/2)(a - 8/5): the cut is inactive at a = 1.41...
+    # and at a = 1.73..., but cuts the corner at (a, 0) for 3/2 < a < 8/5
+    doc = _triangle_document("a + (a - 3/2)*(a - 8/5)")
+    with pytest.raises(GenericityError, match="10\\*a\\^2 - 31\\*a \\+ 24"):
+        enumerate_vertices(doc.polytope)
+    vertices = enumerate_vertices(specialize_document(doc, "31/20").polytope)
     assert {v.incident for v in vertices} == {(1, 2), (1, 3), (2, 4), (3, 4)}
 
 

@@ -180,14 +180,43 @@ def test_sign_golden_minus_one(golden):
 
 
 def test_sign_parameter_indeterminate(parameter):
+    from quasifold import RationalDomain
     a = parameter.generator()
     for _ in range(2):  # a raised sign is never memoised
-        with pytest.raises(IndeterminateSignError):
+        with pytest.raises(IndeterminateSignError, match="a - 1 has a root"):
             (a - 1).sign()
-    assert (a - 1).sign(parameter_sample=Fraction(2)) == 1
-    assert (a - 1).sign(parameter_sample=Fraction("1/2")) == -1
+    # a pinned parameter is an exact substitution, not a sign argument
+    rational = RationalDomain()
+    assert parameter.substitute(a - 1, 2, rational).sign() == 1
+    assert parameter.substitute(a - 1, Fraction(1, 2), rational).sign() == -1
     assert a.sign() == 1
     assert (-a - 1).sign() == -1
+
+
+def test_sign_parameter_proven_by_root_count(parameter):
+    # mixed coefficient signs, yet no root for a > 0: the sign is proven
+    a = parameter.generator()
+    assert (a ** 2 - a + 1).sign() == 1
+    assert ((a - 1) ** 2 + Fraction(1, 100)).sign() == 1
+    assert (-1 / (a ** 2 - 2 * a + 2)).sign() == -1
+    # a double root changes no sign, but it is a root, so no proof
+    with pytest.raises(IndeterminateSignError):
+        ((a - 1) ** 2).sign()
+    # (a - 3/2)(a - 8/5) is positive at 1.41... and 1.73... alike
+    with pytest.raises(IndeterminateSignError):
+        ((a - Fraction(3, 2)) * (a - Fraction(8, 5))).sign()
+
+
+def test_sign_parameter_over_all_reals():
+    from quasifold import RationalFunctionDomain
+    domain = RationalFunctionDomain("t", parameter_positivity=False)
+    t = domain.generator()
+    assert (t ** 2 + 1).sign() == 1
+    assert (-1 / (t ** 4 + t + 1)).sign() == -1
+    with pytest.raises(IndeterminateSignError, match="real t"):
+        t.sign()
+    with pytest.raises(IndeterminateSignError):
+        (t ** 3 + 1).sign()  # its only real root is -1
 
 
 # ---------------------------------------------------------------------------
@@ -209,22 +238,64 @@ def test_embedding_approx_must_isolate_a_root():
 
 
 def test_reducible_min_poly_surfaces_as_zero_divisor():
-    # x^2 - 1 factors; inverting r - 1 hits the zero divisor
+    # x^2 - 1 factors, and the designated root is the rational root 1
     from quasifold import NumberFieldDomain
-    domain = NumberFieldDomain(["-1", "0", "1"], "r", "1.0000000001")
-    for _ in range(2):  # a failed inverse is never memoised
-        with pytest.raises(ZeroDivisionError):
-            (domain.generator() - 1).inverse()
+    with pytest.raises(ValueError, match="rational root 1 "):
+        NumberFieldDomain(["-1", "0", "1"], "r", "1.0000000001")
+    # (D3) x^2 - 4 at 2: b - 2 would be a nonzero payload of value zero
+    with pytest.raises(ValueError, match="rational root 2 "):
+        NumberFieldDomain(["-4", "0", "1"], "b", "2")
 
 
-@pytest.mark.parametrize("samples", [(1, 2), (2, 1)])
-def test_sign_memo_keeps_samples_apart(samples):
-    from quasifold import RationalFunctionDomain
-    domain = RationalFunctionDomain("a")
-    x = domain.generator() - Fraction(3, 2)
-    expected = {1: -1, 2: 1}
-    for sample in samples + samples:
-        assert x.sign(parameter_sample=Fraction(sample)) == expected[sample]
+def test_min_poly_must_be_square_free():
+    from quasifold import NumberFieldDomain
+    with pytest.raises(ValueError, match="square-free"):
+        NumberFieldDomain(["4", "0", "-4", "0", "1"], "b", "1.41421356")  # (x^2-2)^2
+
+
+def test_factor_shared_with_min_poly_is_refused():
+    # (D3) (x^2 - 2)(x^2 - 3) at sqrt 2: b^2 - 2 is a nonzero payload whose
+    # value is zero; b^2 - 3 is a zero divisor of value -1
+    from quasifold import NumberFieldDomain
+    domain = NumberFieldDomain(["6", "0", "-5", "0", "1"], "b", "1.41421356")
+    zero = parse_scalar("b^2 - 2", domain)
+    assert not zero.is_zero()
+    for call in (zero.sign, zero.inverse, zero.eval_numeric):
+        for _ in range(2):  # a refusal is never memoised
+            with pytest.raises(ValueError, match="factor x\\^2 - 2 divides"):
+                call()
+    divisor = parse_scalar("b^2 - 3", domain)
+    assert divisor.sign() == -1
+    assert abs(divisor.eval_numeric(6) + 1) < Decimal("1e-6")
+    with pytest.raises(ValueError, match="factor x\\^2 - 3 divides"):
+        divisor.inverse()
+    assert (domain.generator() - 1).sign() == 1
+
+
+@settings(max_examples=300)
+@given(factors=st.lists(st.lists(st.integers(-4, 4), min_size=1, max_size=4),
+                        min_size=1, max_size=3),
+       square=st.booleans(),
+       ends=st.tuples(*[st.one_of(st.none(), st.fractions(-5, 5, max_denominator=4))] * 2))
+def test_sturm_count_matches_sympy(factors, square, ends):
+    # products of small factors, squared or not, so that multiple roots
+    # and roots at the ends occur; compared on (lo, hi]
+    sympy = pytest.importorskip("sympy")
+    from quasifold.scalars import _zsturm_count
+    x = sympy.Symbol("x")
+    poly = sympy.Poly(1, x)
+    for coeffs in factors:
+        factor = sympy.Poly(list(reversed(coeffs)), x)
+        if not factor.is_zero:
+            poly *= factor ** 2 if square else factor
+    lo, hi = ends
+    if lo is not None and hi is not None and lo > hi:
+        lo, hi = hi, lo
+    expected = poly.count_roots(lo, hi)
+    if lo is not None and not poly.eval(lo):
+        expected -= 1
+    p = tuple(int(c) for c in reversed(poly.all_coeffs()))
+    assert _zsturm_count(p, lo, hi) == expected
 
 
 def test_memo_computes_each_value_once(monkeypatch, capsys):
@@ -617,21 +688,19 @@ class OracleRationalFunctions:
             raise ZeroDivisionError(sample)
         return poly_value(x[0], sample) / den
 
-    def sign(self, x, sample=None):
+    def sign(self, x):
+        """The sign for every a > 0, from sympy's count of the real roots
+        of numerator and denominator in [0, oo), less a root at 0."""
+        import sympy
         if not x[0]:
             return 0
-        if sample is not None:
-            value = self.value(x, sample)
-            return (value > 0) - (value < 0)
-        signs = []
+        symbol = sympy.Symbol(self.symbol)
         for poly in x:
-            if all(c >= 0 for c in poly):
-                signs.append(1)
-            elif all(c <= 0 for c in poly):
-                signs.append(-1)
-            else:
+            p = sympy.Poly(list(reversed(poly)), symbol)
+            if p.count_roots(0) - (not poly[0]):
                 raise IndeterminateSignError(self.text(x))
-        return signs[0] * signs[1]
+        value = self.value(x, Fraction(1))
+        return (value > 0) - (value < 0)
 
     def rational_rows(self, coefficients, target):
         values = [*coefficients, target]
@@ -740,13 +809,12 @@ def check_rf(scalar, expected):
         try:
             value = RF_ORACLE.value(expected, sample)
         except ZeroDivisionError:
-            with pytest.raises(ZeroDivisionError):
-                scalar.sign(parameter_sample=sample)
-            with pytest.raises(ZeroDivisionError):
+            with pytest.raises(ValueError, match="vanishes at a = "):
                 RF.substitute(scalar, sample, rational)
             continue
-        assert scalar.sign(parameter_sample=sample) == (value > 0) - (value < 0)
-        assert RF.substitute(scalar, sample, rational).as_rational() == value
+        pinned = RF.substitute(scalar, sample, rational)
+        assert pinned.sign() == (value > 0) - (value < 0)
+        assert pinned.as_rational() == value
         decimal = scalar.eval_numeric(15, parameter_sample=sample)
         assert abs(Fraction(decimal) - value) <= abs(value) * Fraction(1, 10 ** 14)
 
