@@ -14,9 +14,8 @@ from .scalars import (DomainMismatchError, IndeterminateSignError,
                       RationalFunctionDomain, Scalar, ScalarDomain,
                       ScalarSyntaxError, parse_scalar)
 from .linalg import (DimensionMismatchError, Matrix, SingularMatrixError,
-                     dot, solve_general)
-from .triples import (Fan, FundamentalTriple, Quasilattice,
-                      TripleValidationError, ValidationReport,
+                     dot, integer_solve, solve_general)
+from .triples import (Fan, FundamentalTriple, Quasilattice, ValidationReport,
                       WitnessRecoveryError, ray_membership, validate,
                       with_recovered_witnesses)
 from .atlas import (Atlas, Chart, CocycleReport, MonomialMap, OrbitRow,

@@ -248,8 +248,12 @@ def main(argv=None) -> int:
         print(f"quasifold: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
     if args.out:
-        with open(args.out, "w") as handle:
-            handle.write(rendered)
+        try:
+            with open(args.out, "w") as handle:
+                handle.write(rendered)
+        except OSError as exc:
+            print(f"quasifold: error: cannot write {args.out}: {exc}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(rendered)
     return code

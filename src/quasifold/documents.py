@@ -170,7 +170,7 @@ def load_document(data, name=None) -> InputDocument:
 def document_to_triple(doc: InputDocument):
     """Assemble the fundamental triple; returns (triple, normal_fan_result).
 
-    Missing ray witnesses are recovered by the bounded integer search.
+    Missing ray witnesses are recovered by an exact integer solve.
     """
     if doc.fan is not None:
         triple = FundamentalTriple(doc.fan, doc.lattice, doc.witnesses)

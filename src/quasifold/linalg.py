@@ -12,7 +12,7 @@ One back-substitution serves every solve: ``solve`` and ``inverse`` pass
 their right-hand sides as augmented columns, and ``solve_general`` passes
 its free columns too, so the kernel basis comes out of the same loop.  The
 distinguished kernel basis of a ray map over a chosen cone is built in
-``atlas.relations``.
+``atlas.relations``.  ``integer_solve`` solves rational systems over Z.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ __all__ = [
     "Matrix",
     "SingularMatrixError",
     "dot",
+    "integer_solve",
     "solve_general",
 ]
 
@@ -271,3 +272,37 @@ def solve_general(matrix: Matrix, rhs: Sequence[Scalar]):
             vector[c] = -column[c]
         kernel.append(tuple(vector))
     return tuple(particular), kernel
+
+
+def integer_solve(rows, rhs):
+    """One integer x with rows x = rhs (Fractions), or None if there is none.
+
+    Euclid along each row, by column operations that carry the identity
+    below the rows, brings the matrix to column echelon form H = A U with U
+    unimodular; forward substitution solves H y = rhs over Z as the rows are
+    reduced, and x = U y (Cohen, GTM 138, section 2.4).  A row's entries lie
+    in one (1/d) Z, so Euclid ends without clearing denominators.
+    """
+    r, k = len(rows), len(rows[0])
+    # column j: its entry in each row, then column j of U
+    columns = [[row[j] for row in rows] + [int(i == j) for i in range(k)]
+               for j in range(k)]
+    y = []
+    for i, b in enumerate(rhs):
+        live = [j for j in range(len(y), k) if columns[j][i]]
+        while len(live) > 1:
+            pivot = columns[min(live, key=lambda j: abs(columns[j][i]))]
+            for j in live:
+                if columns[j] is not pivot:
+                    q = columns[j][i] // pivot[i]
+                    columns[j] = [a - q * c for a, c in zip(columns[j], pivot)]
+            live = [j for j in live if columns[j][i]]
+        remainder = b - sum(columns[j][i] * yj for j, yj in enumerate(y))
+        if live:
+            p = len(y)
+            columns[p], columns[live[0]] = columns[live[0]], columns[p]
+            q, remainder = divmod(remainder, columns[p][i])
+            y.append(q)
+        if remainder:
+            return None
+    return [sum(columns[j][r + l] * yj for j, yj in enumerate(y)) for l in range(k)]

@@ -284,7 +284,7 @@ def to_triple(polytope: Polytope, lattice: Quasilattice,
               witnesses: Optional[Sequence[Optional[Sequence[int]]]] = None):
     """Assemble the fundamental triple of the polytope's normal fan.
 
-    Missing witnesses are recovered by the bounded search.  Returns
+    Missing witnesses are recovered by an exact integer solve.  Returns
     (triple, normal_fan_result); the vertex/cone table is kept for reporting.
     """
     result = normal_fan(polytope)

@@ -12,18 +12,17 @@ import itertools
 import random
 from dataclasses import dataclass
 from functools import reduce
-from math import hypot, lcm
+from math import hypot
 from operator import add, mul
 from typing import Optional, Sequence
 
-from .linalg import Matrix, solve_general
+from .linalg import Matrix, integer_solve, solve_general
 from .scalars import RationalDomain, Scalar, ScalarDomain
 
 __all__ = [
     "Fan",
     "FundamentalTriple",
     "Quasilattice",
-    "TripleValidationError",
     "ValidationReport",
     "WitnessRecoveryError",
     "ray_membership",
@@ -32,12 +31,8 @@ __all__ = [
 ]
 
 
-class TripleValidationError(ValueError):
-    """A hard validation failure (simpliciality or quasirationality)."""
-
-
 class WitnessRecoveryError(ValueError):
-    """No integer witness could be found within the search bounds."""
+    """A ray is not an integer combination of the quasilattice generators."""
 
 
 class Quasilattice:
@@ -314,88 +309,54 @@ def validate(triple: FundamentalTriple, probe_directions: int = 64,
 # ---------------------------------------------------------------------------
 
 def ray_membership(triple: FundamentalTriple, j: int):
-    """Verify or recover the integer witness for ray j (1-based).
+    """The least integer m with G m = X_j (1-based j) by max-norm, then
+    l1-norm, then lexicographic order.
 
-    A supplied witness is verified exactly.  Otherwise the rational solution
-    set of  G m = X_j  is computed and integer points are searched by
-    enumerating integer coefficient offsets in [-10, 10] on the kernel
-    directions.
+    ``integer_solve`` proves that m exists.  Each rational solution is the
+    particular solution of ``solve_general`` plus its free coordinates times
+    the kernel basis, so an m of max-norm B has free coordinates in [-B, B];
+    B grows until an m appears.
     """
     if not 1 <= j <= triple.ray_count:
         raise ValueError(f"ray index {j} out of range")
-    witness = triple.witnesses[j - 1]
     target_ray = triple.ray(j)
-    if witness is not None:
-        value = triple.lattice.combination(witness)
-        if all((x - y).is_zero() for x, y in zip(value, target_ray)):
-            return witness
-        raise WitnessRecoveryError(
-            f"stored witness for ray {j} does not reproduce the ray")
+    domain, generators = triple.domain, triple.lattice.generators
+    rows, rhs = zip(*(eq for i in range(triple.dim)
+                      for eq in domain.rational_rows(generators.row(i), target_ray[i])))
+    if integer_solve(rows, rhs) is None:
+        raise WitnessRecoveryError(f"ray {j} is not in the Z-span of the lattice generators")
+    particular, kernel = solve_general(Matrix.from_rows(RationalDomain(), rows), rhs)
+    # the free coordinate of a kernel vector is its last nonzero entry,
+    # and coordinate c depends only on the free coordinates after c
+    directions = {max(c for c, x in enumerate(v) if not x.is_zero()):
+                  [x.payload for x in v] for v in kernel}
 
-    rational = RationalDomain()
-    rows, rhs = [], []
-    generators = triple.lattice.generators
-    for i in range(triple.dim):
-        coeff_row = [generators[i, l] for l in range(generators.cols)]
-        for row, value in triple.domain.rational_rows(coeff_row, target_ray[i]):
-            rows.append([rational.scalar(x) for x in row])
-            rhs.append(rational.scalar(value))
-    system = Matrix.from_rows(rational, rows)
-    solved = solve_general(system, rhs)
-    if solved is None:
-        raise WitnessRecoveryError(
-            f"ray {j} is not a rational combination of the lattice generators")
-    particular, kernel = solved
+    def witnesses(c, point, bound):
+        if c < 0:
+            yield tuple(int(x) for x in point)
+        elif c in directions:
+            for t in range(-bound, bound + 1):
+                yield from witnesses(c - 1, [x + t * v for x, v in zip(
+                    point, directions[c])], bound)
+        elif point[c].denominator == 1 and abs(point[c]) <= bound:
+            yield from witnesses(c - 1, point, bound)
 
-    def integer_vector(vec):
-        out = []
-        for x in vec:
-            q = x.as_rational()
-            if q.denominator != 1:
-                return None
-            out.append(int(q))
-        return out
-
-    scaled_kernel = []
-    for vec in kernel:
-        denominators = [x.as_rational().denominator for x in vec]
-        scale = lcm(*denominators) if denominators else 1
-        scaled_kernel.append([x * scale for x in vec])
-
-    box = 10
-    free_dim = len(scaled_kernel)
-    if (2 * box + 1) ** free_dim > 2_000_000:
-        raise WitnessRecoveryError(
-            f"witness search space too large ({free_dim} free directions); "
-            "supply witnesses explicitly")
-    candidates = []
-    for offsets in itertools.product(range(-box, box + 1), repeat=free_dim):
-        point = list(particular)
-        for c, direction in zip(offsets, scaled_kernel):
-            if c:
-                point = [p + c * v for p, v in zip(point, direction)]
-        m = integer_vector(point)
-        if m is not None:
-            size = (max(abs(c) for c in m), sum(abs(c) for c in m)) if m else (0, 0)
-            candidates.append((size, m))
-    if not candidates:
-        particular_txt = [x.text() for x in particular]
-        raise WitnessRecoveryError(
-            f"no integer witness for ray {j} within box {box}; "
-            f"rational solution {particular_txt} plus {free_dim} kernel directions")
-    candidates.sort(key=lambda pair: (pair[0], pair[1]))
-    m = candidates[0][1]
+    point = [x.payload for x in particular]
+    # the coordinates after the last free one are fixed: B starts at them
+    bound = int(max(map(abs, point[max(directions, default=-1) + 1:]), default=0))
+    while not (found := list(witnesses(len(point) - 1, point, bound))):
+        bound += 1
+    m = min(found, key=lambda m: (max(map(abs, m)), sum(map(abs, m)), m))
     value = triple.lattice.combination(m)
     if any(not (x - y).is_zero() for x, y in zip(value, target_ray)):
         raise WitnessRecoveryError(f"recovered witness for ray {j} failed verification")
-    return tuple(m)
+    return m
 
 
 def with_recovered_witnesses(triple: FundamentalTriple) -> FundamentalTriple:
-    """Fill in any missing ray witnesses by the bounded recovery search."""
+    """Fill in any missing ray witnesses with their canonical recovered ones."""
     if all(w is not None for w in triple.witnesses):
         return triple
-    witnesses = [triple.witnesses[j - 1] if triple.witnesses[j - 1] is not None
-                 else ray_membership(triple, j)
-                 for j in range(1, triple.ray_count + 1)]
+    witnesses = [w if w is not None else ray_membership(triple, j)
+                 for j, w in enumerate(triple.witnesses, 1)]
     return FundamentalTriple(triple.fan, triple.lattice, witnesses)

@@ -3,7 +3,7 @@
 Expected values are the known closed forms of these classical examples
 (transition displays, the dodecahedron cone table, golden-ratio relations) or
 from independent oracles computed here (brute-force integer linear algebra,
-direct complex evaluation through the membership search).
+exact integer solves for chart-group membership).
 """
 
 import itertools
@@ -11,15 +11,14 @@ import math
 import random
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
-from quasifold import (Atlas, Fan, FundamentalTriple, GroupMembership,
-                       Matrix, NumericAtlas, Quasilattice, TrialConfig,
-                       check_branch_invariance, check_connecting_element,
-                       check_factorization, check_transition_equivariance,
+from quasifold import (Atlas, Fan, FundamentalTriple, Matrix, NumericAtlas,
+                       Quasilattice, TrialConfig, check_branch_invariance,
+                       check_connecting_element, check_factorization,
+                       check_transition_equivariance,
                        cocycle_check, load_gallery, specialize_document,
-                       document_to_triple, verify_triple)
+                       document_to_triple, integer_solve, verify_triple)
 
 TOLERANCE = 1e-9
 TRIALS = 100
@@ -67,6 +66,19 @@ def matrix_of(domain, rows):
     return Matrix.from_rows(domain, rows)
 
 
+def in_group(domain, exponents, phase):
+    """Whether phase lies in exponents Z^k + Z^n: an integer solution of
+    [C | I] (m, u) = phase, exact over Q through ``rational_rows``."""
+    rows, rhs = [], []
+    for i in range(exponents.rows):
+        identity = [domain.scalar(int(i == l)) for l in range(exponents.rows)]
+        for row, value in domain.rational_rows([*exponents.row(i), *identity],
+                                               phase[i]):
+            rows.append(row)
+            rhs.append(value)
+    return integer_solve(rows, rhs) is not None
+
+
 def test_criterion_1_quasisphere(entries):
     doc, triple, _, atlas = entries["quasisphere"]
     tmap = atlas.transition((1,), (2,))
@@ -74,36 +86,23 @@ def test_criterion_1_quasisphere(entries):
     assert tmap.render() == "[z^-a]"
 
     # the chart groups generate the same subgroups of the circle as the
-    # textbook generators h/a and a h: membership trials both ways
-    sample = float(Fraction("1.41421356237309"))
-    numeric = NumericAtlas(triple, atlas=atlas)
-    rng = np.random.default_rng(2024)
-    failures = 0
-    textbook = {
-        (1,): np.array([[1.0 / sample]]),
-        (2,): np.array([[sample]]),
-    }
-    trials_per_direction = TRIALS // 4
-    for cone in ((1,), (2,)):
-        exponents = np.asarray(numeric.group_exponents(cone))
-        ours = GroupMembership(exponents, box=10, tolerance=TOLERANCE)
-        theirs = GroupMembership(textbook[cone], box=10, tolerance=TOLERANCE)
-        for _ in range(trials_per_direction):
-            h = int(rng.integers(-8, 9))
-            theta = np.mod(textbook[cone] @ np.array([h]), 1.0)
-            witness, residual = ours.find(theta)
-            if witness is None or residual >= TOLERANCE:
-                failures += 1
-        for _ in range(trials_per_direction):
-            m = rng.integers(-5, 6, 2)
-            theta = np.mod(exponents @ m, 1.0)
-            witness, residual = theirs.find(theta)
-            if witness is None or residual >= TOLERANCE:
-                failures += 1
-    assert failures == 0
+    # textbook generators h/a and a h: exact membership both ways
+    domain = doc.domain
+    textbook = {(1,): "1/a", (2,): "a"}
+    checks = 0
+    for cone, generator in textbook.items():
+        ours = atlas.chart(cone).group_exponents
+        theirs = matrix_of(domain, [[generator]])
+        for group, other in ((ours, theirs), (theirs, ours)):
+            for column in range(other.cols):
+                assert in_group(domain, group, other.column(column))
+                checks += 1
+    # a phase outside both groups is refused
+    assert not in_group(domain, atlas.chart((1,)).group_exponents,
+                        [domain.scalar("1/2") / domain.generator()])
     print("criterion 1: PASS - quasisphere transition [z^-a] exact; "
           "chart groups match the textbook generators in "
-          f"{trials_per_direction * 4} membership trials")
+          f"{checks} exact membership checks")
 
 
 def test_criterion_2_weighted_projective(entries):

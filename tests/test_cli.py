@@ -4,12 +4,14 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from importlib import resources
 
 import jsonschema
 import pytest
 
-from quasifold import load_report_schema
+from quasifold import (document_to_triple, load_document, load_report_schema,
+                       specialize_document)
 from quasifold.cli import main
 
 
@@ -84,6 +86,56 @@ def test_omitted_witnesses_are_recovered(tmp_path, capsys):
         ["validate", write_doc(tmp_path, doc), "--format", "json"], capsys)
     assert code == 0
     assert json.loads(out)["validation"]["quasirational"]["passed"]
+
+
+def param_fan_doc():
+    """16 cones over Q(a), witnesses omitted: an octagon in z = 0 coned off
+    to two apexes (the fan of ``test_atlas.param_fan_triple``)."""
+    octagon = [("1", "0"), ("a", "1"), ("0", "1"), ("-1", "a"),
+               ("-1", "0"), ("-a", "-1"), ("0", "-1"), ("1", "-a")]
+    return {
+        "domain": {"kind": "rational_function", "generator_symbol": "a",
+                   "parameter_positivity": True,
+                   "default_sample": "1.41421356237309"},
+        "quasilattice": {"generators": [["1", "0", "0", "a", "0"],
+                                        ["0", "1", "0", "0", "a"],
+                                        ["0", "0", "1", "0", "0"]]},
+        "fan": {"rays": [[x, y, "0"] for x, y in octagon]
+                + [["1", "a", "1"], ["a", "0", "-1"]],
+                "max_cones": [[i, i % 8 + 1, apex]
+                              for apex in (9, 10) for i in range(1, 9)]},
+    }
+
+
+@pytest.mark.parametrize("value", ["3/2", "5/3", "1/2"])
+def test_witnesses_recovered_at_special_parameter_values(value, tmp_path,
+                                                         capsys):
+    # (D7) ray 2 = (a, 1, 0) is the fourth generator plus the second at
+    # every a, though at a = 3/2 the particular rational solution is
+    # (3/2, 1, 0, 0, 0) and the integer witness lies at an odd free coordinate
+    path = write_doc(tmp_path, param_fan_doc())
+    for command in ("atlas", "verify"):
+        code, _, err = run_cli([command, path, "--substitute", f"a={value}"],
+                               capsys)
+        assert (code, err) == (0, ""), command
+    doc = load_document(param_fan_doc())
+    generic = document_to_triple(doc)[0].witnesses
+    special = document_to_triple(specialize_document(doc, Fraction(value)))[0]
+    assert special.witnesses == generic
+    assert generic[1] == (0, 1, 0, 1, 0)
+
+
+def test_ray_outside_the_lattice_exits_two(tmp_path, capsys):
+    doc = {
+        "domain": {"kind": "rational"},
+        "quasilattice": {"generators": [["1", "0"], ["0", "1"]]},
+        "fan": {"rays": [["1/2", "0"], ["0", "1"], ["-1", "-1"]],
+                "max_cones": [[1, 2], [2, 3], [1, 3]]},
+    }
+    code, out, err = run_cli(["validate", write_doc(tmp_path, doc)], capsys)
+    assert (code, out) == (2, "")
+    assert err == ("quasifold: error: ray 1 is not in the Z-span of the "
+                   "lattice generators\n")
 
 
 # ---------------------------------------------------------------------------
@@ -517,6 +569,18 @@ def test_out_flag_writes_file(tmp_path, capsys):
     assert out == ""
     jsonschema.validate(json.loads(target.read_text()),
                         load_report_schema())
+
+
+def test_unwritable_out_exits_two(tmp_path):
+    # a report that cannot be written is an input error, one line on
+    # stderr, and never a traceback that exits 1 like a failed check
+    target = tmp_path / "missing" / "report.txt"
+    run = run_fresh(["gallery", "kite", "--samples", "5", "--out", str(target)])
+    assert run.returncode == 2
+    assert run.stderr.startswith(f"quasifold: error: cannot write {target}: ")
+    assert run.stderr.count("\n") == 1
+    assert "Traceback" not in run.stderr
+    assert run.stdout == ""
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,13 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from quasifold import (DimensionMismatchError, Matrix, SingularMatrixError,
-                       solve_general)
+                       integer_solve, solve_general)
 
 
 def icosahedral_generators(quartic):
@@ -302,3 +305,63 @@ def test_solve_general_consistency(rational):
         assert all(x.is_zero() for x in a.apply(vec))
     # inconsistent system
     assert solve_general(a, [rational.scalar(6), rational.scalar(1)]) is None
+
+
+# ---------------------------------------------------------------------------
+# integer solve
+# ---------------------------------------------------------------------------
+
+def smith_solvable(rows, rhs):
+    """Whether rows x = rhs has an integer solution, by the Smith normal
+    form S = U A V of the integer-scaled rows (sympy, a test-only oracle):
+    A x = b over Z exactly when (U b)_i is a multiple of S_ii up to the
+    rank and 0 beyond it."""
+    from sympy import ZZ
+    from sympy import Matrix as SympyMatrix
+    from sympy.matrices.normalforms import smith_normal_decomp
+    scaled = []
+    for row in ([*row, b] for row, b in zip(rows, rhs)):
+        d = lcm(*(x.denominator for x in row))
+        scaled.append([int(x * d) for x in row])
+    a = SympyMatrix([row[:-1] for row in scaled])
+    b = SympyMatrix([row[-1] for row in scaled])
+    s, u, _ = smith_normal_decomp(a, domain=ZZ)
+    ub = u * b
+    return all(ub[i] % s[i, i] == 0 if i < min(s.shape) and s[i, i] else ub[i] == 0
+               for i in range(len(scaled)))
+
+
+_fractions = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 3))
+
+
+@given(data=st.data())
+def test_integer_solve_matches_smith_oracle(data):
+    r, k = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+    rows = data.draw(st.lists(st.lists(_fractions, min_size=k, max_size=k),
+                              min_size=r, max_size=r))
+    if data.draw(st.booleans()):
+        # the image of an integer point: solvable by construction
+        m = data.draw(st.lists(st.integers(-3, 3), min_size=k, max_size=k))
+        rhs = [sum(x * c for x, c in zip(row, m)) for row in rows]
+    else:
+        rhs = data.draw(st.lists(_fractions, min_size=r, max_size=r))
+    solution = integer_solve(rows, rhs)
+    assert (solution is not None) == smith_solvable(rows, rhs)
+    if solution is not None:
+        assert all(type(x) is int for x in solution)
+        assert [sum(x * c for x, c in zip(row, solution)) for row in rows] == rhs
+
+
+def test_integer_solve_small_cases():
+    f = Fraction
+    # x = 1/2 has no integer solution; 2 x = 1 neither; 2 x + 3 y = 1 has
+    assert integer_solve([[f(1)]], [f(1, 2)]) is None
+    assert integer_solve([[f(2)]], [f(1)]) is None
+    x, y = integer_solve([[f(2), f(3)]], [f(1)])
+    assert 2 * x + 3 * y == 1
+    # a zero row needs a zero right-hand side
+    assert integer_solve([[f(0), f(0)]], [f(0)]) == [0, 0]
+    assert integer_solve([[f(0), f(0)]], [f(1)]) is None
+    # 3/2 x = 3/2 y + 3/2 and x - y = 1 over Z: x = y + 1
+    x, y = integer_solve([[f(3, 2), f(-3, 2)], [f(1), f(-1)]], [f(3, 2), f(1)])
+    assert x - y == 1

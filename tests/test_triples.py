@@ -1,13 +1,15 @@
 import itertools
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from quasifold import (Fan, FundamentalTriple, Matrix, Quasilattice,
-                       WitnessRecoveryError, ray_membership, validate)
+                       WitnessRecoveryError, ray_membership, validate,
+                       with_recovered_witnesses)
 from quasifold.triples import _inside, float_solve
 
 # index sets of the twenty maximal cones of the dodecahedron fan
@@ -163,23 +165,29 @@ def test_witness_recovery_generator_ray(parameter):
     assert tuple(ray_membership(stripped, 2)) == (-1, 0)
 
 
+def stripped_of_witnesses(triple):
+    return FundamentalTriple(triple.fan, triple.lattice,
+                             [None] * triple.ray_count)
+
+
 def test_witness_kite_unit(gallery):
     _, triple, _ = gallery["kite"]
-    assert tuple(ray_membership(triple, 3)) == (0, 0, 1, 0, 0)
+    assert triple.witnesses[2] == (0, 0, 1, 0, 0)
+    assert validate(triple, probe_directions=0).quasirational
     # recovery without stored witnesses searches along the one-dimensional
     # rational kernel of the five pentagonal generators and still lands on
     # the sparse unit witness
-    stripped = FundamentalTriple(triple.fan, triple.lattice, [None] * 4)
-    assert tuple(ray_membership(stripped, 3)) == (0, 0, 1, 0, 0)
+    assert ray_membership(stripped_of_witnesses(triple), 3) == (0, 0, 1, 0, 0)
 
 
 def test_witness_dodecahedron_negated(gallery):
     _, triple, _ = gallery["dodecahedron"]
-    assert tuple(ray_membership(triple, 7)) == (-1, 0, 0, 0, 0, 0)
+    assert triple.witnesses[6] == (-1, 0, 0, 0, 0, 0)
+    assert validate(triple, probe_directions=0).quasirational
     # recovery finds the same witness when none is stored
-    stripped = FundamentalTriple(triple.fan, triple.lattice,
-                                 [None] * triple.ray_count)
-    assert tuple(ray_membership(stripped, 7)) == (-1, 0, 0, 0, 0, 0)
+    stripped = stripped_of_witnesses(triple)
+    assert ray_membership(stripped, 7) == (-1, 0, 0, 0, 0, 0)
+    assert with_recovered_witnesses(stripped).witnesses == triple.witnesses
 
 
 def test_witness_not_found(rational):
@@ -189,17 +197,55 @@ def test_witness_not_found(rational):
             [-rational.one(), -rational.one()]]
     fan = Fan(2, rays, [[1, 2], [2, 3], [1, 3]])
     triple = FundamentalTriple(fan, lattice, [None, (0, 1), (-1, -1)])
-    with pytest.raises(WitnessRecoveryError):
+    with pytest.raises(WitnessRecoveryError, match="ray 1 is not in the Z-span"):
         ray_membership(triple, 1)
 
 
 def test_witness_bad_stored(parameter):
     triple = quasisphere_triple(parameter)
     bad = FundamentalTriple(triple.fan, triple.lattice, [(1, 1), (-1, 0)])
-    with pytest.raises(WitnessRecoveryError):
-        ray_membership(bad, 1)
+    # validate checks a stored witness exactly; recovery ignores it and
+    # derives the right one
     report = validate(bad)
     assert not report.quasirational
+    assert report.witness_failures == ((1, "witness does not reproduce the ray"),)
+    assert ray_membership(bad, 1) == (0, 1)
+    assert ray_membership(stripped_of_witnesses(bad), 1) == (0, 1)
+
+
+def canonical_order(m):
+    return max(map(abs, m)), sum(map(abs, m)), tuple(m)
+
+
+def golden_scalar(golden, a, b):
+    return golden.scalar(a) + golden.scalar(b) * golden.generator()
+
+
+@pytest.mark.parametrize("name", ["rational", "golden"])
+@settings(max_examples=60)
+@given(data=st.data())
+def test_recovered_witness_is_canonical(name, data, request):
+    # the witness recovered for X = G m reproduces X and is no larger than
+    # m in the canonical order: max-norm, then l1-norm, then lexicographic
+    domain = request.getfixturevalue(name)
+    n = data.draw(st.integers(1, 3))
+    k = data.draw(st.integers(n, 5))
+    small = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 2))
+    if name == "rational":
+        entries = small.map(domain.scalar)
+    else:
+        entries = st.builds(lambda a, b: golden_scalar(domain, a, b), small, small)
+    generators = Matrix.from_rows(domain, data.draw(st.lists(
+        st.lists(entries, min_size=k, max_size=k), min_size=n, max_size=n)))
+    assume(generators.rank() == n)
+    m = data.draw(st.lists(st.integers(-3, 3), min_size=k, max_size=k))
+    lattice = Quasilattice(domain, generators)
+    ray = lattice.combination(m)
+    units = [[domain.scalar(int(i == j)) for j in range(n)] for i in range(n - 1)]
+    fan = Fan(n, [ray, *units], [range(1, n + 1)])
+    w = ray_membership(FundamentalTriple(fan, lattice), 1)
+    assert lattice.combination(w) == ray
+    assert canonical_order(w) <= canonical_order(m)
 
 
 # ---------------------------------------------------------------------------
