@@ -6,13 +6,16 @@ exponent matrix of the discrete group acting on the chart.  Chart changes
 are monomial maps: the exponent matrix of the map from cone tau to cone
 sigma is  E = A_sigma^-1 A_tau, read off sigma's coordinate table as the
 columns at tau's rays; its rows render as generalized Laurent monomials
-with exact (possibly irrational) exponents.
+with exact (possibly irrational) exponents.  Since every chart change is
+A_sigma^-1 A_tau, the inverse-pair and triangle (cocycle) identities are
+certified once per chart, by  A_sigma C_sigma = R  for the coordinate table
+C_sigma and the ray matrix R; only identities that contain a map failing
+this are multiplied out.
 """
 
 from __future__ import annotations
 
 import itertools
-import operator
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
@@ -210,122 +213,56 @@ class CocycleReport:
         return not self.violations
 
 
-def _nonzero_digits(value, width):
-    """Positions of the nonzero digits of value in balanced base 2^width."""
-    base, half = 1 << width, 1 << (width - 1)
-    positions, position = [], 0
-    while value:
-        digit = value & (base - 1)
-        if digit >= half:
-            digit -= base
-        if digit:
-            positions.append(position)
-        value = (value - digit) >> width
-        position += 1
-    return positions
-
-
 def cocycle_check(triple: FundamentalTriple,
                   atlas: Optional["Atlas"] = None) -> CocycleReport:
     """Exact consistency of all chart changes.
 
-    Checks E_{sigma tau} E_{tau sigma} = identity over ordered pairs and
-    E_{sigma rho} = E_{sigma tau} E_{tau rho} over ordered triples of
-    distinct maximal cones.  With T(s, t) the exponent matrix of the map
-    from cone s to cone t and T(t, t) = I, pair (a, b) is
-    T(b, a) T(a, b) = T(a, a) and triple (a, b, c) is
-    T(b, a) T(c, b) = T(c, a): both are the slots of one product
-    T(b, a) P_b = P_a, where P_t = [T(c, t) for every cone c] puts the
-    n x n blocks side by side in cone order.  Slot c = a is the pair, a
-    slot c outside {a, b} is the triple, and slot c = b reads
-    T(b, a) I = T(b, a), which always holds.
-
-    Every identity is checked exactly, in integers:
-
-    * The domain's ``integer_images`` gives a scale s > 0 and, per
-      distinct entry x, an integer d x d block s phi(x) for an injective
-      ring homomorphism phi (identity on Q, the regular representation on
-      Q(alpha), evaluation at a = 2^K after clearing denominators on
-      Q(a)); column 0 of the block, v(x), is s times the vector image of
-      x, with v(1) = (s, 0, ..., 0).  Each slot entry of an identity is
-      sum_k x_k y_k = z with n products, and it holds exactly when
-      sum_k block(x_k) v(y_k) = s v(z): over Q and Q(alpha) because
-      phi(x) v(y) = s v(xy) and v is injective, over Q(a) because K is
-      chosen so that evaluation at 2^K is injective on the n-term
-      polynomial identity (see ``integer_images``).
-    * Each of the n d integer rows of P_t, one per coordinate of cone t
-      and component of the image, is packed into one int with one slot of
-      B bits per (cone c, coordinate j), the value of the slot times
-      2^(B (c n + j)).  Let L(T) be the n d x n d int matrix of the blocks
-      of T's entries.  With |block entries| <= Lmax and |v entries| <= Rmax
-      (Rmax >= s, for the identity blocks), a slot of
-      L(T(b, a)) P_b - s P_a is a sum of n d products bounded by
-      Lmax Rmax, minus one value bounded by s Rmax, so its magnitude is at
-      most n d Lmax Rmax + s Rmax < 2^(B-1) by the choice of B.
-    * A sum of slot values v_j 2^(B j) with every |v_j| < 2^(B-1) is the
-      unique balanced base-2^B expansion of the packed int, so slots
-      cannot carry into one another: the packed difference is 0 exactly
-      when every slot is 0, and its nonzero balanced digits are exactly
-      the failing slots, which name the violated identities.
-
-    Pairs run in ``itertools.permutations`` order and slots in cone order,
-    so violations come out in the order of a sweep over all pairs, then
-    all triples.
+    With T(s, t) the exponent matrix of the map from cone s to cone t, the
+    identities are T(b, a) T(a, b) = I over ordered pairs (a, b) and
+    T(b, a) T(c, b) = T(c, a) over ordered triples (a, b, c) of distinct
+    maximal cones.  They are certified once per chart t: A_t C_t = R
+    exactly, with A_t the cone matrix, C_t the coordinate table and R the
+    ray matrix, and every stored T(s, t) equals C_t at the rays of s.
+    Proof: a map that passes has A_t T(s, t) = A_s, and every A is
+    invertible (``build_chart`` inverts it), so T(s, t) = A_t^-1 A_s and
+    A_a^-1 A_b A_b^-1 A_c = A_a^-1 A_c.  Only the 3(N - 2) + 2 identities
+    that contain a failing map are evaluated as matrix products, in the
+    order of a sweep over all pairs, then all triples, so ``violations``
+    is exactly the sweep's.
     """
     if atlas is None:
         atlas = Atlas.compile(triple)
     cones = triple.fan.max_cones
-    n, count = triple.dim, len(cones)
-    pairs = list(itertools.permutations(cones, 2))
-    if not pairs:
-        return CocycleReport(pairs_checked=0, triples_checked=0, violations=())
-    flat = list(itertools.chain.from_iterable(
-        atlas.transition(s, t).exponents.entries for s, t in pairs))
-    scale, blocks = triple.domain.integer_images(flat, n)
-    image = {pair: blocks[p * n * n:(p + 1) * n * n] for p, pair in enumerate(pairs)}
-    distinct = set(blocks)
-    d = len(blocks[0])
-    left = max(abs(v) for block in distinct for row in block for v in row)
-    right = max(scale, *(abs(row[0]) for block in distinct for row in block))
-    width = (n * d * left * right + scale * right).bit_length() + 1
-
-    packed = {}
+    count = len(cones)
+    rays = triple.ray_matrix()
+    failing = []
     for t in cones:
-        rows = []
-        for i in range(n):
-            for e in range(d):
-                value = 0
-                for c in reversed(cones):
-                    if c == t:
-                        slots = [scale if (j == i and e == 0) else 0
-                                 for j in range(n)]
-                    else:
-                        slots = [block[e][0] for block in image[c, t][i * n:i * n + n]]
-                    for v in reversed(slots):
-                        value = (value << width) + v
-                rows.append(value)
-        packed[t] = rows
+        table = atlas.chart(t).coordinates
+        rows = [table.row(i) for i in range(table.rows)]
+        chart_fails = triple.cone_matrix(t) @ table != rays
+        failing += [(s, t) for s in cones if s != t and (
+            chart_fails or atlas.transition(s, t).exponents.entries
+            != tuple([row[j - 1] for row in rows for j in s]))]
 
-    pair_violations, triple_violations = [], []
-    for a, b in pairs:
-        source, target, left_blocks = packed[b], packed[a], image[b, a]
-        failing = set()
-        for i in range(n):
-            row_blocks = left_blocks[i * n:i * n + n]
-            for e in range(d):
-                value = sum(map(operator.mul, itertools.chain.from_iterable(
-                    [block[e] for block in row_blocks]), source))
-                value -= scale * target[i * d + e]
-                if value:
-                    failing.update(p // n for p in _nonzero_digits(value, width))
-        for ci in sorted(failing):
-            if cones[ci] == a:
-                pair_violations.append(("pair", a, b))
-            else:
-                triple_violations.append(("triple", a, b, cones[ci]))
-    return CocycleReport(pairs_checked=len(pairs),
-                         triples_checked=len(pairs) * (count - 2),
-                         violations=tuple(pair_violations + triple_violations))
+    pairs, triangles = set(), set()
+    for s, t in failing:
+        pairs.update([(s, t), (t, s)])
+        for c in cones:
+            if c not in (s, t):
+                triangles.update([(t, s, c), (c, t, s), (t, c, s)])
+
+    def exponents(s, t):
+        return atlas.transition(s, t).exponents
+
+    # the fan keeps its cones sorted, so sorted order is sweep order
+    identity = Matrix.identity(triple.domain, triple.dim)
+    violations = [("pair", a, b) for a, b in sorted(pairs)
+                  if exponents(b, a) @ exponents(a, b) != identity]
+    violations += [("triple", a, b, c) for a, b, c in sorted(triangles)
+                   if exponents(b, a) @ exponents(c, b) != exponents(c, a)]
+    return CocycleReport(pairs_checked=count * (count - 1),
+                         triples_checked=count * (count - 1) * (count - 2),
+                         violations=tuple(violations))
 
 
 @dataclass(frozen=True)

@@ -19,10 +19,8 @@ canonical encodings (payloads):
     coefficients 1 and ``den[-1] > 0``; zero is ``((), (1,))``.
 
 Only this module knows the payload layouts.  Elsewhere a payload is opaque:
-the matrix product hands payloads to the domain's own operations,
-``rational_rows`` expands a linear equation into rational equations, and
-``integer_images`` maps scalars to the integer blocks the cocycle
-certificate multiplies.
+the matrix product hands payloads to the domain's own operations, and
+``rational_rows`` expands a linear equation into rational equations.
 
 Scalars are read and written in a small expression grammar:
 
@@ -363,22 +361,6 @@ class ScalarDomain:
         """
         raise NotImplementedError
 
-    def integer_images(self, scalars, terms):
-        """Integer images of scalars, for exact checks of matrix identities.
-
-        Returns ``(scale, blocks)``: a positive int and, per scalar, a d x d
-        tuple of int rows whose column 0 is the scalar's vector image v(x).
-        An identity  sum_k x_k y_k = z  of at most ``terms`` products, in
-        scalars from the list, 0 and 1, holds exactly when
-        sum_k block(x_k) v(y_k) == scale * v(z)  in integers, where
-        block(0) and v(0) are zero and v(1) is (scale, 0, ..., 0).  Over Q
-        and Q[x]/(p), block(x) is scale times the image of x under an injective
-        ring homomorphism (the identity, d = 1; the regular representation,
-        d = deg p); over rational functions it is the cleared numerator
-        S * x evaluated at a = 2^K, with K large enough for ``terms``.
-        """
-        raise NotImplementedError
-
     def _sign(self, a):
         raise NotImplementedError
 
@@ -431,12 +413,6 @@ class RationalDomain(ScalarDomain):
 
     def rational_rows(self, coefficients, target):
         return [([c.payload for c in coefficients], target.payload)]
-
-    def integer_images(self, scalars, terms):
-        # phi is the identity; the scale clears every denominator
-        scale = math.lcm(*{x.payload.denominator for x in scalars})
-        return scale, [((x.payload.numerator * (scale // x.payload.denominator),),)
-                       for x in scalars]
 
     def _sign(self, a):
         return (a > 0) - (a < 0)
@@ -679,24 +655,6 @@ class NumberFieldDomain(ScalarDomain):
         return [([column[t] for column in columns], rhs[t])
                 for t in range(self.degree)]
 
-    def integer_images(self, scalars, terms):
-        # phi is the regular representation: column j of phi(x) holds the
-        # coefficients of x times the j-th power of the generator, ints over
-        # den * R^j with R the reduction scale, so lcm(den) * R^(d-1) clears
-        # every column
-        R = self._reduction_scale
-        payloads = [x.payload for x in scalars]
-        scale = math.lcm(*{a[0] for a in payloads}) * R ** (self.degree - 1)
-        cache = {}
-        for a in set(payloads):
-            factor = scale // a[0]
-            columns = []
-            for column in self._columns(a[1:]):
-                columns.append([c * factor for c in column])
-                factor //= R
-            cache[a] = tuple(zip(*columns))
-        return scale, [cache[a] for a in payloads]
-
     def _columns(self, c):
         """The integer regular representation of the numerator coefficients
         c: column j holds the coefficients of  c x^j  times R^j, with R the
@@ -924,38 +882,6 @@ class RationalFunctionDomain(ScalarDomain):
             rhs = cleared[-1][t] if t < len(cleared[-1]) else _F0
             rows.append((row, rhs))
         return rows
-
-    def integer_images(self, scalars, terms):
-        # S = lcm of the den contents times the lcm of the primitive dens in
-        # Z[a]; every S * x is in Z[a], and sum x_k y_k = z holds exactly
-        # when q = sum (S x_k)(S y_k) - S (S z) is 0.  With |coefficient|
-        # <= M and at most L coefficients for S and every S * x, q has
-        # |coefficient| <= (terms + 1) L M^2 < 2^K.  Evaluation at 2^K is a
-        # ring homomorphism, and a nonzero q maps to a nonzero int: 2^K does
-        # not divide its lowest nonzero coefficient.
-        payloads = [x.payload for x in scalars]
-        distinct = list(dict.fromkeys(payloads))
-        content, common = 1, (1,)
-        for den in {den for _, den in distinct}:
-            prim = _zprimitive(den)
-            content = math.lcm(content, math.gcd(*den))
-            common = _pmul(common, _zdiv(prim, _zgcd(common, prim)))
-        polys = [_pmul(_pmul(num, (content // math.gcd(*den),)),
-                       _zdiv(common, _zprimitive(den)))
-                 for num, den in distinct]
-        polys.append(_pmul(common, (content,)))
-        bound = max(abs(c) for p in polys for c in p)
-        length = max(len(p) for p in polys)
-        shift = ((terms + 1) * length * bound * bound).bit_length()
-        values = []
-        for p in polys:
-            value = 0
-            for c in reversed(p):
-                value = (value << shift) + c
-            values.append(value)
-        scale = values.pop()
-        image = {a: ((v,),) for a, v in zip(distinct, values)}
-        return scale, [image[a] for a in payloads]
 
     def _sample_value(self, a, sample):
         num, den = a

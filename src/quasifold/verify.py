@@ -53,7 +53,7 @@ import itertools
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import log, pi
+from math import inf, log, pi
 from operator import mul, sub
 from typing import Dict, Optional
 
@@ -97,9 +97,9 @@ class TrialConfig:
         if self.samples < 1:
             raise ValueError(
                 f"samples must be >= 1 (--samples), got {self.samples}")
-        if self.tolerance <= 0:
-            raise ValueError(
-                f"tolerance must be positive (--tolerance), got {self.tolerance}")
+        if not 0 < self.tolerance < inf:
+            raise ValueError(f"tolerance must be finite and positive "
+                             f"(--tolerance), got {self.tolerance}")
         if self.word_length < 1:
             raise ValueError(
                 f"word length must be >= 1 (--word-length), got {self.word_length}")

@@ -556,9 +556,9 @@ def test_cocycle_parameter_images_count_the_terms():
     # the 4-simplex over Q(a); one triangle T(b, a) T(c, b) = T(c, a) is
     # made false in entry (0, 0) only, where the product is
     # 4 * 181^2 = 2^17 - 28 = 2 * 2^16 - 28 and T(c, a) is a - 28 or
-    # 2a - 28.  Every entry is an int or a + int, of size at most 181, so
-    # evaluation at a = 2^16 or 2^17 (a shift sized for fewer than the n = 4
-    # products of the entry) would hide exactly this triangle.
+    # 2a - 28.  The three maps fail the per-chart certificate, so the
+    # triangle must be multiplied out over Q(a): a check that evaluated
+    # a at 2^16 or 2^17 would hide exactly this triangle.
     domain = RationalFunctionDomain("a")
     unit = [tuple(str(int(i == j)) for j in range(4)) for i in range(4)]
     triple = fan_triple(domain, unit + [("-1",) * 4],
@@ -582,3 +582,60 @@ def test_cocycle_parameter_images_count_the_terms():
         report = cocycle_check(triple, bad)
         assert ("triple", a, b, c) in report.violations
         assert report == literal_cocycle(triple, bad)
+
+
+@pytest.mark.parametrize("name", ["quasisphere", "cp2-11a", "hirzebruch",
+                                  "kite", "half-field", "param-fan"])
+def test_cocycle_matches_literal_sweep_on_corrupted_coordinates(
+        name, gallery, gallery_atlases, built_atlases):
+    # one coordinate-table entry is off: with the stored transitions intact
+    # nothing is violated; with the transitions into the chart read from
+    # the bad table, the identities that contain them are
+    triple, atlas = all_atlases(gallery, gallery_atlases, built_atlases)[name]
+    rng = random.Random(name)
+    cone = rng.choice(triple.fan.max_cones)
+    chart = atlas.chart(cone)
+    table = chart.coordinates
+    entries = list(table.entries)
+    column = rng.choice([j for j in range(table.cols) if j + 1 not in cone])
+    entries[rng.randrange(table.rows) * table.cols + column] += triple.domain.one()
+    bad_chart = dataclasses.replace(chart, coordinates=Matrix(
+        triple.domain, table.rows, table.cols, entries,
+        col_labels=table.col_labels))
+    for reread in (False, True):
+        bad = Atlas(triple)
+        bad._charts = {**atlas._charts, cone: bad_chart}
+        bad._transitions = {key: tmap for key, tmap in atlas._transitions.items()
+                            if not (reread and key[1] == cone)}
+        report = cocycle_check(triple, bad)
+        assert report == literal_cocycle(triple, bad), reread
+        assert report.passed != reread
+
+
+def test_cocycle_names_each_identity_of_one_bad_map_at_60_charts():
+    # every identity that contains a corrupted invertible map fails: the
+    # pairs (s, t) and (t, s), and the triangles (t, s, c), (a, t, s) and
+    # (t, b, s) over the 58 other cones, listed here in sweep order
+    triple = truncated_dodecahedron_triple()
+    atlas = Atlas.compile(triple)
+    cones = list(triple.fan.max_cones)
+    for s, t in ((cones[41], cones[17]), (cones[17], cones[41])):
+        bad = corrupted(triple, atlas, [((s, t), 1, 2, triple.domain.one())])
+        others = [c for c in cones if c not in (s, t)]
+        pairs = [("pair", s, t), ("pair", t, s)]
+        if cones.index(t) < cones.index(s):
+            pairs.reverse()
+        triangles = []
+        for a in cones:
+            if a == t:
+                for b in cones:
+                    if b == s:
+                        triangles += [("triple", t, s, c) for c in others]
+                    elif b != t:
+                        triangles.append(("triple", t, b, s))
+            elif a != s:
+                triangles.append(("triple", a, t, s))
+        assert len(triangles) == 3 * 58
+        assert cocycle_check(triple, bad) == CocycleReport(
+            pairs_checked=3540, triples_checked=205320,
+            violations=tuple(pairs + triangles))

@@ -483,6 +483,8 @@ def test_param_refused_without_parameter(capsys):
 @pytest.mark.parametrize("flag, value", [("--samples", "0"),
                                          ("--tolerance", "-1"),
                                          ("--tolerance", "0"),
+                                         ("--tolerance", "nan"),
+                                         ("--tolerance", "inf"),
                                          ("--word-length", "-1"),
                                          ("--word-length", "0")])
 def test_verify_bounds_exit_two(flag, value, tmp_path, capsys):
@@ -495,6 +497,17 @@ def test_verify_bounds_exit_two(flag, value, tmp_path, capsys):
         assert out == ""
         assert err.startswith("quasifold: error: ") and err.count("\n") == 1
         assert flag in err
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_non_finite_document_tolerance_exits_two(value, tmp_path, capsys):
+    # json reads NaN and Infinity, and no finite residual is >= either of
+    # them: refuse them rather than pass every trial
+    data = gallery_json("kite")
+    data.setdefault("options", {})["tolerance"] = value
+    code, out, err = run_cli(["verify", write_doc(tmp_path, data)], capsys)
+    assert (code, out) == (2, "")
+    assert "finite and positive" in err and err.count("\n") == 1
 
 
 def test_parameter_sample_option_refused_without_parameter(tmp_path, capsys):

@@ -875,70 +875,3 @@ def test_rational_function_payload_is_canonical(parameter):
             assert_rf_canonical(value)
         if x:
             assert_rf_canonical(x.inverse())
-
-
-# ---------------------------------------------------------------------------
-# integer images: an n-term identity holds exactly when its images agree
-# ---------------------------------------------------------------------------
-
-def image_identity_holds(domain, xs, ys, z):
-    """Whether  sum_k x_k y_k = z  holds on the domain's integer images."""
-    scale, blocks = domain.integer_images([*xs, *ys, z], len(xs))
-    left, right, target = blocks[:len(xs)], blocks[len(xs):-1], blocks[-1]
-    size = len(target)
-    for e in range(size):
-        total = sum(lblock[e][f] * rblock[f][0]
-                    for lblock, rblock in zip(left, right)
-                    for f in range(size))
-        if total != scale * target[e][0]:
-            return False
-    return True
-
-
-def _image_domains():
-    from quasifold import RationalDomain
-    domains = {name: ORACLES[name][0] for name in ORACLE_FIELDS}
-    domains["rational"] = RationalDomain()
-    domains["parameter"] = RF
-    return domains
-
-
-IMAGE_DOMAINS = _image_domains()
-
-
-def draw_scalar(data, domain):
-    if domain is RF:
-        return rf_build(*data.draw(rf_values))[0]
-    if domain.kind == "rational":
-        return domain.scalar(data.draw(coefficient))
-    coeffs = st.lists(coefficient, min_size=domain.degree,
-                      max_size=domain.degree)
-    return from_coefficients(domain, data.draw(coeffs))
-
-
-@pytest.mark.parametrize("name", sorted(IMAGE_DOMAINS))
-@settings(max_examples=40)
-@given(data=st.data())
-def test_integer_images_decide_identities(name, data):
-    domain = IMAGE_DOMAINS[name]
-    terms = data.draw(st.integers(1, 4))
-    xs = [draw_scalar(data, domain) for _ in range(terms)]
-    ys = [draw_scalar(data, domain) for _ in range(terms)]
-    total = sum((x * y for x, y in zip(xs, ys)), domain.zero())
-    offsets = ["0", "1", "-1/7", "10^40", "10^-40"]
-    if domain.generator_symbol is not None:
-        offsets.append(domain.generator_symbol)
-    offset = parse_scalar(data.draw(st.sampled_from(offsets)), domain)
-    z = total + offset
-    assert image_identity_holds(domain, xs, ys, z) == offset.is_zero()
-
-
-def test_rational_function_images_count_terms():
-    # 4 * 181^2 = 2^17 - 28 = 2 * 2^16 - 28: evaluation at a = 2^16 or 2^17,
-    # a shift sized for one or two products rather than four, would map
-    # 181*181 + ... + 181*181 and 2a - 28 or a - 28 to the same integer
-    x = RF.scalar(181)
-    a = RF.generator()
-    for z in (a - 28, 2 * a - 28):
-        assert not image_identity_holds(RF, [x] * 4, [x] * 4, z)
-    assert image_identity_holds(RF, [x] * 4, [x] * 4, RF.scalar(4 * 181 ** 2))
