@@ -4,24 +4,24 @@ Commands: validate, atlas, transition, polytope, verify, gallery.
 Exit codes: 0 success, 1 a check failed, 2 input error or an unsupported
 case, 3 an internal error (any other exception, one line on stderr).  The
 seed comes from --seed, then the QUASIFOLD_SEED environment variable, then
-the input document's options, then 0.
+the input document's options, then 0.  ``documents.schema_accepts`` decides
+whether an input document fits the input schema; ``jsonschema``, which
+costs more to import than a small run takes, is imported only to explain
+a rejection.
 """
 
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import os
 import sys
 from fractions import Fraction
 
-import jsonschema
-
 from .atlas import Atlas
 from .documents import (InputError, atlas_section, build_report,
                         document_to_triple, load_document, load_input_schema,
-                        polytope_section, render_text_report,
+                        polytope_section, render_text_report, schema_accepts,
                         specialize_document, transition_section,
                         validation_section, verification_section)
 from .gallery import GALLERY_NAMES, load_gallery
@@ -88,15 +88,6 @@ def _parse_assignment(text, expected_symbol, flag):
         raise InputError(f"{flag}: {value!r} is not a decimal or fraction") from exc
 
 
-@functools.cache
-def _input_validator():
-    """The input schema's validator, checked against its metaschema once."""
-    schema = load_input_schema()
-    validator = jsonschema.validators.validator_for(schema)
-    validator.check_schema(schema)
-    return validator(schema)
-
-
 def _load_input(args):
     if args.command == "gallery":
         return load_gallery(args.name)
@@ -108,8 +99,14 @@ def _load_input(args):
     except json.JSONDecodeError as exc:
         raise InputError(f"{args.input}: invalid JSON at line {exc.lineno}, "
                          f"column {exc.colno}: {exc.msg}") from exc
-    error = jsonschema.exceptions.best_match(_input_validator().iter_errors(data))
-    if error is not None:
+    schema = load_input_schema()
+    if not schema_accepts(schema, data):
+        import jsonschema  # only here: importing it costs more than a small run
+        error = jsonschema.exceptions.best_match(
+            jsonschema.validators.validator_for(schema)(schema).iter_errors(data))
+        if error is None:
+            raise RuntimeError(f"{args.input}: the input schema check rejects "
+                               "a document that jsonschema accepts")
         path = "/".join(str(p) for p in error.absolute_path) or "(document root)"
         raise InputError(f"{args.input}: schema violation at {path}: "
                          f"{error.message}") from error
@@ -156,6 +153,14 @@ def _require_parameter(doc, source):
                          "a parameter sample")
 
 
+def _require_positive(doc, value, what):
+    """Refuse a parameter value <= 0 where the domain assumes it positive."""
+    if (value <= 0 and doc.domain.kind == "rational_function"
+            and doc.domain.parameter_positivity):
+        raise InputError(f"{what} {value} is not positive, but the domain "
+                         f"assumes {doc.domain.generator_symbol} > 0")
+
+
 def run(args) -> tuple[int, str]:
     """Execute one command; returns (exit_code, rendered_report)."""
     doc = _load_input(args)
@@ -165,6 +170,7 @@ def run(args) -> tuple[int, str]:
     if args.substitute is not None:
         value = _parse_assignment(args.substitute,
                                   doc.domain.generator_symbol, "--substitute")
+        _require_positive(doc, value, "--substitute: value")
         doc = specialize_document(doc, value)
     parameter_sample, source = None, None
     if args.param is not None:
@@ -179,11 +185,8 @@ def run(args) -> tuple[int, str]:
             source = "options.parameter_sample"
         elif doc.domain.default_sample is not None:
             parameter_sample = doc.domain.default_sample
-    if (source is not None and parameter_sample <= 0
-            and doc.domain.parameter_positivity):
-        raise InputError(
-            f"{source}: sample {parameter_sample} is not positive, but the "
-            f"domain assumes {doc.domain.generator_symbol} > 0")
+    if source is not None:
+        _require_positive(doc, parameter_sample, f"{source}: sample")
     seed = _resolve_seed(args, doc)
     # bad verification flags are refused before any check can fail
     cfg = (_trial_config(args, doc, seed, parameter_sample)

@@ -2,17 +2,20 @@
 
 An input document declares a scalar domain, a quasilattice, and either a
 fan (rays + witnesses + maximal cones) or a polytope in facet form, all
-scalars written in the shared expression grammar.  Reports collect the
-validation, polytope, atlas, transition and verification sections in a
-deterministic JSON-friendly form; the text rendering is a stable flat view
-of the same data.  A chart change is built once, by ``transition_section``,
-for the atlas section and for the ``transition`` command alike, and its
-text is rendered once, by ``_transition_lines``.
+scalars written in the shared expression grammar; ``schema_accepts``
+checks a document against ``schemas/input.schema.json``, exactly and
+without ``jsonschema``.  Reports collect the validation, polytope, atlas,
+transition and verification sections in a deterministic JSON-friendly
+form; the text rendering is a stable flat view of the same data.  A chart
+change is built once, by ``transition_section``, for the atlas section and
+for the ``transition`` command alike, and its text is rendered once, by
+``_transition_lines``.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from importlib import resources
@@ -27,11 +30,8 @@ from .triples import (Fan, FundamentalTriple, Quasilattice,
                       with_recovered_witnesses)
 from .verify import VerificationSummary
 
-try:
-    from importlib.metadata import version as _dist_version
-    TOOL_VERSION = _dist_version("quasifold")
-except Exception:  # pragma: no cover - source tree without install metadata
-    TOOL_VERSION = "0.1.0"
+# the version in pyproject.toml; a test keeps the two equal
+TOOL_VERSION = "0.1.0"
 
 __all__ = [
     "InputDocument",
@@ -43,6 +43,7 @@ __all__ = [
     "load_input_schema",
     "load_report_schema",
     "render_text_report",
+    "schema_accepts",
     "specialize_document",
 ]
 
@@ -62,6 +63,74 @@ def load_input_schema():
 
 def load_report_schema():
     return _schema("report.schema.json")
+
+
+_TYPES = {"object": dict, "array": list, "string": str, "null": type(None),
+          "boolean": bool, "number": (int, float), "integer": int}
+
+
+def _has_type(value, name):
+    """Draft-07 ``type``: a bool is no number, an integral float is an integer."""
+    if isinstance(value, bool):
+        return name == "boolean"
+    return (isinstance(value, _TYPES[name])
+            or name == "integer" and isinstance(value, float) and value.is_integer())
+
+
+_ANNOTATIONS = frozenset({"$schema", "$id", "title", "description", "definitions"})
+# keyword -> check(accepts, argument, value); a keyword constrains only the
+# values of its own JSON type and passes every other value, as in draft 07
+_KEYWORDS = {
+    "type": lambda accepts, names, v: any(
+        _has_type(v, name) for name in ([names] if isinstance(names, str) else names)),
+    # pairing each value with whether it is a bool keeps true apart from 1,
+    # as draft 07 does, and 1.0 still equals 1
+    "enum": lambda accepts, options, v: (v, isinstance(v, bool)) in [
+        (x, isinstance(x, bool)) for x in options],
+    "required": lambda accepts, keys, v: (
+        not isinstance(v, dict) or all(key in v for key in keys)),
+    "properties": lambda accepts, subschemas, v: not isinstance(v, dict) or all(
+        accepts(sub, v[key]) for key, sub in subschemas.items() if key in v),
+    "items": lambda accepts, sub, v: (
+        not isinstance(v, list) or all(accepts(sub, x) for x in v)),
+    "minItems": lambda accepts, n, v: not isinstance(v, list) or len(v) >= n,
+    "pattern": lambda accepts, regex, v: (
+        not isinstance(v, str) or re.search(regex, v) is not None),
+    "minimum": lambda accepts, bound, v: not _has_type(v, "number") or not v < bound,
+    "exclusiveMinimum": lambda accepts, bound, v: (
+        not _has_type(v, "number") or not v <= bound),
+    "oneOf": lambda accepts, subschemas, v: sum(
+        accepts(sub, v) for sub in subschemas) == 1,
+    "not": lambda accepts, sub, v: not accepts(sub, v),
+}
+
+
+def schema_accepts(schema, instance) -> bool:
+    """Whether instance is valid against schema, with draft-07 semantics.
+
+    Interprets exactly the keywords that input.schema.json uses: those of
+    ``_KEYWORDS``, local ``$ref`` (whose sibling keywords draft 07
+    ignores) and the annotations.  Any other keyword raises LookupError,
+    so an edit to the schema cannot go unchecked.  Agrees with
+    ``jsonschema``, which a test confirms, and costs a fraction of it; the
+    CLI imports ``jsonschema`` only to explain a rejection.
+    """
+    def accepts(node, value):
+        if "$ref" in node:
+            target = schema
+            for part in node["$ref"].removeprefix("#/").split("/"):
+                target = target[part]
+            return accepts(target, value)
+        valid = True
+        for keyword, argument in node.items():
+            if keyword in _ANNOTATIONS:
+                continue
+            if keyword not in _KEYWORDS:
+                raise LookupError(f"schema keyword {keyword!r} is not interpreted")
+            valid = valid and _KEYWORDS[keyword](accepts, argument, value)
+        return valid
+
+    return accepts(schema, instance)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from functools import reduce
-from math import hypot
+from math import hypot, isfinite
 from operator import add, mul
 from typing import Optional, Sequence
 
@@ -161,13 +161,17 @@ def float_array(entries, shape, parameter_sample, memo):
 
     memo maps payloads to the floats already computed; the caller keeps
     one per domain and parameter sample, so each distinct value is
-    evaluated once.
+    evaluated once.  A value beyond the float range raises
+    FloatingPointError.
     """
     values = []
     for x in entries:
         value = memo.get(x.payload)
         if value is None:
-            value = memo[x.payload] = float(x.eval_numeric(15, parameter_sample))
+            value = float(x.eval_numeric(15, parameter_sample))
+            if not isfinite(value):
+                raise FloatingPointError("an exact value has no finite float")
+            memo[x.payload] = value
         values.append(value)
     rows, cols = shape
     return [values[i * cols:(i + 1) * cols] for i in range(rows)]
@@ -186,7 +190,8 @@ def float_solve(a, rhs):
     a is a square float matrix given by its rows; it is factored once by
     Gaussian elimination with partial pivoting (L and U in place, the row
     order in perm), and each b is then solved by two substitutions.
-    Raises ZeroDivisionError when a pivot is exactly zero.
+    Raises ZeroDivisionError when a pivot is exactly zero, and
+    FloatingPointError when a solution overflows.
     """
     n = len(a)
     lu = [list(row) for row in a]
@@ -212,6 +217,8 @@ def float_solve(a, rhs):
             for j in range(i + 1, n):
                 x[i] -= row[j] * x[j]
             x[i] /= row[i]
+        if not all(map(isfinite, x)):
+            raise FloatingPointError("a float solution is not finite")
         solutions.append(x)
     return solutions
 
@@ -273,21 +280,25 @@ def validate(triple: FundamentalTriple, probe_directions: int = 64,
             d = [rng.gauss(0.0, 1.0) for _ in range(dim)]
             norm = hypot(*d) or 1.0
             directions.append([x / norm for x in d])
-        counts = [0] * probe_directions
         floats = {}
         identity = [[float(i == j) for j in range(dim)] for i in range(dim)]
-        for a in matrices:
-            # row i of the inverse gives coordinate i of a direction, and
+        try:
+            # row i of an inverse gives coordinate i of a direction, and
             # the direction is inside when all are >= -1e-9
-            inverse = list(zip(*float_solve(
+            inverses = [list(zip(*float_solve(
                 float_array(a.entries, (a.rows, a.cols), parameter_sample,
                             floats),
-                identity)))
-            for i in _inside(inverse, directions):
-                counts[i] += 1
-        gaps = counts.count(0)
-        overlaps = probe_directions - gaps - counts.count(1)
-        probe_ran = True
+                identity))) for a in matrices]
+        except ArithmeticError:  # the probe is advisory: skip, never fail
+            note = "skipped: a cone matrix is singular in floating point"
+        else:
+            counts = [0] * probe_directions
+            for inverse in inverses:
+                for i in _inside(inverse, directions):
+                    counts[i] += 1
+            gaps = counts.count(0)
+            overlaps = probe_directions - gaps - counts.count(1)
+            probe_ran = True
 
     return ValidationReport(
         simplicial=not simplicial_failures,

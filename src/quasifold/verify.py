@@ -53,7 +53,7 @@ import itertools
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import inf, log, pi
+from math import inf, isfinite, log, pi
 from operator import mul, sub
 from typing import Dict, Optional
 
@@ -128,7 +128,13 @@ class TrialReport:
         return not self.failures
 
     def record(self, target, trial, seed, kind, residual):
-        """Count one trial: it passed when kind is None, else failed so."""
+        """Count one trial: it passed when kind is None, else failed so.
+
+        A residual that is not finite, which no tolerance can judge, raises
+        FloatingPointError.
+        """
+        if not isfinite(residual):
+            raise FloatingPointError(f"a residual is {residual}")
         self.trials += 1
         if kind is None:
             self.max_deviation = max(self.max_deviation, residual)
@@ -536,13 +542,22 @@ def verify_triple(triple: FundamentalTriple, cfg: TrialConfig,
     reports = {name: TrialReport(check=name) for name in _CHECK_IDS}
     reports["connecting_element"].skipped = tuple(
         (*pair, h[pair]) for pair in pairs if not 1 <= h[pair] <= triple.dim - 1)
-    for name, check, targets in (
-            ("branch_invariance", check_branch_invariance, cones),
-            ("transition_equivariance", check_transition_equivariance, pairs),
-            ("factorization", check_factorization, cones),
-            ("connecting_element", check_connecting_element, eligible)):
-        for target, count in _distribute(cfg.samples, targets).items():
-            if count:
-                reports[name].merge(check(
-                    triple, *target, replace(cfg, samples=count), numeric))
+    try:
+        for name, check, targets in (
+                ("branch_invariance", check_branch_invariance, cones),
+                ("transition_equivariance", check_transition_equivariance, pairs),
+                ("factorization", check_factorization, cones),
+                ("connecting_element", check_connecting_element, eligible)):
+            for target, count in _distribute(cfg.samples, targets).items():
+                if count:
+                    reports[name].merge(check(
+                        triple, *target, replace(cfg, samples=count), numeric))
+    except ArithmeticError as exc:
+        # values far from 1 overflow, underflow or divide by zero in floats
+        # while the exact atlas stays right: a refusal, not a failed check
+        sample = numeric.parameter_sample
+        at = ("" if sample is None
+              else f" at {triple.domain.generator_symbol} = {sample}")
+        raise ValueError(f"the numeric checks cannot run in floating point{at} "
+                         f"({exc})") from exc
     return VerificationSummary(reports=reports)

@@ -1,18 +1,28 @@
+import copy
 import hashlib
+import io
 import itertools
 import json
 import os
+import re
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from quasifold import (document_to_triple, load_document, load_report_schema,
+from quasifold import (GALLERY_NAMES, TOOL_VERSION, document_to_triple,
+                       load_document, load_input_schema, load_report_schema,
                        specialize_document)
 from quasifold.cli import main
+from quasifold.documents import schema_accepts
 
 
 def run_cli(args, capsys):
@@ -201,6 +211,156 @@ def test_schema_violation_exits_two(tmp_path, capsys):
         assert code == 2
         assert out == ""
         assert err == f"quasifold: error: {path}: {message}\n"
+
+
+def test_input_schema_passes_its_metaschema():
+    # the CLI no longer checks the schema at run time
+    schema = load_input_schema()
+    jsonschema.validators.validator_for(schema).check_schema(schema)
+
+
+def test_schema_accepts_refuses_unknown_keywords():
+    with pytest.raises(LookupError, match="additionalProperties"):
+        schema_accepts({"type": "object", "additionalProperties": False}, {})
+    with pytest.raises(LookupError, match="format"):
+        schema_accepts({"properties": {"x": {"format": "uri"}}}, {"x": "a"})
+
+
+@pytest.mark.parametrize("schema, instance", [
+    ({"not": {"type": "string"}}, "a"),
+    ({"not": {"type": "string"}}, 1),
+    ({"oneOf": [{"type": "integer"}, {"type": "number"}]}, 1),
+    ({"oneOf": [{"type": "integer"}, {"type": "number"}]}, 1.5),
+    ({"enum": [1, "a"]}, True),
+    ({"enum": [1, "a"]}, 1.0),
+    ({"type": ["string", "null"]}, None),
+    ({"minimum": 1, "exclusiveMinimum": 0}, "0"),
+    ({"$ref": "#/definitions/d", "type": "string",
+      "definitions": {"d": {"type": "integer"}}}, 3),
+])
+def test_schema_accepts_matches_draft_07(schema, instance):
+    # cases the input schema cannot tell apart: its oneOf branches exclude
+    # each other, and its not sits inside a oneOf
+    valid = jsonschema.Draft7Validator(schema).is_valid(instance)
+    assert schema_accepts(schema, instance) is valid
+
+
+SWAPS = (True, 1.0, "1", [], None)
+
+
+def _nodes(node, path=()):
+    """(path, value) of every value below the root, depth first."""
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield path + (key,), child
+        yield from _nodes(child, path + (key,))
+
+
+def _at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+@st.composite
+def mutated_documents(draw):
+    """A gallery document with one to three schema-relevant edits."""
+    doc = copy.deepcopy(gallery_json(draw(st.sampled_from(GALLERY_NAMES))))
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(
+            ("delete", "swap", "shorten", "symbol", "decimal", "option",
+             "both")))
+        nodes = list(_nodes(doc))
+        if kind == "delete":
+            keys = [path for path, _ in nodes
+                    if isinstance(_at(doc, path[:-1]), dict)]
+            path = draw(st.sampled_from(keys))
+            del _at(doc, path[:-1])[path[-1]]
+        elif kind == "swap":
+            path = draw(st.sampled_from([path for path, _ in nodes]))
+            _at(doc, path[:-1])[path[-1]] = draw(st.sampled_from(SWAPS))
+        elif kind == "shorten":
+            lists = [value for _, value in nodes
+                     if isinstance(value, list) and value]
+            if lists:
+                value = draw(st.sampled_from(lists))
+                del value[draw(st.integers(0, len(value) - 1)):]
+        elif kind == "symbol" and isinstance(doc.get("domain"), dict):
+            doc["domain"]["generator_symbol"] = draw(st.sampled_from(
+                ("1a", "a b", "", "a-1", "_x1", 5)))
+        elif kind == "decimal" and isinstance(doc.get("domain"), dict):
+            key = draw(st.sampled_from(("embedding_approx", "default_sample")))
+            doc["domain"][key] = draw(st.sampled_from(
+                ("1.", ".5", "1e3", "-2.5", "1.5\n", "x", 2.5, 3)))
+        elif kind == "option":
+            key = draw(st.sampled_from(
+                ("seed", "samples", "tolerance", "word_length", "integer_box",
+                 "probe_directions", "parameter_sample")))
+            doc["options"] = {key: draw(st.sampled_from(
+                (0, 1, -1, 2.0, 0.5, float("nan"), "1", True, None)))}
+        elif kind == "both":
+            doc["fan"] = {"rays": [["1"]], "max_cones": [[1]]}
+    return doc
+
+
+@settings(max_examples=200, deadline=None)
+@given(mutated_documents())
+def test_schema_accepts_agrees_with_jsonschema(doc):
+    # the in-house check decides acceptance; jsonschema only explains a
+    # rejection, and the CLI's message is its best match
+    schema = load_input_schema()
+    validator = jsonschema.validators.validator_for(schema)(schema)
+    error = jsonschema.exceptions.best_match(validator.iter_errors(doc))
+    assert schema_accepts(schema, doc) is (error is None)
+    if error is None:
+        return
+    with tempfile.TemporaryDirectory() as directory:
+        path = os.path.join(directory, "input.json")
+        with open(path, "w") as handle:
+            json.dump(doc, handle)
+        err = io.StringIO()
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            code = main(["validate", path])
+    where = "/".join(map(str, error.absolute_path)) or "(document root)"
+    assert code == 2
+    assert err.getvalue() == (f"quasifold: error: {path}: schema violation "
+                              f"at {where}: {error.message}\n")
+
+
+def test_unexplained_rejection_exits_three(tmp_path, monkeypatch, capsys):
+    # a rejection that jsonschema cannot explain is a fault of the
+    # program: exit 3, never a silent acceptance
+    import quasifold.cli
+    monkeypatch.setattr(quasifold.cli, "schema_accepts",
+                        lambda schema, data: False)
+    path = write_doc(tmp_path, gallery_json("kite"))
+    code, out, err = run_cli(["validate", path], capsys)
+    assert (code, out) == (3, "")
+    assert err.startswith("quasifold: internal error: RuntimeError: ")
+
+
+def test_valid_documents_import_no_jsonschema(tmp_path):
+    # jsonschema and importlib.metadata cost more than a small run: a
+    # process given a valid document imports neither
+    kite = write_doc(tmp_path, gallery_json("kite"), "kite.json")
+    code = ("import sys\n"
+            "from quasifold.cli import main\n"
+            "code = main(sys.argv[1:])\n"
+            "print(*sorted(sys.modules), file=sys.stderr)\n"
+            "sys.exit(code)\n")
+    for argv in (["gallery", "kite", "--samples", "10"], ["validate", kite]):
+        run = subprocess.run([sys.executable, "-c", code, *argv],
+                             capture_output=True, text=True)
+        assert run.returncode == 0, run.stderr
+        modules = set(run.stderr.split())
+        assert "quasifold.cli" in modules
+        assert not modules & {"jsonschema", "importlib.metadata"}, argv
+
+
+def test_tool_version_matches_pyproject():
+    text = (Path(__file__).parents[1] / "pyproject.toml").read_text()
+    assert re.search(r'^version = "(.*)"$', text, re.M)[1] == TOOL_VERSION
 
 
 def test_bad_scalar_string_exits_two(tmp_path, capsys):
@@ -468,6 +628,38 @@ def test_param_must_be_positive(name, value, capsys):
     assert code == 2
     assert out == ""
     assert "--param" in err and "not positive" in err
+
+
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_substitute_must_be_positive(value, capsys):
+    # the same refusal as --param, not a degenerate polytope
+    code, out, err = run_cli(["gallery", "cp2-11a", "--substitute",
+                              f"a={value}"], capsys)
+    assert (code, out) == (2, "")
+    assert err == (f"quasifold: error: --substitute: value {value} is not "
+                   "positive, but the domain assumes a > 0\n")
+
+
+@pytest.mark.parametrize("flag, value", [("--param", "1e30"),
+                                         ("--param", "1e-30"),
+                                         ("--param", "1e300"),
+                                         ("--substitute", "1e400")])
+def test_extreme_parameter_values_refuse(flag, value, tmp_path, capsys):
+    # floats over- or underflow where the exact atlas is still right: the
+    # numeric checks refuse, they neither crash nor fail
+    code, out, err = run_cli(["gallery", "cp2-11a", flag, f"a={value}"],
+                             capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("quasifold: error: the numeric checks cannot run "
+                          "in floating point")
+    assert err.count("\n") == 1
+    # the advisory probe skips instead, and validation passes
+    code, out, err = run_cli(["validate", write_doc(tmp_path, gallery_json(
+        "cp2-11a")), flag, f"a={value}"], capsys)
+    assert (code, err) == (0, "")
+    if flag == "--substitute":
+        assert ("support probe: skipped: a cone matrix is singular in "
+                "floating point") in out
 
 
 def test_param_refused_without_parameter(capsys):

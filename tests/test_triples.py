@@ -340,7 +340,10 @@ def test_float_solve_matches_numpy(system):
 
 def test_float_solve_pivots_and_refuses_singular():
     # a zero leading entry needs a row swap; an exactly singular matrix
-    # runs into a zero pivot
+    # runs into a zero pivot, and a solution past the float range is
+    # refused rather than returned as inf
     assert float_solve([[0.0, 1.0], [2.0, 0.0]], [[3.0, 4.0]]) == [[2.0, 3.0]]
     with pytest.raises(ZeroDivisionError):
         float_solve([[1.0, 2.0], [2.0, 4.0]], [[1.0, 0.0]])
+    with pytest.raises(FloatingPointError):
+        float_solve([[1e-300, 0.0], [0.0, 1.0]], [[1e300, 0.0]])
