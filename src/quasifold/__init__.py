@@ -20,7 +20,7 @@ from .triples import (Fan, FundamentalTriple, Quasilattice, ValidationReport,
                       with_recovered_witnesses)
 from .atlas import (Atlas, Chart, CocycleReport, MonomialMap, OrbitRow,
                     RelationSet, build_chart, cocycle_check, fixed_point,
-                    orbit_report, relations, render_monomial_map,
+                    orbit_report, relations, render_terms, term_texts,
                     transition_map)
 from .polytopes import (Facet, GenericityError, NormalFanResult, Polytope,
                         SimplicityError, Vertex, enumerate_vertices,

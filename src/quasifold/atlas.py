@@ -1,16 +1,24 @@
 """The canonical affine atlas of a toric quasifold, computed exactly.
 
-For each maximal cone the chart records the cone matrix, its inverse, the
-coordinate table of every ray over the cone, the fixed point, and the
-exponent matrix of the discrete group acting on the chart.  Chart changes
-are monomial maps: the exponent matrix of the map from cone tau to cone
-sigma is  E = A_sigma^-1 A_tau, read off sigma's coordinate table as the
-columns at tau's rays; its rows render as generalized Laurent monomials
-with exact (possibly irrational) exponents.  Since every chart change is
-A_sigma^-1 A_tau, the inverse-pair and triangle (cocycle) identities are
-certified once per chart, by  A_sigma C_sigma = R  for the coordinate table
-C_sigma and the ray matrix R; only identities that contain a map failing
-this are multiplied out.
+For each maximal cone the chart records the cone matrix, the coordinate
+table of every ray over the cone, the fixed point, and the exponent matrix
+of the discrete group acting on the chart.  A chart change is a monomial
+map: the exponent matrix of the map from cone tau to cone sigma is
+E = A_sigma^-1 A_tau, the columns of sigma's coordinate table at tau's
+rays.  The atlas stores none: ``Atlas.transition`` builds one on demand,
+and its rows render as generalized Laurent monomials with exact (possibly
+irrational) exponents, joined from texts built once per chart.
+
+``Atlas.compile`` walks the wall graph, whose edges join cones that share
+n - 1 rays.  It inverts one start cone per component, and reaches every
+other chart from a neighbour by one exact pivot on the table
+[C_sigma | L_sigma] of the coordinates of the rays and the lattice
+generators: for tau = sigma - i + j the pivot is p = C_sigma[i, j] (the
+product form of the inverse; Chvatal, *Linear Programming*, 1983,
+ch. 7-8).  A_sigma^-1 A_tau is the identity with column i replaced by
+column j of C_sigma, so det A_tau = +-p det A_sigma: every A_tau is
+invertible, and a zero pivot refuses.  ``cocycle_check`` certifies the
+cocycle identities of all chart changes by one product per chart.
 """
 
 from __future__ import annotations
@@ -19,7 +27,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
-from .linalg import Matrix
+from .linalg import Matrix, pivot_rows
+from .scalars import Scalar
 from .triples import FundamentalTriple
 
 __all__ = [
@@ -34,22 +43,18 @@ __all__ = [
     "fixed_point",
     "orbit_report",
     "relations",
-    "render_monomial_map",
+    "render_terms",
+    "term_texts",
     "transition_map",
 ]
 
 
-def _exponent_text(scalar):
+def _exponent_text(text):
     """Exponent rendering: bare for signed atoms, parenthesized otherwise."""
-    text = scalar.text()
     body = text[1:] if text.startswith("-") else text
     if body and (body.isdigit() or body.isalpha()):
         return text
     return f"({text})"
-
-
-def _variable(ray_index, fan_dim):
-    return "z" if fan_dim == 1 else f"z{ray_index}"
 
 
 @dataclass(frozen=True)
@@ -58,7 +63,6 @@ class Chart:
 
     cone: Tuple[int, ...]
     matrix: Matrix              # columns are the cone's rays, increasing index
-    inverse: Matrix
     coordinates: Matrix         # n x d; column j is A^-1 (ray j), a unit vector on the cone
     fixed_point: Tuple[int, ...]
     lattice_exponents: Matrix   # n x k; column l is A^-1 (l-th lattice generator)
@@ -80,33 +84,35 @@ class MonomialMap:
         return len(self.source) - len(self.shared)
 
     def render(self):
-        return render_monomial_map(self.exponents, self.exponents.rows)
-
-    def scope(self):
-        return "dense-orbit extension" if self.dense_only else "chart overlap"
+        return render_terms(term_texts(self.exponents, self.exponents.rows),
+                            range(self.exponents.cols))
 
 
-def render_monomial_map(exponents: Matrix, fan_dim: int) -> str:
-    """Rows as monomials in the source variables, joined homogeneous-style.
+def term_texts(table: Matrix, fan_dim: int):
+    """Per row of a table of exponents, per column: (factor, entry text).
 
-    Factors follow increasing ray index; exponent 0 factors are omitted and
-    exponent 1 is suppressed.  A row of zeros renders as "1".
+    The factor is the column's variable, z<ray> (z in fan dimension 1),
+    raised to the entry: "" for exponent 0, bare for exponent 1 (canonical
+    text is unique, so only 0 and 1 read "0" and "1").
     """
-    source = exponents.col_labels or tuple(range(1, exponents.cols + 1))
-    rows = []
-    for i in range(exponents.rows):
-        factors = []
-        for j in range(exponents.cols):
-            e = exponents[i, j]
-            if e.is_zero():
-                continue
-            var = _variable(source[j], fan_dim)
-            if e == 1:
-                factors.append(var)
-            else:
-                factors.append(f"{var}^{_exponent_text(e)}")
-        rows.append(" ".join(factors) if factors else "1")
-    return "[" + " : ".join(rows) + "]"
+    labels = table.col_labels or range(1, table.cols + 1)
+    names = ["z" if fan_dim == 1 else f"z{j}" for j in labels]
+
+    def term(name, e):
+        text = e.text()
+        if text in ("0", "1"):
+            return ("" if text == "0" else name), text
+        return f"{name}^{_exponent_text(text)}", text
+    return [[term(name, e) for name, e in zip(names, table.row(i))]
+            for i in range(table.rows)]
+
+
+def render_terms(rows, columns):
+    """The rows of ``term_texts`` at the given columns as monomials, in
+    column order and joined homogeneous-style; a row of zeros is "1"."""
+    monomials = (" ".join(t for t in (row[j][0] for j in columns) if t)
+                 for row in rows)
+    return "[" + " : ".join(m or "1" for m in monomials) + "]"
 
 
 @dataclass(frozen=True)
@@ -129,29 +135,39 @@ def fixed_point(triple: FundamentalTriple, cone: Sequence[int]) -> Tuple[int, ..
     return tuple(0 if j in indices else 1 for j in range(1, triple.ray_count + 1))
 
 
+def _chart(triple: FundamentalTriple, cone, rows) -> Chart:
+    """The chart of a cone from its payload rows: the coordinates of the d
+    rays, then those of the k lattice generators."""
+    domain, n, d = triple.domain, len(cone), triple.ray_count
+    k = len(rows[0]) - d
+    raw = [Scalar(domain, x) for row in rows for x in row[d:]]
+    zero = domain.zero()
+    return Chart(
+        cone=cone,
+        matrix=triple.cone_matrix(cone),
+        coordinates=Matrix(domain, n, d, [Scalar(domain, x) for row in rows
+                                          for x in row[:d]],
+                           cone, tuple(range(1, d + 1))),
+        fixed_point=fixed_point(triple, cone),
+        lattice_exponents=Matrix(domain, n, k, raw, cone),
+        # exact integers act trivially under exp, so drop them
+        group_exponents=Matrix(domain, n, k, [zero if x.is_integer() else x
+                                              for x in raw],
+                               cone, tuple(range(1, k + 1))),
+    )
+
+
 def build_chart(triple: FundamentalTriple, cone: Sequence[int]) -> Chart:
-    """Compile the chart of a maximal cone."""
+    """Compile the chart of a maximal cone: one inverse, one product."""
     indices = tuple(sorted(cone))
     if indices not in triple.fan.max_cones:
         raise ValueError(f"{indices} is not a maximal cone of the fan")
-    matrix = triple.cone_matrix(indices)
-    inverse = matrix.inverse()
-    raw = inverse @ triple.lattice.generators
-    # exact integers act trivially under exp, so drop them
-    reduced = [entry.domain.zero() if entry.is_integer() else entry
-               for entry in raw.entries]
-    group = Matrix(raw.domain, raw.rows, raw.cols, reduced,
-                   row_labels=indices,
-                   col_labels=tuple(range(1, raw.cols + 1)))
-    return Chart(
-        cone=indices,
-        matrix=matrix,
-        inverse=inverse,
-        coordinates=inverse @ triple.ray_matrix(),
-        fixed_point=fixed_point(triple, indices),
-        lattice_exponents=raw,
-        group_exponents=group,
-    )
+    rays, generators, n = triple.ray_matrix(), triple.lattice.generators, triple.dim
+    table = triple.cone_matrix(indices).inverse() @ Matrix(
+        triple.domain, n, rays.cols + generators.cols,
+        [x for i in range(n) for x in rays.row(i) + generators.row(i)])
+    return _chart(triple, indices, [[x.payload for x in table.row(i)]
+                                    for i in range(n)])
 
 
 def transition_map(triple: FundamentalTriple, source: Sequence[int],
@@ -220,46 +236,39 @@ def cocycle_check(triple: FundamentalTriple,
     With T(s, t) the exponent matrix of the map from cone s to cone t, the
     identities are T(b, a) T(a, b) = I over ordered pairs (a, b) and
     T(b, a) T(c, b) = T(c, a) over ordered triples (a, b, c) of distinct
-    maximal cones.  They are certified once per chart t: A_t C_t = R
-    exactly, with A_t the cone matrix, C_t the coordinate table and R the
-    ray matrix, and every stored T(s, t) equals C_t at the rays of s.
-    Proof: a map that passes has A_t T(s, t) = A_s, and every A is
-    invertible (``build_chart`` inverts it), so T(s, t) = A_t^-1 A_s and
-    A_a^-1 A_b A_b^-1 A_c = A_a^-1 A_c.  Only the 3(N - 2) + 2 identities
-    that contain a failing map are evaluated as matrix products, in the
-    order of a sweep over all pairs, then all triples, so ``violations``
-    is exactly the sweep's.
+    maximal cones.  They are certified once per chart t, by one product:
+    A_t C_t = R exactly, with A_t the cone matrix, C_t the coordinate
+    table and R the ray matrix; T(s, t) is C_t at the rays of s.  Proof: a
+    chart that passes has A_t T(s, t) = A_s, and every A_t is invertible
+    (``Atlas.compile`` inverts each component's start and pivots only on
+    a nonzero p, so det A_tau = +-p det A_sigma; ``build_chart`` inverts
+    A_t itself), so T(s, t) = A_t^-1 A_s and
+    A_a^-1 A_b A_b^-1 A_c = A_a^-1 A_c.  Only the identities with a map
+    into a failing chart, those whose a or b fails, are multiplied out, in
+    the order of a sweep over all pairs, then all triples, so
+    ``violations`` is exactly the sweep's.
     """
     if atlas is None:
         atlas = Atlas.compile(triple)
     cones = triple.fan.max_cones
     count = len(cones)
     rays = triple.ray_matrix()
-    failing = []
-    for t in cones:
-        table = atlas.chart(t).coordinates
-        rows = [table.row(i) for i in range(table.rows)]
-        chart_fails = triple.cone_matrix(t) @ table != rays
-        failing += [(s, t) for s in cones if s != t and (
-            chart_fails or atlas.transition(s, t).exponents.entries
-            != tuple([row[j - 1] for row in rows for j in s]))]
-
-    pairs, triangles = set(), set()
-    for s, t in failing:
-        pairs.update([(s, t), (t, s)])
-        for c in cones:
-            if c not in (s, t):
-                triangles.update([(t, s, c), (c, t, s), (t, c, s)])
+    failing = {t for t in cones
+               if triple.cone_matrix(t) @ atlas.chart(t).coordinates != rays}
 
     def exponents(s, t):
         return atlas.transition(s, t).exponents
 
-    # the fan keeps its cones sorted, so sorted order is sweep order
+    # the fan keeps its cones sorted, so this is sweep order
     identity = Matrix.identity(triple.domain, triple.dim)
-    violations = [("pair", a, b) for a, b in sorted(pairs)
-                  if exponents(b, a) @ exponents(a, b) != identity]
-    violations += [("triple", a, b, c) for a, b, c in sorted(triangles)
-                   if exponents(b, a) @ exponents(c, b) != exponents(c, a)]
+    pairs = itertools.permutations(cones, 2) if failing else ()
+    triangles = itertools.permutations(cones, 3) if failing else ()
+    violations = [("pair", a, b) for a, b in pairs
+                  if (a in failing or b in failing)
+                  and exponents(b, a) @ exponents(a, b) != identity]
+    violations += [("triple", a, b, c) for a, b, c in triangles
+                   if (a in failing or b in failing)
+                   and exponents(b, a) @ exponents(c, b) != exponents(c, a)]
     return CocycleReport(pairs_checked=count * (count - 1),
                          triples_checked=count * (count - 1) * (count - 2),
                          violations=tuple(violations))
@@ -291,21 +300,45 @@ def orbit_report(triple: FundamentalTriple):
 
 
 class Atlas:
-    """All charts and chart changes of a triple, computed once and cached."""
+    """All charts of a triple, computed once and cached.  A chart change is
+    a view of its target's coordinate table: ``transition`` builds it on
+    demand, and ``terms`` keeps each chart's ``term_texts``."""
 
     def __init__(self, triple: FundamentalTriple):
         self.triple = triple
         self._charts: Dict[Tuple[int, ...], Chart] = {}
-        self._transitions: Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], MonomialMap] = {}
         self._relations: Dict[Tuple[int, ...], RelationSet] = {}
+        self._terms: Dict[Tuple[int, ...], list] = {}
 
     @classmethod
     def compile(cls, triple: FundamentalTriple) -> "Atlas":
-        atlas = cls(triple)
+        """Every chart, breadth-first over the wall graph: ``build_chart``
+        at the first cone of each component, then one ``pivot_rows`` per
+        chart on its neighbour's payload rows [C_sigma | L_sigma]."""
+        walls = {}
         for cone in triple.fan.max_cones:
-            atlas.chart(cone)
-        for a, b in itertools.permutations(triple.fan.max_cones, 2):
-            atlas.transition(a, b)
+            for i in range(len(cone)):
+                walls.setdefault(cone[:i] + cone[i + 1:], []).append(cone)
+        atlas = cls(triple)
+        charts, tables = atlas._charts, {}
+        for start in triple.fan.max_cones:
+            if start in charts:
+                continue
+            chart = charts[start] = build_chart(triple, start)
+            coordinates, raw = chart.coordinates, chart.lattice_exponents
+            tables[start] = [[x.payload for x in coordinates.row(i) + raw.row(i)]
+                             for i in range(triple.dim)]
+            queue = [start]
+            for sigma in queue:
+                for i in range(len(sigma)):
+                    for tau in walls[sigma[:i] + sigma[i + 1:]]:
+                        if tau not in charts:
+                            (j,) = set(tau) - set(sigma)
+                            rows = pivot_rows(triple.domain, tables[sigma], i, j - 1)
+                            labels = sigma[:i] + (j,) + sigma[i + 1:]
+                            tables[tau] = [r for _, r in sorted(zip(labels, rows))]
+                            charts[tau] = _chart(triple, tau, tables[tau])
+                            queue.append(tau)
         return atlas
 
     def chart(self, cone) -> Chart:
@@ -315,12 +348,17 @@ class Atlas:
         return self._charts[key]
 
     def transition(self, source, target) -> MonomialMap:
-        key = (tuple(sorted(source)), tuple(sorted(target)))
-        if key not in self._transitions:
-            self.chart(key[1])
-            self._transitions[key] = transition_map(
-                self.triple, key[0], key[1], charts=self._charts)
-        return self._transitions[key]
+        """Built on demand from the target's coordinate table."""
+        self.chart(target)
+        return transition_map(self.triple, source, target, charts=self._charts)
+
+    def terms(self, cone):
+        """``term_texts`` of the chart's coordinate table, built once."""
+        key = tuple(sorted(cone))
+        if key not in self._terms:
+            self._terms[key] = term_texts(self.chart(key).coordinates,
+                                          self.triple.dim)
+        return self._terms[key]
 
     def relation_set(self, cone) -> RelationSet:
         key = tuple(sorted(cone))

@@ -219,7 +219,7 @@ def run(args) -> tuple[int, str]:
                 raise InputError(f"{flag}: {cone} is not a maximal cone; "
                                  f"cones: {list(triple.fan.max_cones)}")
         sections["transition"] = transition_section(
-            Atlas(triple).transition(source, target))
+            Atlas(triple), source, target)
 
     if cfg is not None and not failed:
         summary = verify_triple(triple, cfg, atlas=atlas)

@@ -8,7 +8,8 @@ without ``jsonschema``.  Reports collect the validation, polytope, atlas,
 transition and verification sections in a deterministic JSON-friendly
 form; the text rendering is a stable flat view of the same data.  A chart
 change is built once, by ``transition_section``, for the atlas section and
-for the ``transition`` command alike, and its text is rendered once, by
+for the ``transition`` command alike, as joins of its target chart's term
+texts (``Atlas.terms``), and its text is rendered once, by
 ``_transition_lines``.
 """
 
@@ -21,7 +22,8 @@ from fractions import Fraction
 from importlib import resources
 from typing import Optional
 
-from .atlas import Atlas, cocycle_check, fixed_point, orbit_report
+from .atlas import (Atlas, cocycle_check, fixed_point, orbit_report,
+                    render_terms)
 from .linalg import Matrix
 from .polytopes import Polytope, to_triple
 from .scalars import (IndeterminateSignError, NumberFieldDomain,
@@ -306,11 +308,11 @@ def _combination_text(coefficients, labels, symbol="X"):
             negative = c.sign() < 0
         except IndeterminateSignError:
             negative = False
-        magnitude = -c if negative else c
-        if magnitude == 1:
+        # canonical text is unique, so "1" is the text of one alone
+        text = (-c if negative else c).text()
+        if text == "1":
             body = f"{symbol}{label}"
         else:
-            text = magnitude.text()
             composite = not (text.isdigit() or text.isalpha())
             body = f"({text})*{symbol}{label}" if composite else f"{text}*{symbol}{label}"
         if not pieces:
@@ -359,16 +361,20 @@ def polytope_section(doc: InputDocument, fan_result, triple):
     return {"facets": facets, "vertex_table": table}
 
 
-def transition_section(tmap):
-    """One chart change: the ``transition`` command's section and an entry
-    of the atlas section's transition list."""
+def transition_section(atlas: Atlas, source, target):
+    """The chart change from cone source to cone target (sorted tuples),
+    read off the target chart's term texts: the ``transition`` command's
+    section and an entry of the atlas section's transition list."""
+    terms = atlas.terms(target)
+    columns = [j - 1 for j in source]
+    shared = set(source) & set(target)
     return {
-        "source": list(tmap.source),
-        "target": list(tmap.target),
-        "h": tmap.h,
-        "scope": tmap.scope(),
-        "exponents": _matrix_rows_text(tmap.exponents),
-        "rendered": tmap.render(),
+        "source": list(source),
+        "target": list(target),
+        "h": len(source) - len(shared),
+        "scope": "chart overlap" if shared else "dense-orbit extension",
+        "exponents": [[row[j][1] for j in columns] for row in terms],
+        "rendered": render_terms(terms, columns),
     }
 
 
@@ -381,7 +387,7 @@ def atlas_section(triple, atlas: Atlas, include_cocycle=True):
             "fixed_point": _fixed_point_text(chart.fixed_point),
             "group_exponents": _matrix_rows_text(chart.group_exponents),
         })
-    transitions = [transition_section(atlas.transition(source, target))
+    transitions = [transition_section(atlas, source, target)
                    for source in atlas.cones for target in atlas.cones
                    if source != target]
     relation_rows = []

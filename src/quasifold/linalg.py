@@ -12,7 +12,8 @@ One back-substitution serves every solve: ``solve`` and ``inverse`` pass
 their right-hand sides as augmented columns, and ``solve_general`` passes
 its free columns too, so the kernel basis comes out of the same loop.  The
 distinguished kernel basis of a ray map over a chosen cone is built in
-``atlas.relations``.  ``integer_solve`` solves rational systems over Z.
+``atlas.relations``.  ``pivot_rows`` exchanges one basis vector of a table
+of coordinates, and ``integer_solve`` solves rational systems over Z.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ __all__ = [
     "SingularMatrixError",
     "dot",
     "integer_solve",
+    "pivot_rows",
     "solve_general",
 ]
 
@@ -241,6 +243,27 @@ class Matrix:
         columns = self._back_substitute(work, pivot_cols, n)
         entries = [columns[j][i] for i in range(n) for j in range(n)]
         return Matrix(self.domain, n, n, entries, self.col_labels, self.row_labels)
+
+
+def pivot_rows(domain: ScalarDomain, rows, i, j):
+    """Exchange basis vector i of a table of coordinates (rows of payloads)
+    for the vector of column j: row i becomes row i / p, p = rows[i][j],
+    and every other row r becomes r - rows[r][j] (row i / p).  Raises
+    SingularMatrixError when p is zero."""
+    mul, add, is_zero = domain._mul, domain._add, domain._is_zero
+    if is_zero(rows[i][j]):
+        raise SingularMatrixError("pivot on a zero entry")
+    inverse = domain._memo(domain._inverses, domain._inv, rows[i][j])
+    top = [mul(x, inverse) for x in rows[i]]
+    live = [c for c, x in enumerate(top) if not is_zero(x)]
+    out = []
+    for r, row in enumerate(rows):
+        if r != i and not is_zero(row[j]):
+            factor, row = domain._neg(row[j]), list(row)
+            for c in live:
+                row[c] = add(row[c], mul(factor, top[c]))
+        out.append(top if r == i else row)
+    return out
 
 
 def solve_general(matrix: Matrix, rhs: Sequence[Scalar]):

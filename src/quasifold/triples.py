@@ -224,10 +224,13 @@ def float_solve(a, rhs):
 
 
 def _inside(inverse, directions):
-    """Indices of the directions d with row . d >= -1e-9 for every row;
-    each test stops at the first row that fails."""
+    """Indices of the unit directions d with row . d >= -1e-9 |row| for
+    every row: a bound relative to the row, which scaling the rays cannot
+    change; each test stops at the first row that fails."""
+    bounds = [-1e-9 * hypot(*row) for row in inverse]
     return [i for i, d in enumerate(directions)
-            if all(float_dot(row, d) >= -1e-9 for row in inverse)]
+            if all(float_dot(row, d) >= bound
+                   for row, bound in zip(inverse, bounds))]
 
 
 def validate(triple: FundamentalTriple, probe_directions: int = 64,
@@ -284,7 +287,7 @@ def validate(triple: FundamentalTriple, probe_directions: int = 64,
         identity = [[float(i == j) for j in range(dim)] for i in range(dim)]
         try:
             # row i of an inverse gives coordinate i of a direction, and
-            # the direction is inside when all are >= -1e-9
+            # the direction is inside when none is below -1e-9 |row|
             inverses = [list(zip(*float_solve(
                 float_array(a.entries, (a.rows, a.cols), parameter_sample,
                             floats),

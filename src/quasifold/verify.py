@@ -266,7 +266,8 @@ class NumericAtlas:
                              f"{triple.witnesses.index(None) + 1}")
         self.witnesses = [list(w) for w in triple.witnesses]
         self.triple = triple
-        self.atlas = atlas if atlas is not None else Atlas(triple)
+        self._rays = triple.ray_matrix()
+        self.atlas = atlas if atlas is not None else Atlas.compile(triple)
         if (parameter_sample is None
                 and triple.domain.kind == "rational_function"):
             parameter_sample = triple.domain.default_sample
@@ -285,7 +286,7 @@ class NumericAtlas:
         return self._cache[key]
 
     def ray_matrix(self):
-        return self._floats(("rays",), self.triple.ray_matrix())
+        return self._floats(("rays",), self._rays)
 
     def cone_matrix(self, cone):
         return self._floats(("cone", tuple(cone)),
@@ -299,9 +300,13 @@ class NumericAtlas:
         return self._floats(("lattice", tuple(cone)),
                             self.atlas.chart(cone).lattice_exponents)
 
+    def coordinates(self, cone):
+        return self._floats(("coordinates", tuple(cone)),
+                            self.atlas.chart(cone).coordinates)
+
     def transition(self, source, target):
-        return self._floats(("transition", tuple(source), tuple(target)),
-                            self.atlas.transition(source, target).exponents)
+        """The chart change's exponents: the target's table at the source's rays."""
+        return [[row[j - 1] for j in source] for row in self.coordinates(target)]
 
     def kernel_matrix(self, cone):
         key = ("kernel", tuple(cone))

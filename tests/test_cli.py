@@ -662,6 +662,17 @@ def test_extreme_parameter_values_refuse(flag, value, tmp_path, capsys):
                 "floating point") in out
 
 
+@pytest.mark.parametrize("value", ["1e30", "1e300"])
+def test_probe_sees_no_overlap_at_large_parameter_values(value, tmp_path,
+                                                         capsys):
+    # the probe's bound is relative to the rows of each cone inverse, so
+    # the cone of huge rays does not seem to overlap its neighbours
+    code, out, err = run_cli(["validate", write_doc(tmp_path, gallery_json(
+        "cp2-11a")), "--param", f"a={value}"], capsys)
+    assert (code, err) == (0, "")
+    assert "  support probe: 64 directions, 0 gaps, 0 overlaps\n" in out
+
+
 def test_param_refused_without_parameter(capsys):
     # a rational or number-field document has no parameter to sample
     for name in ("kite", "dodecahedron"):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from quasifold import (DimensionMismatchError, Matrix, SingularMatrixError,
                        integer_solve, solve_general)
+from quasifold.linalg import pivot_rows
 
 
 def icosahedral_generators(quartic):
@@ -279,6 +280,38 @@ def test_solve_round_trip_polynomial_entries(parameter, golden):
             assert list(a.apply(x)) == b
             assert a @ a.inverse() == Matrix.identity(domain, n)
             solved += 1
+
+
+def payload_rows(matrix):
+    return [[x.payload for x in matrix.row(i)] for i in range(matrix.rows)]
+
+
+def test_pivot_rows_gives_the_coordinates_over_the_new_basis(
+        rational, golden, parameter):
+    # T = A^-1 V; exchanging column i of A for column j of V gives a basis
+    # B, and the pivot on T[i][j] must give B^-1 V exactly
+    rng = random.Random(2718)
+    for domain in (rational, golden, parameter):
+        gen = domain.generator() if domain.generator_symbol else domain.one()
+        pivots = 0
+        while pivots < 30:
+            n, m = rng.randint(1, 4), rng.randint(1, 4)
+            a = random_unimodularish(domain, n, rng)
+            v = Matrix.from_rows(domain, [
+                [domain.scalar(rng.randint(-2, 2)) + gen * rng.randint(-1, 1)
+                 for _ in range(m)] for _ in range(n)])
+            table = payload_rows(a.inverse() @ v)
+            i, j = rng.randrange(n), rng.randrange(m)
+            if domain._is_zero(table[i][j]):
+                with pytest.raises(SingularMatrixError):
+                    pivot_rows(domain, table, i, j)
+                continue
+            basis = Matrix.from_rows(domain, [
+                [v[r, j] if c == i else a[r, c] for c in range(n)]
+                for r in range(n)])
+            assert pivot_rows(domain, table, i, j) == payload_rows(
+                basis.inverse() @ v)
+            pivots += 1
 
 
 def test_kernel_randomized(rational):

@@ -129,9 +129,55 @@ def test_inside_matches_numpy(dim):
                    for _ in range(dim)]
         directions = [[rng.gauss(0.0, 1.0) for _ in range(dim)]
                       for _ in range(50)]
+        bounds = -1e-9 * np.linalg.norm(inverse, axis=1)[:, None]
         expected = np.flatnonzero(np.all(
-            np.array(inverse) @ np.array(directions).T >= -1e-9, axis=0))
+            np.array(inverse) @ np.array(directions).T >= bounds, axis=0))
         assert _inside(inverse, directions) == expected.tolist()
+
+
+def test_inside_bound_is_relative():
+    # a coordinate of -1e-16 is rounding for a row of size 1, and a real
+    # miss for a row of size 1e-10, which a fixed -1e-9 would let in
+    assert _inside([[-1e-16, 1.0]], [[1.0, 0.0]]) == [0]
+    assert _inside([[-1e-16, 1e-10]], [[1.0, 0.0]]) == []
+
+
+SCALED_FANS = {
+    # rays, cones; each lattice is Z^n with the rays' witnesses
+    "plane": ([(1, 0), (1, 3), (-4, 3), (-4, -3), (1, -3)],
+              [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)]),
+    "winds twice": ([(1, 0), (1, 3), (-4, 3), (-4, -3), (1, -3)],
+                    [(1, 3), (2, 4), (3, 5), (1, 4), (2, 5)]),
+    "one quadrant": ([(1, 0), (0, 1)], [(1, 2)]),
+    "simplex": ([(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)],
+                list(itertools.combinations(range(1, 5), 3))),
+    "skew": ([(3, 1, 0), (0, 2, 1), (1, 0, 5), (-2, -3, -4)],
+             list(itertools.combinations(range(1, 5), 3))),
+}
+
+
+def scaled_fan(rational, name, k):
+    """The fan with every ray and lattice generator times 2^k."""
+    rays, cones = SCALED_FANS[name]
+    dim, scale = len(rays[0]), Fraction(2) ** k
+    lattice = Quasilattice(rational, Matrix.from_rows(rational, [
+        [scale * (i == j) for j in range(dim)] for i in range(dim)]))
+    fan = Fan(dim, [[rational.scalar(scale * x) for x in ray] for ray in rays],
+              cones)
+    return FundamentalTriple(fan, lattice, rays)
+
+
+@settings(max_examples=40)
+@given(name=st.sampled_from(sorted(SCALED_FANS)), k=st.integers(-40, 40),
+       seed=st.integers(0, 3))
+def test_probe_counts_do_not_depend_on_scale(rational, name, k, seed):
+    # the floats of 2^k x are 2^k times those of x, and so are the float
+    # solve, the norms and the dot products: the verdicts are the same
+    reports = [validate(scaled_fan(rational, name, e), seed=seed)
+               for e in (0, k)]
+    assert all(r.passed and r.probe_ran for r in reports)
+    counts = [(r.probe_gaps, r.probe_overlaps) for r in reports]
+    assert counts[0] == counts[1]
 
 
 def test_probe_sees_a_fan_that_winds_twice(rational):
