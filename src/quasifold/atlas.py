@@ -256,8 +256,12 @@ def cocycle_check(triple: FundamentalTriple,
     failing = {t for t in cones
                if triple.cone_matrix(t) @ atlas.chart(t).coordinates != rays}
 
+    maps = {}  # each ordered pair's exponents, built at most once
+
     def exponents(s, t):
-        return atlas.transition(s, t).exponents
+        if (s, t) not in maps:
+            maps[s, t] = atlas.transition(s, t).exponents
+        return maps[s, t]
 
     # the fan keeps its cones sorted, so this is sweep order
     identity = Matrix.identity(triple.domain, triple.dim)

@@ -6,14 +6,19 @@ entries as minors of the input instead of letting rational-function degrees
 blow up.  The division stays over the fields too: the domain memoises each
 inverse (see ``ScalarDomain``), so every division by a pivot after the
 first costs one product, as one inverse per pivot row would in Gauss
-elimination, and one routine serves all three domains.  Pivoting is
-first-nonzero with lowest row index, so all outputs are deterministic.
-One back-substitution serves every solve: ``solve`` and ``inverse`` pass
-their right-hand sides as augmented columns, and ``solve_general`` passes
-its free columns too, so the kernel basis comes out of the same loop.  The
-distinguished kernel basis of a ray map over a chosen cone is built in
-``atlas.relations``.  ``pivot_rows`` exchanges one basis vector of a table
-of coordinates, and ``integer_solve`` solves rational systems over Z.
+elimination, and one routine serves all three domains.  Elimination and
+back-substitution work on payloads with the domain's own operations, as
+the matrix product and ``pivot_rows`` do; payloads are canonical, so the
+results are those of Scalar arithmetic, and a Scalar is built only for
+what a caller gets back.  Pivoting is first-nonzero with lowest row index,
+so all outputs are deterministic.  One back-substitution serves every
+solve: ``solve`` and ``inverse`` pass their right-hand sides as augmented
+columns, and ``solve_general`` passes its free columns too, so the kernel
+basis comes out of the same loop.  The distinguished kernel basis of a ray
+map over a chosen cone is built in ``atlas.relations``.  ``pivot_rows``
+exchanges one basis vector of a table of coordinates, for the chart walk
+of ``Atlas.compile`` and the vertex walk of ``polytopes``, and
+``integer_solve`` solves rational systems over Z.
 """
 
 from __future__ import annotations
@@ -162,35 +167,53 @@ class Matrix:
 
     # -- elimination core -----------------------------------------------------
 
-    def _eliminate(self, aug_cols=0, work=None):
-        """Bareiss forward elimination on a working copy.
+    def _eliminate(self, aug=None):
+        """Bareiss forward elimination on payload rows.
 
-        Returns (work, pivot_cols) where work is a list of row lists covering
-        all columns including any augmented ones, and pivot_cols indexes the
-        pivot column of each eliminated row within the first self.cols columns.
+        aug gives each row's augmented payloads (none by default).  Returns
+        (work, pivot_cols) where work is a list of payload rows covering all
+        columns including the augmented ones, and pivot_cols indexes the
+        pivot column of each eliminated row within the first self.cols
+        columns.  Entries below a pivot are left zero.
         """
-        if work is None:
-            work = [list(self.row(i)) for i in range(self.rows)]
-        total_cols = self.cols + aug_cols
-        one = self.domain.one()
-        prev = one
+        domain = self.domain
+        mul, add, neg, is_zero = domain._mul, domain._add, domain._neg, domain._is_zero
+        work = [[x.payload for x in self.row(i)] + (list(aug[i]) if aug else [])
+                for i in range(self.rows)]
+        total_cols = self.cols + (len(aug[0]) if aug else 0)
+        zero = domain.zero().payload
+        prev = None  # the previous pivot; None while that is one
         pivot_cols = []
         r = 0
         for c in range(self.cols):
-            pivot_row = None
-            for i in range(r, self.rows):
-                if not work[i][c].is_zero():
-                    pivot_row = i
-                    break
+            pivot_row = next((i for i in range(r, self.rows)
+                              if not is_zero(work[i][c])), None)
             if pivot_row is None:
                 continue
-            if pivot_row != r:
-                work[r], work[pivot_row] = work[pivot_row], work[r]
-            pivot = work[r][c]
-            for i in range(r + 1, self.rows):
-                factor = work[i][c]
-                for j in range(c, total_cols):
-                    work[i][j] = (pivot * work[i][j] - factor * work[r][j]) / prev
+            work[r], work[pivot_row] = work[pivot_row], work[r]
+            top = work[r]
+            pivot = top[c]
+            # dividing by prev is one product with its memoised inverse,
+            # taken only when a row below needs it, as in Scalar division
+            inverse = None
+            if prev is not None and r + 1 < self.rows:
+                inverse = domain._memo(domain._inverses, domain._inv, prev)
+            for row in work[r + 1:]:
+                # row[j] = (pivot row[j] - row[c] top[j]) / prev, without
+                # the products of zero entries
+                factor = None if is_zero(row[c]) else neg(row[c])
+                row[c] = zero
+                for j in range(c + 1, total_cols):
+                    x, y = row[j], top[j]
+                    if factor is None or is_zero(y):
+                        if is_zero(x):
+                            continue
+                        x = mul(pivot, x)
+                    elif is_zero(x):
+                        x = mul(factor, y)
+                    else:
+                        x = add(mul(pivot, x), mul(factor, y))
+                    row[j] = x if inverse is None else mul(x, inverse)
             prev = pivot
             pivot_cols.append(c)
             r += 1
@@ -200,20 +223,23 @@ class Matrix:
         return len(self._eliminate()[1])
 
     def _back_substitute(self, work, pivot_cols, aug_cols):
-        """Solve the upper-triangular system for each augmented column."""
-        n = len(pivot_cols)
-        zero = self.domain.zero()
+        """Solve the upper-triangular payload system for each augmented
+        column; returns one payload column of length self.cols per column."""
+        domain = self.domain
+        mul, add, neg, is_zero = domain._mul, domain._add, domain._neg, domain._is_zero
+        zero = domain.zero().payload
         solutions = [[zero] * self.cols for _ in range(aug_cols)]
-        for t in range(n - 1, -1, -1):
-            c = pivot_cols[t]
-            pivot = work[t][c]
-            for a in range(aug_cols):
-                acc = work[t][self.cols + a]
-                for j in range(c + 1, self.cols):
-                    xj = solutions[a][j]
-                    if not xj.is_zero():
-                        acc = acc - work[t][j] * xj
-                solutions[a][c] = acc / pivot
+        for t in range(len(pivot_cols) - 1, -1, -1):
+            c, row = pivot_cols[t], work[t]
+            inverse = domain._memo(domain._inverses, domain._inv, row[c])
+            terms = [(j, neg(row[j])) for j in range(c + 1, self.cols)
+                     if not is_zero(row[j])]
+            for a, solution in enumerate(solutions):
+                acc = row[self.cols + a]
+                for j, factor in terms:
+                    if not is_zero(solution[j]):
+                        acc = add(acc, mul(factor, solution[j]))
+                solution[c] = mul(acc, inverse)
         return solutions
 
     def solve(self, rhs: Sequence[Scalar]):
@@ -222,27 +248,26 @@ class Matrix:
             raise DimensionMismatchError("solve requires a square matrix")
         if len(rhs) != self.rows:
             raise DimensionMismatchError("right-hand side has the wrong length")
-        work = [list(self.row(i)) + [self.domain.scalar(b)]
-                for i, b in zip(range(self.rows), rhs)]
-        work, pivot_cols = self._eliminate(aug_cols=1, work=work)
+        domain = self.domain
+        work, pivot_cols = self._eliminate([[domain.scalar(b).payload] for b in rhs])
         if len(pivot_cols) < self.rows:
             raise SingularMatrixError("matrix is singular")
-        return tuple(self._back_substitute(work, pivot_cols, 1)[0])
+        return tuple(Scalar(domain, x)
+                     for x in self._back_substitute(work, pivot_cols, 1)[0])
 
     def inverse(self):
         """Exact inverse; raises SingularMatrixError when none exists."""
         if self.rows != self.cols:
             raise DimensionMismatchError("inverse requires a square matrix")
-        n = self.rows
-        one, zero = self.domain.one(), self.domain.zero()
-        work = [list(self.row(i)) + [one if i == j else zero for j in range(n)]
-                for i in range(n)]
-        work, pivot_cols = self._eliminate(aug_cols=n, work=work)
+        n, domain = self.rows, self.domain
+        one, zero = domain.one().payload, domain.zero().payload
+        work, pivot_cols = self._eliminate(
+            [[one if i == j else zero for j in range(n)] for i in range(n)])
         if len(pivot_cols) < n:
             raise SingularMatrixError("matrix is singular")
         columns = self._back_substitute(work, pivot_cols, n)
-        entries = [columns[j][i] for i in range(n) for j in range(n)]
-        return Matrix(self.domain, n, n, entries, self.col_labels, self.row_labels)
+        entries = [Scalar(domain, columns[j][i]) for i in range(n) for j in range(n)]
+        return Matrix(domain, n, n, entries, self.col_labels, self.row_labels)
 
 
 def pivot_rows(domain: ScalarDomain, rows, i, j):
@@ -273,28 +298,26 @@ def solve_general(matrix: Matrix, rhs: Sequence[Scalar]):
     """
     if len(rhs) != matrix.rows:
         raise DimensionMismatchError("right-hand side has the wrong length")
-    work = [list(matrix.row(i)) + [matrix.domain.scalar(b)]
-            for i, b in zip(range(matrix.rows), rhs)]
-    work, pivot_cols = matrix._eliminate(aug_cols=1, work=work)
-    for i in range(len(pivot_cols), matrix.rows):
-        if not work[i][matrix.cols].is_zero():
-            return None
+    domain, cols = matrix.domain, matrix.cols
+    work, pivot_cols = matrix._eliminate([[domain.scalar(b).payload] for b in rhs])
+    rank = len(pivot_cols)
+    if any(not domain._is_zero(row[cols]) for row in work[rank:]):
+        return None
     # each free column rides along as one more right-hand side, so one
     # back-substitution gives the particular solution and the kernel
-    rank = len(pivot_cols)
-    free_cols = [c for c in range(matrix.cols) if c not in pivot_cols]
+    free_cols = [c for c in range(cols) if c not in pivot_cols]
     work = [row + [row[f] for f in free_cols] for row in work[:rank]]
     particular, *coords = matrix._back_substitute(
         work, pivot_cols, 1 + len(free_cols))
-    zero, one = matrix.domain.zero(), matrix.domain.one()
+    zero, one = domain.zero(), domain.one()
     kernel = []
     for f, column in zip(free_cols, coords):
-        vector = [zero] * matrix.cols
+        vector = [zero] * cols
         vector[f] = one
         for c in pivot_cols:
-            vector[c] = -column[c]
+            vector[c] = Scalar(domain, domain._neg(column[c]))
         kernel.append(tuple(vector))
-    return tuple(particular), kernel
+    return tuple(Scalar(domain, x) for x in particular), kernel
 
 
 def integer_solve(rows, rhs):

@@ -3,8 +3,10 @@
 A polytope is a list of inequalities <X_j, x> >= lambda_j with inward
 normals X_j.  Vertices are enumerated exactly: facet n-subsets are solved
 until one gives a first vertex, and the rest are found by walking the edges,
-swapping one facet at a time by a simplex pivot, so only the first vertex
-inverts a matrix.  The normal fan then has one maximal cone per vertex,
+swapping one facet at a time by a simplex pivot (``linalg.pivot_rows`` on
+a transposed tableau of payloads, one row per edge direction), so only the
+first vertex inverts a matrix, and a vertex pivots only when an edge at it
+is left to walk.  The normal fan then has one maximal cone per vertex,
 spanned by the normals of the facets through it; inequalities with an
 unbounded edge are refused.
 
@@ -20,7 +22,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
-from .linalg import Matrix, SingularMatrixError, dot
+from .linalg import Matrix, SingularMatrixError, dot, pivot_rows
 from .scalars import IndeterminateSignError, Scalar, ScalarDomain
 from .triples import (Fan, FundamentalTriple, Quasilattice,
                       with_recovered_witnesses)
@@ -82,28 +84,30 @@ class Polytope:
         return len(self.facets)
 
 
-def _inequality_sign(value: Scalar):
-    """Sign of a nonzero inequality slack or rate, for every parameter value."""
+def _inequality_sign(domain: ScalarDomain, a):
+    """Sign of a nonzero inequality slack or rate (a payload), for every
+    parameter value."""
     try:
-        return value.sign()
+        return domain._memo(domain._signs, domain._sign, a)
     except IndeterminateSignError as exc:
         raise GenericityError(
             f"the vertex combinatorics depend on the parameter: {exc}") from exc
 
 
-def _simplicity_error(point, incident, n):
-    coords = ", ".join(x.text() for x in point)
+def _simplicity_error(domain, point, incident, n):
+    coords = ", ".join(Scalar(domain, x).text() for x in point)
     return SimplicityError(
         f"vertex ({coords}) lies on facets {incident}; "
         f"a simple polytope allows exactly {n}")
 
 
 def _start_vertex(polytope: Polytope):
-    """The solution of the first feasible facet n-subset, with its slacks."""
-    n = polytope.dim
+    """The solution of the first feasible facet n-subset, with its slacks,
+    as payloads."""
+    n, domain = polytope.dim, polytope.domain
     for subset in itertools.combinations(range(polytope.facet_count), n):
         matrix = Matrix.from_rows(
-            polytope.domain, [polytope.facets[i].normal for i in subset])
+            domain, [polytope.facets[i].normal for i in subset])
         rhs = [polytope.facets[i].offset for i in subset]
         try:
             point = matrix.solve(rhs)
@@ -111,34 +115,13 @@ def _start_vertex(polytope: Polytope):
             continue
         slacks = []
         for facet in polytope.facets:
-            slack = dot(facet.normal, point) - facet.offset
-            if not slack.is_zero() and _inequality_sign(slack) < 0:
+            slack = (dot(facet.normal, point) - facet.offset).payload
+            if not domain._is_zero(slack) and _inequality_sign(domain, slack) < 0:
                 break
             slacks.append(slack)
         else:
-            return point, slacks
+            return [x.payload for x in point], slacks
     raise ValueError("the inequality system has no vertices")
-
-
-def _pivot(tableau, k, b, order):
-    """The tableau after column k's facet leaves for facet b, with the
-    columns then taken in the given order (see enumerate_vertices)."""
-    domain = tableau[b][k].domain
-    mul, add, neg = domain._mul, domain._add, domain._neg
-    # payload arithmetic, one Scalar per entry; factors[i] = -T[b][i] / p
-    pivot = tableau[b][k].inverse().payload
-    factors = [None if i == k else neg(mul(x.payload, pivot))
-               for i, x in enumerate(tableau[b])]
-    out = []
-    for row in tableau:
-        rate = row[k]
-        if not rate.is_zero():
-            r = rate.payload
-            row = [Scalar(domain, mul(r, pivot) if f is None
-                          else add(x.payload, mul(f, r)))
-                   for x, f in zip(row, factors)]
-        out.append(tuple(row[i] for i in order))
-    return out
 
 
 def enumerate_vertices(polytope: Polytope) -> Tuple[Vertex, ...]:
@@ -154,28 +137,31 @@ def enumerate_vertices(polytope: Polytope) -> Tuple[Vertex, ...]:
     * at a simple vertex with active facets S, the columns d_k of A_S^-1
       are exactly its edge directions: moving along d_k raises the slack
       of facet S[k] and keeps the other n - 1 facets of S tight;
-    * along d_k the slack of facet j changes at rate T[j][k] = <X_j, d_k>,
-      so the edge ends where the first facet with T[j][k] < 0 becomes
-      tight (the minimum ratio slack_j / -T[j][k]), and is unbounded when
+    * along d_k the slack of facet j changes at rate T[k][j] = <X_j, d_k>,
+      so the edge ends where the first facet with T[k][j] < 0 becomes
+      tight (the minimum ratio slack_j / -T[k][j]), and is unbounded when
       there is none.  The neighbour lies on more than n facets exactly
       when that minimum ties, and every vertex is reached from a simple
       one through an edge, so a non-simple vertex anywhere is found.
 
-    Ratios are compared by the sign of slack_b T[j][k] - slack_j T[b][k],
+    Ratios are compared by the sign of slack_b T[k][j] - slack_j T[k][b],
     so the only division is the step length of each edge taken.  An edge
     is walked from one end only: reaching a vertex by leaving facet S[k]
     for facet b records that leaving b there leads back.
 
-    Each vertex found holds a tableau, the rates T and the coordinates of
-    the d_k, one column per facet of S in sorted order, until its edges
-    are walked.  Only the start vertex inverts A_S.  Leaving S[k] for b
-    with pivot p = T[b][k] gives d'_b = d_k / p (rate 1 for X_b, the rest
-    of S tight) and d'_i = d_i - (T[b][i] / p) d_k (rate 0 for X_b, 1 for
-    S[i]), so T'[j][b] = T[j][k] / p and T'[j][i] = T[j][i] - (T[b][i] / p)
-    T[j][k]: one column operation on rate and coordinate rows alike, which
-    keeps a row with T[j][k] = 0, then the neighbour's sorted order.  The
-    arithmetic is exact and canonical, so every point, slack and direction
-    equals the one an inverse of A_S at that vertex gives.
+    Each vertex holds a transposed tableau of payloads: row k is the edge
+    direction d_k, the rates T[k] of all m facets and then the n
+    coordinates of d_k, one row per facet of S in sorted order.  Only the
+    start vertex inverts A_S.  Leaving S[k] for b with pivot p = T[k][b]
+    gives d'_b = d_k / p (rate 1 for X_b, the rest of S tight) and
+    d'_i = d_i - (T[i][b] / p) d_k (rate 0 for X_b, 1 for S[i]): exactly
+    ``pivot_rows(domain, rows, k, b)``, the pivot ``Atlas.compile`` takes,
+    then the rows in the neighbour's sorted order.  A neighbour's pivot
+    waits until the neighbour is popped, and is skipped when every edge at
+    it has been walked from its other end.  The arithmetic is exact and
+    canonical, so every point, slack and direction equals the one an
+    inverse of A_S at that vertex gives; Scalars are built once per vertex,
+    for the output.
 
     Raises SimplicityError when some vertex lies on more than n facets,
     and GenericityError when a sign the walk needs depends on the parameter.
@@ -184,39 +170,47 @@ def enumerate_vertices(polytope: Polytope) -> Tuple[Vertex, ...]:
     m = polytope.facet_count
     if m < n + 1:
         raise ValueError("a bounded polytope needs at least n + 1 facets")
-    point, slacks = _start_vertex(polytope)
-    active = tuple(j for j, slack in enumerate(slacks) if slack.is_zero())
-    if len(active) != n:
-        raise _simplicity_error(point, tuple(j + 1 for j in active), n)
     domain, facets = polytope.domain, polytope.facets
+    mul, add, neg, is_zero = domain._mul, domain._add, domain._neg, domain._is_zero
+    point, slacks = _start_vertex(polytope)
+    active = tuple(j for j, slack in enumerate(slacks) if is_zero(slack))
+    if len(active) != n:
+        raise _simplicity_error(domain, point, tuple(j + 1 for j in active), n)
     inverse = Matrix.from_rows(domain, [facets[j].normal for j in active]).inverse()
     rates = Matrix.from_rows(domain, [f.normal for f in facets]) @ inverse
+    tableau = [[x.payload for x in rates.column(k) + inverse.column(k)]
+               for k in range(n)]
     found = {active: (point, slacks)}
-    tableaus = {active: [rates.row(j) for j in range(m)]
-                + [inverse.row(t) for t in range(n)]}
-    pending = [active]
+    # (vertex, its tableau or its parent's, the pivot that leads from that)
+    pending = [(active, tableau, None)]
     walked = set()  # (vertex, facet it leaves) for edges already taken
     while pending:
-        active = pending.pop()
+        active, tableau, step = pending.pop()
+        edges = [k for k in range(n) if (active, active[k]) not in walked]
+        if not edges:
+            continue
+        if step is not None:
+            k, b, order = step
+            pivoted = pivot_rows(domain, tableau, k, b)
+            tableau = [pivoted[i] for i in order]
         point, slacks = found[active]
-        tableau = tableaus.pop(active)
-        for k in range(n):
-            if (active, active[k]) in walked:
-                continue
+        for k in edges:
+            direction = tableau[k]
             best = None
             tied = False
             for j in range(m):
-                rate = tableau[j][k]
-                if (j in active or rate.is_zero()
-                        or _inequality_sign(rate) > 0):
+                rate = direction[j]
+                if (j in active or is_zero(rate)
+                        or _inequality_sign(domain, rate) > 0):
                     continue
                 if best is None:
                     best = j
                     continue
-                cross = slacks[best] * rate - slacks[j] * tableau[best][k]
-                if cross.is_zero():
+                cross = add(mul(slacks[best], rate),
+                            neg(mul(slacks[j], direction[best])))
+                if is_zero(cross):
                     tied = True
-                elif _inequality_sign(cross) < 0:
+                elif _inequality_sign(domain, cross) < 0:
                     best, tied = j, False
             if best is None:
                 continue  # an unbounded edge
@@ -224,20 +218,21 @@ def enumerate_vertices(polytope: Polytope) -> Tuple[Vertex, ...]:
             walked.add((neighbour, best))
             if neighbour in found and not tied:
                 continue
-            step = slacks[best] / -tableau[best][k]
-            new_point = tuple(x + step * row[k]
-                              for x, row in zip(point, tableau[m:]))
-            new_slacks = [slack if row[k].is_zero() else slack + step * row[k]
-                          for slack, row in zip(slacks, tableau)]
+            length = mul(slacks[best], domain._memo(
+                domain._inverses, domain._inv, neg(direction[best])))
+            new_point = [x if is_zero(r) else add(x, mul(length, r))
+                         for x, r in zip(point, direction[m:])]
+            new_slacks = [s if is_zero(r) else add(s, mul(length, r))
+                          for s, r in zip(slacks, direction)]
             if tied:
-                incident = tuple(j + 1 for j, slack in enumerate(new_slacks)
-                                 if slack.is_zero())
-                raise _simplicity_error(new_point, incident, n)
+                incident = tuple(j + 1 for j, s in enumerate(new_slacks)
+                                 if is_zero(s))
+                raise _simplicity_error(domain, new_point, incident, n)
             found[neighbour] = (new_point, new_slacks)
             order = [k if j == best else active.index(j) for j in neighbour]
-            tableaus[neighbour] = _pivot(tableau, k, best, order)
-            pending.append(neighbour)
-    return tuple(Vertex(coordinates=found[active][0],
+            pending.append((neighbour, tableau, (k, best, order)))
+    return tuple(Vertex(coordinates=tuple(Scalar(domain, x)
+                                          for x in found[active][0]),
                         incident=tuple(j + 1 for j in active))
                  for active in sorted(found))
 

@@ -226,11 +226,13 @@ def float_solve(a, rhs):
 def _inside(inverse, directions):
     """Indices of the unit directions d with row . d >= -1e-9 |row| for
     every row: a bound relative to the row, which scaling the rays cannot
-    change; each test stops at the first row that fails."""
-    bounds = [-1e-9 * hypot(*row) for row in inverse]
-    return [i for i, d in enumerate(directions)
-            if all(float_dot(row, d) >= bound
-                   for row, bound in zip(inverse, bounds))]
+    change.  The rows filter the surviving directions in turn, so a
+    direction is dropped at the first row it fails."""
+    inside = range(len(directions))
+    for row in inverse:
+        bound = -1e-9 * hypot(*row)
+        inside = [i for i in inside if float_dot(row, directions[i]) >= bound]
+    return list(inside)
 
 
 def validate(triple: FundamentalTriple, probe_directions: int = 64,

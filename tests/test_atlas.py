@@ -707,3 +707,24 @@ def test_cocycle_names_each_identity_of_one_bad_map_at_60_charts():
         pairs = sorted({p for s in readers for p in (("pair", s, t), ("pair", t, s))})
         assert [v for v in report.violations if v[0] == "pair"] == pairs
         assert len(report.violations) > 3 * len(pairs)
+
+
+def test_cocycle_builds_each_chart_change_once_at_60_charts(monkeypatch):
+    # a failing chart sends every identity with a or b at it through
+    # Matrix products; each ordered pair's map is still built at most once
+    triple = truncated_dodecahedron_triple()
+    atlas = Atlas.compile(triple)
+    t = triple.fan.max_cones[17]
+    j = next(j for j in range(1, triple.ray_count + 1) if j not in t)
+    bad = corrupted(triple, atlas, [(t, 1, j - 1, triple.domain.one())])
+    expected = cocycle_check(triple, bad)
+    calls = []
+    transition = Atlas.transition
+
+    def counted(self, s, u):
+        calls.append((s, u))
+        return transition(self, s, u)
+    monkeypatch.setattr(Atlas, "transition", counted)
+    assert cocycle_check(triple, bad) == expected
+    assert not expected.passed
+    assert len(calls) == len(set(calls)) <= 60 * 59

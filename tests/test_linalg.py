@@ -341,6 +341,151 @@ def test_solve_general_consistency(rational):
 
 
 # ---------------------------------------------------------------------------
+# payload elimination against the Scalar-level Bareiss it replaced
+# ---------------------------------------------------------------------------
+
+def literal_eliminate(matrix, aug_cols=0, work=None):
+    """Bareiss forward elimination on Scalars, one public operation per
+    step: the oracle for Matrix._eliminate, which runs on payloads."""
+    if work is None:
+        work = [list(matrix.row(i)) for i in range(matrix.rows)]
+    total_cols = matrix.cols + aug_cols
+    prev = matrix.domain.one()
+    pivot_cols = []
+    r = 0
+    for c in range(matrix.cols):
+        pivot_row = next((i for i in range(r, matrix.rows)
+                          if not work[i][c].is_zero()), None)
+        if pivot_row is None:
+            continue
+        work[r], work[pivot_row] = work[pivot_row], work[r]
+        pivot = work[r][c]
+        for i in range(r + 1, matrix.rows):
+            factor = work[i][c]
+            for j in range(c, total_cols):
+                work[i][j] = (pivot * work[i][j] - factor * work[r][j]) / prev
+        prev = pivot
+        pivot_cols.append(c)
+        r += 1
+    return work, pivot_cols
+
+
+def literal_back_substitute(matrix, work, pivot_cols, aug_cols):
+    zero = matrix.domain.zero()
+    solutions = [[zero] * matrix.cols for _ in range(aug_cols)]
+    for t in range(len(pivot_cols) - 1, -1, -1):
+        c = pivot_cols[t]
+        for a in range(aug_cols):
+            acc = work[t][matrix.cols + a]
+            for j in range(c + 1, matrix.cols):
+                if not solutions[a][j].is_zero():
+                    acc = acc - work[t][j] * solutions[a][j]
+            solutions[a][c] = acc / work[t][c]
+    return solutions
+
+
+def literal_solve(matrix, rhs):
+    work = [list(matrix.row(i)) + [b] for i, b in enumerate(rhs)]
+    work, pivot_cols = literal_eliminate(matrix, 1, work)
+    if len(pivot_cols) < matrix.rows:
+        raise SingularMatrixError("matrix is singular")
+    return tuple(literal_back_substitute(matrix, work, pivot_cols, 1)[0])
+
+
+def literal_inverse(matrix):
+    n, one, zero = matrix.rows, matrix.domain.one(), matrix.domain.zero()
+    work = [list(matrix.row(i)) + [one if i == j else zero for j in range(n)]
+            for i in range(n)]
+    work, pivot_cols = literal_eliminate(matrix, n, work)
+    if len(pivot_cols) < n:
+        raise SingularMatrixError("matrix is singular")
+    columns = literal_back_substitute(matrix, work, pivot_cols, n)
+    return Matrix(matrix.domain, n, n,
+                  [columns[j][i] for i in range(n) for j in range(n)])
+
+
+def literal_solve_general(matrix, rhs):
+    work = [list(matrix.row(i)) + [b] for i, b in enumerate(rhs)]
+    work, pivot_cols = literal_eliminate(matrix, 1, work)
+    if any(not row[matrix.cols].is_zero() for row in work[len(pivot_cols):]):
+        return None
+    free_cols = [c for c in range(matrix.cols) if c not in pivot_cols]
+    work = [row + [row[f] for f in free_cols] for row in work[:len(pivot_cols)]]
+    particular, *coords = literal_back_substitute(
+        matrix, work, pivot_cols, 1 + len(free_cols))
+    kernel = []
+    for f, column in zip(free_cols, coords):
+        vector = [matrix.domain.zero()] * matrix.cols
+        vector[f] = matrix.domain.one()
+        for c in pivot_cols:
+            vector[c] = -column[c]
+        kernel.append(tuple(vector))
+    return tuple(particular), kernel
+
+
+def outcome(function, *args):
+    try:
+        return function(*args)
+    except (ArithmeticError, ValueError) as err:
+        return type(err)
+
+
+@st.composite
+def elimination_cases(draw, domains):
+    """A matrix over one of the domains, often singular or rank-deficient
+    (zero entries, or rows that combine earlier ones), and a right-hand
+    side that is either its image of a point or arbitrary."""
+    domain = draw(st.sampled_from(domains))
+    gen = domain.generator() if domain.generator_symbol else domain.one()
+    small = st.integers(-3, 3)
+
+    def entry():
+        value = domain.scalar(Fraction(draw(small), draw(st.integers(1, 3))))
+        if draw(st.booleans()):
+            value = value + gen * draw(small)
+        if domain.kind == "rational_function" and draw(st.booleans()):
+            value = value / (gen + draw(st.integers(1, 3)))
+        return value
+
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        cols = rows
+    table = []
+    for _ in range(rows):
+        if table and draw(st.integers(0, 2)) == 0:
+            # a combination of earlier rows lowers the rank
+            a, b = draw(st.sampled_from(table)), draw(st.sampled_from(table))
+            u, v = entry(), entry()
+            table.append([u * x + v * y for x, y in zip(a, b)])
+        else:
+            table.append([entry() if draw(st.integers(0, 3)) else domain.zero()
+                          for _ in range(cols)])
+    matrix = Matrix.from_rows(domain, table)
+    if draw(st.booleans()):
+        rhs = list(matrix.apply([entry() for _ in range(cols)]))
+    else:
+        rhs = [entry() for _ in range(rows)]
+    return matrix, rhs
+
+
+@given(data=st.data())
+def test_payload_elimination_matches_scalar_bareiss(
+        rational, golden, quartic, parameter, data):
+    matrix, rhs = data.draw(elimination_cases(
+        [rational, golden, quartic, parameter]))
+    pivot_cols = matrix._eliminate()[1]
+    assert pivot_cols == literal_eliminate(matrix)[1]
+    assert matrix.rank() == len(pivot_cols)
+    assert solve_general(matrix, rhs) == literal_solve_general(matrix, rhs)
+    if matrix.rows == matrix.cols:
+        assert outcome(matrix.solve, rhs) == outcome(literal_solve, matrix, rhs)
+        assert outcome(matrix.inverse) == outcome(literal_inverse, matrix)
+    else:
+        assert outcome(matrix.solve, rhs) is DimensionMismatchError
+        assert outcome(matrix.inverse) is DimensionMismatchError
+
+
+# ---------------------------------------------------------------------------
 # integer solve
 # ---------------------------------------------------------------------------
 

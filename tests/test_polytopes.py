@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+import quasifold.polytopes
 from quasifold import (Facet, GenericityError, Matrix, Polytope,
                        Quasilattice, RationalDomain, SimplicityError,
                        SingularMatrixError, TrialConfig, Vertex, dot,
@@ -419,3 +420,26 @@ def test_truncated_dodecahedron_inverts_once_and_ranks_per_cone(monkeypatch):
     calls.clear()
     assert validate(triple, probe_directions=0).passed
     assert calls["rank"] <= 60  # one per cone, none per shared face
+
+
+def test_truncated_dodecahedron_walk_pivots_only_where_an_edge_is_left(
+        monkeypatch):
+    # 60 vertices: the start inverts once, and each other vertex pivots
+    # from its parent's tableau only if an edge at it is still unwalked
+    polytope, _ = truncated_dodecahedron()
+    calls = collections.Counter()
+    pivot_rows = quasifold.polytopes.pivot_rows
+
+    def counted_pivot(*args):
+        calls["pivot_rows"] += 1
+        return pivot_rows(*args)
+    monkeypatch.setattr(quasifold.polytopes, "pivot_rows", counted_pivot)
+    inverse = Matrix.inverse
+
+    def counted_inverse(self):
+        calls["inverse"] += 1
+        return inverse(self)
+    monkeypatch.setattr(Matrix, "inverse", counted_inverse)
+    assert len(enumerate_vertices(polytope)) == 60
+    assert calls["inverse"] == 1
+    assert calls["pivot_rows"] <= 49

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from quasifold import (Fan, FundamentalTriple, Matrix, Quasilattice,
                        WitnessRecoveryError, ray_membership, validate,
                        with_recovered_witnesses)
-from quasifold.triples import _inside, float_solve
+from quasifold.triples import _inside, float_dot, float_solve
 
 # index sets of the twenty maximal cones of the dodecahedron fan
 DODECAHEDRON_CONES = [
@@ -135,11 +136,41 @@ def test_inside_matches_numpy(dim):
         assert _inside(inverse, directions) == expected.tolist()
 
 
+def inside_by_direction(inverse, directions):
+    """The probe's test as defined: each direction against every row."""
+    return [i for i, d in enumerate(directions)
+            if all(float_dot(row, d) >= -1e-9 * math.hypot(*row)
+                   for row in inverse)]
+
+
+# components on the -1e-9 bound of a unit axis row, and scales of it
+_coordinates = st.one_of(
+    st.floats(-2.0, 2.0, allow_nan=False),
+    st.sampled_from([0.0, -0.0, -1e-9, 1e-9, -2e-9, -1e-9 * 3.0]))
+
+
+@given(data=st.data())
+def test_inside_row_by_row_matches_the_definition(data):
+    dim = data.draw(st.integers(1, 4))
+    vectors = st.lists(_coordinates, min_size=dim, max_size=dim)
+    inverse = data.draw(st.lists(st.one_of(
+        vectors,
+        # an axis row of length s: its bound is -1e-9 s, which a
+        # component -1e-9 gives exactly
+        st.builds(lambda i, s: [s if t == i else 0.0 for t in range(dim)],
+                  st.integers(0, dim - 1), st.sampled_from([1.0, 2.0, 3.0]))),
+        min_size=dim, max_size=dim))
+    directions = data.draw(st.lists(vectors, max_size=12))
+    assert _inside(inverse, directions) == inside_by_direction(inverse, directions)
+
+
 def test_inside_bound_is_relative():
     # a coordinate of -1e-16 is rounding for a row of size 1, and a real
     # miss for a row of size 1e-10, which a fixed -1e-9 would let in
     assert _inside([[-1e-16, 1.0]], [[1.0, 0.0]]) == [0]
     assert _inside([[-1e-16, 1e-10]], [[1.0, 0.0]]) == []
+    # row . d equal to -1e-9 |row| is inside, as >= says
+    assert _inside([[1.0, 0.0], [0.0, 1.0]], [[-1e-9, 0.5], [-2e-9, 0.5]]) == [0]
 
 
 SCALED_FANS = {
