@@ -18,10 +18,9 @@ from .linalg import (DimensionMismatchError, Matrix, SingularMatrixError,
 from .triples import (Fan, FundamentalTriple, Quasilattice, ValidationReport,
                       WitnessRecoveryError, ray_membership, validate,
                       with_recovered_witnesses)
-from .atlas import (Atlas, Chart, CocycleReport, MonomialMap, OrbitRow,
-                    RelationSet, build_chart, cocycle_check, fixed_point,
-                    orbit_report, relations, render_terms, term_texts,
-                    transition_map)
+from .atlas import (Atlas, Chart, CocycleReport, OrbitRow, build_chart,
+                    cocycle_check, fixed_point, orbit_report, relations,
+                    render_terms, term_texts, transition_map)
 from .polytopes import (Facet, GenericityError, NormalFanResult, Polytope,
                         SimplicityError, Vertex, enumerate_vertices,
                         normal_fan, to_triple)

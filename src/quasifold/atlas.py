@@ -1,13 +1,14 @@
 """The canonical affine atlas of a toric quasifold, computed exactly.
 
-For each maximal cone the chart records the cone matrix, the coordinate
-table of every ray over the cone, the fixed point, and the exponent matrix
-of the discrete group acting on the chart.  A chart change is a monomial
-map: the exponent matrix of the map from cone tau to cone sigma is
-E = A_sigma^-1 A_tau, the columns of sigma's coordinate table at tau's
-rays.  The atlas stores none: ``Atlas.transition`` builds one on demand,
-and its rows render as generalized Laurent monomials with exact (possibly
-irrational) exponents, joined from texts built once per chart.
+For each maximal cone sigma the chart records the coordinate table C_sigma
+of every ray over the cone and the exponent matrix of the discrete group
+acting on the chart, nothing else.  A chart change is a monomial map: the
+exponent matrix of the map from cone tau to cone sigma is
+E = A_sigma^-1 A_tau, the columns of C_sigma at tau's rays
+(``transition_map``), and its rows render as generalized Laurent
+monomials with exact (possibly irrational) exponents, joined from texts
+built once per chart.  The relation of a ray j outside sigma over the
+cone's rays is column j of C_sigma (``relations``).
 
 ``Atlas.compile`` walks the wall graph, whose edges join cones that share
 n - 1 rays.  It inverts one start cone per component, and reaches every
@@ -35,9 +36,7 @@ __all__ = [
     "Atlas",
     "Chart",
     "CocycleReport",
-    "MonomialMap",
     "OrbitRow",
-    "RelationSet",
     "build_chart",
     "cocycle_check",
     "fixed_point",
@@ -62,30 +61,9 @@ class Chart:
     """One affine chart of the atlas."""
 
     cone: Tuple[int, ...]
-    matrix: Matrix              # columns are the cone's rays, increasing index
     coordinates: Matrix         # n x d; column j is A^-1 (ray j), a unit vector on the cone
-    fixed_point: Tuple[int, ...]
     lattice_exponents: Matrix   # n x k; column l is A^-1 (l-th lattice generator)
     group_exponents: Matrix     # lattice_exponents with integer entries zeroed
-
-
-@dataclass(frozen=True)
-class MonomialMap:
-    """A chart change written as a matrix of monomial exponents."""
-
-    source: Tuple[int, ...]     # I_tau: indices of the input coordinates
-    target: Tuple[int, ...]     # I_sigma: indices of the output coordinates
-    exponents: Matrix           # rows labeled by target, columns by source
-    shared: Tuple[int, ...]
-    dense_only: bool            # True when the index sets are disjoint (h = n)
-
-    @property
-    def h(self):
-        return len(self.source) - len(self.shared)
-
-    def render(self):
-        return render_terms(term_texts(self.exponents, self.exponents.rows),
-                            range(self.exponents.cols))
 
 
 def term_texts(table: Matrix, fan_dim: int):
@@ -115,20 +93,6 @@ def render_terms(rows, columns):
     return "[" + " : ".join(m or "1" for m in monomials) + "]"
 
 
-@dataclass(frozen=True)
-class RelationSet:
-    """How the rays outside a cone decompose over the cone's rays.
-
-    coefficients[j] gives the coordinates of ray j over the cone's rays (in
-    increasing cone-index order); kernel_vectors[j] is the corresponding
-    length-d kernel basis vector of the ray map, with entry 1 at position j.
-    """
-
-    cone: Tuple[int, ...]
-    coefficients: Dict[int, Tuple]
-    kernel_vectors: Dict[int, Tuple]
-
-
 def fixed_point(triple: FundamentalTriple, cone: Sequence[int]) -> Tuple[int, ...]:
     """0/1 homogeneous pattern: zeros exactly at the cone's indices."""
     indices = set(cone)
@@ -144,11 +108,9 @@ def _chart(triple: FundamentalTriple, cone, rows) -> Chart:
     zero = domain.zero()
     return Chart(
         cone=cone,
-        matrix=triple.cone_matrix(cone),
         coordinates=Matrix(domain, n, d, [Scalar(domain, x) for row in rows
                                           for x in row[:d]],
                            cone, tuple(range(1, d + 1))),
-        fixed_point=fixed_point(triple, cone),
         lattice_exponents=Matrix(domain, n, k, raw, cone),
         # exact integers act trivially under exp, so drop them
         group_exponents=Matrix(domain, n, k, [zero if x.is_integer() else x
@@ -170,52 +132,25 @@ def build_chart(triple: FundamentalTriple, cone: Sequence[int]) -> Chart:
                                     for i in range(n)])
 
 
-def transition_map(triple: FundamentalTriple, source: Sequence[int],
-                   target: Sequence[int],
-                   charts: Optional[Dict[Tuple[int, ...], Chart]] = None) -> MonomialMap:
-    """The monomial chart change from the source cone to the target cone:
-    the columns of the target chart's coordinate table at the source's rays."""
+def transition_map(chart: Chart, source: Sequence[int]) -> Matrix:
+    """The exponent matrix of the chart change from the source cone to the
+    chart's cone: the columns of the chart's coordinate table at the
+    source's rays, rows labelled by the chart's cone, columns by the source."""
     src = tuple(sorted(source))
-    tgt = tuple(sorted(target))
-    if src == tgt:
+    if src == chart.cone:
         raise ValueError("source and target cones must differ")
-    chart = charts[tgt] if charts and tgt in charts else build_chart(triple, tgt)
     table = chart.coordinates
-    entries = [table[i, j - 1] for i in range(table.rows) for j in src]
-    shared = tuple(sorted(set(src) & set(tgt)))
-    return MonomialMap(
-        source=src,
-        target=tgt,
-        exponents=Matrix(triple.domain, table.rows, len(src), entries,
-                         row_labels=tgt, col_labels=src),
-        shared=shared,
-        dense_only=not shared,
-    )
+    return Matrix(table.domain, table.rows, len(src),
+                  [table[i, j - 1] for i in range(table.rows) for j in src],
+                  row_labels=chart.cone, col_labels=src)
 
 
-def relations(triple: FundamentalTriple, cone: Sequence[int],
-              charts: Optional[Dict[Tuple[int, ...], Chart]] = None) -> RelationSet:
-    """Decompose every ray outside the cone over the cone's rays: ray j's
-    coordinates are column j of the chart's coordinate table."""
-    indices = tuple(sorted(cone))
-    chart = charts[indices] if charts and indices in charts else build_chart(triple, indices)
+def relations(chart: Chart) -> Dict[int, Tuple]:
+    """Every ray j outside the chart's cone over the cone's rays, in
+    increasing j: its coordinates are column j of the coordinate table."""
     table = chart.coordinates
-    zero = triple.domain.zero()
-    one = triple.domain.one()
-    coefficients = {}
-    kernel_vectors = {}
-    for j in range(1, triple.ray_count + 1):
-        if j in indices:
-            continue
-        coords = table.column(j - 1)
-        coefficients[j] = coords
-        vector = [zero] * triple.ray_count
-        vector[j - 1] = one
-        for t, i in enumerate(indices):
-            vector[i - 1] = -coords[t]
-        kernel_vectors[j] = tuple(vector)
-    return RelationSet(cone=indices, coefficients=coefficients,
-                       kernel_vectors=kernel_vectors)
+    return {j: table.column(j - 1) for j in range(1, table.cols + 1)
+            if j not in chart.cone}
 
 
 @dataclass
@@ -260,7 +195,7 @@ def cocycle_check(triple: FundamentalTriple,
 
     def exponents(s, t):
         if (s, t) not in maps:
-            maps[s, t] = atlas.transition(s, t).exponents
+            maps[s, t] = atlas.transition(s, t)
         return maps[s, t]
 
     # the fan keeps its cones sorted, so this is sweep order
@@ -304,14 +239,14 @@ def orbit_report(triple: FundamentalTriple):
 
 
 class Atlas:
-    """All charts of a triple, computed once and cached.  A chart change is
-    a view of its target's coordinate table: ``transition`` builds it on
-    demand, and ``terms`` keeps each chart's ``term_texts``."""
+    """All charts of a triple, computed once and cached.  Chart changes and
+    relations are views of a coordinate table: ``transition`` and
+    ``relations`` read them off on demand, and ``terms`` keeps each
+    chart's ``term_texts``."""
 
     def __init__(self, triple: FundamentalTriple):
         self.triple = triple
         self._charts: Dict[Tuple[int, ...], Chart] = {}
-        self._relations: Dict[Tuple[int, ...], RelationSet] = {}
         self._terms: Dict[Tuple[int, ...], list] = {}
 
     @classmethod
@@ -351,10 +286,9 @@ class Atlas:
             self._charts[key] = build_chart(self.triple, key)
         return self._charts[key]
 
-    def transition(self, source, target) -> MonomialMap:
-        """Built on demand from the target's coordinate table."""
-        self.chart(target)
-        return transition_map(self.triple, source, target, charts=self._charts)
+    def transition(self, source, target) -> Matrix:
+        """The exponent matrix ``transition_map`` reads off the target chart."""
+        return transition_map(self.chart(target), source)
 
     def terms(self, cone):
         """``term_texts`` of the chart's coordinate table, built once."""
@@ -364,12 +298,9 @@ class Atlas:
                                           self.triple.dim)
         return self._terms[key]
 
-    def relation_set(self, cone) -> RelationSet:
-        key = tuple(sorted(cone))
-        if key not in self._relations:
-            self.chart(key)
-            self._relations[key] = relations(self.triple, key, charts=self._charts)
-        return self._relations[key]
+    def relations(self, cone) -> Dict[int, Tuple]:
+        """The ray relations ``relations`` reads off the chart."""
+        return relations(self.chart(cone))
 
     @property
     def cones(self):

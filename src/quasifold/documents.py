@@ -7,10 +7,11 @@ checks a document against ``schemas/input.schema.json``, exactly and
 without ``jsonschema``.  Reports collect the validation, polytope, atlas,
 transition and verification sections in a deterministic JSON-friendly
 form; the text rendering is a stable flat view of the same data.  A chart
-change is built once, by ``transition_section``, for the atlas section and
-for the ``transition`` command alike, as joins of its target chart's term
-texts (``Atlas.terms``), and its text is rendered once, by
-``_transition_lines``.
+change is rendered in one place, ``transition_section``, for the atlas
+section and for the ``transition`` command alike, as joins of its target
+chart's term texts (``Atlas.terms``), and its text once, by
+``_transition_lines``.  Relation rows are the columns ``Atlas.relations``
+reads off each chart's coordinate table.
 """
 
 from __future__ import annotations
@@ -381,26 +382,21 @@ def transition_section(atlas: Atlas, source, target):
 def atlas_section(triple, atlas: Atlas, include_cocycle=True):
     charts = []
     for cone in atlas.cones:
-        chart = atlas.chart(cone)
         charts.append({
             "cone": list(cone),
-            "fixed_point": _fixed_point_text(chart.fixed_point),
-            "group_exponents": _matrix_rows_text(chart.group_exponents),
+            "fixed_point": _fixed_point_text(fixed_point(triple, cone)),
+            "group_exponents": _matrix_rows_text(atlas.chart(cone).group_exponents),
         })
     transitions = [transition_section(atlas, source, target)
                    for source in atlas.cones for target in atlas.cones
                    if source != target]
     relation_rows = []
     for cone in atlas.cones:
-        relation = atlas.relation_set(cone)
-        rows = []
-        for j in sorted(relation.coefficients):
-            coeffs = relation.coefficients[j]
-            rows.append({
-                "ray": j,
-                "coefficients": _vector_text(coeffs),
-                "display": f"X{j} = " + _combination_text(coeffs, relation.cone),
-            })
+        rows = [{
+            "ray": j,
+            "coefficients": _vector_text(coeffs),
+            "display": f"X{j} = " + _combination_text(coeffs, cone),
+        } for j, coeffs in atlas.relations(cone).items()]
         relation_rows.append({"cone": list(cone), "rows": rows})
     orbits = [{"cone_dim": r.cone_dim, "orbit_dim": r.orbit_dim, "count": r.count}
               for r in orbit_report(triple)]

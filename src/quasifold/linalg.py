@@ -15,7 +15,9 @@ so all outputs are deterministic.  One back-substitution serves every
 solve: ``solve`` and ``inverse`` pass their right-hand sides as augmented
 columns, and ``solve_general`` passes its free columns too, so the kernel
 basis comes out of the same loop.  The distinguished kernel basis of a ray
-map over a chosen cone is built in ``atlas.relations``.  ``pivot_rows``
+map over a chosen cone needs no solve: its vectors are e_j minus column j
+of the cone's coordinate table, built from the float table by
+``verify.NumericAtlas.kernel_matrix``.  ``pivot_rows``
 exchanges one basis vector of a table of coordinates, for the chart walk
 of ``Atlas.compile`` and the vertex walk of ``polytopes``, and
 ``integer_solve`` solves rational systems over Z.

@@ -35,10 +35,12 @@ E or C cannot hide: m comes from W, not from the atlas, so a faulty
 exponent leaves a residual of the fault's size, reported as a mismatch.
 
 The harness is plain Python: ``NumericAtlas`` holds the float views
-(``triples.float_array``, rows of floats) and the ray witnesses as exact
-ints, so a witness never overflows; ``cmath`` gives exp, log and phase,
-``x % 1.0`` the reduction mod 1, and ``triples.float_solve`` the one float
-solve.  ``_with_fault`` perturbs one exponent for fault injection, and
+(``triples.float_array``, rows of floats) of the cone matrices and of each
+chart's tables, reads a transition and the factorization's kernel rows off
+the float coordinate table, and keeps the ray witnesses as exact ints, so
+a witness never overflows; ``cmath`` gives exp, log and phase, ``x % 1.0``
+the reduction mod 1, and ``triples.float_solve`` the one float solve.
+``_with_fault`` perturbs one exponent for fault injection, and
 ``TrialReport.record`` counts every trial and keeps each failure.
 ``verify_triple`` spreads the samples over the targets of each check; each
 check seeds a ``random.Random`` from the text of (seed, check, target), so
@@ -290,7 +292,7 @@ class NumericAtlas:
 
     def cone_matrix(self, cone):
         return self._floats(("cone", tuple(cone)),
-                            self.atlas.chart(cone).matrix)
+                            self.triple.cone_matrix(cone))
 
     def group_exponents(self, cone):
         return self._floats(("group", tuple(cone)),
@@ -309,14 +311,21 @@ class NumericAtlas:
         return [[row[j - 1] for j in source] for row in self.coordinates(target)]
 
     def kernel_matrix(self, cone):
+        """The kernel basis of the ray map over the cone: for each ray j
+        outside it, in increasing j, e_j - sum_t C[t, j] e_(cone_t)."""
         key = ("kernel", tuple(cone))
         if key not in self._cache:
-            vectors = self.atlas.relation_set(cone).kernel_vectors
-            rows = [vectors[j] for j in sorted(vectors)]
-            self._cache[key] = float_array(
-                [x for row in rows for x in row],
-                (len(rows), self.triple.ray_count), self.parameter_sample,
-                self._floats_seen)
+            table, d = self.coordinates(cone), self.triple.ray_count
+            rows = []
+            for j in range(1, d + 1):
+                if j not in cone:
+                    row = [0.0] * d
+                    row[j - 1] = 1.0
+                    for t, i in enumerate(cone):
+                        # 0.0 - x, not -x: an exact zero stays +0.0
+                        row[i - 1] = 0.0 - table[t][j - 1]
+                    rows.append(row)
+            self._cache[key] = rows
         return self._cache[key]
 
     def cone_witnesses(self, cone):

@@ -15,6 +15,7 @@ from quasifold import (Atlas, CocycleReport, Fan, FundamentalTriple,
                        fixed_point, load_gallery, orbit_report, relations,
                        render_terms, specialize_document, term_texts,
                        to_triple, transition_map)
+from quasifold.documents import transition_section
 
 
 def expected_matrix(domain, rows):
@@ -31,9 +32,10 @@ def test_quasisphere_charts(gallery):
     assert [e.text() for e in chart1.group_exponents.entries] == ["1/a", "0"]
     chart2 = build_chart(triple, (2,))
     assert [e.text() for e in chart2.group_exponents.entries] == ["0", "-a"]
-    assert chart1.fixed_point == (0, 1)
-    assert chart2.fixed_point == (1, 0)
-    assert chart1.matrix @ chart1.coordinates == triple.ray_matrix()
+    assert fixed_point(triple, chart1.cone) == (0, 1)
+    assert fixed_point(triple, chart2.cone) == (1, 0)
+    assert triple.cone_matrix(chart1.cone) @ chart1.coordinates == \
+        triple.ray_matrix()
 
 
 def test_dodecahedron_first_chart_group(gallery):
@@ -56,7 +58,8 @@ def test_group_exponent_columns_are_lattice_compatible(gallery, gallery_atlases)
     for name, (doc, triple, _) in gallery.items():
         for cone in triple.fan.max_cones:
             chart = gallery_atlases[name].chart(cone)
-            inverse = chart.matrix.inverse()
+            cone_matrix = triple.cone_matrix(cone)
+            inverse = cone_matrix.inverse()
             for col in range(chart.group_exponents.cols):
                 reduced = chart.group_exponents.column(col)
                 raw = inverse.apply(triple.lattice.generators.column(col))
@@ -70,7 +73,7 @@ def test_group_exponent_columns_are_lattice_compatible(gallery, gallery_atlases)
                     for t, w in enumerate(witness):
                         coefficients[t] -= int(q) * w
                 value = triple.lattice.combination(coefficients)
-                target = chart.matrix.apply(reduced)
+                target = cone_matrix.apply(reduced)
                 assert all((x - y).is_zero() for x, y in zip(value, target))
 
 
@@ -98,58 +101,65 @@ def test_fixed_point_zero_count(gallery):
 # transitions
 # ---------------------------------------------------------------------------
 
+def chart_change(triple, source, target):
+    """The exponent matrix of the chart change, read off a freshly built
+    target chart, and its report section."""
+    return (transition_map(build_chart(triple, target), source),
+            transition_section(Atlas(triple), source, target))
+
+
 def test_transition_quasisphere(gallery):
     doc, triple, _ = gallery["quasisphere"]
-    tmap = transition_map(triple, (1,), (2,))
-    assert tmap.exponents == expected_matrix(doc.domain, [["-a"]])
-    assert tmap.render() == "[z^-a]"
-    assert tmap.dense_only and tmap.h == 1
+    exponents, section = chart_change(triple, (1,), (2,))
+    assert exponents == expected_matrix(doc.domain, [["-a"]])
+    assert section["rendered"] == "[z^-a]"
+    assert section["scope"] == "dense-orbit extension" and section["h"] == 1
 
 
 def test_transition_weighted_projective(gallery):
     doc, triple, _ = gallery["cp2-11a"]
-    tmap = transition_map(triple, (2, 3), (1, 3))
-    assert tmap.exponents == expected_matrix(doc.domain,
-                                             [["-1", "0"], ["-a", "1"]])
-    assert tmap.render() == "[z2^-1 : z2^-a z3]"
-    assert not tmap.dense_only and tmap.h == 1
+    exponents, section = chart_change(triple, (2, 3), (1, 3))
+    assert exponents == expected_matrix(doc.domain,
+                                        [["-1", "0"], ["-a", "1"]])
+    assert section["rendered"] == "[z2^-1 : z2^-a z3]"
+    assert section["scope"] == "chart overlap" and section["h"] == 1
 
 
 def test_transition_kite(gallery):
     doc, triple, _ = gallery["kite"]
-    tmap = transition_map(triple, (1, 4), (2, 4))
+    exponents, section = chart_change(triple, (1, 4), (2, 4))
     phi_inv = "1/(alpha^2 - 2)"
-    assert tmap.exponents == expected_matrix(
+    assert exponents == expected_matrix(
         doc.domain, [[f"-{phi_inv}", "0"], [phi_inv, "1"]])
-    assert tmap.render() == \
+    assert section["rendered"] == \
         "[z1^(-alpha^2 + 3) : z1^(alpha^2 - 3) z4]"
 
 
 def test_transition_dodecahedron_edge_pair(gallery):
     doc, triple, _ = gallery["dodecahedron"]
-    tmap = transition_map(triple, (1, 2, 3), (1, 2, 4))
+    exponents, section = chart_change(triple, (1, 2, 3), (1, 2, 4))
     phi_inv = "1/(alpha^2 - 2)"
-    assert tmap.exponents == expected_matrix(doc.domain, [
+    assert exponents == expected_matrix(doc.domain, [
         ["1", "0", phi_inv],
         ["0", "1", phi_inv],
         ["0", "0", "-1"],
     ])
-    assert tmap.render() == \
+    assert section["rendered"] == \
         "[z1 z3^(alpha^2 - 3) : z2 z3^(alpha^2 - 3) : z3^-1]"
 
 
 def test_transition_dodecahedron_facet_pair(gallery):
     doc, triple, _ = gallery["dodecahedron"]
-    tmap = transition_map(triple, (1, 2, 4), (1, 3, 6))
+    exponents, section = chart_change(triple, (1, 2, 4), (1, 3, 6))
     phi_inv = "1/(alpha^2 - 2)"
-    assert tmap.exponents == expected_matrix(doc.domain, [
+    assert exponents == expected_matrix(doc.domain, [
         ["1", phi_inv, "1"],
         ["0", phi_inv, f"-{phi_inv}"],
         ["0", "-1", f"-{phi_inv}"],
     ])
-    assert tmap.render() == ("[z1 z2^(alpha^2 - 3) z4 : "
-                             "z2^(alpha^2 - 3) z4^(-alpha^2 + 3) : "
-                             "z2^-1 z4^(-alpha^2 + 3)]")
+    assert section["rendered"] == ("[z1 z2^(alpha^2 - 3) z4 : "
+                                   "z2^(alpha^2 - 3) z4^(-alpha^2 + 3) : "
+                                   "z2^-1 z4^(-alpha^2 + 3)]")
 
 
 def test_render_edge_cases(rational):
@@ -179,42 +189,44 @@ def test_relations_dodecahedron_base(gallery):
     doc, triple, _ = gallery["dodecahedron"]
     inv_phi = doc.domain.scalar("alpha^2 - 3")
     one = doc.domain.one()
-    relation = relations(triple, (1, 2, 3))
-    assert relation.coefficients[4] == (inv_phi, inv_phi, -one)
-    assert relation.coefficients[5] == (-one, inv_phi, inv_phi)
-    assert relation.coefficients[6] == (inv_phi, -one, inv_phi)
-    assert set(relation.coefficients) == set(range(4, 13))
+    relation = relations(build_chart(triple, (1, 2, 3)))
+    assert relation[4] == (inv_phi, inv_phi, -one)
+    assert relation[5] == (-one, inv_phi, inv_phi)
+    assert relation[6] == (inv_phi, -one, inv_phi)
+    assert list(relation) == list(range(4, 13))
 
 
 def test_relations_dodecahedron_rewritten(gallery):
     doc, triple, _ = gallery["dodecahedron"]
     inv_phi = doc.domain.scalar("alpha^2 - 3")
     one = doc.domain.one()
-    relation = relations(triple, (1, 2, 4))
-    assert relation.coefficients[3] == (inv_phi, inv_phi, -one)
-    assert relation.coefficients[5] == (-inv_phi, one, -inv_phi)
-    assert relation.coefficients[6] == (one, -inv_phi, -inv_phi)
+    relation = relations(build_chart(triple, (1, 2, 4)))
+    assert relation[3] == (inv_phi, inv_phi, -one)
+    assert relation[5] == (-inv_phi, one, -inv_phi)
+    assert relation[6] == (one, -inv_phi, -inv_phi)
 
 
 def test_relations_skip_cone_members(gallery):
     for _, triple, _ in gallery.values():
         for cone in triple.fan.max_cones:
-            relation = relations(triple, cone)
-            assert set(relation.coefficients) == \
+            relation = relations(build_chart(triple, cone))
+            assert set(relation) == \
                 set(range(1, triple.ray_count + 1)) - set(cone)
 
 
 def test_relation_kernel_soundness(gallery):
     for _, triple, _ in gallery.values():
         pi = triple.ray_matrix()
+        one, zero = triple.domain.one(), triple.domain.zero()
         for cone in triple.fan.max_cones:
-            relation = relations(triple, cone)
-            for j, vector in relation.kernel_vectors.items():
-                assert vector[j - 1] == triple.domain.one()
-                # distinguished: zero at every other ray outside the cone
-                for other in relation.kernel_vectors:
-                    if other != j:
-                        assert vector[other - 1].is_zero()
+            for j, coefficients in relations(build_chart(triple, cone)).items():
+                # X_j = sum_t c_t X_(cone_t): one coefficient per cone ray,
+                # so v is zero at every other ray outside the cone
+                assert len(coefficients) == len(cone)
+                vector = [zero] * triple.ray_count
+                vector[j - 1] = one
+                for c, i in zip(coefficients, cone):
+                    vector[i - 1] = -c
                 assert all(x.is_zero() for x in pi.apply(vector))
 
 
@@ -242,12 +254,12 @@ def test_coordinate_tables_match_per_pair_products(gallery, gallery_atlases):
             for t, i in enumerate(sigma):
                 assert chart.coordinates.column(i - 1) == tuple(
                     one if s == t else zero for s in range(len(sigma))), name
-            for j, coords in atlas.relation_set(sigma).coefficients.items():
+            for j, coords in atlas.relations(sigma).items():
                 assert coords == inverse.apply(triple.ray(j)), (name, sigma, j)
             for tau in triple.fan.max_cones:
                 if tau == sigma:
                     continue
-                exponents = atlas.transition(tau, sigma).exponents
+                exponents = atlas.transition(tau, sigma)
                 expected = inverse @ triple.cone_matrix(tau)
                 assert exponents == expected, (name, tau, sigma)
                 assert exponents.row_labels == expected.row_labels == sigma
@@ -273,7 +285,7 @@ def test_compile_multiplies_per_chart_not_per_pair(gallery, monkeypatch):
     # one product at the walk's start, and none per chart or pair
     assert len(calls) == 1
     for cone in triple.fan.max_cones:
-        atlas.relation_set(cone)
+        atlas.relations(cone)
         atlas.terms(cone)
     assert len(calls) == 1
 
@@ -293,8 +305,8 @@ def test_compile_inverts_once_per_component(gallery, monkeypatch):
     assert (len(inverses), len(starts)) == (1, 1)
     # the atlas keeps its charts and stores nothing per pair
     assert len(atlas._charts) == 20
-    assert not atlas._relations and not atlas._terms
-    assert set(vars(atlas)) == {"triple", "_charts", "_relations", "_terms"}
+    assert not atlas._terms
+    assert set(vars(atlas)) == {"triple", "_charts", "_terms"}
     atlas = Atlas.compile(two_component_triple())
     assert (len(inverses), len(starts)) == (3, 3)
     assert set(atlas._charts) == {(1, 2), (3, 4)}
@@ -375,12 +387,14 @@ def test_shared_column_property(gallery, gallery_atlases):
     for name, (_, triple, _) in gallery.items():
         atlas = gallery_atlases[name]
         for source, target in itertools.permutations(triple.fan.max_cones, 2):
-            tmap = atlas.transition(source, target)
-            for j in tmap.shared:
-                col = tmap.source.index(j)
-                row = tmap.target.index(j)
-                for i in range(tmap.exponents.rows):
-                    entry = tmap.exponents[i, col]
+            exponents = atlas.transition(source, target)
+            assert (exponents.row_labels, exponents.col_labels) == \
+                (target, source)
+            for j in set(source) & set(target):
+                col = source.index(j)
+                row = target.index(j)
+                for i in range(exponents.rows):
+                    entry = exponents[i, col]
                     if i == row:
                         assert entry == triple.domain.one()
                     else:
@@ -392,8 +406,8 @@ def test_inverse_pair_property(gallery, gallery_atlases):
         atlas = gallery_atlases[name]
         identity = Matrix.identity(triple.domain, triple.dim)
         for a, b in itertools.combinations(triple.fan.max_cones, 2):
-            forward = atlas.transition(a, b).exponents
-            backward = atlas.transition(b, a).exponents
+            forward = atlas.transition(a, b)
+            backward = atlas.transition(b, a)
             assert forward @ backward == identity
 
 
@@ -449,7 +463,7 @@ def literal_cocycle(triple, atlas, into=None):
 
     def exponents(s, t):
         if (s, t) not in maps:
-            maps[s, t] = atlas.transition(s, t).exponents
+            maps[s, t] = atlas.transition(s, t)
         return maps[s, t]
 
     violations = []
@@ -648,7 +662,7 @@ def test_cocycle_matches_literal_sweep_on_extreme_entries(
                 for j in source:
                     entries[i * table.cols + j - 1] = domain.scalar(value)
         bad = with_tables(triple, atlas, tables)
-        assert bad.transition(b, a).exponents == Matrix(
+        assert bad.transition(b, a) == Matrix(
             domain, n, n, [domain.scalar(big)] * (n * n))
         report = cocycle_check(triple, bad)
         assert report == literal_cocycle(triple, bad)

@@ -928,6 +928,8 @@ FULL_REPORT_COMMANDS = {
     "verify": ("cp2-11a", ["verify", "{path}", "--samples", "10"]),
     "polytope": ("hirzebruch", ["polytope", "{path}"]),
     "gallery": (None, ["gallery", "kite", "--samples", "10"]),
+    # number-field verification bytes: factorization reads the kernel rows
+    "gallery-dodecahedron": (None, ["gallery", "dodecahedron"]),
 }
 FULL_REPORT_DIGESTS = {
     ("validate", "json"):
@@ -954,6 +956,10 @@ FULL_REPORT_DIGESTS = {
         "2ea03144723c5cb5d8cf436668ff1469849d69e221b6630533407d3da51b6c96",
     ("gallery", "text"):
         "2317d48d1cf21ab060a4c33ef96806103bea74634681e3b1a0e3cdc741f6785f",
+    ("gallery-dodecahedron", "json"):
+        "2932d1670d334245515b7631e29e36185fd4f537139148108f483a83b7ce2eb2",
+    ("gallery-dodecahedron", "text"):
+        "033aa811562a8d27a13378275431aab233faf3225338f694a43a708a694795b8",
 }
 
 

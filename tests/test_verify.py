@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,8 @@ from quasifold import (FundamentalTriple, GroupMembership, NumericAtlas,
                        check_connecting_element, check_factorization,
                        check_transition_equivariance, document_to_triple,
                        load_document, verify_triple)
+from quasifold.triples import float_array, float_dot
+from test_cli import param_fan_doc
 
 
 def small_config(**overrides):
@@ -93,6 +97,36 @@ def test_factorization_passes(gallery):
         report = check_factorization(triple, cone, small_config(),
                                      numeric=numeric)
         assert report.passed
+
+
+def test_kernel_rows_are_the_floats_of_the_exact_kernel_vectors(gallery):
+    # the rows e_j - sum_t C[t, j] e_(cone_t), in increasing j, built in
+    # floats from the float coordinate table, equal the floats of the exact
+    # vectors to the last bit and the sign of every zero
+    triples = {name: triple for name, (_, triple, _) in gallery.items()}
+    triples["param-fan"] = document_to_triple(load_document(param_fan_doc()))[0]
+    for name, triple in triples.items():
+        domain, d = triple.domain, triple.ray_count
+        numeric = NumericAtlas(triple)
+        rays = numeric.ray_matrix()
+        for cone in triple.fan.max_cones:
+            table = numeric.atlas.chart(cone).coordinates
+            exact = []
+            for j in range(1, d + 1):
+                if j not in cone:
+                    vector = [domain.zero()] * d
+                    vector[j - 1] = domain.one()
+                    for t, i in enumerate(cone):
+                        vector[i - 1] = -table[t, j - 1]
+                    exact.append(vector)
+            expected = float_array([x for v in exact for x in v],
+                                   (len(exact), d), None, {})
+            rows = numeric.kernel_matrix(cone)
+            assert rows == expected, (name, cone)
+            assert [[math.copysign(1.0, x) for x in row] for row in rows] == \
+                [[math.copysign(1.0, x) for x in row] for row in expected]
+            for row in rows:
+                assert max(abs(float_dot(r, row)) for r in rays) < 1e-9
 
 
 def test_connecting_element_passes_and_skips(gallery):
