@@ -31,7 +31,8 @@ from .verify import (GroupMembership, NumericAtlas, TrialConfig, TrialFailure,
                      verify_triple)
 from .documents import (InputDocument, InputError, build_report,
                         document_to_triple, load_document, load_input_schema,
-                        load_report_schema, render_text_report,
+                        load_report_schema, render_json_report,
+                        render_text_report,
                         specialize_document, TOOL_VERSION)
 from .gallery import GALLERY_NAMES, load_gallery
 

@@ -88,9 +88,9 @@ def term_texts(table: Matrix, fan_dim: int):
 def render_terms(rows, columns):
     """The rows of ``term_texts`` at the given columns as monomials, in
     column order and joined homogeneous-style; a row of zeros is "1"."""
-    monomials = (" ".join(t for t in (row[j][0] for j in columns) if t)
-                 for row in rows)
-    return "[" + " : ".join(m or "1" for m in monomials) + "]"
+    monomials = [" ".join([t for t in [row[j][0] for j in columns] if t])
+                 for row in rows]
+    return "[" + " : ".join([m or "1" for m in monomials]) + "]"
 
 
 def fixed_point(triple: FundamentalTriple, cone: Sequence[int]) -> Tuple[int, ...]:
@@ -135,10 +135,9 @@ def build_chart(triple: FundamentalTriple, cone: Sequence[int]) -> Chart:
 def transition_map(chart: Chart, source: Sequence[int]) -> Matrix:
     """The exponent matrix of the chart change from the source cone to the
     chart's cone: the columns of the chart's coordinate table at the
-    source's rays, rows labelled by the chart's cone, columns by the source."""
+    source's rays, rows labelled by the chart's cone, columns by the source.
+    From the chart's own cone it is the identity."""
     src = tuple(sorted(source))
-    if src == chart.cone:
-        raise ValueError("source and target cones must differ")
     table = chart.coordinates
     return Matrix(table.domain, table.rows, len(src),
                   [table[i, j - 1] for i in range(table.rows) for j in src],

@@ -21,7 +21,8 @@ from fractions import Fraction
 from .atlas import Atlas
 from .documents import (InputError, atlas_section, build_report,
                         document_to_triple, load_document, load_input_schema,
-                        polytope_section, render_text_report, schema_accepts,
+                        polytope_section, render_json_report,
+                        render_text_report, schema_accepts,
                         specialize_document, transition_section,
                         validation_section, verification_section)
 from .gallery import GALLERY_NAMES, load_gallery
@@ -219,7 +220,7 @@ def run(args) -> tuple[int, str]:
                 raise InputError(f"{flag}: {cone} is not a maximal cone; "
                                  f"cones: {list(triple.fan.max_cones)}")
         sections["transition"] = transition_section(
-            Atlas(triple), source, target)
+            Atlas(triple).terms(target), source, target)
 
     if cfg is not None and not failed:
         summary = verify_triple(triple, cfg, atlas=atlas)
@@ -230,7 +231,7 @@ def run(args) -> tuple[int, str]:
     report = build_report(args.command, doc, seed, sections,
                           parameter_sample=parameter_sample)
     if args.format == "json":
-        rendered = json.dumps(report, indent=2, sort_keys=True) + "\n"
+        rendered = render_json_report(report) + "\n"
     else:
         rendered = render_text_report(report)
     return (1 if failed else 0), rendered

@@ -6,12 +6,14 @@ scalars written in the shared expression grammar; ``schema_accepts``
 checks a document against ``schemas/input.schema.json``, exactly and
 without ``jsonschema``.  Reports collect the validation, polytope, atlas,
 transition and verification sections in a deterministic JSON-friendly
-form; the text rendering is a stable flat view of the same data.  A chart
+form.  ``render_json_report`` writes a report as the bytes
+``json.dumps(report, indent=2, sort_keys=True)`` returns, in one pass;
+the text rendering is a stable flat view of the same data.  A chart
 change is rendered in one place, ``transition_section``, for the atlas
 section and for the ``transition`` command alike, as joins of its target
-chart's term texts (``Atlas.terms``), and its text once, by
-``_transition_lines``.  Relation rows are the columns ``Atlas.relations``
-reads off each chart's coordinate table.
+chart's term texts (``Atlas.terms``, read once per chart for the atlas
+section), and its text once, by ``_transition_lines``.  Relation rows are
+the columns ``Atlas.relations`` reads off each chart's coordinate table.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from importlib import resources
+from json.encoder import encode_basestring_ascii
 from typing import Optional
 
 from .atlas import (Atlas, cocycle_check, fixed_point, orbit_report,
@@ -45,6 +48,7 @@ __all__ = [
     "load_document",
     "load_input_schema",
     "load_report_schema",
+    "render_json_report",
     "render_text_report",
     "schema_accepts",
     "specialize_document",
@@ -362,18 +366,18 @@ def polytope_section(doc: InputDocument, fan_result, triple):
     return {"facets": facets, "vertex_table": table}
 
 
-def transition_section(atlas: Atlas, source, target):
+def transition_section(terms, source, target):
     """The chart change from cone source to cone target (sorted tuples),
-    read off the target chart's term texts: the ``transition`` command's
-    section and an entry of the atlas section's transition list."""
-    terms = atlas.terms(target)
+    read off the target chart's term texts ``terms`` (``Atlas.terms``):
+    the ``transition`` command's section and an entry of the atlas
+    section's transition list."""
     columns = [j - 1 for j in source]
-    shared = set(source) & set(target)
+    h = len(set(source).difference(target))
     return {
         "source": list(source),
         "target": list(target),
-        "h": len(source) - len(shared),
-        "scope": "chart overlap" if shared else "dense-orbit extension",
+        "h": h,
+        "scope": "chart overlap" if h < len(source) else "dense-orbit extension",
         "exponents": [[row[j][1] for j in columns] for row in terms],
         "rendered": render_terms(terms, columns),
     }
@@ -387,7 +391,8 @@ def atlas_section(triple, atlas: Atlas, include_cocycle=True):
             "fixed_point": _fixed_point_text(fixed_point(triple, cone)),
             "group_exponents": _matrix_rows_text(atlas.chart(cone).group_exponents),
         })
-    transitions = [transition_section(atlas, source, target)
+    terms = {cone: atlas.terms(cone) for cone in atlas.cones}
+    transitions = [transition_section(terms[target], source, target)
                    for source in atlas.cones for target in atlas.cones
                    if source != target]
     relation_rows = []
@@ -587,3 +592,144 @@ def render_text_report(report) -> str:
 
     lines.append("")
     return "\n".join(lines)
+
+
+# ---------------------------------------------------------------------------
+# JSON rendering
+# ---------------------------------------------------------------------------
+
+_INFINITY = float("inf")
+
+
+def _float_text(x):
+    """A float as ``json`` writes it, non-finite values included."""
+    if x != x:
+        return "NaN"
+    if x == _INFINITY:
+        return "Infinity"
+    if x == -_INFINITY:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def render_json_report(report) -> str:
+    """The string ``json.dumps(report, indent=2, sort_keys=True)`` returns,
+    written in one recursive pass into a list of chunks, joined once.
+
+    CPython's C encoder runs only without ``indent``, so ``json.dumps``
+    would take its pure-Python generator encoder here.  This writer tries
+    the exact types first and falls back to ``json``'s own order of
+    ``isinstance`` tests (str, None, True, False, int, float, list or
+    tuple, dict) for subclasses; it escapes strings with the escaper
+    ``json`` uses, and prints ints and floats with ``int.__repr__`` and
+    ``float.__repr__``.  Each dict layout's sorted, escaped keys are built
+    once per key order and depth, and a list of only strings or only
+    exact ints is one join.  A key that is not a str raises TypeError, as
+    does a value ``json`` cannot encode.
+    """
+    chunks = []
+    append = chunks.append
+    escape, int_text = encode_basestring_ascii, int.__repr__
+    strs, ints = {str}, {int}
+    deeper = {}    # margin -> the margin one level in: one object per depth
+    layouts = {}   # (keys, margin) -> ((key, prefix) in key order, closing)
+
+    def indent(margin):
+        inner = deeper.get(margin)
+        if inner is None:
+            inner = deeper[margin] = margin + "  "
+        return inner
+
+    def layout(keys, margin):
+        for key in keys:
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+        inner = indent(margin)
+        ordered = sorted(keys)
+        prefixes = ["{" + inner] + ["," + inner] * (len(ordered) - 1)
+        entry = layouts[keys, margin] = (
+            [(key, f"{prefix}{escape(key)}: ")
+             for key, prefix in zip(ordered, prefixes)],
+            margin + "}", inner)
+        return entry
+
+    def write_dict(obj, margin):
+        if not obj:
+            append("{}")
+            return
+        keys = tuple(obj)
+        items, closing, inner = layouts.get((keys, margin)) or layout(keys, margin)
+        for key, prefix in items:
+            value = obj[key]
+            kind = type(value)
+            if kind is str:
+                append(prefix + escape(value))
+            elif kind is list:
+                append(prefix)
+                write_list(value, inner)
+            elif kind is int:
+                append(prefix + int_text(value))
+            else:
+                append(prefix)
+                write(value, inner)
+        append(closing)
+
+    def write_list(seq, margin):
+        if not seq:
+            append("[]")
+            return
+        inner = indent(margin)
+        separator = "," + inner
+        kinds = set(map(type, seq))
+        if kinds == strs:
+            append(f"[{inner}{separator.join(map(escape, seq))}{margin}]")
+            return
+        if kinds == ints:
+            append(f"[{inner}{separator.join(map(int_text, seq))}{margin}]")
+            return
+        append("[" + inner)
+        for i, value in enumerate(seq):
+            if i:
+                append(separator)
+            kind = type(value)
+            if kind is list:
+                write_list(value, inner)
+            elif kind is dict:
+                write_dict(value, inner)
+            else:
+                write(value, inner)
+        append(margin + "]")
+
+    def write(value, margin):
+        kind = type(value)
+        if kind is str:
+            append(escape(value))
+        elif kind is dict:
+            write_dict(value, margin)
+        elif kind is list:
+            write_list(value, margin)
+        elif kind is int:
+            append(int_text(value))
+        elif isinstance(value, str):
+            append(escape(value))
+        elif value is None:
+            append("null")
+        elif value is True:
+            append("true")
+        elif value is False:
+            append("false")
+        elif isinstance(value, int):
+            append(int_text(value))
+        elif isinstance(value, float):
+            append(_float_text(value))
+        elif isinstance(value, (list, tuple)):
+            write_list(value, margin)
+        elif isinstance(value, dict):
+            # json reads a dict subclass through items()
+            write_dict(dict(value.items()), margin)
+        else:
+            raise TypeError(f"Object of type {type(value).__name__} "
+                            f"is not JSON serializable")
+
+    write(report, "\n")
+    return "".join(chunks)

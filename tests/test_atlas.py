@@ -8,7 +8,7 @@ import pytest
 
 import quasifold.atlas
 from quasifold import (Atlas, CocycleReport, Fan, FundamentalTriple,
-                       InputDocument, Matrix, NumberFieldDomain,
+                       InputDocument, Matrix, NumberFieldDomain, NumericAtlas,
                        Quasilattice, RationalDomain,
                        RationalFunctionDomain, SingularMatrixError,
                        build_chart, cocycle_check, document_to_triple,
@@ -105,7 +105,7 @@ def chart_change(triple, source, target):
     """The exponent matrix of the chart change, read off a freshly built
     target chart, and its report section."""
     return (transition_map(build_chart(triple, target), source),
-            transition_section(Atlas(triple), source, target))
+            transition_section(Atlas(triple).terms(target), source, target))
 
 
 def test_transition_quasisphere(gallery):
@@ -399,6 +399,20 @@ def test_shared_column_property(gallery, gallery_atlases):
                         assert entry == triple.domain.one()
                     else:
                         assert entry.is_zero()
+
+
+def test_chart_change_to_itself_is_the_identity(gallery, gallery_atlases):
+    for name, (_, triple, _) in gallery.items():
+        atlas = gallery_atlases[name]
+        numeric = NumericAtlas(triple, atlas)
+        identity = Matrix.identity(triple.domain, triple.dim)
+        for cone in triple.fan.max_cones:
+            exponents = atlas.transition(cone, cone)
+            assert exponents == identity, (name, cone)
+            assert (exponents.row_labels, exponents.col_labels) == (cone, cone)
+            assert numeric.transition(cone, cone) == [
+                [float(i == j) for j in range(triple.dim)]
+                for i in range(triple.dim)]
 
 
 def test_inverse_pair_property(gallery, gallery_atlases):

@@ -930,6 +930,8 @@ FULL_REPORT_COMMANDS = {
     "gallery": (None, ["gallery", "kite", "--samples", "10"]),
     # number-field verification bytes: factorization reads the kernel rows
     "gallery-dodecahedron": (None, ["gallery", "dodecahedron"]),
+    # a parameter-field atlas of 16 charts and 240 chart changes
+    "atlas-param-fan": ("param-fan", ["atlas", "{path}"]),
 }
 FULL_REPORT_DIGESTS = {
     ("validate", "json"):
@@ -960,14 +962,21 @@ FULL_REPORT_DIGESTS = {
         "2932d1670d334245515b7631e29e36185fd4f537139148108f483a83b7ce2eb2",
     ("gallery-dodecahedron", "text"):
         "033aa811562a8d27a13378275431aab233faf3225338f694a43a708a694795b8",
+    ("atlas-param-fan", "json"):
+        "bbdaae1d34800f82f5fca887ad8db7f09892efb4820a53b2d98d45c7fda8fe47",
+    ("atlas-param-fan", "text"):
+        "6c9eb742eaf4aa8352178f7773a06dfd7b1e48fc1d6c5501768d4a708c1bf578",
 }
 
 
 @pytest.mark.parametrize("command, fmt", sorted(FULL_REPORT_DIGESTS))
 def test_full_reports_pinned(command, fmt, tmp_path, capsys):
     document, argv = FULL_REPORT_COMMANDS[command]
-    path = (write_doc(tmp_path, gallery_json(document), f"{document}.json")
-            if document else None)
+    path = None
+    if document:
+        data = (param_fan_doc() if document == "param-fan"
+                else gallery_json(document))
+        path = write_doc(tmp_path, data, f"{document}.json")
     argv = [path if part == "{path}" else part for part in argv]
     code, out, _ = run_cli(argv + ["--format", fmt, "--seed", "0"], capsys)
     assert code == 0
