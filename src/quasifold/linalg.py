@@ -14,17 +14,19 @@ what a caller gets back.  Pivoting is first-nonzero with lowest row index,
 so all outputs are deterministic.  One back-substitution serves every
 solve: ``solve`` and ``inverse`` pass their right-hand sides as augmented
 columns, and ``solve_general`` passes its free columns too, so the kernel
-basis comes out of the same loop.  The distinguished kernel basis of a ray
-map over a chosen cone needs no solve: its vectors are e_j minus column j
-of the cone's coordinate table, built from the float table by
-``verify.NumericAtlas.kernel_matrix``.  ``pivot_rows``
-exchanges one basis vector of a table of coordinates, for the chart walk
-of ``Atlas.compile`` and the vertex walk of ``polytopes``, and
-``integer_solve`` solves rational systems over Z.
+basis comes out of the same loop as all its right-hand sides.  The
+distinguished kernel basis of a ray map over a chosen cone needs no solve:
+its vectors are e_j minus column j of the cone's coordinate table, built
+from the float table by ``verify.NumericAtlas.kernel_matrix``.
+``pivot_rows`` exchanges one basis vector of a table of coordinates, for
+the chart walk of ``Atlas.compile`` and the vertex walk of ``polytopes``,
+and ``integer_solve`` solves a rational system over Z for several
+right-hand sides from one column reduction.
 """
 
 from __future__ import annotations
 
+from math import lcm
 from typing import Sequence
 
 from .scalars import DomainMismatchError, Scalar, ScalarDomain
@@ -293,51 +295,60 @@ def pivot_rows(domain: ScalarDomain, rows, i, j):
     return out
 
 
-def solve_general(matrix: Matrix, rhs: Sequence[Scalar]):
-    """Particular solution (free variables zero) plus kernel basis.
+def solve_general(matrix: Matrix, rhs: Sequence[Sequence[Scalar]]):
+    """Particular solutions (free variables zero) plus kernel basis.
 
-    Returns (particular, kernel) or None when the system is inconsistent.
+    Returns (solutions, kernel): one particular solution for each
+    right-hand side of rhs, None where that system is inconsistent.
     """
-    if len(rhs) != matrix.rows:
+    if any(len(b) != matrix.rows for b in rhs):
         raise DimensionMismatchError("right-hand side has the wrong length")
-    domain, cols = matrix.domain, matrix.cols
-    work, pivot_cols = matrix._eliminate([[domain.scalar(b).payload] for b in rhs])
+    domain, cols, width = matrix.domain, matrix.cols, len(rhs)
+    work, pivot_cols = matrix._eliminate(
+        [[domain.scalar(b[i]).payload for b in rhs] for i in range(matrix.rows)])
     rank = len(pivot_cols)
-    if any(not domain._is_zero(row[cols]) for row in work[rank:]):
-        return None
     # each free column rides along as one more right-hand side, so one
-    # back-substitution gives the particular solution and the kernel
+    # back-substitution gives the particular solutions and the kernel
     free_cols = [c for c in range(cols) if c not in pivot_cols]
-    work = [row + [row[f] for f in free_cols] for row in work[:rank]]
-    particular, *coords = matrix._back_substitute(
-        work, pivot_cols, 1 + len(free_cols))
+    top = [row + [row[f] for f in free_cols] for row in work[:rank]]
+    coords = matrix._back_substitute(top, pivot_cols, width + len(free_cols))
+    solutions = [
+        None if any(not domain._is_zero(row[cols + a]) for row in work[rank:])
+        else tuple(Scalar(domain, x) for x in coords[a]) for a in range(width)]
     zero, one = domain.zero(), domain.one()
     kernel = []
-    for f, column in zip(free_cols, coords):
+    for f, column in zip(free_cols, coords[width:]):
         vector = [zero] * cols
         vector[f] = one
         for c in pivot_cols:
             vector[c] = Scalar(domain, domain._neg(column[c]))
         kernel.append(tuple(vector))
-    return tuple(Scalar(domain, x) for x in particular), kernel
+    return solutions, kernel
 
 
 def integer_solve(rows, rhs):
-    """One integer x with rows x = rhs (Fractions), or None if there is none.
+    """For each right-hand side b in rhs, one integer x with rows x = b
+    (Fractions), or None if there is none.
 
     Euclid along each row, by column operations that carry the identity
     below the rows, brings the matrix to column echelon form H = A U with U
-    unimodular; forward substitution solves H y = rhs over Z as the rows are
-    reduced, and x = U y (Cohen, GTM 138, section 2.4).  A row's entries lie
-    in one (1/d) Z, so Euclid ends without clearing denominators.
+    unimodular; forward substitution solves each H y = b over Z as the rows
+    are reduced, and x = U y (Cohen, GTM 138, section 2.4).  Each row and
+    its right-hand sides are first scaled by their common denominator, which
+    changes neither the solutions nor the Euclid steps: all of it runs in ints.
     """
     r, k = len(rows), len(rows[0])
+    scales = [lcm(*(x.denominator for x in row), *(b[i].denominator for b in rhs))
+              for i, row in enumerate(rows)]
+    rows = [[x.numerator * (s // x.denominator) for x in row] for row, s in zip(rows, scales)]
+    rhs = [[b[i].numerator * (s // b[i].denominator) for i, s in enumerate(scales)] for b in rhs]
     # column j: its entry in each row, then column j of U
     columns = [[row[j] for row in rows] + [int(i == j) for i in range(k)]
                for j in range(k)]
-    y = []
-    for i, b in enumerate(rhs):
-        live = [j for j in range(len(y), k) if columns[j][i]]
+    ys = [[] for _ in rhs]  # y for each b, None once b has no solution
+    p = 0  # the pivots so far
+    for i in range(r):
+        live = [j for j in range(p, k) if columns[j][i]]
         while len(live) > 1:
             pivot = columns[min(live, key=lambda j: abs(columns[j][i]))]
             for j in live:
@@ -345,12 +356,15 @@ def integer_solve(rows, rhs):
                     q = columns[j][i] // pivot[i]
                     columns[j] = [a - q * c for a, c in zip(columns[j], pivot)]
             live = [j for j in live if columns[j][i]]
-        remainder = b - sum(columns[j][i] * yj for j, yj in enumerate(y))
         if live:
-            p = len(y)
             columns[p], columns[live[0]] = columns[live[0]], columns[p]
-            q, remainder = divmod(remainder, columns[p][i])
-            y.append(q)
-        if remainder:
-            return None
-    return [sum(columns[j][r + l] * yj for j, yj in enumerate(y)) for l in range(k)]
+        for a, y in enumerate(ys):
+            if y is not None:
+                remainder = rhs[a][i] - sum(columns[j][i] * yj for j, yj in enumerate(y))
+                if live:
+                    q, remainder = divmod(remainder, columns[p][i])
+                    y.append(q)
+                ys[a] = None if remainder else y
+        p += bool(live)
+    return [None if y is None else [sum(columns[j][r + l] * yj for j, yj in enumerate(y))
+                                    for l in range(k)] for y in ys]

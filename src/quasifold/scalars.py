@@ -118,6 +118,15 @@ def _peval(coeffs, x):
     return acc
 
 
+def _zsign(coeffs, x):
+    """The sign of the int polynomial at the rational x = n/d: that of
+    d^deg times its value, by Horner's rule in ints."""
+    acc, scale = 0, 1
+    for c in reversed(coeffs):
+        acc, scale = acc * x.numerator + c * scale, scale * x.denominator
+    return (acc > 0) - (acc < 0)
+
+
 def _peval_interval(coeffs, lo, hi):
     """Horner evaluation with exact interval arithmetic; returns (lo, hi)."""
     rlo = rhi = coeffs[-1]
@@ -223,9 +232,9 @@ def _zsturm_count(p, lo=None, hi=None):
             break
         g = math.gcd(*rem)
         chain.append(tuple(-c // g for c in rem))
-    at_lo = [q[-1] * (-1) ** (len(q) - 1) if lo is None else _peval(q, lo)
+    at_lo = [q[-1] * (-1) ** (len(q) - 1) if lo is None else _zsign(q, lo)
              for q in chain if q]
-    at_hi = [q[-1] if hi is None else _peval(q, hi) for q in chain if q]
+    at_hi = [q[-1] if hi is None else _zsign(q, hi) for q in chain if q]
     return _variations(at_lo) - _variations(at_hi)
 
 
@@ -487,45 +496,46 @@ class NumberFieldDomain(ScalarDomain):
         scale = math.lcm(*(c.denominator for row in rows for c in row))
         self._reduction_scale = scale
         self._reduction = [tuple(int(c * scale) for c in row) for row in rows]
-        self._root_lo, self._root_hi = self._isolate_root()
+        self._isolate_root()
 
     def _isolate_root(self):
-        p = self.min_poly
         approx = self.embedding_approx
         for exponent in range(12, -1, -1):
             radius = Fraction(1, 10 ** exponent)
             lo, hi = approx - radius, approx + radius
-            values = [_peval(p, x) for x in (lo, approx, hi)]
-            if 0 in values:
-                root = (lo, approx, hi)[values.index(0)]
+            signs = [_zsign(self._zpoly, x) for x in (lo, approx, hi)]
+            if 0 in signs:
+                root = (lo, approx, hi)[signs.index(0)]
                 raise ValueError(f"min_poly has the rational root {root} next "
                                  "to embedding_approx")
-            if (values[0] < 0) != (values[2] < 0):
+            if signs[0] != signs[2]:
+                self._root_lo, self._root_hi, self._root_sign = lo, hi, signs[0]
                 for _ in range(40):
-                    lo, hi = self._bisect_once(lo, hi)
-                if _zsturm_count(self._zpoly, lo, hi) != 1:
+                    self._bisect_once()
+                if _zsturm_count(self._zpoly, self._root_lo, self._root_hi) != 1:
                     raise ValueError("embedding_approx does not isolate one "
                                      "irrational root of min_poly")
-                return lo, hi
+                return
         raise ValueError("embedding_approx does not isolate a real root of min_poly")
 
-    def _bisect_once(self, lo, hi):
-        p = self.min_poly
-        mid = (lo + hi) / 2
-        fmid = _peval(p, mid)
-        if not fmid:
-            return mid, mid
-        if (fmid < 0) == (_peval(p, lo) < 0):
-            return mid, hi
-        return lo, mid
+    def _bisect_once(self):
+        """Halve the cached isolating interval and return it; min_poly keeps
+        its sign at the lower end, so only the midpoint is evaluated."""
+        mid = (self._root_lo + self._root_hi) / 2
+        sign = _zsign(self._zpoly, mid)
+        if not sign:
+            self._root_lo = self._root_hi = mid
+        elif sign == self._root_sign:
+            self._root_lo = mid
+        else:
+            self._root_hi = mid
+        return self._root_lo, self._root_hi
 
     def root_interval(self, width):
         """Shrink and return the cached isolating interval to the given width."""
-        lo, hi = self._root_lo, self._root_hi
-        while hi - lo > width:
-            lo, hi = self._bisect_once(lo, hi)
-        self._root_lo, self._root_hi = lo, hi
-        return lo, hi
+        while self._root_hi - self._root_lo > width:
+            self._bisect_once()
+        return self._root_lo, self._root_hi
 
     def describe(self):
         return (f"number field Q({self.generator_symbol}), "
@@ -695,8 +705,7 @@ class NumberFieldDomain(ScalarDomain):
                 return 1
             if vhi < 0:
                 return -1
-            lo, hi = self._bisect_once(lo, hi)
-            self._root_lo, self._root_hi = lo, hi
+            lo, hi = self._bisect_once()
 
     def _eval(self, a, precision, parameter_sample=None):
         rational = self._as_rational(a)
@@ -712,8 +721,7 @@ class NumberFieldDomain(ScalarDomain):
             mag = max(abs(vlo), abs(vhi))
             if mag and (vhi - vlo) <= mag * goal:
                 return _fraction_to_decimal((vlo + vhi) / (2 * den), precision)
-            lo, hi = self._bisect_once(lo, hi)
-            self._root_lo, self._root_hi = lo, hi
+            lo, hi = self._bisect_once()
 
 
 class RationalFunctionDomain(ScalarDomain):

@@ -3,7 +3,8 @@
 The triple is the input datum of the whole pipeline.  Rays carry integer
 witness vectors expressing each generator as a Z-combination of the
 quasilattice generators; that certificate is what makes quasirationality
-checkable.  Index sets are 1-based everywhere in I/O.
+checkable (``Quasilattice.reproduces``), and ``ray_memberships`` recovers
+all omitted ones from one elimination.  Index sets are 1-based in I/O.
 """
 
 from __future__ import annotations
@@ -54,10 +55,13 @@ class Quasilattice:
     def count(self):
         return self.generators.cols
 
-    def combination(self, coefficients: Sequence[int]):
-        """The lattice element with the given integer coordinates."""
-        vec = [self.domain.scalar(int(c)) for c in coefficients]
-        return self.generators.apply(vec)
+    def reproduces(self, witness: Sequence[int], vector: Sequence[Scalar]):
+        """Whether G witness = vector, on payloads: the check of a witness."""
+        domain, generators = self.domain, self.generators
+        terms = [(l, domain.scalar(c).payload) for l, c in enumerate(witness) if c]
+        zero, add, mul = domain.zero().payload, domain._add, domain._mul
+        return all(reduce(add, (mul(generators[i, l].payload, c) for l, c in terms), zero)
+                   == x.payload for i, x in enumerate(vector))
 
 
 class Fan:
@@ -259,8 +263,7 @@ def validate(triple: FundamentalTriple, probe_directions: int = 64,
         if len(witness) != triple.lattice.count:
             witness_failures.append((j, "witness length mismatch"))
             continue
-        value = triple.lattice.combination(witness)
-        if any(not (x - y).is_zero() for x, y in zip(value, triple.ray(j))):
+        if not triple.lattice.reproduces(witness, triple.ray(j)):
             witness_failures.append((j, "witness does not reproduce the ray"))
 
     pairs = 0 if simplicial_failures else len(cones) * (len(cones) - 1) // 2
@@ -325,23 +328,33 @@ def validate(triple: FundamentalTriple, probe_directions: int = 64,
 # ---------------------------------------------------------------------------
 
 def ray_membership(triple: FundamentalTriple, j: int):
-    """The least integer m with G m = X_j (1-based j) by max-norm, then
-    l1-norm, then lexicographic order.
+    """The canonical witness of ray j (1-based): see ``ray_memberships``."""
+    return ray_memberships(triple, [j])[0]
 
-    ``integer_solve`` proves that m exists.  Each rational solution is the
-    particular solution of ``solve_general`` plus its free coordinates times
-    the kernel basis, so an m of max-norm B has free coordinates in [-B, B];
-    B grows until an m appears.
+
+def ray_memberships(triple: FundamentalTriple, rays: Sequence[int]):
+    """For each ray j (1-based) of rays, the least integer m with G m = X_j
+    by max-norm, then l1-norm, then lexicographic order.
+
+    One ``integer_solve`` proves that each m exists.  Each rational solution
+    is the ray's particular solution from one ``solve_general`` plus its free
+    coordinates times the shared kernel basis, so an m of max-norm B has free
+    coordinates in [-B, B]; B grows until an m appears.
     """
-    if not 1 <= j <= triple.ray_count:
-        raise ValueError(f"ray index {j} out of range")
-    target_ray = triple.ray(j)
-    domain, generators = triple.domain, triple.lattice.generators
-    rows, rhs = zip(*(eq for i in range(triple.dim)
-                      for eq in domain.rational_rows(generators.row(i), target_ray[i])))
-    if integer_solve(rows, rhs) is None:
-        raise WitnessRecoveryError(f"ray {j} is not in the Z-span of the lattice generators")
-    particular, kernel = solve_general(Matrix.from_rows(RationalDomain(), rows), rhs)
+    for j in rays:
+        if not 1 <= j <= triple.ray_count:
+            raise ValueError(f"ray index {j} out of range")
+    domain, generators, k = triple.domain, triple.lattice.generators, triple.lattice.count
+    # G m = X_j is [G | X] (m, -e_j) = 0: the rays ride along as coefficient
+    # columns, so one common denominator is cleared for all of them
+    rows = [row for i in range(triple.dim) for row, _ in domain.rational_rows(
+        [*generators.row(i), *(triple.ray(j)[i] for j in rays)], domain.zero())]
+    system = [row[:k] for row in rows]
+    columns = [[row[k + a] for row in rows] for a in range(len(rays))]
+    for j, m in zip(rays, integer_solve(system, columns)):
+        if m is None:
+            raise WitnessRecoveryError(f"ray {j} is not in the Z-span of the lattice generators")
+    solutions, kernel = solve_general(Matrix.from_rows(RationalDomain(), system), columns)
     # the free coordinate of a kernel vector is its last nonzero entry,
     # and coordinate c depends only on the free coordinates after c
     directions = {max(c for c, x in enumerate(v) if not x.is_zero()):
@@ -357,22 +370,25 @@ def ray_membership(triple: FundamentalTriple, j: int):
         elif point[c].denominator == 1 and abs(point[c]) <= bound:
             yield from witnesses(c - 1, point, bound)
 
-    point = [x.payload for x in particular]
-    # the coordinates after the last free one are fixed: B starts at them
-    bound = int(max(map(abs, point[max(directions, default=-1) + 1:]), default=0))
-    while not (found := list(witnesses(len(point) - 1, point, bound))):
-        bound += 1
-    m = min(found, key=lambda m: (max(map(abs, m)), sum(map(abs, m)), m))
-    value = triple.lattice.combination(m)
-    if any(not (x - y).is_zero() for x, y in zip(value, target_ray)):
-        raise WitnessRecoveryError(f"recovered witness for ray {j} failed verification")
-    return m
+    recovered = []
+    for j, particular in zip(rays, solutions):
+        point = [x.payload for x in particular]
+        # the coordinates after the last free one are fixed: B starts at them
+        bound = int(max(map(abs, point[max(directions, default=-1) + 1:]), default=0))
+        while not (found := list(witnesses(len(point) - 1, point, bound))):
+            bound += 1
+        m = min(found, key=lambda m: (max(map(abs, m)), sum(map(abs, m)), m))
+        if not triple.lattice.reproduces(m, triple.ray(j)):
+            raise WitnessRecoveryError(f"recovered witness for ray {j} failed verification")
+        recovered.append(m)
+    return recovered
 
 
 def with_recovered_witnesses(triple: FundamentalTriple) -> FundamentalTriple:
     """Fill in any missing ray witnesses with their canonical recovered ones."""
-    if all(w is not None for w in triple.witnesses):
+    omitted = [j for j, w in enumerate(triple.witnesses, 1) if w is None]
+    if not omitted:
         return triple
-    witnesses = [w if w is not None else ray_membership(triple, j)
-                 for j, w in enumerate(triple.witnesses, 1)]
+    recovered = iter(ray_memberships(triple, omitted))
+    witnesses = [next(recovered) if w is None else w for w in triple.witnesses]
     return FundamentalTriple(triple.fan, triple.lattice, witnesses)

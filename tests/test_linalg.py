@@ -3,7 +3,7 @@ from fractions import Fraction
 from math import lcm
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from quasifold import (DimensionMismatchError, Matrix, SingularMatrixError,
@@ -84,7 +84,7 @@ def test_inverse_singular(rational):
 def kernel(matrix):
     """The kernel basis solve_general returns for a zero right-hand side."""
     zero = matrix.domain.zero()
-    particular, basis = solve_general(matrix, [zero] * matrix.rows)
+    (particular,), basis = solve_general(matrix, [[zero] * matrix.rows])
     assert all(x.is_zero() for x in particular)
     return basis
 
@@ -329,15 +329,14 @@ def test_kernel_randomized(rational):
 
 def test_solve_general_consistency(rational):
     a = Matrix.from_rows(rational, [[1, 2, 3], [2, 4, 6]])
-    result = solve_general(a, [rational.scalar(6), rational.scalar(12)])
-    assert result is not None
-    particular, kernel = result
+    (particular,), kernel = solve_general(a, [[rational.scalar(6), rational.scalar(12)]])
+    assert particular is not None
     assert list(a.apply(particular)) == [rational.scalar(6), rational.scalar(12)]
     assert len(kernel) == 2
     for vec in kernel:
         assert all(x.is_zero() for x in a.apply(vec))
     # inconsistent system
-    assert solve_general(a, [rational.scalar(6), rational.scalar(1)]) is None
+    assert solve_general(a, [[rational.scalar(6), rational.scalar(1)]])[0] == [None]
 
 
 # ---------------------------------------------------------------------------
@@ -476,7 +475,11 @@ def test_payload_elimination_matches_scalar_bareiss(
     pivot_cols = matrix._eliminate()[1]
     assert pivot_cols == literal_eliminate(matrix)[1]
     assert matrix.rank() == len(pivot_cols)
-    assert solve_general(matrix, rhs) == literal_solve_general(matrix, rhs)
+    (particular,), kernel = solve_general(matrix, [rhs])
+    expected = literal_solve_general(matrix, rhs)
+    assert (particular is None) == (expected is None)
+    if expected is not None:
+        assert (particular, kernel) == expected
     if matrix.rows == matrix.cols:
         assert outcome(matrix.solve, rhs) == outcome(literal_solve, matrix, rhs)
         assert outcome(matrix.inverse) == outcome(literal_inverse, matrix)
@@ -523,23 +526,53 @@ def test_integer_solve_matches_smith_oracle(data):
         rhs = [sum(x * c for x, c in zip(row, m)) for row in rows]
     else:
         rhs = data.draw(st.lists(_fractions, min_size=r, max_size=r))
-    solution = integer_solve(rows, rhs)
+    (solution,) = integer_solve(rows, [rhs])
     assert (solution is not None) == smith_solvable(rows, rhs)
     if solution is not None:
         assert all(type(x) is int for x in solution)
         assert [sum(x * c for x, c in zip(row, solution)) for row in rows] == rhs
 
 
+@settings(max_examples=150)
+@given(data=st.data())
+def test_several_columns_equal_one_column(rational, data):
+    # one elimination (one column reduction) for several right-hand sides
+    # gives, column by column, what a call per column gives: consistent
+    # integer images, consistent non-integer images and arbitrary columns,
+    # which are inconsistent whenever the rank is below the row count
+    r, k = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 4))
+    rows = []
+    for _ in range(r):
+        if rows and data.draw(st.integers(0, 2)) == 0:
+            a, b = data.draw(st.sampled_from(rows)), data.draw(st.sampled_from(rows))
+            u, v = data.draw(_fractions), data.draw(_fractions)
+            rows.append([u * x + v * y for x, y in zip(a, b)])
+        else:
+            rows.append(data.draw(st.lists(_fractions, min_size=k, max_size=k)))
+    matrix = Matrix.from_rows(rational, rows)
+    assume(k - matrix.rank() <= 2)
+    points = st.one_of(st.lists(st.integers(-3, 3), min_size=k, max_size=k),
+                       st.lists(_fractions, min_size=k, max_size=k))
+    columns = data.draw(st.lists(st.one_of(
+        points.map(lambda x: [sum(a * c for a, c in zip(row, x)) for row in rows]),
+        st.lists(_fractions, min_size=r, max_size=r)), min_size=1, max_size=4))
+    assert integer_solve(rows, columns) == [
+        integer_solve(rows, [b])[0] for b in columns]
+    solutions, kernel = solve_general(matrix, columns)
+    for b, solution in zip(columns, solutions):
+        assert solve_general(matrix, [b]) == ([solution], kernel)
+
+
 def test_integer_solve_small_cases():
     f = Fraction
     # x = 1/2 has no integer solution; 2 x = 1 neither; 2 x + 3 y = 1 has
-    assert integer_solve([[f(1)]], [f(1, 2)]) is None
-    assert integer_solve([[f(2)]], [f(1)]) is None
-    x, y = integer_solve([[f(2), f(3)]], [f(1)])
+    assert integer_solve([[f(1)]], [[f(1, 2)]]) == [None]
+    assert integer_solve([[f(2)]], [[f(1)]]) == [None]
+    (x, y), = integer_solve([[f(2), f(3)]], [[f(1)]])
     assert 2 * x + 3 * y == 1
     # a zero row needs a zero right-hand side
-    assert integer_solve([[f(0), f(0)]], [f(0)]) == [0, 0]
-    assert integer_solve([[f(0), f(0)]], [f(1)]) is None
+    assert integer_solve([[f(0), f(0)]], [[f(0)]]) == [[0, 0]]
+    assert integer_solve([[f(0), f(0)]], [[f(1)]]) == [None]
     # 3/2 x = 3/2 y + 3/2 and x - y = 1 over Z: x = y + 1
-    x, y = integer_solve([[f(3, 2), f(-3, 2)], [f(1), f(-1)]], [f(3, 2), f(1)])
+    (x, y), = integer_solve([[f(3, 2), f(-3, 2)], [f(1), f(-1)]], [[f(3, 2), f(1)]])
     assert x - y == 1

@@ -272,6 +272,99 @@ def test_factor_shared_with_min_poly_is_refused():
     assert (domain.generator() - 1).sign() == 1
 
 
+def horner_isolation(min_poly, approx, width):
+    """The isolating interval by bisection on Fraction Horner values, the
+    oracle for the integer signs of NumberFieldDomain: the first interval
+    to bracket a sign change, halved 40 times, then halved down to width.
+    ("rational", root) when a value at an end or at approx is zero, and
+    None when no radius brackets a sign change."""
+    p = [Fraction(c) for c in min_poly]
+
+    def value(x):
+        acc = Fraction(0)
+        for c in reversed(p):
+            acc = acc * x + c
+        return acc
+
+    def halve(lo, hi):
+        mid = (lo + hi) / 2
+        if not value(mid):
+            return mid, mid
+        if (value(mid) < 0) == (value(lo) < 0):
+            return mid, hi
+        return lo, mid
+
+    approx = Fraction(approx)
+    for exponent in range(12, -1, -1):
+        radius = Fraction(1, 10 ** exponent)
+        lo, hi = approx - radius, approx + radius
+        values = [value(x) for x in (lo, approx, hi)]
+        if 0 in values:
+            return "rational", (lo, approx, hi)[values.index(0)]
+        if (values[0] < 0) != (values[2] < 0):
+            for _ in range(40):
+                lo, hi = halve(lo, hi)
+            first = lo, hi
+            while hi - lo > width:
+                lo, hi = halve(lo, hi)
+            return first, (lo, hi)
+    return None
+
+
+def assert_isolation_matches_horner(min_poly, approx):
+    from quasifold import NumberFieldDomain
+    width = Fraction(1, 10 ** 40)
+    expected = horner_isolation(min_poly, approx, width)
+    try:
+        domain = NumberFieldDomain(min_poly, "r", approx)
+    except ValueError as err:
+        if expected is None:
+            assert "does not isolate a real root" in str(err)
+        elif expected[0] == "rational":
+            assert f"rational root {expected[1]} next" in str(err)
+        else:  # the Sturm count after the bisection refused the interval
+            assert "does not isolate one irrational root" in str(err)
+        return
+    first, last = expected
+    assert (domain._root_lo, domain._root_hi) == first
+    assert domain.root_interval(width) == last
+
+
+def test_root_isolation_matches_horner(gallery):
+    cases = [(["-2", "0", "1"], "1.41421356"), (["-1/2", "0", "1"], "0.70710678"),
+             (["-2", "0", "1"], "-1.4"), (["-1", "-1", "1"], "7.5"),
+             (["-4", "0", "1"], "2")]
+    for _, triple, _ in gallery.values():
+        if triple.domain.kind == "number_field":
+            cases.append((triple.domain.min_poly, triple.domain.embedding_approx))
+    assert len(cases) == 7
+    for min_poly, approx in cases:
+        assert_isolation_matches_horner(min_poly, approx)
+
+
+@settings(max_examples=100)
+@given(quadratics=st.lists(st.sampled_from([2, 3, 5, 6, 7, 10]), min_size=1,
+                           max_size=2, unique=True),
+       linears=st.lists(st.fractions(-3, 3, max_denominator=3), max_size=2,
+                        unique=True),
+       pick=st.integers(0, 1), negative=st.booleans(), digits=st.integers(0, 16))
+def test_root_isolation_matches_horner_on_products(quadratics, linears, pick,
+                                                   negative, digits):
+    # products of distinct factors x^2 - q and x - r near a root sqrt(q) or
+    # -sqrt(q), given to a few or many digits: coarse approximations widen
+    # the radius, and rational roots can fall inside it or at its ends
+    poly = [Fraction(1)]
+    for factor in [(-q, 0, 1) for q in quadratics] + [(-r, 1) for r in linears]:
+        product = [Fraction(0)] * (len(poly) + len(factor) - 1)
+        for i, a in enumerate(poly):
+            for j, b in enumerate(factor):
+                product[i + j] += a * b
+        poly = product
+    root = Decimal(quadratics[pick % len(quadratics)]).sqrt()
+    approx = str(round(-root if negative else root, digits))
+    assert_isolation_matches_horner(poly, approx)
+
+
 @settings(max_examples=300)
 @given(factors=st.lists(st.lists(st.integers(-4, 4), min_size=1, max_size=4),
                         min_size=1, max_size=3),

@@ -290,6 +290,64 @@ def test_witness_bad_stored(parameter):
     assert ray_membership(stripped_of_witnesses(bad), 1) == (0, 1)
 
 
+def test_first_non_member_is_named(rational):
+    # rays 2 and 4 lie outside Z^2; all four are recovered together, and
+    # the error names ray 2, the first in ray order
+    lattice = Quasilattice(rational, Matrix.identity(rational, 2))
+    rays = [[rational.scalar(x) for x in ray]
+            for ray in (("1", "0"), ("0", "1/2"), ("-1", "0"), ("0", "-1/3"))]
+    fan = Fan(2, rays, [[1, 2], [2, 3], [3, 4], [1, 4]])
+    triple = FundamentalTriple(fan, lattice)
+    with pytest.raises(WitnessRecoveryError,
+                       match="^ray 2 is not in the Z-span of the lattice generators$"):
+        with_recovered_witnesses(triple)
+    # ray 4 alone, behind two members, is named too
+    rays[1] = [rational.zero(), rational.one()]
+    triple = FundamentalTriple(Fan(2, rays, fan.max_cones), lattice)
+    with pytest.raises(WitnessRecoveryError, match="^ray 4 is not"):
+        with_recovered_witnesses(triple)
+
+
+def test_witness_recovery_is_one_elimination(monkeypatch):
+    # all ten omitted witnesses of the parameter fan come from one integer
+    # column reduction and one fraction-free elimination
+    from test_cli import param_fan_doc
+    from quasifold import document_to_triple, load_document, triples
+    triple, _ = document_to_triple(load_document(param_fan_doc()))
+    calls = {"eliminate": 0, "integer_solve": 0}
+    eliminate, integer_solve = Matrix._eliminate, triples.integer_solve
+
+    def counted_eliminate(self, *args):
+        calls["eliminate"] += 1
+        return eliminate(self, *args)
+
+    def counted_integer_solve(*args):
+        calls["integer_solve"] += 1
+        return integer_solve(*args)
+    monkeypatch.setattr(Matrix, "_eliminate", counted_eliminate)
+    monkeypatch.setattr(triples, "integer_solve", counted_integer_solve)
+    recovered = with_recovered_witnesses(stripped_of_witnesses(triple))
+    assert recovered.witnesses == triple.witnesses
+    assert calls == {"eliminate": 1, "integer_solve": 1}
+
+
+@pytest.mark.parametrize("name", ["cp2-11a", "dodecahedron", "hirzebruch",
+                                  "kite", "quasisphere"])
+def test_gallery_witnesses_recovered_when_omitted(name, gallery):
+    # each entry's document without its witnesses recovers exactly the
+    # stored ones, through the polytope front-end
+    import json
+    from importlib import resources
+    from quasifold import document_to_triple, load_document
+    text = resources.files("quasifold").joinpath(f"data/{name}.json").read_text()
+    raw = json.loads(text)
+    del raw["witnesses"]
+    triple, _ = document_to_triple(load_document(raw, name=name))
+    _, stored, _ = gallery[name]
+    assert triple.witnesses == stored.witnesses
+    assert validate(triple, probe_directions=0).quasirational
+
+
 def canonical_order(m):
     return max(map(abs, m)), sum(map(abs, m)), tuple(m)
 
@@ -317,11 +375,11 @@ def test_recovered_witness_is_canonical(name, data, request):
     assume(generators.rank() == n)
     m = data.draw(st.lists(st.integers(-3, 3), min_size=k, max_size=k))
     lattice = Quasilattice(domain, generators)
-    ray = lattice.combination(m)
+    ray = generators.apply([domain.scalar(c) for c in m])
     units = [[domain.scalar(int(i == j)) for j in range(n)] for i in range(n - 1)]
     fan = Fan(n, [ray, *units], [range(1, n + 1)])
     w = ray_membership(FundamentalTriple(fan, lattice), 1)
-    assert lattice.combination(w) == ray
+    assert lattice.reproduces(w, ray)
     assert canonical_order(w) <= canonical_order(m)
 
 
