@@ -13,6 +13,7 @@ a rejection.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -48,7 +49,10 @@ def _add_verify_flags(parser):
     parser.add_argument("--word-length", type=int, default=None)
 
 
+@functools.cache
 def _build_parser():
+    """The argument parser, built once per process: parsing never changes
+    it, so every call of ``main`` shares it."""
     parser = argparse.ArgumentParser(
         prog="quasifold",
         description="exact affine atlases of complex toric quasifolds")

@@ -238,6 +238,32 @@ def _zsturm_count(p, lo=None, hi=None):
     return _variations(at_lo) - _variations(at_hi)
 
 
+def _zroot_count(p, positive):
+    """The number of distinct real roots of p, on (0, oo) when positive,
+    else on the whole line; in closed form up to degree 2, from the signs
+    of the coefficients and of the discriminant, else by Sturm."""
+    if len(p) > 3:
+        return _zsturm_count(p, 0 if positive else None)
+    if len(p) == 1:
+        return 0
+    if len(p) == 2:   # the root -c0 / c1
+        return 1 if not positive or p[0] * p[1] < 0 else 0
+    c0, c1, c2 = p
+    disc = c1 * c1 - 4 * c0 * c2
+    if disc < 0:
+        return 0
+    if not positive:
+        return 1 if disc == 0 else 2
+    if disc == 0:   # the double root -c1 / (2 c2)
+        return 1 if c1 * c2 < 0 else 0
+    if c0 * c2 < 0:   # roots of opposite signs
+        return 1
+    # roots of one sign, or 0 and -c1 / c2: positive where -c1 / c2 is
+    if c1 * c2 >= 0:
+        return 0
+    return 1 if c0 == 0 else 2
+
+
 def _as_fraction(value):
     if isinstance(value, Fraction):
         return value
@@ -903,10 +929,10 @@ class RationalFunctionDomain(ScalarDomain):
         if self._is_zero(a):
             return 0
         symbol = self.generator_symbol
-        lo = 0 if self.parameter_positivity else None
+        positive = self.parameter_positivity
         for p in a:
-            if _zsturm_count(p, lo):
-                where = f"real {symbol}" if lo is None else f"{symbol} > 0"
+            if _zroot_count(p, positive):
+                where = f"{symbol} > 0" if positive else f"real {symbol}"
                 raise IndeterminateSignError(
                     f"the sign of {self._text(a)} is not proven constant for "
                     f"{where}: {_poly_text(p, symbol)} has a root there")

@@ -160,8 +160,15 @@ class ValidationReport:
         return self.simplicial and self.quasirational and self.face_condition
 
 
+# the relative error of each float_array value: eval_numeric(17) errs by
+# less than 1e-17, and float() rounds once more (below the normal range,
+# 2^-1022, the error is under 2^-1074 absolute instead)
+FLOAT_ERROR = 1e-17 + 2.0 ** -53
+
+
 def float_array(entries, shape, parameter_sample, memo):
-    """Floats of exact scalars (15 significant digits), as rows of shape.
+    """Floats of exact scalars (17 significant digits, relative error at
+    most ``FLOAT_ERROR``), as rows of shape.
 
     memo maps payloads to the floats already computed; the caller keeps
     one per domain and parameter sample, so each distinct value is
@@ -172,7 +179,7 @@ def float_array(entries, shape, parameter_sample, memo):
     for x in entries:
         value = memo.get(x.payload)
         if value is None:
-            value = float(x.eval_numeric(15, parameter_sample))
+            value = float(x.eval_numeric(17, parameter_sample))
             if not isfinite(value):
                 raise FloatingPointError("an exact value has no finite float")
             memo[x.payload] = value

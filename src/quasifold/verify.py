@@ -1,4 +1,12 @@
-"""Monte-Carlo numeric verification of the symbolic atlas.
+"""Monte-Carlo numeric verification of the symbolic atlas, in logarithmic
+coordinates.
+
+A chart of a cone sigma is C^n / Gamma_sigma through exp: a point is
+z = exp(2 pi i w) for its logarithmic coordinates w, whose real parts are
+its phases in turns and whose imaginary parts are its log-moduli
+-log|z| / (2 pi).  A generalized Laurent monomial z^E is exp(2 pi i E w),
+so every quantity a check compares is linear in w: phases are compared mod
+1 and log-moduli exactly, in real arithmetic, and no check exponentiates.
 
 Four checks, each sampling random points of the dense orbit:
 
@@ -13,21 +21,23 @@ Four checks, each sampling random points of the dense orbit:
 
 The first three test that a phase theta lies in the chart group of a cone
 sigma: the phases C_sigma m (mod Z^n), m in Z^k, where C_sigma is
-A_sigma^-1 G less its integer entries.  Each theta is the image of a
-quasilattice vector whose integer coordinates the check drew itself, so
-its witness m follows in closed form from the ray witnesses W (k x d,
-G w_j = X_j), and a trial evaluates one residual |C_sigma m - theta| mod 1:
+L_sigma = A_sigma^-1 G less its integer entries I_sigma.  Each theta is the
+image of a quasilattice vector whose integer coordinates the check drew
+itself, so its witness m follows in closed form from the ray witnesses W
+(k x d, G w_j = X_j), and a trial evaluates one residual
+|C_sigma m - theta| mod 1:
 
-  * branch invariance: theta = E s for E = A_sigma^-1 A_tau and a drawn
-    s in Z^n; A_tau = G W_tau, so m = W_tau s.  A one-cone fan shifts
-    its group exponents directly, so m = s;
-  * factorization: theta = A_sigma^-1 R x for the ray matrix R and the
-    drawn integer part x (the kernel part dies under R); R x = G W x, so
-    m = W x;
-  * transition equivariance: the principal logarithm returns the drawn
-    word's shift C_tau m_w as A_tau^-1 G m_w + u, with u in Z^n absorbing
-    the branch and the integers C_tau dropped, so
-    u = rint(Re(shift) - A_tau^-1 G m_w) and m = m_w + W_tau u.
+  * branch invariance: theta = Re(E w' - E w) for E = A_sigma^-1 A_tau and
+    w' = w + s, s in Z^n drawn; A_tau = G W_tau, so m = W_tau s.  A
+    one-cone fan shifts its group exponents directly, so m = s;
+  * factorization: theta = y = B_sigma x for the chart's coordinate table
+    B_sigma = A_sigma^-1 R, an integer part x drawn and a kernel part
+    that B_sigma kills; R x = G W x, so m = W x;
+  * transition equivariance: the drawn word m_w moves a source point w to
+    w' = w + C_tau m_w + u, where the integer u = -floor(Re(w + C_tau m_w))
+    brings the phases back into [0, 1).  The shift is
+    L_tau m_w + (u - I_tau m_w), so theta = Re(E w' - E w) has the witness
+    m = m_w + W_tau (u - I_tau m_w).
 
 On a correct atlas the residual is at rounding level: ``validate`` proves
 G w_j = X_j exactly, so A_sigma^-1 A_tau s = A_sigma^-1 G W_tau s.  A wrong
@@ -35,32 +45,33 @@ E or C cannot hide: m comes from W, not from the atlas, so a faulty
 exponent leaves a residual of the fault's size, reported as a mismatch.
 
 The harness is plain Python: ``NumericAtlas`` holds the float views
-(``triples.float_array``, rows of floats) of the cone matrices and of each
+(``triples.float_array``, rows of floats) of the ray matrix and of each
 chart's tables, reads a transition and the factorization's kernel rows off
 the float coordinate table, and keeps the ray witnesses as exact ints, so
-a witness never overflows; ``cmath`` gives exp, log and phase, ``x % 1.0``
-the reduction mod 1, and ``triples.float_solve`` the one float solve.
-``_with_fault`` perturbs one exponent for fault injection, and
-``TrialReport.record`` counts every trial and keeps each failure.
-``verify_triple`` spreads the samples over the targets of each check; each
-check seeds a ``random.Random`` from the text of (seed, check, target), so
-one target's draws do not depend on the others, and never on
-``PYTHONHASHSEED``.
+a witness never overflows; ``math.fsum`` sums every dot product,
+``x % 1.0`` reduces mod 1 and ``math.floor`` picks the branch.  Before any
+draw, ``verify_triple`` bounds what rounding can do to any residual
+(``_rounding_bound``) and refuses when that exceeds half the tolerance or
+a table value has no finite float.  ``_with_fault`` perturbs one exponent
+for fault injection, and ``TrialReport.record`` counts every trial and
+keeps each failure.  ``verify_triple`` spreads the samples over the
+targets of each check; each check seeds a ``random.Random`` from the text
+of (seed, check, target), so one target's draws do not depend on the
+others, and never on ``PYTHONHASHSEED``.
 """
 
 from __future__ import annotations
 
-import cmath
 import itertools
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import inf, isfinite, log, pi
-from operator import mul, sub
+from math import floor, fsum, inf, isfinite, log, pi
+from operator import add, mul, sub
 from typing import Dict, Optional
 
 from .atlas import Atlas
-from .triples import FundamentalTriple, float_array, float_dot, float_solve
+from .triples import FLOAT_ERROR, FundamentalTriple, float_array
 
 __all__ = [
     "GroupMembership",
@@ -83,8 +94,14 @@ _CHECK_IDS = {
     "connecting_element": 4,
 }
 
-_TWO_PI = 2.0 * pi
-_TWO_PI_I = 2j * pi
+# log-moduli, in turns, of points with moduli in [0.5, 2]
+_LOG_MODULUS = log(2.0) / (2.0 * pi)
+_UNIT = 2.0 ** -53
+# the most roundings on the path of one term of a residual: the shift C m
+# (a dot product rounds its products, then its sum), adding w and the
+# branch, E applied (two), subtracting E w and then C m', and the three
+# steps of the circular reduction
+_ROUNDINGS = 11
 
 
 @dataclass(frozen=True)
@@ -156,25 +173,26 @@ def _circular_residual(values):
     return max(abs((v + 0.5) % 1.0 - 0.5) for v in values)
 
 
+def _largest(values):
+    """Max absolute value of the entries."""
+    return max(map(abs, values))
+
+
+def _dot(u, v):
+    """The dot product: the exactly rounded sum (math.fsum) of the rounded
+    products, the same on every interpreter and two roundings from the
+    exact value."""
+    return fsum(map(mul, u, v))
+
+
 def _matvec(matrix, vector):
-    """matrix (rows) times vector, as a list."""
-    return [float_dot(row, vector) for row in matrix]
+    """matrix (rows) times vector, as a list of ``_dot``s."""
+    return [fsum(map(mul, row, vector)) for row in matrix]
 
 
-def _combine(columns, coefficients):
-    """The integer vector sum_j coefficients[j] * columns[j], exactly."""
-    return [sum(map(mul, entries, coefficients)) for entries in zip(*columns)]
-
-
-def _expi(values):
-    """exp(2 pi i v) of each entry."""
-    return [cmath.exp(_TWO_PI_I * v) for v in values]
-
-
-def _phase_shift(before, after):
-    """The phase of each after / before, in turns, reduced into [0, 1)."""
-    return [(cmath.phase(b / a) / _TWO_PI) % 1.0
-            for a, b in zip(before, after)]
+def _integer_matvec(rows, vector):
+    """The integer rows times the integer vector, exactly."""
+    return [sum(map(mul, row, vector)) for row in rows]
 
 
 class GroupMembership:
@@ -280,41 +298,58 @@ class NumericAtlas:
         self._cache: Dict[tuple, list] = {}
         self._floats_seen: Dict[object, float] = {}
 
-    def _floats(self, key, matrix):
-        if key not in self._cache:
-            self._cache[key] = float_array(
-                matrix.entries, (matrix.rows, matrix.cols),
-                self.parameter_sample, self._floats_seen)
-        return self._cache[key]
+    def _floats(self, matrix):
+        return float_array(matrix.entries, (matrix.rows, matrix.cols),
+                           self.parameter_sample, self._floats_seen)
+
+    def _cached(self, key, build):
+        rows = self._cache.get(key)
+        if rows is None:
+            rows = self._cache[key] = build()
+        return rows
+
+    def _table(self, name, cone):
+        """The float rows of the named table of the cone's chart (looked up
+        on every target, so without building a closure as _cached does)."""
+        rows = self._cache.get((name, cone))
+        if rows is None:
+            rows = self._cache[name, cone] = self._floats(
+                getattr(self.atlas.chart(cone), name))
+        return rows
 
     def ray_matrix(self):
-        return self._floats(("rays",), self._rays)
+        return self._cached("rays", lambda: self._floats(self._rays))
 
     def cone_matrix(self, cone):
-        return self._floats(("cone", tuple(cone)),
-                            self.triple.cone_matrix(cone))
+        return self._floats(self.triple.cone_matrix(cone))
 
     def group_exponents(self, cone):
-        return self._floats(("group", tuple(cone)),
-                            self.atlas.chart(cone).group_exponents)
+        return self._table("group_exponents", tuple(cone))
 
     def lattice_exponents(self, cone):
-        return self._floats(("lattice", tuple(cone)),
-                            self.atlas.chart(cone).lattice_exponents)
+        return self._table("lattice_exponents", tuple(cone))
 
     def coordinates(self, cone):
-        return self._floats(("coordinates", tuple(cone)),
-                            self.atlas.chart(cone).coordinates)
+        return self._table("coordinates", tuple(cone))
+
+    def integer_exponents(self, cone):
+        """The integer entries I of the lattice exponents, as ints: L - C."""
+        return self._cached(("integers", tuple(cone)), lambda: [
+            [0 if c else int(x) for x, c in zip(lattice, group)]
+            for lattice, group in zip(self.lattice_exponents(cone),
+                                      self.group_exponents(cone))])
 
     def transition(self, source, target):
-        """The chart change's exponents: the target's table at the source's rays."""
-        return [[row[j - 1] for j in source] for row in self.coordinates(target)]
+        """The chart change's exponents: the target's table at the source's
+        rays (the checks share them: most pairs recur across checks)."""
+        key = ("transition", tuple(source), tuple(target))
+        return self._cached(key, lambda: [[row[j - 1] for j in source]
+                                          for row in self.coordinates(target)])
 
     def kernel_matrix(self, cone):
         """The kernel basis of the ray map over the cone: for each ray j
         outside it, in increasing j, e_j - sum_t C[t, j] e_(cone_t)."""
-        key = ("kernel", tuple(cone))
-        if key not in self._cache:
+        def build():
             table, d = self.coordinates(cone), self.triple.ray_count
             rows = []
             for j in range(1, d + 1):
@@ -325,12 +360,15 @@ class NumericAtlas:
                         # 0.0 - x, not -x: an exact zero stays +0.0
                         row[i - 1] = 0.0 - table[t][j - 1]
                     rows.append(row)
-            self._cache[key] = rows
-        return self._cache[key]
+            return rows
+        return self._cached(("kernel", tuple(cone)), build)
 
-    def cone_witnesses(self, cone):
-        """The witnesses of the cone's rays, in the cone's order."""
-        return [self.witnesses[j - 1] for j in cone]
+    def witness_rows(self, rays):
+        """W at the given rays, in their order, as k rows of ints: row l
+        holds coordinate l of each ray's witness."""
+        return self._cached(("witnesses", tuple(rays)), lambda: [
+            list(column)
+            for column in zip(*[self.witnesses[j - 1] for j in rays])])
 
 
 def _with_fault(exponents, fault):
@@ -343,98 +381,102 @@ def _with_fault(exponents, fault):
     return exponents
 
 
+def _phase_differences(exponents, before, after):
+    """Re(E w' - E w) for the phases w (before) and w' (after): the phase
+    shift of each monomial z^E, in turns, not reduced mod 1."""
+    return [fsum(map(mul, row, after)) - fsum(map(mul, row, before))
+            for row in exponents]
+
+
 def _membership(group, witness, theta, tolerance):
     """(failure kind or None, residual) of theta against group @ witness."""
-    residual = _circular_residual(
-        [g - t for g, t in zip(_matvec(group, witness), theta)])
+    residual = _circular_residual(map(sub, _matvec(group, witness), theta))
     return ("mismatch" if residual >= tolerance else None), residual
 
 
-def _rng(cfg: TrialConfig, check: str, target: tuple):
+def _rng(cfg: TrialConfig, check: str, cones: tuple):
+    """The check's generator for one target, seeded from the text of
+    [seed, check id, each cone's rays followed by 0]."""
     flat = [cfg.seed, _CHECK_IDS[check]]
-    for part in target:
-        if isinstance(part, (tuple, list)):
-            flat.extend(int(x) for x in part)
-            flat.append(0)
-        else:
-            flat.append(int(part))
+    for cone in cones:
+        flat += cone
+        flat.append(0)
     # a str seed is hashed by sha512, never by hash(), so draws do not
     # depend on PYTHONHASHSEED
     return random.Random(str(flat))
 
 
-def _sample_log_points(rng, count):
-    """Logarithmic coordinates of points with moduli in [0.5, 2]."""
-    return [complex(rng.random(), -log(rng.uniform(0.5, 2.0)) / _TWO_PI)
-            for _ in range(count)]
-
-
 def check_branch_invariance(triple: FundamentalTriple, cone, cfg: TrialConfig,
                             numeric: NumericAtlas, fault=None) -> TrialReport:
-    """Monomial classes are unchanged by integer logarithm-branch shifts."""
+    """Monomial classes are unchanged by integer logarithm-branch shifts.
+
+    Only phases enter, so a point is drawn by its phases alone; each trial
+    takes the chart change from the next other cone in turn.
+    """
     cone = tuple(sorted(cone))
     others = [c for c in triple.fan.max_cones if c != cone]
     report = TrialReport(check="branch_invariance")
     rng = _rng(cfg, "branch_invariance", (cone,))
+    draw = rng.random
     group = numeric.group_exponents(cone)
-    k = len(group[0])
+    if others:
+        sources = [(_with_fault(numeric.transition(source, cone), fault),
+                    numeric.witness_rows(source))
+                   for source in others[:cfg.samples]]
+    else:
+        k = len(group[0])
+        sources = [(_with_fault(group, fault),
+                    [[int(i == j) for i in range(k)] for j in range(k)])]
     length = cfg.word_length
+    span = 2 * length + 1
     for trial in range(cfg.samples):
-        if others:
-            source = others[trial % len(others)]
-            exponents = numeric.transition(source, cone)
-            witnesses = numeric.cone_witnesses(source)
-        else:
-            exponents = group
-            witnesses = [[int(i == j) for i in range(k)] for j in range(k)]
-        exponents = _with_fault(exponents, fault)
-        width = len(exponents[0])
-        w = _sample_log_points(rng, width)
-        shifts = [rng.randint(-length, length) for _ in range(width)]
-        image_a = _expi(_matvec(exponents, w))
-        image_b = _expi(_matvec(exponents, [x + s for x, s in zip(w, shifts)]))
-        theta = _phase_shift(image_a, image_b)
+        exponents, witnesses = sources[trial % len(sources)]
+        w = [draw() for _ in exponents[0]]
+        shifts = [int(draw() * span) - length for _ in w]
+        theta = _phase_differences(exponents, w, list(map(add, w, shifts)))
         report.record((cone,), trial, cfg.seed, *_membership(
-            group, _combine(witnesses, shifts), theta, cfg.tolerance))
+            group, _integer_matvec(witnesses, shifts), theta, cfg.tolerance))
     return report
 
 
-def _word_sample(rng, generator_count, word_length):
+def _word_sample(draw, generator_count, word_length):
     coefficients = [0] * generator_count
     for _ in range(word_length):
-        coefficients[rng.randrange(generator_count)] += (
-            1 if rng.getrandbits(1) else -1)
+        coefficients[int(draw() * generator_count)] += (
+            1 if draw() < 0.5 else -1)
     return coefficients
 
 
 def check_transition_equivariance(triple: FundamentalTriple, source, target,
                                   cfg: TrialConfig, numeric: NumericAtlas,
                                   fault=None) -> TrialReport:
-    """T(gamma z) and T(z) differ by an element of the target chart group."""
+    """T(gamma z) and T(z) differ by an element of the target chart group.
+
+    gamma = exp(2 pi i C_source m) moves only phases, so a point is drawn
+    by its phases alone.
+    """
     source = tuple(sorted(source))
     target = tuple(sorted(target))
     exponents = _with_fault(numeric.transition(source, target), fault)
     source_group = numeric.group_exponents(source)
-    source_lattice = numeric.lattice_exponents(source)
-    source_witnesses = numeric.cone_witnesses(source)
+    source_integers = numeric.integer_exponents(source)
+    source_witnesses = numeric.witness_rows(source)
     target_group = numeric.group_exponents(target)
     report = TrialReport(check="transition_equivariance")
     rng = _rng(cfg, "transition_equivariance", (source, target))
+    draw = rng.random
     k = len(source_group[0])
     for trial in range(cfg.samples):
-        z = _expi(_sample_log_points(rng, len(source)))
-        m = _word_sample(rng, k, cfg.word_length)
-        gamma = _expi(_matvec(source_group, m))
-        logs = [cmath.log(v) / _TWO_PI_I for v in z]
-        logs_shifted = [cmath.log(g * v) / _TWO_PI_I
-                        for g, v in zip(gamma, z)]
-        image = _expi(_matvec(exponents, logs))
-        image_shifted = _expi(_matvec(exponents, logs_shifted))
-        theta = _phase_shift(image, image_shifted)
-        branch = [round((b - a).real - c) for a, b, c in zip(
-            logs, logs_shifted, _matvec(source_lattice, m))]
-        witness = [x + y for x, y in zip(
-            m, _combine(source_witnesses, branch))]
+        w = [draw() for _ in source]
+        m = _word_sample(draw, k, cfg.word_length)
+        moved = list(map(add, w, _matvec(source_group, m)))
+        branch = [-floor(v) for v in moved]
+        moved = list(map(add, moved, branch))
+        theta = _phase_differences(exponents, w, moved)
+        correction = list(map(sub, branch,
+                              _integer_matvec(source_integers, m)))
+        witness = list(map(add, m, _integer_matvec(source_witnesses,
+                                                   correction)))
         report.record((source, target), trial, cfg.seed, *_membership(
             target_group, witness, theta, cfg.tolerance))
     return report
@@ -444,32 +486,40 @@ def check_factorization(triple: FundamentalTriple, cone, cfg: TrialConfig,
                         numeric: NumericAtlas, fault=None) -> TrialReport:
     """Lattice-compatible translations split as chart-group times kernel.
 
-    Draws X with pi(X) in the quasilattice, sets Y to the cone-supported
-    solution of pi(Y) = pi(X); then X - Y must be killed by pi and exp(Y)
-    must belong to the chart group.
+    Draws X = x + sum_r c_r K_r for x in [-2, 2]^d and the kernel rows K_r
+    with c_r in [-1, 1], so pi(X) = pi(x) lies in the quasilattice; the
+    cone-supported solution of pi(Y) = pi(X) is Y = B_sigma X, read off
+    the coordinate table.  Then X - Y must be killed by pi and exp(Y) must
+    belong to the chart group.
     """
     cone = tuple(sorted(cone))
-    rays = numeric.ray_matrix()
-    cone_m = numeric.cone_matrix(cone)
-    kernel = numeric.kernel_matrix(cone)
-    group = _with_fault(numeric.group_exponents(cone), fault)
     d = triple.ray_count
+    rays = numeric.ray_matrix()
+    table = numeric.coordinates(cone)
+    witnesses = numeric.witness_rows(range(1, d + 1))
+    # K_r is e_j - sum_t B[t, j] e_(cone_t) for the r-th ray j outside
+    outside = [j for j in range(d) if j + 1 not in cone]
+    cone_columns = [[row[i - 1] for row in numeric.kernel_matrix(cone)]
+                    for i in cone]
+    group = _with_fault(numeric.group_exponents(cone), fault)
     report = TrialReport(check="factorization")
     rng = _rng(cfg, "factorization", (cone,))
+    draw = rng.random
     for trial in range(cfg.samples):
-        integer_part = [rng.randint(-2, 2) for _ in range(d)]
-        x = [float(v) for v in integer_part]
-        for row in kernel:
-            c = rng.uniform(-1.0, 1.0)
-            x = [v + c * r for v, r in zip(x, row)]
-        y_coords = float_solve(cone_m, [_matvec(rays, x)])[0]
-        w = list(x)
-        for j, y in zip(cone, y_coords):
-            w[j - 1] -= y
-        residual_kernel = max(map(abs, _matvec(rays, w)))
+        integer_part = [int(draw() * 5) - 2 for _ in range(d)]
+        c = [2.0 * draw() - 1.0 for _ in outside]
+        x = list(map(float, integer_part))
+        for j, v in zip(outside, c):
+            x[j] += v
+        for i, column in zip(cone, cone_columns):
+            x[i - 1] += _dot(column, c)
+        y = _matvec(table, x)
+        for i, v in zip(cone, y):   # x becomes X - Y
+            x[i - 1] -= v
+        residual_kernel = _largest(_matvec(rays, x))
         kind, residual = _membership(
-            group, _combine(numeric.witnesses, integer_part),
-            [y % 1.0 for y in y_coords], cfg.tolerance)
+            group, _integer_matvec(witnesses, integer_part), y,
+            cfg.tolerance)
         if residual_kernel >= cfg.tolerance:
             kind, residual = "mismatch", residual_kernel
         elif kind is None:
@@ -483,44 +533,45 @@ def check_connecting_element(triple: FundamentalTriple, source, target,
                              fault=None) -> TrialReport:
     """The kernel-group element carries one representative onto the other.
 
-    Only meaningful for pairs whose index sets overlap partially
+    In logarithmic coordinates the element is e = E_extra w_extra on the
+    target's rays less w on the source's rays outside the target; it must
+    lie in the kernel of the ray map, and e plus the source representative
+    must equal the target representative E w, phases mod 1 and log-moduli
+    exactly.  Only meaningful for pairs whose index sets overlap partially
     (1 <= h <= n-1); disjoint pairs are reported as skipped.
     """
     source = tuple(sorted(source))
     target = tuple(sorted(target))
-    n = triple.dim
-    shared = sorted(set(source) & set(target))
-    h = len(source) - len(shared)
+    extra = [j for j in source if j not in target]
     report = TrialReport(check="connecting_element")
-    if not 1 <= h <= n - 1:
-        report.skipped = ((source, target, h),)
+    if not 1 <= len(extra) <= triple.dim - 1:
+        report.skipped = ((source, target, len(extra)),)
         return report
     exponents = _with_fault(numeric.transition(source, target), fault)
-    rays = numeric.ray_matrix()
-    d = triple.ray_count
-    extra = [j for j in source if j not in target]
     extra_cols = [source.index(j) for j in extra]
     extra_exponents = [[row[c] for c in extra_cols] for row in exponents]
+    # the ray map at the element's support: the target's rays, then the extra
+    support = [[row[j - 1] for j in target + tuple(extra)]
+               for row in numeric.ray_matrix()]
+    # (target row, source coordinate) of each ray both cones hold
+    shared = [(r, source.index(j)) for r, j in enumerate(target) if j in source]
     rng = _rng(cfg, "connecting_element", (source, target))
+    draw = rng.random
     for trial in range(cfg.samples):
-        w = _sample_log_points(rng, n)
-        w_extra = [w[c] for c in extra_cols]
-        log_element = [0j] * d
-        for j, v in zip(target, _matvec(extra_exponents, w_extra)):
-            log_element[j - 1] += v
-        for j, v in zip(extra, w_extra):
-            log_element[j - 1] -= v
-        residual_kernel = max(map(abs, _matvec(rays, log_element)))
-        representative = [1 + 0j] * d
-        for j, v in zip(source, _expi(w)):
-            representative[j - 1] = v
-        moved = [e * r for e, r in zip(_expi(log_element), representative)]
-        expected = [1 + 0j] * d
-        for j, v in zip(target, _expi(_matvec(exponents, w))):
-            expected[j - 1] = v
-        scale = max(1.0, max(map(abs, expected)))
-        residual_match = max(map(abs, map(sub, moved, expected))) / scale
-        deviation = max(residual_kernel, residual_match)
+        phases, moduli = [], []
+        for _ in source:
+            phases.append(draw())
+            moduli.append((2.0 * draw() - 1.0) * _LOG_MODULUS)
+        deviation = 0.0
+        for w, distance in ((phases, _circular_residual), (moduli, _largest)):
+            w_extra = [w[c] for c in extra_cols]
+            moved = _matvec(extra_exponents, w_extra)
+            element = moved + [-v for v in w_extra]
+            for r, c in shared:
+                moved[r] += w[c]
+            deviation = max(deviation, _largest(_matvec(support, element)),
+                            distance(list(map(sub, moved,
+                                              _matvec(exponents, w)))))
         report.record((source, target), trial, cfg.seed,
                       "mismatch" if deviation >= cfg.tolerance else None,
                       deviation)
@@ -537,41 +588,130 @@ class VerificationSummary:
 
 
 def _distribute(total, buckets):
-    if not buckets:
-        return {}
-    base, extra = divmod(total, len(buckets))
-    return {bucket: base + (1 if i < extra else 0)
-            for i, bucket in enumerate(buckets)}
+    """(bucket, count) for each bucket that gets trials: total spread
+    evenly, the first total mod len(buckets) buckets one more."""
+    base, extra = divmod(total, len(buckets) or 1)
+    return [(bucket, base + (i < extra))
+            for i, bucket in enumerate(buckets[:total])]
+
+
+def _rounding_bound(triple: FundamentalTriple, numeric: NumericAtlas,
+                    cfg: TrialConfig):
+    """(bound, largest exponent): the most that rounding can move a
+    residual of any check on any target, and the largest entry of the
+    chart tables.
+
+    A residual is computed from sums of float products of table entries
+    with drawn or derived numbers, and its exact value is an integer (or
+    0).  Each term passes at most _ROUNDINGS roundings, and each table
+    entry is off by at most FLOAT_ERROR, so the residual is off by at most
+    (gamma_q + FLOAT_ERROR) times phi, the sum of the absolute values of
+    its terms, with gamma_q = q u / (1 - q u) (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2002, section 3.1).  phi is bounded
+    row by row of each chart, over the ranges of the draws: the phases
+    E w, the shifts C m, C_sigma at the largest witness the draws reach,
+    and the ray map on the kernel parts.  Every cone and every pair is
+    covered, so the bound does not depend on the number of samples.
+    """
+    length, d = cfg.word_length, triple.ray_count
+    cones = triple.fan.max_cones
+    largest = 0.0
+    # per ray: the largest shift C m of its coordinate, and the largest
+    # correction u - I m of transition equivariance, over its cones
+    shift, correction = [0.0] * d, [0.0] * d
+    for cone in cones:
+        for row in numeric.coordinates(cone) + numeric.lattice_exponents(cone):
+            largest = max(largest, max(map(abs, row)))
+        for j, row, integers in zip(cone, numeric.group_exponents(cone),
+                                    numeric.integer_exponents(cone)):
+            s = length * max(map(abs, row))
+            shift[j - 1] = max(shift[j - 1], s)
+            correction[j - 1] = max(correction[j - 1], 1.0 + s + length * max(
+                map(abs, integers)))
+    witnesses = [list(map(abs, row))
+                 for row in numeric.witness_rows(range(1, d + 1))]
+    # the largest coordinates of W x for |x| <= 1 and of m + W (u - I m)
+    spread = [sum(row) for row in witnesses]
+    reach = [length + _dot(row, correction) for row in witnesses]
+    moved = [3.0 + s for s in shift]
+    rays = [list(map(abs, row)) for row in numeric.ray_matrix()]
+    phi = 0.0
+    for cone in cones:
+        table = [list(map(abs, row)) for row in numeric.coordinates(cone)]
+        sums = [fsum(row) for row in table]
+        # an infinite factor would make 0 * inf, which max() passes over
+        if not all(map(isfinite, moved + reach + sums)):
+            return inf, largest
+        for row, total, g in zip(table, sums, numeric.group_exponents(cone)):
+            g = list(map(abs, g))
+            witness = _dot(g, spread)
+            # factorization: y = B x against C W x
+            phi = max(phi, 5.0 * total + 2.0 * witness)
+            if len(cones) == 1:   # E is the group exponents, W the identity
+                phi = max(phi, fsum(g) * (2 + 2 * length))
+                continue
+            phi = max(
+                phi,
+                # branch invariance: E w, E (w + s) and C W s
+                total * (2 + length) + length * witness,
+                # transition equivariance: E w, E w' with the shift's
+                # rounding, and C (m + W (u - I m))
+                _dot(row, moved) + _dot(g, reach))
+        # the ray map on X - Y (factorization); the connecting element's
+        # terms, E w and the ray map on its element (bounded by 2 |B| w
+        # on the cone's rays, |w| elsewhere), lie below this and the branch
+        # invariance terms
+        kernel = [3.0] * d
+        for i, total in zip(cone, sums):
+            kernel[i - 1] = 8.0 * total
+        for row in rays:
+            phi = max(phi, _dot(row, kernel))
+    q = _ROUNDINGS
+    return (q * _UNIT / (1.0 - q * _UNIT) + FLOAT_ERROR) * phi, largest
 
 
 def verify_triple(triple: FundamentalTriple, cfg: TrialConfig,
                   atlas: Optional[Atlas] = None) -> VerificationSummary:
-    """Run all four checks, spreading cfg.samples trials across targets."""
+    """Run all four checks, spreading cfg.samples trials across targets.
+
+    Refuses with a ValueError, before any draw, when a table value has no
+    finite float or rounding could move a residual by half the tolerance.
+    """
     numeric = NumericAtlas(triple, atlas=atlas,
                            parameter_sample=cfg.parameter_sample)
-    cones = [(cone,) for cone in triple.fan.max_cones]
-    pairs = list(itertools.permutations(triple.fan.max_cones, 2))
-    h = {(s, t): len(set(s) - set(t)) for s, t in pairs}
-    eligible = [pair for pair in pairs if 1 <= h[pair] <= triple.dim - 1]
-    reports = {name: TrialReport(check=name) for name in _CHECK_IDS}
-    reports["connecting_element"].skipped = tuple(
-        (*pair, h[pair]) for pair in pairs if not 1 <= h[pair] <= triple.dim - 1)
     try:
-        for name, check, targets in (
-                ("branch_invariance", check_branch_invariance, cones),
-                ("transition_equivariance", check_transition_equivariance, pairs),
-                ("factorization", check_factorization, cones),
-                ("connecting_element", check_connecting_element, eligible)):
-            for target, count in _distribute(cfg.samples, targets).items():
-                if count:
-                    reports[name].merge(check(
-                        triple, *target, replace(cfg, samples=count), numeric))
-    except ArithmeticError as exc:
-        # values far from 1 overflow, underflow or divide by zero in floats
-        # while the exact atlas stays right: a refusal, not a failed check
+        bound, largest = _rounding_bound(triple, numeric, cfg)
+        reason = (f"exponents reach {largest:.3g}, so rounding could move a "
+                  f"residual by {bound:.2g}, more than half the tolerance "
+                  f"{cfg.tolerance:g}")
+    except (FloatingPointError, OverflowError) as exc:   # no finite float
+        bound = inf
+        reason = (f"exponents exceed the float range ({exc}), so no residual "
+                  f"can be held to half the tolerance {cfg.tolerance:g}")
+    if not bound <= cfg.tolerance / 2:
         sample = numeric.parameter_sample
         at = ("" if sample is None
               else f" at {triple.domain.generator_symbol} = {sample}")
-        raise ValueError(f"the numeric checks cannot run in floating point{at} "
-                         f"({exc})") from exc
+        raise ValueError(
+            f"the numeric checks cannot run in floating point{at}: {reason}")
+    cones = [(cone,) for cone in triple.fan.max_cones]
+    pairs = list(itertools.permutations(triple.fan.max_cones, 2))
+    # h: how many of the source's rays the target lacks
+    h = [len(set(s).difference(t)) for s, t in pairs]
+    n = triple.dim
+    eligible = [pair for pair, e in zip(pairs, h) if 1 <= e <= n - 1]
+    reports = {name: TrialReport(check=name) for name in _CHECK_IDS}
+    reports["connecting_element"].skipped = tuple(
+        (*pair, e) for pair, e in zip(pairs, h) if not 1 <= e <= n - 1)
+    configs = {}
+    for name, check, targets in (
+            ("branch_invariance", check_branch_invariance, cones),
+            ("transition_equivariance", check_transition_equivariance, pairs),
+            ("factorization", check_factorization, cones),
+            ("connecting_element", check_connecting_element, eligible)):
+        for target, count in _distribute(cfg.samples, targets):
+            if count not in configs:
+                configs[count] = replace(cfg, samples=count)
+            reports[name].merge(check(triple, *target, configs[count],
+                                      numeric))
     return VerificationSummary(reports=reports)

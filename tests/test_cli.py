@@ -59,6 +59,26 @@ def test_gallery_unknown_name(capsys):
     assert "quasisphere" in err  # the error lists the available names
 
 
+@pytest.mark.parametrize("argv", [["--help"], ["gallery", "--help"],
+                                  ["verify"], ["nonesuch"],
+                                  ["gallery", "kite", "--samples", "x"]])
+def test_shared_parser_answers_as_a_fresh_one(argv, capsys):
+    # main builds its parser once per process; help and usage errors
+    # (exit 2) print what a freshly built parser prints, call after call
+    from quasifold import cli
+    assert cli._build_parser() is cli._build_parser()
+
+    def answer(parse):
+        with pytest.raises(SystemExit) as exc:
+            parse(argv)
+        out, err = capsys.readouterr()
+        return exc.value.code, out, err
+    expected = answer(cli._build_parser.__wrapped__().parse_args)
+    assert expected[0] in (0, 2)
+    assert answer(main) == expected
+    assert answer(main) == expected
+
+
 def test_gallery_dodecahedron_json_schema(capsys):
     code, out, _ = run_cli(
         ["gallery", "dodecahedron", "--format", "json", "--seed", "0",
@@ -662,6 +682,67 @@ def test_extreme_parameter_values_refuse(flag, value, tmp_path, capsys):
                 "floating point") in out
 
 
+@pytest.mark.parametrize("name", ["cp2-11a", "quasisphere", "hirzebruch"])
+def test_numeric_checks_run_at_large_parameter_values(name, capsys):
+    # the checks compare phases in logarithmic coordinates, so nothing
+    # underflows where exp(2 pi i E w) did from a = 1e4 up
+    code, out, err = run_cli(["gallery", name, "--param", "a=1e4"], capsys)
+    assert (code, err) == (0, "")
+    assert "overall: pass" in out
+
+
+# per entry, going up and going down from a = 1: the largest power of ten
+# at which the numeric checks run and the first at which the rounding bound
+# refuses them (hirzebruch's tables stay bounded as a -> 0, so it runs at
+# every power down to 1e-300)
+PARAMETER_LIMITS = {
+    "cp2-11a": [(4, 5), (-4, -5)],
+    "quasisphere": [(4, 5), (-4, -5)],
+    "hirzebruch": [(4, 5), (-300, None)],
+}
+
+
+@pytest.mark.parametrize("name", sorted(PARAMETER_LIMITS))
+def test_rounding_bound_limits_are_pinned(name, capsys):
+    for last, first in PARAMETER_LIMITS[name]:
+        code, out, err = run_cli(["gallery", name, "--param", f"a=1e{last}",
+                                  "--samples", "20"], capsys)
+        assert (code, err) == (0, ""), last
+        assert "overall: pass" in out
+        if first is None:
+            continue
+        code, out, err = run_cli(["gallery", name, "--param", f"a=1e{first}",
+                                  "--samples", "20"], capsys)
+        assert (code, out) == (2, ""), first
+        assert re.fullmatch(
+            r"quasifold: error: the numeric checks cannot run in floating "
+            r"point at a = \S+: exponents reach 1e\+05, so rounding could "
+            r"move a residual by \S+, more than half the tolerance 1e-09\n",
+            err), err
+
+
+@pytest.mark.parametrize("name", ["cp2-11a", "quasisphere", "hirzebruch"])
+def test_parameter_sweep_never_fails_a_check(name, capsys):
+    # wherever the bound admits the checks, rounding cannot fail them: a
+    # sweep over powers of ten verifies or refuses, and never exits 1
+    codes = set()
+    for k in range(-12, 13):
+        code, _, _ = run_cli(["gallery", name, "--param", f"a=1e{k}",
+                              "--samples", "20"], capsys)
+        codes.add(code)
+    assert codes <= {0, 2}
+
+
+def test_rounding_bound_scales_with_the_tolerance(capsys):
+    # the bound refuses against half the tolerance the user asked for
+    argv = ["gallery", "cp2-11a", "--param", "a=1e5", "--samples", "20"]
+    code, _, err = run_cli(argv, capsys)
+    assert code == 2 and "half the tolerance 1e-09" in err
+    code, out, err = run_cli(argv + ["--tolerance", "1e-7"], capsys)
+    assert (code, err) == (0, "")
+    assert "overall: pass" in out
+
+
 @pytest.mark.parametrize("value", ["1e30", "1e300"])
 def test_probe_sees_no_overlap_at_large_parameter_values(value, tmp_path,
                                                          capsys):
@@ -947,21 +1028,21 @@ FULL_REPORT_DIGESTS = {
     ("transition", "text"):
         "77626e43689c413a07281f488704d21b84852b9959e787c6ee85dfdde2485538",
     ("verify", "json"):
-        "88e6016f144cf4e5f47174ef4fd39802c78e12b7ead1a1241088b54319d63a13",
+        "612a3e2259bbed7c6a32ac4120d5153623502413ce433ca1c618fbf6f67a8efd",
     ("verify", "text"):
-        "267f6679e0796999cdf96b797dc898eddf6c8accc57aac0ff150b50e0b716162",
+        "c66e7fd73a94cf0f19fd8c600b72e7eff3a91c21d5a587368a40d10e6f0ce87a",
     ("polytope", "json"):
         "4c134e828739657d3847da2de6fdc8e9249345cc4a7bdccddf6091f795c84cfc",
     ("polytope", "text"):
         "93cfbad53c1c6f9601b3b542594c1125d7291b2449eb7b96a5b377c906ac0190",
     ("gallery", "json"):
-        "2ea03144723c5cb5d8cf436668ff1469849d69e221b6630533407d3da51b6c96",
+        "1da48abe6bb92d77ff28ddea4ddba8a9e0ac0f0742efad33c9e1d3a755f222ee",
     ("gallery", "text"):
-        "2317d48d1cf21ab060a4c33ef96806103bea74634681e3b1a0e3cdc741f6785f",
+        "93b588e76a592a683c593abc5e84835375679e2218cf000836a9031733974cd4",
     ("gallery-dodecahedron", "json"):
-        "2932d1670d334245515b7631e29e36185fd4f537139148108f483a83b7ce2eb2",
+        "07fa59aeabaca68a8d38d4a245378f2b65de8afc3093e86f9a7549b5f6fbe003",
     ("gallery-dodecahedron", "text"):
-        "033aa811562a8d27a13378275431aab233faf3225338f694a43a708a694795b8",
+        "8c6f5c8d1178c3987e87817041691af3044a3fc4a93af479b119dfd11279c5d8",
     ("atlas-param-fan", "json"):
         "bbdaae1d34800f82f5fca887ad8db7f09892efb4820a53b2d98d45c7fda8fe47",
     ("atlas-param-fan", "text"):

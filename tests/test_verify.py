@@ -1,13 +1,18 @@
+import cmath
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quasifold import (FundamentalTriple, GroupMembership, NumericAtlas,
                        TrialConfig, check_branch_invariance,
                        check_connecting_element, check_factorization,
                        check_transition_equivariance, document_to_triple,
                        load_document, verify_triple)
+from quasifold import verify
 from quasifold.triples import float_array, float_dot
 from test_cli import param_fan_doc
 
@@ -170,8 +175,8 @@ def test_verify_deterministic(gallery):
 
 
 def test_tight_tolerance_still_passes(gallery):
-    # exponent arithmetic is exact; only exp/log are approximate, so a
-    # 1e-12 tolerance at precision-15 evaluation still verifies cleanly
+    # the residuals are sums of a few float products of moderate size, so
+    # a 1e-12 tolerance still verifies cleanly
     for name in ("cp2-11a", "kite"):
         _, triple, _ = gallery[name]
         summary = verify_triple(triple, small_config(tolerance=1e-12))
@@ -311,6 +316,63 @@ def test_gross_and_fine_faults_fail_as_mismatch(gallery):
         assert report.failures, delta
         assert {f.kind for f in report.failures} == {"mismatch"}
         assert all(f.residual >= cfg.tolerance for f in report.failures)
+
+
+# ---------------------------------------------------------------------------
+# logarithmic coordinates and the rounding bound
+# ---------------------------------------------------------------------------
+
+_unit = st.floats(0.0, 1.0, exclude_max=True)
+
+
+@settings(max_examples=300)
+@given(data=st.data(), n=st.integers(1, 3))
+def test_log_phase_shift_equals_the_exp_route(data, n):
+    # Re(E w' - E w) mod 1, in real arithmetic, is the phase of
+    # exp(2 pi i E w') / exp(2 pi i E w) for monomials with |E| <= 1e3 at
+    # points with phases in [0, 1) and moduli in [0.5, 2] (w' moves only
+    # the phases, as a branch shift or a group element does)
+    entry = st.floats(-1e3 / n, 1e3 / n, allow_nan=False)
+    exponents = [data.draw(st.lists(entry, min_size=n, max_size=n))
+                 for _ in range(data.draw(st.integers(1, 3)))]
+    before = data.draw(st.lists(_unit, min_size=n, max_size=n))
+    after = data.draw(st.lists(_unit, min_size=n, max_size=n))
+    moduli = data.draw(st.lists(st.floats(-math.log(2) / (2 * math.pi),
+                                          math.log(2) / (2 * math.pi)),
+                                min_size=n, max_size=n))
+    logs = verify._phase_differences(exponents, before, after)
+    for row, shift in zip(exponents, logs):
+        z, z_moved = (cmath.exp(2j * math.pi * sum(
+            e * complex(x, y) for e, x, y in zip(row, phases, moduli)))
+            for phases in (before, after))
+        phase = cmath.phase(z_moved / z) / (2 * math.pi)
+        assert abs((shift - phase + 0.5) % 1.0 - 0.5) < 1e-12
+
+
+def test_rounding_bound_refuses_before_any_draw(gallery, monkeypatch):
+    _, triple, _ = gallery["cp2-11a"]
+
+    def no_draw(*args):
+        raise AssertionError("a check drew before the refusal")
+    monkeypatch.setattr(verify, "_rng", no_draw)
+    for value in ("1e5", "1e-5", "1e300"):
+        with pytest.raises(ValueError, match="^the numeric checks cannot run "
+                           "in floating point at a = .*, more than half the "
+                           "tolerance 1e-09$"):
+            verify_triple(triple, small_config(
+                parameter_sample=Fraction(value)))
+
+
+def test_rounding_bound_covers_the_gallery(gallery, gallery_atlases):
+    # at the default samples every entry verifies far inside its bound
+    for name, (_, triple, _) in gallery.items():
+        numeric = NumericAtlas(triple, atlas=gallery_atlases[name])
+        bound, largest = verify._rounding_bound(triple, numeric, TrialConfig())
+        assert bound < 1e-12, name
+        summary = verify_triple(triple, TrialConfig(),
+                                atlas=gallery_atlases[name])
+        assert all(r.max_deviation <= bound
+                   for r in summary.reports.values()), name
 
 
 # ---------------------------------------------------------------------------
