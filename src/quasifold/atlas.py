@@ -25,8 +25,8 @@ cocycle identities of all chart changes by one product per chart.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from collections import namedtuple
+from collections.abc import Sequence
 
 from .linalg import Matrix, pivot_rows
 from .scalars import Scalar
@@ -56,14 +56,11 @@ def _exponent_text(text):
     return f"({text})"
 
 
-@dataclass(frozen=True)
-class Chart:
-    """One affine chart of the atlas."""
-
-    cone: Tuple[int, ...]
-    coordinates: Matrix         # n x d; column j is A^-1 (ray j), a unit vector on the cone
-    lattice_exponents: Matrix   # n x k; column l is A^-1 (l-th lattice generator)
-    group_exponents: Matrix     # lattice_exponents with integer entries zeroed
+# One affine chart of the atlas: the cone (sorted ray indices), the n x d
+# coordinates (column j is A^-1 (ray j), a unit vector on the cone), the
+# n x k lattice_exponents (column l is A^-1 (l-th lattice generator)) and
+# the group_exponents (lattice_exponents with integer entries zeroed).
+Chart = namedtuple("Chart", "cone coordinates lattice_exponents group_exponents")
 
 
 def term_texts(table: Matrix, fan_dim: int):
@@ -93,7 +90,7 @@ def render_terms(rows, columns):
     return "[" + " : ".join([m or "1" for m in monomials]) + "]"
 
 
-def fixed_point(triple: FundamentalTriple, cone: Sequence[int]) -> Tuple[int, ...]:
+def fixed_point(triple: FundamentalTriple, cone: Sequence[int]) -> tuple[int, ...]:
     """0/1 homogeneous pattern: zeros exactly at the cone's indices."""
     indices = set(cone)
     return tuple(0 if j in indices else 1 for j in range(1, triple.ray_count + 1))
@@ -144,7 +141,7 @@ def transition_map(chart: Chart, source: Sequence[int]) -> Matrix:
                   row_labels=chart.cone, col_labels=src)
 
 
-def relations(chart: Chart) -> Dict[int, Tuple]:
+def relations(chart: Chart) -> dict[int, tuple]:
     """Every ray j outside the chart's cone over the cone's rays, in
     increasing j: its coordinates are column j of the coordinate table."""
     table = chart.coordinates
@@ -152,11 +149,9 @@ def relations(chart: Chart) -> Dict[int, Tuple]:
             if j not in chart.cone}
 
 
-@dataclass
-class CocycleReport:
-    pairs_checked: int
-    triples_checked: int
-    violations: tuple
+class CocycleReport(namedtuple("CocycleReport",
+                                "pairs_checked triples_checked violations")):
+    __slots__ = ()
 
     @property
     def passed(self):
@@ -164,7 +159,7 @@ class CocycleReport:
 
 
 def cocycle_check(triple: FundamentalTriple,
-                  atlas: Optional["Atlas"] = None) -> CocycleReport:
+                  atlas: Atlas | None = None) -> CocycleReport:
     """Exact consistency of all chart changes.
 
     With T(s, t) the exponent matrix of the map from cone s to cone t, the
@@ -212,11 +207,7 @@ def cocycle_check(triple: FundamentalTriple,
                          violations=tuple(violations))
 
 
-@dataclass(frozen=True)
-class OrbitRow:
-    cone_dim: int
-    orbit_dim: int
-    count: int
+OrbitRow = namedtuple("OrbitRow", "cone_dim orbit_dim count")
 
 
 def orbit_report(triple: FundamentalTriple):
@@ -245,8 +236,8 @@ class Atlas:
 
     def __init__(self, triple: FundamentalTriple):
         self.triple = triple
-        self._charts: Dict[Tuple[int, ...], Chart] = {}
-        self._terms: Dict[Tuple[int, ...], list] = {}
+        self._charts: dict[tuple[int, ...], Chart] = {}
+        self._terms: dict[tuple[int, ...], list] = {}
 
     @classmethod
     def compile(cls, triple: FundamentalTriple) -> "Atlas":
@@ -297,7 +288,7 @@ class Atlas:
                                           self.triple.dim)
         return self._terms[key]
 
-    def relations(self, cone) -> Dict[int, Tuple]:
+    def relations(self, cone) -> dict[int, tuple]:
         """The ray relations ``relations`` reads off the chart."""
         return relations(self.chart(cone))
 

@@ -27,6 +27,7 @@ from .documents import (InputError, atlas_section, build_report,
                         specialize_document, transition_section,
                         validation_section, verification_section)
 from .gallery import GALLERY_NAMES, load_gallery
+from .scalars import sample_text
 from .triples import validate
 from .verify import TrialConfig, verify_triple
 
@@ -162,8 +163,8 @@ def _require_positive(doc, value, what):
     """Refuse a parameter value <= 0 where the domain assumes it positive."""
     if (value <= 0 and doc.domain.kind == "rational_function"
             and doc.domain.parameter_positivity):
-        raise InputError(f"{what} {value} is not positive, but the domain "
-                         f"assumes {doc.domain.generator_symbol} > 0")
+        raise InputError(f"{what} {sample_text(value)} is not positive, but "
+                         f"the domain assumes {doc.domain.generator_symbol} > 0")
 
 
 def run(args) -> tuple[int, str]:

@@ -19,19 +19,19 @@ the columns ``Atlas.relations`` reads off each chart's coordinate table.
 from __future__ import annotations
 
 import json
+import os
 import re
-from dataclasses import dataclass, field
+from collections import namedtuple
+from decimal import Decimal
 from fractions import Fraction
-from importlib import resources
 from json.encoder import encode_basestring_ascii
-from typing import Optional
 
 from .atlas import (Atlas, cocycle_check, fixed_point, orbit_report,
                     render_terms)
 from .linalg import Matrix
 from .polytopes import Polytope, to_triple
 from .scalars import (IndeterminateSignError, NumberFieldDomain,
-                      RationalDomain, RationalFunctionDomain, ScalarDomain)
+                      RationalDomain, RationalFunctionDomain)
 from .triples import (Fan, FundamentalTriple, Quasilattice,
                       with_recovered_witnesses)
 from .verify import VerificationSummary
@@ -60,8 +60,8 @@ class InputError(ValueError):
 
 
 def _schema(name):
-    text = resources.files("quasifold").joinpath(f"schemas/{name}").read_text()
-    return json.loads(text)
+    return json.loads(__loader__.get_data(
+        os.path.join(os.path.dirname(__file__), "schemas", name)))
 
 
 def load_input_schema():
@@ -144,15 +144,16 @@ def schema_accepts(schema, instance) -> bool:
 # input documents
 # ---------------------------------------------------------------------------
 
-@dataclass
-class InputDocument:
-    domain: ScalarDomain
-    lattice: Quasilattice
-    fan: Optional[Fan] = None
-    polytope: Optional[Polytope] = None
-    witnesses: Optional[tuple] = None
-    options: dict = field(default_factory=dict)
-    name: Optional[str] = None
+class InputDocument(namedtuple("InputDocument", "domain lattice fan polytope "
+                               "witnesses options name")):
+    """A parsed document: a fan or a polytope over a quasilattice."""
+
+    __slots__ = ()
+
+    def __new__(cls, domain, lattice, fan=None, polytope=None, witnesses=None,
+                options=None, name=None):
+        return super().__new__(cls, domain, lattice, fan, polytope, witnesses,
+                               {} if options is None else options, name)
 
 
 def _parse_domain(data, path="domain"):
@@ -461,7 +462,8 @@ def _decimal_text(value):
     while scaled.denominator != 1:
         scaled *= 10
         shift += 1
-    digits = str(abs(scaled.numerator)).rjust(shift + 1, "0")
+    # Decimal prints every digit, where str() refuses past 4300 of them
+    digits = str(Decimal(abs(scaled.numerator))).rjust(shift + 1, "0")
     sign = "-" if value < 0 else ""
     if shift == 0:
         return f"{sign}{digits}"

@@ -7,7 +7,7 @@ plain JSON document that could equally be passed to the CLI from disk.
 from __future__ import annotations
 
 import json
-from importlib import resources
+import os
 
 from .documents import InputDocument, InputError, load_document
 
@@ -21,5 +21,6 @@ def load_gallery(name: str) -> InputDocument:
     if name not in GALLERY_NAMES:
         raise InputError(
             f"unknown gallery entry {name!r}; available: {', '.join(GALLERY_NAMES)}")
-    text = resources.files("quasifold").joinpath(f"data/{name}.json").read_text()
-    return load_document(json.loads(text), name=name)
+    data = __loader__.get_data(
+        os.path.join(os.path.dirname(__file__), "data", f"{name}.json"))
+    return load_document(json.loads(data), name=name)

@@ -26,8 +26,8 @@ right-hand sides from one column reduction.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from math import lcm
-from typing import Sequence
 
 from .scalars import DomainMismatchError, Scalar, ScalarDomain
 

@@ -18,9 +18,8 @@ with the parameter means the combinatorics depend on it, and is refused.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
-from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from collections import Counter, namedtuple
+from collections.abc import Sequence
 
 from .linalg import Matrix, SingularMatrixError, dot, pivot_rows
 from .scalars import IndeterminateSignError, Scalar, ScalarDomain
@@ -47,16 +46,9 @@ class GenericityError(ValueError):
     """The vertex/facet combinatorics depend on the parameter value."""
 
 
-@dataclass(frozen=True)
-class Facet:
-    normal: Tuple[Scalar, ...]
-    offset: Scalar
-
-
-@dataclass(frozen=True)
-class Vertex:
-    coordinates: Tuple[Scalar, ...]
-    incident: Tuple[int, ...]  # 1-based facet indices, sorted
+Facet = namedtuple("Facet", "normal offset")
+# incident: the 1-based indices of the facets through the vertex, sorted
+Vertex = namedtuple("Vertex", "coordinates incident")
 
 
 class Polytope:
@@ -124,7 +116,7 @@ def _start_vertex(polytope: Polytope):
     raise ValueError("the inequality system has no vertices")
 
 
-def enumerate_vertices(polytope: Polytope) -> Tuple[Vertex, ...]:
+def enumerate_vertices(polytope: Polytope) -> tuple[Vertex, ...]:
     """All vertices with their exact coordinates and facet incidence.
 
     The vertices are found by walking the edges of the polyhedron (Avis &
@@ -237,10 +229,10 @@ def enumerate_vertices(polytope: Polytope) -> Tuple[Vertex, ...]:
                  for active in sorted(found))
 
 
-@dataclass(frozen=True)
-class NormalFanResult:
-    fan: Fan
-    vertices: Tuple[Vertex, ...]          # aligned with fan.max_cones
+class NormalFanResult(namedtuple("NormalFanResult", "fan vertices")):
+    """The normal fan and its vertices, aligned with fan.max_cones."""
+
+    __slots__ = ()
 
     def table(self):
         """Rows of (cone index set, vertex), in cone order."""
@@ -276,7 +268,7 @@ def normal_fan(polytope: Polytope) -> NormalFanResult:
 
 
 def to_triple(polytope: Polytope, lattice: Quasilattice,
-              witnesses: Optional[Sequence[Optional[Sequence[int]]]] = None):
+              witnesses: Sequence[Sequence[int] | None] | None = None):
     """Assemble the fundamental triple of the polytope's normal fan.
 
     Missing witnesses are recovered by an exact integer solve.  Returns

@@ -37,7 +37,6 @@ from __future__ import annotations
 import math
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from typing import Optional
 
 __all__ = [
     "DomainMismatchError",
@@ -280,6 +279,20 @@ def _fraction_to_decimal(value, precision):
         return Decimal(value.numerator) / Decimal(value.denominator)
 
 
+def sample_text(value):
+    """A rational value to six significant digits in the style of "%g",
+    correctly rounded from the exact value, so 10^-5000 prints as
+    "1e-5000" (float() would underflow to 0)."""
+    value = Fraction(value)
+    with localcontext() as ctx:
+        ctx.prec = 6
+        text = f"{Decimal(value.numerator) / Decimal(value.denominator):g}"
+    mantissa, e, exponent = text.partition("e")
+    if "." in mantissa:
+        mantissa = mantissa.rstrip("0").rstrip(".")
+    return mantissa + e + exponent
+
+
 def _poly_text(coeffs, symbol):
     """Render a coefficient tuple as grammar text, highest power first."""
     if not coeffs:
@@ -313,21 +326,23 @@ class ScalarDomain:
     """Base class for the three coefficient domains.
 
     Each domain instance memoises the inverse, the sign and the text of
-    the values it has seen, keyed by payload, so each distinct one is
-    computed once.  The memos live as long as the domain, which one
-    document owns; they hold a few tens of entries even for a 60-chart
-    atlas.  A call that raises (a zero inverse, an undecidable sign, a
-    factor shared with a reducible ``min_poly``) stores nothing, so the
-    next call raises again.
+    the values it has seen, keyed by payload, and the payload of each
+    grammar text it has parsed, so each distinct one is computed once.
+    The memos live as long as the domain, which one document owns; they
+    hold a few tens of entries even for a 60-chart atlas.  A call that
+    raises (a zero inverse, an undecidable sign, a factor shared with a
+    reducible ``min_poly``, a malformed text) stores nothing, so the next
+    call raises again.
     """
 
     kind = "abstract"
-    generator_symbol: Optional[str] = None
+    generator_symbol: str | None = None
 
     def __init__(self):
         self._inverses = {}
         self._signs = {}
         self._texts = {}
+        self._parsed = {}   # grammar text -> payload, for scalar(str)
 
     def _memo(self, table, compute, a):
         """table[a], computed as compute(a) on the first call."""
@@ -346,7 +361,10 @@ class ScalarDomain:
                     f"scalar from {value.domain.describe()} used in {self.describe()}")
             return value
         if isinstance(value, str):
-            return parse_scalar(value, self)
+            payload = self._parsed.get(value)
+            if payload is None:
+                payload = self._parsed[value] = parse_scalar(value, self).payload
+            return Scalar(self, payload)
         return Scalar(self, self._from_fraction(_as_fraction(value)))
 
     def zero(self) -> "Scalar":

@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Sequence
 from functools import reduce
 from math import hypot, isfinite
 from operator import add, mul
-from typing import Optional, Sequence
 
 from .linalg import Matrix, integer_solve, solve_general
 from .scalars import RationalDomain, Scalar, ScalarDomain
@@ -99,7 +99,7 @@ class FundamentalTriple:
     """(fan, quasilattice, ray witnesses) over one scalar domain."""
 
     def __init__(self, fan: Fan, lattice: Quasilattice,
-                 witnesses: Optional[Sequence[Optional[Sequence[int]]]] = None):
+                 witnesses: Sequence[Sequence[int] | None] | None = None):
         if lattice.dim != fan.dim:
             raise ValueError("fan and quasilattice dimensions differ")
         self.fan = fan
@@ -141,19 +141,12 @@ class FundamentalTriple:
 # validation
 # ---------------------------------------------------------------------------
 
-@dataclass
-class ValidationReport:
-    simplicial: bool
-    simplicial_failures: tuple
-    quasirational: bool
-    witness_failures: tuple
-    face_condition: bool
-    face_pairs_checked: int
-    probe_ran: bool
-    probe_directions: int
-    probe_gaps: int
-    probe_overlaps: int
-    probe_note: str = ""
+class ValidationReport(namedtuple(
+        "ValidationReport",
+        "simplicial simplicial_failures quasirational witness_failures "
+        "face_condition face_pairs_checked probe_ran probe_directions "
+        "probe_gaps probe_overlaps probe_note", defaults=("",))):
+    __slots__ = ()
 
     @property
     def passed(self):

@@ -64,13 +64,12 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, replace
-from fractions import Fraction
+from collections import namedtuple
 from math import floor, fsum, inf, isfinite, log, pi
 from operator import add, mul, sub
-from typing import Dict, Optional
 
 from .atlas import Atlas
+from .scalars import sample_text
 from .triples import FLOAT_ERROR, FundamentalTriple, float_array
 
 __all__ = [
@@ -104,43 +103,37 @@ _UNIT = 2.0 ** -53
 _ROUNDINGS = 11
 
 
-@dataclass(frozen=True)
-class TrialConfig:
-    samples: int = 100
-    seed: int = 0
-    tolerance: float = 1e-9
-    word_length: int = 3
-    parameter_sample: Optional[Fraction] = None
+class TrialConfig(namedtuple("TrialConfig", "samples seed tolerance "
+                             "word_length parameter_sample")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.samples < 1:
-            raise ValueError(
-                f"samples must be >= 1 (--samples), got {self.samples}")
-        if not 0 < self.tolerance < inf:
+    def __new__(cls, samples=100, seed=0, tolerance=1e-9, word_length=3,
+                parameter_sample=None):
+        if samples < 1:
+            raise ValueError(f"samples must be >= 1 (--samples), got {samples}")
+        if not 0 < tolerance < inf:
             raise ValueError(f"tolerance must be finite and positive "
-                             f"(--tolerance), got {self.tolerance}")
-        if self.word_length < 1:
+                             f"(--tolerance), got {tolerance}")
+        if word_length < 1:
             raise ValueError(
-                f"word length must be >= 1 (--word-length), got {self.word_length}")
+                f"word length must be >= 1 (--word-length), got {word_length}")
+        return super().__new__(cls, samples, seed, tolerance, word_length,
+                               parameter_sample)
 
 
-@dataclass(frozen=True)
-class TrialFailure:
-    check: str
-    target: tuple
-    trial: int
-    kind: str          # always "mismatch"
-    residual: float
-    seed: int
+# kind is always "mismatch"
+TrialFailure = namedtuple("TrialFailure",
+                          "check target trial kind residual seed")
 
 
-@dataclass
 class TrialReport:
-    check: str
-    trials: int = 0
-    max_deviation: float = 0.0
-    failures: tuple = ()
-    skipped: tuple = ()
+    __slots__ = ("check", "trials", "max_deviation", "failures", "skipped")
+
+    def __init__(self, check, trials=0, max_deviation=0.0, failures=(),
+                 skipped=()):
+        self.check, self.trials = check, trials
+        self.max_deviation = max_deviation
+        self.failures, self.skipped = failures, skipped
 
     @property
     def passed(self):
@@ -279,7 +272,7 @@ class NumericAtlas:
     """Float views of a triple's atlas, rows of floats cached per matrix,
     and the ray witnesses w_j (one list of k ints per ray)."""
 
-    def __init__(self, triple: FundamentalTriple, atlas: Optional[Atlas] = None,
+    def __init__(self, triple: FundamentalTriple, atlas: Atlas | None = None,
                  parameter_sample=None):
         if None in triple.witnesses:
             raise ValueError("numeric verification needs the witness of ray "
@@ -295,8 +288,8 @@ class NumericAtlas:
                 raise ValueError(
                     "numeric verification over a parameter field needs a sample")
         self.parameter_sample = parameter_sample
-        self._cache: Dict[tuple, list] = {}
-        self._floats_seen: Dict[object, float] = {}
+        self._cache: dict[tuple, list] = {}
+        self._floats_seen: dict[object, float] = {}
 
     def _floats(self, matrix):
         return float_array(matrix.entries, (matrix.rows, matrix.cols),
@@ -319,9 +312,6 @@ class NumericAtlas:
 
     def ray_matrix(self):
         return self._cached("rays", lambda: self._floats(self._rays))
-
-    def cone_matrix(self, cone):
-        return self._floats(self.triple.cone_matrix(cone))
 
     def group_exponents(self, cone):
         return self._table("group_exponents", tuple(cone))
@@ -578,9 +568,10 @@ def check_connecting_element(triple: FundamentalTriple, source, target,
     return report
 
 
-@dataclass
-class VerificationSummary:
-    reports: Dict[str, TrialReport]
+class VerificationSummary(namedtuple("VerificationSummary", "reports")):
+    """The TrialReport of each check, by check name."""
+
+    __slots__ = ()
 
     @property
     def passed(self):
@@ -671,7 +662,7 @@ def _rounding_bound(triple: FundamentalTriple, numeric: NumericAtlas,
 
 
 def verify_triple(triple: FundamentalTriple, cfg: TrialConfig,
-                  atlas: Optional[Atlas] = None) -> VerificationSummary:
+                  atlas: Atlas | None = None) -> VerificationSummary:
     """Run all four checks, spreading cfg.samples trials across targets.
 
     Refuses with a ValueError, before any draw, when a table value has no
@@ -690,8 +681,8 @@ def verify_triple(triple: FundamentalTriple, cfg: TrialConfig,
                   f"can be held to half the tolerance {cfg.tolerance:g}")
     if not bound <= cfg.tolerance / 2:
         sample = numeric.parameter_sample
-        at = ("" if sample is None
-              else f" at {triple.domain.generator_symbol} = {sample}")
+        at = ("" if sample is None else f" at {triple.domain.generator_symbol}"
+              f" = {sample_text(sample)}")
         raise ValueError(
             f"the numeric checks cannot run in floating point{at}: {reason}")
     cones = [(cone,) for cone in triple.fan.max_cones]
@@ -711,7 +702,7 @@ def verify_triple(triple: FundamentalTriple, cfg: TrialConfig,
             ("connecting_element", check_connecting_element, eligible)):
         for target, count in _distribute(cfg.samples, targets):
             if count not in configs:
-                configs[count] = replace(cfg, samples=count)
+                configs[count] = cfg._replace(samples=count)
             reports[name].merge(check(triple, *target, configs[count],
                                       numeric))
     return VerificationSummary(reports=reports)

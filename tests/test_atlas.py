@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import math
 import random
@@ -601,7 +600,7 @@ def with_tables(triple, atlas, tables):
     for cone, entries in tables.items():
         chart = atlas.chart(cone)
         table = chart.coordinates
-        bad._charts[cone] = dataclasses.replace(chart, coordinates=Matrix(
+        bad._charts[cone] = chart._replace(coordinates=Matrix(
             triple.domain, table.rows, table.cols, entries,
             row_labels=table.row_labels, col_labels=table.col_labels))
     return bad

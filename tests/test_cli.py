@@ -378,6 +378,28 @@ def test_valid_documents_import_no_jsonschema(tmp_path):
         assert not modules & {"jsonschema", "importlib.metadata"}, argv
 
 
+def test_start_up_imports_only_what_a_run_uses():
+    # dataclasses (with inspect), typing and importlib.resources cost more
+    # to import than a small run takes; a clean interpreter (-S: no site
+    # hooks, which import typing themselves) running gallery kite loads
+    # none of them, nor pkgutil, which imports typing
+    import quasifold
+    code = ("import sys\n"
+            "from quasifold.cli import main\n"
+            "code = main(['gallery', 'kite', '--samples', '10'])\n"
+            "print(*sorted(sys.modules), file=sys.stderr)\n"
+            "sys.exit(code)\n")
+    src = str(Path(quasifold.__file__).parents[1])
+    run = subprocess.run([sys.executable, "-S", "-c", code],
+                         capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=src))
+    assert run.returncode == 0, run.stderr
+    modules = set(run.stderr.split())
+    assert "quasifold.cli" in modules
+    assert not modules & {"dataclasses", "inspect", "typing",
+                          "importlib.resources", "pkgutil"}
+
+
 def test_tool_version_matches_pyproject():
     text = (Path(__file__).parents[1] / "pyproject.toml").read_text()
     assert re.search(r'^version = "(.*)"$', text, re.M)[1] == TOOL_VERSION
@@ -741,6 +763,35 @@ def test_rounding_bound_scales_with_the_tolerance(capsys):
     code, out, err = run_cli(argv + ["--tolerance", "1e-7"], capsys)
     assert (code, err) == (0, "")
     assert "overall: pass" in out
+
+
+@pytest.mark.parametrize("value, shown", [("1e-5000", "1e-5000"),
+                                          ("1e5000", "1e+5000"),
+                                          ("1e-320", "1e-320")])
+def test_refusal_prints_samples_of_any_size(value, shown, capsys):
+    # the sample is rounded to six significant digits from the exact
+    # Fraction: neither the 4300-digit limit of int() to str nor a
+    # 320-digit denominator reaches the message
+    code, out, err = run_cli(["gallery", "cp2-11a", "--param", f"a={value}"],
+                             capsys)
+    assert (code, out) == (2, "")
+    assert err == (f"quasifold: error: the numeric checks cannot run in "
+                   f"floating point at a = {shown}: exponents exceed the "
+                   f"float range (an exact value has no finite float), so no "
+                   f"residual can be held to half the tolerance 1e-09\n")
+    code, out, err = run_cli(["gallery", "cp2-11a", "--param", f"a=-{value}"],
+                             capsys)
+    assert (code, out) == (2, "")
+    assert err == (f"quasifold: error: --param: sample -{shown} is not "
+                   "positive, but the domain assumes a > 0\n")
+
+
+def test_report_keeps_a_sample_of_any_size_exact(tmp_path, capsys):
+    path = write_doc(tmp_path, gallery_json("cp2-11a"))
+    code, out, err = run_cli(["validate", path, "--param", "a=1e5000",
+                              "--format", "json"], capsys)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["metadata"]["parameter_sample"] == "1" + "0" * 5000
 
 
 @pytest.mark.parametrize("value", ["1e30", "1e300"])

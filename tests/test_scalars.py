@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from quasifold import (IndeterminateSignError, ScalarSyntaxError,
                        parse_scalar)
+from quasifold.scalars import sample_text
 
 
 # ---------------------------------------------------------------------------
@@ -73,6 +74,32 @@ def test_parse_unknown_symbol(rational):
 def test_parse_division_by_zero(golden):
     with pytest.raises((ScalarSyntaxError, ZeroDivisionError)):
         parse_scalar("1/(phi^2 - phi - 1)", golden)
+
+
+def test_equal_texts_parse_once_to_equal_payloads(golden, parameter):
+    for domain, text in ((golden, "phi^2 - 1/2"), (parameter, "(a + 1)/a")):
+        first, second = domain.scalar(text), domain.scalar(text)
+        assert first == second == parse_scalar(text, domain)
+        assert first.payload is second.payload
+        assert domain._parsed[text] is first.payload
+
+
+def test_bad_text_raises_on_every_call(rational, parameter):
+    for domain, text in ((rational, "1 + + 2"), (parameter, "1/(a - a)"),
+                         (rational, "phi")):
+        for _ in range(2):
+            with pytest.raises((ScalarSyntaxError, ZeroDivisionError)):
+                domain.scalar(text)
+        assert text not in domain._parsed
+
+
+@pytest.mark.parametrize("value, text", [
+    ("1e-5000", "1e-5000"), ("-1e5000", "-1e+5000"), ("1e-320", "1e-320"),
+    ("1/3", "0.333333"), ("-7/2", "-3.5"), ("120", "120"), ("0", "0"),
+    ("100000", "100000"), ("1e6", "1e+6"), ("999999.5", "1e+6"),
+    ("0.00001", "0.00001"), ("1e-7", "1e-7"), ("123456789", "1.23457e+8")])
+def test_sample_text_rounds_the_exact_value(value, text):
+    assert sample_text(Fraction(value)) == text
 
 
 def test_parse_negative_exponent(parameter):

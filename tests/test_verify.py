@@ -248,7 +248,10 @@ def test_factorization_direct_oracle(gallery):
     rays = np.asarray(numeric.ray_matrix())
     x = np.array([1.0, 0.0])
     pi_x = rays @ x
-    y = np.linalg.solve(np.asarray(numeric.cone_matrix((1,))), pi_x)
+    cone = triple.cone_matrix((1,))
+    y = np.linalg.solve(np.asarray(float_array(
+        cone.entries, (cone.rows, cone.cols), numeric.parameter_sample, {})),
+        pi_x)
     assert abs(y[0] - 1.0) < 1e-12
     w = x - np.array([y[0], 0.0])
     assert np.max(np.abs(rays @ w)) < 1e-12
