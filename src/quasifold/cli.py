@@ -17,6 +17,7 @@ import functools
 import json
 import os
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 from .atlas import Atlas
@@ -167,6 +168,17 @@ def _require_positive(doc, value, what):
                          f"the domain assumes {doc.domain.generator_symbol} > 0")
 
 
+def _require_writable(value, what):
+    """Refuse a value with more digits than Python converts to text."""
+    limit = sys.get_int_max_str_digits()
+    for part, n in (("numerator", abs(value.numerator)),
+                    ("denominator", value.denominator)):
+        if limit and n >= 10 ** limit:
+            raise InputError(f"{what} {sample_text(value)} has a "
+                             f"{Decimal(n).adjusted() + 1}-digit {part}; "
+                             f"exact texts allow at most {limit} digits")
+
+
 def run(args) -> tuple[int, str]:
     """Execute one command; returns (exit_code, rendered_report)."""
     doc = _load_input(args)
@@ -177,6 +189,7 @@ def run(args) -> tuple[int, str]:
         value = _parse_assignment(args.substitute,
                                   doc.domain.generator_symbol, "--substitute")
         _require_positive(doc, value, "--substitute: value")
+        _require_writable(value, "--substitute: value")
         doc = specialize_document(doc, value)
     parameter_sample, source = None, None
     if args.param is not None:

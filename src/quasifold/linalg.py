@@ -10,11 +10,13 @@ elimination, and one routine serves all three domains.  Elimination and
 back-substitution work on payloads with the domain's own operations, as
 the matrix product and ``pivot_rows`` do; payloads are canonical, so the
 results are those of Scalar arithmetic, and a Scalar is built only for
-what a caller gets back.  Pivoting is first-nonzero with lowest row index,
-so all outputs are deterministic.  One back-substitution serves every
-solve: ``solve`` and ``inverse`` pass their right-hand sides as augmented
-columns, and ``solve_general`` passes its free columns too, so the kernel
-basis comes out of the same loop as all its right-hand sides.  The
+what a caller gets back; a repeated product or sum of payloads costs one
+lookup over a number field or a parameter field (see ``ScalarDomain``).
+Pivoting is first-nonzero with lowest row index, so all outputs are
+deterministic.  One back-substitution serves every solve: ``solve`` and
+``inverse`` pass their right-hand sides as augmented columns, and
+``solve_general`` passes its free columns too, so the kernel basis comes
+out of the same loop as all its right-hand sides.  The
 distinguished kernel basis of a ray map over a chosen cone needs no solve:
 its vectors are e_j minus column j of the cone's coordinate table, built
 from the float table by ``verify.NumericAtlas.kernel_matrix``.

@@ -52,6 +52,7 @@ __all__ = [
 
 _F0 = Fraction(0)
 _RF_ZERO = ((), (1,))
+PAIR_MEMO_LIMIT = 4096  # entries per product or sum table of a domain
 
 
 class ScalarSyntaxError(ValueError):
@@ -326,13 +327,18 @@ class ScalarDomain:
     """Base class for the three coefficient domains.
 
     Each domain instance memoises the inverse, the sign and the text of
-    the values it has seen, keyed by payload, and the payload of each
-    grammar text it has parsed, so each distinct one is computed once.
-    The memos live as long as the domain, which one document owns; they
-    hold a few tens of entries even for a 60-chart atlas.  A call that
-    raises (a zero inverse, an undecidable sign, a factor shared with a
-    reducible ``min_poly``, a malformed text) stores nothing, so the next
-    call raises again.
+    the values it has seen, keyed by payload, the payload of each grammar
+    text it has parsed, and each product and sum (``_mul`` and ``_add``
+    over the domain's ``_product`` and ``_sum``), keyed by the ordered
+    payload pair, so each distinct one is computed once.  The memos live
+    as long as the domain, which one document owns.  Symmetric inputs
+    repeat a few values: a dodecahedron report makes 3,695 products of 109
+    distinct pairs, a 180-chart atlas 249k of 1,809.  Without repeats, a
+    pair table is cleared at ``PAIR_MEMO_LIMIT`` entries.  Hashing a pair
+    of Fractions costs what multiplying them does, so ``RationalDomain``
+    keeps no pair memo.  A call that raises (a zero inverse, an
+    undecidable sign, a factor shared with a reducible ``min_poly``, a
+    malformed text) stores nothing, so the next call raises again.
     """
 
     kind = "abstract"
@@ -343,6 +349,8 @@ class ScalarDomain:
         self._signs = {}
         self._texts = {}
         self._parsed = {}   # grammar text -> payload, for scalar(str)
+        self._products = {}  # (a, b) -> a * b
+        self._sums = {}      # (a, b) -> a + b
 
     def _memo(self, table, compute, a):
         """table[a], computed as compute(a) on the first call."""
@@ -385,12 +393,28 @@ class ScalarDomain:
         raise NotImplementedError
 
     def _add(self, a, b):
+        value = self._sums.get((a, b))
+        if value is None:
+            if len(self._sums) >= PAIR_MEMO_LIMIT:
+                self._sums.clear()
+            value = self._sums[a, b] = self._sum(a, b)
+        return value
+
+    def _mul(self, a, b):
+        value = self._products.get((a, b))
+        if value is None:
+            if len(self._products) >= PAIR_MEMO_LIMIT:
+                self._products.clear()
+            value = self._products[a, b] = self._product(a, b)
+        return value
+
+    def _sum(self, a, b):
         raise NotImplementedError
 
     def _neg(self, a):
         raise NotImplementedError
 
-    def _mul(self, a, b):
+    def _product(self, a, b):
         raise NotImplementedError
 
     def _inv(self, a):
@@ -618,7 +642,7 @@ class NumberFieldDomain(ScalarDomain):
     def _from_fraction(self, q):
         return (q.denominator, q.numerator) + (0,) * (self.degree - 1)
 
-    def _add(self, a, b):
+    def _sum(self, a, b):
         if not any(a[1:]):
             return b
         if not any(b[1:]):
@@ -639,7 +663,7 @@ class NumberFieldDomain(ScalarDomain):
             return a
         return self._canonical(a[0] * den, [x * num for x in a[1:]])
 
-    def _mul(self, a, b):
+    def _product(self, a, b):
         # rational factors skip the convolution entirely
         if not any(a[2:]):
             return self._scale(b, a[1], a[0])
@@ -837,7 +861,7 @@ class RationalFunctionDomain(ScalarDomain):
             return _RF_ZERO
         return ((q.numerator,), (q.denominator,))
 
-    def _add(self, a, b):
+    def _sum(self, a, b):
         (n1, d1), (n2, d2) = a, b
         if not n1:
             return b
@@ -866,7 +890,7 @@ class RationalFunctionDomain(ScalarDomain):
     def _neg(self, a):
         return (_pneg(a[0]), a[1])
 
-    def _mul(self, a, b):
+    def _product(self, a, b):
         (n1, d1), (n2, d2) = a, b
         if not n1 or not n2:
             return _RF_ZERO

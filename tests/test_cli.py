@@ -786,6 +786,29 @@ def test_refusal_prints_samples_of_any_size(value, shown, capsys):
                    "positive, but the domain assumes a > 0\n")
 
 
+def test_oversized_substitute_is_refused_in_its_own_words(tmp_path, capsys):
+    # D13: a substituted value past the 4300-digit limit of int() to str is
+    # refused by name before any text of it is built, not by Python's message
+    path = write_doc(tmp_path, gallery_json("cp2-11a"))
+    limit = sys.get_int_max_str_digits()
+    for argv, shown, digits, part in [
+            (["gallery", "cp2-11a", "--substitute", "a=1e5000"],
+             "1e+5000", 5001, "numerator"),
+            (["polytope", path, "--substitute", "a=1e4400"],
+             "1e+4400", 4401, "numerator"),
+            (["polytope", path, "--substitute", "a=1e-4400"],
+             "1e-4400", 4401, "denominator")]:
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (2, "")
+        assert err == (f"quasifold: error: --substitute: value {shown} has a "
+                       f"{digits}-digit {part}; exact texts allow at most "
+                       f"{limit} digits\n")
+    code, out, err = run_cli(["polytope", path, "--substitute", "a=1e4000"],
+                             capsys)
+    assert (code, err) == (0, "")
+    assert f"cone {{2,3}}: vertex (1{'0' * 4000}, 0)" in out
+
+
 def test_report_keeps_a_sample_of_any_size_exact(tmp_path, capsys):
     path = write_doc(tmp_path, gallery_json("cp2-11a"))
     code, out, err = run_cli(["validate", path, "--param", "a=1e5000",

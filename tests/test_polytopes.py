@@ -252,6 +252,29 @@ def test_walk_matches_sweep_on_gallery(gallery):
                 sweep_vertices(doc.polytope), name
 
 
+def test_walk_on_a_dodecahedron_without_repeated_values():
+    # small seeded rational moves of every normal entry and offset leave
+    # almost no product or sum repeated, so the domain's pair tables fill
+    # with misses; the walk must stay exact and the tables bounded
+    from quasifold.scalars import PAIR_MEMO_LIMIT
+    rng = random.Random(26)
+    doc = load_gallery("dodecahedron")
+    domain = doc.domain
+    polytope = Polytope(domain, [
+        Facet(tuple(x + Fraction(rng.randint(-30, 30), 1009) for x in f.normal),
+              f.offset + Fraction(rng.randint(-30, 30), 2003))
+        for f in doc.polytope.facets])
+    vertices = enumerate_vertices(polytope)
+    assert len(vertices) == 20
+    for vertex in vertices:
+        for j, facet in enumerate(polytope.facets, 1):
+            slack = dot(facet.normal, vertex.coordinates) - facet.offset
+            assert slack.sign() == (0 if j in vertex.incident else 1)
+        assert len(vertex.incident) == 3
+    assert 0 < len(domain._products) <= PAIR_MEMO_LIMIT
+    assert 0 < len(domain._sums) <= PAIR_MEMO_LIMIT
+
+
 def test_walk_matches_sweep_on_truncated_dodecahedron():
     polytope, _ = truncated_dodecahedron()
     vertices = enumerate_vertices(polytope)

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quasifold import (IndeterminateSignError, ScalarSyntaxError,
+from quasifold import (IndeterminateSignError, NumberFieldDomain,
+                       RationalFunctionDomain, ScalarSyntaxError,
                        parse_scalar)
 from quasifold.scalars import sample_text
 
@@ -431,24 +432,65 @@ def test_closed_form_root_count_matches_sturm(coeffs, positive):
 
 
 def test_memo_computes_each_value_once(monkeypatch, capsys):
-    # one dodecahedron report inverts, signs and renders a few values many
-    # times over; each distinct payload reaches the domain once
-    from quasifold import NumberFieldDomain
+    # one dodecahedron report inverts, signs, renders, multiplies and adds
+    # a few values many times over; each distinct payload, or payload pair
+    # for a product or sum, reaches the domain once
     from quasifold.cli import main
     calls = {}
-    for name in ("_inv", "_sign", "_text"):
+    for name in ("_inv", "_sign", "_text", "_product", "_sum"):
         original = getattr(NumberFieldDomain, name)
         seen = calls[name] = []
 
-        def counted(self, payload, *rest, _original=original, _seen=seen):
-            _seen.append(payload)
-            return _original(self, payload, *rest)
+        def counted(self, *key, _original=original, _seen=seen):
+            _seen.append(key)
+            return _original(self, *key)
         monkeypatch.setattr(NumberFieldDomain, name, counted)
     assert main(["gallery", "dodecahedron", "--format", "json"]) == 0
     capsys.readouterr()
     for name, seen in calls.items():
         assert seen, name
         assert len(seen) == len(set(seen)), name
+
+
+def fresh_domains():
+    return (NumberFieldDomain(["-1", "-1", "1"], "phi", "1.618033988749895"),
+            NumberFieldDomain(["5", "0", "-5", "0", "1"], "alpha",
+                              "1.902113032590307"),
+            RationalFunctionDomain("a"))
+
+
+@settings(max_examples=30)
+@given(st.integers(0, 2 ** 32))
+def test_pair_memo_returns_the_raw_operation(seed):
+    # the first call computes and stores; a repeated one answers from the
+    # table; both equal the domain's own product and sum
+    rng = random.Random(seed)
+    for domain in fresh_domains():
+        x, y = (random_scalar(domain, rng).payload for _ in range(2))
+        domain._products.clear()
+        domain._sums.clear()
+        for memo, raw, table in (
+                (domain._mul, domain._product, domain._products),
+                (domain._add, domain._sum, domain._sums)):
+            expected = raw(x, y)
+            assert memo(x, y) == expected
+            assert table == {(x, y): expected}
+            assert memo(x, y) == expected
+            assert memo(y, x) == raw(y, x)
+
+
+def test_pair_memo_stays_within_its_limit(monkeypatch):
+    import quasifold.scalars
+    monkeypatch.setattr(quasifold.scalars, "PAIR_MEMO_LIMIT", 4)
+    rng = random.Random(2026)
+    for domain in fresh_domains():
+        values = [random_scalar(domain, rng) for _ in range(12)]
+        for x in values:
+            for y in values:
+                assert (x * y).payload == domain._product(x.payload, y.payload)
+                assert (x + y).payload == domain._sum(x.payload, y.payload)
+                assert len(domain._products) <= 4
+                assert len(domain._sums) <= 4
 
 
 def test_default_sample_must_be_positive():
