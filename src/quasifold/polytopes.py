@@ -117,7 +117,8 @@ def _start_vertex(polytope: Polytope):
 
 
 def enumerate_vertices(polytope: Polytope) -> tuple[Vertex, ...]:
-    """All vertices with their exact coordinates and facet incidence.
+    """All vertices with their exact coordinates and facet incidence,
+    sorted by incidence (the walk's sorted active sets, each index + 1).
 
     The vertices are found by walking the edges of the polyhedron (Avis &
     Fukuda, "A pivoting algorithm for convex hulls and vertex enumeration
@@ -247,14 +248,14 @@ def normal_fan(polytope: Polytope) -> NormalFanResult:
     every inequality touches a vertex: a redundant one would be a ray in
     no cone.
     """
-    by_cone = sorted(enumerate_vertices(polytope), key=lambda v: v.incident)
-    ends = Counter(edge for v in by_cone
+    vertices = enumerate_vertices(polytope)   # in cone order already
+    ends = Counter(edge for v in vertices
                    for edge in itertools.combinations(v.incident, polytope.dim - 1))
     open_edges = sorted(edge for edge, count in ends.items() if count != 2)
     if open_edges:
         raise ValueError(f"the inequalities do not bound a polytope: the edge "
                          f"on facets {open_edges[0]} has one vertex")
-    touched = {j for v in by_cone for j in v.incident}
+    touched = {j for v in vertices for j in v.incident}
     for j in range(1, len(polytope.facets) + 1):
         if j not in touched:
             raise ValueError(f"inequality {j} touches no vertex of the "
@@ -262,9 +263,9 @@ def normal_fan(polytope: Polytope) -> NormalFanResult:
     fan = Fan(
         dim=polytope.dim,
         rays=[facet.normal for facet in polytope.facets],
-        max_cones=[v.incident for v in by_cone],
+        max_cones=[v.incident for v in vertices],
     )
-    return NormalFanResult(fan=fan, vertices=tuple(by_cone))
+    return NormalFanResult(fan=fan, vertices=vertices)
 
 
 def to_triple(polytope: Polytope, lattice: Quasilattice,

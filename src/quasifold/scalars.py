@@ -326,19 +326,20 @@ def _poly_term_count(coeffs):
 class ScalarDomain:
     """Base class for the three coefficient domains.
 
-    Each domain instance memoises the inverse, the sign and the text of
-    the values it has seen, keyed by payload, the payload of each grammar
-    text it has parsed, and each product and sum (``_mul`` and ``_add``
-    over the domain's ``_product`` and ``_sum``), keyed by the ordered
-    payload pair, so each distinct one is computed once.  The memos live
-    as long as the domain, which one document owns.  Symmetric inputs
-    repeat a few values: a dodecahedron report makes 3,695 products of 109
-    distinct pairs, a 180-chart atlas 249k of 1,809.  Without repeats, a
-    pair table is cleared at ``PAIR_MEMO_LIMIT`` entries.  Hashing a pair
-    of Fractions costs what multiplying them does, so ``RationalDomain``
-    keeps no pair memo.  A call that raises (a zero inverse, an
-    undecidable sign, a factor shared with a reducible ``min_poly``, a
-    malformed text) stores nothing, so the next call raises again.
+    Each domain instance memoises the inverse, the sign and the text of the
+    values it has seen, keyed by payload, their floats per parameter sample
+    (``triples.float_array``), the payload of each grammar text it has
+    parsed, and each product and sum (``_mul`` and ``_add`` over the
+    domain's ``_product`` and ``_sum``), keyed by the ordered payload pair,
+    so each distinct one is computed once.  The memos live as long as the
+    domain, which one document owns.  Symmetric inputs repeat a few values:
+    a dodecahedron report makes 3,695 products of 109 distinct pairs, a
+    180-chart atlas 249k of 1,809.  Without repeats, a pair table is
+    cleared at ``PAIR_MEMO_LIMIT`` entries.  Hashing a pair of Fractions
+    costs what multiplying them does, so ``RationalDomain`` keeps no pair
+    memo.  A call that raises (a zero inverse, an undecidable sign, a
+    factor shared with a reducible ``min_poly``, a malformed text, a value
+    with no finite float) stores nothing, so the next call raises again.
     """
 
     kind = "abstract"
@@ -351,6 +352,7 @@ class ScalarDomain:
         self._parsed = {}   # grammar text -> payload, for scalar(str)
         self._products = {}  # (a, b) -> a * b
         self._sums = {}      # (a, b) -> a + b
+        self._floats = {}    # parameter sample -> {payload: float}
 
     def _memo(self, table, compute, a):
         """table[a], computed as compute(a) on the first call."""

@@ -14,8 +14,8 @@ import random
 from collections import namedtuple
 from collections.abc import Sequence
 from functools import reduce
-from math import hypot, isfinite
-from operator import add, mul
+from math import fsum, hypot, isfinite
+from operator import mul
 
 from .linalg import Matrix, integer_solve, solve_general
 from .scalars import RationalDomain, Scalar, ScalarDomain
@@ -159,22 +159,24 @@ class ValidationReport(namedtuple(
 FLOAT_ERROR = 1e-17 + 2.0 ** -53
 
 
-def float_array(entries, shape, parameter_sample, memo):
+def float_array(entries, shape, parameter_sample):
     """Floats of exact scalars (17 significant digits, relative error at
     most ``FLOAT_ERROR``), as rows of shape.
 
-    memo maps payloads to the floats already computed; the caller keeps
-    one per domain and parameter sample, so each distinct value is
-    evaluated once.  A value beyond the float range raises
-    FloatingPointError.
+    Each domain memoises the float of each value per parameter sample, so
+    the support probe and the numeric checks of one document evaluate each
+    distinct value once.  A value beyond the float range raises
+    OverflowError.
     """
+    floats = entries[0].domain._floats if entries else {}
+    memo = floats.setdefault(parameter_sample, {})
     values = []
     for x in entries:
         value = memo.get(x.payload)
         if value is None:
             value = float(x.eval_numeric(17, parameter_sample))
             if not isfinite(value):
-                raise FloatingPointError("an exact value has no finite float")
+                raise OverflowError("an exact value has no finite float")
             memo[x.payload] = value
         values.append(value)
     rows, cols = shape
@@ -182,10 +184,10 @@ def float_array(entries, shape, parameter_sample, memo):
 
 
 def float_dot(u, v):
-    """The dot product, summed left to right: ``sum`` compensates float
-    sums from Python 3.12 on, and the reports must not depend on the
-    interpreter's version."""
-    return reduce(add, map(mul, u, v), 0.0)
+    """The dot product: the exactly rounded sum (``math.fsum``) of the
+    rounded products, the same on every interpreter and two roundings
+    from the exact value."""
+    return fsum(map(mul, u, v))
 
 
 def float_solve(a, rhs):
@@ -270,17 +272,14 @@ def validate(triple: FundamentalTriple, probe_directions: int = 64,
 
     probe_ran = False
     gaps = overlaps = 0
-    note = ""
-    can_probe = True
+    note = ""   # the reason the probe is skipped, if it is
     if triple.domain.kind == "rational_function" and parameter_sample is None:
         parameter_sample = triple.domain.default_sample
         if parameter_sample is None:
-            can_probe = False
             note = "skipped: parameter field without a sample value"
     if simplicial_failures:
-        can_probe = False
         note = "skipped: simpliciality failed"
-    if can_probe and probe_directions > 0:
+    if not note and probe_directions > 0:
         rng = random.Random(str((seed, 0x5EED)))
         dim = triple.dim
         directions = []
@@ -288,16 +287,16 @@ def validate(triple: FundamentalTriple, probe_directions: int = 64,
             d = [rng.gauss(0.0, 1.0) for _ in range(dim)]
             norm = hypot(*d) or 1.0
             directions.append([x / norm for x in d])
-        floats = {}
         identity = [[float(i == j) for j in range(dim)] for i in range(dim)]
         try:
             # row i of an inverse gives coordinate i of a direction, and
             # the direction is inside when none is below -1e-9 |row|
             inverses = [list(zip(*float_solve(
-                float_array(a.entries, (a.rows, a.cols), parameter_sample,
-                            floats),
+                float_array(a.entries, (a.rows, a.cols), parameter_sample),
                 identity))) for a in matrices]
-        except ArithmeticError:  # the probe is advisory: skip, never fail
+        except OverflowError:  # the probe is advisory: skip, never fail
+            note = "skipped: a cone matrix has no finite float"
+        except ArithmeticError:
             note = "skipped: a cone matrix is singular in floating point"
         else:
             counts = [0] * probe_directions

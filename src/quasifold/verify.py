@@ -44,19 +44,20 @@ G w_j = X_j exactly, so A_sigma^-1 A_tau s = A_sigma^-1 G W_tau s.  A wrong
 E or C cannot hide: m comes from W, not from the atlas, so a faulty
 exponent leaves a residual of the fault's size, reported as a mismatch.
 
-The harness is plain Python: ``NumericAtlas`` holds the float views
-(``triples.float_array``, rows of floats) of the ray matrix and of each
-chart's tables, reads a transition and the factorization's kernel rows off
-the float coordinate table, and keeps the ray witnesses as exact ints, so
-a witness never overflows; ``math.fsum`` sums every dot product,
-``x % 1.0`` reduces mod 1 and ``math.floor`` picks the branch.  Before any
-draw, ``verify_triple`` bounds what rounding can do to any residual
-(``_rounding_bound``) and refuses when that exceeds half the tolerance or
-a table value has no finite float.  ``_with_fault`` perturbs one exponent
-for fault injection, and ``TrialReport.record`` counts every trial and
-keeps each failure.  ``verify_triple`` spreads the samples over the
-targets of each check; each check seeds a ``random.Random`` from the text
-of (seed, check, target), so one target's draws do not depend on the
+The harness is plain Python: ``NumericAtlas`` caches the float rows
+(``triples.float_array``, from the floats the domain memoises for the
+support probe of ``validate`` too) of the ray matrix and of each chart's
+tables, reads a transition and the factorization's kernel rows off the
+float coordinate table, and keeps the ray witnesses as exact ints, so a
+witness never overflows; ``triples.float_dot`` (``math.fsum``) sums every
+dot product, ``x % 1.0`` reduces mod 1 and ``math.floor`` picks the branch.
+Before any draw, ``verify_triple`` bounds what rounding can do to any
+residual (``_rounding_bound``) and refuses when that exceeds half the
+tolerance or a table value has no finite float.  ``_with_fault`` perturbs
+one exponent for fault injection, and ``TrialReport.record`` counts every
+trial and keeps each failure.  ``verify_triple`` spreads the samples over
+the targets of each check; each check seeds a ``random.Random`` from the
+text of (seed, check, target), so one target's draws do not depend on the
 others, and never on ``PYTHONHASHSEED``.
 """
 
@@ -70,7 +71,7 @@ from operator import add, mul, sub
 
 from .atlas import Atlas
 from .scalars import sample_text
-from .triples import FLOAT_ERROR, FundamentalTriple, float_array
+from .triples import FLOAT_ERROR, FundamentalTriple, float_array, float_dot
 
 __all__ = [
     "GroupMembership",
@@ -171,16 +172,9 @@ def _largest(values):
     return max(map(abs, values))
 
 
-def _dot(u, v):
-    """The dot product: the exactly rounded sum (math.fsum) of the rounded
-    products, the same on every interpreter and two roundings from the
-    exact value."""
-    return fsum(map(mul, u, v))
-
-
 def _matvec(matrix, vector):
-    """matrix (rows) times vector, as a list of ``_dot``s."""
-    return [fsum(map(mul, row, vector)) for row in matrix]
+    """matrix (rows) times vector, as a list of ``float_dot``s."""
+    return [float_dot(row, vector) for row in matrix]
 
 
 def _integer_matvec(rows, vector):
@@ -289,11 +283,6 @@ class NumericAtlas:
                     "numeric verification over a parameter field needs a sample")
         self.parameter_sample = parameter_sample
         self._cache: dict[tuple, list] = {}
-        self._floats_seen: dict[object, float] = {}
-
-    def _floats(self, matrix):
-        return float_array(matrix.entries, (matrix.rows, matrix.cols),
-                           self.parameter_sample, self._floats_seen)
 
     def _cached(self, key, build):
         rows = self._cache.get(key)
@@ -301,26 +290,25 @@ class NumericAtlas:
             rows = self._cache[key] = build()
         return rows
 
-    def _table(self, name, cone):
-        """The float rows of the named table of the cone's chart (looked up
-        on every target, so without building a closure as _cached does)."""
-        rows = self._cache.get((name, cone))
-        if rows is None:
-            rows = self._cache[name, cone] = self._floats(
-                getattr(self.atlas.chart(cone), name))
-        return rows
+    def _floats(self, key, matrix):
+        """The float rows of an exact matrix, converted once per key."""
+        return self._cached(key, lambda: float_array(
+            matrix.entries, (matrix.rows, matrix.cols), self.parameter_sample))
 
     def ray_matrix(self):
-        return self._cached("rays", lambda: self._floats(self._rays))
+        return self._floats("rays", self._rays)
 
     def group_exponents(self, cone):
-        return self._table("group_exponents", tuple(cone))
+        return self._floats(("group_exponents", tuple(cone)),
+                            self.atlas.chart(cone).group_exponents)
 
     def lattice_exponents(self, cone):
-        return self._table("lattice_exponents", tuple(cone))
+        return self._floats(("lattice_exponents", tuple(cone)),
+                            self.atlas.chart(cone).lattice_exponents)
 
     def coordinates(self, cone):
-        return self._table("coordinates", tuple(cone))
+        return self._floats(("coordinates", tuple(cone)),
+                            self.atlas.chart(cone).coordinates)
 
     def integer_exponents(self, cone):
         """The integer entries I of the lattice exponents, as ints: L - C."""
@@ -374,8 +362,7 @@ def _with_fault(exponents, fault):
 def _phase_differences(exponents, before, after):
     """Re(E w' - E w) for the phases w (before) and w' (after): the phase
     shift of each monomial z^E, in turns, not reduced mod 1."""
-    return [fsum(map(mul, row, after)) - fsum(map(mul, row, before))
-            for row in exponents]
+    return [float_dot(row, after) - float_dot(row, before) for row in exponents]
 
 
 def _membership(group, witness, theta, tolerance):
@@ -502,7 +489,7 @@ def check_factorization(triple: FundamentalTriple, cone, cfg: TrialConfig,
         for j, v in zip(outside, c):
             x[j] += v
         for i, column in zip(cone, cone_columns):
-            x[i - 1] += _dot(column, c)
+            x[i - 1] += float_dot(column, c)
         y = _matvec(table, x)
         for i, v in zip(cone, y):   # x becomes X - Y
             x[i - 1] -= v
@@ -623,7 +610,7 @@ def _rounding_bound(triple: FundamentalTriple, numeric: NumericAtlas,
                  for row in numeric.witness_rows(range(1, d + 1))]
     # the largest coordinates of W x for |x| <= 1 and of m + W (u - I m)
     spread = [sum(row) for row in witnesses]
-    reach = [length + _dot(row, correction) for row in witnesses]
+    reach = [length + float_dot(row, correction) for row in witnesses]
     moved = [3.0 + s for s in shift]
     rays = [list(map(abs, row)) for row in numeric.ray_matrix()]
     phi = 0.0
@@ -635,7 +622,7 @@ def _rounding_bound(triple: FundamentalTriple, numeric: NumericAtlas,
             return inf, largest
         for row, total, g in zip(table, sums, numeric.group_exponents(cone)):
             g = list(map(abs, g))
-            witness = _dot(g, spread)
+            witness = float_dot(g, spread)
             # factorization: y = B x against C W x
             phi = max(phi, 5.0 * total + 2.0 * witness)
             if len(cones) == 1:   # E is the group exponents, W the identity
@@ -647,7 +634,7 @@ def _rounding_bound(triple: FundamentalTriple, numeric: NumericAtlas,
                 total * (2 + length) + length * witness,
                 # transition equivariance: E w, E w' with the shift's
                 # rounding, and C (m + W (u - I m))
-                _dot(row, moved) + _dot(g, reach))
+                float_dot(row, moved) + float_dot(g, reach))
         # the ray map on X - Y (factorization); the connecting element's
         # terms, E w and the ray map on its element (bounded by 2 |B| w
         # on the cone's rays, |w| elsewhere), lie below this and the branch
@@ -656,7 +643,7 @@ def _rounding_bound(triple: FundamentalTriple, numeric: NumericAtlas,
         for i, total in zip(cone, sums):
             kernel[i - 1] = 8.0 * total
         for row in rays:
-            phi = max(phi, _dot(row, kernel))
+            phi = max(phi, float_dot(row, kernel))
     q = _ROUNDINGS
     return (q * _UNIT / (1.0 - q * _UNIT) + FLOAT_ERROR) * phi, largest
 
@@ -675,7 +662,7 @@ def verify_triple(triple: FundamentalTriple, cfg: TrialConfig,
         reason = (f"exponents reach {largest:.3g}, so rounding could move a "
                   f"residual by {bound:.2g}, more than half the tolerance "
                   f"{cfg.tolerance:g}")
-    except (FloatingPointError, OverflowError) as exc:   # no finite float
+    except OverflowError as exc:   # a table value has no finite float
         bound = inf
         reason = (f"exponents exceed the float range ({exc}), so no residual "
                   f"can be held to half the tolerance {cfg.tolerance:g}")

@@ -1,3 +1,4 @@
+import collections
 import copy
 import hashlib
 import io
@@ -23,6 +24,7 @@ from quasifold import (GALLERY_NAMES, TOOL_VERSION, document_to_triple,
                        specialize_document)
 from quasifold.cli import main
 from quasifold.documents import schema_accepts
+from quasifold.scalars import Scalar
 
 
 def run_cli(args, capsys):
@@ -700,8 +702,8 @@ def test_extreme_parameter_values_refuse(flag, value, tmp_path, capsys):
         "cp2-11a")), flag, f"a={value}"], capsys)
     assert (code, err) == (0, "")
     if flag == "--substitute":
-        assert ("support probe: skipped: a cone matrix is singular in "
-                "floating point") in out
+        assert ("support probe: skipped: a cone matrix has no finite "
+                "float") in out
 
 
 @pytest.mark.parametrize("name", ["cp2-11a", "quasisphere", "hirzebruch"])
@@ -807,6 +809,52 @@ def test_oversized_substitute_is_refused_in_its_own_words(tmp_path, capsys):
                              capsys)
     assert (code, err) == (0, "")
     assert f"cone {{2,3}}: vertex (1{'0' * 4000}, 0)" in out
+
+
+def test_substituted_entry_past_the_text_limit_is_refused(tmp_path, capsys):
+    # D13: -a^2 at a = 1e3000 has 6001 digits; the substitution refuses it
+    # by name, as it refuses the value itself, not by Python's message
+    data = gallery_json("cp2-11a")
+    data["polytope"]["facets"][1]["offset"] = "-a^2"
+    path = write_doc(tmp_path, data)
+    limit = sys.get_int_max_str_digits()
+    for command in ("polytope", "atlas", "validate"):
+        code, out, err = run_cli([command, path, "--substitute", "a=1e3000"],
+                                 capsys)
+        assert (code, out) == (2, ""), command
+        assert err == ("quasifold: error: --substitute: at a = 1e+3000, the "
+                       "entry -1e+6000 has a 6001-digit numerator; exact "
+                       f"texts allow at most {limit} digits\n")
+        assert "Exceeds the limit" not in err
+
+
+def test_probe_note_names_a_zero_pivot(tmp_path, capsys):
+    # at a = 1e-400 cone entries underflow to 0.0 and float_solve meets a
+    # zero pivot; an entry past the float range gets its own note instead
+    # (test_extreme_parameter_values_refuse)
+    path = write_doc(tmp_path, gallery_json("cp2-11a"))
+    code, out, err = run_cli(["validate", path, "--substitute", "a=1e-400"],
+                             capsys)
+    assert (code, err) == (0, "")
+    assert ("support probe: skipped: a cone matrix is singular in floating "
+            "point\n") in out
+
+
+def test_gallery_evaluates_each_value_once(monkeypatch, capsys):
+    # the support probe and the numeric checks share the domain's float
+    # memo, so a run evaluates each distinct exact value once
+    evaluate = Scalar.eval_numeric
+    for name in ("dodecahedron", "kite"):
+        calls = collections.Counter()
+
+        def counted(self, *args, **kwargs):
+            calls[self.payload] += 1
+            return evaluate(self, *args, **kwargs)
+
+        monkeypatch.setattr(Scalar, "eval_numeric", counted)
+        code, _, err = run_cli(["gallery", name], capsys)
+        assert (code, err) == (0, ""), name
+        assert calls and max(calls.values()) == 1, (name, calls)
 
 
 def test_report_keeps_a_sample_of_any_size_exact(tmp_path, capsys):

@@ -125,7 +125,7 @@ def test_kernel_rows_are_the_floats_of_the_exact_kernel_vectors(gallery):
                         vector[i - 1] = -table[t, j - 1]
                     exact.append(vector)
             expected = float_array([x for v in exact for x in v],
-                                   (len(exact), d), None, {})
+                                   (len(exact), d), None)
             rows = numeric.kernel_matrix(cone)
             assert rows == expected, (name, cone)
             assert [[math.copysign(1.0, x) for x in row] for row in rows] == \
@@ -250,7 +250,7 @@ def test_factorization_direct_oracle(gallery):
     pi_x = rays @ x
     cone = triple.cone_matrix((1,))
     y = np.linalg.solve(np.asarray(float_array(
-        cone.entries, (cone.rows, cone.cols), numeric.parameter_sample, {})),
+        cone.entries, (cone.rows, cone.cols), numeric.parameter_sample)),
         pi_x)
     assert abs(y[0] - 1.0) < 1e-12
     w = x - np.array([y[0], 0.0])
