@@ -11,15 +11,16 @@ built once per chart.  The relation of a ray j outside sigma over the
 cone's rays is column j of C_sigma (``relations``).
 
 ``Atlas.compile`` walks the wall graph, whose edges join cones that share
-n - 1 rays.  It inverts one start cone per component, and reaches every
-other chart from a neighbour by one exact pivot on the table
-[C_sigma | L_sigma] of the coordinates of the rays and the lattice
-generators: for tau = sigma - i + j the pivot is p = C_sigma[i, j] (the
-product form of the inverse; Chvatal, *Linear Programming*, 1983,
-ch. 7-8).  A_sigma^-1 A_tau is the identity with column i replaced by
-column j of C_sigma, so det A_tau = +-p det A_sigma: every A_tau is
-invertible, and a zero pivot refuses.  ``cocycle_check`` certifies the
-cocycle identities of all chart changes by one product per chart.
+n - 1 rays.  It builds one start chart per component by ``build_chart``,
+which reduces [R | G] onto the cone's rays, and reaches every other chart
+from a neighbour by one exact pivot on the table [C_sigma | L_sigma] of
+the coordinates of the rays and the lattice generators: for
+tau = sigma - i + j the pivot is p = C_sigma[i, j] (the product form of
+the inverse; Chvatal, *Linear Programming*, 1983, ch. 7-8).
+A_sigma^-1 A_tau is the identity with column i replaced by column j of
+C_sigma, so det A_tau = +-p det A_sigma: every A_tau is invertible, and a
+zero pivot refuses.  ``cocycle_check`` certifies the cocycle identities of
+all chart changes by one product per chart.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import itertools
 from collections import namedtuple
 from collections.abc import Sequence
 
-from .linalg import Matrix, pivot_rows
+from .linalg import Matrix, SingularMatrixError, pivot_rows, reduce_rows
 from .scalars import Scalar
 from .triples import FundamentalTriple
 
@@ -117,16 +118,20 @@ def _chart(triple: FundamentalTriple, cone, rows) -> Chart:
 
 
 def build_chart(triple: FundamentalTriple, cone: Sequence[int]) -> Chart:
-    """Compile the chart of a maximal cone: one inverse, one product."""
+    """Compile the chart of a maximal cone: the payload rows [R | G] of the
+    rays and the lattice generators, reduced onto the cone's ray columns
+    (``reduce_rows``), are A^-1 [R | G], one row per ray of the cone.
+    Raises SingularMatrixError unless all n pivots are nonzero."""
     indices = tuple(sorted(cone))
     if indices not in triple.fan.max_cones:
         raise ValueError(f"{indices} is not a maximal cone of the fan")
     rays, generators, n = triple.ray_matrix(), triple.lattice.generators, triple.dim
-    table = triple.cone_matrix(indices).inverse() @ Matrix(
-        triple.domain, n, rays.cols + generators.cols,
-        [x for i in range(n) for x in rays.row(i) + generators.row(i)])
-    return _chart(triple, indices, [[x.payload for x in table.row(i)]
-                                    for i in range(n)])
+    rows, pivots = reduce_rows(
+        triple.domain, [[x.payload for x in rays.row(i) + generators.row(i)]
+                        for i in range(n)], [j - 1 for j in indices])
+    if len(pivots) < n:
+        raise SingularMatrixError("matrix is singular")
+    return _chart(triple, indices, [rows[pivots[j - 1]] for j in indices])
 
 
 def transition_map(chart: Chart, source: Sequence[int]) -> Matrix:
@@ -169,9 +174,10 @@ def cocycle_check(triple: FundamentalTriple,
     A_t C_t = R exactly, with A_t the cone matrix, C_t the coordinate
     table and R the ray matrix; T(s, t) is C_t at the rays of s.  Proof: a
     chart that passes has A_t T(s, t) = A_s, and every A_t is invertible
-    (``Atlas.compile`` inverts each component's start and pivots only on
-    a nonzero p, so det A_tau = +-p det A_sigma; ``build_chart`` inverts
-    A_t itself), so T(s, t) = A_t^-1 A_s and
+    (``build_chart`` makes n nonzero pivots on the columns of A_t or
+    refuses, and ``Atlas.compile`` starts each component there and pivots
+    only on a nonzero p, so det A_tau = +-p det A_sigma), so
+    T(s, t) = A_t^-1 A_s and
     A_a^-1 A_b A_b^-1 A_c = A_a^-1 A_c.  Only the identities with a map
     into a failing chart, those whose a or b fails, are multiplied out, in
     the order of a sweep over all pairs, then all triples, so
@@ -242,8 +248,9 @@ class Atlas:
     @classmethod
     def compile(cls, triple: FundamentalTriple) -> "Atlas":
         """Every chart, breadth-first over the wall graph: ``build_chart``
-        at the first cone of each component, then one ``pivot_rows`` per
-        chart on its neighbour's payload rows [C_sigma | L_sigma]."""
+        (one reduction) at the first cone of each component, then one
+        ``pivot_rows`` per chart on its neighbour's payload rows
+        [C_sigma | L_sigma]."""
         walls = {}
         for cone in triple.fan.max_cones:
             for i in range(len(cone)):

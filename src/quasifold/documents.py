@@ -21,7 +21,6 @@ from __future__ import annotations
 import json
 import os
 import re
-import sys
 from collections import namedtuple
 from decimal import Decimal
 from fractions import Fraction
@@ -32,7 +31,8 @@ from .atlas import (Atlas, cocycle_check, fixed_point, orbit_report,
 from .linalg import Matrix
 from .polytopes import Polytope, to_triple
 from .scalars import (IndeterminateSignError, NumberFieldDomain,
-                      RationalDomain, RationalFunctionDomain, sample_text)
+                      RationalDomain, RationalFunctionDomain, require_writable,
+                      sample_text)
 from .triples import (Fan, FundamentalTriple, Quasilattice,
                       with_recovered_witnesses)
 from .verify import VerificationSummary
@@ -256,17 +256,6 @@ def document_to_triple(doc: InputDocument):
     return to_triple(doc.polytope, doc.lattice, doc.witnesses)
 
 
-def _require_writable(value, what):
-    """Refuse a rational with more digits than Python converts to text."""
-    limit = sys.get_int_max_str_digits()
-    for part, n in (("numerator", abs(value.numerator)),
-                    ("denominator", value.denominator)):
-        if limit and n >= 10 ** limit:
-            raise InputError(f"{what} {sample_text(value)} has a "
-                             f"{Decimal(n).adjusted() + 1}-digit {part}; "
-                             f"exact texts allow at most {limit} digits")
-
-
 def specialize_document(doc: InputDocument, value) -> InputDocument:
     """Exact substitution of the parameter, in the rational domain; refuses
     a value or a substituted entry with more digits than Python converts
@@ -275,7 +264,7 @@ def specialize_document(doc: InputDocument, value) -> InputDocument:
         raise InputError("only parameter-field documents can be specialized")
     value = Fraction(value if isinstance(value, (int, Fraction)) else
                      str(value))   # a float stands for its shortest text
-    _require_writable(value, "--substitute: value")
+    require_writable(value, "--substitute: value")
     source = doc.domain
     target = RationalDomain()
     entry = (f"--substitute: at {source.generator_symbol} = "
@@ -283,7 +272,7 @@ def specialize_document(doc: InputDocument, value) -> InputDocument:
 
     def convert(scalar):
         converted = source.substitute(scalar, value, target)
-        _require_writable(converted.payload, entry)
+        require_writable(converted.payload, entry)
         return converted
 
     generators = Matrix(

@@ -1,29 +1,23 @@
 """Exact dense linear algebra over a scalar domain.
 
-Solving and inversion use fraction-free (Bareiss-style) elimination: each
-update divides by the previous pivot, which is exact and keeps intermediate
-entries as minors of the input instead of letting rational-function degrees
-blow up.  The division stays over the fields too: the domain memoises each
-inverse (see ``ScalarDomain``), so every division by a pivot after the
-first costs one product, as one inverse per pivot row would in Gauss
-elimination, and one routine serves all three domains.  Elimination and
-back-substitution work on payloads with the domain's own operations, as
-the matrix product and ``pivot_rows`` do; payloads are canonical, so the
-results are those of Scalar arithmetic, and a Scalar is built only for
-what a caller gets back; a repeated product or sum of payloads costs one
-lookup over a number field or a parameter field (see ``ScalarDomain``).
-Pivoting is first-nonzero with lowest row index, so all outputs are
-deterministic.  One back-substitution serves every solve: ``solve`` and
-``inverse`` pass their right-hand sides as augmented columns, and
-``solve_general`` passes its free columns too, so the kernel basis comes
-out of the same loop as all its right-hand sides.  The
-distinguished kernel basis of a ray map over a chosen cone needs no solve:
-its vectors are e_j minus column j of the cone's coordinate table, built
-from the float table by ``verify.NumericAtlas.kernel_matrix``.
-``pivot_rows`` exchanges one basis vector of a table of coordinates, for
-the chart walk of ``Atlas.compile`` and the vertex walk of ``polytopes``,
-and ``integer_solve`` solves a rational system over Z for several
-right-hand sides from one column reduction.
+One elimination serves every exact solve: ``reduce_rows``, Gauss-Jordan
+reduction by basis exchanges (``pivot_rows``, the product form of the
+inverse; Chvatal, *Linear Programming*, 1983, ch. 7-8), which pivots each
+given column in turn on the first row not yet pivoted where it is nonzero.
+``Matrix.rank``, ``solve`` and ``inverse``, and ``solve_general``, read their
+results off the reduced rows of [A | right-hand sides]: the row pivoted at
+column c holds coordinate c of every solution, and the kernel vector of a
+free column f is e_f minus column f at the pivots.  ``build_chart``
+reduces [R | G] onto a cone's rays and the vertex walk [N^T | I] onto its
+start's facets, and both walks then take one ``pivot_rows`` per step.
+Every result is fixed by its value (a solution, an inverse, a rank, the
+pivot columns, the particular solution with free variables zero), and
+payloads are canonical, so the outputs are those of Scalar arithmetic in
+any order of operations.  The work is on payloads with the domain's own
+operations, whose inverses, products and sums are memoised (see
+``ScalarDomain``); a Scalar is built only for what a caller gets back.
+``integer_solve`` solves a rational system over Z for several right-hand
+sides from one column reduction.
 """
 
 from __future__ import annotations
@@ -40,6 +34,7 @@ __all__ = [
     "dot",
     "integer_solve",
     "pivot_rows",
+    "reduce_rows",
     "solve_general",
 ]
 
@@ -171,82 +166,17 @@ class Matrix:
             raise DimensionMismatchError("vector length does not match column count")
         return tuple(dot(self.row(i), vector) for i in range(self.rows))
 
-    # -- elimination core -----------------------------------------------------
+    # -- elimination ----------------------------------------------------------
 
-    def _eliminate(self, aug=None):
-        """Bareiss forward elimination on payload rows.
-
-        aug gives each row's augmented payloads (none by default).  Returns
-        (work, pivot_cols) where work is a list of payload rows covering all
-        columns including the augmented ones, and pivot_cols indexes the
-        pivot column of each eliminated row within the first self.cols
-        columns.  Entries below a pivot are left zero.
-        """
-        domain = self.domain
-        mul, add, neg, is_zero = domain._mul, domain._add, domain._neg, domain._is_zero
-        work = [[x.payload for x in self.row(i)] + (list(aug[i]) if aug else [])
+    def _reduce(self, augmented=None):
+        """``reduce_rows`` of the payload rows, each followed by its
+        augmented payloads (none by default), onto every column."""
+        rows = [[x.payload for x in self.row(i)] + (augmented[i] if augmented else [])
                 for i in range(self.rows)]
-        total_cols = self.cols + (len(aug[0]) if aug else 0)
-        zero = domain.zero().payload
-        prev = None  # the previous pivot; None while that is one
-        pivot_cols = []
-        r = 0
-        for c in range(self.cols):
-            pivot_row = next((i for i in range(r, self.rows)
-                              if not is_zero(work[i][c])), None)
-            if pivot_row is None:
-                continue
-            work[r], work[pivot_row] = work[pivot_row], work[r]
-            top = work[r]
-            pivot = top[c]
-            # dividing by prev is one product with its memoised inverse,
-            # taken only when a row below needs it, as in Scalar division
-            inverse = None
-            if prev is not None and r + 1 < self.rows:
-                inverse = domain._memo(domain._inverses, domain._inv, prev)
-            for row in work[r + 1:]:
-                # row[j] = (pivot row[j] - row[c] top[j]) / prev, without
-                # the products of zero entries
-                factor = None if is_zero(row[c]) else neg(row[c])
-                row[c] = zero
-                for j in range(c + 1, total_cols):
-                    x, y = row[j], top[j]
-                    if factor is None or is_zero(y):
-                        if is_zero(x):
-                            continue
-                        x = mul(pivot, x)
-                    elif is_zero(x):
-                        x = mul(factor, y)
-                    else:
-                        x = add(mul(pivot, x), mul(factor, y))
-                    row[j] = x if inverse is None else mul(x, inverse)
-            prev = pivot
-            pivot_cols.append(c)
-            r += 1
-        return work, pivot_cols
+        return reduce_rows(self.domain, rows, range(self.cols))
 
     def rank(self):
-        return len(self._eliminate()[1])
-
-    def _back_substitute(self, work, pivot_cols, aug_cols):
-        """Solve the upper-triangular payload system for each augmented
-        column; returns one payload column of length self.cols per column."""
-        domain = self.domain
-        mul, add, neg, is_zero = domain._mul, domain._add, domain._neg, domain._is_zero
-        zero = domain.zero().payload
-        solutions = [[zero] * self.cols for _ in range(aug_cols)]
-        for t in range(len(pivot_cols) - 1, -1, -1):
-            c, row = pivot_cols[t], work[t]
-            inverse = domain._memo(domain._inverses, domain._inv, row[c])
-            terms = [(j, neg(row[j])) for j in range(c + 1, self.cols)
-                     if not is_zero(row[j])]
-            for a, solution in enumerate(solutions):
-                acc = row[self.cols + a]
-                for j, factor in terms:
-                    if not is_zero(solution[j]):
-                        acc = add(acc, mul(factor, solution[j]))
-                solution[c] = mul(acc, inverse)
-        return solutions
+        return len(self._reduce()[1])
 
     def solve(self, rhs: Sequence[Scalar]):
         """Exact solution of A x = rhs for square A."""
@@ -255,11 +185,10 @@ class Matrix:
         if len(rhs) != self.rows:
             raise DimensionMismatchError("right-hand side has the wrong length")
         domain = self.domain
-        work, pivot_cols = self._eliminate([[domain.scalar(b).payload] for b in rhs])
-        if len(pivot_cols) < self.rows:
+        rows, pivots = self._reduce([[domain.scalar(b).payload] for b in rhs])
+        if len(pivots) < self.rows:
             raise SingularMatrixError("matrix is singular")
-        return tuple(Scalar(domain, x)
-                     for x in self._back_substitute(work, pivot_cols, 1)[0])
+        return tuple(Scalar(domain, rows[pivots[c]][-1]) for c in range(self.cols))
 
     def inverse(self):
         """Exact inverse; raises SingularMatrixError when none exists."""
@@ -267,12 +196,11 @@ class Matrix:
             raise DimensionMismatchError("inverse requires a square matrix")
         n, domain = self.rows, self.domain
         one, zero = domain.one().payload, domain.zero().payload
-        work, pivot_cols = self._eliminate(
+        rows, pivots = self._reduce(
             [[one if i == j else zero for j in range(n)] for i in range(n)])
-        if len(pivot_cols) < n:
+        if len(pivots) < n:
             raise SingularMatrixError("matrix is singular")
-        columns = self._back_substitute(work, pivot_cols, n)
-        entries = [Scalar(domain, columns[j][i]) for i in range(n) for j in range(n)]
+        entries = [Scalar(domain, x) for c in range(n) for x in rows[pivots[c]][n:]]
         return Matrix(domain, n, n, entries, self.col_labels, self.row_labels)
 
 
@@ -297,34 +225,50 @@ def pivot_rows(domain: ScalarDomain, rows, i, j):
     return out
 
 
+def reduce_rows(domain: ScalarDomain, rows, columns):
+    """Gauss-Jordan reduction of a table of payload rows onto columns: each
+    column in turn is pivoted (``pivot_rows``) on the first row not yet
+    pivoted where it is nonzero, and is skipped where there is none.
+    Returns the reduced rows and a dict, in pivot order, from each pivoted
+    column to its pivot row; that column is then the unit vector there."""
+    is_zero = domain._is_zero
+    pivots = {}
+    for c in columns:
+        taken = pivots.values()
+        r = next((i for i, row in enumerate(rows)
+                  if not is_zero(row[c]) and i not in taken), None)
+        if r is not None:
+            rows = pivot_rows(domain, rows, r, c)
+            pivots[c] = r
+    return rows, pivots
+
+
 def solve_general(matrix: Matrix, rhs: Sequence[Sequence[Scalar]]):
     """Particular solutions (free variables zero) plus kernel basis.
 
     Returns (solutions, kernel): one particular solution for each
-    right-hand side of rhs, None where that system is inconsistent.
+    right-hand side of rhs, None where that system is inconsistent.  One
+    reduction of [A | rhs] gives both: the kernel vector of a free column f
+    is e_f minus column f of the reduced rows, read at their pivots.
     """
     if any(len(b) != matrix.rows for b in rhs):
         raise DimensionMismatchError("right-hand side has the wrong length")
-    domain, cols, width = matrix.domain, matrix.cols, len(rhs)
-    work, pivot_cols = matrix._eliminate(
+    domain, cols = matrix.domain, matrix.cols
+    rows, pivots = matrix._reduce(
         [[domain.scalar(b[i]).payload for b in rhs] for i in range(matrix.rows)])
-    rank = len(pivot_cols)
-    # each free column rides along as one more right-hand side, so one
-    # back-substitution gives the particular solutions and the kernel
-    free_cols = [c for c in range(cols) if c not in pivot_cols]
-    top = [row + [row[f] for f in free_cols] for row in work[:rank]]
-    coords = matrix._back_substitute(top, pivot_cols, width + len(free_cols))
-    solutions = [
-        None if any(not domain._is_zero(row[cols + a]) for row in work[rank:])
-        else tuple(Scalar(domain, x) for x in coords[a]) for a in range(width)]
+    # a row without a pivot is zero on A, so a system is consistent exactly
+    # when its right-hand side is zero there too
+    rest = [row for i, row in enumerate(rows) if i not in pivots.values()]
     zero, one = domain.zero(), domain.one()
-    kernel = []
-    for f, column in zip(free_cols, coords[width:]):
-        vector = [zero] * cols
-        vector[f] = one
-        for c in pivot_cols:
-            vector[c] = Scalar(domain, domain._neg(column[c]))
-        kernel.append(tuple(vector))
+    solutions = [
+        tuple(Scalar(domain, rows[pivots[c]][cols + a]) if c in pivots else zero
+              for c in range(cols))
+        if all(domain._is_zero(row[cols + a]) for row in rest) else None
+        for a in range(len(rhs))]
+    kernel = [
+        tuple(Scalar(domain, domain._neg(rows[pivots[c]][f])) if c in pivots
+              else one if c == f else zero for c in range(cols))
+        for f in range(cols) if f not in pivots]
     return solutions, kernel
 
 

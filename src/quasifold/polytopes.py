@@ -5,7 +5,7 @@ normals X_j.  Vertices are enumerated exactly: facet n-subsets are solved
 until one gives a first vertex, and the rest are found by walking the edges,
 swapping one facet at a time by a simplex pivot (``linalg.pivot_rows`` on
 a transposed tableau of payloads, one row per edge direction), so only the
-first vertex inverts a matrix, and a vertex pivots only when an edge at it
+first vertex reduces a matrix, and a vertex pivots only when an edge at it
 is left to walk.  The normal fan then has one maximal cone per vertex,
 spanned by the normals of the facets through it; inequalities with an
 unbounded edge are refused.
@@ -21,7 +21,7 @@ import itertools
 from collections import Counter, namedtuple
 from collections.abc import Sequence
 
-from .linalg import Matrix, SingularMatrixError, dot, pivot_rows
+from .linalg import Matrix, SingularMatrixError, dot, pivot_rows, reduce_rows
 from .scalars import IndeterminateSignError, Scalar, ScalarDomain
 from .triples import (Fan, FundamentalTriple, Quasilattice,
                       with_recovered_witnesses)
@@ -144,8 +144,9 @@ def enumerate_vertices(polytope: Polytope) -> tuple[Vertex, ...]:
 
     Each vertex holds a transposed tableau of payloads: row k is the edge
     direction d_k, the rates T[k] of all m facets and then the n
-    coordinates of d_k, one row per facet of S in sorted order.  Only the
-    start vertex inverts A_S.  Leaving S[k] for b with pivot p = T[k][b]
+    coordinates of d_k, one row per facet of S in sorted order: the rows
+    A_S^-T [N^T | I] that ``reduce_rows`` makes from [N^T | I] at the start
+    vertex.  Leaving S[k] for b with pivot p = T[k][b]
     gives d'_b = d_k / p (rate 1 for X_b, the rest of S tight) and
     d'_i = d_i - (T[i][b] / p) d_k (rate 0 for X_b, 1 for S[i]): exactly
     ``pivot_rows(domain, rows, k, b)``, the pivot ``Atlas.compile`` takes,
@@ -169,10 +170,11 @@ def enumerate_vertices(polytope: Polytope) -> tuple[Vertex, ...]:
     active = tuple(j for j, slack in enumerate(slacks) if is_zero(slack))
     if len(active) != n:
         raise _simplicity_error(domain, point, tuple(j + 1 for j in active), n)
-    inverse = Matrix.from_rows(domain, [facets[j].normal for j in active]).inverse()
-    rates = Matrix.from_rows(domain, [f.normal for f in facets]) @ inverse
-    tableau = [[x.payload for x in rates.column(k) + inverse.column(k)]
-               for k in range(n)]
+    one, zero = domain.one().payload, domain.zero().payload
+    rows, pivots = reduce_rows(domain, [
+        [f.normal[i].payload for f in facets] + [one if l == i else zero for l in range(n)]
+        for i in range(n)], active)
+    tableau = [rows[pivots[j]] for j in active]
     found = {active: (point, slacks)}
     # (vertex, its tableau or its parent's, the pivot that leads from that)
     pending = [(active, tableau, None)]

@@ -35,6 +35,7 @@ where ``symbol`` is the generator/parameter name declared by the domain.
 from __future__ import annotations
 
 import math
+import sys
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -294,24 +295,41 @@ def sample_text(value):
     return mantissa + e + exponent
 
 
+def require_writable(value, what):
+    """Refuse a rational with more digits than Python converts to text
+    (``sys.get_int_max_str_digits()``), in the tool's own words."""
+    limit = sys.get_int_max_str_digits()
+    for part, n in (("numerator", abs(value.numerator)),
+                    ("denominator", value.denominator)):
+        if limit and n >= 10 ** limit:
+            raise ValueError(f"{what} {sample_text(value)} has a "
+                             f"{Decimal(n).adjusted() + 1}-digit {part}; "
+                             f"exact texts allow at most {limit} digits")
+
+
 def _poly_text(coeffs, symbol):
     """Render a coefficient tuple as grammar text, highest power first."""
     if not coeffs:
         return "0"
     pieces = []
-    for k in range(len(coeffs) - 1, -1, -1):
-        c = coeffs[k]
-        if not c:
-            continue
-        if k == 0:
-            body = str(abs(c))
-        else:
-            base = symbol if k == 1 else f"{symbol}^{k}"
-            body = base if abs(c) == 1 else f"{abs(c)}*{base}"
-        if not pieces:
-            pieces.append(("-" if c < 0 else "") + body)
-        else:
-            pieces.append((" - " if c < 0 else " + ") + body)
+    try:
+        for k in range(len(coeffs) - 1, -1, -1):
+            c = coeffs[k]
+            if not c:
+                continue
+            if k == 0:
+                body = str(abs(c))
+            else:
+                base = symbol if k == 1 else f"{symbol}^{k}"
+                body = base if abs(c) == 1 else f"{abs(c)}*{base}"
+            if not pieces:
+                pieces.append(("-" if c < 0 else "") + body)
+            else:
+                pieces.append((" - " if c < 0 else " + ") + body)
+    except ValueError:  # str() of an int past the limit
+        for c in coeffs:
+            require_writable(c, "the exact coefficient")
+        raise
     return "".join(pieces)
 
 
@@ -485,7 +503,11 @@ class RationalDomain(ScalarDomain):
         return not a
 
     def _text(self, a):
-        return str(a)
+        try:
+            return str(a)
+        except ValueError:  # str() of an int past the limit
+            require_writable(a, "the exact value")
+            raise
 
     def _as_rational(self, a):
         return a

@@ -280,12 +280,12 @@ def test_compile_multiplies_per_chart_not_per_pair(gallery, monkeypatch):
     triple = gallery["dodecahedron"][1]
     calls = counting(monkeypatch, Matrix, "__matmul__")
     atlas = Atlas.compile(triple)
-    # one product at the walk's start, and none per chart or pair
-    assert len(calls) == 1
+    # the walk's start is a reduction: no product, and none per chart or pair
+    assert len(calls) == 0
     for cone in triple.fan.max_cones:
         atlas.relations(cone)
         atlas.terms(cone)
-    assert len(calls) == 1
+    assert len(calls) == 0
 
 
 def two_component_triple():
@@ -297,16 +297,18 @@ def two_component_triple():
 
 
 def test_compile_inverts_once_per_component(gallery, monkeypatch):
+    # each component starts with one build_chart, a reduction without an
+    # inverse
     inverses = counting(monkeypatch, Matrix, "inverse")
     starts = counting(monkeypatch, quasifold.atlas, "build_chart")
     atlas = Atlas.compile(gallery["dodecahedron"][1])
-    assert (len(inverses), len(starts)) == (1, 1)
+    assert (len(inverses), len(starts)) == (0, 1)
     # the atlas keeps its charts and stores nothing per pair
     assert len(atlas._charts) == 20
     assert not atlas._terms
     assert set(vars(atlas)) == {"triple", "_charts", "_terms"}
     atlas = Atlas.compile(two_component_triple())
-    assert (len(inverses), len(starts)) == (3, 3)
+    assert (len(inverses), len(starts)) == (0, 3)
     assert set(atlas._charts) == {(1, 2), (3, 4)}
 
 
@@ -337,6 +339,35 @@ def test_walk_refuses_a_zero_pivot(rational):
                         [(1, 2), (2, 3)], [("1", "0"), ("0", "1")])
     with pytest.raises(SingularMatrixError):
         Atlas.compile(triple)
+
+
+def test_build_chart_matches_inverse_times_table(gallery):
+    # the former start, A^-1 [R | G] by an inverse and a product, is the
+    # oracle of the reduction that replaced it
+    cases = {name: triple for name, (_, triple, _) in gallery.items()}
+    cases.update({"param-fan": param_fan_triple(),
+                  "truncated-dodecahedron": truncated_dodecahedron_triple(),
+                  "two components": two_component_triple(),
+                  "simplex4": simplex4_triple()})
+    assert len(cases["truncated-dodecahedron"].fan.max_cones) == 60
+    for name, triple in cases.items():
+        n, rays, generators = triple.dim, triple.ray_matrix(), triple.lattice.generators
+        table = Matrix(triple.domain, n, rays.cols + generators.cols,
+                       [x for i in range(n) for x in rays.row(i) + generators.row(i)])
+        for cone in triple.fan.max_cones:
+            chart = build_chart(triple, cone)
+            expected = triple.cone_matrix(cone).inverse() @ table
+            assert [chart.coordinates.row(i) + chart.lattice_exponents.row(i)
+                    for i in range(n)] == [expected.row(i) for i in range(n)], \
+                (name, cone)
+
+
+def test_build_chart_refuses_dependent_rays(rational):
+    # the rays (0, 1) and (0, 2) of the cone {2,3} span a line
+    triple = fan_triple(rational, [("1", "0"), ("0", "1"), ("0", "2")],
+                        [(1, 2), (2, 3)], [("1", "0"), ("0", "1")])
+    with pytest.raises(SingularMatrixError):
+        build_chart(triple, (2, 3))
 
 
 # ---------------------------------------------------------------------------

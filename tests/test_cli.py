@@ -828,6 +828,34 @@ def test_substituted_entry_past_the_text_limit_is_refused(tmp_path, capsys):
         assert "Exceeds the limit" not in err
 
 
+def test_derived_value_past_the_text_limit_is_refused(tmp_path, capsys):
+    # D13: at a = 1e2500 no entry of this quadrilateral passes the limit,
+    # but its chart tables hold values of 5000 digits; atlas refuses them by
+    # name, not by Python's message, and polytope and validate still run
+    data = {
+        "domain": {"kind": "rational_function", "generator_symbol": "a",
+                   "parameter_positivity": True},
+        "quasilattice": {"generators": [["1", "0", "a", "0"],
+                                        ["0", "1", "0", "a"]]},
+        "polytope": {"facets": [
+            {"normal": ["1", "0"], "offset": "0"},
+            {"normal": ["0", "1"], "offset": "0"},
+            {"normal": ["-1", "-a"], "offset": "-a"},
+            {"normal": ["-a", "-1"], "offset": "-a"}]},
+    }
+    path = write_doc(tmp_path, data)
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run_cli(["atlas", path, "--substitute", "a=1e2500"], capsys)
+    assert (code, out) == (2, "")
+    assert err == ("quasifold: error: the exact value 1e-5000 has a "
+                   "5000-digit denominator; exact texts allow at most "
+                   f"{limit} digits\n")
+    assert "Exceeds the limit" not in err
+    for command in ("polytope", "validate"):
+        code, _, err = run_cli([command, path, "--substitute", "a=1e2500"], capsys)
+        assert (code, err) == (0, ""), command
+
+
 def test_probe_note_names_a_zero_pivot(tmp_path, capsys):
     # at a = 1e-400 cone entries underflow to 0.0 and float_solve meets a
     # zero pivot; an entry past the float range gets its own note instead

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from quasifold import (DimensionMismatchError, Matrix, SingularMatrixError,
-                       integer_solve, solve_general)
-from quasifold.linalg import pivot_rows
+from quasifold import (DimensionMismatchError, Matrix, Scalar,
+                       SingularMatrixError, integer_solve, solve_general)
+from quasifold.linalg import pivot_rows, reduce_rows
 
 
 def icosahedral_generators(quartic):
@@ -255,7 +255,7 @@ def test_solve_round_trip_randomized(rational, golden, parameter):
 
 
 def test_solve_round_trip_polynomial_entries(parameter, golden):
-    # the fraction-free path earns its keep when entries are themselves
+    # Gauss-Jordan quotients grow fastest when entries are themselves
     # polynomials in the parameter or the field generator
     rng = random.Random(314159)
 
@@ -340,12 +340,12 @@ def test_solve_general_consistency(rational):
 
 
 # ---------------------------------------------------------------------------
-# payload elimination against the Scalar-level Bareiss it replaced
+# payload Gauss-Jordan reduction against a Scalar-level Bareiss oracle
 # ---------------------------------------------------------------------------
 
 def literal_eliminate(matrix, aug_cols=0, work=None):
     """Bareiss forward elimination on Scalars, one public operation per
-    step: the oracle for Matrix._eliminate, which runs on payloads."""
+    step: the oracle for ``reduce_rows``, which runs on payloads."""
     if work is None:
         work = [list(matrix.row(i)) for i in range(matrix.rows)]
     total_cols = matrix.cols + aug_cols
@@ -472,7 +472,8 @@ def test_payload_elimination_matches_scalar_bareiss(
         rational, golden, quartic, parameter, data):
     matrix, rhs = data.draw(elimination_cases(
         [rational, golden, quartic, parameter]))
-    pivot_cols = matrix._eliminate()[1]
+    rows = [[x.payload for x in matrix.row(i)] for i in range(matrix.rows)]
+    pivot_cols = list(reduce_rows(matrix.domain, rows, range(matrix.cols))[1])
     assert pivot_cols == literal_eliminate(matrix)[1]
     assert matrix.rank() == len(pivot_cols)
     (particular,), kernel = solve_general(matrix, [rhs])
@@ -486,6 +487,41 @@ def test_payload_elimination_matches_scalar_bareiss(
     else:
         assert outcome(matrix.solve, rhs) is DimensionMismatchError
         assert outcome(matrix.inverse) is DimensionMismatchError
+
+
+@st.composite
+def augmented_cases(draw, domains):
+    """A nonsingular square matrix A over one of the domains, its inverse
+    by the Scalar-level oracle, and a block B of 0 to 3 columns."""
+    matrix, _ = draw(elimination_cases(domains))
+    assume(matrix.rows == matrix.cols)
+    inverse = outcome(literal_inverse, matrix)
+    assume(isinstance(inverse, Matrix))
+    domain, small = matrix.domain, st.integers(-3, 3)
+    gen = domain.generator() if domain.generator_symbol else domain.one()
+    width = draw(st.integers(0, 3))
+    block = Matrix(domain, matrix.rows, width, [
+        domain.scalar(Fraction(draw(small), draw(st.integers(1, 3)))) + gen * draw(small)
+        for _ in range(matrix.rows * width)])
+    return matrix, inverse, block
+
+
+@given(data=st.data())
+def test_reducing_beside_a_nonsingular_block_applies_its_inverse(
+        rational, golden, quartic, parameter, data):
+    # [A | B] reduced onto A's columns is [I | A^-1 B]
+    matrix, inverse, block = data.draw(augmented_cases(
+        [rational, golden, quartic, parameter]))
+    n, domain = matrix.rows, matrix.domain
+    rows, pivots = reduce_rows(domain, [
+        [x.payload for x in matrix.row(i) + block.row(i)] for i in range(n)], range(n))
+    assert list(pivots) == list(range(n))
+    reduced = Matrix(domain, n, n + block.cols, [
+        Scalar(domain, x) for c in range(n) for x in rows[pivots[c]]])
+    expected = inverse @ block
+    for i in range(n):
+        assert reduced.row(i)[:n] == Matrix.identity(domain, n).row(i)
+        assert reduced.row(i)[n:] == expected.row(i)
 
 
 # ---------------------------------------------------------------------------

@@ -439,7 +439,7 @@ def test_truncated_dodecahedron_inverts_once_and_ranks_per_cone(monkeypatch):
             return _method(self, *args, **kwargs)
         monkeypatch.setattr(Matrix, name, counted)
     assert len(enumerate_vertices(polytope)) == 60
-    assert calls["inverse"] == 1  # the start vertex's; pivots do the rest
+    assert calls["inverse"] == 0  # the start vertex reduces; pivots do the rest
     calls.clear()
     assert validate(triple, probe_directions=0).passed
     assert calls["rank"] <= 60  # one per cone, none per shared face
@@ -447,8 +447,9 @@ def test_truncated_dodecahedron_inverts_once_and_ranks_per_cone(monkeypatch):
 
 def test_truncated_dodecahedron_walk_pivots_only_where_an_edge_is_left(
         monkeypatch):
-    # 60 vertices: the start inverts once, and each other vertex pivots
-    # from its parent's tableau only if an edge at it is still unwalked
+    # 60 vertices: the start reduces [N^T | I] without an inverse, and each
+    # other vertex pivots from its parent's tableau only if an edge at it
+    # is still unwalked
     polytope, _ = truncated_dodecahedron()
     calls = collections.Counter()
     pivot_rows = quasifold.polytopes.pivot_rows
@@ -464,5 +465,5 @@ def test_truncated_dodecahedron_walk_pivots_only_where_an_edge_is_left(
         return inverse(self)
     monkeypatch.setattr(Matrix, "inverse", counted_inverse)
     assert len(enumerate_vertices(polytope)) == 60
-    assert calls["inverse"] == 1
+    assert calls["inverse"] == 0
     assert calls["pivot_rows"] <= 49

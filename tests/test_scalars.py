@@ -103,6 +103,26 @@ def test_sample_text_rounds_the_exact_value(value, text):
     assert sample_text(Fraction(value)) == text
 
 
+def test_text_past_the_int_limit_is_refused_in_the_tools_words(
+        rational, golden, parameter):
+    # str() refuses ints past sys.get_int_max_str_digits(); a text that
+    # needs one names the value, its digit count and the limit instead
+    import sys
+    limit = sys.get_int_max_str_digits()
+    big = Fraction(10 ** (limit + 9), 7)
+    for value, what, shown, part in [
+            (rational.scalar(big), "value", sample_text(big), "numerator"),
+            (golden.scalar(big) * golden.generator(), "coefficient",
+             sample_text(big), "numerator"),
+            (parameter.generator() / parameter.scalar(big), "coefficient",
+             sample_text(1 / big), "denominator")]:
+        with pytest.raises(ValueError) as info:
+            value.text()
+        assert str(info.value) == (
+            f"the exact {what} {shown} has a {limit + 10}-digit {part}; "
+            f"exact texts allow at most {limit} digits")
+
+
 def test_parse_negative_exponent(parameter):
     assert parse_scalar("a^-1", parameter) == parameter.generator().inverse()
 

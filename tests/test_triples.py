@@ -310,25 +310,25 @@ def test_first_non_member_is_named(rational):
 
 def test_witness_recovery_is_one_elimination(monkeypatch):
     # all ten omitted witnesses of the parameter fan come from one integer
-    # column reduction and one fraction-free elimination
+    # column reduction and one Gauss-Jordan reduction
     from test_cli import param_fan_doc
-    from quasifold import document_to_triple, load_document, triples
+    from quasifold import document_to_triple, linalg, load_document, triples
     triple, _ = document_to_triple(load_document(param_fan_doc()))
-    calls = {"eliminate": 0, "integer_solve": 0}
-    eliminate, integer_solve = Matrix._eliminate, triples.integer_solve
+    calls = {"reduce_rows": 0, "integer_solve": 0}
+    reduce_rows, integer_solve = linalg.reduce_rows, triples.integer_solve
 
-    def counted_eliminate(self, *args):
-        calls["eliminate"] += 1
-        return eliminate(self, *args)
+    def counted_reduce_rows(*args):
+        calls["reduce_rows"] += 1
+        return reduce_rows(*args)
 
     def counted_integer_solve(*args):
         calls["integer_solve"] += 1
         return integer_solve(*args)
-    monkeypatch.setattr(Matrix, "_eliminate", counted_eliminate)
+    monkeypatch.setattr(linalg, "reduce_rows", counted_reduce_rows)
     monkeypatch.setattr(triples, "integer_solve", counted_integer_solve)
     recovered = with_recovered_witnesses(stripped_of_witnesses(triple))
     assert recovered.witnesses == triple.witnesses
-    assert calls == {"eliminate": 1, "integer_solve": 1}
+    assert calls == {"reduce_rows": 1, "integer_solve": 1}
 
 
 @pytest.mark.parametrize("name", ["cp2-11a", "dodecahedron", "hirzebruch",
