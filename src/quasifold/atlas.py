@@ -10,13 +10,14 @@ monomials with exact (possibly irrational) exponents, joined from texts
 built once per chart.  The relation of a ray j outside sigma over the
 cone's rays is column j of C_sigma (``relations``).
 
-``Atlas.compile`` walks the wall graph, whose edges join cones that share
+``Atlas.compile`` takes the tables the vertex walk of a polytope leaves,
+and otherwise walks the wall graph, whose edges join cones that share
 n - 1 rays.  It builds one start chart per component by ``build_chart``,
 which reduces [R | G] onto the cone's rays, and reaches every other chart
 from a neighbour by one exact pivot on the table [C_sigma | L_sigma] of
-the coordinates of the rays and the lattice generators: for
-tau = sigma - i + j the pivot is p = C_sigma[i, j] (the product form of
-the inverse; Chvatal, *Linear Programming*, 1983, ch. 7-8).
+the coordinates of the rays and the lattice generators, as the vertex
+walk does: for tau = sigma - i + j the pivot is p = C_sigma[i, j] (the
+product form of the inverse; Chvatal, *Linear Programming*, 1983, ch. 7-8).
 A_sigma^-1 A_tau is the identity with column i replaced by column j of
 C_sigma, so det A_tau = +-p det A_sigma: every A_tau is invertible, and a
 zero pivot refuses.  ``cocycle_check`` certifies the cocycle identities of
@@ -175,8 +176,8 @@ def cocycle_check(triple: FundamentalTriple,
     table and R the ray matrix; T(s, t) is C_t at the rays of s.  Proof: a
     chart that passes has A_t T(s, t) = A_s, and every A_t is invertible
     (``build_chart`` makes n nonzero pivots on the columns of A_t or
-    refuses, and ``Atlas.compile`` starts each component there and pivots
-    only on a nonzero p, so det A_tau = +-p det A_sigma), so
+    refuses, and ``Atlas.compile`` and the vertex walk start there and
+    pivot only on a nonzero p, so det A_tau = +-p det A_sigma), so
     T(s, t) = A_t^-1 A_s and
     A_a^-1 A_b A_b^-1 A_c = A_a^-1 A_c.  Only the identities with a map
     into a failing chart, those whose a or b fails, are multiplied out, in
@@ -235,10 +236,10 @@ def orbit_report(triple: FundamentalTriple):
 
 
 class Atlas:
-    """All charts of a triple, computed once and cached.  Chart changes and
-    relations are views of a coordinate table: ``transition`` and
-    ``relations`` read them off on demand, and ``terms`` keeps each
-    chart's ``term_texts``."""
+    """All charts of a triple, computed once and cached, from the triple's
+    tables where it has them.  Chart changes and relations are views of a
+    coordinate table: ``transition`` and ``relations`` read them off on
+    demand, and ``terms`` keeps each chart's ``term_texts``."""
 
     def __init__(self, triple: FundamentalTriple):
         self.triple = triple
@@ -247,16 +248,18 @@ class Atlas:
 
     @classmethod
     def compile(cls, triple: FundamentalTriple) -> "Atlas":
-        """Every chart, breadth-first over the wall graph: ``build_chart``
-        (one reduction) at the first cone of each component, then one
-        ``pivot_rows`` per chart on its neighbour's payload rows
-        [C_sigma | L_sigma]."""
+        """Every chart, breadth-first over the wall graph from the tables:
+        ``build_chart`` (one reduction) at the first cone of each component
+        without one, then one ``pivot_rows`` per chart on its neighbour's
+        payload rows [C_sigma | L_sigma]."""
         walls = {}
         for cone in triple.fan.max_cones:
             for i in range(len(cone)):
                 walls.setdefault(cone[:i] + cone[i + 1:], []).append(cone)
         atlas = cls(triple)
-        charts, tables = atlas._charts, {}
+        charts, tables = atlas._charts, dict(triple.tables)
+        for cone in tables:
+            atlas.chart(cone)
         for start in triple.fan.max_cones:
             if start in charts:
                 continue
@@ -280,7 +283,9 @@ class Atlas:
     def chart(self, cone) -> Chart:
         key = tuple(sorted(cone))
         if key not in self._charts:
-            self._charts[key] = build_chart(self.triple, key)
+            rows = self.triple.tables.get(key)
+            self._charts[key] = (build_chart(self.triple, key) if rows is None
+                                 else _chart(self.triple, key, rows))
         return self._charts[key]
 
     def transition(self, source, target) -> Matrix:

@@ -27,7 +27,7 @@ from .documents import (InputError, atlas_section, build_report,
                         specialize_document, transition_section,
                         validation_section, verification_section)
 from .gallery import GALLERY_NAMES, load_gallery
-from .scalars import sample_text
+from .scalars import require_readable, sample_text
 from .triples import validate
 from .verify import TrialConfig, verify_triple
 
@@ -82,6 +82,7 @@ def _parse_assignment(text, expected_symbol, flag):
     if "=" not in text:
         raise InputError(f"{flag} expects SYMBOL=VALUE, got {text!r}")
     symbol, _, value = text.partition("=")
+    require_readable(value, f"{flag}: value")
     if expected_symbol is not None and symbol != expected_symbol:
         raise InputError(
             f"{flag}: symbol {symbol!r} does not match the domain parameter "
@@ -185,6 +186,7 @@ def run(args) -> tuple[int, str]:
     elif doc.domain.kind == "rational_function":
         sample_opt = doc.options.get("parameter_sample")
         if sample_opt is not None:
+            require_readable(str(sample_opt), "options.parameter_sample")
             parameter_sample = Fraction(str(sample_opt))
             source = "options.parameter_sample"
         elif doc.domain.default_sample is not None:

@@ -31,8 +31,8 @@ from .atlas import (Atlas, cocycle_check, fixed_point, orbit_report,
 from .linalg import Matrix
 from .polytopes import Polytope, to_triple
 from .scalars import (IndeterminateSignError, NumberFieldDomain,
-                      RationalDomain, RationalFunctionDomain, require_writable,
-                      sample_text)
+                      RationalDomain, RationalFunctionDomain, require_readable,
+                      require_writable, sample_text)
 from .triples import (Fan, FundamentalTriple, Quasilattice,
                       with_recovered_witnesses)
 from .verify import VerificationSummary
@@ -159,6 +159,8 @@ class InputDocument(namedtuple("InputDocument", "domain lattice fan polytope "
 
 def _parse_domain(data, path="domain"):
     kind = data.get("kind")
+    for key, value in data.items():
+        require_readable(str(value), f"{path}.{key}")
     if kind == "rational":
         return RationalDomain()
     if kind == "number_field":
@@ -184,6 +186,7 @@ def _parse_scalar_at(domain, text, path):
     try:
         return domain.scalar(str(text))
     except Exception as exc:
+        require_readable(str(text), path)
         raise InputError(f"{path}: {exc}") from exc
 
 

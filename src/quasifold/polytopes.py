@@ -1,14 +1,14 @@
 """Simple convex polytopes in facet form and their normal fans.
 
 A polytope is a list of inequalities <X_j, x> >= lambda_j with inward
-normals X_j.  Vertices are enumerated exactly: facet n-subsets are solved
-until one gives a first vertex, and the rest are found by walking the edges,
-swapping one facet at a time by a simplex pivot (``linalg.pivot_rows`` on
-a transposed tableau of payloads, one row per edge direction), so only the
-first vertex reduces a matrix, and a vertex pivots only when an edge at it
-is left to walk.  The normal fan then has one maximal cone per vertex,
-spanned by the normals of the facets through it; inequalities with an
-unbounded edge are refused.
+normals X_j.  Vertices are enumerated exactly on one tableau per vertex,
+whose edge rows are the chart rows [C_S | L_S] of its cone: phase one of
+the simplex method pivots from the first n independent facet normals to a
+first vertex, and the walk along the edges pivots once per further vertex
+(``linalg.pivot_rows``); ``to_triple`` hands the tables to the atlas.  The
+normal fan then has one maximal cone per vertex, spanned by the normals
+of the facets through it; inequalities with an unbounded edge are
+refused.
 
 Over a parameter field every inequality sign is proven for all admissible
 parameter values (see ``RationalFunctionDomain``); a sign that changes
@@ -21,7 +21,7 @@ import itertools
 from collections import Counter, namedtuple
 from collections.abc import Sequence
 
-from .linalg import Matrix, SingularMatrixError, dot, pivot_rows, reduce_rows
+from .linalg import pivot_rows, reduce_rows
 from .scalars import IndeterminateSignError, Scalar, ScalarDomain
 from .triples import (Fan, FundamentalTriple, Quasilattice,
                       with_recovered_witnesses)
@@ -86,76 +86,58 @@ def _inequality_sign(domain: ScalarDomain, a):
             f"the vertex combinatorics depend on the parameter: {exc}") from exc
 
 
-def _simplicity_error(domain, point, incident, n):
-    coords = ", ".join(Scalar(domain, x).text() for x in point)
-    return SimplicityError(
-        f"vertex ({coords}) lies on facets {incident}; "
-        f"a simple polytope allows exactly {n}")
+class Vertices(tuple):
+    """Vertices sorted by incidence; ``tables`` maps each incidence S to
+    its chart rows [C_S | L_S], the payloads of A_S^-1 [N | G]."""
 
 
-def _start_vertex(polytope: Polytope):
-    """The solution of the first feasible facet n-subset, with its slacks,
-    as payloads."""
-    n, domain = polytope.dim, polytope.domain
-    for subset in itertools.combinations(range(polytope.facet_count), n):
-        matrix = Matrix.from_rows(
-            domain, [polytope.facets[i].normal for i in subset])
-        rhs = [polytope.facets[i].offset for i in subset]
-        try:
-            point = matrix.solve(rhs)
-        except SingularMatrixError:
-            continue
-        slacks = []
-        for facet in polytope.facets:
-            slack = (dot(facet.normal, point) - facet.offset).payload
-            if not domain._is_zero(slack) and _inequality_sign(domain, slack) < 0:
-                break
-            slacks.append(slack)
-        else:
-            return [x.payload for x in point], slacks
-    raise ValueError("the inequality system has no vertices")
-
-
-def enumerate_vertices(polytope: Polytope) -> tuple[Vertex, ...]:
+def enumerate_vertices(polytope: Polytope, lattice=None) -> tuple[Vertex, ...]:
     """All vertices with their exact coordinates and facet incidence,
-    sorted by incidence (the walk's sorted active sets, each index + 1).
+    sorted by incidence (the walk's sorted active sets, each index + 1),
+    and their chart rows over the lattice generators, if given.
 
-    The vertices are found by walking the edges of the polyhedron (Avis &
-    Fukuda, "A pivoting algorithm for convex hulls and vertex enumeration
-    of arrangements and polyhedra", 1992), starting from the first feasible
-    n-subset of facet equalities.  The walk finds every vertex because:
+    A vertex S holds one transposed tableau of payloads: n edge rows, in
+    the sorted order of S, then its vertex row.  Edge row k holds the rates
+    T[k][j] = <X_j, d_k> of edge direction d_k over the m facets (row k of
+    C_S), its lattice columns <g_l, d_k> (row k of L_S) and d_k; the vertex
+    row holds the slacks <X_j, x> - lambda_j, the <g_l, x> and the point x.
+    In homogeneous coordinates (x, x0), with facet j the column
+    (X_j, -lambda_j) and one more facet x0 >= 0, the tableau is
+    B^-1 [N | G | I] for the basis B of S and x0, with edge rows (d_k, 0)
+    and vertex row (x, 1).  So ``reduce_rows`` makes the first tableau,
+    pivoting x0 (on the vertex row) and then the first n independent facet
+    normals, and each later step is one ``pivot_rows`` exchange: leaving
+    S[k] for facet b, p = T[k][b], gives d_b = d_k / p and
+    d_i - (T[i][b] / p) d_k, and moves x along d_k until facet b is tight.
+
+    Phase one is the dual simplex method at zero cost (Chvatal, *Linear
+    Programming*, 1983, ch. 10): while some slack is negative, the least
+    such facet b enters for the least S[k] with T[k][b] > 0, which makes
+    slack_b 0 and slack_S[k] -slack_b / T[k][b] > 0.  Without such a k,
+    slack_b + sum_k T[k][b] s_k < 0 for all s >= 0: there is no vertex.
+    At zero cost every dual ratio ties, so these are Bland's least-index
+    choices (Bland, "New finite pivoting rules for the simplex method",
+    1977), under which the method cannot cycle, so it ends.
+
+    The walk then follows the edges (Avis & Fukuda, "A pivoting algorithm
+    for convex hulls and vertex enumeration of arrangements and
+    polyhedra", 1992) and finds every vertex because:
 
     * the vertices and bounded edges of a pointed polyhedron form a
       connected graph, and a polyhedron with a vertex is pointed;
-    * at a simple vertex with active facets S, the columns d_k of A_S^-1
-      are exactly its edge directions: moving along d_k raises the slack
-      of facet S[k] and keeps the other n - 1 facets of S tight;
-    * along d_k the slack of facet j changes at rate T[k][j] = <X_j, d_k>,
-      so the edge ends where the first facet with T[k][j] < 0 becomes
-      tight (the minimum ratio slack_j / -T[k][j]), and is unbounded when
+    * at a simple vertex the d_k are the edge directions: along d_k the
+      slack of facet S[k] rises and the other facets of S stay tight;
+    * along d_k the edge ends where the first facet with T[k][j] < 0
+      becomes tight (the least ratio slack_j / -T[k][j], compared by the
+      sign of slack_b T[k][j] - slack_j T[k][b]), and is unbounded when
       there is none.  The neighbour lies on more than n facets exactly
-      when that minimum ties, and every vertex is reached from a simple
-      one through an edge, so a non-simple vertex anywhere is found.
+      when that least ratio ties, that is when its vertex row has more
+      than n zero slacks; every vertex is reached from a simple one
+      through an edge, so a non-simple vertex anywhere is found.
 
-    Ratios are compared by the sign of slack_b T[k][j] - slack_j T[k][b],
-    so the only division is the step length of each edge taken.  An edge
-    is walked from one end only: reaching a vertex by leaving facet S[k]
-    for facet b records that leaving b there leads back.
-
-    Each vertex holds a transposed tableau of payloads: row k is the edge
-    direction d_k, the rates T[k] of all m facets and then the n
-    coordinates of d_k, one row per facet of S in sorted order: the rows
-    A_S^-T [N^T | I] that ``reduce_rows`` makes from [N^T | I] at the start
-    vertex.  Leaving S[k] for b with pivot p = T[k][b]
-    gives d'_b = d_k / p (rate 1 for X_b, the rest of S tight) and
-    d'_i = d_i - (T[i][b] / p) d_k (rate 0 for X_b, 1 for S[i]): exactly
-    ``pivot_rows(domain, rows, k, b)``, the pivot ``Atlas.compile`` takes,
-    then the rows in the neighbour's sorted order.  A neighbour's pivot
-    waits until the neighbour is popped, and is skipped when every edge at
-    it has been walked from its other end.  The arithmetic is exact and
-    canonical, so every point, slack and direction equals the one an
-    inverse of A_S at that vertex gives; Scalars are built once per vertex,
-    for the output.
+    An edge is walked from one end only, and a vertex is pivoted to once.
+    The arithmetic is exact and canonical, so every entry equals the one
+    an inverse of A_S gives.
 
     Raises SimplicityError when some vertex lies on more than n facets,
     and GenericityError when a sign the walk needs depends on the parameter.
@@ -166,70 +148,80 @@ def enumerate_vertices(polytope: Polytope) -> tuple[Vertex, ...]:
         raise ValueError("a bounded polytope needs at least n + 1 facets")
     domain, facets = polytope.domain, polytope.facets
     mul, add, neg, is_zero = domain._mul, domain._add, domain._neg, domain._is_zero
-    point, slacks = _start_vertex(polytope)
-    active = tuple(j for j, slack in enumerate(slacks) if is_zero(slack))
-    if len(active) != n:
-        raise _simplicity_error(domain, point, tuple(j + 1 for j in active), n)
     one, zero = domain.one().payload, domain.zero().payload
+    generators = [[x.payload for x in lattice.generators.row(i)] if lattice else []
+                  for i in range(n)]
+    width = m + len(generators[0])  # the columns of [C_S | L_S]; x follows
+
+    def negative(a):
+        return not is_zero(a) and _inequality_sign(domain, a) < 0
+
+    def exchange(rows, active, k, b):
+        """The sorted active set and the tableau after S[k] leaves for b."""
+        pivoted = pivot_rows(domain, rows, k, b)
+        neighbour = tuple(sorted(active[:k] + active[k + 1:] + (b,)))
+        order = [k if j == b else active.index(j) for j in neighbour]
+        return neighbour, [pivoted[i] for i in order] + [pivoted[n]]
+
     rows, pivots = reduce_rows(domain, [
-        [f.normal[i].payload for f in facets] + [one if l == i else zero for l in range(n)]
-        for i in range(n)], active)
-    tableau = [rows[pivots[j]] for j in active]
-    found = {active: (point, slacks)}
-    # (vertex, its tableau or its parent's, the pivot that leads from that)
-    pending = [(active, tableau, None)]
+        [f.normal[i].payload for f in facets] + generators[i]
+        + [one if l == i else zero for l in range(n + 1)] for i in range(n)] + [
+        [neg(f.offset.payload) for f in facets] + [zero] * (width - m + n) + [one]],
+        [width + n, *range(m)])
+    if len(pivots) <= n:
+        raise ValueError("the inequality system has no vertices")
+    active = tuple(sorted(pivots))[:n]  # the facets, then x0's column
+    rows = [rows[pivots[j]] for j in active] + [rows[n]]
+    while (b := next((j for j in range(m) if negative(rows[n][j])), None)) is not None:
+        k = next((k for k in range(n) if not is_zero(rows[k][b])
+                  and _inequality_sign(domain, rows[k][b]) > 0), None)
+        if k is None:
+            raise ValueError("the inequality system has no vertices")
+        active, rows = exchange(rows, active, k, b)
+
+    found, pending = {}, []
+
+    def visit(active, rows):
+        incident = tuple(j + 1 for j in range(m) if is_zero(rows[n][j]))
+        if len(incident) > n:
+            point = ", ".join(Scalar(domain, x).text() for x in rows[n][width:-1])
+            raise SimplicityError(f"vertex ({point}) lies on facets {incident}; "
+                                  f"a simple polytope allows exactly {n}")
+        found[active] = rows
+        pending.append(active)
+
+    visit(active, rows)
     walked = set()  # (vertex, facet it leaves) for edges already taken
     while pending:
-        active, tableau, step = pending.pop()
-        edges = [k for k in range(n) if (active, active[k]) not in walked]
-        if not edges:
-            continue
-        if step is not None:
-            k, b, order = step
-            pivoted = pivot_rows(domain, tableau, k, b)
-            tableau = [pivoted[i] for i in order]
-        point, slacks = found[active]
-        for k in edges:
-            direction = tableau[k]
+        active = pending.pop()
+        rows = found[active]
+        slacks = rows[n]
+        for k in range(n):
+            if (active, active[k]) in walked:
+                continue
+            direction = rows[k]
             best = None
-            tied = False
             for j in range(m):
                 rate = direction[j]
                 if (j in active or is_zero(rate)
                         or _inequality_sign(domain, rate) > 0):
                     continue
-                if best is None:
+                if best is None or negative(add(
+                        mul(slacks[best], rate), neg(mul(slacks[j], direction[best])))):
                     best = j
-                    continue
-                cross = add(mul(slacks[best], rate),
-                            neg(mul(slacks[j], direction[best])))
-                if is_zero(cross):
-                    tied = True
-                elif _inequality_sign(domain, cross) < 0:
-                    best, tied = j, False
             if best is None:
                 continue  # an unbounded edge
             neighbour = tuple(sorted(active[:k] + active[k + 1:] + (best,)))
             walked.add((neighbour, best))
-            if neighbour in found and not tied:
-                continue
-            length = mul(slacks[best], domain._memo(
-                domain._inverses, domain._inv, neg(direction[best])))
-            new_point = [x if is_zero(r) else add(x, mul(length, r))
-                         for x, r in zip(point, direction[m:])]
-            new_slacks = [s if is_zero(r) else add(s, mul(length, r))
-                          for s, r in zip(slacks, direction)]
-            if tied:
-                incident = tuple(j + 1 for j, s in enumerate(new_slacks)
-                                 if is_zero(s))
-                raise _simplicity_error(domain, new_point, incident, n)
-            found[neighbour] = (new_point, new_slacks)
-            order = [k if j == best else active.index(j) for j in neighbour]
-            pending.append((neighbour, tableau, (k, best, order)))
-    return tuple(Vertex(coordinates=tuple(Scalar(domain, x)
-                                          for x in found[active][0]),
-                        incident=tuple(j + 1 for j in active))
-                 for active in sorted(found))
+            if neighbour not in found:
+                visit(*exchange(rows, active, k, best))
+    vertices = Vertices(
+        Vertex(coordinates=tuple(Scalar(domain, x) for x in rows[n][width:-1]),
+               incident=tuple(j + 1 for j in active))
+        for active, rows in sorted(found.items()))
+    vertices.tables = {tuple(j + 1 for j in active): [row[:width] for row in rows[:n]]
+                       for active, rows in found.items()}
+    return vertices
 
 
 class NormalFanResult(namedtuple("NormalFanResult", "fan vertices")):
@@ -242,15 +234,16 @@ class NormalFanResult(namedtuple("NormalFanResult", "fan vertices")):
         return tuple(zip(self.fan.max_cones, self.vertices))
 
 
-def normal_fan(polytope: Polytope) -> NormalFanResult:
-    """The fan with one maximal cone per vertex, spanned by its facet normals.
+def normal_fan(polytope: Polytope, lattice=None) -> NormalFanResult:
+    """The fan with one maximal cone per vertex, spanned by its facet
+    normals; the vertices keep their chart rows over the lattice, if given.
 
     Raises ValueError unless each (n - 1)-subset of a vertex's facets lies
     on exactly two vertices (an unbounded edge has only one), and unless
     every inequality touches a vertex: a redundant one would be a ray in
     no cone.
     """
-    vertices = enumerate_vertices(polytope)   # in cone order already
+    vertices = enumerate_vertices(polytope, lattice)   # in cone order already
     ends = Counter(edge for v in vertices
                    for edge in itertools.combinations(v.incident, polytope.dim - 1))
     open_edges = sorted(edge for edge, count in ends.items() if count != 2)
@@ -274,9 +267,11 @@ def to_triple(polytope: Polytope, lattice: Quasilattice,
               witnesses: Sequence[Sequence[int] | None] | None = None):
     """Assemble the fundamental triple of the polytope's normal fan.
 
-    Missing witnesses are recovered by an exact integer solve.  Returns
+    Missing witnesses are recovered by an exact integer solve, and the
+    vertex walk's chart rows are the triple's tables.  Returns
     (triple, normal_fan_result); the vertex/cone table is kept for reporting.
     """
-    result = normal_fan(polytope)
-    triple = FundamentalTriple(result.fan, lattice, witnesses)
+    result = normal_fan(polytope, lattice)
+    triple = FundamentalTriple(result.fan, lattice, witnesses,
+                               result.vertices.tables)
     return with_recovered_witnesses(triple), result

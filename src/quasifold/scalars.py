@@ -35,6 +35,7 @@ where ``symbol`` is the generator/parameter name declared by the domain.
 from __future__ import annotations
 
 import math
+import re
 import sys
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -305,6 +306,16 @@ def require_writable(value, what):
             raise ValueError(f"{what} {sample_text(value)} has a "
                              f"{Decimal(n).adjusted() + 1}-digit {part}; "
                              f"exact texts allow at most {limit} digits")
+
+
+def require_readable(text, what):
+    """Refuse a text with a number of more digits than Python converts from
+    text (``sys.get_int_max_str_digits()``), in the tool's own words."""
+    limit = sys.get_int_max_str_digits()
+    run = max(map(len, re.findall("[0-9]+", text)), default=0)
+    if limit and run > limit:
+        raise ValueError(f"{what} has a {run}-digit number; exact texts "
+                         f"allow at most {limit} digits")
 
 
 def _poly_text(coeffs, symbol):

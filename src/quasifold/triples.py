@@ -96,10 +96,12 @@ class Fan:
 
 
 class FundamentalTriple:
-    """(fan, quasilattice, ray witnesses) over one scalar domain."""
+    """(fan, quasilattice, ray witnesses) over one scalar domain, and the
+    chart rows [C | L] (payloads) the vertex walk of a polytope leaves."""
 
     def __init__(self, fan: Fan, lattice: Quasilattice,
-                 witnesses: Sequence[Sequence[int] | None] | None = None):
+                 witnesses: Sequence[Sequence[int] | None] | None = None,
+                 tables=None):
         if lattice.dim != fan.dim:
             raise ValueError("fan and quasilattice dimensions differ")
         self.fan = fan
@@ -111,6 +113,7 @@ class FundamentalTriple:
             raise ValueError("one witness slot per ray is required")
         self.witnesses = tuple(
             None if w is None else tuple(int(c) for c in w) for w in witnesses)
+        self.tables = tables or {}
 
     @property
     def dim(self):
@@ -245,16 +248,17 @@ def validate(triple: FundamentalTriple, probe_directions: int = 64,
              seed: int = 0, parameter_sample=None) -> ValidationReport:
     """Run the structural checks and the advisory numeric support probe.
 
-    The face condition takes no rank of its own: the rays two simplicial
-    cones share are a subset of an independent set, hence independent, so
-    it holds for all C(N, 2) cone pairs once simpliciality passes.  Nothing
-    here proves that two cones meet in a common face; only the probe sees
-    overlaps.
+    A cone with a table is simplicial (the walk reached it by nonzero
+    pivots), so only the others are ranked.  The face condition takes no
+    rank of its own: the rays two simplicial cones share are independent,
+    so it holds for all C(N, 2) cone pairs once simpliciality passes.
+    Nothing here proves that two cones meet in a common face; only the
+    probe sees overlaps.
     """
     cones = triple.fan.max_cones
     matrices = [triple.cone_matrix(cone) for cone in cones]
     simplicial_failures = [cone for cone, a in zip(cones, matrices)
-                           if a.rank() != triple.dim]
+                           if cone not in triple.tables and a.rank() != triple.dim]
 
     witness_failures = []
     for j in range(1, triple.ray_count + 1):
@@ -390,4 +394,4 @@ def with_recovered_witnesses(triple: FundamentalTriple) -> FundamentalTriple:
         return triple
     recovered = iter(ray_memberships(triple, omitted))
     witnesses = [next(recovered) if w is None else w for w in triple.witnesses]
-    return FundamentalTriple(triple.fan, triple.lattice, witnesses)
+    return FundamentalTriple(triple.fan, triple.lattice, witnesses, triple.tables)

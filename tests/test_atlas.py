@@ -297,32 +297,49 @@ def two_component_triple():
 
 
 def test_compile_inverts_once_per_component(gallery, monkeypatch):
-    # each component starts with one build_chart, a reduction without an
-    # inverse
+    # each component of a fan starts with one build_chart, a reduction
+    # without an inverse; a polytope's charts are its vertex walk's tables
     inverses = counting(monkeypatch, Matrix, "inverse")
     starts = counting(monkeypatch, quasifold.atlas, "build_chart")
     atlas = Atlas.compile(gallery["dodecahedron"][1])
-    assert (len(inverses), len(starts)) == (0, 1)
+    assert (len(inverses), len(starts)) == (0, 0)
     # the atlas keeps its charts and stores nothing per pair
     assert len(atlas._charts) == 20
     assert not atlas._terms
     assert set(vars(atlas)) == {"triple", "_charts", "_terms"}
     atlas = Atlas.compile(two_component_triple())
-    assert (len(inverses), len(starts)) == (0, 3)
+    assert (len(inverses), len(starts)) == (0, 2)
     assert set(atlas._charts) == {(1, 2), (3, 4)}
 
 
+def kite_power_triple(count):
+    """The product of count kites (n = 2 count, 4^count charts)."""
+    from test_polytopes import product
+    kite = load_gallery("kite")
+    return to_triple(*product(*[kite] * count))[0]
+
+
 def test_walk_matches_build_chart(gallery, gallery_atlases):
+    # a polytope's charts are the tables of its vertex walk, a fan's come
+    # from the atlas's own walk over the wall graph
     cases = {name: (triple, gallery_atlases[name])
              for name, (_, triple, _) in gallery.items()}
     for name, build in (("truncated-dodecahedron", truncated_dodecahedron_triple),
+                        ("kite^2", lambda: kite_power_triple(2)),
+                        ("kite^3", lambda: kite_power_triple(3)),
                         ("param-fan", param_fan_triple),
                         ("two components", two_component_triple)):
         triple = build()
         cases[name] = (triple, Atlas.compile(triple))
     assert len(cases["truncated-dodecahedron"][0].fan.max_cones) == 60
+    assert [len(cases[name][0].fan.max_cones) for name in ("kite^2", "kite^3")] \
+        == [16, 64]
     for name, (triple, atlas) in cases.items():
         assert set(atlas._charts) == set(triple.fan.max_cones), name
+        polytope = name in gallery or name in ("truncated-dodecahedron",
+                                               "kite^2", "kite^3")
+        assert set(triple.tables) == (set(triple.fan.max_cones) if polytope
+                                      else set()), name
         for cone in triple.fan.max_cones:
             walked, built = atlas.chart(cone), build_chart(triple, cone)
             assert walked == built, (name, cone)

@@ -856,6 +856,77 @@ def test_derived_value_past_the_text_limit_is_refused(tmp_path, capsys):
         assert (code, err) == (0, ""), command
 
 
+def test_long_scalar_literal_is_refused_by_field(tmp_path, capsys):
+    # D13: a literal of more digits than int() reads from text is refused
+    # by name, with its digit count, not with Python's advice
+    limit = sys.get_int_max_str_digits()
+    data = gallery_json("cp2-11a")
+    data["polytope"]["facets"][0]["offset"] = "1" + "0" * 5000
+    code, out, err = run_cli(["polytope", write_doc(tmp_path, data)], capsys)
+    assert (code, out) == (2, "")
+    assert err == ("quasifold: error: polytope.facets[0].offset has a "
+                   f"5001-digit number; exact texts allow at most {limit} digits\n")
+
+
+def test_long_embedding_approx_is_refused_by_field(tmp_path, capsys):
+    # D13: the same for a domain field, which used to name no field
+    limit = sys.get_int_max_str_digits()
+    data = gallery_json("kite")
+    data["domain"]["embedding_approx"] = "1." + "9" * 5000
+    code, out, err = run_cli(["validate", write_doc(tmp_path, data)], capsys)
+    assert (code, out) == (2, "")
+    assert err == ("quasifold: error: domain.embedding_approx has a "
+                   f"5000-digit number; exact texts allow at most {limit} digits\n")
+
+
+@pytest.mark.parametrize("flag", ["--param", "--substitute"])
+def test_long_parameter_value_is_refused_by_flag(flag, capsys):
+    # D13: a 5001-digit value used to be echoed whole as "not a decimal or
+    # fraction"
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run_cli(["gallery", "cp2-11a", flag, "a=1" + "0" * 5000],
+                             capsys)
+    assert (code, out) == (2, "")
+    assert err == (f"quasifold: error: {flag}: value has a 5001-digit number; "
+                   f"exact texts allow at most {limit} digits\n")
+
+
+PENTAGRAM = {
+    "domain": {"kind": "rational"},
+    "quasilattice": {"generators": [["1", "0"], ["0", "1"]]},
+    "fan": {"rays": [["1", "0"], ["1", "3"], ["-4", "3"], ["-4", "-3"],
+                     ["1", "-3"]],
+            "max_cones": [[1, 3], [2, 4], [3, 5], [1, 4], [2, 5]]},
+}
+
+
+@pytest.mark.xfail(strict=True, reason="D6: the face condition is implied by "
+                   "simpliciality, not checked (ROADMAP item 2(b))")
+@pytest.mark.parametrize("command", ["validate", "verify"])
+def test_pentagram_fan_fails_the_face_condition(command, tmp_path, capsys):
+    # five cones that wind twice around the origin: every direction lies
+    # in two of them, which the probe sees as 64 overlaps
+    code, out, _ = run_cli([command, write_doc(tmp_path, PENTAGRAM)], capsys)
+    assert "face condition: FAIL" in out
+    assert code == 1
+
+
+@pytest.mark.xfail(strict=True, reason="D3: a reducible min_poly is accepted, "
+                   "and equality compares encodings (ROADMAP item 4)")
+def test_zero_offset_over_a_reducible_min_poly_gives_true_vertices(
+        tmp_path, capsys):
+    # the triangle x, y >= 0, x + y <= b over (x^2 - 2)(x^2 - 3) at sqrt 2,
+    # with the offset 0 of y >= 0 written b^2 - 2
+    path = write_doc(tmp_path, polytope_doc(
+        {"kind": "number_field", "min_poly": ["6", "0", "-5", "0", "1"],
+         "generator_symbol": "b", "embedding_approx": "1.41421356"},
+        [(["1", "0"], "0"), (["0", "1"], "b^2 - 2"), (["-1", "-1"], "-b")]))
+    code, out, _ = run_cli(["polytope", path], capsys)
+    assert code == 0
+    assert "cone {1,2}: vertex (0, 0)" in out
+    assert "cone {2,3}: vertex (b, 0)" in out
+
+
 def test_probe_note_names_a_zero_pivot(tmp_path, capsys):
     # at a = 1e-400 cone entries underflow to 0.0 and float_solve meets a
     # zero pivot; an entry past the float range gets its own note instead

@@ -4,9 +4,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import quasifold.atlas
 import quasifold.polytopes
-from quasifold import (Facet, GenericityError, Matrix, Polytope,
+from quasifold import (Atlas, Facet, GenericityError, Matrix, Polytope,
                        Quasilattice, RationalDomain, SimplicityError,
                        SingularMatrixError, TrialConfig, Vertex, dot,
                        enumerate_vertices, load_document, load_gallery,
@@ -442,28 +445,127 @@ def test_truncated_dodecahedron_inverts_once_and_ranks_per_cone(monkeypatch):
     assert calls["inverse"] == 0  # the start vertex reduces; pivots do the rest
     calls.clear()
     assert validate(triple, probe_directions=0).passed
-    assert calls["rank"] <= 60  # one per cone, none per shared face
+    assert calls["rank"] == 0  # the walk reached every cone by nonzero pivots
+
+
+def counted_pivots(monkeypatch):
+    """Counts of the pivots the vertex walk and the atlas take, and of the
+    ranks and chart reductions."""
+    calls = collections.Counter()
+    for module in (quasifold.polytopes, quasifold.atlas):
+        pivot_rows = module.pivot_rows
+
+        def counted_pivot(*args, _pivot_rows=pivot_rows):
+            calls["pivot_rows"] += 1
+            return _pivot_rows(*args)
+        monkeypatch.setattr(module, "pivot_rows", counted_pivot)
+    build_chart = quasifold.atlas.build_chart
+
+    def counted_build(*args):
+        calls["build_chart"] += 1
+        return build_chart(*args)
+    monkeypatch.setattr(quasifold.atlas, "build_chart", counted_build)
+    for name in ("inverse", "rank"):
+        method = getattr(Matrix, name)
+
+        def counted(self, *args, _method=method, _name=name):
+            calls[_name] += 1
+            return _method(self, *args)
+        monkeypatch.setattr(Matrix, name, counted)
+    return calls
 
 
 def test_truncated_dodecahedron_walk_pivots_only_where_an_edge_is_left(
         monkeypatch):
-    # 60 vertices: the start reduces [N^T | I] without an inverse, and each
-    # other vertex pivots from its parent's tableau only if an edge at it
-    # is still unwalked
-    polytope, _ = truncated_dodecahedron()
-    calls = collections.Counter()
-    pivot_rows = quasifold.polytopes.pivot_rows
+    # 60 vertices: the start reduces [N | G | I] without an inverse, phase
+    # one makes 1 pivot to a vertex, and the walk pivots once to each other
+    # vertex; validate ranks no cone and Atlas.compile takes the walk's
+    # tables, with no pivot or reduction of its own
+    polytope, witnesses = truncated_dodecahedron()
+    lattice = load_gallery("dodecahedron").lattice
+    calls = counted_pivots(monkeypatch)
+    triple, _ = to_triple(polytope, lattice, witnesses)
+    assert validate(triple, probe_directions=0).passed
+    assert len(Atlas.compile(triple)._charts) == 60
+    assert calls["pivot_rows"] <= 59 + 1
+    assert calls["inverse"] == calls["rank"] == calls["build_chart"] == 0
 
-    def counted_pivot(*args):
-        calls["pivot_rows"] += 1
-        return pivot_rows(*args)
-    monkeypatch.setattr(quasifold.polytopes, "pivot_rows", counted_pivot)
-    inverse = Matrix.inverse
 
-    def counted_inverse(self):
-        calls["inverse"] += 1
-        return inverse(self)
-    monkeypatch.setattr(Matrix, "inverse", counted_inverse)
-    assert len(enumerate_vertices(polytope)) == 60
-    assert calls["inverse"] == 0
-    assert calls["pivot_rows"] <= 49
+def product(*docs):
+    """The product of polytope documents over one domain: facets
+    (normal + 0, offset) and (0 + normal, offset), block-diagonal lattice
+    generators and witnesses.  Returns (polytope, lattice, witnesses)."""
+    domain = docs[0].domain
+    zero = domain.zero()
+    n = sum(doc.polytope.dim for doc in docs)
+    k = sum(doc.lattice.count for doc in docs)
+    facets, witnesses, rows = [], [], [[zero] * k for _ in range(n)]
+    at = column = 0
+    for doc in docs:
+        dim, count = doc.polytope.dim, doc.lattice.count
+        facets += [Facet((zero,) * at + f.normal + (zero,) * (n - at - dim),
+                         f.offset) for f in doc.polytope.facets]
+        witnesses += [(0,) * column + tuple(w) + (0,) * (k - column - count)
+                      for w in doc.witnesses]
+        for i in range(dim):
+            rows[at + i][column:column + count] = doc.lattice.generators.row(i)
+        at, column = at + dim, column + count
+    return (Polytope(domain, facets),
+            Quasilattice(domain, Matrix.from_rows(domain, rows)), witnesses)
+
+
+def test_product_vertices_are_the_products_of_the_factors():
+    kite = load_gallery("kite")
+    vertices = enumerate_vertices(kite.polytope)
+    polytope, _, _ = product(kite, kite)
+    assert [(v.incident, v.coordinates) for v in enumerate_vertices(polytope)] \
+        == [(u.incident + tuple(j + 4 for j in v.incident),
+             u.coordinates + v.coordinates) for u in vertices for v in vertices]
+
+
+def test_phase_one_pivots_little_on_kite4(monkeypatch):
+    # the subset search solved 4,082 facet 4-subsets here; phase one makes
+    # 4 pivots from the first independent facets to a vertex
+    kite = load_gallery("kite")
+    polytope, _, _ = product(kite, kite, kite, kite)
+    calls = counted_pivots(monkeypatch)
+    vertices = enumerate_vertices(polytope)
+    assert len(vertices) == 256
+    assert calls["pivot_rows"] - (len(vertices) - 1) <= 4
+
+
+def _cube_with_a_corner_cut():
+    # the unit cube plus x + y + z <= 3, which touches it only at (1, 1, 1)
+    return Polytope.from_strings(RationalDomain(), [
+        (["1", "0", "0"], "0"), (["0", "1", "0"], "0"), (["0", "0", "1"], "0"),
+        (["-1", "0", "0"], "-1"), (["0", "-1", "0"], "-1"),
+        (["0", "0", "-1"], "-1"), (["-1", "-1", "-1"], "-3")])
+
+
+FACET_ORDER_CASES = {
+    **{name: (lambda name=name: load_gallery(name).polytope)
+       for name in ("quasisphere", "cp2-11a", "hirzebruch", "kite",
+                    "dodecahedron")},
+    "truncated-dodecahedron": lambda: truncated_dodecahedron()[0],
+    "kite^2": lambda: product(load_gallery("kite"), load_gallery("kite"))[0],
+    "cube with a corner cut": _cube_with_a_corner_cut,
+}
+
+
+@settings(max_examples=24)
+@given(st.data())
+def test_facet_order_permutes_the_vertex_table(data):
+    # phase one starts wherever the facet order leads; the vertex table is
+    # the same up to the relabelling, and a refusal keeps its type
+    polytope = FACET_ORDER_CASES[data.draw(st.sampled_from(
+        sorted(FACET_ORDER_CASES)))]()
+    order = data.draw(st.permutations(range(polytope.facet_count)))
+    shuffled = Polytope(polytope.domain, [polytope.facets[j] for j in order])
+    expected = _outcome(enumerate_vertices, polytope)
+    walked = _outcome(enumerate_vertices, shuffled)
+    if isinstance(expected, type):
+        assert walked is expected
+        return
+    assert sorted((tuple(sorted(order[j - 1] + 1 for j in v.incident)),
+                   v.coordinates) for v in walked) == \
+        [(v.incident, v.coordinates) for v in expected]
