@@ -145,8 +145,8 @@ class Matrix:
             raise DomainMismatchError(
                 f"cannot mix {domain.describe()} with {other.domain.describe()}")
         # work on payloads: one Scalar per output entry, no per-op dispatch
-        mul, add, is_zero = domain._mul, domain._add, domain._is_zero
-        left = [None if is_zero(x.payload) else x.payload for x in self.entries]
+        mul, add = domain._mul, domain._add
+        left = [x.payload for x in self.entries]
         right = [x.payload for x in other.entries]
         zero = domain.zero().payload
         n, m = self.cols, other.cols
@@ -156,7 +156,7 @@ class Matrix:
             for j in range(m):
                 acc = zero
                 for k, x in enumerate(row):
-                    if x is not None:
+                    if x:
                         acc = add(acc, mul(x, right[k * m + j]))
                 out.append(Scalar(domain, acc))
         return Matrix(domain, self.rows, m, out, self.row_labels, other.col_labels)
@@ -209,15 +209,15 @@ def pivot_rows(domain: ScalarDomain, rows, i, j):
     for the vector of column j: row i becomes row i / p, p = rows[i][j],
     and every other row r becomes r - rows[r][j] (row i / p).  Raises
     SingularMatrixError when p is zero."""
-    mul, add, is_zero = domain._mul, domain._add, domain._is_zero
-    if is_zero(rows[i][j]):
+    mul, add = domain._mul, domain._add
+    if not rows[i][j]:
         raise SingularMatrixError("pivot on a zero entry")
     inverse = domain._memo(domain._inverses, domain._inv, rows[i][j])
     top = [mul(x, inverse) for x in rows[i]]
-    live = [c for c, x in enumerate(top) if not is_zero(x)]
+    live = [c for c, x in enumerate(top) if x]
     out = []
     for r, row in enumerate(rows):
-        if r != i and not is_zero(row[j]):
+        if r != i and row[j]:
             factor, row = domain._neg(row[j]), list(row)
             for c in live:
                 row[c] = add(row[c], mul(factor, top[c]))
@@ -231,12 +231,11 @@ def reduce_rows(domain: ScalarDomain, rows, columns):
     pivoted where it is nonzero, and is skipped where there is none.
     Returns the reduced rows and a dict, in pivot order, from each pivoted
     column to its pivot row; that column is then the unit vector there."""
-    is_zero = domain._is_zero
     pivots = {}
     for c in columns:
         taken = pivots.values()
         r = next((i for i, row in enumerate(rows)
-                  if not is_zero(row[c]) and i not in taken), None)
+                  if row[c] and i not in taken), None)
         if r is not None:
             rows = pivot_rows(domain, rows, r, c)
             pivots[c] = r
@@ -263,7 +262,7 @@ def solve_general(matrix: Matrix, rhs: Sequence[Sequence[Scalar]]):
     solutions = [
         tuple(Scalar(domain, rows[pivots[c]][cols + a]) if c in pivots else zero
               for c in range(cols))
-        if all(domain._is_zero(row[cols + a]) for row in rest) else None
+        if not any(row[cols + a] for row in rest) else None
         for a in range(len(rhs))]
     kernel = [
         tuple(Scalar(domain, domain._neg(rows[pivots[c]][f])) if c in pivots

@@ -76,16 +76,6 @@ class Polytope:
         return len(self.facets)
 
 
-def _inequality_sign(domain: ScalarDomain, a):
-    """Sign of a nonzero inequality slack or rate (a payload), for every
-    parameter value."""
-    try:
-        return domain._memo(domain._signs, domain._sign, a)
-    except IndeterminateSignError as exc:
-        raise GenericityError(
-            f"the vertex combinatorics depend on the parameter: {exc}") from exc
-
-
 class Vertices(tuple):
     """Vertices sorted by incidence; ``tables`` maps each incidence S to
     its chart rows [C_S | L_S], the payloads of A_S^-1 [N | G]."""
@@ -147,14 +137,25 @@ def enumerate_vertices(polytope: Polytope, lattice=None) -> tuple[Vertex, ...]:
     if m < n + 1:
         raise ValueError("a bounded polytope needs at least n + 1 facets")
     domain, facets = polytope.domain, polytope.facets
-    mul, add, neg, is_zero = domain._mul, domain._add, domain._neg, domain._is_zero
+    mul, add, neg = domain._mul, domain._add, domain._neg
     one, zero = domain.one().payload, domain.zero().payload
     generators = [[x.payload for x in lattice.generators.row(i)] if lattice else []
                   for i in range(n)]
     width = m + len(generators[0])  # the columns of [C_S | L_S]; x follows
 
+    signs = domain._signs
+
+    def sign(a):
+        """The sign of a nonzero slack or rate (a payload), for every
+        parameter value; a known one is read from the domain's memo."""
+        try:
+            return signs.get(a) or domain._memo(signs, domain._sign, a)
+        except IndeterminateSignError as exc:
+            raise GenericityError(
+                f"the vertex combinatorics depend on the parameter: {exc}") from exc
+
     def negative(a):
-        return not is_zero(a) and _inequality_sign(domain, a) < 0
+        return bool(a) and sign(a) < 0
 
     def exchange(rows, active, k, b):
         """The sorted active set and the tableau after S[k] leaves for b."""
@@ -173,8 +174,7 @@ def enumerate_vertices(polytope: Polytope, lattice=None) -> tuple[Vertex, ...]:
     active = tuple(sorted(pivots))[:n]  # the facets, then x0's column
     rows = [rows[pivots[j]] for j in active] + [rows[n]]
     while (b := next((j for j in range(m) if negative(rows[n][j])), None)) is not None:
-        k = next((k for k in range(n) if not is_zero(rows[k][b])
-                  and _inequality_sign(domain, rows[k][b]) > 0), None)
+        k = next((k for k in range(n) if rows[k][b] and sign(rows[k][b]) > 0), None)
         if k is None:
             raise ValueError("the inequality system has no vertices")
         active, rows = exchange(rows, active, k, b)
@@ -182,7 +182,7 @@ def enumerate_vertices(polytope: Polytope, lattice=None) -> tuple[Vertex, ...]:
     found, pending = {}, []
 
     def visit(active, rows):
-        incident = tuple(j + 1 for j in range(m) if is_zero(rows[n][j]))
+        incident = tuple(j + 1 for j in range(m) if not rows[n][j])
         if len(incident) > n:
             point = ", ".join(Scalar(domain, x).text() for x in rows[n][width:-1])
             raise SimplicityError(f"vertex ({point}) lies on facets {incident}; "
@@ -203,8 +203,7 @@ def enumerate_vertices(polytope: Polytope, lattice=None) -> tuple[Vertex, ...]:
             best = None
             for j in range(m):
                 rate = direction[j]
-                if (j in active or is_zero(rate)
-                        or _inequality_sign(domain, rate) > 0):
+                if j in active or not rate or sign(rate) > 0:
                     continue
                 if best is None or negative(add(
                         mul(slacks[best], rate), neg(mul(slacks[j], direction[best])))):

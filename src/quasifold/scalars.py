@@ -6,8 +6,7 @@ A scalar lives in one of:
   * a real number field  Q[x]/(p)  with a designated real root of p, or
   * the field of rational functions in one positive real parameter.
 
-All values are kept in canonical form, so scalar equality is equality of
-canonical encodings (payloads):
+All values are kept in canonical form:
 
   * a rational is a ``Fraction`` in lowest terms;
   * a number-field element, reduced modulo the minimal polynomial of
@@ -18,9 +17,13 @@ canonical encodings (payloads):
     lowest degree first, coprime in Q[x], with the gcd of all their
     coefficients 1 and ``den[-1] > 0``; zero is ``((), (1,))``.
 
-Only this module knows the payload layouts.  Elsewhere a payload is opaque:
-the matrix product hands payloads to the domain's own operations, and
-``rational_rows`` expands a linear equation into rational equations.
+A rational's payload is its ``Fraction``; any other payload is the int
+that names its tuple in the value table of its field (hash-consing).  So
+scalar equality is payload equality, and a payload is false exactly when
+its value is zero.  Only this module knows the payload layouts.
+Elsewhere a payload is opaque: the matrix product hands payloads to the
+domain's own operations, and ``rational_rows`` expands a linear equation
+into rational equations.
 
 Scalars are read and written in a small expression grammar:
 
@@ -37,6 +40,7 @@ from __future__ import annotations
 import math
 import re
 import sys
+import weakref
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -53,8 +57,8 @@ __all__ = [
 ]
 
 _F0 = Fraction(0)
-_RF_ZERO = ((), (1,))
-PAIR_MEMO_LIMIT = 4096  # entries per product or sum table of a domain
+PAIR_MEMO_LIMIT = 4096  # entries per product, sum or negation table of a domain
+_TABLES = weakref.WeakValueDictionary()  # field definition -> its value table
 
 
 class ScalarSyntaxError(ValueError):
@@ -352,23 +356,41 @@ def _poly_term_count(coeffs):
 # domains
 # ---------------------------------------------------------------------------
 
+class _ValueTable(list):
+    """The canonical tuples of one field definition, each at the index that
+    is its payload; ``ids`` maps each tuple to its payload."""
+
+    def __init__(self, zero):
+        super().__init__([zero])
+        self.ids = {zero: 0}
+
+
 class ScalarDomain:
     """Base class for the three coefficient domains.
 
     Each domain instance memoises the inverse, the sign and the text of the
     values it has seen, keyed by payload, their floats per parameter sample
     (``triples.float_array``), the payload of each grammar text it has
-    parsed, and each product and sum (``_mul`` and ``_add`` over the
-    domain's ``_product`` and ``_sum``), keyed by the ordered payload pair,
-    so each distinct one is computed once.  The memos live as long as the
-    domain, which one document owns.  Symmetric inputs repeat a few values:
-    a dodecahedron report makes 3,695 products of 109 distinct pairs, a
-    180-chart atlas 249k of 1,809.  Without repeats, a pair table is
-    cleared at ``PAIR_MEMO_LIMIT`` entries.  Hashing a pair of Fractions
-    costs what multiplying them does, so ``RationalDomain`` keeps no pair
-    memo.  A call that raises (a zero inverse, an undecidable sign, a
-    factor shared with a reducible ``min_poly``, a malformed text, a value
-    with no finite float) stores nothing, so the next call raises again.
+    parsed, each negation (``_neg`` over ``_negative``), and each product
+    and sum (``_mul`` and ``_add`` over ``_product`` and ``_sum``), keyed by
+    the ordered payload pair, so each distinct one is computed once.  The
+    memos live as long as the domain, which one document owns.  Symmetric
+    inputs repeat a few values: a dodecahedron report makes 3,695 products
+    of 109 distinct pairs, a 180-chart atlas 249k of 1,809.  Without
+    repeats, a negation or pair table is cleared at ``PAIR_MEMO_LIMIT``
+    entries.  Hashing a pair of Fractions costs what multiplying them does,
+    so ``RationalDomain`` keeps no such memo.  A call that raises (a zero
+    inverse, an undecidable sign, a factor shared with a reducible
+    ``min_poly``, a malformed text, a value with no finite float) stores
+    nothing, so the next call raises again.
+
+    A number-field or parameter-field payload is the int that ``_intern``
+    gives a canonical tuple in the value table of the field's definition
+    (Filliatre & Conchon, "Type-safe modular hash-consing", 2006).  Equal
+    instances alive at one time share that table, but not their memos:
+    equal domains are those with one table, and the last of them frees it.
+    It keeps every value made, about 320 bytes each: 22,007 for a
+    polytope-60 walk without repeated values.
     """
 
     kind = "abstract"
@@ -381,7 +403,27 @@ class ScalarDomain:
         self._parsed = {}   # grammar text -> payload, for scalar(str)
         self._products = {}  # (a, b) -> a * b
         self._sums = {}      # (a, b) -> a + b
+        self._negations = {}  # a -> -a
         self._floats = {}    # parameter sample -> {payload: float}
+
+    def _share_values(self, definition, zero):
+        """Take the value table of the field definition, which the equal
+        instances alive share, and hash by the definition."""
+        self._hash = hash(definition)
+        self._values = _TABLES.setdefault(definition, _ValueTable(zero))
+
+    def __eq__(self, other):
+        return self is other or getattr(other, "_values", None) is self._values
+
+    def __hash__(self):
+        return self._hash
+
+    def _intern(self, value):
+        """The payload that names a canonical tuple."""
+        i = self._values.ids.setdefault(value, len(self._values))
+        if i == len(self._values):
+            self._values.append(value)
+        return i
 
     def _memo(self, table, compute, a):
         """table[a], computed as compute(a) on the first call."""
@@ -418,10 +460,11 @@ class ScalarDomain:
     def describe(self) -> str:
         raise NotImplementedError
 
-    # -- payload operations, implemented per domain -------------------------
-
-    def _from_fraction(self, q):
-        raise NotImplementedError
+    # -- payload operations ------------------------------------------------
+    # Each domain defines _from_fraction(q), _inv(a), _text(a), _sign(a),
+    # _eval(a, precision, parameter_sample), _as_rational(a) (the value as a
+    # Fraction if it is rational, else None) and, under the memos of _add,
+    # _mul and _neg, _sum(a, b), _product(a, b) and _negative(a).
 
     def _add(self, a, b):
         value = self._sums.get((a, b))
@@ -439,27 +482,13 @@ class ScalarDomain:
             value = self._products[a, b] = self._product(a, b)
         return value
 
-    def _sum(self, a, b):
-        raise NotImplementedError
-
     def _neg(self, a):
-        raise NotImplementedError
-
-    def _product(self, a, b):
-        raise NotImplementedError
-
-    def _inv(self, a):
-        raise NotImplementedError
-
-    def _is_zero(self, a):
-        raise NotImplementedError
-
-    def _text(self, a):
-        raise NotImplementedError
-
-    def _as_rational(self, a):
-        """Return the payload as a Fraction if it is rational, else None."""
-        raise NotImplementedError
+        value = self._negations.get(a)
+        if value is None:
+            if len(self._negations) >= PAIR_MEMO_LIMIT:
+                self._negations.clear()
+            value = self._negations[a] = self._negative(a)
+        return value
 
     def rational_rows(self, coefficients, target):
         """Expand  sum coefficients[l] * m_l = target  into rational equations.
@@ -467,12 +496,6 @@ class ScalarDomain:
         Returns (row, rhs) pairs with Fraction entries whose solutions in
         rational m are exactly those of the equation over this domain.
         """
-        raise NotImplementedError
-
-    def _sign(self, a):
-        raise NotImplementedError
-
-    def _eval(self, a, precision, parameter_sample=None):
         raise NotImplementedError
 
 
@@ -510,9 +533,6 @@ class RationalDomain(ScalarDomain):
             raise ZeroDivisionError("inversion of zero scalar")
         return 1 / a
 
-    def _is_zero(self, a):
-        return not a
-
     def _text(self, a):
         try:
             return str(a)
@@ -543,12 +563,12 @@ class NumberFieldDomain(ScalarDomain):
     bisection then refines on demand.
 
     The element  (c0 + c1 x + ... + c_{d-1} x^{d-1}) / den  of Q[x]/(p),
-    d = deg(p), is the payload ``(den, c0, ..., c_{d-1})`` of Python ints
+    d = deg(p), is the tuple ``(den, c0, ..., c_{d-1})`` of Python ints
     with ``den > 0`` and ``math.gcd(den, c0, ..., c_{d-1}) == 1``; zero is
-    ``(1, 0, ..., 0)``.  The form is unique, so payload equality is value
-    equality.  A product is an integer convolution reduced by integer rows
-    for x^d .. x^(2d-2) over one common denominator, then divided by one
-    gcd (Cohen, GTM 138, section 4.2).
+    ``(1, 0, ..., 0)``.  The form is unique, so payloads are equal exactly
+    for equal values.  A product is an integer convolution reduced by
+    integer rows for x^d .. x^(2d-2) over one common denominator, then
+    divided by one gcd (Cohen, GTM 138, section 4.2).
 
     The inverse is integer linear algebra too.  Let R be the common
     denominator of the reduction rows and N the d x d int matrix whose
@@ -580,8 +600,8 @@ class NumberFieldDomain(ScalarDomain):
             raise ValueError("min_poly must be square-free")
         self.generator_symbol = generator_symbol
         self.embedding_approx = _as_fraction(embedding_approx)
-        self._hash = hash((self.min_poly, self.generator_symbol, self.embedding_approx))
-        self._zero = (1,) + (0,) * self.degree
+        self._share_values((self.kind, self.min_poly, generator_symbol,
+                            self.embedding_approx), (1,) + (0,) * self.degree)
         # reduction rows for x^deg .. x^(2 deg - 2)
         rows = []
         current = tuple(-c for c in coeffs[:-1])  # x^deg mod p
@@ -644,66 +664,56 @@ class NumberFieldDomain(ScalarDomain):
         return (f"number field Q({self.generator_symbol}), "
                 f"min_poly {_poly_text(self.min_poly, 'x')}")
 
-    def __eq__(self, other):
-        if self is other:
-            return True
-        return (isinstance(other, NumberFieldDomain)
-                and self.min_poly == other.min_poly
-                and self.generator_symbol == other.generator_symbol
-                and self.embedding_approx == other.embedding_approx)
-
-    def __hash__(self):
-        return self._hash
-
     def __repr__(self):
         return (f"NumberFieldDomain({list(self.min_poly)}, "
                 f"{self.generator_symbol!r}, {float(self.embedding_approx)})")
 
     def generator(self):
-        return Scalar(self, (1, 0, 1) + (0,) * (self.degree - 2))
+        return Scalar(self, self._intern((1, 0, 1) + (0,) * (self.degree - 2)))
 
     def _canonical(self, den, coeffs):
         """The payload of  coeffs / den  for den > 0."""
         g = math.gcd(den, *coeffs)
         if g == 1:
-            return (den, *coeffs)
-        return (den // g, *(c // g for c in coeffs))
+            return self._intern((den, *coeffs))
+        return self._intern((den // g, *(c // g for c in coeffs)))
 
     def _fractions(self, a):
-        """The payload's coefficients as Fractions, constant term first."""
-        den = a[0]
-        return tuple(Fraction(c, den) for c in a[1:])
+        """The coefficients of payload a as Fractions, constant term first."""
+        den, *coeffs = self._values[a]
+        return tuple(Fraction(c, den) for c in coeffs)
 
     def _from_fraction(self, q):
-        return (q.denominator, q.numerator) + (0,) * (self.degree - 1)
+        return self._intern((q.denominator, q.numerator) + (0,) * (self.degree - 1))
 
     def _sum(self, a, b):
-        if not any(a[1:]):
+        if not a:
             return b
-        if not any(b[1:]):
+        if not b:
             return a
+        a, b = self._values[a], self._values[b]
         da, db = a[0], b[0]
         if da == db:
             return self._canonical(da, [x + y for x, y in zip(a[1:], b[1:])])
         return self._canonical(da * db, [x * db + y * da for x, y in zip(a[1:], b[1:])])
 
-    def _neg(self, a):
-        return (a[0], *(-x for x in a[1:]))
+    def _negative(self, a):
+        a = self._values[a]
+        return self._intern((a[0], *(-x for x in a[1:])))
 
-    def _scale(self, a, num, den):
-        """a * num/den for a rational num/den in lowest terms."""
-        if not num:
-            return self._zero
+    def _scale(self, i, a, num, den):
+        """Payload i, of value a, times num/den in lowest terms."""
         if num == den:
-            return a
+            return i
         return self._canonical(a[0] * den, [x * num for x in a[1:]])
 
-    def _product(self, a, b):
+    def _product(self, i, j):
+        a, b = self._values[i], self._values[j]
         # rational factors skip the convolution entirely
         if not any(a[2:]):
-            return self._scale(b, a[1], a[0])
+            return self._scale(j, b, a[1], a[0])
         if not any(b[2:]):
-            return self._scale(a, b[1], b[0])
+            return self._scale(i, a, b[1], b[0])
         deg = self.degree
         acc = [0] * (2 * deg - 1)
         bc = b[1:]
@@ -719,19 +729,19 @@ class NumberFieldDomain(ScalarDomain):
                     low[i] += c * r
         return self._canonical(a[0] * b[0] * scale, low)
 
-    def _inv(self, a):
-        if self._is_zero(a):
+    def _inv(self, payload):
+        if not payload:
             raise ZeroDivisionError("inversion of zero scalar")
         # Bareiss on [N | e_0] ends on the pivot D = +-det N; exact
         # back-substitution then gives D N^-1 e_0 = +-adj(N) e_0
-        deg = self.degree
+        deg, a = self.degree, self._values[payload]
         work = [[*row, int(i == 0)]
                 for i, row in enumerate(zip(*self._columns(a[1:])))]
         prev = 1
         for k in range(deg):
             p = next((i for i in range(k, deg) if work[i][k]), None)
             if p is None:  # N is singular: c shares a factor with min_poly
-                self._refuse_factor(a, anywhere=True)
+                self._refuse_factor(payload, anywhere=True)
             work[k], work[p] = work[p], work[k]
             top, pivot = work[k], work[k][k]
             for i in range(k + 1, deg):
@@ -751,13 +761,11 @@ class NumberFieldDomain(ScalarDomain):
             prev, nums = -prev, [-x for x in nums]
         return self._canonical(prev, nums)
 
-    def _is_zero(self, a):
-        return not any(a[1:])
-
     def _text(self, a):
         return _poly_text(_ptrim(self._fractions(a)), self.generator_symbol)
 
     def _as_rational(self, a):
+        a = self._values[a]
         if any(a[2:]):
             return None
         return Fraction(a[1], a[0])
@@ -785,17 +793,17 @@ class NumberFieldDomain(ScalarDomain):
     def _refuse_factor(self, a, anywhere=False):
         """Raise ValueError when g = gcd(numerator of a, min_poly) is not constant
         and, unless ``anywhere``, vanishes at the root: a is zero or a zero divisor."""
-        g = _zgcd(_ptrim(a[1:]), self._zpoly)
+        g = _zgcd(_ptrim(self._values[a][1:]), self._zpoly)
         if len(g) > 1 and (anywhere or _zsturm_count(g, self._root_lo, self._root_hi)):
             raise ValueError(
                 f"min_poly {_poly_text(self._zpoly, 'x')} is reducible: its factor "
                 f"{_poly_text(g, 'x')} divides the numerator of {self._text(a)}")
 
     def _sign(self, a):
-        if self._is_zero(a):
+        if not a:
             return 0
         # the denominator is positive: the numerator carries the sign
-        coeffs = _ptrim(a[1:])
+        coeffs = _ptrim(self._values[a][1:])
         if len(coeffs) == 1:
             return 1 if coeffs[0] > 0 else -1
         # unless a shared factor makes it zero, bisection separates the
@@ -816,7 +824,7 @@ class NumberFieldDomain(ScalarDomain):
             return _fraction_to_decimal(rational, precision)
         self._refuse_factor(a)
         # bounds on the numerator; the relative-width test does not see den
-        den, coeffs = a[0], _ptrim(a[1:])
+        den, coeffs = self._values[a][0], _ptrim(self._values[a][1:])
         goal = Fraction(1, 10 ** precision)
         lo, hi = self.root_interval(Fraction(1, 10 ** (precision + 2)))
         while True:
@@ -830,11 +838,11 @@ class NumberFieldDomain(ScalarDomain):
 class RationalFunctionDomain(ScalarDomain):
     """Rational functions in one parameter, assumed to be a positive real.
 
-    The payload ``(num, den)`` holds two tuples of Python ints, lowest
+    A value is the pair ``(num, den)`` of two tuples of Python ints, lowest
     degree first: num and den are coprime in Q[x], the gcd of all their
     coefficients is 1 and ``den[-1] > 0``; zero is ``((), (1,))``.  The
-    form is unique, so payload equality is value equality; text shows
-    the denominator monic.  Products and sums cancel by Henrici's method
+    form is unique, so payloads are equal exactly for equal values; text
+    shows the denominator monic.  Products and sums cancel by Henrici's method
     (Knuth, TAOCP 2, section 4.5.1): only gcd(n1, d2) and gcd(n2, d1) for
     a product, only gcd(d1, d2) and the sum against it for a sum, then
     the content.  Denominators 1 and powers of the parameter need no
@@ -857,51 +865,40 @@ class RationalFunctionDomain(ScalarDomain):
         if self.parameter_positivity and self.default_sample is not None:
             if self.default_sample <= 0:
                 raise ValueError("default_sample must be positive")
-        self._hash = hash((self.generator_symbol, self.parameter_positivity))
+        self._share_values((self.kind, generator_symbol, self.parameter_positivity),
+                           ((), (1,)))
 
     def describe(self):
         positivity = " > 0" if self.parameter_positivity else ""
         return f"rational functions in {self.generator_symbol}{positivity}"
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        return (isinstance(other, RationalFunctionDomain)
-                and self.generator_symbol == other.generator_symbol
-                and self.parameter_positivity == other.parameter_positivity)
-
-    def __hash__(self):
-        return self._hash
 
     def __repr__(self):
         return (f"RationalFunctionDomain({self.generator_symbol!r}, "
                 f"positive={self.parameter_positivity})")
 
     def generator(self):
-        return Scalar(self, ((0, 1), (1,)))
+        return Scalar(self, self._intern(((0, 1), (1,))))
 
     def _canonical(self, num, den):
         """The payload of num/den for num and den coprime in Q[x] and
         lead(den) > 0, which holds for every product of denominators and
         primitive gcd cofactors."""
         if not num:
-            return _RF_ZERO
+            return 0
         g = math.gcd(*num, *den)
         if g == 1:
-            return (num, den)
-        return (tuple(c // g for c in num), tuple(c // g for c in den))
+            return self._intern((num, den))
+        return self._intern((tuple(c // g for c in num), tuple(c // g for c in den)))
 
     def _from_fraction(self, q):
-        if not q:
-            return _RF_ZERO
-        return ((q.numerator,), (q.denominator,))
+        return self._intern(((q.numerator,), (q.denominator,))) if q else 0
 
     def _sum(self, a, b):
-        (n1, d1), (n2, d2) = a, b
-        if not n1:
+        if not a:
             return b
-        if not n2:
+        if not b:
             return a
+        (n1, d1), (n2, d2) = self._values[a], self._values[b]
         if d1 == d2:
             num = _padd(n1, n2)
             if len(num) > 1 and len(d1) > 1:
@@ -922,13 +919,12 @@ class RationalFunctionDomain(ScalarDomain):
                 num, g = _zdiv(num, h), _zdiv(g, h)
         return self._canonical(num, _pmul(_pmul(e1, e2), g))
 
-    def _neg(self, a):
-        return (_pneg(a[0]), a[1])
+    def _negative(self, a):
+        num, den = self._values[a]
+        return self._intern((_pneg(num), den))
 
     def _product(self, a, b):
-        (n1, d1), (n2, d2) = a, b
-        if not n1 or not n2:
-            return _RF_ZERO
+        (n1, d1), (n2, d2) = self._values[a], self._values[b]
         if len(n1) > 1 and len(d2) > 1:
             g = _zgcd(n1, d2)
             if len(g) > 1:
@@ -940,18 +936,15 @@ class RationalFunctionDomain(ScalarDomain):
         return self._canonical(_pmul(n1, n2), _pmul(d1, d2))
 
     def _inv(self, a):
-        num, den = a
-        if not num:
+        if not a:
             raise ZeroDivisionError("inversion of zero scalar")
+        num, den = self._values[a]
         if num[-1] < 0:
-            return (_pneg(den), _pneg(num))
-        return (den, num)
-
-    def _is_zero(self, a):
-        return not a[0]
+            return self._intern((_pneg(den), _pneg(num)))
+        return self._intern((den, num))
 
     def _text(self, a):
-        num, den = a
+        num, den = self._values[a]
         lead = den[-1]
         if lead != 1:
             num = tuple(Fraction(c, lead) for c in num)
@@ -967,7 +960,7 @@ class RationalFunctionDomain(ScalarDomain):
         return f"{num_txt}/{den_txt}"
 
     def _as_rational(self, a):
-        num, den = a
+        num, den = self._values[a]
         if len(den) > 1 or len(num) > 1:
             return None
         return Fraction(num[0], den[0]) if num else _F0
@@ -975,14 +968,13 @@ class RationalFunctionDomain(ScalarDomain):
     def rational_rows(self, coefficients, target):
         # clear denominators with their monic lcm, then compare
         # coefficients of each power of the parameter
-        scalars = [*coefficients, target]
+        values = [self._values[c.payload] for c in (*coefficients, target)]
         common = (1,)
-        for c in scalars:
-            den = _zprimitive(c.payload[1])
+        for _, den in values:
+            den = _zprimitive(den)
             common = _pmul(common, _zdiv(den, _zgcd(common, den)))
         cleared = []
-        for c in scalars:
-            num, den = c.payload
+        for num, den in values:
             scale = math.gcd(*den) * common[-1]
             cleared.append([Fraction(x, scale) for x in
                             _pmul(num, _zdiv(common, _zprimitive(den)))])
@@ -995,7 +987,7 @@ class RationalFunctionDomain(ScalarDomain):
         return rows
 
     def _sample_value(self, a, sample):
-        num, den = a
+        num, den = self._values[a]
         dval = _peval(den, sample)
         if not dval:  # the sample comes from the input: refuse it as input
             raise ValueError(f"the denominator of {self._text(a)} vanishes at "
@@ -1003,18 +995,18 @@ class RationalFunctionDomain(ScalarDomain):
         return _peval(num, sample) / dval
 
     def _sign(self, a):
-        if self._is_zero(a):
+        if not a:
             return 0
         symbol = self.generator_symbol
         positive = self.parameter_positivity
-        for p in a:
+        num, den = self._values[a]
+        for p in (num, den):
             if _zroot_count(p, positive):
                 where = f"{symbol} > 0" if positive else f"real {symbol}"
                 raise IndeterminateSignError(
                     f"the sign of {self._text(a)} is not proven constant for "
                     f"{where}: {_poly_text(p, symbol)} has a root there")
         # no root where a may lie: the sign at a = 1 holds for every a
-        num, den = a
         return 1 if (sum(num) > 0) == (sum(den) > 0) else -1
 
     def _eval(self, a, precision, parameter_sample=None):
@@ -1129,10 +1121,10 @@ class Scalar:
         return hash((self.domain, self.payload))
 
     def __bool__(self):
-        return not self.domain._is_zero(self.payload)
+        return bool(self.payload)
 
     def is_zero(self):
-        return self.domain._is_zero(self.payload)
+        return not self.payload
 
     def as_rational(self):
         """The value as a Fraction when it is rational, else None."""

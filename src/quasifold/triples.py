@@ -253,12 +253,12 @@ def validate(triple: FundamentalTriple, probe_directions: int = 64,
     rank of its own: the rays two simplicial cones share are independent,
     so it holds for all C(N, 2) cone pairs once simpliciality passes.
     Nothing here proves that two cones meet in a common face; only the
-    probe sees overlaps.
+    probe sees overlaps.  The probe reads each cone's floats from one
+    table of the rays' floats, filled as the cones need them.
     """
     cones = triple.fan.max_cones
-    matrices = [triple.cone_matrix(cone) for cone in cones]
-    simplicial_failures = [cone for cone, a in zip(cones, matrices)
-                           if cone not in triple.tables and a.rank() != triple.dim]
+    simplicial_failures = [cone for cone in cones if cone not in triple.tables
+                           and triple.cone_matrix(cone).rank() != triple.dim]
 
     witness_failures = []
     for j in range(1, triple.ray_count + 1):
@@ -292,12 +292,15 @@ def validate(triple: FundamentalTriple, probe_directions: int = 64,
             norm = hypot(*d) or 1.0
             directions.append([x / norm for x in d])
         identity = [[float(i == j) for j in range(dim)] for i in range(dim)]
+        rays, inverses = {}, []   # ray index -> its floats
         try:
-            # row i of an inverse gives coordinate i of a direction, and
-            # the direction is inside when none is below -1e-9 |row|
-            inverses = [list(zip(*float_solve(
-                float_array(a.entries, (a.rows, a.cols), parameter_sample),
-                identity))) for a in matrices]
+            for cone in cones:
+                for i in set(cone) - rays.keys():
+                    rays[i] = float_array(triple.ray(i), (1, dim), parameter_sample)[0]
+                # row i of an inverse gives coordinate i of a direction, and
+                # the direction is inside when none is below -1e-9 |row|
+                inverses.append(list(zip(*float_solve(
+                    list(zip(*map(rays.get, cone))), identity))))
         except OverflowError:  # the probe is advisory: skip, never fail
             note = "skipped: a cone matrix has no finite float"
         except ArithmeticError:

@@ -1,7 +1,9 @@
 import itertools
+import json
 import math
 import random
 from fractions import Fraction
+from importlib import resources
 
 import pytest
 
@@ -11,9 +13,9 @@ from quasifold import (Atlas, CocycleReport, Fan, FundamentalTriple,
                        Quasilattice, RationalDomain,
                        RationalFunctionDomain, SingularMatrixError,
                        build_chart, cocycle_check, document_to_triple,
-                       fixed_point, load_gallery, orbit_report, relations,
-                       render_terms, specialize_document, term_texts,
-                       to_triple, transition_map)
+                       fixed_point, load_document, load_gallery, orbit_report,
+                       relations, render_terms, specialize_document,
+                       term_texts, to_triple, transition_map)
 from quasifold.documents import transition_section
 
 
@@ -262,6 +264,30 @@ def test_coordinate_tables_match_per_pair_products(gallery, gallery_atlases):
                 assert exponents == expected, (name, tau, sigma)
                 assert exponents.row_labels == expected.row_labels == sigma
                 assert exponents.col_labels == expected.col_labels == tau
+
+
+def test_tables_from_two_equal_documents_match_one():
+    # the polytope of one document and the lattice of another: their equal
+    # domains name each value alike, so every chart table is the one that
+    # a single document gives.  The first document lists its generators in
+    # reverse, so its domain meets the values in another order.
+    data = json.loads(resources.files("quasifold").joinpath(
+        "data/dodecahedron.json").read_text())
+    data["quasilattice"]["generators"] = [
+        row[::-1] for row in data["quasilattice"]["generators"]]
+    data["witnesses"] = [w[::-1] for w in data["witnesses"]]
+    first, second = load_document(data), load_gallery("dodecahedron")
+    assert first.domain == second.domain and first.domain is not second.domain
+    single = Atlas.compile(document_to_triple(load_gallery("dodecahedron"))[0])
+    mixed = Atlas.compile(
+        to_triple(first.polytope, second.lattice, second.witnesses)[0])
+    assert mixed.cones == single.cones
+    for cone in single.cones:
+        for name in ("coordinates", "lattice_exponents", "group_exponents"):
+            got, want = (getattr(a.chart(cone), name) for a in (mixed, single))
+            assert got == want, (cone, name)
+            assert [x.text() for x in got.entries] == [
+                x.text() for x in want.entries], (cone, name)
 
 
 def counting(monkeypatch, owner, name):

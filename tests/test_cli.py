@@ -939,6 +939,44 @@ def test_probe_note_names_a_zero_pivot(tmp_path, capsys):
             "point\n") in out
 
 
+def test_no_exact_state_outlives_its_document(tmp_path, monkeypatch, capsys):
+    # two in-process runs on the seed-1 polytope-60 input each compute the
+    # 215 products and 473 sums that a run in a fresh process computes, and
+    # each run's domains and value tables are freed with its document.  An
+    # embedding digit that no other input has keeps the table from being
+    # shared with a live domain.
+    import importlib.util
+    import weakref
+
+    from quasifold.scalars import NumberFieldDomain, ScalarDomain
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_inputs", Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py")
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    doc = inputs.polytope60(inputs.unimodular(1))
+    doc["domain"]["embedding_approx"] += "1"
+    path = write_doc(tmp_path, doc)
+    counts, born = collections.Counter(), []
+    for name in ("_product", "_sum"):
+        def counted(self, a, b, _name=name, _original=getattr(NumberFieldDomain, name)):
+            counts[_name] += 1
+            return _original(self, a, b)
+        monkeypatch.setattr(NumberFieldDomain, name, counted)
+    share = ScalarDomain._share_values
+
+    def recorded(self, *args):
+        share(self, *args)
+        born.extend((weakref.ref(self), weakref.ref(self._values)))
+    monkeypatch.setattr(ScalarDomain, "_share_values", recorded)
+    for _ in range(2):
+        counts.clear()
+        born.clear()
+        code, _, err = run_cli(["polytope", path, "--format", "json"], capsys)
+        assert (code, err) == (0, "")
+        assert counts == {"_product": 215, "_sum": 473}
+        assert born and all(ref() is None for ref in born)
+
+
 def test_gallery_evaluates_each_value_once(monkeypatch, capsys):
     # the support probe and the numeric checks share the domain's float
     # memo, so a run evaluates each distinct exact value once

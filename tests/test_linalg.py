@@ -302,7 +302,7 @@ def test_pivot_rows_gives_the_coordinates_over_the_new_basis(
                  for _ in range(m)] for _ in range(n)])
             table = payload_rows(a.inverse() @ v)
             i, j = rng.randrange(n), rng.randrange(m)
-            if domain._is_zero(table[i][j]):
+            if not table[i][j]:
                 with pytest.raises(SingularMatrixError):
                     pivot_rows(domain, table, i, j)
                 continue

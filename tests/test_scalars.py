@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quasifold import (IndeterminateSignError, NumberFieldDomain,
-                       RationalFunctionDomain, ScalarSyntaxError,
-                       parse_scalar)
+                       RationalDomain, RationalFunctionDomain,
+                       ScalarSyntaxError, parse_scalar)
 from quasifold.scalars import sample_text
 
 
@@ -40,6 +40,12 @@ def bisect_root(coeffs, lo, hi, iterations=80):
 
 
 GOLDEN_LO, GOLDEN_HI = bisect_root([-1, -1, 1], 1, 2)
+
+
+def table_value(scalar):
+    """The canonical tuple that a number-field or parameter-field payload
+    names in its domain's value table."""
+    return scalar.domain._values[scalar.payload]
 
 
 # ---------------------------------------------------------------------------
@@ -83,6 +89,8 @@ def test_equal_texts_parse_once_to_equal_payloads(golden, parameter):
         assert first == second == parse_scalar(text, domain)
         assert first.payload is second.payload
         assert domain._parsed[text] is first.payload
+        assert (table_value(first) is table_value(second)
+                is table_value(parse_scalar(text, domain)))
 
 
 def test_bad_text_raises_on_every_call(rational, parameter):
@@ -453,8 +461,8 @@ def test_closed_form_root_count_matches_sturm(coeffs, positive):
 
 def test_memo_computes_each_value_once(monkeypatch, capsys):
     # one dodecahedron report inverts, signs, renders, multiplies and adds
-    # a few values many times over; each distinct payload, or payload pair
-    # for a product or sum, reaches the domain once
+    # a few values many times over; each distinct value, or value pair for
+    # a product or sum, reaches the domain once
     from quasifold.cli import main
     calls = {}
     for name in ("_inv", "_sign", "_text", "_product", "_sum"):
@@ -462,7 +470,7 @@ def test_memo_computes_each_value_once(monkeypatch, capsys):
         seen = calls[name] = []
 
         def counted(self, *key, _original=original, _seen=seen):
-            _seen.append(key)
+            _seen.append(tuple(self._values[k] for k in key))
             return _original(self, *key)
         monkeypatch.setattr(NumberFieldDomain, name, counted)
     assert main(["gallery", "dodecahedron", "--format", "json"]) == 0
@@ -511,6 +519,47 @@ def test_pair_memo_stays_within_its_limit(monkeypatch):
                 assert (x + y).payload == domain._sum(x.payload, y.payload)
                 assert len(domain._products) <= 4
                 assert len(domain._sums) <= 4
+
+
+@settings(max_examples=30)
+@given(st.integers(0, 2 ** 32))
+def test_equal_domains_name_values_alike(seed):
+    # two equal instances share one value table but no memo, so scalars of
+    # one mix with those of the other as if both came from one instance,
+    # even when the other made its values in another order
+    rng = random.Random(seed)
+    for one, other in zip(fresh_domains(), fresh_domains()):
+        assert one == other and hash(one) == hash(other)
+        assert one._products is not other._products
+        x, y = random_scalar(one, rng), random_scalar(one, rng)
+        random_scalar(other, rng)
+        y2 = other.scalar(y.text())
+        x2 = other.scalar(x.text())
+        for a, b in ((x2, y), (x, y2), (x2, y2)):
+            assert a == x and b == y
+            assert hash(a) == hash(x) and hash(b) == hash(y)
+            assert a + b == x + y and (a + b).text() == (x + y).text()
+            assert a * b == x * y and (a * b).text() == (x * y).text()
+            if y:
+                assert b.inverse() == y.inverse()
+                assert b.inverse().text() == y.inverse().text()
+
+
+@settings(max_examples=30)
+@given(st.integers(0, 2 ** 32))
+def test_a_payload_is_false_exactly_for_zero(seed):
+    # in every domain, zeros reached by cancellation included; the text
+    # reads the value itself
+    rng = random.Random(seed)
+    for domain in (RationalDomain(), *fresh_domains()):
+        x, y = random_scalar(domain, rng), random_scalar(domain, rng)
+        values = [x, y, x - x, x * y - y * x, (x + y) - x - y, x * 0, -x + x]
+        if y:
+            values.append(x / y * y - x)
+        for value in values:
+            zero = value.text() == "0"
+            assert (not value.payload) is zero
+            assert value.is_zero() is zero and bool(value) is not zero
 
 
 def test_default_sample_must_be_positive():
@@ -686,12 +735,12 @@ def oracle_text(coeffs, symbol):
 
 def payload_coefficients(scalar):
     """Read the documented number-field payload (den, c0, ..., c_{d-1})."""
-    den, *nums = scalar.payload
+    den, *nums = table_value(scalar)
     return [Fraction(c, den) for c in nums]
 
 
 def assert_canonical(scalar):
-    payload = scalar.payload
+    payload = table_value(scalar)
     assert all(type(c) is int for c in payload), payload
     assert payload[0] > 0
     assert math.gcd(*payload) == 1
@@ -762,14 +811,17 @@ def test_number_field_matches_oracle(name, data):
 def test_number_field_payload_is_canonical(quartic):
     alpha = quartic.generator()
     inv_phi = alpha ** 2 - 3
-    assert ((inv_phi / 2) * 2).payload == inv_phi.payload == (1, -3, 0, 1, 0)
+    assert ((inv_phi / 2) * 2).payload == inv_phi.payload
+    assert table_value((inv_phi / 2) * 2) == table_value(inv_phi) == (1, -3, 0, 1, 0)
     assert hash((inv_phi / 2) * 2) == hash(inv_phi)
-    assert (alpha * alpha ** -1).payload == quartic.one().payload == (1, 1, 0, 0, 0)
+    assert (alpha * alpha ** -1).payload == quartic.one().payload
+    assert table_value(alpha * alpha ** -1) == table_value(quartic.one()) == (1, 1, 0, 0, 0)
     assert hash(alpha * alpha ** -1) == hash(quartic.one())
-    assert (alpha / 3 - alpha / 3).payload == quartic.zero().payload == (1, 0, 0, 0, 0)
-    assert (inv_phi / 6).payload == (6, -3, 0, 1, 0)
-    assert (inv_phi / 6 + alpha / 6).payload == (6, -3, 1, 1, 0)
-    assert (inv_phi / 6 + inv_phi / 6).payload == (3, -3, 0, 1, 0)
+    assert (alpha / 3 - alpha / 3).payload == quartic.zero().payload == 0
+    assert table_value(alpha / 3 - alpha / 3) == table_value(quartic.zero()) == (1, 0, 0, 0, 0)
+    assert table_value(inv_phi / 6) == (6, -3, 0, 1, 0)
+    assert table_value(inv_phi / 6 + alpha / 6) == (6, -3, 1, 1, 0)
+    assert table_value(inv_phi / 6 + inv_phi / 6) == (3, -3, 0, 1, 0)
     rng = random.Random(31)
     for _ in range(200):
         x = random_scalar(quartic, rng)
@@ -935,14 +987,14 @@ def reduced_row_echelon(rows):
 def payload_monic(scalar):
     """Read the documented payload (num, den) of int tuples, in the monic
     form of the oracle."""
-    num, den = scalar.payload
+    num, den = table_value(scalar)
     return (tuple(Fraction(c, den[-1]) for c in num),
             tuple(Fraction(c, den[-1]) for c in den))
 
 
 def assert_rf_canonical(scalar):
-    num, den = scalar.payload
-    assert all(type(c) is int for c in num + den), scalar.payload
+    num, den = table_value(scalar)
+    assert all(type(c) is int for c in num + den), table_value(scalar)
     assert den and den[-1] > 0
     assert not num or num[-1]
     assert math.gcd(*num, *den) == 1
@@ -1044,8 +1096,9 @@ def test_rational_rows_match_oracle(values):
 def test_rational_function_payload_is_canonical(parameter):
     a = parameter.generator()
     one, zero = parameter.one(), parameter.zero()
-    assert zero.payload == ((), (1,))
-    assert one.payload == ((1,), (1,))
+    assert zero.payload == 0
+    assert table_value(zero) == ((), (1,))
+    assert table_value(one) == ((1,), (1,))
     cases = [
         ((a ** 2 - 1) / (a - 1), a + 1, ((1, 1), (1,))),
         ((2 * a + 2) / (4 * a), (a + 1) / (2 * a), ((1, 1), (0, 2))),
@@ -1059,7 +1112,8 @@ def test_rational_function_payload_is_canonical(parameter):
          ((3,), (0, 4))),
     ]
     for left, right, payload in cases:
-        assert left.payload == right.payload == payload
+        assert left.payload == right.payload
+        assert table_value(left) == table_value(right) == payload
         assert left == right and hash(left) == hash(right)
         assert_rf_canonical(left)
     rng = random.Random(47)
