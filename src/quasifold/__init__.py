@@ -14,7 +14,7 @@ from .scalars import (DomainMismatchError, IndeterminateSignError,
                       RationalFunctionDomain, Scalar, ScalarDomain,
                       ScalarSyntaxError, parse_scalar)
 from .linalg import (DimensionMismatchError, Matrix, SingularMatrixError,
-                     dot, integer_solve, solve_general)
+                     integer_solve, solve_general)
 from .triples import (Fan, FundamentalTriple, Quasilattice, ValidationReport,
                       WitnessRecoveryError, ray_membership, validate,
                       with_recovered_witnesses)

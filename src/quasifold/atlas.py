@@ -1,14 +1,15 @@
 """The canonical affine atlas of a toric quasifold, computed exactly.
 
-For each maximal cone sigma the chart records the coordinate table C_sigma
-of every ray over the cone and the exponent matrix of the discrete group
-acting on the chart, nothing else.  A chart change is a monomial map: the
-exponent matrix of the map from cone tau to cone sigma is
-E = A_sigma^-1 A_tau, the columns of C_sigma at tau's rays
-(``transition_map``), and its rows render as generalized Laurent
-monomials with exact (possibly irrational) exponents, joined from texts
-built once per chart.  The relation of a ray j outside sigma over the
-cone's rays is column j of C_sigma (``relations``).
+A chart is its cone's payload table [C_sigma | L_sigma] (``Chart``): the
+coordinates of every ray over the cone, then those of the lattice
+generators, whose non-integer entries are the exponents of the discrete
+group acting on the chart; its Matrices are views for the library.  A
+chart change is a monomial map: the exponent matrix of the map from cone
+tau to cone sigma is E = A_sigma^-1 A_tau, the columns of C_sigma at
+tau's rays (``transition_map``), and its rows render as generalized
+Laurent monomials with exact (possibly irrational) exponents, joined from
+texts built once per chart from its payloads.  The relation of a ray j
+outside sigma over the cone's rays is column j of C_sigma (``relations``).
 
 ``Atlas.compile`` takes the tables the vertex walk of a polytope leaves,
 and otherwise walks the wall graph, whose edges join cones that share
@@ -21,16 +22,19 @@ product form of the inverse; Chvatal, *Linear Programming*, 1983, ch. 7-8).
 A_sigma^-1 A_tau is the identity with column i replaced by column j of
 C_sigma, so det A_tau = +-p det A_sigma: every A_tau is invertible, and a
 zero pivot refuses.  ``cocycle_check`` certifies the cocycle identities of
-all chart changes by one product per chart.
+all chart changes by one payload product per chart.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections import namedtuple
 from collections.abc import Sequence
+from fractions import Fraction
 
-from .linalg import Matrix, SingularMatrixError, pivot_rows, reduce_rows
+from .linalg import (Matrix, SingularMatrixError, multiply_rows, pivot_rows,
+                     reduce_rows)
 from .scalars import Scalar
 from .triples import FundamentalTriple
 
@@ -58,30 +62,49 @@ def _exponent_text(text):
     return f"({text})"
 
 
-# One affine chart of the atlas: the cone (sorted ray indices), the n x d
-# coordinates (column j is A^-1 (ray j), a unit vector on the cone), the
-# n x k lattice_exponents (column l is A^-1 (l-th lattice generator)) and
-# the group_exponents (lattice_exponents with integer entries zeroed).
-Chart = namedtuple("Chart", "cone coordinates lattice_exponents group_exponents")
+class Chart(namedtuple("Chart", "cone rows domain ray_count")):
+    """An affine chart: the cone (sorted ray indices) and its payload rows
+    [C | L], one per ray of the cone, whose first ray_count columns are C.
+    The Matrix properties are views, built on each access."""
+
+    __slots__ = ()
+
+    def group_rows(self):
+        """L with its integer entries zeroed: they act trivially under exp."""
+        domain, d = self.domain, self.ray_count
+        zero = domain._from_fraction(Fraction(0))
+        return [[zero if domain._as_integer(x) is not None else x for x in row[d:]]
+                for row in self.rows]
+
+    def _view(self, rows, col_labels):
+        return Matrix(self.domain, len(rows), len(rows[0]), [
+            Scalar(self.domain, x) for row in rows for x in row], self.cone, col_labels)
+
+    coordinates = property(lambda self: self._view(
+        [row[:self.ray_count] for row in self.rows], range(1, self.ray_count + 1)))
+    lattice_exponents = property(lambda self: self._view(
+        [row[self.ray_count:] for row in self.rows], None))
+    group_exponents = property(lambda self: self._view(
+        self.group_rows(), range(1, len(self.rows[0]) - self.ray_count + 1)))
 
 
-def term_texts(table: Matrix, fan_dim: int):
-    """Per row of a table of exponents, per column: (factor, entry text).
+def term_texts(domain, rows, fan_dim: int):
+    """Per payload row of a table of exponents, per column c: (factor,
+    entry text).
 
-    The factor is the column's variable, z<ray> (z in fan dimension 1),
-    raised to the entry: "" for exponent 0, bare for exponent 1 (canonical
-    text is unique, so only 0 and 1 read "0" and "1").
+    The factor is the variable of ray c + 1, z<c + 1> (z in fan dimension
+    1), raised to the entry: "" for exponent 0, bare for exponent 1
+    (canonical text is unique, so only 0 and 1 read "0" and "1").
     """
-    labels = table.col_labels or range(1, table.cols + 1)
-    names = ["z" if fan_dim == 1 else f"z{j}" for j in labels]
+    names = ["z" if fan_dim == 1 else f"z{c}" for c in range(1, len(rows[0]) + 1)]
+    text = domain.text_of
 
-    def term(name, e):
-        text = e.text()
-        if text in ("0", "1"):
-            return ("" if text == "0" else name), text
-        return f"{name}^{_exponent_text(text)}", text
-    return [[term(name, e) for name, e in zip(names, table.row(i))]
-            for i in range(table.rows)]
+    def term(name, x):
+        entry = text(x)
+        if entry in ("0", "1"):
+            return ("" if entry == "0" else name), entry
+        return f"{name}^{_exponent_text(entry)}", entry
+    return [[term(name, x) for name, x in zip(names, row)] for row in rows]
 
 
 def render_terms(rows, columns):
@@ -98,26 +121,6 @@ def fixed_point(triple: FundamentalTriple, cone: Sequence[int]) -> tuple[int, ..
     return tuple(0 if j in indices else 1 for j in range(1, triple.ray_count + 1))
 
 
-def _chart(triple: FundamentalTriple, cone, rows) -> Chart:
-    """The chart of a cone from its payload rows: the coordinates of the d
-    rays, then those of the k lattice generators."""
-    domain, n, d = triple.domain, len(cone), triple.ray_count
-    k = len(rows[0]) - d
-    raw = [Scalar(domain, x) for row in rows for x in row[d:]]
-    zero = domain.zero()
-    return Chart(
-        cone=cone,
-        coordinates=Matrix(domain, n, d, [Scalar(domain, x) for row in rows
-                                          for x in row[:d]],
-                           cone, tuple(range(1, d + 1))),
-        lattice_exponents=Matrix(domain, n, k, raw, cone),
-        # exact integers act trivially under exp, so drop them
-        group_exponents=Matrix(domain, n, k, [zero if x.is_integer() else x
-                                              for x in raw],
-                               cone, tuple(range(1, k + 1))),
-    )
-
-
 def build_chart(triple: FundamentalTriple, cone: Sequence[int]) -> Chart:
     """Compile the chart of a maximal cone: the payload rows [R | G] of the
     rays and the lattice generators, reduced onto the cone's ray columns
@@ -132,7 +135,8 @@ def build_chart(triple: FundamentalTriple, cone: Sequence[int]) -> Chart:
                         for i in range(n)], [j - 1 for j in indices])
     if len(pivots) < n:
         raise SingularMatrixError("matrix is singular")
-    return _chart(triple, indices, [rows[pivots[j - 1]] for j in indices])
+    return Chart(indices, [rows[pivots[j - 1]] for j in indices],
+                 triple.domain, triple.ray_count)
 
 
 def transition_map(chart: Chart, source: Sequence[int]) -> Matrix:
@@ -140,19 +144,18 @@ def transition_map(chart: Chart, source: Sequence[int]) -> Matrix:
     chart's cone: the columns of the chart's coordinate table at the
     source's rays, rows labelled by the chart's cone, columns by the source.
     From the chart's own cone it is the identity."""
-    src = tuple(sorted(source))
-    table = chart.coordinates
-    return Matrix(table.domain, table.rows, len(src),
-                  [table[i, j - 1] for i in range(table.rows) for j in src],
+    src, domain = tuple(sorted(source)), chart.domain
+    return Matrix(domain, len(chart.rows), len(src),
+                  [Scalar(domain, row[j - 1]) for row in chart.rows for j in src],
                   row_labels=chart.cone, col_labels=src)
 
 
 def relations(chart: Chart) -> dict[int, tuple]:
     """Every ray j outside the chart's cone over the cone's rays, in
     increasing j: its coordinates are column j of the coordinate table."""
-    table = chart.coordinates
-    return {j: table.column(j - 1) for j in range(1, table.cols + 1)
-            if j not in chart.cone}
+    domain = chart.domain
+    return {j: tuple(Scalar(domain, row[j - 1]) for row in chart.rows)
+            for j in range(1, chart.ray_count + 1) if j not in chart.cone}
 
 
 class CocycleReport(namedtuple("CocycleReport",
@@ -171,10 +174,11 @@ def cocycle_check(triple: FundamentalTriple,
     With T(s, t) the exponent matrix of the map from cone s to cone t, the
     identities are T(b, a) T(a, b) = I over ordered pairs (a, b) and
     T(b, a) T(c, b) = T(c, a) over ordered triples (a, b, c) of distinct
-    maximal cones.  They are certified once per chart t, by one product:
-    A_t C_t = R exactly, with A_t the cone matrix, C_t the coordinate
-    table and R the ray matrix; T(s, t) is C_t at the rays of s.  Proof: a
-    chart that passes has A_t T(s, t) = A_s, and every A_t is invertible
+    maximal cones.  They are certified once per chart t, by one product
+    of payload rows (``multiply_rows``): A_t C_t = R exactly, with A_t the
+    cone matrix, C_t the coordinate table and R the ray matrix; T(s, t)
+    is C_t at the rays of s.  Proof: a chart that passes has
+    A_t T(s, t) = A_s, and every A_t is invertible
     (``build_chart`` makes n nonzero pivots on the columns of A_t or
     refuses, and ``Atlas.compile`` and the vertex walk start there and
     pivot only on a nonzero p, so det A_tau = +-p det A_sigma), so
@@ -188,19 +192,15 @@ def cocycle_check(triple: FundamentalTriple,
         atlas = Atlas.compile(triple)
     cones = triple.fan.max_cones
     count = len(cones)
-    rays = triple.ray_matrix()
-    failing = {t for t in cones
-               if triple.cone_matrix(t) @ atlas.chart(t).coordinates != rays}
+    domain, d = triple.domain, triple.ray_count
+    rays = [[ray[i].payload for ray in triple.fan.rays] for i in range(triple.dim)]
+    failing = {t for t in cones if multiply_rows(
+        domain, [[row[j - 1] for j in t] for row in rays],
+        [row[:d] for row in atlas.chart(t).rows]) != rays}
 
-    maps = {}  # each ordered pair's exponents, built at most once
-
-    def exponents(s, t):
-        if (s, t) not in maps:
-            maps[s, t] = atlas.transition(s, t)
-        return maps[s, t]
-
+    exponents = functools.cache(atlas.transition)   # each pair's map at most once
     # the fan keeps its cones sorted, so this is sweep order
-    identity = Matrix.identity(triple.domain, triple.dim)
+    identity = Matrix.identity(domain, triple.dim) if failing else None
     pairs = itertools.permutations(cones, 2) if failing else ()
     triangles = itertools.permutations(cones, 3) if failing else ()
     violations = [("pair", a, b) for a, b in pairs
@@ -238,8 +238,8 @@ def orbit_report(triple: FundamentalTriple):
 class Atlas:
     """All charts of a triple, computed once and cached, from the triple's
     tables where it has them.  Chart changes and relations are views of a
-    coordinate table: ``transition`` and ``relations`` read them off on
-    demand, and ``terms`` keeps each chart's ``term_texts``."""
+    chart's payload rows: ``transition`` and ``relations`` read them off
+    on demand, and ``terms`` keeps each chart's ``term_texts``."""
 
     def __init__(self, triple: FundamentalTriple):
         self.triple = triple
@@ -257,26 +257,23 @@ class Atlas:
             for i in range(len(cone)):
                 walls.setdefault(cone[:i] + cone[i + 1:], []).append(cone)
         atlas = cls(triple)
-        charts, tables = atlas._charts, dict(triple.tables)
-        for cone in tables:
+        charts = atlas._charts
+        for cone in triple.tables:
             atlas.chart(cone)
         for start in triple.fan.max_cones:
             if start in charts:
                 continue
-            chart = charts[start] = build_chart(triple, start)
-            coordinates, raw = chart.coordinates, chart.lattice_exponents
-            tables[start] = [[x.payload for x in coordinates.row(i) + raw.row(i)]
-                             for i in range(triple.dim)]
+            charts[start] = build_chart(triple, start)
             queue = [start]
             for sigma in queue:
                 for i in range(len(sigma)):
                     for tau in walls[sigma[:i] + sigma[i + 1:]]:
                         if tau not in charts:
                             (j,) = set(tau) - set(sigma)
-                            rows = pivot_rows(triple.domain, tables[sigma], i, j - 1)
+                            rows = pivot_rows(triple.domain, charts[sigma].rows, i, j - 1)
                             labels = sigma[:i] + (j,) + sigma[i + 1:]
-                            tables[tau] = [r for _, r in sorted(zip(labels, rows))]
-                            charts[tau] = _chart(triple, tau, tables[tau])
+                            charts[tau] = charts[sigma]._replace(
+                                cone=tau, rows=[r for _, r in sorted(zip(labels, rows))])
                             queue.append(tau)
         return atlas
 
@@ -284,8 +281,8 @@ class Atlas:
         key = tuple(sorted(cone))
         if key not in self._charts:
             rows = self.triple.tables.get(key)
-            self._charts[key] = (build_chart(self.triple, key) if rows is None
-                                 else _chart(self.triple, key, rows))
+            self._charts[key] = (build_chart(self.triple, key) if rows is None else
+                                 Chart(key, rows, self.triple.domain, self.triple.ray_count))
         return self._charts[key]
 
     def transition(self, source, target) -> Matrix:
@@ -296,8 +293,10 @@ class Atlas:
         """``term_texts`` of the chart's coordinate table, built once."""
         key = tuple(sorted(cone))
         if key not in self._terms:
-            self._terms[key] = term_texts(self.chart(key).coordinates,
-                                          self.triple.dim)
+            d = self.triple.ray_count
+            self._terms[key] = term_texts(
+                self.triple.domain, [row[:d] for row in self.chart(key).rows],
+                self.triple.dim)
         return self._terms[key]
 
     def relations(self, cone) -> dict[int, tuple]:

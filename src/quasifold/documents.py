@@ -12,8 +12,8 @@ the text rendering is a stable flat view of the same data.  A chart
 change is rendered in one place, ``transition_section``, for the atlas
 section and for the ``transition`` command alike, as joins of its target
 chart's term texts (``Atlas.terms``, read once per chart for the atlas
-section), and its text once, by ``_transition_lines``.  Relation rows are
-the columns ``Atlas.relations`` reads off each chart's coordinate table.
+section), and its text once, by ``_transition_lines``.  Group exponent
+and relation rows are the texts of each chart's payloads.
 """
 
 from __future__ import annotations
@@ -311,28 +311,23 @@ def _vector_text(vector):
     return [x.text() for x in vector]
 
 
-def _matrix_rows_text(matrix):
-    return [[matrix[i, j].text() for j in range(matrix.cols)]
-            for i in range(matrix.rows)]
-
-
-def _combination_text(coefficients, labels, symbol="X"):
-    """Render sum of c_i * X_{label_i} with sign-aware joining."""
+def _combination_text(domain, coefficients, labels):
+    """Render sum of c_i * X_{label_i} (payloads c_i), signs joined."""
     pieces = []
     for c, label in zip(coefficients, labels):
-        if c.is_zero():
+        if not c:
             continue
         try:
-            negative = c.sign() < 0
+            negative = domain.sign_of(c) < 0
         except IndeterminateSignError:
             negative = False
         # canonical text is unique, so "1" is the text of one alone
-        text = (-c if negative else c).text()
+        text = domain.text_of(domain._neg(c) if negative else c)
         if text == "1":
-            body = f"{symbol}{label}"
+            body = f"X{label}"
         else:
             composite = not (text.isdigit() or text.isalpha())
-            body = f"({text})*{symbol}{label}" if composite else f"{text}*{symbol}{label}"
+            body = f"({text})*X{label}" if composite else f"{text}*X{label}"
         if not pieces:
             pieces.append(("-" if negative else "") + body)
         else:
@@ -397,25 +392,28 @@ def transition_section(terms, source, target):
 
 
 def atlas_section(triple, atlas: Atlas, include_cocycle=True):
-    charts = []
-    for cone in atlas.cones:
-        charts.append({
-            "cone": list(cone),
-            "fixed_point": _fixed_point_text(fixed_point(triple, cone)),
-            "group_exponents": _matrix_rows_text(atlas.chart(cone).group_exponents),
-        })
+    domain, d = triple.domain, triple.ray_count
+    text = domain.text_of
+    charts = [{
+        "cone": list(cone),
+        "fixed_point": _fixed_point_text(fixed_point(triple, cone)),
+        "group_exponents": [[text(x) for x in row]
+                            for row in atlas.chart(cone).group_rows()],
+    } for cone in atlas.cones]
     terms = {cone: atlas.terms(cone) for cone in atlas.cones}
     transitions = [transition_section(terms[target], source, target)
                    for source in atlas.cones for target in atlas.cones
                    if source != target]
     relation_rows = []
     for cone in atlas.cones:
-        rows = [{
+        table = atlas.chart(cone).rows   # ray j over the cone: column j of C
+        columns = [(j, [row[j - 1] for row in table]) for j in range(1, d + 1)
+                   if j not in cone]
+        relation_rows.append({"cone": list(cone), "rows": [{
             "ray": j,
-            "coefficients": _vector_text(coeffs),
-            "display": f"X{j} = " + _combination_text(coeffs, cone),
-        } for j, coeffs in atlas.relations(cone).items()]
-        relation_rows.append({"cone": list(cone), "rows": rows})
+            "coefficients": [text(x) for x in coefficients],
+            "display": f"X{j} = " + _combination_text(domain, coefficients, cone),
+        } for j, coefficients in columns]})
     orbits = [{"cone_dim": r.cone_dim, "orbit_dim": r.orbit_dim, "count": r.count}
               for r in orbit_report(triple)]
     section = {

@@ -16,6 +16,8 @@ payloads are canonical, so the outputs are those of Scalar arithmetic in
 any order of operations.  The work is on payloads with the domain's own
 operations, whose inverses, products and sums are memoised (see
 ``ScalarDomain``); a Scalar is built only for what a caller gets back.
+``multiply_rows`` is the one exact product, of payload rows: ``Matrix``
+products wrap its entries, and the cocycle certificate reads them bare.
 ``integer_solve`` solves a rational system over Z for several right-hand
 sides from one column reduction.
 """
@@ -23,6 +25,8 @@ sides from one column reduction.
 from __future__ import annotations
 
 from collections.abc import Sequence
+from fractions import Fraction
+from functools import reduce
 from math import lcm
 
 from .scalars import DomainMismatchError, Scalar, ScalarDomain
@@ -31,8 +35,8 @@ __all__ = [
     "DimensionMismatchError",
     "Matrix",
     "SingularMatrixError",
-    "dot",
     "integer_solve",
+    "multiply_rows",
     "pivot_rows",
     "reduce_rows",
     "solve_general",
@@ -45,15 +49,6 @@ class SingularMatrixError(ArithmeticError):
 
 class DimensionMismatchError(ValueError):
     """Operand shapes are incompatible."""
-
-
-def dot(u: Sequence[Scalar], v: Sequence[Scalar]) -> Scalar:
-    if len(u) != len(v):
-        raise DimensionMismatchError(f"dot of lengths {len(u)} and {len(v)}")
-    acc = u[0] * v[0]
-    for x, y in zip(u[1:], v[1:]):
-        acc = acc + x * y
-    return acc
 
 
 class Matrix:
@@ -144,27 +139,12 @@ class Matrix:
         if other.domain is not domain and other.domain != domain:
             raise DomainMismatchError(
                 f"cannot mix {domain.describe()} with {other.domain.describe()}")
-        # work on payloads: one Scalar per output entry, no per-op dispatch
-        mul, add = domain._mul, domain._add
-        left = [x.payload for x in self.entries]
-        right = [x.payload for x in other.entries]
-        zero = domain.zero().payload
-        n, m = self.cols, other.cols
-        out = []
-        for i in range(0, self.rows * n, n):
-            row = left[i:i + n]
-            for j in range(m):
-                acc = zero
-                for k, x in enumerate(row):
-                    if x:
-                        acc = add(acc, mul(x, right[k * m + j]))
-                out.append(Scalar(domain, acc))
-        return Matrix(domain, self.rows, m, out, self.row_labels, other.col_labels)
-
-    def apply(self, vector: Sequence[Scalar]):
-        if len(vector) != self.cols:
-            raise DimensionMismatchError("vector length does not match column count")
-        return tuple(dot(self.row(i), vector) for i in range(self.rows))
+        left, right = ([[x.payload for x in m.row(i)] for i in range(m.rows)]
+                       for m in (self, other))
+        out = multiply_rows(domain, left, right)
+        return Matrix(domain, self.rows, other.cols,
+                      [Scalar(domain, x) for row in out for x in row],
+                      self.row_labels, other.col_labels)
 
     # -- elimination ----------------------------------------------------------
 
@@ -202,6 +182,16 @@ class Matrix:
             raise SingularMatrixError("matrix is singular")
         entries = [Scalar(domain, x) for c in range(n) for x in rows[pivots[c]][n:]]
         return Matrix(domain, n, n, entries, self.col_labels, self.row_labels)
+
+
+def multiply_rows(domain: ScalarDomain, left, right):
+    """The product of two tables of payload rows, as payload rows: entry
+    (i, j) sums left[i][k] right[k][j] over the nonzero left[i][k]."""
+    mul, add = domain._mul, domain._add
+    zero = domain._from_fraction(Fraction(0))
+    columns = list(zip(*right))
+    return [[reduce(add, [mul(x, column[k]) for k, x in enumerate(row) if x], zero)
+             for column in columns] for row in left]
 
 
 def pivot_rows(domain: ScalarDomain, rows, i, j):

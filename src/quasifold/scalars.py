@@ -369,7 +369,8 @@ class ScalarDomain:
     """Base class for the three coefficient domains.
 
     Each domain instance memoises the inverse, the sign and the text of the
-    values it has seen, keyed by payload, their floats per parameter sample
+    values it has seen, keyed by payload (``sign_of`` and ``text_of`` serve
+    Scalars and payload readers alike), their floats per parameter sample
     (``triples.float_array``), the payload of each grammar text it has
     parsed, each negation (``_neg`` over ``_negative``), and each product
     and sum (``_mul`` and ``_add`` over ``_product`` and ``_sum``), keyed by
@@ -431,6 +432,19 @@ class ScalarDomain:
         if value is None:
             value = table[a] = compute(a)
         return value
+
+    def text_of(self, a):
+        """The canonical text of payload a, memoised."""
+        return self._memo(self._texts, self._text, a)
+
+    def sign_of(self, a):
+        """The exact sign of payload a, in {-1, 0, 1}, memoised."""
+        return self._memo(self._signs, self._sign, a)
+
+    def _as_integer(self, a):
+        """The value of payload a as an int if it is an integer, else None."""
+        q = self._as_rational(a)
+        return q.numerator if q is not None and q.denominator == 1 else None
 
     # -- construction ------------------------------------------------------
 
@@ -1131,13 +1145,11 @@ class Scalar:
         return self.domain._as_rational(self.payload)
 
     def is_integer(self):
-        q = self.as_rational()
-        return q is not None and q.denominator == 1
+        return self.domain._as_integer(self.payload) is not None
 
     def sign(self):
         """Exact sign in {-1, 0, 1}."""
-        domain, a = self.domain, self.payload
-        return domain._memo(domain._signs, domain._sign, a)
+        return self.domain.sign_of(self.payload)
 
     def eval_numeric(self, precision=15, parameter_sample=None) -> Decimal:
         """Decimal approximation with relative error below 10**-precision."""
@@ -1145,8 +1157,7 @@ class Scalar:
 
     def text(self):
         """Canonical grammar text; parsing it back reproduces the scalar."""
-        domain, a = self.domain, self.payload
-        return domain._memo(domain._texts, domain._text, a)
+        return self.domain.text_of(self.payload)
 
     def __str__(self):
         return self.text()

@@ -162,28 +162,25 @@ class ValidationReport(namedtuple(
 FLOAT_ERROR = 1e-17 + 2.0 ** -53
 
 
-def float_array(entries, shape, parameter_sample):
-    """Floats of exact scalars (17 significant digits, relative error at
-    most ``FLOAT_ERROR``), as rows of shape.
+def float_array(domain, rows, parameter_sample):
+    """The floats of rows of payloads of the domain (17 significant digits,
+    relative error at most ``FLOAT_ERROR``), as lists.
 
     Each domain memoises the float of each value per parameter sample, so
     the support probe and the numeric checks of one document evaluate each
     distinct value once.  A value beyond the float range raises
     OverflowError.
     """
-    floats = entries[0].domain._floats if entries else {}
-    memo = floats.setdefault(parameter_sample, {})
-    values = []
-    for x in entries:
-        value = memo.get(x.payload)
-        if value is None:
-            value = float(x.eval_numeric(17, parameter_sample))
-            if not isfinite(value):
+    memo = domain._floats.setdefault(parameter_sample, {})
+
+    def value(x):
+        if x not in memo:
+            y = float(domain._eval(x, 17, parameter_sample))
+            if not isfinite(y):
                 raise OverflowError("an exact value has no finite float")
-            memo[x.payload] = value
-        values.append(value)
-    rows, cols = shape
-    return [values[i * cols:(i + 1) * cols] for i in range(rows)]
+            memo[x] = y
+        return memo[x]
+    return [[value(x) for x in row] for row in rows]
 
 
 def float_dot(u, v):
@@ -296,7 +293,9 @@ def validate(triple: FundamentalTriple, probe_directions: int = 64,
         try:
             for cone in cones:
                 for i in set(cone) - rays.keys():
-                    rays[i] = float_array(triple.ray(i), (1, dim), parameter_sample)[0]
+                    (rays[i],) = float_array(
+                        triple.domain, [[x.payload for x in triple.ray(i)]],
+                        parameter_sample)
                 # row i of an inverse gives coordinate i of a direction, and
                 # the direction is inside when none is below -1e-9 |row|
                 inverses.append(list(zip(*float_solve(

@@ -47,10 +47,10 @@ exponent leaves a residual of the fault's size, reported as a mismatch.
 The harness is plain Python: ``NumericAtlas`` caches the float rows
 (``triples.float_array``, from the floats the domain memoises for the
 support probe of ``validate`` too) of the ray matrix and of each chart's
-tables, reads a transition and the factorization's kernel rows off the
-float coordinate table, and keeps the ray witnesses as exact ints, so a
-witness never overflows; ``triples.float_dot`` (``math.fsum``) sums every
-dot product, ``x % 1.0`` reduces mod 1 and ``math.floor`` picks the branch.
+payload table, reads a transition and the factorization's kernel rows off
+the float coordinate table, and keeps the ray witnesses and I_sigma as
+exact ints, so neither overflows; ``triples.float_dot`` (``math.fsum``)
+sums every dot product, ``x % 1.0`` reduces mod 1 and ``math.floor`` picks the branch.
 Before any draw, ``verify_triple`` bounds what rounding can do to any
 residual (``_rounding_bound``) and refuses when that exceeds half the
 tolerance or a table value has no finite float.  ``_with_fault`` perturbs
@@ -263,8 +263,8 @@ class GroupMembership:
 
 
 class NumericAtlas:
-    """Float views of a triple's atlas, rows of floats cached per matrix,
-    and the ray witnesses w_j (one list of k ints per ray)."""
+    """Float views of a triple's atlas, converted once from its payload
+    rows, and the ray witnesses w_j (one list of k ints per ray)."""
 
     def __init__(self, triple: FundamentalTriple, atlas: Atlas | None = None,
                  parameter_sample=None):
@@ -273,7 +273,6 @@ class NumericAtlas:
                              f"{triple.witnesses.index(None) + 1}")
         self.witnesses = [list(w) for w in triple.witnesses]
         self.triple = triple
-        self._rays = triple.ray_matrix()
         self.atlas = atlas if atlas is not None else Atlas.compile(triple)
         if (parameter_sample is None
                 and triple.domain.kind == "rational_function"):
@@ -290,32 +289,35 @@ class NumericAtlas:
             rows = self._cache[key] = build()
         return rows
 
-    def _floats(self, key, matrix):
-        """The float rows of an exact matrix, converted once per key."""
+    def _floats(self, key, rows):
+        """The float rows of the payload rows rows() gives, once per key."""
         return self._cached(key, lambda: float_array(
-            matrix.entries, (matrix.rows, matrix.cols), self.parameter_sample))
+            self.triple.domain, rows(), self.parameter_sample))
 
     def ray_matrix(self):
-        return self._floats("rays", self._rays)
+        return self._floats("rays", lambda: zip(*[
+            [x.payload for x in ray] for ray in self.triple.fan.rays]))
 
     def group_exponents(self, cone):
         return self._floats(("group_exponents", tuple(cone)),
-                            self.atlas.chart(cone).group_exponents)
+                            self.atlas.chart(cone).group_rows)
 
     def lattice_exponents(self, cone):
-        return self._floats(("lattice_exponents", tuple(cone)),
-                            self.atlas.chart(cone).lattice_exponents)
+        d = self.triple.ray_count
+        return self._floats(("lattice_exponents", tuple(cone)), lambda: [
+            row[d:] for row in self.atlas.chart(cone).rows])
 
     def coordinates(self, cone):
-        return self._floats(("coordinates", tuple(cone)),
-                            self.atlas.chart(cone).coordinates)
+        d = self.triple.ray_count
+        return self._floats(("coordinates", tuple(cone)), lambda: [
+            row[:d] for row in self.atlas.chart(cone).rows])
 
     def integer_exponents(self, cone):
-        """The integer entries I of the lattice exponents, as ints: L - C."""
+        """The integer entries I of the lattice exponents, exactly: L - C."""
+        d, domain = self.triple.ray_count, self.triple.domain
         return self._cached(("integers", tuple(cone)), lambda: [
-            [0 if c else int(x) for x, c in zip(lattice, group)]
-            for lattice, group in zip(self.lattice_exponents(cone),
-                                      self.group_exponents(cone))])
+            [domain._as_integer(x) or 0 for x in row[d:]]
+            for row in self.atlas.chart(cone).rows])
 
     def transition(self, source, target):
         """The chart change's exponents: the target's table at the source's

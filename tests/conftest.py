@@ -1,9 +1,20 @@
 import pytest
 from hypothesis import settings
 
-from quasifold import (Atlas, GALLERY_NAMES, NumberFieldDomain,
+from quasifold import (Atlas, GALLERY_NAMES, Matrix, NumberFieldDomain,
                        RationalDomain, RationalFunctionDomain,
                        document_to_triple, load_gallery)
+
+
+def apply(rows, vector):
+    """The exact product of rows (a Matrix, or a list of rows of Scalars)
+    and a vector of Scalars, as a tuple: the oracle the tests multiply
+    with; a dot product is the one entry of apply([u], v)."""
+    if isinstance(rows, Matrix):
+        rows = [rows.row(i) for i in range(rows.rows)]
+    assert all(len(row) == len(vector) for row in rows)
+    return tuple(sum(x * y for x, y in zip(row, vector)) for row in rows)
+
 
 # Property tests draw the same examples on every run and keep no example
 # database, so the suite stays deterministic.

@@ -11,12 +11,14 @@ import quasifold.atlas
 from quasifold import (Atlas, CocycleReport, Fan, FundamentalTriple,
                        InputDocument, Matrix, NumberFieldDomain, NumericAtlas,
                        Quasilattice, RationalDomain,
-                       RationalFunctionDomain, SingularMatrixError,
+                       RationalFunctionDomain, Scalar, SingularMatrixError,
                        build_chart, cocycle_check, document_to_triple,
                        fixed_point, load_document, load_gallery, orbit_report,
                        relations, render_terms, specialize_document,
                        term_texts, to_triple, transition_map)
-from quasifold.documents import transition_section
+from quasifold.documents import atlas_section, transition_section
+
+from conftest import apply
 
 
 def expected_matrix(domain, rows):
@@ -63,7 +65,7 @@ def test_group_exponent_columns_are_lattice_compatible(gallery, gallery_atlases)
             inverse = cone_matrix.inverse()
             for col in range(chart.group_exponents.cols):
                 reduced = chart.group_exponents.column(col)
-                raw = inverse.apply(triple.lattice.generators.column(col))
+                raw = apply(inverse, triple.lattice.generators.column(col))
                 dropped = [x - y for x, y in zip(raw, reduced)]
                 coefficients = [0] * triple.lattice.count
                 coefficients[col] += 1
@@ -73,7 +75,7 @@ def test_group_exponent_columns_are_lattice_compatible(gallery, gallery_atlases)
                     witness = triple.witnesses[ray_index - 1]
                     for t, w in enumerate(witness):
                         coefficients[t] -= int(q) * w
-                target = cone_matrix.apply(reduced)
+                target = apply(cone_matrix, reduced)
                 assert triple.lattice.reproduces(coefficients, target)
 
 
@@ -164,21 +166,22 @@ def test_transition_dodecahedron_facet_pair(gallery):
 
 def test_render_edge_cases(rational):
     # exponent 0 gives no factor, exponent 1 a bare variable, and a row of
-    # zeros renders as 1
-    table = Matrix.from_rows(rational, [["0", "0", "3"], ["1", "-2", "0"]],
-                             col_labels=(4, 7, 9))
-    terms = term_texts(table, 2)
-    assert terms == [[("", "0"), ("", "0"), ("z9^3", "3")],
-                     [("z4", "1"), ("z7^-2", "-2"), ("", "0")]]
-    assert render_terms(terms, [0, 1]) == "[1 : z4 z7^-2]"
-    assert render_terms(terms, [2, 1]) == "[z9^3 : z7^-2]"
-    half = Matrix.from_rows(rational, [["1/2"]], col_labels=(1,))
-    assert render_terms(term_texts(half, 2), [0]) == "[z1^(1/2)]"
+    # zeros renders as 1; column c is the variable of ray c + 1
+    def payloads(rows):
+        return [[rational.scalar(x).payload for x in row] for row in rows]
+    table = payloads([["0"] * 8 + ["3"], ["0"] * 3 + ["1", "0", "0", "-2", "0", "0"]])
+    terms = term_texts(rational, table, 2)
+    assert [[row[c] for c in (3, 6, 8)] for row in terms] == \
+        [[("", "0"), ("", "0"), ("z9^3", "3")],
+         [("z4", "1"), ("z7^-2", "-2"), ("", "0")]]
+    assert render_terms(terms, [3, 6]) == "[1 : z4 z7^-2]"
+    assert render_terms(terms, [8, 6]) == "[z9^3 : z7^-2]"
+    half = payloads([["1/2"]])
+    assert render_terms(term_texts(rational, half, 2), [0]) == "[z1^(1/2)]"
     # fan dimension 1 has the one variable z
-    assert render_terms(term_texts(half, 1), [0]) == "[z^(1/2)]"
-    # a table without column labels numbers its columns from 1
-    plain = Matrix.from_rows(rational, [["1", "-1"]])
-    assert render_terms(term_texts(plain, 2), [0, 1]) == "[z1 z2^-1]"
+    assert render_terms(term_texts(rational, half, 1), [0]) == "[z^(1/2)]"
+    plain = payloads([["1", "-1"]])
+    assert render_terms(term_texts(rational, plain, 2), [0, 1]) == "[z1 z2^-1]"
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +230,7 @@ def test_relation_kernel_soundness(gallery):
                 vector[j - 1] = one
                 for c, i in zip(coefficients, cone):
                     vector[i - 1] = -c
-                assert all(x.is_zero() for x in pi.apply(vector))
+                assert all(x.is_zero() for x in apply(pi, vector))
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +258,7 @@ def test_coordinate_tables_match_per_pair_products(gallery, gallery_atlases):
                 assert chart.coordinates.column(i - 1) == tuple(
                     one if s == t else zero for s in range(len(sigma))), name
             for j, coords in atlas.relations(sigma).items():
-                assert coords == inverse.apply(triple.ray(j)), (name, sigma, j)
+                assert coords == apply(inverse, triple.ray(j)), (name, sigma, j)
             for tau in triple.fan.max_cones:
                 if tau == sigma:
                     continue
@@ -312,6 +315,17 @@ def test_compile_multiplies_per_chart_not_per_pair(gallery, monkeypatch):
         atlas.relations(cone)
         atlas.terms(cone)
     assert len(calls) == 0
+
+
+@pytest.mark.parametrize("name", ["dodecahedron", "kite"])
+def test_atlas_and_its_section_wrap_no_scalar_per_entry(gallery, monkeypatch, name):
+    # a chart is its payload table: compiling the atlas and writing its
+    # report section (texts, relations, cocycle product) read payloads
+    # and the domain's memos, and build no Scalar per table entry
+    triple = gallery[name][1]
+    calls = counting(monkeypatch, Scalar, "__init__")
+    atlas_section(triple, Atlas.compile(triple))
+    assert len(calls) < 100, len(calls)
 
 
 def two_component_triple():
@@ -668,15 +682,16 @@ def test_cocycle_matches_literal_sweep(gallery, gallery_atlases, built_atlases):
 
 def with_tables(triple, atlas, tables):
     """A copy of the atlas whose charts' coordinate tables are replaced:
-    tables maps a cone to the table's new entries, row by row."""
+    tables maps a cone to the table's new entries (Scalars), row by row,
+    which become the payload rows of C; the lattice columns stay."""
     bad = Atlas(triple)
     bad._charts = dict(atlas._charts)
+    d = triple.ray_count
     for cone, entries in tables.items():
         chart = atlas.chart(cone)
-        table = chart.coordinates
-        bad._charts[cone] = chart._replace(coordinates=Matrix(
-            triple.domain, table.rows, table.cols, entries,
-            row_labels=table.row_labels, col_labels=table.col_labels))
+        bad._charts[cone] = chart._replace(rows=[
+            [x.payload for x in entries[i * d:(i + 1) * d]] + row[d:]
+            for i, row in enumerate(chart.rows)])
     return bad
 
 

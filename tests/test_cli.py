@@ -24,7 +24,7 @@ from quasifold import (GALLERY_NAMES, TOOL_VERSION, document_to_triple,
                        specialize_document)
 from quasifold.cli import main
 from quasifold.documents import schema_accepts
-from quasifold.scalars import Scalar
+from quasifold.scalars import NumberFieldDomain
 
 
 def run_cli(args, capsys):
@@ -554,11 +554,12 @@ def test_combination_text_lets_refusals_through():
     from quasifold import NumberFieldDomain, RationalFunctionDomain, parse_scalar
     from quasifold.documents import _combination_text
     parameter = RationalFunctionDomain("a")
-    terms = [parse_scalar(x, parameter) for x in ("1", "1 - a", "-a")]
-    assert _combination_text(terms, [1, 2, 3]) == "X1 + (-a + 1)*X2 - a*X3"
+    terms = [parse_scalar(x, parameter).payload for x in ("1", "1 - a", "-a")]
+    assert _combination_text(parameter, terms, [1, 2, 3]) == \
+        "X1 + (-a + 1)*X2 - a*X3"
     field = NumberFieldDomain(["6", "0", "-5", "0", "1"], "b", "1.41421356")
     with pytest.raises(ValueError, match="reducible"):
-        _combination_text([parse_scalar("b^2 - 2", field)], [1])
+        _combination_text(field, [parse_scalar("b^2 - 2", field).payload], [1])
 
 
 def test_atlas_command(tmp_path, capsys):
@@ -979,16 +980,17 @@ def test_no_exact_state_outlives_its_document(tmp_path, monkeypatch, capsys):
 
 def test_gallery_evaluates_each_value_once(monkeypatch, capsys):
     # the support probe and the numeric checks share the domain's float
-    # memo, so a run evaluates each distinct exact value once
-    evaluate = Scalar.eval_numeric
+    # memo, so a run evaluates each distinct exact value once (both
+    # entries are over Q(alpha))
+    evaluate = NumberFieldDomain._eval
     for name in ("dodecahedron", "kite"):
         calls = collections.Counter()
 
-        def counted(self, *args, **kwargs):
-            calls[self.payload] += 1
-            return evaluate(self, *args, **kwargs)
+        def counted(self, a, *args, **kwargs):
+            calls[a] += 1
+            return evaluate(self, a, *args, **kwargs)
 
-        monkeypatch.setattr(Scalar, "eval_numeric", counted)
+        monkeypatch.setattr(NumberFieldDomain, "_eval", counted)
         code, _, err = run_cli(["gallery", name], capsys)
         assert (code, err) == (0, ""), name
         assert calls and max(calls.values()) == 1, (name, calls)

@@ -11,10 +11,12 @@ import quasifold.atlas
 import quasifold.polytopes
 from quasifold import (Atlas, Facet, GenericityError, Matrix, Polytope,
                        Quasilattice, RationalDomain, SimplicityError,
-                       SingularMatrixError, TrialConfig, Vertex, dot,
+                       SingularMatrixError, TrialConfig, Vertex,
                        enumerate_vertices, load_document, load_gallery,
                        normal_fan, specialize_document, to_triple, validate,
                        verify_triple)
+
+from conftest import apply
 
 
 def triangle(parameter):
@@ -100,7 +102,7 @@ def test_vertices_saturate_and_satisfy(gallery):
         polytope = doc.polytope
         for vertex in fan_result.vertices:
             for j, facet in enumerate(polytope.facets, start=1):
-                slack = dot(facet.normal, vertex.coordinates) - facet.offset
+                slack = apply([facet.normal], vertex.coordinates)[0] - facet.offset
                 if j in vertex.incident:
                     assert slack.is_zero()
                 else:
@@ -115,7 +117,7 @@ def test_offsets_are_vertex_minima(gallery):
         for j, facet in enumerate(polytope.facets, start=1):
             attained = False
             for vertex in fan_result.vertices:
-                slack = dot(facet.normal, vertex.coordinates) - facet.offset
+                slack = apply([facet.normal], vertex.coordinates)[0] - facet.offset
                 assert slack.is_zero() or _is_positive(slack, doc)
                 if slack.is_zero():
                     attained = True
@@ -213,7 +215,7 @@ def sweep_vertices(polytope):
             continue
         incident = []
         for j, facet in enumerate(polytope.facets, start=1):
-            slack = dot(facet.normal, point) - facet.offset
+            slack = apply([facet.normal], point)[0] - facet.offset
             if slack.is_zero():
                 incident.append(j)
             elif slack.sign() < 0:
@@ -271,7 +273,7 @@ def test_walk_on_a_dodecahedron_without_repeated_values():
     assert len(vertices) == 20
     for vertex in vertices:
         for j, facet in enumerate(polytope.facets, 1):
-            slack = dot(facet.normal, vertex.coordinates) - facet.offset
+            slack = apply([facet.normal], vertex.coordinates)[0] - facet.offset
             assert slack.sign() == (0 if j in vertex.incident else 1)
         assert len(vertex.incident) == 3
     assert 0 < len(domain._products) <= PAIR_MEMO_LIMIT
@@ -412,7 +414,7 @@ def golden_cut_cube(golden, seed):
         if rng.random() < 0.4:
             # through the corner the normal points away from
             corner = [2 if c.sign() < 0 else -2 for c in normal]
-            offset = dot(normal, [golden.scalar(x) for x in corner])
+            offset = apply([normal], [golden.scalar(x) for x in corner])[0]
         else:
             offset = element(-4, 1) * Fraction(1, rng.randint(1, 3))
         facets.append(Facet(normal, offset))

@@ -17,7 +17,8 @@ FAN = Fan(1, [[ONE]], [(1,)])
 
 # per record: its fields in constructor order, and one value for each
 RECORDS = {
-    Chart: ((1, 2), IDENTITY, IDENTITY, IDENTITY),
+    Chart: ((1, 2), [[Fraction(1), Fraction(0), Fraction(1)],
+                     [Fraction(0), Fraction(1), Fraction(1, 2)]], RATIONAL, 2),
     CocycleReport: (2, 0, ()),
     OrbitRow: (1, 1, 2),
     Facet: ((ONE, ONE), ONE),
@@ -56,6 +57,11 @@ def test_record_defaults_and_properties():
         None, None, None, None)
     assert first.options == {} and InputDocument(RATIONAL, None).options \
         is not first.options
+    # a chart is its payload rows [C | L]; its Matrices are views
+    chart = Chart(*RECORDS[Chart])
+    assert chart.coordinates == IDENTITY and chart.coordinates.col_labels == (1, 2)
+    assert [x.text() for x in chart.lattice_exponents.entries] == ["1", "1/2"]
+    assert [x.text() for x in chart.group_exponents.entries] == ["0", "1/2"]
     assert CocycleReport(2, 0, ()).passed
     assert not CocycleReport(2, 0, (("pair", (1,), (2,)),)).passed
     report = NormalFanResult(FAN, ("v",))

@@ -13,6 +13,8 @@ from quasifold import (Fan, FundamentalTriple, Matrix, Quasilattice,
                        with_recovered_witnesses)
 from quasifold.triples import _inside, float_dot, float_solve
 
+from conftest import apply
+
 # index sets of the twenty maximal cones of the dodecahedron fan
 DODECAHEDRON_CONES = [
     (1, 2, 3), (1, 2, 4), (1, 3, 6), (1, 4, 11), (1, 6, 11),
@@ -375,7 +377,7 @@ def test_recovered_witness_is_canonical(name, data, request):
     assume(generators.rank() == n)
     m = data.draw(st.lists(st.integers(-3, 3), min_size=k, max_size=k))
     lattice = Quasilattice(domain, generators)
-    ray = generators.apply([domain.scalar(c) for c in m])
+    ray = apply(generators, [domain.scalar(c) for c in m])
     units = [[domain.scalar(int(i == j)) for j in range(n)] for i in range(n - 1)]
     fan = Fan(n, [ray, *units], [range(1, n + 1)])
     w = ray_membership(FundamentalTriple(fan, lattice), 1)

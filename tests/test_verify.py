@@ -124,14 +124,29 @@ def test_kernel_rows_are_the_floats_of_the_exact_kernel_vectors(gallery):
                     for t, i in enumerate(cone):
                         vector[i - 1] = -table[t, j - 1]
                     exact.append(vector)
-            expected = float_array([x for v in exact for x in v],
-                                   (len(exact), d), None)
+            expected = float_array(domain, [[x.payload for x in v] for v in exact],
+                                   None)
             rows = numeric.kernel_matrix(cone)
             assert rows == expected, (name, cone)
             assert [[math.copysign(1.0, x) for x in row] for row in rows] == \
                 [[math.copysign(1.0, x) for x in row] for row in expected]
             for row in rows:
                 assert max(abs(float_dot(r, row)) for r in rays) < 1e-9
+
+
+def test_integer_exponents_are_exact_past_two_to_the_53():
+    # I_sigma comes from the exact table, not from its floats: 2^60 + 1
+    # has no float of its own
+    big = 2 ** 60 + 1
+    triple = document_to_triple(load_document({
+        "domain": {"kind": "rational"},
+        "quasilattice": {"generators": [["1", str(big), "1/2"]]},
+        "fan": {"rays": [["1"], ["-1"]], "max_cones": [[1], [2]]},
+    }))[0]
+    numeric = NumericAtlas(triple)
+    assert numeric.integer_exponents((1,)) == [[1, big, 0]]
+    assert numeric.integer_exponents((2,)) == [[-1, -big, 0]]
+    assert numeric.group_exponents((1,)) == [[0.0, 0.0, 0.5]]
 
 
 def test_connecting_element_passes_and_skips(gallery):
@@ -250,8 +265,8 @@ def test_factorization_direct_oracle(gallery):
     pi_x = rays @ x
     cone = triple.cone_matrix((1,))
     y = np.linalg.solve(np.asarray(float_array(
-        cone.entries, (cone.rows, cone.cols), numeric.parameter_sample)),
-        pi_x)
+        triple.domain, [[x.payload for x in cone.row(i)] for i in range(cone.rows)],
+        numeric.parameter_sample)), pi_x)
     assert abs(y[0] - 1.0) < 1e-12
     w = x - np.array([y[0], 0.0])
     assert np.max(np.abs(rays @ w)) < 1e-12
