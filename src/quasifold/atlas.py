@@ -11,18 +11,12 @@ Laurent monomials with exact (possibly irrational) exponents, joined from
 texts built once per chart from its payloads.  The relation of a ray j
 outside sigma over the cone's rays is column j of C_sigma (``relations``).
 
-``Atlas.compile`` takes the tables the vertex walk of a polytope leaves,
-and otherwise walks the wall graph, whose edges join cones that share
-n - 1 rays.  It builds one start chart per component by ``build_chart``,
-which reduces [R | G] onto the cone's rays, and reaches every other chart
-from a neighbour by one exact pivot on the table [C_sigma | L_sigma] of
-the coordinates of the rays and the lattice generators, as the vertex
-walk does: for tau = sigma - i + j the pivot is p = C_sigma[i, j] (the
-product form of the inverse; Chvatal, *Linear Programming*, 1983, ch. 7-8).
-A_sigma^-1 A_tau is the identity with column i replaced by column j of
-C_sigma, so det A_tau = +-p det A_sigma: every A_tau is invertible, and a
-zero pivot refuses.  ``cocycle_check`` certifies the cocycle identities of
-all chart changes by one payload product per chart.
+The tables come from one walk per triple, made when the triple is built
+(the vertex walk of a polytope, else the wall-graph walk of
+``FundamentalTriple``): ``Atlas.compile`` only wraps them, and refuses a
+fan with a cone that has none.  ``build_chart`` computes one table on its
+own, by one reduction.  ``cocycle_check`` certifies the cocycle
+identities of all chart changes by one payload product per chart.
 """
 
 from __future__ import annotations
@@ -33,8 +27,7 @@ from collections import namedtuple
 from collections.abc import Sequence
 from fractions import Fraction
 
-from .linalg import (Matrix, SingularMatrixError, multiply_rows, pivot_rows,
-                     reduce_rows)
+from .linalg import Matrix, SingularMatrixError, multiply_rows, reduce_rows
 from .scalars import Scalar
 from .triples import FundamentalTriple
 
@@ -122,18 +115,15 @@ def fixed_point(triple: FundamentalTriple, cone: Sequence[int]) -> tuple[int, ..
 
 
 def build_chart(triple: FundamentalTriple, cone: Sequence[int]) -> Chart:
-    """Compile the chart of a maximal cone: the payload rows [R | G] of the
-    rays and the lattice generators, reduced onto the cone's ray columns
-    (``reduce_rows``), are A^-1 [R | G], one row per ray of the cone.
-    Raises SingularMatrixError unless all n pivots are nonzero."""
+    """Compile the chart of a maximal cone: the triple's payload rows
+    [R | G], reduced onto the cone's ray columns (``reduce_rows``), are
+    A^-1 [R | G], one row per ray of the cone.  Raises SingularMatrixError
+    unless all n pivots are nonzero."""
     indices = tuple(sorted(cone))
     if indices not in triple.fan.max_cones:
         raise ValueError(f"{indices} is not a maximal cone of the fan")
-    rays, generators, n = triple.ray_matrix(), triple.lattice.generators, triple.dim
-    rows, pivots = reduce_rows(
-        triple.domain, [[x.payload for x in rays.row(i) + generators.row(i)]
-                        for i in range(n)], [j - 1 for j in indices])
-    if len(pivots) < n:
+    rows, pivots = reduce_rows(triple.domain, triple.rows, [j - 1 for j in indices])
+    if len(pivots) < triple.dim:
         raise SingularMatrixError("matrix is singular")
     return Chart(indices, [rows[pivots[j - 1]] for j in indices],
                  triple.domain, triple.ray_count)
@@ -178,10 +168,9 @@ def cocycle_check(triple: FundamentalTriple,
     of payload rows (``multiply_rows``): A_t C_t = R exactly, with A_t the
     cone matrix, C_t the coordinate table and R the ray matrix; T(s, t)
     is C_t at the rays of s.  Proof: a chart that passes has
-    A_t T(s, t) = A_s, and every A_t is invertible
-    (``build_chart`` makes n nonzero pivots on the columns of A_t or
-    refuses, and ``Atlas.compile`` and the vertex walk start there and
-    pivot only on a nonzero p, so det A_tau = +-p det A_sigma), so
+    A_t T(s, t) = A_s, and every A_t is invertible (the walk that made
+    the tables starts from n nonzero pivots on the columns of A_t and
+    pivots only on a nonzero p, so det A_tau = +-p det A_sigma), so
     T(s, t) = A_t^-1 A_s and
     A_a^-1 A_b A_b^-1 A_c = A_a^-1 A_c.  Only the identities with a map
     into a failing chart, those whose a or b fails, are multiplied out, in
@@ -193,7 +182,7 @@ def cocycle_check(triple: FundamentalTriple,
     cones = triple.fan.max_cones
     count = len(cones)
     domain, d = triple.domain, triple.ray_count
-    rays = [[ray[i].payload for ray in triple.fan.rays] for i in range(triple.dim)]
+    rays = [row[:d] for row in triple.rows]
     failing = {t for t in cones if multiply_rows(
         domain, [[row[j - 1] for j in t] for row in rays],
         [row[:d] for row in atlas.chart(t).rows]) != rays}
@@ -236,10 +225,10 @@ def orbit_report(triple: FundamentalTriple):
 
 
 class Atlas:
-    """All charts of a triple, computed once and cached, from the triple's
-    tables where it has them.  Chart changes and relations are views of a
-    chart's payload rows: ``transition`` and ``relations`` read them off
-    on demand, and ``terms`` keeps each chart's ``term_texts``."""
+    """All charts of a triple, each wrapped once from the triple's table.
+    Chart changes and relations are views of a chart's payload rows:
+    ``transition`` and ``relations`` read them off on demand, and
+    ``terms`` keeps each chart's ``term_texts``."""
 
     def __init__(self, triple: FundamentalTriple):
         self.triple = triple
@@ -248,41 +237,20 @@ class Atlas:
 
     @classmethod
     def compile(cls, triple: FundamentalTriple) -> "Atlas":
-        """Every chart, breadth-first over the wall graph from the tables:
-        ``build_chart`` (one reduction) at the first cone of each component
-        without one, then one ``pivot_rows`` per chart on its neighbour's
-        payload rows [C_sigma | L_sigma]."""
-        walls = {}
-        for cone in triple.fan.max_cones:
-            for i in range(len(cone)):
-                walls.setdefault(cone[:i] + cone[i + 1:], []).append(cone)
+        """Every chart of the fan; raises SingularMatrixError if a cone is
+        singular."""
         atlas = cls(triple)
-        charts = atlas._charts
-        for cone in triple.tables:
+        for cone in triple.fan.max_cones:
             atlas.chart(cone)
-        for start in triple.fan.max_cones:
-            if start in charts:
-                continue
-            charts[start] = build_chart(triple, start)
-            queue = [start]
-            for sigma in queue:
-                for i in range(len(sigma)):
-                    for tau in walls[sigma[:i] + sigma[i + 1:]]:
-                        if tau not in charts:
-                            (j,) = set(tau) - set(sigma)
-                            rows = pivot_rows(triple.domain, charts[sigma].rows, i, j - 1)
-                            labels = sigma[:i] + (j,) + sigma[i + 1:]
-                            charts[tau] = charts[sigma]._replace(
-                                cone=tau, rows=[r for _, r in sorted(zip(labels, rows))])
-                            queue.append(tau)
         return atlas
 
     def chart(self, cone) -> Chart:
         key = tuple(sorted(cone))
         if key not in self._charts:
-            rows = self.triple.tables.get(key)
-            self._charts[key] = (build_chart(self.triple, key) if rows is None else
-                                 Chart(key, rows, self.triple.domain, self.triple.ray_count))
+            if key not in self.triple.tables:
+                build_chart(self.triple, key)   # raises: not maximal, or singular
+            self._charts[key] = Chart(key, self.triple.tables[key],
+                                      self.triple.domain, self.triple.ray_count)
         return self._charts[key]
 
     def transition(self, source, target) -> Matrix:

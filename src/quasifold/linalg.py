@@ -7,9 +7,10 @@ given column in turn on the first row not yet pivoted where it is nonzero.
 ``Matrix.rank``, ``solve`` and ``inverse``, and ``solve_general``, read their
 results off the reduced rows of [A | right-hand sides]: the row pivoted at
 column c holds coordinate c of every solution, and the kernel vector of a
-free column f is e_f minus column f at the pivots.  ``build_chart``
-reduces [R | G] onto a cone's rays and the vertex walk [N | G | I] onto
-its first facets, and both walks then take one ``pivot_rows`` per step.
+free column f is e_f minus column f at the pivots.  Both walks that make
+chart tables start with one reduction, of [R | G] onto a cone's rays for
+a fan (``FundamentalTriple``) and of [N | G | I] onto the first facets
+for a polytope, then take one ``pivot_rows`` per step.
 Every result is fixed by its value (a solution, an inverse, a rank, the
 pivot columns, the particular solution with free variables zero), and
 payloads are canonical, so the outputs are those of Scalar arithmetic in

@@ -5,7 +5,7 @@ normals X_j.  Vertices are enumerated exactly on one tableau per vertex,
 whose edge rows are the chart rows [C_S | L_S] of its cone: phase one of
 the simplex method pivots from the first n independent facet normals to a
 first vertex, and the walk along the edges pivots once per further vertex
-(``linalg.pivot_rows``); ``to_triple`` hands the tables to the atlas.  The
+(``linalg.pivot_rows``); ``to_triple`` hands the tables to the triple.  The
 normal fan then has one maximal cone per vertex, spanned by the normals
 of the facets through it; inequalities with an unbounded edge are
 refused.

@@ -244,32 +244,6 @@ def _zsturm_count(p, lo=None, hi=None):
     return _variations(at_lo) - _variations(at_hi)
 
 
-def _zroot_count(p, positive):
-    """The number of distinct real roots of p, on (0, oo) when positive,
-    else on the whole line; in closed form up to degree 2, from the signs
-    of the coefficients and of the discriminant, else by Sturm."""
-    if len(p) > 3:
-        return _zsturm_count(p, 0 if positive else None)
-    if len(p) == 1:
-        return 0
-    if len(p) == 2:   # the root -c0 / c1
-        return 1 if not positive or p[0] * p[1] < 0 else 0
-    c0, c1, c2 = p
-    disc = c1 * c1 - 4 * c0 * c2
-    if disc < 0:
-        return 0
-    if not positive:
-        return 1 if disc == 0 else 2
-    if disc == 0:   # the double root -c1 / (2 c2)
-        return 1 if c1 * c2 < 0 else 0
-    if c0 * c2 < 0:   # roots of opposite signs
-        return 1
-    # roots of one sign, or 0 and -c1 / c2: positive where -c1 / c2 is
-    if c1 * c2 >= 0:
-        return 0
-    return 1 if c0 == 0 else 2
-
-
 def _as_fraction(value):
     if isinstance(value, Fraction):
         return value
@@ -376,8 +350,9 @@ class ScalarDomain:
     and sum (``_mul`` and ``_add`` over ``_product`` and ``_sum``), keyed by
     the ordered payload pair, so each distinct one is computed once.  The
     memos live as long as the domain, which one document owns.  Symmetric
-    inputs repeat a few values: a dodecahedron report makes 3,695 products
-    of 109 distinct pairs, a 180-chart atlas 249k of 1,809.  Without
+    inputs repeat a few values: a dodecahedron report makes 3,148 products
+    of 99 distinct pairs, the atlas of the 60-chart truncated dodecahedron
+    22,966 of 230.  Without
     repeats, a negation or pair table is cleared at ``PAIR_MEMO_LIMIT``
     entries.  Hashing a pair of Fractions costs what multiplying them does,
     so ``RationalDomain`` keeps no such memo.  A call that raises (a zero
@@ -1015,7 +990,7 @@ class RationalFunctionDomain(ScalarDomain):
         positive = self.parameter_positivity
         num, den = self._values[a]
         for p in (num, den):
-            if _zroot_count(p, positive):
+            if _zsturm_count(p, 0 if positive else None):
                 where = f"{symbol} > 0" if positive else f"real {symbol}"
                 raise IndeterminateSignError(
                     f"the sign of {self._text(a)} is not proven constant for "

@@ -17,7 +17,8 @@ from functools import reduce
 from math import fsum, hypot, isfinite
 from operator import mul
 
-from .linalg import Matrix, integer_solve, solve_general
+from .linalg import (Matrix, integer_solve, pivot_rows, reduce_rows,
+                     solve_general)
 from .scalars import RationalDomain, Scalar, ScalarDomain
 
 __all__ = [
@@ -96,8 +97,23 @@ class Fan:
 
 
 class FundamentalTriple:
-    """(fan, quasilattice, ray witnesses) over one scalar domain, and the
-    chart rows [C | L] (payloads) the vertex walk of a polytope leaves."""
+    """(fan, quasilattice, ray witnesses) over one scalar domain, with the
+    payload rows [R | G] of the rays and the lattice generators (``rows``)
+    and the chart table [C_sigma | L_sigma] = A_sigma^-1 [R | G] of each
+    simplicial maximal cone sigma (``tables``).
+
+    A polytope's tables are the ones its vertex walk leaves.  Any other
+    triple walks the wall graph, whose edges join cones that share n - 1
+    rays: each component starts at its first cone by one ``reduce_rows``
+    of [R | G] onto the cone's rays, and reaches every other cone
+    tau = sigma - i + j from a neighbour by one exact pivot on sigma's
+    table, as the vertex walk does, with p = C_sigma[i, j] (the product
+    form of the inverse; Chvatal, *Linear Programming*, 1983, ch. 7-8).
+    A_sigma^-1 A_tau is the identity with column i replaced by column j of
+    C_sigma, so det A_tau = +-p det A_sigma: a start with fewer than n
+    pivots is singular, and so is a cone behind a zero pivot.  A cone has
+    a table exactly when it is simplicial.
+    """
 
     def __init__(self, fan: Fan, lattice: Quasilattice,
                  witnesses: Sequence[Sequence[int] | None] | None = None,
@@ -113,7 +129,40 @@ class FundamentalTriple:
             raise ValueError("one witness slot per ray is required")
         self.witnesses = tuple(
             None if w is None else tuple(int(c) for c in w) for w in witnesses)
-        self.tables = tables or {}
+        self.rows = [[ray[i].payload for ray in fan.rays]
+                     + [x.payload for x in lattice.generators.row(i)]
+                     for i in range(fan.dim)]
+        self.tables = self._walk() if tables is None else tables
+
+    def _walk(self):
+        """The table of each simplicial cone, breadth-first over the wall
+        graph from the first cone of each component that has one."""
+        domain, n = self.domain, self.dim
+        walls = {}
+        for cone in self.fan.max_cones:
+            for i in range(n):
+                walls.setdefault(cone[:i] + cone[i + 1:], []).append(cone)
+        tables = {}
+        for start in self.fan.max_cones:
+            if start in tables:
+                continue
+            rows, pivots = reduce_rows(domain, self.rows, [j - 1 for j in start])
+            if len(pivots) < n:
+                continue
+            tables[start] = [rows[pivots[j - 1]] for j in start]
+            queue = [start]
+            for sigma in queue:
+                for i in range(n):
+                    for tau in walls[sigma[:i] + sigma[i + 1:]]:
+                        if tau in tables:
+                            continue
+                        (j,) = set(tau) - set(sigma)
+                        if tables[sigma][i][j - 1]:   # else tau is singular
+                            rows = pivot_rows(domain, tables[sigma], i, j - 1)
+                            labels = sigma[:i] + (j,) + sigma[i + 1:]
+                            tables[tau] = [r for _, r in sorted(zip(labels, rows))]
+                            queue.append(tau)
+        return tables
 
     @property
     def dim(self):
@@ -245,17 +294,17 @@ def validate(triple: FundamentalTriple, probe_directions: int = 64,
              seed: int = 0, parameter_sample=None) -> ValidationReport:
     """Run the structural checks and the advisory numeric support probe.
 
-    A cone with a table is simplicial (the walk reached it by nonzero
-    pivots), so only the others are ranked.  The face condition takes no
-    rank of its own: the rays two simplicial cones share are independent,
-    so it holds for all C(N, 2) cone pairs once simpliciality passes.
-    Nothing here proves that two cones meet in a common face; only the
-    probe sees overlaps.  The probe reads each cone's floats from one
-    table of the rays' floats, filled as the cones need them.
+    The simplicial cones are those with a table (see
+    ``FundamentalTriple``), so no cone is ranked here.  The face condition
+    takes no rank of its own either: the rays two simplicial cones share
+    are independent, so it holds for all C(N, 2) cone pairs once
+    simpliciality passes.  Nothing here proves that two cones meet in a
+    common face; only the probe sees overlaps.  The probe reads each
+    cone's floats from one table of the rays' floats, filled from the
+    triple's rows as the cones need them.
     """
     cones = triple.fan.max_cones
-    simplicial_failures = [cone for cone in cones if cone not in triple.tables
-                           and triple.cone_matrix(cone).rank() != triple.dim]
+    simplicial_failures = [cone for cone in cones if cone not in triple.tables]
 
     witness_failures = []
     for j in range(1, triple.ray_count + 1):
@@ -294,7 +343,7 @@ def validate(triple: FundamentalTriple, probe_directions: int = 64,
             for cone in cones:
                 for i in set(cone) - rays.keys():
                     (rays[i],) = float_array(
-                        triple.domain, [[x.payload for x in triple.ray(i)]],
+                        triple.domain, [[row[i - 1] for row in triple.rows]],
                         parameter_sample)
                 # row i of an inverse gives coordinate i of a direction, and
                 # the direction is inside when none is below -1e-9 |row|

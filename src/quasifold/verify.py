@@ -295,8 +295,8 @@ class NumericAtlas:
             self.triple.domain, rows(), self.parameter_sample))
 
     def ray_matrix(self):
-        return self._floats("rays", lambda: zip(*[
-            [x.payload for x in ray] for ray in self.triple.fan.rays]))
+        d = self.triple.ray_count
+        return self._floats("rays", lambda: [row[:d] for row in self.triple.rows])
 
     def group_exponents(self, cone):
         return self._floats(("group_exponents", tuple(cone)),

@@ -8,6 +8,7 @@ from importlib import resources
 import pytest
 
 import quasifold.atlas
+import quasifold.triples
 from quasifold import (Atlas, CocycleReport, Fan, FundamentalTriple,
                        InputDocument, Matrix, NumberFieldDomain, NumericAtlas,
                        Quasilattice, RationalDomain,
@@ -337,19 +338,26 @@ def two_component_triple():
 
 
 def test_compile_inverts_once_per_component(gallery, monkeypatch):
-    # each component of a fan starts with one build_chart, a reduction
-    # without an inverse; a polytope's charts are its vertex walk's tables
+    # each component of a fan starts with one reduction without an inverse
+    # when the triple is built; a polytope's charts are its vertex walk's
+    # tables, and compiling an atlas only wraps the triple's tables
     inverses = counting(monkeypatch, Matrix, "inverse")
-    starts = counting(monkeypatch, quasifold.atlas, "build_chart")
+    starts = counting(monkeypatch, quasifold.triples, "reduce_rows")
+    charts = counting(monkeypatch, quasifold.atlas, "build_chart")
     atlas = Atlas.compile(gallery["dodecahedron"][1])
-    assert (len(inverses), len(starts)) == (0, 0)
+    assert (len(inverses), len(starts), len(charts)) == (0, 0, 0)
     # the atlas keeps its charts and stores nothing per pair
     assert len(atlas._charts) == 20
     assert not atlas._terms
     assert set(vars(atlas)) == {"triple", "_charts", "_terms"}
-    atlas = Atlas.compile(two_component_triple())
+    triple = two_component_triple()
     assert (len(inverses), len(starts)) == (0, 2)
+    atlas = Atlas.compile(triple)
+    assert (len(inverses), len(starts), len(charts)) == (0, 2, 0)
     assert set(atlas._charts) == {(1, 2), (3, 4)}
+    # the 16 cones of the param fan form one component
+    Atlas.compile(param_fan_triple())
+    assert (len(inverses), len(starts), len(charts)) == (0, 3, 0)
 
 
 def kite_power_triple(count):
@@ -360,8 +368,8 @@ def kite_power_triple(count):
 
 
 def test_walk_matches_build_chart(gallery, gallery_atlases):
-    # a polytope's charts are the tables of its vertex walk, a fan's come
-    # from the atlas's own walk over the wall graph
+    # a polytope's charts are the tables of its vertex walk, a fan's the
+    # tables of the triple's walk over the wall graph
     cases = {name: (triple, gallery_atlases[name])
              for name, (_, triple, _) in gallery.items()}
     for name, build in (("truncated-dodecahedron", truncated_dodecahedron_triple),
@@ -376,10 +384,7 @@ def test_walk_matches_build_chart(gallery, gallery_atlases):
         == [16, 64]
     for name, (triple, atlas) in cases.items():
         assert set(atlas._charts) == set(triple.fan.max_cones), name
-        polytope = name in gallery or name in ("truncated-dodecahedron",
-                                               "kite^2", "kite^3")
-        assert set(triple.tables) == (set(triple.fan.max_cones) if polytope
-                                      else set()), name
+        assert set(triple.tables) == set(triple.fan.max_cones), name
         for cone in triple.fan.max_cones:
             walked, built = atlas.chart(cone), build_chart(triple, cone)
             assert walked == built, (name, cone)

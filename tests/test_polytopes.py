@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import quasifold.atlas
 import quasifold.polytopes
+import quasifold.triples
 from quasifold import (Atlas, Facet, GenericityError, Matrix, Polytope,
                        Quasilattice, RationalDomain, SimplicityError,
                        SingularMatrixError, TrialConfig, Vertex,
@@ -451,10 +452,11 @@ def test_truncated_dodecahedron_inverts_once_and_ranks_per_cone(monkeypatch):
 
 
 def counted_pivots(monkeypatch):
-    """Counts of the pivots the vertex walk and the atlas take, and of the
-    ranks and chart reductions."""
+    """Counts of the pivots the vertex walk and the wall-graph walk of a
+    triple take, and of the ranks, the wall-graph walk's start reductions
+    and the chart reductions."""
     calls = collections.Counter()
-    for module in (quasifold.polytopes, quasifold.atlas):
+    for module in (quasifold.polytopes, quasifold.triples):
         pivot_rows = module.pivot_rows
 
         def counted_pivot(*args, _pivot_rows=pivot_rows):
@@ -467,6 +469,12 @@ def counted_pivots(monkeypatch):
         calls["build_chart"] += 1
         return build_chart(*args)
     monkeypatch.setattr(quasifold.atlas, "build_chart", counted_build)
+    reduce_rows = quasifold.triples.reduce_rows
+
+    def counted_start(*args):
+        calls["walk_starts"] += 1
+        return reduce_rows(*args)
+    monkeypatch.setattr(quasifold.triples, "reduce_rows", counted_start)
     for name in ("inverse", "rank"):
         method = getattr(Matrix, name)
 
@@ -481,8 +489,8 @@ def test_truncated_dodecahedron_walk_pivots_only_where_an_edge_is_left(
         monkeypatch):
     # 60 vertices: the start reduces [N | G | I] without an inverse, phase
     # one makes 1 pivot to a vertex, and the walk pivots once to each other
-    # vertex; validate ranks no cone and Atlas.compile takes the walk's
-    # tables, with no pivot or reduction of its own
+    # vertex; the triple keeps the walk's tables, so it walks no wall graph
+    # of its own, validate ranks no cone and Atlas.compile reduces nothing
     polytope, witnesses = truncated_dodecahedron()
     lattice = load_gallery("dodecahedron").lattice
     calls = counted_pivots(monkeypatch)
@@ -491,6 +499,7 @@ def test_truncated_dodecahedron_walk_pivots_only_where_an_edge_is_left(
     assert len(Atlas.compile(triple)._charts) == 60
     assert calls["pivot_rows"] <= 59 + 1
     assert calls["inverse"] == calls["rank"] == calls["build_chart"] == 0
+    assert calls["walk_starts"] == 0
 
 
 def product(*docs):

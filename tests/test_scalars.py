@@ -447,18 +447,6 @@ def test_sturm_count_matches_sympy(factors, square, ends):
     assert _zsturm_count(p, lo, hi) == expected
 
 
-@settings(max_examples=500)
-@given(coeffs=st.lists(st.integers(-6, 6), min_size=1, max_size=3).filter(
-           lambda c: c[-1] != 0),
-       positive=st.booleans())
-def test_closed_form_root_count_matches_sturm(coeffs, positive):
-    # degree <= 2: the signs of the coefficients and of the discriminant
-    # count the distinct roots on (0, oo) or on the whole line
-    from quasifold.scalars import _zroot_count, _zsturm_count
-    p = tuple(coeffs)
-    assert _zroot_count(p, positive) == _zsturm_count(p, 0 if positive else None)
-
-
 def test_memo_computes_each_value_once(monkeypatch, capsys):
     # one dodecahedron report inverts, signs, renders, multiplies and adds
     # a few values many times over; each distinct value, or value pair for

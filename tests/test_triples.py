@@ -74,9 +74,29 @@ def test_validate_probe_skipped_without_sample():
     assert "sample" in report.probe_note
 
 
-def test_validate_simplicial_iff_invertible(gallery):
-    from quasifold import SingularMatrixError
-    for name, (_, triple, _) in gallery.items():
+def singular_fans(domain):
+    """Fans over Z^2 with singular cones, by name, each with the cones
+    that must fail: the first cone, where the wall-graph walk starts, is
+    singular; a singular cone lies behind a zero pivot; a ray repeats."""
+    cases = {
+        "singular start": ([("1", "0"), ("2", "0"), ("0", "1"), ("-1", "-1")],
+                           [(1, 2), (2, 3), (3, 4), (1, 4)], [(1, 2)]),
+        "zero pivot": ([("1", "0"), ("0", "1"), ("0", "2")],
+                       [(1, 2), (2, 3)], [(2, 3)]),
+        "repeated ray": ([("1", "0"), ("0", "1"), ("-1", "-1"), ("1", "0")],
+                         [(1, 2), (2, 3), (3, 4), (1, 4)], [(1, 4)]),
+    }
+    lattice = Quasilattice(domain, Matrix.identity(domain, 2))
+    return {name: (FundamentalTriple(
+        Fan(2, [[domain.scalar(x) for x in ray] for ray in rays], cones),
+        lattice), failing) for name, (rays, cones, failing) in cases.items()}
+
+
+def test_validate_simplicial_iff_invertible(gallery, rational):
+    from quasifold import Atlas, SingularMatrixError
+    cases = {name: (triple, []) for name, (_, triple, _) in gallery.items()}
+    cases.update(singular_fans(rational))
+    for name, (triple, failing) in cases.items():
         report = validate(triple, probe_directions=0)
         for cone in triple.fan.max_cones:
             try:
@@ -84,8 +104,13 @@ def test_validate_simplicial_iff_invertible(gallery):
                 invertible = True
             except SingularMatrixError:
                 invertible = False
-            assert invertible == (cone not in report.simplicial_failures)
-        assert report.simplicial
+            assert invertible == (cone not in report.simplicial_failures), \
+                (name, cone)
+        assert list(report.simplicial_failures) == failing, name
+        assert report.simplicial == (not failing), name
+        if failing:
+            with pytest.raises(SingularMatrixError):
+                Atlas.compile(triple)
 
 
 def test_validate_probe_flags_support_gap(rational):
