@@ -89,7 +89,7 @@ def _parse_assignment(text, expected_symbol, flag):
             f"{expected_symbol!r}")
     try:
         return Fraction(value)
-    except ValueError as exc:
+    except (ValueError, ZeroDivisionError) as exc:   # not a number, or n/0
         raise InputError(f"{flag}: {value!r} is not a decimal or fraction") from exc
 
 

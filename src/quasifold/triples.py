@@ -4,7 +4,9 @@ The triple is the input datum of the whole pipeline.  Rays carry integer
 witness vectors expressing each generator as a Z-combination of the
 quasilattice generators; that certificate is what makes quasirationality
 checkable (``Quasilattice.reproduces``), and ``ray_memberships`` recovers
-all omitted ones from one elimination.  Index sets are 1-based in I/O.
+all omitted ones from one elimination.  The support probe of ``validate``
+reads each cone's inverse exactly off its chart table, so nothing here
+eliminates in floats.  Index sets are 1-based in I/O.
 """
 
 from __future__ import annotations
@@ -17,8 +19,8 @@ from functools import reduce
 from math import fsum, hypot, isfinite
 from operator import mul
 
-from .linalg import (Matrix, integer_solve, pivot_rows, reduce_rows,
-                     solve_general)
+from .linalg import (Matrix, integer_solve, multiply_rows, pivot_rows,
+                     reduce_rows, solve_general)
 from .scalars import RationalDomain, Scalar, ScalarDomain
 
 __all__ = [
@@ -38,15 +40,27 @@ class WitnessRecoveryError(ValueError):
 
 
 class Quasilattice:
-    """Z-span of finitely many vectors, given as the columns of a matrix."""
+    """Z-span of finitely many vectors, given as the columns of a matrix G.
+
+    One ``reduce_rows`` of [G | I] onto G's columns checks that G spans
+    R^n (n pivots) and leaves G_J^-1 in place of I, where J lists the
+    pivot columns in the order of their pivot rows: ``basis`` is J and
+    ``basis_inverse`` the payload rows of G_J^-1.
+    """
 
     def __init__(self, domain: ScalarDomain, generators: Matrix):
-        if generators.rows > generators.cols:
+        n, k = generators.rows, generators.cols
+        if n > k:
             raise ValueError("a quasilattice needs at least n generators in R^n")
-        if generators.rank() != generators.rows:
+        one, zero = domain.one().payload, domain.zero().payload
+        rows, pivots = generators._reduce(
+            [[one if i == j else zero for j in range(n)] for i in range(n)])
+        if len(pivots) != n:
             raise ValueError("quasilattice generators must span R^n")
         self.domain = domain
         self.generators = generators
+        self.basis = sorted(pivots, key=pivots.get)
+        self.basis_inverse = [row[k:] for row in rows]
 
     @property
     def dim(self):
@@ -239,43 +253,31 @@ def float_dot(u, v):
     return fsum(map(mul, u, v))
 
 
-def float_solve(a, rhs):
-    """The solution x of a x = b for each vector b of rhs, as a list.
+def _probe_rows(triple, parameter_sample):
+    """The floats of A_sigma^-1 for each maximal cone sigma, as rows, and
+    "", or None and the note that skips the probe.
 
-    a is a square float matrix given by its rows; it is factored once by
-    Gaussian elimination with partial pivoting (L and U in place, the row
-    order in perm), and each b is then solved by two substitutions.
-    Raises ZeroDivisionError when a pivot is exactly zero, and
-    FloatingPointError when a solution overflows.
+    A_sigma^-1 = L_sigma[:, J] G_J^-1 is exact (J and G_J^-1 as in
+    ``Quasilattice``) and is rounded once.  The rays' floats come first: a
+    ray past the float range has no finite float, where its cone's inverse
+    would underflow to 0.0.  An inverse entry past the float range, or with
+    a pole at the parameter sample, makes its cone singular in floating
+    point.  The probe is advisory: it is skipped, it never fails.
     """
-    n = len(a)
-    lu = [list(row) for row in a]
-    perm = list(range(n))
-    for k in range(n):
-        p = max(range(k, n), key=lambda i: abs(lu[i][k]))
-        lu[k], lu[p] = lu[p], lu[k]
-        perm[k], perm[p] = perm[p], perm[k]
-        pivot = lu[k]
-        for row in lu[k + 1:]:
-            f = row[k] = row[k] / pivot[k]
-            for j in range(k + 1, n):
-                row[j] -= f * pivot[j]
-    solutions = []
-    for b in rhs:
-        x = [b[i] for i in perm]
-        for i in range(n):
-            row = lu[i]
-            for j in range(i):
-                x[i] -= row[j] * x[j]
-        for i in reversed(range(n)):
-            row = lu[i]
-            for j in range(i + 1, n):
-                x[i] -= row[j] * x[j]
-            x[i] /= row[i]
-        if not all(map(isfinite, x)):
-            raise FloatingPointError("a float solution is not finite")
-        solutions.append(x)
-    return solutions
+    domain, lattice, d = triple.domain, triple.lattice, triple.ray_count
+    try:
+        float_array(domain, [row[:d] for row in triple.rows], parameter_sample)
+    except OverflowError:
+        return None, "skipped: a cone matrix has no finite float"
+    inverses = [multiply_rows(domain, [[row[d + c] for c in lattice.basis]
+                                       for row in triple.tables[cone]],
+                              lattice.basis_inverse)
+                for cone in triple.fan.max_cones]
+    try:
+        return [float_array(domain, inverse, parameter_sample)
+                for inverse in inverses], ""
+    except (OverflowError, ValueError):
+        return None, "skipped: a cone matrix is singular in floating point"
 
 
 def _inside(inverse, directions):
@@ -299,9 +301,9 @@ def validate(triple: FundamentalTriple, probe_directions: int = 64,
     takes no rank of its own either: the rays two simplicial cones share
     are independent, so it holds for all C(N, 2) cone pairs once
     simpliciality passes.  Nothing here proves that two cones meet in a
-    common face; only the probe sees overlaps.  The probe reads each
-    cone's floats from one table of the rays' floats, filled from the
-    triple's rows as the cones need them.
+    common face; only the probe sees overlaps.  The probe tests each
+    direction against each cone's exact inverse, read off the cone's table
+    and rounded once (``_probe_rows``); it solves nothing in floats.
     """
     cones = triple.fan.max_cones
     simplicial_failures = [cone for cone in cones if cone not in triple.tables]
@@ -337,23 +339,10 @@ def validate(triple: FundamentalTriple, probe_directions: int = 64,
             d = [rng.gauss(0.0, 1.0) for _ in range(dim)]
             norm = hypot(*d) or 1.0
             directions.append([x / norm for x in d])
-        identity = [[float(i == j) for j in range(dim)] for i in range(dim)]
-        rays, inverses = {}, []   # ray index -> its floats
-        try:
-            for cone in cones:
-                for i in set(cone) - rays.keys():
-                    (rays[i],) = float_array(
-                        triple.domain, [[row[i - 1] for row in triple.rows]],
-                        parameter_sample)
-                # row i of an inverse gives coordinate i of a direction, and
-                # the direction is inside when none is below -1e-9 |row|
-                inverses.append(list(zip(*float_solve(
-                    list(zip(*map(rays.get, cone))), identity))))
-        except OverflowError:  # the probe is advisory: skip, never fail
-            note = "skipped: a cone matrix has no finite float"
-        except ArithmeticError:
-            note = "skipped: a cone matrix is singular in floating point"
-        else:
+        inverses, note = _probe_rows(triple, parameter_sample)
+        if not note:
+            # row i of an inverse gives coordinate i of a direction, and
+            # the direction is inside when none is below -1e-9 |row|
             counts = [0] * probe_directions
             for inverse in inverses:
                 for i in _inside(inverse, directions):

@@ -892,6 +892,18 @@ def test_long_parameter_value_is_refused_by_flag(flag, capsys):
                    f"exact texts allow at most {limit} digits\n")
 
 
+@pytest.mark.parametrize("flag", ["--param", "--substitute"])
+@pytest.mark.parametrize("value", ["abc", "1/0", "0/0"])
+def test_unreadable_parameter_value_is_refused_by_flag(flag, value, capsys):
+    # a zero denominator is refused as any unreadable value is, not with
+    # an internal error from Fraction
+    code, out, err = run_cli(["gallery", "cp2-11a", flag, f"a={value}"],
+                             capsys)
+    assert (code, out) == (2, "")
+    assert err == (f"quasifold: error: {flag}: {value!r} is not a decimal or "
+                   "fraction\n")
+
+
 PENTAGRAM = {
     "domain": {"kind": "rational"},
     "quasilattice": {"generators": [["1", "0"], ["0", "1"]]},
@@ -928,21 +940,47 @@ def test_zero_offset_over_a_reducible_min_poly_gives_true_vertices(
     assert "cone {2,3}: vertex (b, 0)" in out
 
 
+# a fan over Q(a) whose cone {1,2} (rays (a, 1) and (2, 1)) is singular at
+# a = 2 and whose cone {1,3} (rays (a, 1) and (-1, -1)) is singular at a = 1
+SINGULAR_AT_A_SAMPLE = {
+    "domain": {"kind": "rational_function", "generator_symbol": "a",
+               "parameter_positivity": True},
+    "quasilattice": {"generators": [["1", "0", "a"], ["0", "1", "0"]]},
+    "fan": {"rays": [["a", "1"], ["2", "1"], ["-1", "-1"]],
+            "max_cones": [[1, 2], [2, 3], [1, 3]]},
+}
+
+
 def test_probe_note_names_a_zero_pivot(tmp_path, capsys):
-    # at a = 1e-400 cone entries underflow to 0.0 and float_solve meets a
-    # zero pivot; an entry past the float range gets its own note instead
-    # (test_extreme_parameter_values_refuse)
-    path = write_doc(tmp_path, gallery_json("cp2-11a"))
-    code, out, err = run_cli(["validate", path, "--substitute", "a=1e-400"],
-                             capsys)
-    assert (code, err) == (0, "")
-    assert ("support probe: skipped: a cone matrix is singular in floating "
-            "point\n") in out
+    # the probe rounds the rays, then each cone's exact inverse.  A ray past
+    # the float range has no finite float (at a = 1e400, where quasisphere's
+    # inverse rows would underflow to 0.0 and overlap); an inverse entry
+    # past it (at a = 1e-400), or with a pole at the sample, makes its cone
+    # singular in floating point.  The probe is advisory: validation passes
+    singular = "skipped: a cone matrix is singular in floating point"
+    no_float = "skipped: a cone matrix has no finite float"
+    cases = [("quasisphere", "1e400", no_float), ("quasisphere", "1e-400", singular),
+             ("cp2-11a", "1e400", no_float), ("cp2-11a", "1e-400", singular),
+             ("hirzebruch", "1e400", no_float),
+             ("hirzebruch", "1e-400", "64 directions, 0 gaps, 0 overlaps")]
+    for name, value, probe in cases:
+        path = write_doc(tmp_path, gallery_json(name))
+        code, out, err = run_cli(["validate", path, "--substitute",
+                                  f"a={value}"], capsys)
+        assert (code, err) == (0, ""), (name, value)
+        assert f"  support probe: {probe}\n" in out, (name, value)
+    path = write_doc(tmp_path, SINGULAR_AT_A_SAMPLE)
+    for value, probe in [("1", singular), ("2", singular),
+                         ("5", "64 directions, 37 gaps, 27 overlaps")]:
+        code, out, err = run_cli(["validate", path, "--param", f"a={value}"],
+                                 capsys)
+        assert (code, err) == (0, ""), value
+        assert f"  support probe: {probe}\n" in out, value
 
 
 def test_no_exact_state_outlives_its_document(tmp_path, monkeypatch, capsys):
     # two in-process runs on the seed-1 polytope-60 input each compute the
-    # 215 products and 473 sums that a run in a fresh process computes, and
+    # 239 products and 497 sums that a run in a fresh process computes, and
     # each run's domains and value tables are freed with its document.  An
     # embedding digit that no other input has keeps the table from being
     # shared with a live domain.
@@ -974,7 +1012,7 @@ def test_no_exact_state_outlives_its_document(tmp_path, monkeypatch, capsys):
         born.clear()
         code, _, err = run_cli(["polytope", path, "--format", "json"], capsys)
         assert (code, err) == (0, "")
-        assert counts == {"_product": 215, "_sum": 473}
+        assert counts == {"_product": 239, "_sum": 497}
         assert born and all(ref() is None for ref in born)
 
 

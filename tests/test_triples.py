@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from quasifold import (Fan, FundamentalTriple, Matrix, Quasilattice,
                        WitnessRecoveryError, ray_membership, validate,
                        with_recovered_witnesses)
-from quasifold.triples import _inside, float_dot, float_solve
+from quasifold.triples import _inside, _probe_rows, float_array, float_dot
 
 from conftest import apply
 
@@ -126,26 +126,50 @@ def test_validate_probe_flags_support_gap(rational):
     assert report.probe_gaps > 0
 
 
+def simplex_fan(rational, dim, alone=False):
+    """The fan of the dim-simplex over Z^dim, rays e_1, ..., e_dim and
+    -(1, ..., 1), or its cone on e_1, ..., e_dim alone."""
+    one, zero = rational.one(), rational.zero()
+    rays = [[one if i == j else zero for j in range(dim)] for i in range(dim)]
+    witnesses = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
+    cones = [range(1, dim + 1)]
+    if not alone:
+        rays.append([-one] * dim)
+        witnesses.append((-1,) * dim)
+        cones = itertools.combinations(range(1, dim + 2), dim)
+    lattice = Quasilattice(rational, Matrix.identity(rational, dim))
+    return FundamentalTriple(Fan(dim, rays, cones), lattice, witnesses)
+
+
 @pytest.mark.parametrize("dim", range(1, 7))
 def test_probe_covers_simplex_fans_once(rational, dim):
-    # the fan of the dim-simplex covers every direction exactly once; up to
-    # dimension four the probe's test is unrolled, above it is not
-    one, zero = rational.one(), rational.zero()
-    unit = [[one if i == j else zero for j in range(dim)] for i in range(dim)]
-    rays = unit + [[-one] * dim]
-    cones = [list(c) for c in itertools.combinations(range(1, dim + 2), dim)]
-    witnesses = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
-    lattice = Quasilattice(rational, Matrix.identity(rational, dim))
-    triple = FundamentalTriple(Fan(dim, rays, cones), lattice,
-                               witnesses + [(-1,) * dim])
-    report = validate(triple)
+    # the fan of the dim-simplex covers every direction exactly once, in
+    # every dimension
+    report = validate(simplex_fan(rational, dim))
     assert report.probe_ran and report.probe_directions == 64
     assert (report.probe_gaps, report.probe_overlaps) == (0, 0)
     # one cone alone leaves a gap in every dimension
-    alone = FundamentalTriple(Fan(dim, unit, [list(range(1, dim + 1))]),
-                              lattice, witnesses)
-    report = validate(alone)
+    report = validate(simplex_fan(rational, dim, alone=True))
     assert report.probe_gaps > 0 and report.probe_overlaps == 0
+
+
+def test_probe_rows_are_the_exact_inverses(gallery, rational):
+    # the probe reads A_sigma^-1 off each cone's table through the lattice
+    # basis; Matrix.inverse of the cone's rays is the oracle, rounded by
+    # the same float_array
+    triples = {name: triple for name, (_, triple, _) in gallery.items()}
+    triples.update((f"simplex {dim}", simplex_fan(rational, dim))
+                   for dim in range(1, 7))
+    for name, triple in triples.items():
+        sample = getattr(triple.domain, "default_sample", None)
+        rows, note = _probe_rows(triple, sample)
+        assert note == "", name
+        assert len(rows) == len(triple.fan.max_cones), name
+        for cone, inverse in zip(triple.fan.max_cones, rows):
+            exact = triple.cone_matrix(cone).inverse()
+            assert inverse == float_array(triple.domain, [
+                [x.payload for x in exact.row(i)] for i in range(triple.dim)],
+                sample), (name, cone)
 
 
 @pytest.mark.parametrize("dim", range(1, 7))
@@ -229,8 +253,9 @@ def scaled_fan(rational, name, k):
 @given(name=st.sampled_from(sorted(SCALED_FANS)), k=st.integers(-40, 40),
        seed=st.integers(0, 3))
 def test_probe_counts_do_not_depend_on_scale(rational, name, k, seed):
-    # the floats of 2^k x are 2^k times those of x, and so are the float
-    # solve, the norms and the dot products: the verdicts are the same
+    # the floats of 2^k x are 2^k times those of x, those of the exact
+    # inverse 2^-k times, and so are the norms and the dot products: the
+    # verdicts are the same
     reports = [validate(scaled_fan(rational, name, e), seed=seed)
                for e in (0, k)]
     assert all(r.passed and r.probe_ran for r in reports)
@@ -465,47 +490,3 @@ def test_face_condition_matches_rank_oracle(gallery, rational):
             face_ranks(triple), name
     assert face_ranks(truncated) == (True, 60 * 59 // 2)
     assert face_ranks(repeated) == (True, 0)
-
-
-# ---------------------------------------------------------------------------
-# the float solve of the probe and the factorization check
-# ---------------------------------------------------------------------------
-
-_entries = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
-
-
-@st.composite
-def float_systems(draw):
-    n = draw(st.integers(1, 4))
-    a = draw(st.lists(st.lists(_entries, min_size=n, max_size=n),
-                      min_size=n, max_size=n))
-    rhs = draw(st.lists(st.lists(_entries, min_size=n, max_size=n),
-                        min_size=1, max_size=5))
-    return a, rhs
-
-
-@given(float_systems())
-def test_float_solve_matches_numpy(system):
-    # numpy is a test-only oracle here; the runtime solve is plain Python
-    a, rhs = system
-    # well conditioned and well scaled: LAPACK returns nan on a subnormal
-    # 1 x 1 system, which is no disagreement worth testing
-    singular_values = np.linalg.svd(a, compute_uv=False)
-    assume(singular_values[-1] >= 1e-2
-           and singular_values[0] < 1e3 * singular_values[-1])
-    ours = np.array(float_solve(a, rhs))
-    theirs = np.linalg.solve(np.array(a), np.array(rhs).T).T
-    assert ours.shape == theirs.shape
-    scale = max(np.abs(theirs).max(), np.finfo(float).tiny)
-    assert np.abs(ours - theirs).max() <= 1e-12 * scale
-
-
-def test_float_solve_pivots_and_refuses_singular():
-    # a zero leading entry needs a row swap; an exactly singular matrix
-    # runs into a zero pivot, and a solution past the float range is
-    # refused rather than returned as inf
-    assert float_solve([[0.0, 1.0], [2.0, 0.0]], [[3.0, 4.0]]) == [[2.0, 3.0]]
-    with pytest.raises(ZeroDivisionError):
-        float_solve([[1.0, 2.0], [2.0, 4.0]], [[1.0, 0.0]])
-    with pytest.raises(FloatingPointError):
-        float_solve([[1e-300, 0.0], [0.0, 1.0]], [[1e300, 0.0]])
