@@ -4,10 +4,9 @@ Commands: validate, atlas, transition, polytope, verify, gallery.
 Exit codes: 0 success, 1 a check failed, 2 input error or an unsupported
 case, 3 an internal error (any other exception, one line on stderr).  The
 seed comes from --seed, then the QUASIFOLD_SEED environment variable, then
-the input document's options, then 0.  ``documents.schema_accepts`` decides
-whether an input document fits the input schema; ``jsonschema``, which
-costs more to import than a small run takes, is imported only to explain
-a rejection.
+the input document's options, then 0.  ``documents.schema_violation``
+decides whether an input document fits the input schema and words the
+refusal, with the standard library alone.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ from .atlas import Atlas
 from .documents import (InputError, atlas_section, build_report,
                         document_to_triple, load_document, load_input_schema,
                         polytope_section, render_json_report,
-                        render_text_report, schema_accepts,
+                        render_text_report, schema_violation,
                         specialize_document, transition_section,
                         validation_section, verification_section)
 from .gallery import GALLERY_NAMES, load_gallery
@@ -104,17 +103,11 @@ def _load_input(args):
     except json.JSONDecodeError as exc:
         raise InputError(f"{args.input}: invalid JSON at line {exc.lineno}, "
                          f"column {exc.colno}: {exc.msg}") from exc
-    schema = load_input_schema()
-    if not schema_accepts(schema, data):
-        import jsonschema  # only here: importing it costs more than a small run
-        error = jsonschema.exceptions.best_match(
-            jsonschema.validators.validator_for(schema)(schema).iter_errors(data))
-        if error is None:
-            raise RuntimeError(f"{args.input}: the input schema check rejects "
-                               "a document that jsonschema accepts")
-        path = "/".join(str(p) for p in error.absolute_path) or "(document root)"
-        raise InputError(f"{args.input}: schema violation at {path}: "
-                         f"{error.message}") from error
+    violation = schema_violation(load_input_schema(), data)
+    if violation is not None:
+        path, message = violation
+        where = "/".join(map(str, path)) or "(document root)"
+        raise InputError(f"{args.input}: schema violation at {where}: {message}")
     return load_document(data, name=os.path.basename(args.input))
 
 

@@ -2,9 +2,9 @@
 
 An input document declares a scalar domain, a quasilattice, and either a
 fan (rays + witnesses + maximal cones) or a polytope in facet form, all
-scalars written in the shared expression grammar; ``schema_accepts``
-checks a document against ``schemas/input.schema.json``, exactly and
-without ``jsonschema``.  Reports collect the validation, polytope, atlas,
+scalars written in the shared expression grammar; ``schema_violation``
+checks a document against ``schemas/input.schema.json`` and words a
+refusal itself.  Reports collect the validation, polytope, atlas,
 transition and verification sections in a deterministic JSON-friendly
 form.  ``render_json_report`` writes a report as the bytes
 ``json.dumps(report, indent=2, sort_keys=True)`` returns, in one pass;
@@ -51,7 +51,7 @@ __all__ = [
     "load_report_schema",
     "render_json_report",
     "render_text_report",
-    "schema_accepts",
+    "schema_violation",
     "specialize_document",
 ]
 
@@ -78,7 +78,10 @@ _TYPES = {"object": dict, "array": list, "string": str, "null": type(None),
 
 
 def _has_type(value, name):
-    """Draft-07 ``type``: a bool is no number, an integral float is an integer."""
+    """Draft-07 ``type``, a name or a list of names: a bool is no number,
+    an integral float is an integer."""
+    if isinstance(name, list):
+        return any(_has_type(value, each) for each in name)
     if isinstance(value, bool):
         return name == "boolean"
     return (isinstance(value, _TYPES[name])
@@ -86,59 +89,114 @@ def _has_type(value, name):
 
 
 _ANNOTATIONS = frozenset({"$schema", "$id", "title", "description", "definitions"})
-# keyword -> check(accepts, argument, value); a keyword constrains only the
-# values of its own JSON type and passes every other value, as in draft 07
-_KEYWORDS = {
-    "type": lambda accepts, names, v: any(
-        _has_type(v, name) for name in ([names] if isinstance(names, str) else names)),
+# keyword -> violated(argument, value) for the keywords without subschemas;
+# a keyword constrains only the values of its own JSON type, as in draft 07
+_VIOLATED = {
+    "type": lambda names, v: not _has_type(v, names),
     # pairing each value with whether it is a bool keeps true apart from 1,
     # as draft 07 does, and 1.0 still equals 1
-    "enum": lambda accepts, options, v: (v, isinstance(v, bool)) in [
+    "enum": lambda options, v: (v, isinstance(v, bool)) not in [
         (x, isinstance(x, bool)) for x in options],
-    "required": lambda accepts, keys, v: (
-        not isinstance(v, dict) or all(key in v for key in keys)),
-    "properties": lambda accepts, subschemas, v: not isinstance(v, dict) or all(
-        accepts(sub, v[key]) for key, sub in subschemas.items() if key in v),
-    "items": lambda accepts, sub, v: (
-        not isinstance(v, list) or all(accepts(sub, x) for x in v)),
-    "minItems": lambda accepts, n, v: not isinstance(v, list) or len(v) >= n,
-    "pattern": lambda accepts, regex, v: (
-        not isinstance(v, str) or re.search(regex, v) is not None),
-    "minimum": lambda accepts, bound, v: not _has_type(v, "number") or not v < bound,
-    "exclusiveMinimum": lambda accepts, bound, v: (
-        not _has_type(v, "number") or not v <= bound),
-    "oneOf": lambda accepts, subschemas, v: sum(
-        accepts(sub, v) for sub in subschemas) == 1,
-    "not": lambda accepts, sub, v: not accepts(sub, v),
+    "minItems": lambda n, v: isinstance(v, list) and len(v) < n,
+    "pattern": lambda regex, v: isinstance(v, str) and re.search(regex, v) is None,
+    "minimum": lambda bound, v: _has_type(v, "number") and v < bound,
+    "exclusiveMinimum": lambda bound, v: _has_type(v, "number") and v <= bound,
+}
+# keyword -> its message from (argument, value), worded as the tests'
+# reference validator (release 4.26.0) words it; a required violation's
+# argument is the missing key, a oneOf's the branches that fit (or None)
+_WORDS = {
+    "type": lambda names, v: f"{v!r} is not of type " + ", ".join(
+        map(repr, [names] if isinstance(names, str) else names)),
+    "enum": lambda options, v: f"{v!r} is not one of {options!r}",
+    "minItems": lambda n, v: f"{v!r} " + ("should be non-empty" if n == 1
+                                         else "is too short"),
+    "pattern": lambda regex, v: f"{v!r} does not match {regex!r}",
+    "minimum": lambda bound, v: f"{v!r} is less than the minimum of {bound!r}",
+    "exclusiveMinimum": lambda bound, v: (
+        f"{v!r} is less than or equal to the minimum of {bound!r}"),
+    "required": lambda key, v: f"{key!r} is a required property",
+    "not": lambda sub, v: f"{v!r} should not be valid under {sub!r}",
+    "oneOf": lambda fits, v: (
+        f"{v!r} is not valid under any of the given schemas" if fits is None
+        else f"{v!r} is valid under each of " + ", ".join(map(repr, fits))),
 }
 
 
-def schema_accepts(schema, instance) -> bool:
-    """Whether instance is valid against schema, with draft-07 semantics.
+def _relevance(violation):
+    """The reference validator's relevance, larger for the shallower path,
+    then the later one, then a keyword other than ``oneOf``, then a node
+    whose ``type`` the value lacks (its "strong" term is always false)."""
+    path, keyword, _, value, node, _ = violation
+    return (-len(path), path, keyword != "oneOf",
+            "type" not in node or not _has_type(value, node["type"]))
+
+
+def schema_violation(schema, instance):
+    """None if instance is valid against schema, with draft-07 semantics;
+    else the (path, message) of the error that the tests' reference
+    validator picks as its best match, in its words (release 4.26.0), the
+    path a tuple of keys and indices.
 
     Interprets exactly the keywords that input.schema.json uses: those of
-    ``_KEYWORDS``, local ``$ref`` (whose sibling keywords draft 07
-    ignores) and the annotations.  Any other keyword raises LookupError,
-    so an edit to the schema cannot go unchecked.  Agrees with
-    ``jsonschema``, which a test confirms, and costs a fraction of it; the
-    CLI imports ``jsonschema`` only to explain a rejection.
+    ``_VIOLATED`` and ``_WORDS``, local ``$ref`` (whose sibling keywords
+    draft 07 ignores) and the annotations; any other raises LookupError,
+    so an edit to the schema cannot go unchecked.  The walk records each
+    violation, in the schema's keyword order, as (path, keyword, argument,
+    value, node, a failed ``oneOf``'s branch violations), and words only
+    the one it returns: the most relevant, the first of equals, where a
+    failed ``oneOf`` gives way to its least relevant branch violation
+    unless the two least relevant tie.  Tests hold verdict and words to
+    the reference.
     """
-    def accepts(node, value):
+    def walk(node, value, path, out):
         if "$ref" in node:
             target = schema
             for part in node["$ref"].removeprefix("#/").split("/"):
                 target = target[part]
-            return accepts(target, value)
-        valid = True
+            return walk(target, value, path, out)
         for keyword, argument in node.items():
-            if keyword in _ANNOTATIONS:
-                continue
-            if keyword not in _KEYWORDS:
+            if keyword in _VIOLATED:
+                if _VIOLATED[keyword](argument, value):
+                    out.append((path, keyword, argument, value, node, ()))
+            elif keyword == "properties":
+                if isinstance(value, dict):
+                    for key, sub in argument.items():
+                        if key in value:
+                            walk(sub, value[key], path + (key,), out)
+            elif keyword == "items":
+                if isinstance(value, list):
+                    for i, item in enumerate(value):
+                        walk(argument, item, path + (i,), out)
+            elif keyword == "required":
+                if isinstance(value, dict):
+                    out.extend((path, keyword, key, value, node, ())
+                               for key in argument if key not in value)
+            elif keyword == "oneOf":
+                found = [walk(sub, value, path, []) for sub in argument]
+                fits = [sub for sub, errors in zip(argument, found) if not errors]
+                if not fits:
+                    out.append((path, keyword, None, value, node, sum(found, [])))
+                elif len(fits) > 1:   # worded with the first fit last
+                    out.append((path, keyword, fits[1:] + fits[:1], value, node, ()))
+            elif keyword == "not":
+                if not walk(argument, value, path, []):
+                    out.append((path, keyword, argument, value, node, ()))
+            elif keyword not in _ANNOTATIONS:
                 raise LookupError(f"schema keyword {keyword!r} is not interpreted")
-            valid = valid and _KEYWORDS[keyword](accepts, argument, value)
-        return valid
+        return out
 
-    return accepts(schema, instance)
+    violations = walk(schema, instance, (), [])
+    if not violations:
+        return None
+    best = max(violations, key=_relevance)
+    while best[5]:
+        first, *rest = sorted(best[5], key=_relevance)
+        if rest and _relevance(rest[0]) == _relevance(first):
+            break
+        best = first
+    path, keyword, argument, value, _, _ = best
+    return path, _WORDS[keyword](argument, value)
 
 
 # ---------------------------------------------------------------------------

@@ -58,6 +58,8 @@ class Polytope:
         if not facets:
             raise ValueError("a polytope needs at least one facet")
         dim = len(facets[0].normal)
+        if not dim:
+            raise ValueError("facet normals need at least one coordinate")
         for f in facets:
             if len(f.normal) != dim:
                 raise ValueError("facet normals have inconsistent dimensions")
@@ -134,6 +136,8 @@ def enumerate_vertices(polytope: Polytope, lattice=None) -> tuple[Vertex, ...]:
     """
     n = polytope.dim
     m = polytope.facet_count
+    if lattice and lattice.dim != n:
+        raise ValueError("fan and quasilattice dimensions differ")
     if m < n + 1:
         raise ValueError("a bounded polytope needs at least n + 1 facets")
     domain, facets = polytope.domain, polytope.facets

@@ -23,7 +23,7 @@ from quasifold import (GALLERY_NAMES, TOOL_VERSION, document_to_triple,
                        load_document, load_input_schema, load_report_schema,
                        specialize_document)
 from quasifold.cli import main
-from quasifold.documents import schema_accepts
+from quasifold.documents import schema_violation
 from quasifold.scalars import NumberFieldDomain
 
 
@@ -243,9 +243,9 @@ def test_input_schema_passes_its_metaschema():
 
 def test_schema_accepts_refuses_unknown_keywords():
     with pytest.raises(LookupError, match="additionalProperties"):
-        schema_accepts({"type": "object", "additionalProperties": False}, {})
+        schema_violation({"type": "object", "additionalProperties": False}, {})
     with pytest.raises(LookupError, match="format"):
-        schema_accepts({"properties": {"x": {"format": "uri"}}}, {"x": "a"})
+        schema_violation({"properties": {"x": {"format": "uri"}}}, {"x": "a"})
 
 
 @pytest.mark.parametrize("schema, instance", [
@@ -259,15 +259,52 @@ def test_schema_accepts_refuses_unknown_keywords():
     ({"minimum": 1, "exclusiveMinimum": 0}, "0"),
     ({"$ref": "#/definitions/d", "type": "string",
       "definitions": {"d": {"type": "integer"}}}, 3),
+    # "is valid under each of", the first valid branch worded last
+    ({"oneOf": [{"type": "integer"}, {"type": "number"}, {"minimum": 0}]}, 1),
+    ({"oneOf": [{"type": "string"}, {"type": "number"}, {"minimum": 0}]}, 1),
+    ({"properties": {"x": {"not": {"type": "string"}}}}, {"x": "a"}),
+    ({"type": ["string", "null"]}, 1),
+    ({"type": ["integer", "boolean"], "minimum": 2}, 1.0),
+    # $ref with siblings, which draft 07 ignores, valid and not
+    ({"$ref": "#/definitions/d", "type": "string",
+      "definitions": {"d": {"type": "integer"}}}, "3"),
+    ({"$ref": "#/definitions/d", "minimum": 5,
+      "definitions": {"d": {"items": {"$ref": "#/definitions/e"}},
+                      "e": {"type": "integer", "minimum": 1}}}, [1, 0]),
+    ({"minItems": 1}, []),
+    ({"minItems": 2}, [1]),
+    ({"properties": {"a": {"minItems": 1}, "b": {"minItems": 2}}},
+     {"a": [], "b": [1]}),
+    # most relevant: the shallower path, then the later, then not oneOf,
+    # then a node whose type the value lacks
+    ({"properties": {"a": {"type": "string"}}, "required": ["b"]}, {"a": 1}),
+    ({"properties": {"a": {"type": "string"}, "b": {"type": "string"}}},
+     {"a": 1, "b": 2}),
+    ({"oneOf": [{"type": "string"}], "minimum": 2}, 1),
+    ({"properties": {"a": {"type": "string", "pattern": "^x"},
+                     "b": {"minimum": 3}}}, {"a": "y", "b": 1}),
+    # a failed oneOf: its least relevant branch violation, unless two tie
+    ({"oneOf": [{"type": "string"}, {"type": "integer", "minimum": 5}]}, 1),
+    ({"oneOf": [{"type": "string"}, {"type": "object"}]}, 1),
+    ({"oneOf": [{"required": ["b"]}, {"properties": {"a": {"enum": [1]}}}]},
+     {"a": 2}),
+    ({"oneOf": [{"oneOf": [{"type": "string"}, {"minimum": 3}]},
+                {"type": "null"}]}, 1),
 ])
 def test_schema_accepts_matches_draft_07(schema, instance):
     # cases the input schema cannot tell apart: its oneOf branches exclude
-    # each other, and its not sits inside a oneOf
+    # each other, and its not sits inside a oneOf; the wording and the pick
+    # are best_match's
     valid = jsonschema.Draft7Validator(schema).is_valid(instance)
-    assert schema_accepts(schema, instance) is valid
+    violation = schema_violation(schema, instance)
+    assert (violation is None) is valid
+    error = jsonschema.exceptions.best_match(
+        jsonschema.Draft7Validator(schema).iter_errors(instance))
+    assert violation == (None if error is None else
+                         (tuple(error.absolute_path), error.message))
 
 
-SWAPS = (True, 1.0, "1", [], None)
+SWAPS = (True, 1.0, "1", [], None, {}, [[1]], [None], "")
 
 
 def _nodes(node, path=()):
@@ -329,12 +366,12 @@ def mutated_documents(draw):
 @settings(max_examples=200, deadline=None)
 @given(mutated_documents())
 def test_schema_accepts_agrees_with_jsonschema(doc):
-    # the in-house check decides acceptance; jsonschema only explains a
-    # rejection, and the CLI's message is its best match
+    # the in-house check decides acceptance and words the rejection, and
+    # the CLI's message is jsonschema's best match
     schema = load_input_schema()
     validator = jsonschema.validators.validator_for(schema)(schema)
     error = jsonschema.exceptions.best_match(validator.iter_errors(doc))
-    assert schema_accepts(schema, doc) is (error is None)
+    assert (schema_violation(schema, doc) is None) is (error is None)
     if error is None:
         return
     with tempfile.TemporaryDirectory() as directory:
@@ -350,18 +387,6 @@ def test_schema_accepts_agrees_with_jsonschema(doc):
                               f"at {where}: {error.message}\n")
 
 
-def test_unexplained_rejection_exits_three(tmp_path, monkeypatch, capsys):
-    # a rejection that jsonschema cannot explain is a fault of the
-    # program: exit 3, never a silent acceptance
-    import quasifold.cli
-    monkeypatch.setattr(quasifold.cli, "schema_accepts",
-                        lambda schema, data: False)
-    path = write_doc(tmp_path, gallery_json("kite"))
-    code, out, err = run_cli(["validate", path], capsys)
-    assert (code, out) == (3, "")
-    assert err.startswith("quasifold: internal error: RuntimeError: ")
-
-
 def test_valid_documents_import_no_jsonschema(tmp_path):
     # jsonschema and importlib.metadata cost more than a small run: a
     # process given a valid document imports neither
@@ -369,7 +394,8 @@ def test_valid_documents_import_no_jsonschema(tmp_path):
     code = ("import sys\n"
             "from quasifold.cli import main\n"
             "code = main(sys.argv[1:])\n"
-            "print(*sorted(sys.modules), file=sys.stderr)\n"
+            "print(*sorted(name for name, module in sys.modules.items()\n"
+            "              if module is not None), file=sys.stderr)\n"
             "sys.exit(code)\n")
     for argv in (["gallery", "kite", "--samples", "10"], ["validate", kite]):
         run = subprocess.run([sys.executable, "-c", code, *argv],
@@ -378,6 +404,23 @@ def test_valid_documents_import_no_jsonschema(tmp_path):
         modules = set(run.stderr.split())
         assert "quasifold.cli" in modules
         assert not modules & {"jsonschema", "importlib.metadata"}, argv
+    # nor a rejected one, which is worded in-house: with jsonschema
+    # blocked (a None entry in sys.modules) the line is the same
+    bad = gallery_json("kite")
+    bad["domain"]["kind"] = "complex"
+    bad = write_doc(tmp_path, bad, "complex.json")
+    line = (f"quasifold: error: {bad}: schema violation at domain/kind: "
+            "'complex' is not one of ['rational', 'number_field', "
+            "'rational_function']\n")
+    for block in ("", "sys.modules['jsonschema'] = None\n"):
+        run = subprocess.run([sys.executable, "-c",
+                              "import sys\n" + block + code, "validate", bad],
+                             capture_output=True, text=True)
+        assert (run.returncode, run.stdout) == (2, ""), run.stderr
+        assert run.stderr.startswith(line), block
+        modules = set(run.stderr[len(line):].split())
+        assert "quasifold.cli" in modules
+        assert not modules & {"jsonschema", "importlib.metadata"}, block
 
 
 def test_start_up_imports_only_what_a_run_uses():
@@ -454,6 +497,30 @@ def test_unbounded_polytope_exits_two(command, tmp_path, capsys):
     assert (code, out) == (2, "")
     assert err == ("quasifold: error: the inequalities do not bound a "
                    "polytope: the edge on facets (1,) has one vertex\n")
+
+
+@pytest.mark.parametrize("command", ["polytope", "validate", "atlas"])
+@pytest.mark.parametrize("generators, normals, message", [
+    # facet normals with no coordinates
+    ([["1"]], [[], []], "polytope: facet normals need at least one coordinate"),
+    # normals in R^2 over a lattice in R^1: the walk would read a second
+    # lattice row; a lattice in R^3 is refused the same way, as before
+    ([["1", "0"]], [["1", "0"], ["0", "1"], ["-1", "-1"]],
+     "fan and quasilattice dimensions differ"),
+    ([["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]],
+     [["1", "0"], ["0", "1"], ["-1", "-1"]],
+     "fan and quasilattice dimensions differ"),
+])
+def test_polytope_dimension_mismatch_exits_two(command, generators, normals,
+                                               message, tmp_path, capsys):
+    path = write_doc(tmp_path, {
+        "domain": {"kind": "rational"},
+        "quasilattice": {"generators": generators},
+        "polytope": {"facets": [{"normal": normal, "offset": "-1"}
+                                for normal in normals]},
+    })
+    code, out, err = run_cli([command, path], capsys)
+    assert (code, out, err) == (2, "", f"quasifold: error: {message}\n")
 
 
 @pytest.mark.parametrize("command", ["polytope", "validate", "atlas", "verify"])
