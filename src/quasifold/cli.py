@@ -12,6 +12,7 @@ refusal, with the standard library alone.
 from __future__ import annotations
 
 import argparse
+import atexit
 import functools
 import json
 import os
@@ -30,7 +31,7 @@ from .scalars import require_readable, sample_text
 from .triples import validate
 from .verify import TrialConfig, verify_triple
 
-__all__ = ["main"]
+__all__ = ["entry", "main"]
 
 
 def _add_common_flags(parser):
@@ -261,5 +262,39 @@ def main(argv=None) -> int:
     return code
 
 
+def _hooked():
+    """A trace or profile hook, or from 3.12 a ``sys.monitoring`` tool (how
+    cProfile hooks in there), is set."""
+    monitoring = getattr(sys, "monitoring", None)
+    return bool(sys.gettrace() or sys.getprofile() or monitoring
+                and any(map(monitoring.get_tool, range(6))))
+
+
+def _flushed():
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except (OSError, ValueError):  # a closed pipe or stream
+        return False
+    return True
+
+
+def entry():
+    """The console script and ``python -m quasifold``: ``main``, then
+    ``os._exit`` once stdout and stderr are flushed and the ``atexit``
+    callbacks have run, so the interpreter frees none of its objects (as
+    mypy's ``hard_exit`` does; that teardown is about 10 ms of a small
+    run).  ``sys.exit`` stays under a hook (cProfile writes its stats after
+    the module returns), under ``python -i``, after a failed flush and on
+    argparse's own exits, whose ``SystemExit`` passes through; the
+    callbacks run once, as ``_run_exitfuncs`` unregisters them."""
+    code = main()
+    if not (_hooked() or sys.flags.inspect) and _flushed():
+        atexit._run_exitfuncs()
+        if _flushed():
+            os._exit(code)
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

@@ -452,8 +452,10 @@ class ScalarDomain:
     # -- payload operations ------------------------------------------------
     # Each domain defines _from_fraction(q), _inv(a), _text(a), _sign(a),
     # _eval(a, precision, parameter_sample), _as_rational(a) (the value as a
-    # Fraction if it is rational, else None) and, under the memos of _add,
-    # _mul and _neg, _sum(a, b), _product(a, b) and _negative(a).
+    # Fraction if it is rational, else None), _power_growth(a) (g, e such
+    # that for k >= 1 the ints of a^k have at most k g + 1 digits and its
+    # degree in the parameter is k e) and, under the memos of _add, _mul
+    # and _neg, _sum(a, b), _product(a, b) and _negative(a).
 
     def _add(self, a, b):
         value = self._sums.get((a, b))
@@ -532,6 +534,9 @@ class RationalDomain(ScalarDomain):
     def _as_rational(self, a):
         return a
 
+    def _power_growth(self, a):
+        return math.log10(max(abs(a.numerator), a.denominator)), 0
+
     def rational_rows(self, coefficients, target):
         return [([c.payload for c in coefficients], target.payload)]
 
@@ -608,6 +613,10 @@ class NumberFieldDomain(ScalarDomain):
         scale = math.lcm(*(c.denominator for row in rows for c in row))
         self._reduction_scale = scale
         self._reduction = [tuple(int(c * scale) for c in row) for row in rows]
+        # one product of numerators a, b has ints of at most
+        # d |a| |b| (scale + the largest column sum of |reduction|)
+        self._growth = self.degree * (scale + max(
+            map(sum, zip(*([abs(r) for r in row] for row in self._reduction)))))
         self._isolate_root()
 
     def _isolate_root(self):
@@ -758,6 +767,12 @@ class NumberFieldDomain(ScalarDomain):
         if any(a[2:]):
             return None
         return Fraction(a[1], a[0])
+
+    def _power_growth(self, a):
+        a = self._values[a]
+        # a rational factor skips the convolution and its reduction
+        growth = self._growth if any(a[2:]) else 1
+        return math.log10(growth * max(map(abs, a))), 0
 
     def rational_rows(self, coefficients, target):
         columns = [self._fractions(c.payload) for c in coefficients]
@@ -953,6 +968,12 @@ class RationalFunctionDomain(ScalarDomain):
         if len(den) > 1 or len(num) > 1:
             return None
         return Fraction(num[0], den[0]) if num else _F0
+
+    def _power_growth(self, a):
+        # num^k and den^k stay coprime, and |p^k| <= (terms of p * |p|)^k
+        num, den = self._values[a]
+        terms = max(len(num), len(den))
+        return math.log10(terms * max(map(abs, num + den))), terms - 1
 
     def rational_rows(self, coefficients, target):
         # clear denominators with their monic lcm, then compare
@@ -1248,9 +1269,25 @@ class _Parser:
                 raise ScalarSyntaxError("expected an integer exponent", pos)
             self.take()
             exponent = sign * int(value)
-            if exponent < 0 and base.is_zero():
-                raise ScalarSyntaxError("division by a zero scalar", pos)
-            return base ** exponent
+            if exponent < 0:
+                if base.is_zero():
+                    raise ScalarSyntaxError("division by a zero scalar", pos)
+                base = base.inverse()
+            # refused before it is computed if its ints could pass the digits
+            # Python converts to text (the limit require_readable puts on
+            # literals), or over a parameter field its degree could
+            limit, k = sys.get_int_max_str_digits(), abs(exponent)
+            if limit and k > 1:
+                digits, degree = base.domain._power_growth(base.payload)
+                if k * degree > limit:
+                    raise ScalarSyntaxError(
+                        f"the power ^{exponent} has a degree over {limit}; "
+                        f"exact texts allow at most degree {limit}", pos)
+                if digits and k > limit / digits:
+                    raise ScalarSyntaxError(
+                        f"the power ^{exponent} could have more than {limit} "
+                        f"digits; exact texts allow at most {limit} digits", pos)
+            return base ** k
         return base
 
     def parse_base(self):

@@ -84,6 +84,8 @@ class Fan:
 
     def __init__(self, dim: int, rays: Sequence[Sequence[Scalar]],
                  max_cones: Sequence[Sequence[int]]):
+        if not dim:
+            raise ValueError("rays need at least one coordinate")
         self.dim = dim
         self.rays = tuple(tuple(r) for r in rays)
         cones = []

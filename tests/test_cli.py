@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from importlib import resources
@@ -22,6 +23,7 @@ from hypothesis import strategies as st
 from quasifold import (GALLERY_NAMES, TOOL_VERSION, document_to_triple,
                        load_document, load_input_schema, load_report_schema,
                        specialize_document)
+from quasifold import cli
 from quasifold.cli import main
 from quasifold.documents import schema_violation
 from quasifold.scalars import NumberFieldDomain
@@ -182,6 +184,22 @@ DEPENDENT_RAYS_DOC = {
         "max_cones": [[1, 2], [2, 3]],
     },
     "witnesses": [[1, 0], [2, 0], [0, 1]],
+}
+
+
+# a ray given twice: validate fails its cone {1,4} (exit 1)
+REPEATED_RAY_DOC = {
+    "domain": {"kind": "rational"},
+    "quasilattice": {"generators": [["1", "0"], ["0", "1"]]},
+    "fan": {"rays": [["1", "0"], ["0", "1"], ["-1", "-1"], ["1", "0"]],
+            "max_cones": [[1, 2], [2, 3], [3, 4], [1, 4]]},
+}
+
+# rays with no coordinates: refused by name (exit 2), not by the cone check
+EMPTY_RAYS_DOC = {
+    "domain": {"kind": "rational"},
+    "quasilattice": {"generators": [["1", "0"], ["0", "1"]]},
+    "fan": {"rays": [[], []], "max_cones": [[1], [2]]},
 }
 
 
@@ -428,12 +446,14 @@ def test_start_up_imports_only_what_a_run_uses():
     # to import than a small run takes; a clean interpreter (-S: no site
     # hooks, which import typing themselves) running gallery kite loads
     # none of them, nor pkgutil, which imports typing
+    # the run goes through the entry, whose atexit callbacks still run
     import quasifold
-    code = ("import sys\n"
-            "from quasifold.cli import main\n"
-            "code = main(['gallery', 'kite', '--samples', '10'])\n"
-            "print(*sorted(sys.modules), file=sys.stderr)\n"
-            "sys.exit(code)\n")
+    code = ("import atexit, sys\n"
+            "atexit.register(lambda: print(*sorted(sys.modules),\n"
+            "                              file=sys.stderr))\n"
+            "from quasifold.cli import entry\n"
+            "sys.argv = ['quasifold', 'gallery', 'kite', '--samples', '10']\n"
+            "entry()\n")
     src = str(Path(quasifold.__file__).parents[1])
     run = subprocess.run([sys.executable, "-S", "-c", code],
                          capture_output=True, text=True,
@@ -521,6 +541,41 @@ def test_polytope_dimension_mismatch_exits_two(command, generators, normals,
     })
     code, out, err = run_cli([command, path], capsys)
     assert (code, out, err) == (2, "", f"quasifold: error: {message}\n")
+
+
+@pytest.mark.parametrize("command", ["polytope", "validate", "atlas"])
+def test_fan_rays_without_coordinates_exit_two(command, tmp_path, capsys):
+    code, out, err = run_cli([command, write_doc(tmp_path, EMPTY_RAYS_DOC)],
+                             capsys)
+    assert (code, out, err) == (
+        2, "", "quasifold: error: fan: rays need at least one coordinate\n")
+
+
+@pytest.mark.parametrize("command", ["polytope", "validate", "atlas"])
+def test_power_past_the_text_limit_exits_two_at_once(command, tmp_path,
+                                                     capsys):
+    # 2^99999999 has 30,102,999 digits: computing it ran past a minute; it
+    # is refused from the base and the exponent, before any product
+    triangle = {
+        "domain": {"kind": "rational"},
+        "quasilattice": {"generators": [["1", "0"], ["0", "1"]]},
+        "polytope": {"facets": [{"normal": ["1", "0"], "offset": "0"},
+                                {"normal": ["0", "1"], "offset": "0"},
+                                {"normal": ["-1", "-1"],
+                                 "offset": "-2^99999999"}]},
+    }
+    cp2 = gallery_json("cp2-11a")
+    cp2["polytope"]["facets"][0]["offset"] = "2^99999999"
+    limit = sys.get_int_max_str_digits()
+    for doc, where, position in ((triangle, "polytope.facets[2].offset", 3),
+                                 (cp2, "polytope.facets[0].offset", 2)):
+        start = time.perf_counter()
+        code, out, err = run_cli([command, write_doc(tmp_path, doc)], capsys)
+        assert time.perf_counter() - start < 1, where
+        assert (code, out) == (2, "")
+        assert err == (f"quasifold: error: {where}: the power ^99999999 could "
+                       f"have more than {limit} digits; exact texts allow at "
+                       f"most {limit} digits (at position {position})\n")
 
 
 @pytest.mark.parametrize("command", ["polytope", "validate", "atlas", "verify"])
@@ -1259,6 +1314,85 @@ def test_reports_byte_identical_across_processes():
     second = subprocess.run(command, capture_output=True, env=env)
     assert first.returncode == 0 and second.returncode == 0
     assert first.stdout == second.stdout
+
+
+# ---------------------------------------------------------------------------
+# the process exit: cli.entry
+# ---------------------------------------------------------------------------
+
+def test_module_run_answers_as_main(tmp_path, capsys):
+    # python -m quasifold ends by os._exit once its streams are flushed
+    repeated = write_doc(tmp_path, REPEATED_RAY_DOC, "repeated.json")
+    empty = write_doc(tmp_path, EMPTY_RAYS_DOC, "empty.json")
+    for argv, expected in ((["gallery", "kite"], 0), (["validate", repeated], 1),
+                           (["validate", empty], 2)):
+        fresh = subprocess.run([sys.executable, "-m", "quasifold", *argv],
+                               capture_output=True, text=True)
+        assert fresh.returncode == expected, fresh.stderr
+        assert run_cli(argv, capsys) == (fresh.returncode, fresh.stdout,
+                                         fresh.stderr), argv
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["gallery", "quasisphere", "--samples", "10"], 0),
+    (["gallery"], 2),            # argparse's own exit: the ordinary one
+])
+def test_atexit_callbacks_run_once(argv, expected):
+    code = ("import atexit, os, sys\n"
+            "atexit.register(os.write, 2, b'callback\\n')\n"
+            "from quasifold.cli import entry\n"
+            "sys.argv = ['quasifold', *sys.argv[1:]]\n"
+            "entry()\n")
+    run = subprocess.run([sys.executable, "-c", code, *argv],
+                         capture_output=True, text=True)
+    assert run.returncode == expected, run.stderr
+    assert run.stderr.count("callback") == 1
+    assert run.stderr.endswith("callback\n")
+    assert run.stdout.startswith("quasifold report: quasisphere") == (not expected)
+
+
+def test_profiled_run_prints_its_stats():
+    # cProfile prints its stats after the module returns, so under a
+    # profile hook the entry exits the ordinary way
+    run = subprocess.run([sys.executable, "-m", "cProfile", "-m", "quasifold",
+                          "gallery", "quasisphere"],
+                         capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    report, calls, stats = run.stdout.partition(" function calls ")
+    assert report.startswith("quasifold report: quasisphere")
+    assert calls and "Ordered by" in stats
+
+
+@pytest.mark.parametrize("broken", [False, True])
+def test_a_failed_flush_takes_the_ordinary_exit(broken, monkeypatch):
+    import atexit
+
+    class Stdout(io.StringIO):
+        def flush(self):
+            if broken:
+                raise BrokenPipeError(32, "Broken pipe")
+
+    class Exited(Exception):
+        pass
+
+    calls = []
+
+    def hard_exit(code):
+        calls.append(code)
+        raise Exited
+
+    monkeypatch.setattr(cli, "_hooked", lambda: False)   # as under no tracer
+    monkeypatch.setattr(sys, "argv", ["quasifold", "gallery", "quasisphere",
+                                      "--samples", "10"])
+    monkeypatch.setattr(sys, "stdout", Stdout())
+    monkeypatch.setattr(atexit, "_run_exitfuncs", lambda: calls.append("atexit"))
+    monkeypatch.setattr(os, "_exit", hard_exit)
+    with pytest.raises(SystemExit if broken else Exited) as info:
+        cli.entry()
+    if broken:
+        assert (info.value.code, calls) == (0, [])
+    else:
+        assert calls == ["atexit", 0]
 
 
 def run_fresh(args, env=None, without_numpy=False):

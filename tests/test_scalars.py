@@ -135,6 +135,67 @@ def test_parse_negative_exponent(parameter):
     assert parse_scalar("a^-1", parameter) == parameter.generator().inverse()
 
 
+def test_power_past_the_text_limit_is_refused_before_it_is_computed(
+        rational, golden, parameter):
+    # each refusal comes from the base's size and the exponent alone: no
+    # exponent here is ever computed (2^99999999 took 1.1 s to build, and
+    # then failed to print)
+    import sys
+    import time
+    limit = sys.get_int_max_str_digits()
+    digits = (f"could have more than {limit} digits; exact texts allow at "
+              f"most {limit} digits")
+    degree = f"has a degree over {limit}; exact texts allow at most degree {limit}"
+    for domain, text, exponent, words, position in [
+            (rational, "2^99999999", "99999999", digits, 2),
+            (rational, "(1/2)^-99999999", "-99999999", digits, 7),
+            (golden, "phi^99999999", "99999999", digits, 4),
+            (golden, "(phi - 1)^-99999999", "-99999999", digits, 11),
+            (parameter, "2^99999999", "99999999", digits, 2),
+            (parameter, f"a^{limit + 1}", str(limit + 1), degree, 2),
+            (parameter, "(a + 1)^-99999999", "-99999999", degree, 9)]:
+        start = time.perf_counter()
+        with pytest.raises(ScalarSyntaxError) as info:
+            domain.scalar(text)
+        assert time.perf_counter() - start < 1, text
+        assert str(info.value) == (f"the power ^{exponent} {words} "
+                                   f"(at position {position})")
+    # a base that cannot grow takes any exponent, and 2^k up to the limit
+    assert rational.scalar("(-1)^-99999999") == rational.scalar(-1)
+    k = math.floor(limit / math.log10(2))
+    assert len(rational.scalar(f"2^{k}").text()) == limit
+    with pytest.raises(ScalarSyntaxError):
+        rational.scalar(f"2^{k + 1}")
+    assert parameter.scalar(f"a^{limit}") == parameter.generator() ** limit
+
+
+def test_power_growth_bounds_every_power(rational, golden, quartic, parameter):
+    # the ints of b^k have at most k g + 1 digits and its degree is k e,
+    # for (g, e) = _power_growth(b)
+    def ints_and_degree(scalar):
+        if scalar.domain is rational:
+            return (scalar.payload.numerator, scalar.payload.denominator), 0
+        value = table_value(scalar)
+        if scalar.domain.kind == "number_field":
+            return value, 0
+        num, den = value
+        return num + den, max(len(num), len(den)) - 1
+
+    for domain, texts in [
+            (rational, ["10", "-7/3", "1", "-1/1000"]),
+            (golden, ["phi", "3 - 2*phi", "(phi + 1)/4", "5/2"]),
+            (quartic, ["alpha", "alpha^3/7 - 2", "(alpha^2 - 5)/3"]),
+            (parameter, ["a", "a + 1", "(2*a^2 - 3)/(a + 5)", "3/2"])]:
+        for text in texts:
+            base = domain.scalar(text)
+            growth, degree = domain._power_growth(base.payload)
+            for k in range(2, 40):
+                ints, power_degree = ints_and_degree(base ** k)
+                assert power_degree == k * degree, (text, k)
+                most = max(len(str(abs(c))) for c in ints)
+                assert most <= math.floor(k * growth + 1e-9) + 1, (text, k)
+
+
 def test_parse_precedence(rational, parameter):
     assert parse_scalar("2 + 3 * 4 ^ 2", rational) == rational.scalar(50)
     assert parse_scalar("2 * 3 / 4", rational) == rational.scalar("3/2")
