@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import atexit
+import contextlib
 import functools
 import json
 import os
@@ -87,6 +88,18 @@ def _parse_assignment(text, expected_symbol, flag):
         raise InputError(
             f"{flag}: symbol {symbol!r} does not match the domain parameter "
             f"{expected_symbol!r}")
+    # a decimal exponent is bounded before Fraction computes 10^|e|, at ten
+    # times the digits Python converts to text: past the limit, --param still
+    # writes its sample exactly (by Decimal) and --substitute refuses by digits
+    mantissa, _, exponent = value.lower().partition("e")
+    try:
+        digits = sum(map(str.isdigit, mantissa)) + abs(int(exponent))
+    except ValueError:  # no exponent, or not a number: Fraction decides
+        digits = 0
+    bound = 10 * sys.get_int_max_str_digits()
+    if bound and digits > bound:
+        raise InputError(f"{flag}: the exponent of {value!r} could give more than "
+                         f"{bound} digits; decimal values allow at most {bound} digits")
     try:
         return Fraction(value)
     except (ValueError, ZeroDivisionError) as exc:   # not a number, or n/0
@@ -258,7 +271,17 @@ def main(argv=None) -> int:
             print(f"quasifold: error: cannot write {args.out}: {exc}", file=sys.stderr)
             return 2
     else:
-        sys.stdout.write(rendered)
+        try:
+            sys.stdout.write(rendered)
+        except OSError as exc:
+            # a closed pipe: fd 1 goes to os.devnull, so that no later flush
+            # fails again (the recipe in the docs of the signal module)
+            with contextlib.suppress(OSError, ValueError):  # stdout has no fd
+                fd, devnull = sys.stdout.fileno(), os.open(os.devnull, os.O_WRONLY)
+                os.dup2(devnull, fd)
+                os.close(devnull)
+            print(f"quasifold: error: cannot write the report: {exc}", file=sys.stderr)
+            return 2
     return code
 
 

@@ -19,8 +19,8 @@ operations, whose inverses, products and sums are memoised (see
 ``ScalarDomain``); a Scalar is built only for what a caller gets back.
 ``multiply_rows`` is the one exact product, of payload rows: ``Matrix``
 products wrap its entries, and the cocycle certificate reads them bare.
-``integer_solve`` solves a rational system over Z for several right-hand
-sides from one column reduction.
+``integer_solve`` is the one reduction over Z: one column echelon form
+gives integer solutions and an echelon Z-basis of the integer kernel.
 """
 
 from __future__ import annotations
@@ -263,15 +263,16 @@ def solve_general(matrix: Matrix, rhs: Sequence[Sequence[Scalar]]):
 
 
 def integer_solve(rows, rhs):
-    """For each right-hand side b in rhs, one integer x with rows x = b
-    (Fractions), or None if there is none.
+    """For each b in rhs one integer x with rows x = b (Fractions), or None,
+    and a Z-basis of {x in Z^k : rows x = 0}: (solutions, kernel).
 
     Euclid along each row, by column operations that carry the identity
-    below the rows, brings the matrix to column echelon form H = A U with U
-    unimodular; forward substitution solves each H y = b over Z as the rows
-    are reduced, and x = U y (Cohen, GTM 138, section 2.4).  Each row and
-    its right-hand sides are first scaled by their common denominator, which
-    changes neither the solutions nor the Euclid steps: all of it runs in ints.
+    below the rows, brings A to column echelon form H = A U, U unimodular;
+    forward substitution solves each H y = b over Z, x = U y, and U's columns
+    past the pivots are the kernel basis.  The same Euclid over U's rows, last
+    first, gives each kernel vector a last nonzero coordinate of its own,
+    positive there (Cohen, GTM 138, section 2.4).  Each row is first scaled
+    by its common denominator, right-hand sides too: all of it runs in ints.
     """
     r, k = len(rows), len(rows[0])
     scales = [lcm(*(x.denominator for x in row), *(b[i].denominator for b in rhs))
@@ -283,7 +284,7 @@ def integer_solve(rows, rhs):
                for j in range(k)]
     ys = [[] for _ in rhs]  # y for each b, None once b has no solution
     p = 0  # the pivots so far
-    for i in range(r):
+    for i in [*range(r), *reversed(range(r, r + k))]:  # A's rows, then U's
         live = [j for j in range(p, k) if columns[j][i]]
         while len(live) > 1:
             pivot = columns[min(live, key=lambda j: abs(columns[j][i]))]
@@ -294,13 +295,17 @@ def integer_solve(rows, rhs):
             live = [j for j in live if columns[j][i]]
         if live:
             columns[p], columns[live[0]] = columns[live[0]], columns[p]
-        for a, y in enumerate(ys):
-            if y is not None:
-                remainder = rhs[a][i] - sum(columns[j][i] * yj for j, yj in enumerate(y))
-                if live:
-                    q, remainder = divmod(remainder, columns[p][i])
-                    y.append(q)
-                ys[a] = None if remainder else y
+        if i < r:
+            for a, y in enumerate(ys):
+                if y is not None:
+                    remainder = rhs[a][i] - sum(columns[j][i] * yj for j, yj in enumerate(y))
+                    if live:
+                        q, remainder = divmod(remainder, columns[p][i])
+                        y.append(q)
+                    ys[a] = None if remainder else y
+        elif live and columns[p][i] < 0:  # a kernel vector ending at coordinate i - r
+            columns[p] = [-a for a in columns[p]]
         p += bool(live)
-    return [None if y is None else [sum(columns[j][r + l] * yj for j, yj in enumerate(y))
-                                    for l in range(k)] for y in ys]
+    return ([None if y is None else [sum(columns[j][r + l] * yj for j, yj in enumerate(y))
+                                     for l in range(k)] for y in ys],
+            [column[r:] for column in columns if not any(column[:r])])

@@ -19,9 +19,9 @@ from functools import reduce
 from math import fsum, hypot, isfinite
 from operator import mul
 
-from .linalg import (Matrix, integer_solve, multiply_rows, pivot_rows,
-                     reduce_rows, solve_general)
-from .scalars import RationalDomain, Scalar, ScalarDomain
+from .linalg import Matrix, integer_solve, multiply_rows, pivot_rows, reduce_rows
+from .linalg import solve_general  # unused: perfbench/tracing.py hooks it here
+from .scalars import Scalar, ScalarDomain
 
 __all__ = [
     "Fan",
@@ -381,10 +381,10 @@ def ray_memberships(triple: FundamentalTriple, rays: Sequence[int]):
     """For each ray j (1-based) of rays, the least integer m with G m = X_j
     by max-norm, then l1-norm, then lexicographic order.
 
-    One ``integer_solve`` proves that each m exists.  Each rational solution
-    is the ray's particular solution from one ``solve_general`` plus its free
-    coordinates times the shared kernel basis, so an m of max-norm B has free
-    coordinates in [-B, B]; B grows until an m appears.
+    One ``integer_solve`` gives each ray an integer solution p and an echelon
+    Z-basis of the kernel lattice, so m = p + sum of t v.  Coordinate c of m
+    depends only on the v ending at c or later, so each t, last first, keeps
+    the coordinate its v ends at in [-B, B]; B grows until an m appears.
     """
     for j in rays:
         if not 1 <= j <= triple.ray_count:
@@ -394,32 +394,26 @@ def ray_memberships(triple: FundamentalTriple, rays: Sequence[int]):
     # columns, so one common denominator is cleared for all of them
     rows = [row for i in range(triple.dim) for row, _ in domain.rational_rows(
         [*generators.row(i), *(triple.ray(j)[i] for j in rays)], domain.zero())]
-    system = [row[:k] for row in rows]
-    columns = [[row[k + a] for row in rows] for a in range(len(rays))]
-    for j, m in zip(rays, integer_solve(system, columns)):
+    solutions, kernel = integer_solve([row[:k] for row in rows], list(zip(*rows))[k:])
+    for j, m in zip(rays, solutions):
         if m is None:
             raise WitnessRecoveryError(f"ray {j} is not in the Z-span of the lattice generators")
-    solutions, kernel = solve_general(Matrix.from_rows(RationalDomain(), system), columns)
-    # the free coordinate of a kernel vector is its last nonzero entry,
-    # and coordinate c depends only on the free coordinates after c
-    directions = {max(c for c, x in enumerate(v) if not x.is_zero()):
-                  [x.payload for x in v] for v in kernel}
+    # each kernel vector ends at a coordinate of its own, with a positive entry
+    directions = {max(c for c, x in enumerate(v) if x): v for v in kernel}
 
     def witnesses(c, point, bound):
         if c < 0:
-            yield tuple(int(x) for x in point)
-        elif c in directions:
-            for t in range(-bound, bound + 1):
-                yield from witnesses(c - 1, [x + t * v for x, v in zip(
-                    point, directions[c])], bound)
-        elif point[c].denominator == 1 and abs(point[c]) <= bound:
+            yield tuple(point)
+        elif v := directions.get(c):
+            for t in range(-((bound + point[c]) // v[c]), (bound - point[c]) // v[c] + 1):
+                yield from witnesses(c - 1, [x + t * y for x, y in zip(point, v)], bound)
+        elif abs(point[c]) <= bound:
             yield from witnesses(c - 1, point, bound)
 
     recovered = []
-    for j, particular in zip(rays, solutions):
-        point = [x.payload for x in particular]
-        # the coordinates after the last free one are fixed: B starts at them
-        bound = int(max(map(abs, point[max(directions, default=-1) + 1:]), default=0))
+    for j, point in zip(rays, solutions):
+        # the coordinates after the last vector ends are fixed: B starts at them
+        bound = max(map(abs, point[max(directions, default=-1) + 1:]), default=0)
         while not (found := list(witnesses(len(point) - 1, point, bound))):
             bound += 1
         m = min(found, key=lambda m: (max(map(abs, m)), sum(map(abs, m)), m))

@@ -82,7 +82,7 @@ def in_group(domain, exponents, phase):
                                                phase[i]):
             rows.append(row)
             rhs.append(value)
-    return integer_solve(rows, [rhs]) != [None]
+    return integer_solve(rows, [rhs])[0] != [None]
 
 
 def test_criterion_1_quasisphere(entries):

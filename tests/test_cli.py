@@ -657,6 +657,31 @@ def test_substitute_at_a_pole_exits_two(tmp_path, capsys):
                    "vanishes at a = 1\n")
 
 
+@pytest.mark.parametrize("flag", ["--param", "--substitute"])
+@pytest.mark.parametrize("value", ["1e99999999", "1e-99999999"])
+def test_decimal_exponent_past_the_bound_exits_two_at_once(flag, value, capsys):
+    # Fraction would build 10^99999999 first: that ran past ten seconds
+    bound = 10 * sys.get_int_max_str_digits()
+    start = time.perf_counter()
+    code, out, err = run_cli(["gallery", "cp2-11a", flag, f"a={value}"], capsys)
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err == (f"quasifold: error: {flag}: the exponent of {value!r} could "
+                   f"give more than {bound} digits; decimal values allow at "
+                   f"most {bound} digits\n")
+
+
+def test_decimal_exponent_bound_counts_the_mantissa():
+    # the digits of the mantissa plus |e| may reach the bound, not pass it
+    bound = 10 * sys.get_int_max_str_digits()
+    assert cli._parse_assignment(f"a=1e{bound - 1}", "a", "--param") == 10 ** (bound - 1)
+    assert cli._parse_assignment(f"a=-1.5e-{bound - 2}", "a", "--param") == \
+        Fraction(-15, 10 ** (bound - 1))
+    for value in (f"1e{bound}", f"12e{bound - 1}", f"1.5e-{bound - 1}", f"1E+{bound}"):
+        with pytest.raises(ValueError, match=f"give more than {bound} digits"):
+            cli._parse_assignment(f"a={value}", "a", "--param")
+
+
 def test_internal_error_exits_three(monkeypatch, capsys):
     # (D5) a fault of the program is one stderr line and exit 3, never
     # exit 1, which means a failed check
@@ -1299,6 +1324,30 @@ def test_unwritable_out_exits_two(tmp_path):
     assert run.stderr.count("\n") == 1
     assert "Traceback" not in run.stderr
     assert run.stdout == ""
+
+
+@pytest.mark.parametrize("argv, unbuffered", [
+    (["gallery", "dodecahedron", "--format", "json"], False),   # past the buffer
+    (["gallery", "kite", "--samples", "5"], True),
+])
+def test_closed_stdout_exits_two_with_one_line(argv, unbuffered):
+    # stdout is a pipe whose read end is closed: the write fails, and the
+    # exit is an input error in one line, never a traceback that exits 1
+    # like a failed check, and nothing more at the flush or at shutdown
+    read, write = os.pipe()
+    os.close(read)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    try:
+        run = subprocess.run([sys.executable, "-m", "quasifold", *argv],
+                             stdout=write, stderr=subprocess.PIPE, text=True,
+                             env=env, timeout=60)
+    finally:
+        os.close(write)
+    assert run.returncode == 2, run.stderr
+    assert re.fullmatch("quasifold: error: cannot write the report: .*\n",
+                        run.stderr)
 
 
 # ---------------------------------------------------------------------------

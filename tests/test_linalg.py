@@ -1,6 +1,8 @@
+import itertools
 import random
 from fractions import Fraction
 from math import lcm
+from operator import mul
 
 import pytest
 from hypothesis import assume, given, settings
@@ -564,7 +566,7 @@ def test_integer_solve_matches_smith_oracle(data):
         rhs = [sum(x * c for x, c in zip(row, m)) for row in rows]
     else:
         rhs = data.draw(st.lists(_fractions, min_size=r, max_size=r))
-    (solution,) = integer_solve(rows, [rhs])
+    (solution,), _ = integer_solve(rows, [rhs])
     assert (solution is not None) == smith_solvable(rows, rhs)
     if solution is not None:
         assert all(type(x) is int for x in solution)
@@ -594,8 +596,8 @@ def test_several_columns_equal_one_column(rational, data):
     columns = data.draw(st.lists(st.one_of(
         points.map(lambda x: [sum(a * c for a, c in zip(row, x)) for row in rows]),
         st.lists(_fractions, min_size=r, max_size=r)), min_size=1, max_size=4))
-    assert integer_solve(rows, columns) == [
-        integer_solve(rows, [b])[0] for b in columns]
+    assert integer_solve(rows, columns) == (
+        [integer_solve(rows, [b])[0][0] for b in columns], integer_solve(rows, [])[1])
     solutions, kernel = solve_general(matrix, columns)
     for b, solution in zip(columns, solutions):
         assert solve_general(matrix, [b]) == ([solution], kernel)
@@ -604,13 +606,49 @@ def test_several_columns_equal_one_column(rational, data):
 def test_integer_solve_small_cases():
     f = Fraction
     # x = 1/2 has no integer solution; 2 x = 1 neither; 2 x + 3 y = 1 has
-    assert integer_solve([[f(1)]], [[f(1, 2)]]) == [None]
-    assert integer_solve([[f(2)]], [[f(1)]]) == [None]
-    (x, y), = integer_solve([[f(2), f(3)]], [[f(1)]])
+    assert integer_solve([[f(1)]], [[f(1, 2)]]) == ([None], [])
+    assert integer_solve([[f(2)]], [[f(1)]]) == ([None], [])
+    ((x, y),), kernel = integer_solve([[f(2), f(3)]], [[f(1)]])
     assert 2 * x + 3 * y == 1
-    # a zero row needs a zero right-hand side
-    assert integer_solve([[f(0), f(0)]], [[f(0)]]) == [[0, 0]]
-    assert integer_solve([[f(0), f(0)]], [[f(1)]]) == [None]
-    # 3/2 x = 3/2 y + 3/2 and x - y = 1 over Z: x = y + 1
-    (x, y), = integer_solve([[f(3, 2), f(-3, 2)], [f(1), f(-1)]], [[f(3, 2), f(1)]])
+    assert kernel == [[-3, 2]]
+    # a zero row needs a zero right-hand side, and every vector is a kernel one
+    assert integer_solve([[f(0), f(0)]], [[f(0)]]) == ([[0, 0]], [[0, 1], [1, 0]])
+    assert integer_solve([[f(0), f(0)]], [[f(1)]]) == ([None], [[0, 1], [1, 0]])
+    # 3/2 x = 3/2 y + 3/2 and x - y = 1 over Z: x = y + 1, kernel (1, 1)
+    ((x, y),), kernel = integer_solve([[f(3, 2), f(-3, 2)], [f(1), f(-1)]],
+                                      [[f(3, 2), f(1)]])
     assert x - y == 1
+    assert kernel == [[1, 1]]
+
+
+@settings(max_examples=150)
+@given(data=st.data())
+def test_integer_kernel_is_an_echelon_z_basis(rational, data):
+    # each kernel vector solves rows v = 0 and ends at a coordinate of its
+    # own, positive there; there are k - rank of them, and every integer
+    # kernel vector in the box |x| <= 2 is an integer combination of them
+    r, k = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 4))
+    rows = []
+    for _ in range(r):
+        if rows and data.draw(st.integers(0, 2)) == 0:
+            a, b = data.draw(st.sampled_from(rows)), data.draw(st.sampled_from(rows))
+            u, v = data.draw(_fractions), data.draw(_fractions)
+            rows.append([u * x + v * y for x, y in zip(a, b)])
+        else:
+            rows.append(data.draw(st.lists(_fractions, min_size=k, max_size=k)))
+    _, kernel = integer_solve(rows, [])
+    ends = [max(c for c, x in enumerate(v) if x) for v in kernel]
+    assert len(set(ends)) == len(kernel) == k - Matrix.from_rows(rational, rows).rank()
+    for v, end in zip(kernel, ends):
+        assert all(type(x) is int for x in v) and v[end] > 0
+        assert all(sum(map(mul, row, v)) == 0 for row in rows)
+    by_end = sorted(zip(ends, kernel), reverse=True)
+    for x in itertools.product(range(-2, 3), repeat=k):
+        if any(sum(map(mul, row, x)) for row in rows):
+            continue
+        # peel the vectors off, last end first: an integer multiple of each
+        for end, v in by_end:
+            t, rest = divmod(x[end], v[end])
+            assert rest == 0
+            x = [a - t * b for a, b in zip(x, v)]
+        assert not any(x)

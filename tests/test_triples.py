@@ -362,25 +362,49 @@ def test_first_non_member_is_named(rational):
 
 def test_witness_recovery_is_one_elimination(monkeypatch):
     # all ten omitted witnesses of the parameter fan come from one integer
-    # column reduction and one Gauss-Jordan reduction
+    # column reduction, which also gives the kernel lattice the search reads:
+    # no Gauss-Jordan reduction and no rational solve
     from test_cli import param_fan_doc
     from quasifold import document_to_triple, linalg, load_document, triples
     triple, _ = document_to_triple(load_document(param_fan_doc()))
-    calls = {"reduce_rows": 0, "integer_solve": 0}
-    reduce_rows, integer_solve = linalg.reduce_rows, triples.integer_solve
+    calls = {"reduce_rows": 0, "integer_solve": 0, "solve_general": 0}
 
-    def counted_reduce_rows(*args):
-        calls["reduce_rows"] += 1
-        return reduce_rows(*args)
+    def counted(module, name):
+        function = getattr(module, name)
 
-    def counted_integer_solve(*args):
-        calls["integer_solve"] += 1
-        return integer_solve(*args)
-    monkeypatch.setattr(linalg, "reduce_rows", counted_reduce_rows)
-    monkeypatch.setattr(triples, "integer_solve", counted_integer_solve)
+        def wrapper(*args):
+            calls[name] += 1
+            return function(*args)
+        monkeypatch.setattr(module, name, wrapper)
+    counted(linalg, "reduce_rows")
+    counted(triples, "integer_solve")
+    counted(triples, "solve_general")
     recovered = with_recovered_witnesses(stripped_of_witnesses(triple))
     assert recovered.witnesses == triple.witnesses
-    assert calls == {"reduce_rows": 1, "integer_solve": 1}
+    assert calls == {"reduce_rows": 0, "integer_solve": 1, "solve_general": 0}
+
+
+def d17_triangle(k):
+    """The triangle x, y >= 0, x + y <= 1 over the k generators (1, 0),
+    (0, 1) and (i + 2, 2 i + 3) for i < k - 2, witnesses omitted: the
+    integer kernel of the generators has rank k - 2."""
+    generators = [(1, 0), (0, 1), *((i + 2, 2 * i + 3) for i in range(k - 2))]
+    return {"domain": {"kind": "rational"},
+            "quasilattice": {"generators": [[str(g[r]) for g in generators]
+                                            for r in range(2)]},
+            "polytope": {"facets": [{"normal": ["1", "0"], "offset": "0"},
+                                    {"normal": ["0", "1"], "offset": "0"},
+                                    {"normal": ["-1", "-1"], "offset": "-1"}]}}
+
+
+@pytest.mark.parametrize("k", [4, 8, 10, 12])
+def test_d17_triangle_recovers_the_unit_witnesses(k):
+    # the box search over a rational kernel basis took 10 s at k = 12; the
+    # answers are those it gave: e1, e2 and -e1 - e2, padded with zeros
+    from quasifold import document_to_triple, load_document
+    triple, _ = document_to_triple(load_document(d17_triangle(k)))
+    pad = (0,) * (k - 2)
+    assert triple.witnesses == ((1, 0, *pad), (0, 1, *pad), (-1, -1, *pad))
 
 
 @pytest.mark.parametrize("name", ["cp2-11a", "dodecahedron", "hirzebruch",
