@@ -21,7 +21,7 @@ import sys
 from fractions import Fraction
 
 from .atlas import Atlas
-from .documents import (InputError, atlas_section, build_report,
+from .documents import (InputError, atlas_section, build_report, decimal_text,
                         document_to_triple, load_document, load_input_schema,
                         polytope_section, render_json_report,
                         render_text_report, schema_violation,
@@ -193,8 +193,9 @@ def run(args) -> tuple[int, str]:
     elif doc.domain.kind == "rational_function":
         sample_opt = doc.options.get("parameter_sample")
         if sample_opt is not None:
-            require_readable(str(sample_opt), "options.parameter_sample")
-            parameter_sample = Fraction(str(sample_opt))
+            text = decimal_text(sample_opt, "options.parameter_sample")
+            require_readable(text, "options.parameter_sample")
+            parameter_sample = Fraction(text)
             source = "options.parameter_sample"
         elif doc.domain.default_sample is not None:
             parameter_sample = doc.domain.default_sample
@@ -273,6 +274,7 @@ def main(argv=None) -> int:
     else:
         try:
             sys.stdout.write(rendered)
+            sys.stdout.flush()  # a report that fits the buffer fails here
         except OSError as exc:
             # a closed pipe: fd 1 goes to os.devnull, so that no later flush
             # fails again (the recipe in the docs of the signal module)

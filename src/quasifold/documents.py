@@ -19,6 +19,7 @@ and relation rows are the texts of each chart's payloads.
 from __future__ import annotations
 
 import json
+import math
 import os
 import re
 from collections import namedtuple
@@ -215,6 +216,14 @@ class InputDocument(namedtuple("InputDocument", "domain lattice fan polytope "
                                {} if options is None else options, name)
 
 
+def decimal_text(value, path):
+    """The text of a decimal field's value (None if absent), refused by the
+    field's path if it is a JSON number with no finite value (1e400, NaN)."""
+    if isinstance(value, float) and not math.isfinite(value):
+        raise InputError(f"{path}: the JSON number {value} is not finite")
+    return None if value is None else str(value)
+
+
 def _parse_domain(data, path="domain"):
     kind = data.get("kind")
     for key, value in data.items():
@@ -228,15 +237,15 @@ def _parse_domain(data, path="domain"):
         return NumberFieldDomain(
             [str(c) for c in data["min_poly"]],
             data["generator_symbol"],
-            str(data["embedding_approx"]))
+            decimal_text(data["embedding_approx"], f"{path}.embedding_approx"))
     if kind == "rational_function":
         if "generator_symbol" not in data:
             raise InputError(f"{path}: rational_function domain needs generator_symbol")
-        sample = data.get("default_sample")
         return RationalFunctionDomain(
             data["generator_symbol"],
             parameter_positivity=data.get("parameter_positivity", True),
-            default_sample=None if sample is None else str(sample))
+            default_sample=decimal_text(data.get("default_sample"),
+                                        f"{path}.default_sample"))
     raise InputError(f"{path}: unknown domain kind {kind!r}")
 
 

@@ -173,8 +173,8 @@ def _zprimitive(a):
 
 
 def _zprem(a, b):
-    """A positive integer multiple of  a mod b  (deg a >= deg b), so that
-    a Sturm chain built from it keeps its signs."""
+    """A positive integer multiple of  a mod b, so that a Sturm chain built
+    from it keeps its signs."""
     rem = list(a)
     lead, top = b[-1], len(b) - 1
     while len(rem) > top:
@@ -220,27 +220,28 @@ def _variations(values):
     return sum(s != t for s, t in zip(signs, signs[1:]))
 
 
-def _zsturm_count(p, lo=None, hi=None):
-    """The number of distinct real roots of p in (lo, hi], for rational
-    ends or None, which stands for -inf as lo and for +inf as hi.
+def _zsturm_count(p, lo=None, hi=None, q=(1,)):
+    """The sum of sign q(x) over the distinct real roots x of p in (lo, hi]
+    (their number for q = 1), for rational ends or None, which stands for
+    -inf as lo and for +inf as hi; for q other than 1, no end is a root.
 
-    Sturm's theorem (Basu, Pollack & Roy, Algorithms in Real Algebraic
-    Geometry, section 2.2): it is the drop in sign variations from lo to
-    hi along the chain p, p', -rem(p, p'), ..., built from positive
-    multiples of remainders and divided by its last member gcd(p, p').
+    The Sturm-Tarski theorem (Basu, Pollack & Roy, Algorithms in Real
+    Algebraic Geometry, section 2.2): it is the drop in sign variations from
+    lo to hi along the chain p, r = p' q mod p, -rem(p, r), ..., built from
+    positive multiples of remainders and divided by its last member gcd(p, r).
     """
-    chain = [p, tuple(k * c for k, c in enumerate(p))[1:]]
+    chain = [p, _zprem(_pmul(tuple(k * c for k, c in enumerate(p))[1:], q), p)]
     while len(chain[-1]) > 1:
         rem = _zprem(chain[-2], chain[-1])
         if not rem:
             last = _zprimitive(chain[-1])
-            chain = [_zdiv(q, last) for q in chain]
+            chain = [_zdiv(f, last) for f in chain]
             break
         g = math.gcd(*rem)
         chain.append(tuple(-c // g for c in rem))
-    at_lo = [q[-1] * (-1) ** (len(q) - 1) if lo is None else _zsign(q, lo)
-             for q in chain if q]
-    at_hi = [q[-1] if hi is None else _zsign(q, hi) for q in chain if q]
+    at_lo = [f[-1] * (-1) ** (len(f) - 1) if lo is None else _zsign(f, lo)
+             for f in chain if f]
+    at_hi = [f[-1] if hi is None else _zsign(f, hi) for f in chain if f]
     return _variations(at_lo) - _variations(at_hi)
 
 
@@ -553,8 +554,8 @@ class NumberFieldDomain(ScalarDomain):
     ``min_poly`` lists coefficients from the constant term up and must be
     monic of degree >= 2 and square-free.  ``embedding_approx`` is a decimal
     close enough to the intended root, which must be irrational, to isolate
-    it: a Sturm count proves it alone in the interval, which exact
-    bisection then refines on demand.
+    it: a Sturm count proves it alone in the interval, a sign is one
+    Sturm-Tarski count on it, and exact bisection narrows it for values.
 
     The element  (c0 + c1 x + ... + c_{d-1} x^{d-1}) / den  of Q[x]/(p),
     d = deg(p), is the tuple ``(den, c0, ..., c_{d-1})`` of Python ints
@@ -573,7 +574,7 @@ class NumberFieldDomain(ScalarDomain):
     adjugate column and the determinant with every division exact (Cohen,
     GTM 138, sections 2.2 and 4.2).  A nonzero c with det(N) = 0 is a zero
     divisor, so p is reducible, and the inverse raises ValueError; so do
-    sign and value when c shares with p a factor vanishing at the root.
+    sign and value when c is nonzero but its value is zero.
     """
 
     kind = "number_field"
@@ -739,7 +740,7 @@ class NumberFieldDomain(ScalarDomain):
         for k in range(deg):
             p = next((i for i in range(k, deg) if work[i][k]), None)
             if p is None:  # N is singular: c shares a factor with min_poly
-                self._refuse_factor(payload, anywhere=True)
+                self._refuse_factor(payload)
             work[k], work[p] = work[p], work[k]
             top, pivot = work[k], work[k][k]
             for i in range(k + 1, deg):
@@ -794,39 +795,26 @@ class NumberFieldDomain(ScalarDomain):
                 c = [x + top * r for x, r in zip(c, red)]
         return columns
 
-    def _refuse_factor(self, a, anywhere=False):
-        """Raise ValueError when g = gcd(numerator of a, min_poly) is not constant
-        and, unless ``anywhere``, vanishes at the root: a is zero or a zero divisor."""
+    def _refuse_factor(self, a):
+        """Refuse the nonzero payload a of value zero, or a zero divisor."""
         g = _zgcd(_ptrim(self._values[a][1:]), self._zpoly)
-        if len(g) > 1 and (anywhere or _zsturm_count(g, self._root_lo, self._root_hi)):
-            raise ValueError(
-                f"min_poly {_poly_text(self._zpoly, 'x')} is reducible: its factor "
-                f"{_poly_text(g, 'x')} divides the numerator of {self._text(a)}")
+        raise ValueError(
+            f"min_poly {_poly_text(self._zpoly, 'x')} is reducible: its factor "
+            f"{_poly_text(g, 'x')} divides the numerator of {self._text(a)}")
 
     def _sign(self, a):
-        if not a:
-            return 0
-        # the denominator is positive: the numerator carries the sign
-        coeffs = _ptrim(self._values[a][1:])
-        if len(coeffs) == 1:
-            return 1 if coeffs[0] > 0 else -1
-        # unless a shared factor makes it zero, bisection separates the
-        # value from zero
-        self._refuse_factor(a)
-        lo, hi = self.root_interval(Fraction(1, 10 ** 12))
-        while True:
-            vlo, vhi = _peval_interval(coeffs, lo, hi)
-            if vlo > 0:
-                return 1
-            if vhi < 0:
-                return -1
-            lo, hi = self._bisect_once()
+        # the denominator is positive: the sign is the numerator's at the root
+        sign = _zsturm_count(self._zpoly, self._root_lo, self._root_hi,
+                             _ptrim(self._values[a][1:]))
+        if a and not sign:  # a nonzero payload of value zero
+            self._refuse_factor(a)
+        return sign
 
     def _eval(self, a, precision, parameter_sample=None):
         rational = self._as_rational(a)
         if rational is not None:
             return _fraction_to_decimal(rational, precision)
-        self._refuse_factor(a)
+        self.sign_of(a)  # refuses a nonzero payload of value zero
         # bounds on the numerator; the relative-width test does not see den
         den, coeffs = self._values[a][0], _ptrim(self._values[a][1:])
         goal = Fraction(1, 10 ** precision)
@@ -1177,9 +1165,9 @@ def _tokenize(text):
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit():
+        if "0" <= ch <= "9":  # other digits (Unicode's) are unexpected
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and "0" <= text[j] <= "9":
                 j += 1
             tokens.append(("num", text[i:j], i))
             i = j

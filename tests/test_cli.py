@@ -1283,6 +1283,27 @@ def test_parameter_sample_option_must_be_positive(tmp_path, capsys):
     assert "options.parameter_sample" in err and "not positive" in err
 
 
+@pytest.mark.parametrize("entry, section, field", [
+    ("kite", "domain", "embedding_approx"),
+    ("cp2-11a", "domain", "default_sample"),
+    ("cp2-11a", "options", "parameter_sample")])
+@pytest.mark.parametrize("literal, value", [
+    ("1e400", "inf"), ("NaN", "nan"), ("-Infinity", "-inf")])
+def test_non_finite_decimal_field_is_refused_by_name(entry, section, field,
+                                                     literal, value, tmp_path,
+                                                     capsys):
+    # Python's json reads these as floats with no finite value, and
+    # Fraction used to refuse them with no word of the field
+    data = gallery_json(entry)
+    data.setdefault(section, {})[field] = "NON-FINITE"
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(data).replace('"NON-FINITE"', literal))
+    code, out, err = run_cli(["validate", str(path)], capsys)
+    assert (code, out) == (2, "")
+    assert err == (f"quasifold: error: {section}.{field}: the JSON number "
+                   f"{value} is not finite\n")
+
+
 def test_substitute_specializes_exactly(capsys):
     code, out, _ = run_cli(
         ["gallery", "cp2-11a", "--format", "json", "--substitute", "a=1",
@@ -1329,11 +1350,16 @@ def test_unwritable_out_exits_two(tmp_path):
 @pytest.mark.parametrize("argv, unbuffered", [
     (["gallery", "dodecahedron", "--format", "json"], False),   # past the buffer
     (["gallery", "kite", "--samples", "5"], True),
+    # reports small enough to stay in the buffer, refused at main's flush
+    (["gallery", "kite"], False),
+    (["validate", str(resources.files("quasifold").joinpath("data/kite.json"))],
+     False),
 ])
 def test_closed_stdout_exits_two_with_one_line(argv, unbuffered):
-    # stdout is a pipe whose read end is closed: the write fails, and the
-    # exit is an input error in one line, never a traceback that exits 1
-    # like a failed check, and nothing more at the flush or at shutdown
+    # stdout is a pipe whose read end is closed: the write or its flush
+    # fails, and the exit is an input error in one line, never a traceback
+    # that exits 1 like a failed check, nor exit 120 after a report lost in
+    # the buffer, and nothing more at shutdown
     read, write = os.pipe()
     os.close(read)
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
@@ -1438,8 +1464,8 @@ def test_a_failed_flush_takes_the_ordinary_exit(broken, monkeypatch):
     monkeypatch.setattr(os, "_exit", hard_exit)
     with pytest.raises(SystemExit if broken else Exited) as info:
         cli.entry()
-    if broken:
-        assert (info.value.code, calls) == (0, [])
+    if broken:  # main refuses the report at its own flush
+        assert (info.value.code, calls) == (2, [])
     else:
         assert calls == ["atexit", 0]
 

@@ -4,7 +4,7 @@ from decimal import Decimal
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from quasifold import (IndeterminateSignError, NumberFieldDomain,
@@ -71,6 +71,18 @@ def test_parse_syntax_error_position():
     with pytest.raises(ScalarSyntaxError) as err:
         parse_scalar("1 + + 2", RationalDomain())
     assert err.value.position == 4
+
+
+@pytest.mark.parametrize("text, position", [
+    ("\u0661/\u0662", 0),  # Arabic-Indic digits used to read as 1/2
+    ("2\u00b2", 1),         # a superscript two failed int() in Python's words
+    ("\u0663" * 5000, 0),   # past the digit limit, which counts ASCII digits
+])
+def test_parse_reads_ascii_digits_only(rational, text, position):
+    with pytest.raises(ScalarSyntaxError) as err:
+        parse_scalar(text, rational)
+    assert str(err.value) == (f"unexpected character {text[position]!r} "
+                              f"(at position {position})")
 
 
 def test_parse_unknown_symbol(rational):
@@ -482,16 +494,33 @@ def test_root_isolation_matches_horner_on_products(quadratics, linears, pick,
     assert_isolation_matches_horner(poly, approx)
 
 
+def tarski_query(poly, weight, lo, hi):
+    """sympy's sum of sign weight(r) over the distinct real roots r of poly
+    in (lo, hi]: each irreducible factor's roots once, and the sign of a
+    weight it does not divide read at 60 digits."""
+    total = 0
+    for factor, _ in poly.factor_list()[1]:
+        vanishes = weight.rem(factor).is_zero
+        for root in factor.real_roots():
+            if ((lo is None or root > lo) and (hi is None or root <= hi)
+                    and not vanishes):
+                total += 1 if weight.eval(root).evalf(60) > 0 else -1
+    return total
+
+
 @settings(max_examples=300)
 @given(factors=st.lists(st.lists(st.integers(-4, 4), min_size=1, max_size=4),
                         min_size=1, max_size=3),
        square=st.booleans(),
-       ends=st.tuples(*[st.one_of(st.none(), st.fractions(-5, 5, max_denominator=4))] * 2))
-def test_sturm_count_matches_sympy(factors, square, ends):
+       ends=st.tuples(*[st.one_of(st.none(), st.fractions(-5, 5, max_denominator=4))] * 2),
+       weight=st.one_of(st.just([1]), st.lists(st.integers(-4, 4), max_size=4)))
+def test_sturm_count_matches_sympy(factors, square, ends, weight):
     # products of small factors, squared or not, so that multiple roots
-    # and roots at the ends occur; compared on (lo, hi]
+    # and roots at the ends occur; compared on (lo, hi] for the weight 1,
+    # which counts the roots, and for a random weight q, which sums their
+    # signs of q and needs ends that are not roots
     sympy = pytest.importorskip("sympy")
-    from quasifold.scalars import _zsturm_count
+    from quasifold.scalars import _ptrim, _zsturm_count
     x = sympy.Symbol("x")
     poly = sympy.Poly(1, x)
     for coeffs in factors:
@@ -501,11 +530,41 @@ def test_sturm_count_matches_sympy(factors, square, ends):
     lo, hi = ends
     if lo is not None and hi is not None and lo > hi:
         lo, hi = hi, lo
-    expected = poly.count_roots(lo, hi)
-    if lo is not None and not poly.eval(lo):
-        expected -= 1
+    q = _ptrim(weight)
+    if q != (1,):
+        assume(all(end is None or poly.eval(end) for end in (lo, hi)))
+    expected = tarski_query(poly, sympy.Poly(list(reversed(q)) or [0], x),
+                            lo, hi)
     p = tuple(int(c) for c in reversed(poly.all_coeffs()))
-    assert _zsturm_count(p, lo, hi) == expected
+    assert _zsturm_count(p, lo, hi, q) == expected
+
+
+@settings(max_examples=200)
+@given(quartic_field=st.booleans(),
+       terms=st.lists(st.tuples(st.integers(-1000, 1000), st.integers(0, 9),
+                                st.integers(1, 120)), min_size=1, max_size=3))
+def test_number_field_sign_matches_sympy_near_zero(golden, quartic,
+                                                   quartic_field, terms):
+    # sums of m (alpha^k - r), r a rational within 2^-bits of alpha^k: values
+    # close to zero, whose sign sympy reads at 500 digits from the root's
+    # radicals; the domain's sign is one Sturm-Tarski count
+    sympy = pytest.importorskip("sympy")
+    domain = quartic if quartic_field else golden
+    sqrt5 = sympy.sqrt(5)
+    root = sympy.sqrt((5 + sqrt5) / 2) if quartic_field else (1 + sqrt5) / 2
+    symbol = domain.generator_symbol
+    texts, exact = [], 0
+    for m, k, bits in terms:
+        r = Fraction(str(sympy.N(root ** k, 80))).limit_denominator(2 ** bits)
+        texts.append(f"({m})*({symbol}^{k} - {r})")
+        exact += m * (root ** k - sympy.Rational(r.numerator, r.denominator))
+    value = domain.scalar(" + ".join(texts))
+    approx = sympy.N(exact, 500)
+    assert approx == 0 or abs(approx) > sympy.Float(10) ** -450
+    expected = bool(approx > 0) - bool(approx < 0)
+    assert value.sign() == expected
+    decimal = value.eval_numeric(20)
+    assert (decimal > 0) - (decimal < 0) == expected
 
 
 def test_memo_computes_each_value_once(monkeypatch, capsys):
