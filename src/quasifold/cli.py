@@ -88,6 +88,9 @@ def _parse_assignment(text, expected_symbol, flag):
         raise InputError(
             f"{flag}: symbol {symbol!r} does not match the domain parameter "
             f"{expected_symbol!r}")
+    unreadable = f"{flag}: {value!r} is not a decimal or fraction"
+    if not value.isascii():   # Fraction would read any Unicode digit
+        raise InputError(unreadable)
     # a decimal exponent is bounded before Fraction computes 10^|e|, at ten
     # times the digits Python converts to text: past the limit, --param still
     # writes its sample exactly (by Decimal) and --substitute refuses by digits
@@ -103,7 +106,7 @@ def _parse_assignment(text, expected_symbol, flag):
     try:
         return Fraction(value)
     except (ValueError, ZeroDivisionError) as exc:   # not a number, or n/0
-        raise InputError(f"{flag}: {value!r} is not a decimal or fraction") from exc
+        raise InputError(unreadable) from exc
 
 
 def _load_input(args):

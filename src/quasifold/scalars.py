@@ -133,16 +133,6 @@ def _zsign(coeffs, x):
     return (acc > 0) - (acc < 0)
 
 
-def _peval_interval(coeffs, lo, hi):
-    """Horner evaluation with exact interval arithmetic; returns (lo, hi)."""
-    rlo = rhi = coeffs[-1]
-    for c in reversed(coeffs[:-1]):
-        prods = (rlo * lo, rlo * hi, rhi * lo, rhi * hi)
-        rlo = min(prods) + c
-        rhi = max(prods) + c
-    return rlo, rhi
-
-
 # ---------------------------------------------------------------------------
 # polynomial helpers over int coefficient tuples (low degree first); every
 # argument is nonzero and trimmed
@@ -769,6 +759,10 @@ class NumberFieldDomain(ScalarDomain):
             return None
         return Fraction(a[1], a[0])
 
+    def _as_integer(self, a):
+        a = self._values[a]
+        return a[1] if a[0] == 1 and not any(a[2:]) else None
+
     def _power_growth(self, a):
         a = self._values[a]
         # a rational factor skips the convolution and its reduction
@@ -815,15 +809,24 @@ class NumberFieldDomain(ScalarDomain):
         if rational is not None:
             return _fraction_to_decimal(rational, precision)
         self.sign_of(a)  # refuses a nonzero payload of value zero
-        # bounds on the numerator; the relative-width test does not see den
+        # bounds on the numerator by interval Horner in ints: the ends over
+        # their common denominator (scale), and after step k the bounds
+        # times scale^k (power); the relative-width test does not see den
         den, coeffs = self._values[a][0], _ptrim(self._values[a][1:])
-        goal = Fraction(1, 10 ** precision)
         lo, hi = self.root_interval(Fraction(1, 10 ** (precision + 2)))
         while True:
-            vlo, vhi = _peval_interval(coeffs, lo, hi)
+            scale = math.lcm(lo.denominator, hi.denominator)
+            ends = [x.numerator * (scale // x.denominator) for x in (lo, hi)]
+            vlo = vhi = coeffs[-1]
+            power = 1
+            for c in reversed(coeffs[:-1]):
+                power *= scale
+                prods = [v * x for v in (vlo, vhi) for x in ends]
+                vlo, vhi = min(prods) + c * power, max(prods) + c * power
             mag = max(abs(vlo), abs(vhi))
-            if mag and (vhi - vlo) <= mag * goal:
-                return _fraction_to_decimal((vlo + vhi) / (2 * den), precision)
+            if mag and (vhi - vlo) * 10 ** precision <= mag:
+                return _fraction_to_decimal(Fraction(vlo + vhi, 2 * den * power),
+                                            precision)
             lo, hi = self._bisect_once()
 
 

@@ -44,21 +44,21 @@ G w_j = X_j exactly, so A_sigma^-1 A_tau s = A_sigma^-1 G W_tau s.  A wrong
 E or C cannot hide: m comes from W, not from the atlas, so a faulty
 exponent leaves a residual of the fault's size, reported as a mismatch.
 
-The harness is plain Python: ``NumericAtlas`` caches the float rows
-(``triples.float_array``, from the floats the domain memoises for the
-support probe of ``validate`` too) of the ray matrix and of each chart's
-payload table, reads a transition and the factorization's kernel rows off
-the float coordinate table, and keeps the ray witnesses and I_sigma as
-exact ints, so neither overflows; ``triples.float_dot`` (``math.fsum``)
-sums every dot product, ``x % 1.0`` reduces mod 1 and ``math.floor`` picks the branch.
-Before any draw, ``verify_triple`` bounds what rounding can do to any
-residual (``_rounding_bound``) and refuses when that exceeds half the
-tolerance or a table value has no finite float.  ``_with_fault`` perturbs
-one exponent for fault injection, and ``TrialReport.record`` counts every
-trial and keeps each failure.  ``verify_triple`` spreads the samples over
-the targets of each check; each check seeds a ``random.Random`` from the
-text of (seed, check, target), so one target's draws do not depend on the
-others, and never on ``PYTHONHASHSEED``.
+The harness is plain Python: ``NumericAtlas`` holds each chart's float
+tables, converted once on first use (``triples.float_array``, from the
+floats the domain memoises for the support probe of ``validate`` too),
+reads a transition and the factorization's kernel rows off them, and
+keeps the ray witnesses and I_sigma as exact ints, so neither overflows.  Every dot product is ``triples.float_dot``, the
+``math.fsum`` of the rounded products; ``x % 1.0`` reduces mod 1 and
+``math.floor`` picks the branch.  Before any draw, ``verify_triple``
+bounds what rounding can do to any residual (``_rounding_bound``) and
+refuses when that exceeds half the tolerance or a table value has no
+finite float.  Each check is one loop over its targets, which share the
+samples evenly, and ``TrialReport.record`` counts each trial and keeps each
+failure.  A check seeds a ``random.Random`` per target from the text of
+(seed, check, target), so one target's draws do not depend on the others,
+and never on ``PYTHONHASHSEED``.  A fault is injected by perturbing an entry
+of a ``NumericAtlas`` table: the checks read the tables as they find them.
 """
 
 from __future__ import annotations
@@ -140,8 +140,9 @@ class TrialReport:
     def passed(self):
         return not self.failures
 
-    def record(self, target, trial, seed, kind, residual):
-        """Count one trial: it passed when kind is None, else failed so.
+    def record(self, target, trial, cfg: TrialConfig, residual):
+        """Count one trial of cfg: it fails when the residual reaches
+        cfg.tolerance.
 
         A residual that is not finite, which no tolerance can judge, raises
         FloatingPointError.
@@ -149,17 +150,11 @@ class TrialReport:
         if not isfinite(residual):
             raise FloatingPointError(f"a residual is {residual}")
         self.trials += 1
-        if kind is None:
+        if residual < cfg.tolerance:
             self.max_deviation = max(self.max_deviation, residual)
         else:
             self.failures += (TrialFailure(
-                self.check, target, trial, kind, residual, seed),)
-
-    def merge(self, other: "TrialReport"):
-        self.trials += other.trials
-        self.max_deviation = max(self.max_deviation, other.max_deviation)
-        self.failures = self.failures + other.failures
-        self.skipped = self.skipped + other.skipped
+                self.check, target, trial, "mismatch", residual, cfg.seed),)
 
 
 def _circular_residual(values):
@@ -170,11 +165,6 @@ def _circular_residual(values):
 def _largest(values):
     """Max absolute value of the entries."""
     return max(map(abs, values))
-
-
-def _matvec(matrix, vector):
-    """matrix (rows) times vector, as a list of ``float_dot``s."""
-    return [float_dot(row, vector) for row in matrix]
 
 
 def _integer_matvec(rows, vector):
@@ -262,6 +252,11 @@ class GroupMembership:
         return None, 1.0
 
 
+# a chart's float tables: coordinates B (n x d), lattice exponents L and
+# group exponents C (n x k), and the integer entries I = L - C, exactly
+FloatChart = namedtuple("FloatChart", "coordinates lattice group integers")
+
+
 class NumericAtlas:
     """Float views of a triple's atlas, converted once from its payload
     rows, and the ray witnesses w_j (one list of k ints per ray)."""
@@ -281,96 +276,64 @@ class NumericAtlas:
                 raise ValueError(
                     "numeric verification over a parameter field needs a sample")
         self.parameter_sample = parameter_sample
-        self._cache: dict[tuple, list] = {}
+        self._charts: dict[tuple, FloatChart] = {}
 
-    def _cached(self, key, build):
-        rows = self._cache.get(key)
-        if rows is None:
-            rows = self._cache[key] = build()
-        return rows
-
-    def _floats(self, key, rows):
-        """The float rows of the payload rows rows() gives, once per key."""
-        return self._cached(key, lambda: float_array(
-            self.triple.domain, rows(), self.parameter_sample))
+    def chart(self, cone) -> FloatChart:
+        """The cone's float tables, converted on its first use; every call
+        returns the same lists."""
+        tables = self._charts.get(cone)
+        if tables is None:
+            domain, d = self.triple.domain, self.triple.ray_count
+            rows, sample = self.atlas.chart(cone).rows, self.parameter_sample
+            coordinates = float_array(domain, [row[:d] for row in rows], sample)
+            lattice = float_array(domain, [row[d:] for row in rows], sample)
+            integers = [[domain._as_integer(x) or 0 for x in row[d:]] for row in rows]
+            # C is L with its integer entries zeroed; where I is 0, C is L
+            group = [[0.0 if i else x for x, i in zip(floats, ints)]
+                     for floats, ints in zip(lattice, integers)]
+            tables = self._charts[cone] = FloatChart(coordinates, lattice, group,
+                                                     integers)
+        return tables
 
     def ray_matrix(self):
         d = self.triple.ray_count
-        return self._floats("rays", lambda: [row[:d] for row in self.triple.rows])
-
-    def group_exponents(self, cone):
-        return self._floats(("group_exponents", tuple(cone)),
-                            self.atlas.chart(cone).group_rows)
-
-    def lattice_exponents(self, cone):
-        d = self.triple.ray_count
-        return self._floats(("lattice_exponents", tuple(cone)), lambda: [
-            row[d:] for row in self.atlas.chart(cone).rows])
-
-    def coordinates(self, cone):
-        d = self.triple.ray_count
-        return self._floats(("coordinates", tuple(cone)), lambda: [
-            row[:d] for row in self.atlas.chart(cone).rows])
-
-    def integer_exponents(self, cone):
-        """The integer entries I of the lattice exponents, exactly: L - C."""
-        d, domain = self.triple.ray_count, self.triple.domain
-        return self._cached(("integers", tuple(cone)), lambda: [
-            [domain._as_integer(x) or 0 for x in row[d:]]
-            for row in self.atlas.chart(cone).rows])
+        return float_array(self.triple.domain, [row[:d] for row in self.triple.rows],
+                           self.parameter_sample)
 
     def transition(self, source, target):
         """The chart change's exponents: the target's table at the source's
-        rays (the checks share them: most pairs recur across checks)."""
-        key = ("transition", tuple(source), tuple(target))
-        return self._cached(key, lambda: [[row[j - 1] for j in source]
-                                          for row in self.coordinates(target)])
+        rays."""
+        return [[row[j - 1] for j in source]
+                for row in self.chart(target).coordinates]
 
     def kernel_matrix(self, cone):
         """The kernel basis of the ray map over the cone: for each ray j
         outside it, in increasing j, e_j - sum_t C[t, j] e_(cone_t)."""
-        def build():
-            table, d = self.coordinates(cone), self.triple.ray_count
-            rows = []
-            for j in range(1, d + 1):
-                if j not in cone:
-                    row = [0.0] * d
-                    row[j - 1] = 1.0
-                    for t, i in enumerate(cone):
-                        # 0.0 - x, not -x: an exact zero stays +0.0
-                        row[i - 1] = 0.0 - table[t][j - 1]
-                    rows.append(row)
-            return rows
-        return self._cached(("kernel", tuple(cone)), build)
+        table, d = self.chart(cone).coordinates, self.triple.ray_count
+        rows = []
+        for j in range(1, d + 1):
+            if j not in cone:
+                row = [0.0] * d
+                row[j - 1] = 1.0
+                for t, i in enumerate(cone):
+                    # 0.0 - x, not -x: an exact zero stays +0.0
+                    row[i - 1] = 0.0 - table[t][j - 1]
+                rows.append(row)
+        return rows
 
     def witness_rows(self, rays):
         """W at the given rays, in their order, as k rows of ints: row l
         holds coordinate l of each ray's witness."""
-        return self._cached(("witnesses", tuple(rays)), lambda: [
-            list(column)
-            for column in zip(*[self.witnesses[j - 1] for j in rays])])
+        return [list(column)
+                for column in zip(*[self.witnesses[j - 1] for j in rays])]
 
 
-def _with_fault(exponents, fault):
-    """The exponent rows, or a copy with entry (i, j) of fault shifted."""
-    if fault is None:
-        return exponents
-    i, j, delta = fault
-    exponents = [list(row) for row in exponents]
-    exponents[i][j] += delta
-    return exponents
-
-
-def _phase_differences(exponents, before, after):
-    """Re(E w' - E w) for the phases w (before) and w' (after): the phase
-    shift of each monomial z^E, in turns, not reduced mod 1."""
-    return [float_dot(row, after) - float_dot(row, before) for row in exponents]
-
-
-def _membership(group, witness, theta, tolerance):
-    """(failure kind or None, residual) of theta against group @ witness."""
-    residual = _circular_residual(map(sub, _matvec(group, witness), theta))
-    return ("mismatch" if residual >= tolerance else None), residual
+def _distribute(total, buckets):
+    """(bucket, count) for each bucket that gets trials: total spread
+    evenly, the first total mod len(buckets) buckets one more."""
+    base, extra = divmod(total, len(buckets) or 1)
+    return [(bucket, base + (i < extra))
+            for i, bucket in enumerate(buckets[:total])]
 
 
 def _rng(cfg: TrialConfig, check: str, cones: tuple):
@@ -385,36 +348,36 @@ def _rng(cfg: TrialConfig, check: str, cones: tuple):
     return random.Random(str(flat))
 
 
-def check_branch_invariance(triple: FundamentalTriple, cone, cfg: TrialConfig,
-                            numeric: NumericAtlas, fault=None) -> TrialReport:
+def check_branch_invariance(triple: FundamentalTriple, cfg: TrialConfig,
+                            numeric: NumericAtlas) -> TrialReport:
     """Monomial classes are unchanged by integer logarithm-branch shifts.
 
     Only phases enter, so a point is drawn by its phases alone; each trial
-    takes the chart change from the next other cone in turn.
+    on a cone takes the chart change from the next other cone in turn.
     """
-    cone = tuple(sorted(cone))
-    others = [c for c in triple.fan.max_cones if c != cone]
+    cones = triple.fan.max_cones
     report = TrialReport(check="branch_invariance")
-    rng = _rng(cfg, "branch_invariance", (cone,))
-    draw = rng.random
-    group = numeric.group_exponents(cone)
-    if others:
-        sources = [(_with_fault(numeric.transition(source, cone), fault),
-                    numeric.witness_rows(source))
-                   for source in others[:cfg.samples]]
-    else:
-        k = len(group[0])
-        sources = [(_with_fault(group, fault),
-                    [[int(i == j) for i in range(k)] for j in range(k)])]
     length = cfg.word_length
     span = 2 * length + 1
-    for trial in range(cfg.samples):
-        exponents, witnesses = sources[trial % len(sources)]
-        w = [draw() for _ in exponents[0]]
-        shifts = [int(draw() * span) - length for _ in w]
-        theta = _phase_differences(exponents, w, list(map(add, w, shifts)))
-        report.record((cone,), trial, cfg.seed, *_membership(
-            group, _integer_matvec(witnesses, shifts), theta, cfg.tolerance))
+    for cone, count in _distribute(cfg.samples, cones):
+        draw = _rng(cfg, "branch_invariance", (cone,)).random
+        group = numeric.chart(cone).group
+        others = [c for c in cones if c != cone]
+        if others:
+            sources = [(numeric.transition(source, cone),
+                        numeric.witness_rows(source)) for source in others[:count]]
+        else:
+            k = len(group[0])
+            sources = [(group, [[int(i == j) for i in range(k)] for j in range(k)])]
+        for trial in range(count):
+            exponents, witnesses = sources[trial % len(sources)]
+            w = [draw() for _ in exponents[0]]
+            shifts = [int(draw() * span) - length for _ in w]
+            after = list(map(add, w, shifts))
+            m = _integer_matvec(witnesses, shifts)
+            report.record((cone,), trial, cfg, _circular_residual(
+                float_dot(g, m) - (float_dot(row, after) - float_dot(row, w))
+                for g, row in zip(group, exponents)))
     return report
 
 
@@ -426,43 +389,41 @@ def _word_sample(draw, generator_count, word_length):
     return coefficients
 
 
-def check_transition_equivariance(triple: FundamentalTriple, source, target,
-                                  cfg: TrialConfig, numeric: NumericAtlas,
-                                  fault=None) -> TrialReport:
-    """T(gamma z) and T(z) differ by an element of the target chart group.
+def check_transition_equivariance(triple: FundamentalTriple, cfg: TrialConfig,
+                                  numeric: NumericAtlas) -> TrialReport:
+    """T(gamma z) and T(z) differ by an element of the target chart group,
+    for each ordered pair of cones.
 
     gamma = exp(2 pi i C_source m) moves only phases, so a point is drawn
     by its phases alone.
     """
-    source = tuple(sorted(source))
-    target = tuple(sorted(target))
-    exponents = _with_fault(numeric.transition(source, target), fault)
-    source_group = numeric.group_exponents(source)
-    source_integers = numeric.integer_exponents(source)
-    source_witnesses = numeric.witness_rows(source)
-    target_group = numeric.group_exponents(target)
     report = TrialReport(check="transition_equivariance")
-    rng = _rng(cfg, "transition_equivariance", (source, target))
-    draw = rng.random
-    k = len(source_group[0])
-    for trial in range(cfg.samples):
-        w = [draw() for _ in source]
-        m = _word_sample(draw, k, cfg.word_length)
-        moved = list(map(add, w, _matvec(source_group, m)))
-        branch = [-floor(v) for v in moved]
-        moved = list(map(add, moved, branch))
-        theta = _phase_differences(exponents, w, moved)
-        correction = list(map(sub, branch,
-                              _integer_matvec(source_integers, m)))
-        witness = list(map(add, m, _integer_matvec(source_witnesses,
-                                                   correction)))
-        report.record((source, target), trial, cfg.seed, *_membership(
-            target_group, witness, theta, cfg.tolerance))
+    pairs = list(itertools.permutations(triple.fan.max_cones, 2))
+    for (source, target), count in _distribute(cfg.samples, pairs):
+        draw = _rng(cfg, "transition_equivariance", (source, target)).random
+        exponents = numeric.transition(source, target)
+        _, _, source_group, source_integers = numeric.chart(source)
+        source_witnesses = numeric.witness_rows(source)
+        target_group = numeric.chart(target).group
+        k = len(source_group[0])
+        for trial in range(count):
+            w = [draw() for _ in source]
+            m = _word_sample(draw, k, cfg.word_length)
+            moved = [v + float_dot(row, m) for v, row in zip(w, source_group)]
+            branch = [-floor(v) for v in moved]
+            moved = list(map(add, moved, branch))
+            correction = list(map(sub, branch,
+                                  _integer_matvec(source_integers, m)))
+            witness = list(map(add, m, _integer_matvec(source_witnesses,
+                                                       correction)))
+            report.record((source, target), trial, cfg, _circular_residual(
+                float_dot(g, witness) - (float_dot(row, moved) - float_dot(row, w))
+                for g, row in zip(target_group, exponents)))
     return report
 
 
-def check_factorization(triple: FundamentalTriple, cone, cfg: TrialConfig,
-                        numeric: NumericAtlas, fault=None) -> TrialReport:
+def check_factorization(triple: FundamentalTriple, cfg: TrialConfig,
+                        numeric: NumericAtlas) -> TrialReport:
     """Lattice-compatible translations split as chart-group times kernel.
 
     Draws X = x + sum_r c_r K_r for x in [-2, 2]^d and the kernel rows K_r
@@ -471,45 +432,39 @@ def check_factorization(triple: FundamentalTriple, cone, cfg: TrialConfig,
     the coordinate table.  Then X - Y must be killed by pi and exp(Y) must
     belong to the chart group.
     """
-    cone = tuple(sorted(cone))
     d = triple.ray_count
     rays = numeric.ray_matrix()
-    table = numeric.coordinates(cone)
     witnesses = numeric.witness_rows(range(1, d + 1))
-    # K_r is e_j - sum_t B[t, j] e_(cone_t) for the r-th ray j outside
-    outside = [j for j in range(d) if j + 1 not in cone]
-    cone_columns = [[row[i - 1] for row in numeric.kernel_matrix(cone)]
-                    for i in cone]
-    group = _with_fault(numeric.group_exponents(cone), fault)
     report = TrialReport(check="factorization")
-    rng = _rng(cfg, "factorization", (cone,))
-    draw = rng.random
-    for trial in range(cfg.samples):
-        integer_part = [int(draw() * 5) - 2 for _ in range(d)]
-        c = [2.0 * draw() - 1.0 for _ in outside]
-        x = list(map(float, integer_part))
-        for j, v in zip(outside, c):
-            x[j] += v
-        for i, column in zip(cone, cone_columns):
-            x[i - 1] += float_dot(column, c)
-        y = _matvec(table, x)
-        for i, v in zip(cone, y):   # x becomes X - Y
-            x[i - 1] -= v
-        residual_kernel = _largest(_matvec(rays, x))
-        kind, residual = _membership(
-            group, _integer_matvec(witnesses, integer_part), y,
-            cfg.tolerance)
-        if residual_kernel >= cfg.tolerance:
-            kind, residual = "mismatch", residual_kernel
-        elif kind is None:
-            residual = max(residual_kernel, residual)
-        report.record((cone,), trial, cfg.seed, kind, residual)
+    for cone, count in _distribute(cfg.samples, triple.fan.max_cones):
+        draw = _rng(cfg, "factorization", (cone,)).random
+        table, _, group, _ = numeric.chart(cone)
+        # K_r is e_j - sum_t B[t, j] e_(cone_t) for the r-th ray j outside
+        outside = [j for j in range(d) if j + 1 not in cone]
+        kernel_rows = numeric.kernel_matrix(cone)
+        cone_columns = [[row[i - 1] for row in kernel_rows] for i in cone]
+        for trial in range(count):
+            integer_part = [int(draw() * 5) - 2 for _ in range(d)]
+            c = [2.0 * draw() - 1.0 for _ in outside]
+            x = list(map(float, integer_part))
+            for j, v in zip(outside, c):
+                x[j] += v
+            for i, column in zip(cone, cone_columns):
+                x[i - 1] += float_dot(column, c)
+            y = [float_dot(row, x) for row in table]
+            for i, v in zip(cone, y):   # x becomes X - Y
+                x[i - 1] -= v
+            kernel = _largest([float_dot(row, x) for row in rays])
+            m = _integer_matvec(witnesses, integer_part)
+            residual = _circular_residual(
+                float_dot(g, m) - v for g, v in zip(group, y))
+            report.record((cone,), trial, cfg, kernel if kernel >= cfg.tolerance
+                          else max(kernel, residual))
     return report
 
 
-def check_connecting_element(triple: FundamentalTriple, source, target,
-                             cfg: TrialConfig, numeric: NumericAtlas,
-                             fault=None) -> TrialReport:
+def check_connecting_element(triple: FundamentalTriple, cfg: TrialConfig,
+                             numeric: NumericAtlas) -> TrialReport:
     """The kernel-group element carries one representative onto the other.
 
     In logarithmic coordinates the element is e = E_extra w_extra on the
@@ -517,43 +472,44 @@ def check_connecting_element(triple: FundamentalTriple, source, target,
     lie in the kernel of the ray map, and e plus the source representative
     must equal the target representative E w, phases mod 1 and log-moduli
     exactly.  Only meaningful for pairs whose index sets overlap partially
-    (1 <= h <= n-1); disjoint pairs are reported as skipped.
+    (1 <= h <= n-1, h the source's rays the target lacks); the other pairs
+    are reported as skipped.
     """
-    source = tuple(sorted(source))
-    target = tuple(sorted(target))
-    extra = [j for j in source if j not in target]
-    report = TrialReport(check="connecting_element")
-    if not 1 <= len(extra) <= triple.dim - 1:
-        report.skipped = ((source, target, len(extra)),)
-        return report
-    exponents = _with_fault(numeric.transition(source, target), fault)
-    extra_cols = [source.index(j) for j in extra]
-    extra_exponents = [[row[c] for c in extra_cols] for row in exponents]
-    # the ray map at the element's support: the target's rays, then the extra
-    support = [[row[j - 1] for j in target + tuple(extra)]
-               for row in numeric.ray_matrix()]
-    # (target row, source coordinate) of each ray both cones hold
-    shared = [(r, source.index(j)) for r, j in enumerate(target) if j in source]
-    rng = _rng(cfg, "connecting_element", (source, target))
-    draw = rng.random
-    for trial in range(cfg.samples):
-        phases, moduli = [], []
-        for _ in source:
-            phases.append(draw())
-            moduli.append((2.0 * draw() - 1.0) * _LOG_MODULUS)
-        deviation = 0.0
-        for w, distance in ((phases, _circular_residual), (moduli, _largest)):
-            w_extra = [w[c] for c in extra_cols]
-            moved = _matvec(extra_exponents, w_extra)
-            element = moved + [-v for v in w_extra]
-            for r, c in shared:
-                moved[r] += w[c]
-            deviation = max(deviation, _largest(_matvec(support, element)),
-                            distance(list(map(sub, moved,
-                                              _matvec(exponents, w)))))
-        report.record((source, target), trial, cfg.seed,
-                      "mismatch" if deviation >= cfg.tolerance else None,
-                      deviation)
+    rays = numeric.ray_matrix()
+    eligible, skipped = [], []
+    for source, target in itertools.permutations(triple.fan.max_cones, 2):
+        h = len(set(source).difference(target))
+        if 1 <= h <= triple.dim - 1:
+            eligible.append((source, target))
+        else:
+            skipped.append((source, target, h))
+    report = TrialReport(check="connecting_element", skipped=tuple(skipped))
+    for (source, target), count in _distribute(cfg.samples, eligible):
+        draw = _rng(cfg, "connecting_element", (source, target)).random
+        exponents = numeric.transition(source, target)
+        extra = [j for j in source if j not in target]
+        extra_cols = [source.index(j) for j in extra]
+        extra_exponents = [[row[c] for c in extra_cols] for row in exponents]
+        # the ray map at the element's support: the target's rays, then the extra
+        support = [[row[j - 1] for j in target + tuple(extra)] for row in rays]
+        # (target row, source coordinate) of each ray both cones hold
+        shared = [(r, source.index(j)) for r, j in enumerate(target) if j in source]
+        for trial in range(count):
+            phases, moduli = [], []
+            for _ in source:
+                phases.append(draw())
+                moduli.append((2.0 * draw() - 1.0) * _LOG_MODULUS)
+            deviation = 0.0
+            for w, distance in ((phases, _circular_residual), (moduli, _largest)):
+                w_extra = [w[c] for c in extra_cols]
+                moved = [float_dot(row, w_extra) for row in extra_exponents]
+                element = moved + [-v for v in w_extra]
+                for r, c in shared:
+                    moved[r] += w[c]
+                deviation = max(deviation, _largest(
+                    [float_dot(row, element) for row in support]), distance(
+                    [v - float_dot(row, w) for v, row in zip(moved, exponents)]))
+            report.record((source, target), trial, cfg, deviation)
     return report
 
 
@@ -565,14 +521,6 @@ class VerificationSummary(namedtuple("VerificationSummary", "reports")):
     @property
     def passed(self):
         return all(r.passed for r in self.reports.values())
-
-
-def _distribute(total, buckets):
-    """(bucket, count) for each bucket that gets trials: total spread
-    evenly, the first total mod len(buckets) buckets one more."""
-    base, extra = divmod(total, len(buckets) or 1)
-    return [(bucket, base + (i < extra))
-            for i, bucket in enumerate(buckets[:total])]
 
 
 def _rounding_bound(triple: FundamentalTriple, numeric: NumericAtlas,
@@ -600,10 +548,10 @@ def _rounding_bound(triple: FundamentalTriple, numeric: NumericAtlas,
     # correction u - I m of transition equivariance, over its cones
     shift, correction = [0.0] * d, [0.0] * d
     for cone in cones:
-        for row in numeric.coordinates(cone) + numeric.lattice_exponents(cone):
+        chart = numeric.chart(cone)
+        for row in chart.coordinates + chart.lattice:
             largest = max(largest, max(map(abs, row)))
-        for j, row, integers in zip(cone, numeric.group_exponents(cone),
-                                    numeric.integer_exponents(cone)):
+        for j, row, integers in zip(cone, chart.group, chart.integers):
             s = length * max(map(abs, row))
             shift[j - 1] = max(shift[j - 1], s)
             correction[j - 1] = max(correction[j - 1], 1.0 + s + length * max(
@@ -617,12 +565,12 @@ def _rounding_bound(triple: FundamentalTriple, numeric: NumericAtlas,
     rays = [list(map(abs, row)) for row in numeric.ray_matrix()]
     phi = 0.0
     for cone in cones:
-        table = [list(map(abs, row)) for row in numeric.coordinates(cone)]
+        table = [list(map(abs, row)) for row in numeric.chart(cone).coordinates]
         sums = [fsum(row) for row in table]
         # an infinite factor would make 0 * inf, which max() passes over
         if not all(map(isfinite, moved + reach + sums)):
             return inf, largest
-        for row, total, g in zip(table, sums, numeric.group_exponents(cone)):
+        for row, total, g in zip(table, sums, numeric.chart(cone).group):
             g = list(map(abs, g))
             witness = float_dot(g, spread)
             # factorization: y = B x against C W x
@@ -652,7 +600,8 @@ def _rounding_bound(triple: FundamentalTriple, numeric: NumericAtlas,
 
 def verify_triple(triple: FundamentalTriple, cfg: TrialConfig,
                   atlas: Atlas | None = None) -> VerificationSummary:
-    """Run all four checks, spreading cfg.samples trials across targets.
+    """Run the four checks, each spreading cfg.samples trials over its
+    targets.
 
     Refuses with a ValueError, before any draw, when a table value has no
     finite float or rounding could move a residual by half the tolerance.
@@ -674,24 +623,7 @@ def verify_triple(triple: FundamentalTriple, cfg: TrialConfig,
               f" = {sample_text(sample)}")
         raise ValueError(
             f"the numeric checks cannot run in floating point{at}: {reason}")
-    cones = [(cone,) for cone in triple.fan.max_cones]
-    pairs = list(itertools.permutations(triple.fan.max_cones, 2))
-    # h: how many of the source's rays the target lacks
-    h = [len(set(s).difference(t)) for s, t in pairs]
-    n = triple.dim
-    eligible = [pair for pair, e in zip(pairs, h) if 1 <= e <= n - 1]
-    reports = {name: TrialReport(check=name) for name in _CHECK_IDS}
-    reports["connecting_element"].skipped = tuple(
-        (*pair, e) for pair, e in zip(pairs, h) if not 1 <= e <= n - 1)
-    configs = {}
-    for name, check, targets in (
-            ("branch_invariance", check_branch_invariance, cones),
-            ("transition_equivariance", check_transition_equivariance, pairs),
-            ("factorization", check_factorization, cones),
-            ("connecting_element", check_connecting_element, eligible)):
-        for target, count in _distribute(cfg.samples, targets):
-            if count not in configs:
-                configs[count] = cfg._replace(samples=count)
-            reports[name].merge(check(triple, *target, configs[count],
-                                      numeric))
-    return VerificationSummary(reports=reports)
+    reports = (check(triple, cfg, numeric) for check in (
+        check_branch_invariance, check_transition_equivariance,
+        check_factorization, check_connecting_element))
+    return VerificationSummary(reports={r.check: r for r in reports})

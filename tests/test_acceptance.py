@@ -268,47 +268,61 @@ def test_criterion_7_numeric_verification(entries):
 
     # fault injection: every entry of the weighted projective transition is
     # caught by branch invariance; the other checks are exercised on their
-    # load-bearing exponents, plus dodecahedron spot checks
+    # load-bearing exponents, plus dodecahedron spot checks.  A chart change
+    # into a cone is the cone's coordinate table at the source's rays, so
+    # entry (i, j) of the change from source into target is entry
+    # (i, source[j] - 1) of the target's table; each check runs over all its
+    # targets, TRIALS on each, and the faulted one must fail
+    def faulted(triple, atlas, cone, table, i, j):
+        numeric = NumericAtlas(triple, atlas=atlas)
+        getattr(numeric.chart(cone), table)[i][j] += 1e-3
+        return numeric
+
+    def each(triple, pairs=False):
+        n = len(triple.fan.max_cones)
+        return TrialConfig(samples=TRIALS * (n * (n - 1) if pairs else n),
+                           seed=1, tolerance=TOLERANCE)
+
+    def failed(report):
+        return {failure.target for failure in report.failures}
+
     _, cp2, _, cp2_atlas = entries["cp2-11a"]
-    numeric = NumericAtlas(cp2, atlas=cp2_atlas)
-    fault_cfg = TrialConfig(samples=TRIALS, seed=1, tolerance=TOLERANCE)
     for i in range(2):
-        for j in range(2):
-            report = check_branch_invariance(cp2, (1, 3), fault_cfg,
-                                             numeric=numeric,
-                                             fault=(i, j, 1e-3))
-            assert report.failures, ("branch", i, j)
-            report = check_connecting_element(cp2, (2, 3), (1, 3), fault_cfg,
-                                              numeric=numeric,
-                                              fault=(i, j, 1e-3))
-            assert report.failures, ("connecting", i, j)
+        for j, ray in enumerate((2, 3)):
+            numeric = faulted(cp2, cp2_atlas, (1, 3), "coordinates", i, ray - 1)
+            report = check_branch_invariance(cp2, each(cp2), numeric)
+            assert ((1, 3),) in failed(report), ("branch", i, j)
+            report = check_connecting_element(cp2, each(cp2, pairs=True),
+                                              numeric)
+            assert ((2, 3), (1, 3)) in failed(report), ("connecting", i, j)
     for i in range(2):
-        report = check_transition_equivariance(cp2, (2, 3), (1, 3), fault_cfg,
-                                               numeric=numeric,
-                                               fault=(i, 1, 1e-3))
-        assert report.failures, ("equivariance", i)
-    report = check_factorization(cp2, (1, 3), fault_cfg, numeric=numeric,
-                                 fault=(1, 2, 1e-3))
-    assert report.failures
+        numeric = faulted(cp2, cp2_atlas, (1, 3), "coordinates", i, 3 - 1)
+        report = check_transition_equivariance(cp2, each(cp2, pairs=True),
+                                               numeric)
+        assert ((2, 3), (1, 3)) in failed(report), ("equivariance", i)
+    numeric = faulted(cp2, cp2_atlas, (1, 3), "group", 1, 2)
+    report = check_factorization(cp2, each(cp2), numeric)
+    assert ((1, 3),) in failed(report)
 
     _, dodeca, _, dodeca_atlas = entries["dodecahedron"]
-    dnumeric = NumericAtlas(dodeca, atlas=dodeca_atlas)
-    report = check_branch_invariance(dodeca, (1, 2, 3), fault_cfg,
-                                     numeric=dnumeric, fault=(0, 2, 1e-3))
-    assert report.failures
-    report = check_transition_equivariance(dodeca, (1, 2, 3), (1, 2, 4),
-                                           fault_cfg, numeric=dnumeric,
-                                           fault=(0, 2, 1e-3))
-    assert report.failures
-    report = check_connecting_element(dodeca, (1, 2, 3), (1, 2, 4),
-                                      fault_cfg, numeric=dnumeric,
-                                      fault=(2, 2, 1e-3))
-    assert report.failures
-    report = check_factorization(dodeca, (1, 2, 3), fault_cfg,
-                                 numeric=dnumeric, fault=(0, 3, 1e-3))
-    assert report.failures
+    # entry (0, 2) of the change from (1, 2, 4) into (1, 2, 3)
+    numeric = faulted(dodeca, dodeca_atlas, (1, 2, 3), "coordinates", 0, 4 - 1)
+    report = check_branch_invariance(dodeca, each(dodeca), numeric)
+    assert ((1, 2, 3),) in failed(report)
+    # entries (0, 2) and (2, 2) of the change from (1, 2, 3) into (1, 2, 4)
+    numeric = faulted(dodeca, dodeca_atlas, (1, 2, 4), "coordinates", 0, 3 - 1)
+    report = check_transition_equivariance(dodeca, each(dodeca, pairs=True),
+                                           numeric)
+    assert ((1, 2, 3), (1, 2, 4)) in failed(report)
+    numeric = faulted(dodeca, dodeca_atlas, (1, 2, 4), "coordinates", 2, 3 - 1)
+    report = check_connecting_element(dodeca, each(dodeca, pairs=True),
+                                      numeric)
+    assert ((1, 2, 3), (1, 2, 4)) in failed(report)
+    numeric = faulted(dodeca, dodeca_atlas, (1, 2, 3), "group", 0, 3)
+    report = check_factorization(dodeca, each(dodeca), numeric)
+    assert ((1, 2, 3),) in failed(report)
     print("criterion 7: PASS - all four checks clean at defaults on every "
-          "entry; 1e-3 exponent faults detected within 100 trials")
+          "entry; 1e-3 exponent faults detected within 100 trials per target")
 
 
 # -- criterion 8: brute-force integer oracle --------------------------------

@@ -1040,10 +1040,12 @@ def test_long_parameter_value_is_refused_by_flag(flag, capsys):
 
 
 @pytest.mark.parametrize("flag", ["--param", "--substitute"])
-@pytest.mark.parametrize("value", ["abc", "1/0", "0/0"])
+@pytest.mark.parametrize("value", ["abc", "1/0", "0/0", "\u0661/\u0662",
+                                   "\u0661.\u0665"])
 def test_unreadable_parameter_value_is_refused_by_flag(flag, value, capsys):
     # a zero denominator is refused as any unreadable value is, not with
-    # an internal error from Fraction
+    # an internal error from Fraction; so are the Arabic-Indic digits of
+    # 1/2 and 1.5, which Fraction reads but the scalar grammar does not
     code, out, err = run_cli(["gallery", "cp2-11a", flag, f"a={value}"],
                              capsys)
     assert (code, out) == (2, "")
@@ -1623,6 +1625,66 @@ FULL_REPORT_DIGESTS = {
     ("atlas-param-fan", "text"):
         "6c9eb742eaf4aa8352178f7773a06dfd7b1e48fc1d6c5501768d4a708c1bf578",
 }
+
+
+# sha256 of the canonical JSON (sorted keys, no spaces) of the verification
+# section of `gallery NAME --format json --seed SEED --samples N`, for every
+# entry: at 1000 samples each target gets many trials, and branch invariance
+# on a cone turns through all its sources, which the full-report pins (kite
+# and cp2-11a at 10 samples, the dodecahedron at 100) do not reach
+VERIFICATION_DIGESTS = {
+    ("cp2-11a", 100, 0):
+        "14bd4084b016e56b8e021ee0ec3547325b18166daff76533891208c5a8b37ad3",
+    ("cp2-11a", 100, 3):
+        "14bd4084b016e56b8e021ee0ec3547325b18166daff76533891208c5a8b37ad3",
+    ("cp2-11a", 1000, 0):
+        "dd4a5bad6435bf8ffec26af76e62bba51ba42002ade5770cc3d38095a1cb14fd",
+    ("cp2-11a", 1000, 3):
+        "9c92145d86addd301c1ad50707ad63f36a1897672b14d2ea5c778453f6552323",
+    ("dodecahedron", 100, 0):
+        "1fd61ced5da8807e61149b06fd6a45929d3cb754fa1d1b0aef0d6f801feefaf6",
+    ("dodecahedron", 100, 3):
+        "e9dfbbcc77afe5134dbef78bcec6dc5b5ca0a100028f9f30f3cf20ffca89aa33",
+    ("dodecahedron", 1000, 0):
+        "664e99c50404517e4b116f0603cf04060bd0fe153899b95f38fbf8fd81c435e1",
+    ("dodecahedron", 1000, 3):
+        "f90f84bc6f6e0c5c0177baac78549ba2fb9b1b97129d55698f31643556c65092",
+    ("hirzebruch", 100, 0):
+        "4e2180b5e765244ce88a5031ec1cf02c606dd3c7e9e016e5faa04893b9923050",
+    ("hirzebruch", 100, 3):
+        "0075742b54186d8e3a10b6ef1e7304e78bb277494561dea0c9bbd79188b1f2e9",
+    ("hirzebruch", 1000, 0):
+        "9d48925883e2f509b42660cee12a4595efd2f7ab8c281685305c94489f81c391",
+    ("hirzebruch", 1000, 3):
+        "9d48925883e2f509b42660cee12a4595efd2f7ab8c281685305c94489f81c391",
+    ("kite", 100, 0):
+        "55926c308724582ce2b1ced20d4c3bbea343f8bcd3d3f8bad3894fc4ce2d3188",
+    ("kite", 100, 3):
+        "27e09a4391efff178eee382df071fb21e23af7abc6e92df7baa72b77cb9fe3cb",
+    ("kite", 1000, 0):
+        "e6c4db05236d6940123fa6789e53c6a5e561d19f624107b7a13dcb42ab9743d4",
+    ("kite", 1000, 3):
+        "599a87394f490385fa66782f740484aa35a33a317fc8a4f90b658470859beceb",
+    ("quasisphere", 100, 0):
+        "e2306975531e74bd1146957ed2a9556d657d35d72630278e914d8a168219dd55",
+    ("quasisphere", 100, 3):
+        "510807400095825812d9ccc5819b98e1aa416ffec4850efec2830813f65a12e4",
+    ("quasisphere", 1000, 0):
+        "786573f3a5f660d3e37aade95767ccde6ca083679893b4b8d38e6f2990d4318b",
+    ("quasisphere", 1000, 3):
+        "786573f3a5f660d3e37aade95767ccde6ca083679893b4b8d38e6f2990d4318b",
+}
+
+
+@pytest.mark.parametrize("name, samples, seed", sorted(VERIFICATION_DIGESTS))
+def test_gallery_verification_pinned(name, samples, seed, capsys):
+    code, out, _ = run_cli(["gallery", name, "--format", "json", "--seed",
+                            str(seed), "--samples", str(samples)], capsys)
+    assert code == 0
+    section = json.loads(out)["verification"]
+    assert hashlib.sha256(json.dumps(
+        section, sort_keys=True, separators=(",", ":")).encode()).hexdigest() \
+        == VERIFICATION_DIGESTS[name, samples, seed]
 
 
 @pytest.mark.parametrize("command, fmt", sorted(FULL_REPORT_DIGESTS))

@@ -72,16 +72,24 @@ def test_trial_report_is_mutable():
     report = TrialReport("factorization")
     assert (report.trials, report.max_deviation, report.failures,
             report.skipped) == (0, 0.0, (), ())
-    report.record((1,), 0, 9, None, 0.25)
-    report.record((1,), 1, 9, "mismatch", 0.75)
+    # a trial fails when its residual reaches the tolerance
+    cfg = TrialConfig(seed=9, tolerance=0.5)
+    report.record((1,), 0, cfg, 0.25)
+    report.record((1,), 1, cfg, 0.75)
     assert (report.trials, report.max_deviation) == (2, 0.25)
     assert report.failures == (
         TrialFailure("factorization", (1,), 1, "mismatch", 0.75, 9),)
-    other = TrialReport(check="factorization", trials=3, max_deviation=0.5,
-                        failures=(), skipped=(((1,), (2,), 1),))
-    report.merge(other)
-    assert (report.trials, report.max_deviation, len(report.failures),
-            report.skipped) == (5, 0.5, 1, (((1,), (2,), 1),))
+    with pytest.raises(FloatingPointError, match="a residual is nan"):
+        report.record((1,), 2, cfg, float("nan"))
+    # a report built with counts and skipped pairs records on top of them
+    report = TrialReport(check="factorization", trials=3, max_deviation=0.4,
+                         failures=(), skipped=(((1,), (2,), 1),))
+    report.record((2,), 0, cfg, 0.45)
+    report.record((2,), 1, cfg, 0.5)
+    assert (report.trials, report.max_deviation, report.failures,
+            report.skipped) == (5, 0.45, (TrialFailure(
+                "factorization", (2,), 1, "mismatch", 0.5, 9),),
+                (((1,), (2,), 1),))
     assert not report.passed
     assert not VerificationSummary({"factorization": report}).passed
     with pytest.raises(AttributeError):

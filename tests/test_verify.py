@@ -23,6 +23,17 @@ def small_config(**overrides):
     return TrialConfig(**defaults)
 
 
+def per_target(triple, trials, pairs=False):
+    """A config whose samples give each cone, or each ordered pair of
+    cones, the given number of trials."""
+    n = len(triple.fan.max_cones)
+    return small_config(samples=trials * (n * (n - 1) if pairs else n))
+
+
+def failed_targets(report):
+    return {failure.target for failure in report.failures}
+
+
 # ---------------------------------------------------------------------------
 # membership search
 # ---------------------------------------------------------------------------
@@ -57,7 +68,7 @@ def test_membership_wraps_near_one():
 def test_membership_six_generators(gallery):
     _, triple, _ = gallery["dodecahedron"]
     numeric = NumericAtlas(triple)
-    exponents = np.asarray(numeric.group_exponents((1, 2, 3)))
+    exponents = np.asarray(numeric.chart((1, 2, 3)).group)
     membership = GroupMembership(exponents, box=10, tolerance=1e-9)
     rng = np.random.default_rng(5)
     for _ in range(20):
@@ -74,34 +85,27 @@ def test_membership_six_generators(gallery):
 def test_branch_invariance_passes(gallery):
     for name in ("quasisphere", "cp2-11a", "kite"):
         _, triple, _ = gallery[name]
-        numeric = NumericAtlas(triple)
-        for cone in triple.fan.max_cones:
-            report = check_branch_invariance(triple, cone, small_config(),
-                                             numeric=numeric)
-            assert report.passed, (name, cone, report.failures)
-            assert report.trials == 25
-            assert report.max_deviation < 1e-9
+        # 25 trials on each cone
+        report = check_branch_invariance(triple, per_target(triple, 25),
+                                         NumericAtlas(triple))
+        assert report.passed, (name, report.failures)
+        assert report.trials == 25 * len(triple.fan.max_cones)
+        assert report.max_deviation < 1e-9
 
 
 def test_equivariance_passes(gallery):
     _, triple, _ = gallery["hirzebruch"]
-    numeric = NumericAtlas(triple)
-    for source in triple.fan.max_cones:
-        for target in triple.fan.max_cones:
-            if source == target:
-                continue
-            report = check_transition_equivariance(
-                triple, source, target, small_config(), numeric=numeric)
-            assert report.passed, (source, target, report.failures)
+    report = check_transition_equivariance(
+        triple, per_target(triple, 25, pairs=True), NumericAtlas(triple))
+    assert report.passed, report.failures
+    assert report.trials == 25 * 4 * 3
 
 
 def test_factorization_passes(gallery):
     _, triple, _ = gallery["kite"]
-    numeric = NumericAtlas(triple)
-    for cone in triple.fan.max_cones:
-        report = check_factorization(triple, cone, small_config(),
-                                     numeric=numeric)
-        assert report.passed
+    report = check_factorization(triple, per_target(triple, 25),
+                                 NumericAtlas(triple))
+    assert report.passed and report.trials == 25 * 4
 
 
 def test_kernel_rows_are_the_floats_of_the_exact_kernel_vectors(gallery):
@@ -144,22 +148,21 @@ def test_integer_exponents_are_exact_past_two_to_the_53():
         "fan": {"rays": [["1"], ["-1"]], "max_cones": [[1], [2]]},
     }))[0]
     numeric = NumericAtlas(triple)
-    assert numeric.integer_exponents((1,)) == [[1, big, 0]]
-    assert numeric.integer_exponents((2,)) == [[-1, -big, 0]]
-    assert numeric.group_exponents((1,)) == [[0.0, 0.0, 0.5]]
+    assert numeric.chart((1,)).integers == [[1, big, 0]]
+    assert numeric.chart((2,)).integers == [[-1, -big, 0]]
+    assert numeric.chart((1,)).group == [[0.0, 0.0, 0.5]]
 
 
 def test_connecting_element_passes_and_skips(gallery):
     _, triple, _ = gallery["kite"]
-    numeric = NumericAtlas(triple)
-    report = check_connecting_element(triple, (1, 4), (2, 4), small_config(),
-                                      numeric=numeric)
-    assert report.passed and report.trials == 25
-    # disjoint index sets fall outside the overlap hypothesis
-    report = check_connecting_element(triple, (1, 4), (2, 3), small_config(),
-                                      numeric=numeric)
-    assert report.trials == 0
-    assert report.skipped == (((1, 4), (2, 3), 2),)
+    # the kite's 4 cones (1,3), (1,4), (2,3), (2,4) make 12 ordered pairs;
+    # the 4 with disjoint index sets fall outside the overlap hypothesis,
+    # and the 8 others, (1,4) -> (2,4) among them, get 25 trials each
+    report = check_connecting_element(triple, small_config(samples=200),
+                                      NumericAtlas(triple))
+    assert report.passed and report.trials == 200
+    assert report.skipped == (((1, 3), (2, 4), 2), ((1, 4), (2, 3), 2),
+                              ((2, 3), (1, 4), 2), ((2, 4), (1, 3), 2))
 
 
 def test_quasisphere_skips_all_connecting(gallery):
@@ -211,7 +214,7 @@ def test_zero_branch_shift_is_identity(gallery):
     image_a = np.exp(2j * np.pi * (exponents @ w))
     image_b = np.exp(2j * np.pi * (exponents @ (w + np.zeros(2))))
     assert np.array_equal(image_a, image_b)
-    membership = GroupMembership(numeric.group_exponents((1, 3)), box=10,
+    membership = GroupMembership(numeric.chart((1, 3)).group, box=10,
                                  tolerance=1e-9)
     witness, residual = membership.find(np.zeros(2))
     assert witness is not None and residual < 1e-12
@@ -248,7 +251,7 @@ def test_equivariance_direct_oracle(gallery):
     ratio = np.exp(2j * np.pi * (exponents @ (logs_shifted - logs)))
     assert abs(ratio[0] - 1.0) < 1e-9
     assert abs(ratio[1] - np.exp(2j * np.pi * a)) < 1e-9
-    membership = GroupMembership(numeric.group_exponents((1, 3)), box=10,
+    membership = GroupMembership(numeric.chart((1, 3)).group, box=10,
                                  tolerance=1e-9)
     theta = np.mod(np.angle(ratio) / (2 * np.pi), 1.0)
     witness, residual = membership.find(theta)
@@ -270,7 +273,7 @@ def test_factorization_direct_oracle(gallery):
     assert abs(y[0] - 1.0) < 1e-12
     w = x - np.array([y[0], 0.0])
     assert np.max(np.abs(rays @ w)) < 1e-12
-    membership = GroupMembership(numeric.group_exponents((1,)), box=10,
+    membership = GroupMembership(numeric.chart((1,)).group, box=10,
                                  tolerance=1e-9)
     witness, residual = membership.find(np.mod(y, 1.0))
     assert witness is not None and residual < 1e-9
@@ -281,25 +284,29 @@ def test_factorization_direct_oracle(gallery):
 # ---------------------------------------------------------------------------
 
 def test_branch_invariance_detects_fault(gallery):
+    # the chart change from (2, 3) into (1, 3) is the table of (1, 3) at
+    # rays 2 and 3; its entry (1, 0) is perturbed, which the change from
+    # (1, 2) reads too, and only cone (1, 3) fails
     _, triple, _ = gallery["cp2-11a"]
     numeric = NumericAtlas(triple)
-    report = check_branch_invariance(triple, (1, 3),
-                                     small_config(samples=100),
-                                     numeric=numeric, fault=(1, 0, 1e-3))
+    numeric.chart((1, 3)).coordinates[1][2 - 1] += 1e-3
+    report = check_branch_invariance(triple, per_target(triple, 100), numeric)
     assert not report.passed
+    assert failed_targets(report) == {((1, 3),)}
 
 
 def test_equivariance_detects_fault(gallery):
     # the fault must sit on a coordinate the source group actually moves:
     # the group of chart {2,3} fixes the first coordinate, so perturb the
-    # column of z3, whose phases are generic
+    # column of z3, whose phases are generic: entry (0, 1) of the chart
+    # change from (2, 3) into (1, 3), which no other source reads
     _, triple, _ = gallery["cp2-11a"]
     numeric = NumericAtlas(triple)
-    report = check_transition_equivariance(triple, (2, 3), (1, 3),
-                                           small_config(samples=100),
-                                           numeric=numeric,
-                                           fault=(0, 1, 1e-3))
+    numeric.chart((1, 3)).coordinates[0][3 - 1] += 1e-3
+    report = check_transition_equivariance(
+        triple, per_target(triple, 100, pairs=True), numeric)
     assert not report.passed
+    assert failed_targets(report) == {((2, 3), (1, 3))}
 
 
 def test_factorization_detects_fault(gallery):
@@ -308,29 +315,33 @@ def test_factorization_detects_fault(gallery):
     # supergroup of the true one, which membership trials cannot see
     _, triple, _ = gallery["cp2-11a"]
     numeric = NumericAtlas(triple)
-    report = check_factorization(triple, (1, 3), small_config(samples=100),
-                                 numeric=numeric, fault=(1, 2, 1e-3))
+    numeric.chart((1, 3)).group[1][2] += 1e-3
+    report = check_factorization(triple, per_target(triple, 100), numeric)
     assert not report.passed
+    assert failed_targets(report) == {((1, 3),)}
 
 
 def test_connecting_element_detects_fault(gallery):
+    # entry (1, 1) of the chart change from (2, 3) into (1, 3), at ray 3,
+    # which no other source of (1, 3) holds
     _, triple, _ = gallery["cp2-11a"]
     numeric = NumericAtlas(triple)
-    report = check_connecting_element(triple, (2, 3), (1, 3),
-                                      small_config(samples=100),
-                                      numeric=numeric, fault=(1, 1, 1e-3))
+    numeric.chart((1, 3)).coordinates[1][3 - 1] += 1e-3
+    report = check_connecting_element(
+        triple, per_target(triple, 100, pairs=True), numeric)
     assert not report.passed
+    assert failed_targets(report) == {((2, 3), (1, 3))}
 
 
 def test_gross_and_fine_faults_fail_as_mismatch(gallery):
     # the witness is derived, not searched for, so a gross fault and a
     # barely-off exponent fail the same way, each with its own residual
     _, triple, _ = gallery["cp2-11a"]
-    numeric = NumericAtlas(triple)
-    cfg = small_config(samples=50)
+    cfg = per_target(triple, 50)
     for delta in (0.11, 1e-7):
-        report = check_branch_invariance(triple, (1, 3), cfg, numeric=numeric,
-                                         fault=(1, 0, delta))
+        numeric = NumericAtlas(triple)
+        numeric.chart((1, 3)).coordinates[1][2 - 1] += delta
+        report = check_branch_invariance(triple, cfg, numeric)
         assert report.failures, delta
         assert {f.kind for f in report.failures} == {"mismatch"}
         assert all(f.residual >= cfg.tolerance for f in report.failures)
@@ -358,7 +369,8 @@ def test_log_phase_shift_equals_the_exp_route(data, n):
     moduli = data.draw(st.lists(st.floats(-math.log(2) / (2 * math.pi),
                                           math.log(2) / (2 * math.pi)),
                                 min_size=n, max_size=n))
-    logs = verify._phase_differences(exponents, before, after)
+    # Re(E w' - E w) as the checks compute it
+    logs = [float_dot(row, after) - float_dot(row, before) for row in exponents]
     for row, shift in zip(exponents, logs):
         z, z_moved = (cmath.exp(2j * math.pi * sum(
             e * complex(x, y) for e, x, y in zip(row, phases, moduli)))
