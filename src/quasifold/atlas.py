@@ -227,13 +227,11 @@ def orbit_report(triple: FundamentalTriple):
 class Atlas:
     """All charts of a triple, each wrapped once from the triple's table.
     Chart changes and relations are views of a chart's payload rows:
-    ``transition`` and ``relations`` read them off on demand, and
-    ``terms`` keeps each chart's ``term_texts``."""
+    ``transition``, ``relations`` and ``terms`` read them off on demand."""
 
     def __init__(self, triple: FundamentalTriple):
         self.triple = triple
         self._charts: dict[tuple[int, ...], Chart] = {}
-        self._terms: dict[tuple[int, ...], list] = {}
 
     @classmethod
     def compile(cls, triple: FundamentalTriple) -> "Atlas":
@@ -258,14 +256,11 @@ class Atlas:
         return transition_map(self.chart(target), source)
 
     def terms(self, cone):
-        """``term_texts`` of the chart's coordinate table, built once."""
-        key = tuple(sorted(cone))
-        if key not in self._terms:
-            d = self.triple.ray_count
-            self._terms[key] = term_texts(
-                self.triple.domain, [row[:d] for row in self.chart(key).rows],
-                self.triple.dim)
-        return self._terms[key]
+        """``term_texts`` of the chart's coordinate table."""
+        d = self.triple.ray_count
+        return term_texts(self.triple.domain,
+                          [row[:d] for row in self.chart(cone).rows],
+                          self.triple.dim)
 
     def relations(self, cone) -> dict[int, tuple]:
         """The ray relations ``relations`` reads off the chart."""

@@ -677,34 +677,21 @@ def render_text_report(report) -> str:
 # JSON rendering
 # ---------------------------------------------------------------------------
 
-_INFINITY = float("inf")
-
-
-def _float_text(x):
-    """A float as ``json`` writes it, non-finite values included."""
-    if x != x:
-        return "NaN"
-    if x == _INFINITY:
-        return "Infinity"
-    if x == -_INFINITY:
-        return "-Infinity"
-    return float.__repr__(x)
-
-
 def render_json_report(report) -> str:
     """The string ``json.dumps(report, indent=2, sort_keys=True)`` returns,
     written in one recursive pass into a list of chunks, joined once.
 
     CPython's C encoder runs only without ``indent``, so ``json.dumps``
-    would take its pure-Python generator encoder here.  This writer tries
-    the exact types first and falls back to ``json``'s own order of
-    ``isinstance`` tests (str, None, True, False, int, float, list or
-    tuple, dict) for subclasses; it escapes strings with the escaper
-    ``json`` uses, and prints ints and floats with ``int.__repr__`` and
-    ``float.__repr__``.  Each dict layout's sorted, escaped keys are built
-    once per key order and depth, and a list of only strings or only
-    exact ints is one join.  A key that is not a str raises TypeError, as
-    does a value ``json`` cannot encode.
+    would take its pure-Python generator encoder here.  This writer lays
+    out exact dicts, lists, strs and ints itself: it escapes strings with
+    the escaper ``json`` uses and prints ints with ``int.__repr__``; each
+    dict layout's sorted, escaped keys are built once per key order and
+    depth, and a list of only strings or only exact ints is one join.  Any
+    other value (None, a bool, a float, a subclass, a tuple) is written as
+    ``json.dumps`` writes it, its line breaks moved to the value's margin.
+    A key that is not a str raises TypeError in a dict the writer lays out
+    itself; a dict subclass or a tuple gets exactly what ``json.dumps``
+    returns, and a value ``json`` cannot encode raises its TypeError.
     """
     chunks = []
     append = chunks.append
@@ -789,26 +776,10 @@ def render_json_report(report) -> str:
             write_list(value, margin)
         elif kind is int:
             append(int_text(value))
-        elif isinstance(value, str):
-            append(escape(value))
-        elif value is None:
-            append("null")
-        elif value is True:
-            append("true")
-        elif value is False:
-            append("false")
-        elif isinstance(value, int):
-            append(int_text(value))
-        elif isinstance(value, float):
-            append(_float_text(value))
-        elif isinstance(value, (list, tuple)):
-            write_list(value, margin)
-        elif isinstance(value, dict):
-            # json reads a dict subclass through items()
-            write_dict(dict(value.items()), margin)
         else:
-            raise TypeError(f"Object of type {type(value).__name__} "
-                            f"is not JSON serializable")
+            # exact at any margin: each line break in json's text starts a line
+            text = json.dumps(value, indent=2, sort_keys=True)
+            append(text.replace("\n", margin))
 
     write(report, "\n")
     return "".join(chunks)

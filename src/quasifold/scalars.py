@@ -587,19 +587,12 @@ class NumberFieldDomain(ScalarDomain):
         self.embedding_approx = _as_fraction(embedding_approx)
         self._share_values((self.kind, self.min_poly, generator_symbol,
                             self.embedding_approx), (1,) + (0,) * self.degree)
-        # reduction rows for x^deg .. x^(2 deg - 2)
-        rows = []
-        current = tuple(-c for c in coeffs[:-1])  # x^deg mod p
-        rows.append(current)
+        # reduction rows for x^deg .. x^(2 deg - 2): each is x times the
+        # one before, its top coefficient reduced by the row of x^deg
+        rows = [tuple(-c for c in coeffs[:-1])]
         for _ in range(self.degree - 2):
-            shifted = (_F0,) + current
-            reduce_c = shifted[self.degree] if len(shifted) > self.degree else _F0
-            nxt = list(shifted[: self.degree])
-            if reduce_c:
-                for i, r in enumerate(rows[0]):
-                    nxt[i] += reduce_c * r
-            current = tuple(nxt)
-            rows.append(current)
+            top, low = rows[-1][-1], (_F0,) + rows[-1][:-1]
+            rows.append(tuple(s + top * r for s, r in zip(low, rows[0])))
         # ... kept as integer rows over their common denominator
         scale = math.lcm(*(c.denominator for row in rows for c in row))
         self._reduction_scale = scale
@@ -837,11 +830,11 @@ class RationalFunctionDomain(ScalarDomain):
     degree first: num and den are coprime in Q[x], the gcd of all their
     coefficients is 1 and ``den[-1] > 0``; zero is ``((), (1,))``.  The
     form is unique, so payloads are equal exactly for equal values; text
-    shows the denominator monic.  Products and sums cancel by Henrici's method
-    (Knuth, TAOCP 2, section 4.5.1): only gcd(n1, d2) and gcd(n2, d1) for
-    a product, only gcd(d1, d2) and the sum against it for a sum, then
-    the content.  Denominators 1 and powers of the parameter need no
-    Euclid step.
+    shows the denominator monic.  Every sum and product is cancelled by one
+    gcd of its numerator and denominator, then by their content
+    (``_canonical``); a sum over equal denominators is taken over the one
+    denominator, not their product.  Constants and powers of the parameter
+    need no Euclid step.
 
     A sign is proven for every admissible parameter value: Sturm counts
     show that neither numerator nor denominator has a root where the
@@ -875,12 +868,18 @@ class RationalFunctionDomain(ScalarDomain):
         return Scalar(self, self._intern(((0, 1), (1,))))
 
     def _canonical(self, num, den):
-        """The payload of num/den for num and den coprime in Q[x] and
-        lead(den) > 0, which holds for every product of denominators and
-        primitive gcd cofactors."""
+        """The payload of num/den for int polynomials num and den != 0:
+        their gcd and the content of both divided out, lead(den) made
+        positive."""
         if not num:
             return 0
+        if len(num) > 1 and len(den) > 1:
+            g = _zgcd(num, den)
+            if len(g) > 1:
+                num, den = _zdiv(num, g), _zdiv(den, g)
         g = math.gcd(*num, *den)
+        if den[-1] < 0:
+            g = -g
         if g == 1:
             return self._intern((num, den))
         return self._intern((tuple(c // g for c in num), tuple(c // g for c in den)))
@@ -895,24 +894,8 @@ class RationalFunctionDomain(ScalarDomain):
             return a
         (n1, d1), (n2, d2) = self._values[a], self._values[b]
         if d1 == d2:
-            num = _padd(n1, n2)
-            if len(num) > 1 and len(d1) > 1:
-                g = _zgcd(num, d1)
-                if len(g) > 1:
-                    num, d1 = _zdiv(num, g), _zdiv(d1, g)
-            return self._canonical(num, d1)
-        g = _zgcd(d1, d2) if len(d1) > 1 and len(d2) > 1 else (1,)
-        if len(g) == 1:
-            # coprime denominators: the sum is in lowest terms
-            return self._canonical(_padd(_pmul(n1, d2), _pmul(n2, d1)),
-                                   _pmul(d1, d2))
-        e1, e2 = _zdiv(d1, g), _zdiv(d2, g)
-        num = _padd(_pmul(n1, e2), _pmul(n2, e1))
-        if len(num) > 1:
-            h = _zgcd(num, g)
-            if len(h) > 1:
-                num, g = _zdiv(num, h), _zdiv(g, h)
-        return self._canonical(num, _pmul(_pmul(e1, e2), g))
+            return self._canonical(_padd(n1, n2), d1)
+        return self._canonical(_padd(_pmul(n1, d2), _pmul(n2, d1)), _pmul(d1, d2))
 
     def _negative(self, a):
         num, den = self._values[a]
@@ -920,14 +903,6 @@ class RationalFunctionDomain(ScalarDomain):
 
     def _product(self, a, b):
         (n1, d1), (n2, d2) = self._values[a], self._values[b]
-        if len(n1) > 1 and len(d2) > 1:
-            g = _zgcd(n1, d2)
-            if len(g) > 1:
-                n1, d2 = _zdiv(n1, g), _zdiv(d2, g)
-        if len(n2) > 1 and len(d1) > 1:
-            g = _zgcd(n2, d1)
-            if len(g) > 1:
-                n2, d1 = _zdiv(n2, g), _zdiv(d1, g)
         return self._canonical(_pmul(n1, n2), _pmul(d1, d2))
 
     def _inv(self, a):

@@ -128,17 +128,22 @@ TrialFailure = namedtuple("TrialFailure",
 
 
 class TrialReport:
-    __slots__ = ("check", "trials", "max_deviation", "failures", "skipped")
+    __slots__ = ("check", "trials", "max_deviation", "_failures", "skipped")
 
     def __init__(self, check, trials=0, max_deviation=0.0, failures=(),
                  skipped=()):
         self.check, self.trials = check, trials
         self.max_deviation = max_deviation
-        self.failures, self.skipped = failures, skipped
+        self._failures, self.skipped = list(failures), skipped
+
+    @property
+    def failures(self):
+        """The recorded TrialFailures, a tuple in the order recorded."""
+        return tuple(self._failures)
 
     @property
     def passed(self):
-        return not self.failures
+        return not self._failures
 
     def record(self, target, trial, cfg: TrialConfig, residual):
         """Count one trial of cfg: it fails when the residual reaches
@@ -153,8 +158,8 @@ class TrialReport:
         if residual < cfg.tolerance:
             self.max_deviation = max(self.max_deviation, residual)
         else:
-            self.failures += (TrialFailure(
-                self.check, target, trial, "mismatch", residual, cfg.seed),)
+            self._failures.append(TrialFailure(
+                self.check, target, trial, "mismatch", residual, cfg.seed))
 
 
 def _circular_residual(values):

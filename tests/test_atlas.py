@@ -348,8 +348,7 @@ def test_compile_inverts_once_per_component(gallery, monkeypatch):
     assert (len(inverses), len(starts), len(charts)) == (0, 0, 0)
     # the atlas keeps its charts and stores nothing per pair
     assert len(atlas._charts) == 20
-    assert not atlas._terms
-    assert set(vars(atlas)) == {"triple", "_charts", "_terms"}
+    assert set(vars(atlas)) == {"triple", "_charts"}
     triple = two_component_triple()
     assert (len(inverses), len(starts)) == (0, 2)
     atlas = Atlas.compile(triple)

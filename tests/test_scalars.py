@@ -994,7 +994,7 @@ def poly_value(p, x):
 class OracleRationalFunctions:
     """Pairs of Fraction-coefficient polynomials, reduced after every
     operation by a full gcd to a coprime pair with a monic denominator;
-    independent of the integer payloads and of Henrici's cancellation."""
+    independent of the integer payloads and of the domain's cancellation."""
 
     def __init__(self, symbol):
         self.symbol = symbol
@@ -1189,6 +1189,44 @@ def test_rational_function_matches_oracle(x, y):
         results.append((sx / sy, RF_ORACLE.mul(ox, RF_ORACLE.inv(oy))))
     for scalar, expected in results:
         check_rf(scalar, expected)
+
+
+def rf_quotient(num, den):
+    """num/den, for int coefficients lowest degree first, built in the
+    domain by its own arithmetic and in the oracle."""
+    a = RF.generator()
+
+    def poly(coeffs):
+        return sum((c * a ** k for k, c in enumerate(coeffs)), RF.zero())
+    return poly(num) / poly(den), RF_ORACLE.reduce(
+        tuple(map(Fraction, num)), tuple(map(Fraction, den)))
+
+
+# operands built to share factors, which random ones seldom do
+@pytest.mark.parametrize("op, x, y", [
+    # equal denominators: a/(a^2 - 1) + 1/(a^2 - 1) = 1/(a - 1)
+    ("add", ((0, 1), (-1, 0, 1)), ((1,), (-1, 0, 1))),
+    # denominators sharing a, which the sum cancels:
+    # 1/(a^2 - a) + 1/(a^2 + a) = 2/(a^2 - 1)
+    ("add", ((1,), (0, -1, 1)), ((1,), (0, 1, 1))),
+    # n1/d2 share a + 1 and n2/d1 share a - 2:
+    # (a + 1)/(a - 2) * (a - 2)^2/((a + 1)(a^2 + 1)) = (a - 2)/(a^2 + 1)
+    ("mul", ((1, 1), (-2, 1)), ((4, -4, 1), (1, 1, 1, 1))),
+    # (a + 1)/(2a - 3) - (a + 1)/(2a - 3) = 0
+    ("add", ((1, 1), (-3, 2)), ((-1, -1), (-3, 2))),
+    # (a + 3) / (2 - a), whose denominator has a negative lead
+    ("div", ((3, 1), (1,)), ((2, -1), (1,))),
+])
+def test_rational_function_cancellations_match_oracle(op, x, y):
+    (sx, ox), (sy, oy) = rf_quotient(*x), rf_quotient(*y)
+    check_rf(sx, ox)
+    check_rf(sy, oy)
+    if op == "add":
+        check_rf(sx + sy, RF_ORACLE.add(ox, oy))
+    elif op == "mul":
+        check_rf(sx * sy, RF_ORACLE.mul(ox, oy))
+    else:
+        check_rf(sx / sy, RF_ORACLE.mul(ox, RF_ORACLE.inv(oy)))
 
 
 @given(values=st.lists(rf_values, min_size=2, max_size=4))
