@@ -35,20 +35,15 @@ from .verify import TrialConfig, verify_triple
 __all__ = ["entry", "main"]
 
 
-def _add_common_flags(parser):
-    parser.add_argument("--format", choices=("text", "json"), default="text")
-    parser.add_argument("--out", help="write the report to this path")
-    parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--param", default=None, metavar="SYM=DECIMAL",
-                        help="numeric sample for the field parameter")
-    parser.add_argument("--substitute", default=None, metavar="SYM=RATIONAL",
-                        help="exact substitution of the field parameter")
-
-
-def _add_verify_flags(parser):
-    parser.add_argument("--samples", type=int, default=None)
-    parser.add_argument("--tolerance", type=float, default=None)
-    parser.add_argument("--word-length", type=int, default=None)
+def _ascii(kind):
+    """``kind`` (int or float) read from ASCII text alone, as both would read
+    any Unicode digit; argparse words a refusal by the type's name."""
+    def read(text):
+        if not text.isascii():
+            raise ValueError(text)
+        return kind(text)
+    read.__name__ = kind.__name__
+    return read
 
 
 @functools.cache
@@ -59,23 +54,30 @@ def _build_parser():
         prog="quasifold",
         description="exact affine atlases of complex toric quasifolds")
     sub = parser.add_subparsers(dest="command", required=True)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--format", choices=("text", "json"), default="text")
+    common.add_argument("--out", help="write the report to this path")
+    common.add_argument("--seed", type=_ascii(int))
+    common.add_argument("--param", metavar="SYM=DECIMAL",
+                        help="numeric sample for the field parameter")
+    common.add_argument("--substitute", metavar="SYM=RATIONAL",
+                        help="exact substitution of the field parameter")
+    trials = argparse.ArgumentParser(add_help=False, parents=[common])
+    trials.add_argument("--samples", type=_ascii(int))
+    trials.add_argument("--tolerance", type=_ascii(float))
+    trials.add_argument("--word-length", type=_ascii(int))
 
     for name in ("validate", "atlas", "polytope", "verify", "transition"):
-        p = sub.add_parser(name)
+        p = sub.add_parser(name, parents=[trials if name == "verify" else common])
         p.add_argument("input", help="path to an input JSON document")
-        _add_common_flags(p)
-        if name == "verify":
-            _add_verify_flags(p)
         if name == "transition":
             p.add_argument("--from", dest="source", required=True,
                            metavar="I,J,...", help="source cone index set")
             p.add_argument("--to", dest="target", required=True,
                            metavar="I,J,...", help="target cone index set")
 
-    p = sub.add_parser("gallery")
+    p = sub.add_parser("gallery", parents=[trials])
     p.add_argument("name", help=f"one of: {', '.join(GALLERY_NAMES)}")
-    _add_common_flags(p)
-    _add_verify_flags(p)
     return parser
 
 
@@ -113,13 +115,22 @@ def _load_input(args):
     if args.command == "gallery":
         return load_gallery(args.name)
     try:
-        with open(args.input) as handle:
-            data = json.load(handle)
+        with open(args.input, encoding="utf-8") as handle:
+            text = handle.read()
     except OSError as exc:
         raise InputError(f"cannot read {args.input}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{args.input}: not UTF-8 text at byte {exc.start}") from exc
+    try:
+        data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputError(f"{args.input}: invalid JSON at line {exc.lineno}, "
                          f"column {exc.colno}: {exc.msg}") from exc
+    except RecursionError as exc:   # nested past the recursion limit
+        raise InputError(f"{args.input}: arrays and objects nest too deeply") from exc
+    except ValueError:  # an integer literal past the digit limit
+        require_readable(text, args.input)
+        raise
     violation = schema_violation(load_input_schema(), data)
     if violation is not None:
         path, message = violation
@@ -134,7 +145,7 @@ def _resolve_seed(args, doc):
     env = os.environ.get("QUASIFOLD_SEED")
     if env is not None:
         try:
-            return int(env)
+            return _ascii(int)(env)
         except ValueError as exc:
             raise InputError(f"QUASIFOLD_SEED={env!r} is not an integer") from exc
     return int(doc.options.get("seed", 0))
@@ -142,24 +153,22 @@ def _resolve_seed(args, doc):
 
 def _parse_cone(text, flag):
     try:
-        return tuple(sorted(int(part) for part in text.split(",")))
+        return tuple(sorted(map(_ascii(int), text.split(","))))
     except ValueError as exc:
         raise InputError(f"{flag}: expected comma-separated integers, "
                          f"got {text!r}") from exc
 
 
 def _trial_config(args, doc, seed, parameter_sample):
-    options = doc.options
-    return TrialConfig(
-        samples=(args.samples if getattr(args, "samples", None) is not None
-                 else int(options.get("samples", 100))),
-        seed=seed,
-        tolerance=(args.tolerance if getattr(args, "tolerance", None) is not None
-                   else float(options.get("tolerance", 1e-9))),
-        word_length=(args.word_length if getattr(args, "word_length", None) is not None
-                     else int(options.get("word_length", 3))),
-        parameter_sample=parameter_sample,
-    )
+    """Each setting is its flag, else the document's option, else the
+    default."""
+    flags = vars(args)
+    return TrialConfig(seed=seed, parameter_sample=parameter_sample, **{
+        name: kind(doc.options.get(name, default)) if flags[name] is None
+        else flags[name]
+        for name, kind, default in (("samples", int, 100),
+                                    ("tolerance", float, 1e-9),
+                                    ("word_length", int, 3))})
 
 
 def _require_parameter(doc, source):
@@ -254,8 +263,7 @@ def run(args) -> tuple[int, str]:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         code, rendered = run(args)
     except ValueError as exc:  # every input error and refusal is a ValueError
@@ -267,26 +275,22 @@ def main(argv=None) -> int:
     except Exception as exc:
         print(f"quasifold: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
-    if args.out:
-        try:
-            with open(args.out, "w") as handle:
-                handle.write(rendered)
-        except OSError as exc:
-            print(f"quasifold: error: cannot write {args.out}: {exc}", file=sys.stderr)
-            return 2
-    else:
-        try:
-            sys.stdout.write(rendered)
-            sys.stdout.flush()  # a report that fits the buffer fails here
-        except OSError as exc:
+    try:
+        with (open(args.out, "w") if args.out
+              else contextlib.nullcontext(sys.stdout)) as handle:
+            handle.write(rendered)
+            handle.flush()  # a report that fits stdout's buffer fails here
+    except OSError as exc:
+        if not args.out:
             # a closed pipe: fd 1 goes to os.devnull, so that no later flush
             # fails again (the recipe in the docs of the signal module)
             with contextlib.suppress(OSError, ValueError):  # stdout has no fd
                 fd, devnull = sys.stdout.fileno(), os.open(os.devnull, os.O_WRONLY)
                 os.dup2(devnull, fd)
                 os.close(devnull)
-            print(f"quasifold: error: cannot write the report: {exc}", file=sys.stderr)
-            return 2
+        print(f"quasifold: error: cannot write {args.out or 'the report'}: {exc}",
+              file=sys.stderr)
+        return 2
     return code
 
 

@@ -23,7 +23,7 @@ import math
 import os
 import re
 from collections import namedtuple
-from decimal import Decimal
+from decimal import Context, Decimal, Inexact
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
@@ -522,29 +522,15 @@ def verification_section(summary: VerificationSummary):
 
 
 def _decimal_text(value):
-    """Fractions coming from decimal literals print back as decimals."""
+    """Fractions coming from decimal literals print back as decimals, every
+    digit of them (where str() of an int refuses past 4300)."""
     value = Fraction(value)
-    denominator = value.denominator
-    shift = 0
-    while denominator % 10 == 0:
-        denominator //= 10
-        shift += 1
-    while denominator % 2 == 0:
-        denominator //= 2
-    while denominator % 5 == 0:
-        denominator //= 5
-    if denominator != 1:
+    n, d = value.as_integer_ratio()
+    exact = Context(prec=n.bit_length() + d.bit_length() + 1, traps=[Inexact])
+    try:
+        return f"{exact.divide(Decimal(n), Decimal(d)):f}"
+    except Inexact:
         return str(value)
-    scaled = value * 10 ** shift
-    while scaled.denominator != 1:
-        scaled *= 10
-        shift += 1
-    # Decimal prints every digit, where str() refuses past 4300 of them
-    digits = str(Decimal(abs(scaled.numerator))).rjust(shift + 1, "0")
-    sign = "-" if value < 0 else ""
-    if shift == 0:
-        return f"{sign}{digits}"
-    return f"{sign}{digits[:-shift]}.{digits[-shift:]}"
 
 
 def build_report(command, doc: InputDocument, seed, sections,

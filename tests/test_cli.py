@@ -83,6 +83,46 @@ def test_shared_parser_answers_as_a_fresh_one(argv, capsys):
     assert answer(main) == expected
 
 
+# sha256 of stdout, a NUL and stderr of each help and usage answer, at 80
+# columns, with its exit code: argparse's layout and wording are those of
+# CPython 3.11, where these were recorded
+HELP_DIGESTS = {
+    (("--help",), 0):
+        "2050498de55544dfd03eee657893510c73fb4c37b7ebedbf40d531f8915d02a1",
+    (("validate", "--help"), 0):
+        "682a53437eb7430c2a455d1435e8e61f66e711d1ac14a9a79d9de793e45558c6",
+    (("atlas", "--help"), 0):
+        "1f2033001237d8807c9cc1eeefccf799b7b0359648d7ec1eb7ebf0bc834c0055",
+    (("polytope", "--help"), 0):
+        "7bd1631679c036874269587f44ceff385fa5c2cd19ffb2ce3da73346956aca3f",
+    (("verify", "--help"), 0):
+        "1d929d34f7943dc1f03a1d126be57bfaab62aca3cc3b51bb7430228eaaebf20a",
+    (("transition", "--help"), 0):
+        "cda6edfd6f12fb6be63ab8a5d810744bad0c613f13ab1722347ec24de5f89a1b",
+    (("gallery", "--help"), 0):
+        "f7091713c011ff213ca511d3178d2324678d3fb26c6b1688347cf23146d23f7d",
+    (("verify",), 2):
+        "6da95d5b522c84cad732ba4e7e39d7c672a077e2e7c818a1d3fc8dfaa963e201",
+    (("gallery", "kite", "--samples", "x"), 2):
+        "dcc9f70d8601b0337340bb066eb270267c46f2810c8b89e2bb03c8a1359dcff1",
+    (("nonesuch",), 2):
+        "1077f121d81070e7f9d2f2ed5bdedc3274a8b28699c0deb661c5befe38b12213",
+}
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11),
+                    reason="argparse's help layout differs between versions")
+@pytest.mark.parametrize("argv, expected_code", sorted(HELP_DIGESTS))
+def test_help_and_usage_pinned(argv, expected_code, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    out, err = capsys.readouterr()
+    assert exc.value.code == expected_code
+    assert hashlib.sha256(f"{out}\0{err}".encode()).hexdigest() == \
+        HELP_DIGESTS[argv, expected_code], out + err
+
+
 def test_gallery_dodecahedron_json_schema(capsys):
     code, out, _ = run_cli(
         ["gallery", "dodecahedron", "--format", "json", "--seed", "0",
@@ -210,6 +250,14 @@ def test_validate_dependent_rays_exits_one(tmp_path, capsys):
     assert "simplicial: FAIL" in out
 
 
+def test_validate_short_witness_exits_one(tmp_path, capsys):
+    doc = gallery_json("kite")
+    doc["witnesses"][0] = doc["witnesses"][0][:-1]
+    code, out, _ = run_cli(["validate", write_doc(tmp_path, doc)], capsys)
+    assert code == 1
+    assert "ray 1: witness length mismatch" in out
+
+
 def test_validate_good_document(tmp_path, capsys):
     code, out, _ = run_cli(
         ["validate", write_doc(tmp_path, gallery_json("cp2-11a"))], capsys)
@@ -223,6 +271,55 @@ def test_malformed_json_exits_two(tmp_path, capsys):
     code, _, err = run_cli(["validate", str(path)], capsys)
     assert code == 2
     assert "line" in err
+
+
+# a root of 100,000 nested arrays, an integer literal past the digit limit,
+# and text that is not UTF-8: each a refusal that names the file, where the
+# first exited 3
+UNREADABLE_DOCUMENTS = {
+    "nested": ("[" * 100_000 + "]" * 100_000,
+               "{path}: arrays and objects nest too deeply"),
+    "long-literal": ('{"domain": {"kind": "rational"}, "seed": 1'
+                     + "0" * 5000 + "}",
+                     "{path} has a 5001-digit number; exact texts allow at "
+                     f"most {sys.get_int_max_str_digits()} digits"),
+    "latin-1": ('{"name": "caf\xe9"}'.encode("latin-1"),
+                "{path}: not UTF-8 text at byte 13"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(UNREADABLE_DOCUMENTS))
+def test_unreadable_document_exits_two_naming_the_file(kind, tmp_path,
+                                                       capsys):
+    content, message = UNREADABLE_DOCUMENTS[kind]
+    path = tmp_path / "input.json"
+    if isinstance(content, str):
+        path.write_text(content)
+    else:
+        path.write_bytes(content)
+    code, out, err = run_cli(["validate", str(path)], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"quasifold: error: {message.format(path=path)}\n"
+
+
+@pytest.mark.parametrize("fresh", [False, True])
+def test_document_nested_990_deep_exits_two(fresh, tmp_path, capsys):
+    # 990 levels pass the decoder or not by the caller's depth and the
+    # interpreter's recursion accounting (3.12 counts C calls apart), so
+    # the refusal is the depth's or the schema's; it exited 3 under
+    # python -m quasifold
+    path = tmp_path / "nested.json"
+    path.write_text("[" * 990 + "]" * 990)
+    argv = ["validate", str(path)]
+    if fresh:
+        run = subprocess.run([sys.executable, "-m", "quasifold", *argv],
+                             capture_output=True, text=True, timeout=60)
+        code, out, err = run.returncode, run.stdout, run.stderr
+    else:
+        code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"quasifold: error: {path}: ")
+    assert err.count("\n") == 1
 
 
 def schema_violations():
@@ -1051,6 +1148,41 @@ def test_unreadable_parameter_value_is_refused_by_flag(flag, value, capsys):
     assert (code, out) == (2, "")
     assert err == (f"quasifold: error: {flag}: {value!r} is not a decimal or "
                    "fraction\n")
+
+
+# each numeric flag with Arabic-Indic digits, which int() and float() read:
+# argparse refuses them as it refuses "x"
+@pytest.mark.parametrize("flag, value, kind", [
+    ("--seed", "\u0663", "int"), ("--samples", "\u0665", "int"),
+    ("--tolerance", "\u0661e-9", "float"), ("--word-length", "\u0662", "int")])
+def test_numeric_flag_reads_ascii_digits_only(flag, value, kind, capsys):
+    for argv in (["gallery", "kite", flag, value], ["gallery", "kite", flag, "x"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        out, err = capsys.readouterr()
+        assert (exc.value.code, out) == (2, "")
+        assert err.startswith("usage: quasifold gallery ")
+        assert err.endswith(f"quasifold gallery: error: argument {flag}: "
+                            f"invalid {kind} value: {argv[-1]!r}\n")
+
+
+@pytest.mark.parametrize("flag", ["--from", "--to"])
+def test_cone_flag_reads_ascii_digits_only(flag, capsys):
+    cones = {"--from": "1,2", "--to": "2,3", flag: "\u0661,\u0663"}
+    code, out, err = run_cli(
+        ["transition", str(resources.files("quasifold").joinpath(
+            "data/kite.json")), "--from", cones["--from"], "--to",
+         cones["--to"]], capsys)
+    assert (code, out) == (2, "")
+    assert err == (f"quasifold: error: {flag}: expected comma-separated "
+                   "integers, got '\u0661,\u0663'\n")
+
+
+def test_seed_environment_reads_ascii_digits_only(capsys, monkeypatch):
+    monkeypatch.setenv("QUASIFOLD_SEED", "\u0667")
+    code, out, err = run_cli(["gallery", "kite"], capsys)
+    assert (code, out) == (2, "")
+    assert err == "quasifold: error: QUASIFOLD_SEED='\u0667' is not an integer\n"
 
 
 PENTAGRAM = {

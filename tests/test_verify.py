@@ -379,6 +379,38 @@ def test_log_phase_shift_equals_the_exp_route(data, n):
         assert abs((shift - phase + 0.5) % 1.0 - 0.5) < 1e-12
 
 
+# one cone over Q(b), b = sqrt(2): rays e1 and e2 in the quasilattice of
+# (1, 0), (0, 1) and (b, 1); its group moves the first coordinate by b
+ONE_CONE_DOCUMENT = {
+    "domain": {"kind": "number_field", "min_poly": ["-2", "0", "1"],
+               "generator_symbol": "b", "embedding_approx": "1.41421356237"},
+    "quasilattice": {"generators": [["1", "0", "b"], ["0", "1", "1"]]},
+    "fan": {"rays": [["1", "0"], ["0", "1"]], "max_cones": [[1, 2]]},
+}
+
+
+def test_one_cone_fan_verifies():
+    # branch invariance shifts the group exponents themselves, and the
+    # rounding bound takes its one-cone term; there are no pairs
+    triple, _ = document_to_triple(load_document(ONE_CONE_DOCUMENT))
+    summary = verify_triple(triple, TrialConfig(samples=100))
+    assert summary.passed
+    assert {name: report.trials for name, report in summary.reports.items()} \
+        == {"branch_invariance": 100, "transition_equivariance": 0,
+            "factorization": 100, "connecting_element": 0}
+
+
+def test_one_cone_fan_factorization_detects_fault():
+    triple, _ = document_to_triple(load_document(ONE_CONE_DOCUMENT))
+    # the witnesses of e1 and e2 use the first two generators alone, so the
+    # check reads the group at those columns: move the exponent of (1, 0)
+    numeric = NumericAtlas(triple)
+    numeric.chart((1, 2)).group[0][0] += 1e-3
+    report = check_factorization(triple, small_config(samples=100), numeric)
+    assert not report.passed
+    assert failed_targets(report) == {((1, 2),)}
+
+
 def test_rounding_bound_refuses_before_any_draw(gallery, monkeypatch):
     _, triple, _ = gallery["cp2-11a"]
 
