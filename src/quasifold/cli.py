@@ -160,15 +160,14 @@ def _parse_cone(text, flag):
 
 
 def _trial_config(args, doc, seed, parameter_sample):
-    """Each setting is its flag, else the document's option, else the
-    default."""
+    """Each setting is its flag, else the document's option, else
+    TrialConfig's default."""
     flags = vars(args)
     return TrialConfig(seed=seed, parameter_sample=parameter_sample, **{
-        name: kind(doc.options.get(name, default)) if flags[name] is None
-        else flags[name]
-        for name, kind, default in (("samples", int, 100),
-                                    ("tolerance", float, 1e-9),
-                                    ("word_length", int, 3))})
+        name: kind(doc.options[name]) if flags[name] is None else flags[name]
+        for name, kind in (("samples", int), ("tolerance", float),
+                           ("word_length", int))
+        if flags[name] is not None or name in doc.options})
 
 
 def _require_parameter(doc, source):
@@ -219,9 +218,10 @@ def run(args) -> tuple[int, str]:
            if args.command in ("verify", "gallery") else None)
 
     triple, fan_result = document_to_triple(doc)
-    probe_directions = int(doc.options.get("probe_directions", 64))
-    report_validation = validate(triple, probe_directions=probe_directions,
-                                 seed=seed, parameter_sample=parameter_sample)
+    probe = ({"probe_directions": int(doc.options["probe_directions"])}
+             if "probe_directions" in doc.options else {})
+    report_validation = validate(triple, seed=seed,
+                                 parameter_sample=parameter_sample, **probe)
     sections = {"validation": validation_section(report_validation)}
     if fan_result is not None and args.command in ("polytope", "atlas",
                                                    "gallery", "validate"):

@@ -22,6 +22,7 @@ import json
 import math
 import os
 import re
+import sys
 from collections import namedtuple
 from decimal import Context, Decimal, Inexact
 from fractions import Fraction
@@ -103,24 +104,24 @@ _VIOLATED = {
     "minimum": lambda bound, v: _has_type(v, "number") and v < bound,
     "exclusiveMinimum": lambda bound, v: _has_type(v, "number") and v <= bound,
 }
-# keyword -> its message from (argument, value), worded as the tests'
+# keyword -> its message from (argument, value text), worded as the tests'
 # reference validator (release 4.26.0) words it; a required violation's
 # argument is the missing key, a oneOf's the branches that fit (or None)
 _WORDS = {
-    "type": lambda names, v: f"{v!r} is not of type " + ", ".join(
+    "type": lambda names, v: f"{v} is not of type " + ", ".join(
         map(repr, [names] if isinstance(names, str) else names)),
-    "enum": lambda options, v: f"{v!r} is not one of {options!r}",
-    "minItems": lambda n, v: f"{v!r} " + ("should be non-empty" if n == 1
-                                         else "is too short"),
-    "pattern": lambda regex, v: f"{v!r} does not match {regex!r}",
-    "minimum": lambda bound, v: f"{v!r} is less than the minimum of {bound!r}",
+    "enum": lambda options, v: f"{v} is not one of {options!r}",
+    "minItems": lambda n, v: f"{v} " + ("should be non-empty" if n == 1
+                                       else "is too short"),
+    "pattern": lambda regex, v: f"{v} does not match {regex!r}",
+    "minimum": lambda bound, v: f"{v} is less than the minimum of {bound!r}",
     "exclusiveMinimum": lambda bound, v: (
-        f"{v!r} is less than or equal to the minimum of {bound!r}"),
+        f"{v} is less than or equal to the minimum of {bound!r}"),
     "required": lambda key, v: f"{key!r} is a required property",
-    "not": lambda sub, v: f"{v!r} should not be valid under {sub!r}",
+    "not": lambda sub, v: f"{v} should not be valid under {sub!r}",
     "oneOf": lambda fits, v: (
-        f"{v!r} is not valid under any of the given schemas" if fits is None
-        else f"{v!r} is valid under each of " + ", ".join(map(repr, fits))),
+        f"{v} is not valid under any of the given schemas" if fits is None
+        else f"{v} is valid under each of " + ", ".join(map(repr, fits))),
 }
 
 
@@ -137,7 +138,9 @@ def schema_violation(schema, instance):
     """None if instance is valid against schema, with draft-07 semantics;
     else the (path, message) of the error that the tests' reference
     validator picks as its best match, in its words (release 4.26.0), the
-    path a tuple of keys and indices.
+    path a tuple of keys and indices; a value whose text passes
+    ``sys.get_int_max_str_digits()`` characters is cut there and followed
+    by its length.
 
     Interprets exactly the keywords that input.schema.json uses: those of
     ``_VIOLATED`` and ``_WORDS``, local ``$ref`` (whose sibling keywords
@@ -197,7 +200,10 @@ def schema_violation(schema, instance):
             break
         best = first
     path, keyword, argument, value, _, _ = best
-    return path, _WORDS[keyword](argument, value)
+    text, limit = repr(value), sys.get_int_max_str_digits()
+    if limit and len(text) > limit:
+        text = f"{text[:limit]}... ({len(text)} characters)"
+    return path, _WORDS[keyword](argument, text)
 
 
 # ---------------------------------------------------------------------------

@@ -555,16 +555,13 @@ class NumberFieldDomain(ScalarDomain):
     integer rows for x^d .. x^(2d-2) over one common denominator, then
     divided by one gcd (Cohen, GTM 138, section 4.2).
 
-    The inverse is integer linear algebra too.  Let R be the common
-    denominator of the reduction rows and N the d x d int matrix whose
-    column j holds the coefficients of  c x^j  times R^j, for the numerator
-    c.  Then N diag(R^j) is the regular representation of c, and c^-1 has
-    the coefficients  R^j adj(N)[j][0] / det(N),  where det(N) is R^(d(d-1)/2)
-    times the norm of c.  Fraction-free Bareiss elimination gives the
-    adjugate column and the determinant with every division exact (Cohen,
-    GTM 138, sections 2.2 and 4.2).  A nonzero c with det(N) = 0 is a zero
-    divisor, so p is reducible, and the inverse raises ValueError; so do
-    sign and value when c is nonzero but its value is zero.
+    The inverse is the extended Euclidean algorithm in Z[x] on p's integer
+    multiple and the numerator c: pseudo-remainders, each carrying a
+    cofactor s with  r = s c mod p,  both cut to their common content,
+    until r is a constant and c^-1 = s / r (Cohen, GTM 138, sections
+    3.2-3.3).  A remainder 0 before a constant makes c a zero divisor, so
+    p is reducible, and the inverse raises ValueError; so do sign and
+    value when c is nonzero but its value is zero.
     """
 
     kind = "number_field"
@@ -714,34 +711,28 @@ class NumberFieldDomain(ScalarDomain):
     def _inv(self, payload):
         if not payload:
             raise ZeroDivisionError("inversion of zero scalar")
-        # Bareiss on [N | e_0] ends on the pivot D = +-det N; exact
-        # back-substitution then gives D N^-1 e_0 = +-adj(N) e_0
-        deg, a = self.degree, self._values[payload]
-        work = [[*row, int(i == 0)]
-                for i, row in enumerate(zip(*self._columns(a[1:])))]
-        prev = 1
-        for k in range(deg):
-            p = next((i for i in range(k, deg) if work[i][k]), None)
-            if p is None:  # N is singular: c shares a factor with min_poly
+        deg, (den, *c) = self.degree, self._values[payload]
+        r0, s0, r1, s1 = self._zpoly, [], _ptrim(c), [1]
+        while len(r1) > 1:
+            # pseudo-divide r0 by r1, scaling the cofactor alongside
+            rem, s, lead = list(r0), s0 + [0] * (deg - len(s0)), r1[-1]
+            while len(rem) >= len(r1):
+                g = math.gcd(rem[-1], lead)
+                scale, factor, k = lead // g, rem[-1] // g, len(rem) - len(r1)
+                rem, s = [x * scale for x in rem], [x * scale for x in s]
+                for i, y in enumerate(r1, k):
+                    rem[i] -= factor * y
+                for i, y in enumerate(s1, k):
+                    s[i] -= factor * y
+                rem = list(_ptrim(rem))
+            if not rem:  # c shares a factor with min_poly: a zero divisor
                 self._refuse_factor(payload)
-            work[k], work[p] = work[p], work[k]
-            top, pivot = work[k], work[k][k]
-            for i in range(k + 1, deg):
-                factor = work[i][k]
-                work[i] = [(pivot * x - factor * y) // prev
-                           for x, y in zip(work[i], top)]
-            prev = pivot
-        adj = [0] * deg
-        for i in range(deg - 1, -1, -1):
-            row = work[i]
-            acc = prev * row[deg] - sum(row[j] * adj[j] for j in range(i + 1, deg))
-            adj[i] = acc // row[i]
-        # (c / den)^-1 = den c^-1
-        den, R = a[0], self._reduction_scale
-        nums = [den * R ** j * x for j, x in enumerate(adj)]
-        if prev < 0:
-            prev, nums = -prev, [-x for x in nums]
-        return self._canonical(prev, nums)
+            g = math.gcd(*rem, *s)
+            r0, s0 = r1, s1
+            r1, s1 = [x // g for x in rem], [x // g for x in _ptrim(s)]
+        # r1 is the constant r = s1 c, so (c / den)^-1 = den s1 / r
+        r, den = r1[0], den if r1[0] > 0 else -den
+        return self._canonical(abs(r), [den * x for x in s1] + [0] * (deg - len(s1)))
 
     def _text(self, a):
         return _poly_text(_ptrim(self._fractions(a)), self.generator_symbol)
@@ -767,20 +758,6 @@ class NumberFieldDomain(ScalarDomain):
         rhs = self._fractions(target.payload)
         return [([column[t] for column in columns], rhs[t])
                 for t in range(self.degree)]
-
-    def _columns(self, c):
-        """The integer regular representation of the numerator coefficients
-        c: column j holds the coefficients of  c x^j  times R^j, with R the
-        reduction scale."""
-        R, red = self._reduction_scale, self._reduction[0]
-        columns = []
-        for _ in range(self.degree):
-            columns.append(c)
-            top = c[-1]
-            c = [0, *(x * R for x in c[:-1])]
-            if top:
-                c = [x + top * r for x, r in zip(c, red)]
-        return columns
 
     def _refuse_factor(self, a):
         """Refuse the nonzero payload a of value zero, or a zero divisor."""

@@ -350,6 +350,19 @@ def test_schema_violation_exits_two(tmp_path, capsys):
         assert err == f"quasifold: error: {path}: {message}\n"
 
 
+def test_schema_refusal_cuts_a_long_value(tmp_path, capsys):
+    # the repr of ['x' * 100000] has 100,004 characters; the refusal keeps
+    # the first sys.get_int_max_str_digits() of them and the length
+    doc = gallery_json("kite")
+    doc["name"] = ["x" * 100_000]
+    path = write_doc(tmp_path, doc)
+    code, out, err = run_cli(["validate", path], capsys)
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and len(err.encode()) < 5000
+    assert err.startswith(f"quasifold: error: {path}: schema violation at name: ")
+    assert err.endswith("... (100004 characters) is not of type 'string'\n")
+
+
 def test_input_schema_passes_its_metaschema():
     # the CLI no longer checks the schema at run time
     schema = load_input_schema()
@@ -700,6 +713,62 @@ def polytope_doc(domain, facets):
                                     for normal, offset in facets]}}
 
 
+RATIONAL = {"kind": "rational"}
+TRIANGLE_FACETS = [(["1", "0"], "0"), (["0", "1"], "0"), (["-1", "-1"], "-1")]
+TRIANGLE_RAYS = [["1", "0"], ["0", "1"], ["-1", "-1"]]
+
+
+def fan_doc(rays, max_cones, generators=(("1", "0"), ("0", "1")), **extra):
+    return {"domain": RATIONAL, "quasilattice": {"generators": generators},
+            "fan": {"rays": rays, "max_cones": max_cones}, **extra}
+
+
+def with_generators(doc, generators):
+    return dict(doc, quasilattice={"generators": generators})
+
+
+@pytest.mark.parametrize("doc, message", [
+    # x >= 1, -x >= 0: phase one finds no entering row
+    (with_generators(polytope_doc(RATIONAL, [(["1"], "1"), (["-1"], "0")]),
+                     [["1"]]),
+     "the inequality system has no vertices"),
+    # normals (1,0), (-1,0), (2,0): too few start pivots
+    (polytope_doc(RATIONAL, [(["1", "0"], "0"), (["-1", "0"], "-1"),
+                             (["2", "0"], "0")]),
+     "the inequality system has no vertices"),
+    (polytope_doc(RATIONAL, [(["1", "0"], "0"), (["0"], "0"),
+                             (["-1", "-1"], "-1")]),
+     "polytope: facet normals have inconsistent dimensions"),
+    (fan_doc(TRIANGLE_RAYS, [[1, 2], [2, 3], [3]]),
+     "fan: maximal cone (3,) must have 2 distinct ray indices"),
+    (fan_doc(TRIANGLE_RAYS, [[1, 2], [2, 3], [3, 3]]),
+     "fan: maximal cone (3, 3) must have 2 distinct ray indices"),
+    (fan_doc(TRIANGLE_RAYS, [[1, 2], [2, 3], [3, 4]]),
+     "fan: ray index 4 out of range"),
+    (fan_doc(TRIANGLE_RAYS + [["1", "1"]], [[1, 2], [2, 3], [1, 3]]),
+     "fan: rays [4] appear in no maximal cone"),
+    (fan_doc([["1", "0"], ["0", "1"], ["-1"]], [[1, 2], [2, 3], [1, 3]]),
+     "fan: ray coordinate count does not match the fan dimension"),
+    (with_generators(polytope_doc(RATIONAL, TRIANGLE_FACETS), [["1"], ["0"]]),
+     "quasilattice: a quasilattice needs at least n generators in R^n"),
+    (with_generators(polytope_doc(RATIONAL, TRIANGLE_FACETS),
+                     [["1", "2"], ["2", "4"]]),
+     "quasilattice: quasilattice generators must span R^n"),
+    (fan_doc(TRIANGLE_RAYS, [[1, 2], [2, 3], [1, 3]], witnesses=[[1, 0], [0, 1]]),
+     "one witness slot per ray is required"),
+    (polytope_doc({"kind": "number_field", "min_poly": ["-2", "0", "1"],
+                   "generator_symbol": "b"}, TRIANGLE_FACETS),
+     "domain: number_field domain needs embedding_approx"),
+    (polytope_doc({"kind": "rational_function"}, TRIANGLE_FACETS),
+     "domain: rational_function domain needs generator_symbol"),
+    (fan_doc(TRIANGLE_RAYS, [[1, 2], [2, 3], [1, 3]], generators=[["1"]]),
+     "fan and quasilattice dimensions differ"),
+])
+def test_malformed_structure_exits_two(doc, message, tmp_path, capsys):
+    code, out, err = run_cli(["validate", write_doc(tmp_path, doc)], capsys)
+    assert (code, out, err) == (2, "", f"quasifold: error: {message}\n")
+
+
 @pytest.mark.parametrize("command", ["polytope", "atlas", "verify"])
 def test_parameter_dependent_combinatorics_exit_two(command, tmp_path, capsys):
     # (D4) the unit triangle x, y >= 0, x + y <= a, cut by
@@ -740,6 +809,19 @@ def test_zero_valued_payload_exits_two(tmp_path, capsys):
     assert (code, out) == (2, "")
     assert err == ("quasifold: error: min_poly x^4 - 5*x^2 + 6 is reducible: "
                    "its factor x^2 - 2 divides the numerator of b^2 - 2\n")
+
+
+def test_zero_divisor_pivot_exits_two(tmp_path, capsys):
+    # (D3) over (x^2 - 2)(x^2 - 3) at sqrt 2, the vertex walk divides by
+    # the normal entry b^2 - 3, a zero divisor: its inverse is refused
+    path = write_doc(tmp_path, polytope_doc(
+        {"kind": "number_field", "min_poly": ["6", "0", "-5", "0", "1"],
+         "generator_symbol": "b", "embedding_approx": "1.41421356"},
+        [(["b^2 - 3", "0"], "-1"), (["0", "1"], "0"), (["1", "-1"], "-3")]))
+    code, out, err = run_cli(["polytope", path], capsys)
+    assert (code, out) == (2, "")
+    assert err == ("quasifold: error: min_poly x^4 - 5*x^2 + 6 is reducible: "
+                   "its factor x^2 - 3 divides the numerator of b^2 - 3\n")
 
 
 def test_substitute_at_a_pole_exits_two(tmp_path, capsys):

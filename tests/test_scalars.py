@@ -861,10 +861,17 @@ ORACLE_FIELDS = {
                 (Fraction(9, 5), 2)),
     # x^2 - 1/2: reduction rows over the common denominator 2
     "half": (["-1/2", "0", "1"], "r", "0.7071067811865476", (0, 1)),
-    # x^3 - x/2 - 1/3, irreducible (no rational root): reduction scale 6,
-    # so the regular representation's columns scale by 6^j up to j = 2
+    # x^3 - x/2 - 1/3, irreducible (no rational root): reduction scale 6
     "cubic": (["-1/3", "-1/2", "0", "1"], "t", "0.9271132416464846",
               (Fraction(9, 10), 1)),
+    # degrees 5-7, each irreducible by Eisenstein at 2 once cleared of
+    # denominators: the inverse's Euclid takes more steps, each scaled
+    "quintic": (["-2/3", "2/3", "0", "0", "0", "1"], "u", "0.716583467536125",
+                (0, 1)),
+    "sextic": (["-2/5", "0", "2/5", "0", "0", "0", "1"], "v",
+               "0.748522740779748", (0, 1)),
+    "septic": (["-2/3", "-2/3", "0", "0", "0", "0", "0", "1"], "w",
+               "1.0452922501586", (1, 2)),
 }
 
 
