@@ -21,7 +21,8 @@ import sys
 from fractions import Fraction
 
 from .atlas import Atlas
-from .documents import (InputError, atlas_section, build_report, decimal_text,
+from .documents import atlas_section  # unused: perfbench/tracing.py spans it here
+from .documents import (InputError, atlas_report, build_report, decimal_text,
                         document_to_triple, load_document, load_input_schema,
                         polytope_section, render_json_report,
                         render_text_report, schema_violation,
@@ -231,7 +232,7 @@ def run(args) -> tuple[int, str]:
 
     if args.command in ("atlas", "gallery") and not failed:
         atlas = Atlas.compile(triple)
-        sections["atlas"] = atlas_section(triple, atlas)
+        sections["atlas"] = atlas_report(triple, atlas)
         if sections["atlas"]["cocycle"]["violations"]:
             failed = True
     else:

@@ -9,15 +9,19 @@ transition and verification sections in a deterministic JSON-friendly
 form.  ``render_json_report`` writes a report as the bytes
 ``json.dumps(report, indent=2, sort_keys=True)`` returns, in one pass;
 the text rendering is a stable flat view of the same data.  A chart
-change is rendered in one place, ``transition_section``, for the atlas
-section and for the ``transition`` command alike, as joins of its target
-chart's term texts (``Atlas.terms``, read once per chart for the atlas
-section), and its text once, by ``_transition_lines``.  Group exponent
-and relation rows are the texts of each chart's payloads.
+change is the join of its target chart's term texts (``Atlas.terms``, read
+once per chart for the atlas section) at the source cone's columns, and
+``_chart_change`` decides its columns, h and scope: ``transition_section``
+joins it as a dict, for the ``transition`` command and for each entry of
+an atlas section's ``Transitions`` table, and ``render_json_report``
+joins it as JSON text from each target chart's escaped texts.  Its text
+rendering is ``_transition_lines``.  Group exponent and relation rows are
+the texts of each chart's payloads.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
@@ -447,24 +451,57 @@ def polytope_section(doc: InputDocument, fan_result, triple):
     return {"facets": facets, "vertex_table": table}
 
 
+def _chart_change(source, target):
+    """The columns of the chart change from cone source to cone target
+    (sorted tuples) in the target chart's table, its h (the source's rays
+    outside the target) and its scope."""
+    h = len(set(source).difference(target))
+    return ([j - 1 for j in source], h,
+            "chart overlap" if h < len(source) else "dense-orbit extension")
+
+
 def transition_section(terms, source, target):
     """The chart change from cone source to cone target (sorted tuples),
     read off the target chart's term texts ``terms`` (``Atlas.terms``):
     the ``transition`` command's section and an entry of the atlas
     section's transition list."""
-    columns = [j - 1 for j in source]
-    h = len(set(source).difference(target))
+    columns, h, scope = _chart_change(source, target)
     return {
         "source": list(source),
         "target": list(target),
         "h": h,
-        "scope": "chart overlap" if h < len(source) else "dense-orbit extension",
+        "scope": scope,
         "exponents": [[row[j][1] for j in columns] for row in terms],
         "rendered": render_terms(terms, columns),
     }
 
 
-def atlas_section(triple, atlas: Atlas, include_cocycle=True):
+class Transitions:
+    """The chart changes of an atlas section, one per ordered pair of
+    distinct cones in sweep order (each source, then each target), as a
+    sized table over each chart's term texts ``terms`` (cone ->
+    ``Atlas.terms``).  Iterating it yields the ``transition_section``
+    dicts; ``render_json_report`` writes it from the texts instead, each
+    encoded once per chart, not once per transition."""
+
+    def __init__(self, cones, terms):
+        self.cones, self.terms = cones, terms
+
+    def __len__(self):
+        return len(self.cones) * (len(self.cones) - 1)
+
+    def __iter__(self):
+        for source, target in self.pairs():
+            yield transition_section(self.terms[target], source, target)
+
+    def pairs(self):
+        # the fan keeps its cones sorted, so this is sweep order
+        return itertools.permutations(self.cones, 2)
+
+
+def atlas_report(triple, atlas: Atlas, include_cocycle=True):
+    """The atlas section as a report holds it: its transitions are a
+    ``Transitions`` table."""
     domain, d = triple.domain, triple.ray_count
     text = domain.text_of
     charts = [{
@@ -473,10 +510,8 @@ def atlas_section(triple, atlas: Atlas, include_cocycle=True):
         "group_exponents": [[text(x) for x in row]
                             for row in atlas.chart(cone).group_rows()],
     } for cone in atlas.cones]
-    terms = {cone: atlas.terms(cone) for cone in atlas.cones}
-    transitions = [transition_section(terms[target], source, target)
-                   for source in atlas.cones for target in atlas.cones
-                   if source != target]
+    transitions = Transitions(atlas.cones,
+                              {cone: atlas.terms(cone) for cone in atlas.cones})
     relation_rows = []
     for cone in atlas.cones:
         table = atlas.chart(cone).rows   # ray j over the cone: column j of C
@@ -506,6 +541,14 @@ def atlas_section(triple, atlas: Atlas, include_cocycle=True):
             "violations": [list(map(list, v[1:])) for v in cocycle.violations],
             "passed": cocycle.passed,
         }
+    return section
+
+
+def atlas_section(triple, atlas: Atlas, include_cocycle=True):
+    """``atlas_report`` as plain data: its transitions are a list of the
+    ``transition_section`` dicts."""
+    section = atlas_report(triple, atlas, include_cocycle)
+    section["transitions"] = list(section["transitions"])
     return section
 
 
@@ -683,7 +726,10 @@ def render_json_report(report) -> str:
     ``json.dumps`` writes it, its line breaks moved to the value's margin.
     A key that is not a str raises TypeError in a dict the writer lays out
     itself; a dict subclass or a tuple gets exactly what ``json.dumps``
-    returns, and a value ``json`` cannot encode raises its TypeError.
+    returns, and a value ``json`` cannot encode raises its TypeError.  A
+    ``Transitions`` table is written as the list of its dicts would be, each
+    transition joined from its target chart's escaped texts at the source
+    cone's columns.
     """
     chunks = []
     append = chunks.append
@@ -758,6 +804,42 @@ def render_json_report(report) -> str:
                 write(value, inner)
         append(margin + "]")
 
+    def write_transitions(table, margin):
+        if not table:
+            append("[]")
+            return
+        inner = indent(margin)     # each transition's braces
+        fields = indent(inner)     # its keys, and its lists' brackets
+        rows = indent(fields)      # its exponent rows, and its cones' indices
+        entries = indent(rows)     # the entries of an exponent row
+        keys = ("source", "target", "h", "scope", "exponents", "rendered")
+        items, closing, _ = layouts.get((keys, inner)) or layout(keys, inner)
+        prefix = dict(items)
+        row_open, entry_separator = "[" + entries, "," + entries
+        row_close, row_separator = rows + "]", "," + rows
+        cones = {cone: f"[{rows}{row_separator.join(map(int_text, cone))}{fields}]"
+                 for cone in table.cones}
+        # each entry with its quotes, each factor without them: a monomial
+        # in quotes is then render_terms of the factors
+        escaped = {cone: [[(escape(factor)[1:-1], escape(entry)) for factor, entry in row]
+                          for row in terms] for cone, terms in table.terms.items()}
+
+        def transition(source, target):
+            columns, h, scope = _chart_change(source, target)
+            terms = escaped[target]
+            return "".join((
+                prefix["exponents"], "[", rows, row_separator.join([
+                    row_open + entry_separator.join([row[j][1] for j in columns])
+                    + row_close for row in terms]), fields, "]",
+                prefix["h"], int_text(h),
+                prefix["rendered"], '"', render_terms(terms, columns), '"',
+                prefix["scope"], escape(scope), prefix["source"], cones[source],
+                prefix["target"], cones[target], closing))
+        separator = "," + inner
+        append("[" + inner)
+        append(separator.join(itertools.starmap(transition, table.pairs())))
+        append(margin + "]")
+
     def write(value, margin):
         kind = type(value)
         if kind is str:
@@ -768,6 +850,8 @@ def render_json_report(report) -> str:
             write_list(value, margin)
         elif kind is int:
             append(int_text(value))
+        elif kind is Transitions:
+            write_transitions(value, margin)
         else:
             # exact at any margin: each line break in json's text starts a line
             text = json.dumps(value, indent=2, sort_keys=True)
